@@ -237,6 +237,77 @@ func TestLPRosterPresolveSpeedup(t *testing.T) {
 	}
 }
 
+// presolveBenchInputs returns the two shapes presolve.Reduce is paid for in
+// production: a paper-scale 8x64 relaxation, and a 3x8 branch-and-bound child
+// (two placements branched to 0, one to 1, integrality marks on) as
+// internal/milp hands it over.
+func presolveBenchInputs() (relaxed, child *lp.Problem, childOpts *presolve.Options) {
+	relaxed = relax.Encode(workload.Generate(lpPaperGrid()[2])).LP
+
+	enc := relax.Encode(workload.Generate(workload.Scenario{Hosts: 3, Services: 8, COV: 0.5, Slack: 0.5, Seed: 1}))
+	q := *enc.LP
+	q.Upper = append([]float64(nil), enc.LP.Upper...)
+	q.Lower = make([]float64, q.NumVars())
+	integral := make([]bool, q.NumVars())
+	for j := 0; j < enc.J; j++ {
+		for h := 0; h < enc.H; h++ {
+			integral[enc.EVar(j, h)] = true
+		}
+	}
+	q.Upper[enc.EVar(0, 0)], q.Upper[enc.EVar(1, 2)] = 0, 0
+	q.Lower[enc.EVar(2, 1)] = 1
+	return relaxed, &q, &presolve.Options{Integral: integral}
+}
+
+// BenchmarkPresolveReduce times the reducer alone on the two production
+// shapes; run with -benchmem, B/op and allocs/op are what is left after the
+// pooled scratch: the Reduction itself and the reduced model.
+func BenchmarkPresolveReduce(b *testing.B) {
+	relaxed, child, childOpts := presolveBenchInputs()
+	run := func(p *lp.Problem, opts *presolve.Options) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := presolve.Reduce(p, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("relax8x64", run(relaxed, nil))
+	b.Run("milpchild3x8", run(child, childOpts))
+}
+
+// TestPresolveReduceAllocs gates the allocation count of a warmed-up Reduce:
+// what a reduction allocates is what it returns (the Reduction, its postsolve
+// records and maps, the reduced model), a number that does not grow with the
+// 512 eliminations a paper-scale relaxation performs.
+func TestPresolveReduceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	relaxed, child, childOpts := presolveBenchInputs()
+	for _, tc := range []struct {
+		name string
+		p    *lp.Problem
+		opts *presolve.Options
+		max  float64
+	}{
+		{"relax8x64", relaxed, nil, 32},
+		{"milpchild3x8", child, childOpts, 32},
+	} {
+		reduce := func() {
+			if _, err := presolve.Reduce(tc.p, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reduce() // warm the scratch pool
+		if got := testing.AllocsPerRun(20, reduce); got > tc.max {
+			t.Errorf("%s: %.0f allocs per warmed-up Reduce, want <= %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
 // BenchmarkTable2Runtimes times each Table 2 algorithm on one representative
 // instance per service count, the quantity the paper reports in seconds.
 func BenchmarkTable2Runtimes(b *testing.B) {

@@ -88,10 +88,20 @@ type ClusterState struct {
 	engine.State
 }
 
+// loadDriftTol bounds, relative to a node's aggregate capacity, how far
+// below zero a per-node load may sit. Loads are running sums: a departure
+// subtracts what an arrival added, and in floating point a node that emptied
+// out can be left at -5.6e-17 instead of 0. The state carries those floats
+// verbatim (a restored cluster must continue bit-identically), so Validate
+// has to accept what the engine legitimately produces; anything further
+// below zero than rounding can explain is still corruption.
+const loadDriftTol = 1e-9
+
 // Validate checks structural consistency of a decoded state: node and
 // service vector dimensionalities agree, all values are finite and
-// non-negative, ids are strictly ascending, placements are in range, and
-// NextID is above every live id.
+// non-negative (the derived per-node loads to within loadDriftTol of their
+// node's capacity), ids are strictly ascending, placements are in range,
+// and NextID is above every live id.
 func (st *ClusterState) Validate() error {
 	if len(st.Nodes) == 0 {
 		return fmt.Errorf("vmalloc: state has no nodes")
@@ -100,22 +110,28 @@ func (st *ClusterState) Validate() error {
 	if d == 0 {
 		return fmt.Errorf("vmalloc: state node 0 has no dimensions")
 	}
-	checkVec := func(kind string, v Vec) error {
+	// drift is nil for stored values, which may not be negative at all, and
+	// the node's aggregate capacity for a derived load (see loadDriftTol).
+	checkVec := func(kind string, v, drift Vec) error {
 		if v.Dim() != d {
 			return fmt.Errorf("vmalloc: state %s has %d dimensions, want %d", kind, v.Dim(), d)
 		}
 		for dd, x := range v {
-			if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+			floor := 0.0
+			if drift != nil {
+				floor = -loadDriftTol * drift[dd]
+			}
+			if x < floor || math.IsNaN(x) || math.IsInf(x, 0) {
 				return fmt.Errorf("vmalloc: state %s has invalid value %g in dimension %d", kind, x, dd)
 			}
 		}
 		return nil
 	}
 	for h, n := range st.Nodes {
-		if err := checkVec(fmt.Sprintf("node %d elementary capacity", h), n.Elementary); err != nil {
+		if err := checkVec(fmt.Sprintf("node %d elementary capacity", h), n.Elementary, nil); err != nil {
 			return err
 		}
-		if err := checkVec(fmt.Sprintf("node %d aggregate capacity", h), n.Aggregate); err != nil {
+		if err := checkVec(fmt.Sprintf("node %d aggregate capacity", h), n.Aggregate, nil); err != nil {
 			return err
 		}
 	}
@@ -142,7 +158,7 @@ func (st *ClusterState) Validate() error {
 			{"estimated elementary need", ss.Est.NeedElem},
 			{"estimated aggregate need", ss.Est.NeedAgg},
 		} {
-			if err := checkVec(fmt.Sprintf("service %d %s", ss.ID, vv.kind), vv.v); err != nil {
+			if err := checkVec(fmt.Sprintf("service %d %s", ss.ID, vv.kind), vv.v, nil); err != nil {
 				return err
 			}
 		}
@@ -156,10 +172,10 @@ func (st *ClusterState) Validate() error {
 				len(st.ReqLoads), len(st.NeedLoads), len(st.Nodes))
 		}
 		for h := range st.ReqLoads {
-			if err := checkVec(fmt.Sprintf("node %d requirement load", h), st.ReqLoads[h]); err != nil {
+			if err := checkVec(fmt.Sprintf("node %d requirement load", h), st.ReqLoads[h], st.Nodes[h].Aggregate); err != nil {
 				return err
 			}
-			if err := checkVec(fmt.Sprintf("node %d need load", h), st.NeedLoads[h]); err != nil {
+			if err := checkVec(fmt.Sprintf("node %d need load", h), st.NeedLoads[h], st.Nodes[h].Aggregate); err != nil {
 				return err
 			}
 		}

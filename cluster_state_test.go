@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -139,6 +140,72 @@ func TestClusterStateJSONRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(data, data3) {
 		t.Fatal("restored cluster state differs from source bytes")
+	}
+}
+
+// TestClusterStateSurvivesLoadDrift churns arrivals and departures until the
+// engine's running per-node sums leave a load a rounding error below zero
+// (a node that emptied out at -5.6e-17 is what vmallocd served from GET
+// /v1/snapshot and then refused to decode), and requires the state to
+// validate, round-trip byte for byte, and restore.
+func TestClusterStateSurvivesLoadDrift(t *testing.T) {
+	c, err := NewCluster(stateTestNodes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := func(st *ClusterState) bool {
+		for h := range st.Nodes {
+			for dd := range st.ReqLoads[h] {
+				if st.ReqLoads[h][dd] < 0 || st.NeedLoads[h][dd] < 0 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(1))
+	var live []int
+	var st *ClusterState
+	for step := 0; step < 20000; step++ {
+		if len(live) < 6 && (len(live) == 0 || rng.Intn(2) == 0) {
+			if id, _, err := c.Add(stateTestService(0.01 + 0.3*rng.Float64())); err == nil {
+				live = append(live, id)
+			}
+			continue
+		}
+		k := rng.Intn(len(live))
+		c.Remove(live[k])
+		live = append(live[:k], live[k+1:]...)
+		if st = c.State(); drifted(st) {
+			break
+		}
+	}
+	if st == nil || !drifted(st) {
+		t.Fatal("churn never drove a load below zero; the regression is not exercised")
+	}
+	if err := st.Validate(); err != nil {
+		t.Fatalf("the cluster's own state does not validate: %v", err)
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back ClusterState
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := RestoreCluster(&back, nil)
+	if err != nil {
+		t.Fatalf("restoring the drifted state: %v", err)
+	}
+	if again, err := json.Marshal(rc.State()); err != nil || !bytes.Equal(data, again) {
+		t.Fatalf("drifted state did not survive the round trip byte for byte (err %v)", err)
+	}
+
+	// Rounding explains a load a hair below zero, not one far below it.
+	back.NeedLoads[0][0] = -1e-6
+	if err := back.Validate(); err == nil {
+		t.Fatal("a load of -1e-6 validated")
 	}
 }
 

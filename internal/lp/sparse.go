@@ -150,7 +150,25 @@ type Basis struct {
 	m, nStruct, nReal int
 	cols              []int
 	status            []varStatus
+	attached          any
 }
+
+// WithAttachment returns a copy of the basis (sharing its immutable
+// contents) that carries v, an opaque value of the backend that handed the
+// basis out: a backend whose warm token is more than a basis — the
+// presolving backend's token also names the reduction the basis belongs to —
+// stores the rest here and reads it back with Attachment when the token
+// returns. The solvers never look at it. v lives as long as the token does
+// and, like the basis, may be read from several goroutines at once, so it
+// must be immutable.
+func (b *Basis) WithAttachment(v any) *Basis {
+	c := *b
+	c.attached = v
+	return &c
+}
+
+// Attachment returns the value WithAttachment stored, or nil.
+func (b *Basis) Attachment() any { return b.attached }
 
 // BasisVarStatus is the exported view of a simplex variable's position in a
 // Basis: resting at its lower bound, resting at its upper bound, or basic.
@@ -343,6 +361,14 @@ func SolveSparseWarm(p *Problem, warm *Basis) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return SolveSparseTrusted(p, warm)
+}
+
+// SolveSparseTrusted is SolveSparseWarm without the Validate pass, for a
+// problem the caller validated itself or built valid by construction (the
+// presolving backend's reduced models). An invalid problem here is a bug in
+// the caller and may panic.
+func SolveSparseTrusted(p *Problem, warm *Basis) (*Solution, error) {
 	q, lower := p.shiftLower()
 	sol := runRevised(q, warm)
 	unshiftSolution(sol, p.Obj, lower)

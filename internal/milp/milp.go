@@ -126,12 +126,10 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 	if err := p.LP.Validate(); err != nil {
 		return nil, err
 	}
-	isBin := make(map[int]bool, len(p.Binary))
 	for _, j := range p.Binary {
 		if j < 0 || j >= p.LP.NumVars() {
 			return nil, fmt.Errorf("milp: binary index %d out of range", j)
 		}
-		isBin[j] = true
 	}
 
 	// Fixing binaries via bound changes keeps every node's LP the same
@@ -221,39 +219,41 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 // solveRelaxation solves the node LP through the configured backend: the
 // base problem with branched binaries fixed purely through bound changes (0
 // via Upper, 1 via Lower+Upper), so every node shares the base constraint
-// matrix. With presolve enabled the bound fixings happen before reduction,
-// so each level's fixings shrink the child's reduced model further; the
-// warm token then only installs when parent and child reduce to the same
-// shape, and costs a cheap cold fallback otherwise.
+// matrix — and, through the parent's warm token, the presolving backend's
+// one prepared copy of it: a child re-reduces only because its bounds moved.
+// The bound fixings happen before reduction, so each level's fixings shrink
+// the child's reduced model further; the parent's basis then only installs
+// when parent and child reduce to the same shape, and costs a cheap cold
+// fallback otherwise. Bound slices are copied only when the node fixes
+// something through them, so fixings never leak across nodes.
 func solveRelaxation(solver lp.Backend, base *lp.Problem, nd *node) (*lp.Solution, error) {
 	q := *base
-	// Copy bounds so fixings do not leak across nodes.
-	upper := make([]float64, base.NumVars())
-	if base.Upper != nil {
-		copy(upper, base.Upper)
-	} else {
-		for j := range upper {
-			upper[j] = math.Inf(1)
+	if len(nd.fix0)+len(nd.fix1) > 0 {
+		q.Upper = make([]float64, base.NumVars())
+		if base.Upper != nil {
+			copy(q.Upper, base.Upper)
+		} else {
+			for j := range q.Upper {
+				q.Upper[j] = math.Inf(1)
+			}
+		}
+		for _, j := range nd.fix0 {
+			q.Upper[j] = 0
 		}
 	}
-	for _, j := range nd.fix0 {
-		upper[j] = 0
-	}
-	q.Upper = upper
 	if len(nd.fix1) > 0 {
-		lower := make([]float64, base.NumVars())
+		q.Lower = make([]float64, base.NumVars())
 		if base.Lower != nil {
-			copy(lower, base.Lower)
+			copy(q.Lower, base.Lower)
 		}
 		for _, j := range nd.fix1 {
-			if upper[j] < 1 {
+			if q.Upper[j] < 1 {
 				// The variable cannot reach 1: the node is infeasible.
 				return &lp.Solution{Status: lp.Infeasible}, nil
 			}
-			lower[j] = 1
-			upper[j] = 1
+			q.Lower[j] = 1
+			q.Upper[j] = 1
 		}
-		q.Lower = lower
 	}
 	return solver.SolveWarm(&q, nd.warm)
 }

@@ -1,12 +1,17 @@
 // Backend wraps any lp.Backend with the reduction pipeline, making
 // presolve+solve+postsolve a drop-in solver for relax, hvp's LPBOUND
-// bracket, and exp.LPRoster. The warm-basis token it hands out is the
-// REDUCED model's basis: re-solving the identical problem reduces
-// identically, so the token installs directly on the next reduced solve —
-// which is exactly the RRND-then-RRNZ roster pattern. A token from a
-// differently-shaped problem fails the install shape check inside the inner
-// solver and costs only a cold start. Use Reduce/Postsolve directly when
-// the full-space basis is needed instead.
+// bracket, and exp.LPRoster. The warm token it hands out is the REDUCED
+// model's basis with the Reduction it belongs to attached. A re-solve of an
+// element-for-element equal problem — the RRND-then-RRNZ roster pattern —
+// finds its reduction on the token, skips Reduce and installs the basis
+// directly; a re-solve that shares only the constraint matrix (every
+// branch-and-bound child) reuses the token's prepared matrix and reduces the
+// rest afresh; anything else reduces from scratch. The comparison is against
+// the reducer's own copy of the earlier problem, so editing a problem in
+// place between solves can never revive a stale reduction. A basis that does
+// not fit the new reduced model fails the install shape check inside the
+// inner solver and costs only a cold start. Use Reduce/Postsolve directly
+// when the full-space basis is needed instead.
 
 package presolve
 
@@ -38,11 +43,16 @@ func (b Backend) Name() string { return "presolve+" + b.inner().Name() }
 // Solve implements lp.Backend.
 func (b Backend) Solve(p *lp.Problem) (*lp.Solution, error) { return b.SolveWarm(p, nil) }
 
-// SolveWarm implements lp.Backend: reduce, solve the reduced model (warm
-// when the token fits), postsolve the primal, and return the reduced basis
-// as the next warm token.
+// SolveWarm implements lp.Backend: reduce (or take the reduction off the
+// token), solve the reduced model (warm when the token fits), postsolve the
+// primal, and return the reduced basis, reduction attached, as the next warm
+// token.
 func (b Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) {
-	red, err := Reduce(p, b.Opts)
+	var prev *Reduction
+	if warm != nil {
+		prev, _ = warm.Attachment().(*Reduction)
+	}
+	red, err := reduce(p, b.Opts, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -59,17 +69,25 @@ func (b Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) 
 		full.Presolve = red.solutionStats()
 		return full, nil
 	}
-	sol, err := b.inner().SolveWarm(red.Problem(), warm)
+	var sol *lp.Solution
+	if b.Inner == nil {
+		// emit built the reduced model valid; the simplex need not re-check it.
+		sol, err = lp.SolveSparseTrusted(red.Problem(), warm)
+	} else {
+		sol, err = b.Inner.SolveWarm(red.Problem(), warm)
+	}
 	if err != nil {
 		return sol, err
 	}
-	full, err := red.Postsolve(sol)
+	// Hand the reduced basis back as the warm token; the full-space basis
+	// reconstruction is reachable via explicit Reduce+Postsolve.
+	full, err := red.postsolve(sol, false)
 	if err != nil {
 		return nil, err
 	}
-	// Hand the reduced basis back as the warm token; the full-space basis
-	// reconstruction is reachable via explicit Reduce+Postsolve.
-	full.Basis = sol.Basis
+	if sol.Basis != nil {
+		full.Basis = sol.Basis.WithAttachment(red)
+	}
 	full.Refactorizations = sol.Refactorizations
 	full.BlandActivations = sol.BlandActivations
 	full.Presolve = red.solutionStats()

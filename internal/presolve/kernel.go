@@ -1,0 +1,394 @@
+// The reducer's storage: every coefficient is a cell threaded on two doubly
+// linked lists, its row's (ascending column id, the order every activity sum
+// and every postsolve record is accumulated in) and its column's. A cell's
+// index is its position for life, so a column reaches each of its rows'
+// entries without searching, an entry is deleted or edited where it sits,
+// and substitution splices fill-in into the host rows instead of rebuilding
+// them. The immutable starting state — the row mirror of a problem's CSC —
+// is a matrix; reductions copy it into pooled scratch and edit the copy.
+
+package presolve
+
+import (
+	"math"
+	"sync"
+
+	"vmalloc/internal/lp"
+	"vmalloc/internal/sliceutil"
+)
+
+const none = int32(-1)
+
+// cell is one matrix coefficient.
+type cell struct {
+	row, col     int32
+	rNext, rPrev int32 // neighbours in the row, ascending column id
+	cNext, cPrev int32 // neighbours in the column
+	val          float64
+}
+
+// matrix is the prepared row mirror of a constraint matrix: cells in
+// row-major order (row i is cells[rowPtr[i]:rowPtr[i+1]], ascending column)
+// with the row and column lists already threaded, column lists in the
+// source CSC's entry order. It is never modified after newMatrix returns, so
+// any number of reductions — on any number of goroutines — may share it.
+type matrix struct {
+	m, n    int
+	cells   []cell
+	rowPtr  []int32
+	colHead []int32
+	colCnt  []int32
+}
+
+// newMatrix mirrors a validated CSC row-wise by counting sort: one pass to
+// size the rows, one to drop every entry into place. cursor is caller
+// scratch.
+func newMatrix(c *lp.CSC, cursor *[]int32) *matrix {
+	a := &matrix{
+		m: c.M, n: c.N,
+		cells:   make([]cell, len(c.Val)),
+		rowPtr:  make([]int32, c.M+1),
+		colHead: make([]int32, c.N),
+		colCnt:  make([]int32, c.N),
+	}
+	for _, i := range c.RowIdx {
+		a.rowPtr[i+1]++
+	}
+	for i := 0; i < c.M; i++ {
+		a.rowPtr[i+1] += a.rowPtr[i]
+	}
+	next := sliceutil.Grow(*cursor, c.M)
+	*cursor = next
+	copy(next, a.rowPtr)
+	for j := 0; j < c.N; j++ {
+		lo, hi := c.ColPtr[j], c.ColPtr[j+1]
+		a.colHead[j] = none
+		a.colCnt[j] = int32(hi - lo)
+		prev := none
+		for k := lo; k < hi; k++ {
+			i := c.RowIdx[k]
+			at := next[i]
+			next[i]++
+			cl := &a.cells[at]
+			*cl = cell{row: int32(i), col: int32(j), rNext: at + 1, rPrev: at - 1, cNext: none, cPrev: prev, val: c.Val[k]}
+			if at == a.rowPtr[i] {
+				cl.rPrev = none
+			}
+			if at+1 == a.rowPtr[i+1] {
+				cl.rNext = none
+			}
+			if prev >= 0 {
+				a.cells[prev].cNext = at
+			} else {
+				a.colHead[j] = at
+			}
+			prev = at
+		}
+	}
+	return a
+}
+
+// equals reports whether a validated CSC holds exactly this matrix: the same
+// shape and, entry for entry in storage order, the same rows, columns and
+// coefficient bits. cursor is caller scratch.
+func (a *matrix) equals(c *lp.CSC, cursor *[]int32) bool {
+	if c.M != a.m || c.N != a.n || len(c.Val) != len(a.cells) {
+		return false
+	}
+	next := sliceutil.Grow(*cursor, c.M)
+	*cursor = next
+	copy(next, a.rowPtr)
+	for j := 0; j < c.N; j++ {
+		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
+			i := c.RowIdx[k]
+			at := next[i]
+			if at == a.rowPtr[i+1] {
+				return false
+			}
+			next[i]++
+			if cl := &a.cells[at]; int(cl.col) != j || math.Float64bits(cl.val) != math.Float64bits(c.Val[k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// reducer is the mutable working state of one reduction, always indexed by
+// original row/column ids. It doubles as the pooled scratch: every buffer is
+// recycled from one reduction to the next, and finish copies the results
+// (records, terms, synRow, pivotOf) out at their final size.
+type reducer struct {
+	n, m  int // current counts; n grows past nOrig as slacks are added
+	nOrig int // columns in the input problem
+
+	cells                    []cell
+	free                     int32 // released cells, chained through rNext
+	rowHead, rowTail, rowLen []int32
+	colHead, colCnt          []int32
+	sense                    []lp.Sense
+	b                        []float64
+	rowAlive                 []bool
+	colAlive                 []bool
+	l, u, c                  []float64
+	actMin, actMax           []float64 // row activity bounds, valid where actOK
+	actOK                    []bool
+	others, scan             []entry // row snapshots: substitute's host row; the row a pass is on
+	cursor                   []int32
+	infeasible, unbounded    bool
+	assumeImplied            bool // see substitute
+	stats                    Stats
+	opts                     Options
+	synRow                   []int // synthetic column n0+k -> its source inequality row
+	pivotOf                  []int
+	records                  []record
+	terms                    []entry // backing store of every recSubst's terms
+}
+
+var reducerPool = sync.Pool{New: func() any { return new(reducer) }}
+
+// load resets the reducer to the start of a reduction of src.
+func (ps *reducer) load(src *source) {
+	a := src.mat
+	n, m := a.n, a.m
+	ps.n, ps.m, ps.nOrig = n, m, n
+	ps.opts = src.opts
+	ps.stats = Stats{RowsBefore: m, ColsBefore: n, NNZBefore: len(a.cells)}
+	ps.infeasible, ps.unbounded, ps.assumeImplied = false, false, false
+
+	ps.cells = append(ps.cells[:0], a.cells...)
+	ps.free = none
+	ps.rowHead = sliceutil.Grow(ps.rowHead, m)
+	ps.rowTail = sliceutil.Grow(ps.rowTail, m)
+	ps.rowLen = sliceutil.Grow(ps.rowLen, m)
+	ps.rowAlive = sliceutil.Grow(ps.rowAlive, m)
+	ps.actMin = sliceutil.Grow(ps.actMin, m)
+	ps.actMax = sliceutil.Grow(ps.actMax, m)
+	ps.actOK = sliceutil.Grow(ps.actOK, m)
+	for i := 0; i < m; i++ {
+		lo, hi := a.rowPtr[i], a.rowPtr[i+1]
+		ps.rowHead[i], ps.rowTail[i], ps.rowLen[i] = lo, hi-1, hi-lo
+		if lo == hi {
+			ps.rowHead[i], ps.rowTail[i] = none, none
+		}
+		ps.rowAlive[i] = true
+		ps.actOK[i] = false
+	}
+	ps.sense = append(ps.sense[:0], src.sense...)
+	ps.b = append(ps.b[:0], src.b...)
+
+	ps.colHead = append(ps.colHead[:0], a.colHead...)
+	ps.colCnt = append(ps.colCnt[:0], a.colCnt...)
+	ps.l = append(ps.l[:0], src.l...)
+	ps.u = append(ps.u[:0], src.u...)
+	ps.c = append(ps.c[:0], src.obj...)
+	ps.colAlive = sliceutil.Grow(ps.colAlive, n)
+	for j := range ps.colAlive {
+		ps.colAlive[j] = true
+	}
+
+	ps.synRow = ps.synRow[:0]
+	ps.records = ps.records[:0]
+	ps.terms = ps.terms[:0]
+	ps.pivotOf = sliceutil.Grow(ps.pivotOf, m)
+	for i := range ps.pivotOf {
+		ps.pivotOf[i] = -1
+	}
+}
+
+// newCell returns a cell to overwrite, recycled when one is free. Growing
+// the store moves it: callers hold cell indices, never pointers, across this
+// call.
+func (ps *reducer) newCell() int32 {
+	if k := ps.free; k >= 0 {
+		ps.free = ps.cells[k].rNext
+		return k
+	}
+	ps.cells = append(ps.cells, cell{})
+	return int32(len(ps.cells) - 1)
+}
+
+// insert adds coefficient v for column j to row i in front of cell at, or at
+// the row's end when at is none; the caller picks at so the row stays
+// sorted.
+func (ps *reducer) insert(i int, at int32, j int, v float64) {
+	k := ps.newCell()
+	prev := ps.rowTail[i]
+	if at >= 0 {
+		prev = ps.cells[at].rPrev
+		ps.cells[at].rPrev = k
+	} else {
+		ps.rowTail[i] = k
+	}
+	if prev >= 0 {
+		ps.cells[prev].rNext = k
+	} else {
+		ps.rowHead[i] = k
+	}
+	head := ps.colHead[j]
+	if head >= 0 {
+		ps.cells[head].cPrev = k
+	}
+	ps.colHead[j] = k
+	ps.cells[k] = cell{row: int32(i), col: int32(j), rNext: at, rPrev: prev, cNext: head, cPrev: none, val: v}
+	ps.rowLen[i]++
+	ps.colCnt[j]++
+	ps.actOK[i] = false
+}
+
+// unlinkCol takes cell k off its column's list.
+func (ps *reducer) unlinkCol(k int32) {
+	cl := &ps.cells[k]
+	if cl.cPrev >= 0 {
+		ps.cells[cl.cPrev].cNext = cl.cNext
+	} else {
+		ps.colHead[cl.col] = cl.cNext
+	}
+	if cl.cNext >= 0 {
+		ps.cells[cl.cNext].cPrev = cl.cPrev
+	}
+	ps.colCnt[cl.col]--
+}
+
+// remove deletes cell k from its row and its column.
+func (ps *reducer) remove(k int32) {
+	ps.unlinkCol(k)
+	cl := &ps.cells[k]
+	i := cl.row
+	if cl.rPrev >= 0 {
+		ps.cells[cl.rPrev].rNext = cl.rNext
+	} else {
+		ps.rowHead[i] = cl.rNext
+	}
+	if cl.rNext >= 0 {
+		ps.cells[cl.rNext].rPrev = cl.rPrev
+	} else {
+		ps.rowTail[i] = cl.rPrev
+	}
+	ps.rowLen[i]--
+	ps.actOK[i] = false
+	cl.rNext = ps.free
+	ps.free = k
+}
+
+// dropRow marks a row eliminated and releases its cells.
+func (ps *reducer) dropRow(i int) {
+	for k := ps.rowHead[i]; k >= 0; {
+		next := ps.cells[k].rNext
+		ps.unlinkCol(k)
+		ps.cells[k].rNext = ps.free
+		ps.free = k
+		k = next
+	}
+	ps.rowHead[i], ps.rowTail[i], ps.rowLen[i] = none, none, 0
+	ps.rowAlive[i] = false
+	ps.stats.DroppedRows++
+}
+
+// cellAt returns row i's cell for column j, found through the column's list,
+// or none.
+func (ps *reducer) cellAt(i, j int) int32 {
+	for k := ps.colHead[j]; k >= 0; k = ps.cells[k].cNext {
+		if int(ps.cells[k].row) == i {
+			return k
+		}
+	}
+	return none
+}
+
+// snapshot appends row i's entries to buf[:0], leaving out cell skip.
+func (ps *reducer) snapshot(buf []entry, i int, skip int32) []entry {
+	buf = buf[:0]
+	for k := ps.rowHead[i]; k >= 0; k = ps.cells[k].rNext {
+		if k != skip {
+			buf = append(buf, entry{int(ps.cells[k].col), ps.cells[k].val})
+		}
+	}
+	return buf
+}
+
+// addToRow adds f*src to row r in place, src sorted by column: matching
+// coefficients are updated where they sit (and deleted when they cancel
+// below dropCoefTol), new ones spliced in at their sorted position. A column
+// much shorter than the row finds its cell through the column's list, and
+// everything past the row's last column is appended, so eliminating a
+// doubleton never walks the long aggregate rows it touches.
+func (ps *reducer) addToRow(r int, src []entry, f float64) {
+	k := ps.rowHead[r] // no cell before k holds a column >= the current entry's
+	for _, s := range src {
+		at := none
+		if t := ps.rowTail[r]; t < 0 || int(ps.cells[t].col) < s.j {
+			k = none
+		} else {
+			if ps.colCnt[s.j] < ps.rowLen[r] {
+				at = ps.cellAt(r, s.j)
+			}
+			if at < 0 {
+				for int(ps.cells[k].col) < s.j {
+					k = ps.cells[k].rNext
+				}
+				if int(ps.cells[k].col) == s.j {
+					at = k
+				}
+			}
+		}
+		if at < 0 {
+			if v := f * s.v; math.Abs(v) >= dropCoefTol {
+				ps.insert(r, k, s.j, v)
+			}
+			continue
+		}
+		if at == k {
+			k = ps.cells[k].rNext
+		}
+		if v := ps.cells[at].val + f*s.v; math.Abs(v) >= dropCoefTol {
+			ps.cells[at].val = v
+			ps.actOK[r] = false
+		} else {
+			ps.remove(at)
+		}
+	}
+}
+
+// touchCol invalidates the cached activity of every row holding column j,
+// after one of its bounds moved.
+func (ps *reducer) touchCol(j int) {
+	for k := ps.colHead[j]; k >= 0; k = ps.cells[k].cNext {
+		ps.actOK[ps.cells[k].row] = false
+	}
+}
+
+// rowActivity returns the minimum and maximum of row i's left-hand side over
+// the current bounds (±Inf when an unbounded variable contributes), summed
+// in column order once per version of the row and its columns' bounds.
+func (ps *reducer) rowActivity(i int) (minAct, maxAct float64) {
+	if ps.actOK[i] {
+		return ps.actMin[i], ps.actMax[i]
+	}
+	for k := ps.rowHead[i]; k >= 0; k = ps.cells[k].rNext {
+		cl := &ps.cells[k]
+		if cl.val > 0 {
+			minAct += cl.val * ps.l[cl.col]
+			maxAct += cl.val * ps.u[cl.col] // Inf stays Inf
+		} else {
+			minAct += cl.val * ps.u[cl.col]
+			maxAct += cl.val * ps.l[cl.col]
+		}
+	}
+	ps.actMin[i], ps.actMax[i], ps.actOK[i] = minAct, maxAct, true
+	return minAct, maxAct
+}
+
+// activity is rowActivity over a row snapshot.
+func (ps *reducer) activity(row []entry) (minAct, maxAct float64) {
+	for _, e := range row {
+		if e.v > 0 {
+			minAct += e.v * ps.l[e.j]
+			maxAct += e.v * ps.u[e.j]
+		} else {
+			minAct += e.v * ps.u[e.j]
+			maxAct += e.v * ps.l[e.j]
+		}
+	}
+	return minAct, maxAct
+}

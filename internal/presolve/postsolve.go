@@ -23,6 +23,13 @@ import (
 // treat a nil basis as a cold start). Dual values are not reconstructed:
 // Duals and BoundDuals are nil on the presolved path.
 func (r *Reduction) Postsolve(sol *lp.Solution) (*lp.Solution, error) {
+	return r.postsolve(sol, true)
+}
+
+// postsolve is Postsolve with the full-space basis reconstruction optional:
+// the backend hands the reduced basis back as its token and has no use for
+// the full one.
+func (r *Reduction) postsolve(sol *lp.Solution, withBasis bool) (*lp.Solution, error) {
 	switch r.outcome {
 	case Infeasible:
 		return &lp.Solution{Status: lp.Infeasible}, nil
@@ -50,7 +57,9 @@ func (r *Reduction) Postsolve(sol *lp.Solution) (*lp.Solution, error) {
 	}
 	full := &lp.Solution{Status: lp.Optimal, Iters: sol.Iters, WarmStarted: sol.WarmStarted}
 	r.fillPrimal(full, sol.X)
-	full.Basis = r.fullBasis(sol.Basis, full.X)
+	if withBasis {
+		full.Basis = r.fullBasis(sol.Basis, full.X)
+	}
 	return full, nil
 }
 
@@ -72,14 +81,14 @@ func (r *Reduction) fillPrimal(full *lp.Solution, redX []float64) {
 			x[rec.col] = rec.val
 		case recSubst:
 			s := rec.b
-			for _, t := range rec.terms {
+			for _, t := range r.terms[rec.off : rec.off+rec.cnt] {
 				s -= t.v * x[t.j]
 			}
 			x[rec.col] = s / rec.a
 		}
 	}
 	full.X = x[:r.n0]
-	for j, c := range r.orig.Obj {
+	for j, c := range r.src.obj {
 		full.Objective += c * x[j]
 	}
 }
@@ -100,9 +109,9 @@ func (r *Reduction) fullBasis(redBasis *lp.Basis, x []float64) *lp.Basis {
 	if r.outcome == Reduced && redBasis == nil {
 		return nil
 	}
-	fullSlackOf := lp.SlackColumns(r.origSense, r.n0)
+	fullSlackOf := lp.SlackColumns(r.src.sense, r.n0)
 	nRealFull := r.n0
-	for _, s := range r.origSense {
+	for _, s := range r.src.sense {
 		if s != lp.EQ {
 			nRealFull++
 		}
@@ -135,8 +144,11 @@ func (r *Reduction) fullBasis(redBasis *lp.Basis, x []float64) *lp.Basis {
 
 	// fullColOf maps a reducer column id to the full model's: original
 	// structural columns are themselves; synthetic doubleton slacks are the
-	// slack of the inequality row they were created for (never EQ, so the
-	// slack always exists).
+	// slack of the inequality row they were created for. One exception has
+	// no full column, reported as -1: the row began as an equality, morphed
+	// into an inequality when its pivot was substituted out, and only then
+	// lost a doubleton. A basis that would have to name such a slack does not
+	// exist; -1 as a basic column is rejected by NewBasis below.
 	fullColOf := func(j int) int {
 		if j < r.n0 {
 			return j
@@ -190,21 +202,21 @@ func (r *Reduction) fullBasis(redBasis *lp.Basis, x []float64) *lp.Basis {
 			return nil
 		case r.pivotOf[i] >= 0:
 			col := fullColOf(r.pivotOf[i]) // dropped substitution row: pivot basic
-			if r.origSense[i] != lp.EQ {
+			if r.src.sense[i] != lp.EQ {
 				// Converted doubleton row. When the original inequality is
 				// slack at the postsolved point, the slack column — not the
 				// pivot — must be the basic one here (nonbasic slacks pin
 				// the row tight); the displaced pivot then rests at a bound
 				// or is seated elsewhere by seatInterior.
 				if fs := fullSlackOf[i]; !isBasic[fs] &&
-					math.Abs(act[i]-r.orig.B[i]) > feasTol*(1+math.Abs(r.orig.B[i])) {
+					math.Abs(act[i]-r.src.b[i]) > feasTol*(1+math.Abs(r.src.b[i])) {
 					col = fs
 				}
 			}
 			if !claim(i, col) {
 				return nil
 			}
-		case r.origSense[i] != lp.EQ:
+		case r.src.sense[i] != lp.EQ:
 			if !claim(i, fullSlackOf[i]) { // dropped inequality: slack basic
 				return nil
 			}
@@ -225,7 +237,11 @@ func (r *Reduction) fullBasis(redBasis *lp.Basis, x []float64) *lp.Basis {
 	// keep the status of the reduced slack.
 	for cr, j := range r.colKeep {
 		if j >= r.n0 {
-			nonbas[fullColOf(j)] = nonbasRed[cr]
+			fc := fullColOf(j)
+			if fc < 0 {
+				return nil
+			}
+			nonbas[fc] = nonbasRed[cr]
 		}
 	}
 	if redBasis != nil {
@@ -257,9 +273,9 @@ func (r *Reduction) fullBasis(redBasis *lp.Basis, x []float64) *lp.Basis {
 			continue
 		}
 		switch {
-		case math.Abs(x[j]-r.origL[j]) <= feasTol*(1+math.Abs(r.origL[j])):
+		case math.Abs(x[j]-r.src.l[j]) <= feasTol*(1+math.Abs(r.src.l[j])):
 			nonbas[j] = lp.BasisAtLower
-		case !math.IsInf(r.origU[j], 1) && math.Abs(x[j]-r.origU[j]) <= feasTol*(1+math.Abs(r.origU[j])):
+		case !math.IsInf(r.src.u[j], 1) && math.Abs(x[j]-r.src.u[j]) <= feasTol*(1+math.Abs(r.src.u[j])):
 			nonbas[j] = lp.BasisAtUpper
 		default:
 			interior = append(interior, j)
@@ -269,7 +285,7 @@ func (r *Reduction) fullBasis(redBasis *lp.Basis, x []float64) *lp.Basis {
 		return nil
 	}
 
-	b, err := lp.NewBasis(r.origSense, r.n0, basicFull, nonbas)
+	b, err := lp.NewBasis(r.src.sense, r.n0, basicFull, nonbas)
 	if err != nil {
 		return nil
 	}
@@ -279,11 +295,11 @@ func (r *Reduction) fullBasis(redBasis *lp.Basis, x []float64) *lp.Basis {
 // rowActivities evaluates every original row's left-hand side at the
 // postsolved point x.
 func (r *Reduction) rowActivities(x []float64) []float64 {
-	c := r.origCols
+	a := r.src.mat
 	act := make([]float64, r.m0)
-	for j := 0; j < c.N; j++ {
-		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
-			act[c.RowIdx[k]] += c.Val[k] * x[j]
+	for i := range act {
+		for _, cl := range a.cells[a.rowPtr[i]:a.rowPtr[i+1]] {
+			act[i] += cl.val * x[cl.col]
 		}
 	}
 	return act
@@ -300,7 +316,7 @@ func (r *Reduction) rowActivities(x []float64) []float64 {
 // another row's slack are left alone. Reports whether every column found a
 // row.
 func (r *Reduction) seatInterior(interior []int, act []float64, basicFull []int, isBasic map[int]bool, nonbas []lp.BasisVarStatus, fullSlackOf []int, nRealFull int) bool {
-	c := r.origCols
+	a := r.src.mat
 	rowOfSlack := make(map[int]int, r.m0)
 	for i, fs := range fullSlackOf {
 		if fs >= 0 {
@@ -309,8 +325,8 @@ func (r *Reduction) seatInterior(interior []int, act []float64, basicFull []int,
 	}
 	for _, j := range interior {
 		seated := false
-		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
-			i := c.RowIdx[k]
+		for k := a.colHead[j]; k >= 0; k = a.cells[k].cNext {
+			i := int(a.cells[k].row)
 			bc := basicFull[i]
 			if bc < r.n0 {
 				continue // a structural column is already seated here
@@ -322,7 +338,7 @@ func (r *Reduction) seatInterior(interior []int, act []float64, basicFull []int,
 			if bc < nRealFull {
 				src = rowOfSlack[bc]
 			}
-			if math.Abs(act[src]-r.orig.B[src]) > feasTol*(1+math.Abs(r.orig.B[src])) {
+			if math.Abs(act[src]-r.src.b[src]) > feasTol*(1+math.Abs(r.src.b[src])) {
 				continue // slack strictly positive: it must stay basic
 			}
 			delete(isBasic, bc)

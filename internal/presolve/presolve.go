@@ -22,7 +22,6 @@ package presolve
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"vmalloc/internal/lp"
 )
@@ -89,17 +88,14 @@ type Stats struct {
 
 // Reduction is the result of Reduce: the reduced problem plus everything
 // Postsolve needs to translate a reduced solution back to the original
-// variable and row space.
+// variable and row space. It is immutable once returned, so one Reduction
+// may serve any number of Postsolve calls on any number of goroutines.
 type Reduction struct {
 	outcome Outcome
 	stats   Stats
 
-	orig      *lp.Problem
-	origCols  *lp.CSC // pristine sparse view of orig's constraint matrix
-	n0, m0    int
-	origSense []lp.Sense
-	origL     []float64 // resolved original bounds (nil fields expanded)
-	origU     []float64
+	src    *source // private copy of the problem as given
+	n0, m0 int
 
 	reduced *lp.Problem
 	colKeep []int // reduced col -> reducer col (>= n0: synthetic doubleton slack)
@@ -119,16 +115,107 @@ type Reduction struct {
 	pivotOf []int
 
 	records []record
+	terms   []entry // backing store of the recSubst records' terms
+}
+
+// source is the reducer's own copy of one problem: the prepared matrix,
+// bounds with nil fields expanded, and the options it was reduced under.
+// Holding copies instead of the caller's slices is what lets a Reduction
+// outlive the call that made it — as the warm token's attachment — and
+// still decide, by comparison alone, whether a later problem is the same.
+type source struct {
+	mat     *matrix
+	obj, b  []float64
+	l, u    []float64
+	sense   []lp.Sense
+	opts    Options // Integral copied
+	maxIter int
+}
+
+// newSource snapshots a validated sparse problem over an already prepared
+// matrix.
+func newSource(mat *matrix, p *lp.Problem, opts *Options) *source {
+	n, m := mat.n, mat.m
+	f := make([]float64, 3*n+m) // one block: obj, l, u, b
+	s := &source{
+		mat: mat,
+		obj: f[:n:n], l: f[n : 2*n : 2*n], u: f[2*n : 3*n : 3*n], b: f[3*n:],
+		sense:   append([]lp.Sense(nil), p.Sense...),
+		opts:    *opts,
+		maxIter: p.MaxIter,
+	}
+	copy(s.obj, p.Obj)
+	copy(s.b, p.B)
+	if p.Lower != nil {
+		copy(s.l, p.Lower)
+	}
+	if p.Upper != nil {
+		copy(s.u, p.Upper)
+	} else {
+		for j := range s.u {
+			s.u[j] = math.Inf(1)
+		}
+	}
+	if opts.Integral != nil {
+		s.opts.Integral = append([]bool(nil), opts.Integral...)
+	}
+	return s
+}
+
+// sameBits reports element-for-element bit equality, with a nil b standing
+// for a slice of def.
+func sameBits(a, b []float64, def float64) bool {
+	if b == nil {
+		for _, v := range a {
+			if math.Float64bits(v) != math.Float64bits(def) {
+				return false
+			}
+		}
+		return true
+	}
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameData reports whether a validated sparse problem whose matrix already
+// compared equal matches the snapshot in everything else a reduction reads:
+// objective, right-hand sides, senses, bounds, iteration cap and options.
+func (s *source) sameData(p *lp.Problem, opts *Options) bool {
+	if p.MaxIter != s.maxIter || opts.MaxPasses != s.opts.MaxPasses || opts.DisableSubst != s.opts.DisableSubst ||
+		len(opts.Integral) != len(s.opts.Integral) || (opts.Integral == nil) != (s.opts.Integral == nil) {
+		return false
+	}
+	for j, v := range opts.Integral {
+		if v != s.opts.Integral[j] {
+			return false
+		}
+	}
+	for i, v := range p.Sense {
+		if v != s.sense[i] {
+			return false
+		}
+	}
+	return sameBits(s.obj, p.Obj, 0) && sameBits(s.b, p.B, 0) &&
+		sameBits(s.l, p.Lower, 0) && sameBits(s.u, p.Upper, math.Inf(1))
 }
 
 // record is one postsolve step, undone in reverse application order.
 type record struct {
-	kind  recKind
-	col   int
-	val   float64 // recFix: the fixed value
-	row   int     // recSubst: the host equality row
-	a, b  float64 // recSubst: pivot coefficient and row rhs at subst time
-	terms []entry // recSubst: the row's other coefficients at subst time
+	kind recKind
+	col  int
+	val  float64 // recFix: the fixed value
+	row  int     // recSubst: the host equality row
+	a, b float64 // recSubst: pivot coefficient and row rhs at subst time
+	// recSubst: the row's other coefficients at subst time are
+	// Reduction.terms[off : off+cnt].
+	off, cnt int
 }
 
 type recKind int8
@@ -178,41 +265,18 @@ const (
 	maxSubstFill = 100
 )
 
-// reducer is the mutable working state of one reduction, always indexed by
-// original row/column ids.
-type reducer struct {
-	n, m     int       // current counts; n grows past nOrig as slacks are added
-	nOrig    int       // columns in the input problem
-	synRow   []int     // synthetic column n0+k -> its source inequality row
-	rows     [][]entry // per-row coefficients, sorted by column
-	sense    []lp.Sense
-	b        []float64
-	rowAlive []bool
-	colAlive []bool
-	l, u, c  []float64
-	integral []bool
-	colRows  [][]int // rows that may contain the column (lazily deduped)
-	pivotOf  []int
-	records  []record
-	stats    Stats
-	opts     Options
-
-	// assumeImplied makes the next substitute call skip its implied-bound
-	// derivation: vubPass has already proven both sides, and the check costs
-	// a row-activity scan per row containing the pivot.
-	assumeImplied bool
-
-	// ceScratch backs colEntries' result so the hottest presolve query does
-	// not allocate; see the ownership note on colEntries.
-	ceScratch []colEntry
-
-	infeasible bool
-	unbounded  bool
-}
-
 // Reduce runs the pipeline on a validated problem (either matrix form; the
 // dense form is sparsified first) and returns the reduction.
 func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
+	return reduce(p, opts, nil)
+}
+
+// reduce is Reduce with a previous reduction to draw on. When p and opts
+// equal, element for element, what prev was reduced from, prev itself is
+// the answer and nothing runs; when only the constraint matrix does, prev's
+// prepared matrix is shared and the rest reduces afresh. Either way the
+// result is what Reduce(p, opts) alone would return.
+func reduce(p *lp.Problem, opts *Options, prev *Reduction) (*Reduction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -223,39 +287,30 @@ func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 		return nil, fmt.Errorf("presolve: |Integral|=%d, want %d", len(opts.Integral), p.NumVars())
 	}
 	sp := p.Sparsify()
-	ps := newReducer(sp, *opts)
+	ps := reducerPool.Get().(*reducer)
+	defer reducerPool.Put(ps)
+
+	var mat *matrix
+	if prev != nil && prev.src.mat.equals(sp.Cols, &ps.cursor) {
+		if prev.src.sameData(sp, opts) {
+			return prev, nil
+		}
+		mat = prev.src.mat
+	} else {
+		mat = newMatrix(sp.Cols, &ps.cursor)
+	}
+	src := newSource(mat, sp, opts)
+	ps.load(src)
 	ps.run()
 
-	r := &Reduction{
-		orig:      p,
-		origCols:  sp.Cols,
-		n0:        ps.nOrig,
-		m0:        ps.m,
-		origSense: append([]lp.Sense(nil), p.Sense...),
-		origL:     make([]float64, ps.nOrig),
-		origU:     make([]float64, ps.nOrig),
-		pivotOf:   ps.pivotOf,
-		records:   ps.records,
-		stats:     ps.stats,
-		synRow:    ps.synRow,
-	}
-	for j := 0; j < ps.nOrig; j++ {
-		if p.Lower != nil {
-			r.origL[j] = p.Lower[j]
-		}
-		r.origU[j] = math.Inf(1)
-		if p.Upper != nil {
-			r.origU[j] = p.Upper[j]
-		}
-	}
-
+	r := &Reduction{src: src, n0: ps.nOrig, m0: ps.m}
 	switch {
 	case ps.infeasible:
 		r.outcome = Infeasible
-		return r, nil
+		return ps.finish(r), nil
 	case ps.unbounded:
 		r.outcome = Unbounded
-		return r, nil
+		return ps.finish(r), nil
 	}
 
 	// With no constraint rows left the remainder is a box LP: every column
@@ -268,7 +323,7 @@ func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 			if ps.c[j] > 0 {
 				if math.IsInf(ps.u[j], 1) {
 					r.outcome = Unbounded
-					return r, nil
+					return ps.finish(r), nil
 				}
 				ps.fixCol(j, ps.u[j])
 			} else {
@@ -276,8 +331,6 @@ func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 			}
 		}
 	}
-	r.records = ps.records
-	r.stats = ps.stats
 
 	if ps.aliveCols() == 0 {
 		// Rows may remain alive only if every one is satisfied by the
@@ -290,22 +343,31 @@ func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 		}
 		if ps.infeasible {
 			r.outcome = Infeasible
-			return r, nil
+			return ps.finish(r), nil
 		}
 		r.outcome = Solved
 		r.colMap = fullMap(ps.n, nil)
 		r.rowMap = fullMap(ps.m, nil)
-		r.stats = ps.stats
-		return r, nil
+		return ps.finish(r), nil
 	}
 
 	r.outcome = Reduced
 	r.reduced, r.colKeep, r.rowKeep, r.colMap, r.rowMap = ps.emit(p.MaxIter)
-	r.stats = ps.stats
+	ps.finish(r)
 	r.stats.RowsAfter = len(r.rowKeep)
 	r.stats.ColsAfter = len(r.colKeep)
 	r.stats.NNZAfter = r.reduced.Cols.NNZ()
 	return r, nil
+}
+
+// finish moves the run's results out of the pooled scratch into r.
+func (ps *reducer) finish(r *Reduction) *Reduction {
+	r.stats = ps.stats
+	r.records = append([]record(nil), ps.records...)
+	r.terms = append([]entry(nil), ps.terms...)
+	r.synRow = append([]int(nil), ps.synRow...)
+	r.pivotOf = append([]int(nil), ps.pivotOf...)
+	return r
 }
 
 // fullMap returns a map slice sending every index to -1 except those listed
@@ -319,56 +381,6 @@ func fullMap(n int, keep []int) []int {
 		m[id] = pos
 	}
 	return m
-}
-
-func newReducer(p *lp.Problem, opts Options) *reducer {
-	n, m := p.NumVars(), p.NumRows()
-	ps := &reducer{
-		n: n, m: m, nOrig: n,
-		rows:     make([][]entry, m),
-		sense:    append([]lp.Sense(nil), p.Sense...),
-		b:        append([]float64(nil), p.B...),
-		rowAlive: make([]bool, m),
-		colAlive: make([]bool, n),
-		l:        make([]float64, n),
-		u:        make([]float64, n),
-		c:        append([]float64(nil), p.Obj...),
-		integral: opts.Integral,
-		colRows:  make([][]int, n),
-		pivotOf:  make([]int, m),
-		opts:     opts,
-	}
-	for i := range ps.rowAlive {
-		ps.rowAlive[i] = true
-		ps.pivotOf[i] = -1
-	}
-	for j := 0; j < n; j++ {
-		ps.colAlive[j] = true
-		ps.l[j] = 0
-		if p.Lower != nil {
-			ps.l[j] = p.Lower[j]
-		}
-		ps.u[j] = math.Inf(1)
-		if p.Upper != nil {
-			ps.u[j] = p.Upper[j]
-		}
-	}
-	csc := p.Cols
-	for j := 0; j < n; j++ {
-		for k := csc.ColPtr[j]; k < csc.ColPtr[j+1]; k++ {
-			i := csc.RowIdx[k]
-			ps.rows[i] = append(ps.rows[i], entry{j, csc.Val[k]})
-			ps.colRows[j] = append(ps.colRows[j], i)
-		}
-	}
-	for i := range ps.rows {
-		row := ps.rows[i]
-		sort.Slice(row, func(a, b int) bool { return row[a].j < row[b].j })
-		ps.stats.NNZBefore += len(row)
-	}
-	ps.stats.RowsBefore = m
-	ps.stats.ColsBefore = n
-	return ps
 }
 
 func (ps *reducer) aliveRows() int {
@@ -439,7 +451,7 @@ func (ps *reducer) fixPass() bool {
 			changed = true
 			continue
 		}
-		if len(ps.colEntries(j)) == 0 {
+		if ps.colCnt[j] == 0 {
 			// Empty column: only the objective cares about it.
 			if ps.c[j] > 0 {
 				if math.IsInf(ps.u[j], 1) {
@@ -464,14 +476,13 @@ func (ps *reducer) rowPass() bool {
 		if !ps.rowAlive[i] {
 			continue
 		}
-		row := ps.rows[i]
-		switch len(row) {
+		switch ps.rowLen[i] {
 		case 0:
 			ps.checkEmptyRow(i)
 			changed = true
 			continue
 		case 1:
-			ps.singletonRow(i, row[0])
+			ps.singletonRow(i)
 			changed = true
 			continue
 		}
@@ -479,7 +490,7 @@ func (ps *reducer) rowPass() bool {
 			return changed
 		}
 
-		minAct, maxAct := ps.activity(row)
+		minAct, maxAct := ps.rowActivity(i)
 		b, scale := ps.b[i], 1+math.Abs(ps.b[i])
 		switch ps.sense[i] {
 		case lp.LE:
@@ -493,7 +504,7 @@ func (ps *reducer) rowPass() bool {
 				continue
 			}
 			if minAct >= b-forceTol*scale && !math.IsInf(minAct, 0) {
-				ps.forceRow(i, row, true)
+				ps.forceRow(i, true)
 				changed = true
 				continue
 			}
@@ -508,7 +519,7 @@ func (ps *reducer) rowPass() bool {
 				continue
 			}
 			if maxAct <= b+forceTol*scale && !math.IsInf(maxAct, 0) {
-				ps.forceRow(i, row, false)
+				ps.forceRow(i, false)
 				changed = true
 				continue
 			}
@@ -523,17 +534,17 @@ func (ps *reducer) rowPass() bool {
 				continue
 			}
 			if minAct >= b-forceTol*scale && !math.IsInf(minAct, 0) {
-				ps.forceRow(i, row, true)
+				ps.forceRow(i, true)
 				changed = true
 				continue
 			}
 			if maxAct <= b+forceTol*scale && !math.IsInf(maxAct, 0) {
-				ps.forceRow(i, row, false)
+				ps.forceRow(i, false)
 				changed = true
 				continue
 			}
 		}
-		changed = ps.propagate(i, row, minAct, maxAct) || changed
+		changed = ps.propagate(i, minAct, maxAct) || changed
 		if ps.infeasible {
 			return changed
 		}
@@ -563,25 +574,27 @@ func (ps *reducer) checkEmptyRow(i int) {
 
 // singletonRow turns a one-entry row into a bound on its variable and drops
 // the row.
-func (ps *reducer) singletonRow(i int, e entry) {
-	if math.Abs(e.v) < dropCoefTol {
-		ps.removeEntry(i, e.j)
+func (ps *reducer) singletonRow(i int) {
+	k := ps.rowHead[i]
+	j, a := int(ps.cells[k].col), ps.cells[k].val
+	if math.Abs(a) < dropCoefTol {
+		ps.remove(k)
 		ps.checkEmptyRow(i)
 		return
 	}
-	v := ps.b[i] / e.v
+	v := ps.b[i] / a
 	switch {
 	case ps.sense[i] == lp.EQ:
-		if v < ps.l[e.j]-feasTol || v > ps.u[e.j]+feasTol {
+		if v < ps.l[j]-feasTol || v > ps.u[j]+feasTol {
 			ps.infeasible = true
 			return
 		}
-		ps.tighten(e.j, v, v)
-	case (ps.sense[i] == lp.LE) == (e.v > 0):
+		ps.tighten(j, v, v)
+	case (ps.sense[i] == lp.LE) == (a > 0):
 		// a·x <= b with a>0, or a·x >= b with a<0: upper bound.
-		ps.tighten(e.j, math.Inf(-1), v)
+		ps.tighten(j, math.Inf(-1), v)
 	default:
-		ps.tighten(e.j, v, math.Inf(1))
+		ps.tighten(j, v, math.Inf(1))
 	}
 	if !ps.infeasible {
 		ps.dropRow(i)
@@ -592,10 +605,10 @@ func (ps *reducer) singletonRow(i int, e entry) {
 // variable is fixed at the bound that produced the extreme activity.
 // minSide selects the minimum-activity bounds (a>0 -> lower, a<0 -> upper);
 // otherwise the maximum-activity ones.
-func (ps *reducer) forceRow(i int, row []entry, minSide bool) {
-	fixes := append([]entry(nil), row...)
+func (ps *reducer) forceRow(i int, minSide bool) {
+	ps.scan = ps.snapshot(ps.scan, i, none)
 	ps.dropRow(i)
-	for _, e := range fixes {
+	for _, e := range ps.scan {
 		if !ps.colAlive[e.j] {
 			continue
 		}
@@ -608,64 +621,51 @@ func (ps *reducer) forceRow(i int, row []entry, minSide bool) {
 	}
 }
 
-// activity returns the minimum and maximum of the row's left-hand side over
-// the current bounds (±Inf when an unbounded variable contributes).
-func (ps *reducer) activity(row []entry) (minAct, maxAct float64) {
-	for _, e := range row {
-		if e.v > 0 {
-			minAct += e.v * ps.l[e.j]
-			maxAct += e.v * ps.u[e.j] // Inf stays Inf
-		} else {
-			minAct += e.v * ps.u[e.j]
-			maxAct += e.v * ps.l[e.j]
-		}
-	}
-	return minAct, maxAct
-}
-
 // propagate derives implied bounds for each variable from the row's
 // residual activity and tightens when the improvement is material. The
 // derived bounds hold for every feasible point, so propagation can never
-// cut the optimum.
-func (ps *reducer) propagate(i int, row []entry, minAct, maxAct float64) bool {
+// cut the optimum. Tightening edits bounds only, never the row, so the walk
+// is safe; minAct and maxAct stay the activity the row had on entry.
+func (ps *reducer) propagate(i int, minAct, maxAct float64) bool {
 	changed := false
 	b := ps.b[i]
 	le := ps.sense[i] == lp.LE || ps.sense[i] == lp.EQ
 	ge := ps.sense[i] == lp.GE || ps.sense[i] == lp.EQ
-	for _, e := range row {
-		if math.Abs(e.v) < dropCoefTol {
+	for k := ps.rowHead[i]; k >= 0; k = ps.cells[k].rNext {
+		j, a := int(ps.cells[k].col), ps.cells[k].val
+		if math.Abs(a) < dropCoefTol {
 			continue
 		}
-		// Residual activity with e.j's own contribution removed.
+		// Residual activity with j's own contribution removed.
 		var restMin, restMax float64
-		if e.v > 0 {
-			restMin, restMax = minAct-e.v*ps.l[e.j], maxAct-e.v*ps.u[e.j]
+		if a > 0 {
+			restMin, restMax = minAct-a*ps.l[j], maxAct-a*ps.u[j]
 		} else {
-			restMin, restMax = minAct-e.v*ps.u[e.j], maxAct-e.v*ps.l[e.j]
+			restMin, restMax = minAct-a*ps.u[j], maxAct-a*ps.l[j]
 		}
 		if le && !math.IsInf(restMin, 0) && !math.IsNaN(restMin) {
 			// a_j x_j <= b - restMin
-			bound := (b - restMin) / e.v
-			if e.v > 0 {
-				if bound < ps.u[e.j]-propEps*(1+math.Abs(bound)) {
-					ps.tighten(e.j, math.Inf(-1), bound)
+			bound := (b - restMin) / a
+			if a > 0 {
+				if bound < ps.u[j]-propEps*(1+math.Abs(bound)) {
+					ps.tighten(j, math.Inf(-1), bound)
 					changed = true
 				}
-			} else if bound > ps.l[e.j]+propEps*(1+math.Abs(bound)) {
-				ps.tighten(e.j, bound, math.Inf(1))
+			} else if bound > ps.l[j]+propEps*(1+math.Abs(bound)) {
+				ps.tighten(j, bound, math.Inf(1))
 				changed = true
 			}
 		}
 		if ge && !math.IsInf(restMax, 0) && !math.IsNaN(restMax) {
 			// a_j x_j >= b - restMax
-			bound := (b - restMax) / e.v
-			if e.v > 0 {
-				if bound > ps.l[e.j]+propEps*(1+math.Abs(bound)) {
-					ps.tighten(e.j, bound, math.Inf(1))
+			bound := (b - restMax) / a
+			if a > 0 {
+				if bound > ps.l[j]+propEps*(1+math.Abs(bound)) {
+					ps.tighten(j, bound, math.Inf(1))
 					changed = true
 				}
-			} else if bound < ps.u[e.j]-propEps*(1+math.Abs(bound)) {
-				ps.tighten(e.j, math.Inf(-1), bound)
+			} else if bound < ps.u[j]-propEps*(1+math.Abs(bound)) {
+				ps.tighten(j, math.Inf(-1), bound)
 				changed = true
 			}
 		}
@@ -682,10 +682,12 @@ func (ps *reducer) tighten(j int, lo, hi float64) {
 	if lo > ps.l[j] {
 		ps.l[j] = lo
 		ps.stats.BoundsTightened++
+		ps.touchCol(j)
 	}
 	if hi < ps.u[j] {
 		ps.u[j] = hi
 		ps.stats.BoundsTightened++
+		ps.touchCol(j)
 	}
 	ps.roundIntegral(j)
 	if ps.l[j] > ps.u[j]+feasTol {
@@ -696,14 +698,16 @@ func (ps *reducer) tighten(j int, lo, hi float64) {
 // roundIntegral rounds an integral column's bounds inward; a fractional
 // forced value turns into an empty domain, caught by the caller.
 func (ps *reducer) roundIntegral(j int) {
-	if ps.integral == nil || j >= len(ps.integral) || !ps.integral[j] {
+	if j >= len(ps.opts.Integral) || !ps.opts.Integral[j] {
 		return // synthetic slacks (j >= len) are continuous by construction
 	}
 	if l := math.Ceil(ps.l[j] - intRound); l > ps.l[j] {
 		ps.l[j] = l
+		ps.touchCol(j)
 	}
 	if u := math.Floor(ps.u[j] + intRound); u < ps.u[j] {
 		ps.u[j] = u
+		ps.touchCol(j)
 	}
 	if ps.l[j] > ps.u[j]+feasTol {
 		ps.infeasible = true
@@ -713,95 +717,13 @@ func (ps *reducer) roundIntegral(j int) {
 // fixCol substitutes the constant v for column j everywhere and records the
 // fix for postsolve.
 func (ps *reducer) fixCol(j int, v float64) {
-	for _, ce := range ps.colEntries(j) {
-		ps.b[ce.row] -= ce.v * v
-		ps.removeEntry(ce.row, j)
+	for k := ps.colHead[j]; k >= 0; k = ps.colHead[j] {
+		ps.b[ps.cells[k].row] -= ps.cells[k].val * v
+		ps.remove(k)
 	}
 	ps.colAlive[j] = false
 	ps.records = append(ps.records, record{kind: recFix, col: j, val: v})
 	ps.stats.FixedCols++
-}
-
-// dropRow marks a row eliminated.
-func (ps *reducer) dropRow(i int) {
-	ps.rowAlive[i] = false
-	ps.rows[i] = nil
-	ps.stats.DroppedRows++
-}
-
-// colEntry locates column j in an alive row.
-type colEntry struct {
-	row int
-	v   float64
-}
-
-// colEntries returns the alive rows containing column j with their
-// coefficients, deduplicated (colRows is append-only and may hold stale or
-// repeated row ids). The returned slice aliases a shared scratch buffer:
-// it is valid only until the next colEntries call, so callers must not
-// retain it across one (none does — the call sites either take len() or
-// iterate without nested column queries).
-func (ps *reducer) colEntries(j int) []colEntry {
-	out := ps.ceScratch[:0]
-	var seen map[int]bool
-	if len(ps.colRows[j]) > 8 {
-		seen = make(map[int]bool, len(ps.colRows[j]))
-	}
-	live := ps.colRows[j][:0]
-	for _, i := range ps.colRows[j] {
-		if !ps.rowAlive[i] {
-			continue
-		}
-		if seen != nil {
-			if seen[i] {
-				continue
-			}
-			seen[i] = true
-		} else {
-			dup := false
-			for _, p := range live {
-				if p == i {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-		}
-		if k := findCol(ps.rows[i], j); k >= 0 {
-			live = append(live, i)
-			out = append(out, colEntry{i, ps.rows[i][k].v})
-		}
-	}
-	ps.colRows[j] = live
-	ps.ceScratch = out[:0]
-	return out
-}
-
-// findCol binary-searches a sorted row for column j.
-func findCol(row []entry, j int) int {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if row[mid].j < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(row) && row[lo].j == j {
-		return lo
-	}
-	return -1
-}
-
-// removeEntry deletes column j from row i.
-func (ps *reducer) removeEntry(i, j int) {
-	row := ps.rows[i]
-	if k := findCol(row, j); k >= 0 {
-		ps.rows[i] = append(row[:k], row[k+1:]...)
-	}
 }
 
 // substPass eliminates columns through equality rows. For each alive EQ row
@@ -814,13 +736,11 @@ func (ps *reducer) removeEntry(i, j int) {
 func (ps *reducer) substPass() bool {
 	changed := false
 	for i := 0; i < ps.m; i++ {
-		if !ps.rowAlive[i] || ps.sense[i] != lp.EQ {
+		if !ps.rowAlive[i] || ps.sense[i] != lp.EQ || ps.rowLen[i] < 2 {
 			continue
 		}
-		row := ps.rows[i]
-		if len(row) < 2 {
-			continue
-		}
+		ps.scan = ps.snapshot(ps.scan, i, none)
+		row := ps.scan
 		maxAbs := 0.0
 		for _, e := range row {
 			if a := math.Abs(e.v); a > maxAbs {
@@ -840,7 +760,7 @@ func (ps *reducer) substPass() bool {
 			if a < 1e-7 || a < 1e-2*maxAbs {
 				continue // numerically weak pivot
 			}
-			cnt := len(ps.colEntries(e.j)) - 1
+			cnt := int(ps.colCnt[e.j]) - 1
 			if cnt > maxPivotRows || cnt*(len(row)-1) > maxSubstFill {
 				continue
 			}
@@ -861,19 +781,47 @@ func (ps *reducer) substPass() bool {
 	return changed
 }
 
+// impliedSides reports, for x = (b - others·x)/a confined to [l,u], which of
+// x >= l and x <= u already follow from the bounds behind others' activity
+// range, and the right-hand sides the two constraints on others would carry.
+func impliedSides(a, b, l, u, minAct, maxAct float64) (lowImplied, upImplied bool, rhsLow, rhsUp float64) {
+	// Side 1, x >= l:  a>0: others <= b - a*l ;  a<0: others >= b - a*l.
+	rhsLow = b - a*l
+	if a > 0 {
+		lowImplied = maxAct <= rhsLow+redTol*(1+math.Abs(rhsLow))
+	} else {
+		lowImplied = minAct >= rhsLow-redTol*(1+math.Abs(rhsLow))
+	}
+	// Side 2, x <= u: vacuous when u is infinite.
+	upImplied = math.IsInf(u, 1)
+	if !upImplied {
+		rhsUp = b - a*u
+		if a > 0 {
+			upImplied = minAct >= rhsUp-redTol*(1+math.Abs(rhsUp))
+		} else {
+			upImplied = maxAct <= rhsUp+redTol*(1+math.Abs(rhsUp))
+		}
+	}
+	return lowImplied, upImplied, rhsLow, rhsUp
+}
+
 // substitute eliminates column piv through EQ row i. Returns false when the
 // pivot's bound constraints would both survive (a range row, which the
 // Problem form cannot express), leaving the row untouched.
 func (ps *reducer) substitute(i, piv int) bool {
-	row := ps.rows[i]
-	k := findCol(row, piv)
-	if k < 0 {
+	pk := none
+	for k := ps.rowHead[i]; k >= 0; k = ps.cells[k].rNext {
+		if int(ps.cells[k].col) == piv {
+			pk = k
+			break
+		}
+	}
+	if pk < 0 {
 		return false
 	}
-	a, b := row[k].v, ps.b[i]
-	others := make([]entry, 0, len(row)-1)
-	others = append(others, row[:k]...)
-	others = append(others, row[k+1:]...)
+	a, b := ps.cells[pk].val, ps.b[i]
+	ps.others = ps.snapshot(ps.others, i, pk)
+	others := ps.others
 
 	// x_piv = (b - others·x) / a must stay within [l,u]: each side is a
 	// linear constraint on the others, kept only if not already implied by
@@ -882,58 +830,27 @@ func (ps *reducer) substitute(i, piv int) bool {
 	lowImplied, upImplied := true, true
 	rhsLow, rhsUp := b-a*lPiv, 0.0
 	if ps.assumeImplied {
+		// vubPass has already proven both sides; skip the derivation.
 		ps.assumeImplied = false
 	} else {
 		minAct, maxAct := ps.activity(others)
-		// Side 1, x_piv >= l:  a>0: others <= b - a*l ;  a<0: others >= b - a*l.
-		if a > 0 {
-			lowImplied = maxAct <= rhsLow+redTol*(1+math.Abs(rhsLow))
-		} else {
-			lowImplied = minAct >= rhsLow-redTol*(1+math.Abs(rhsLow))
-		}
-		// Side 2, x_piv <= u: vacuous when u is infinite.
-		upImplied = math.IsInf(uPiv, 1)
-		if !upImplied {
-			rhsUp = b - a*uPiv
-			if a > 0 {
-				upImplied = minAct >= rhsUp-redTol*(1+math.Abs(rhsUp))
-			} else {
-				upImplied = maxAct <= rhsUp+redTol*(1+math.Abs(rhsUp))
-			}
-		}
-		// The host row is not the only source of implied pivot bounds: any
-		// other row containing the pivot constrains it too (the textbook
-		// implied-free check). When one of them forces a side the host row
-		// leaves open, that side's residual constraint is redundant — on the
-		// paper's encoding this is what fully deletes the Eq. 3 rows, since
-		// y <= e implies every placement pivot's lower bound of zero.
-		if !lowImplied || !upImplied {
-			impLow, impUp := ps.impliedColBounds(piv, i)
-			if !lowImplied && impLow >= lPiv-redTol*(1+math.Abs(lPiv)) {
-				lowImplied = true
-			}
-			if !upImplied && impUp <= uPiv+redTol*(1+math.Abs(uPiv)) {
-				upImplied = true
-			}
-		}
+		lowImplied, upImplied, rhsLow, rhsUp = impliedSides(a, b, lPiv, uPiv, minAct, maxAct)
+		lowImplied, upImplied = ps.impliedByRows(piv, i, lowImplied, upImplied)
 		if !lowImplied && !upImplied {
 			return false
 		}
 	}
 
 	// Rewrite every other row containing the pivot.
-	for _, ce := range ps.colEntries(piv) {
-		r := ce.row
-		if r == i {
-			continue
+	for k := ps.colHead[piv]; k >= 0; {
+		next := ps.cells[k].cNext
+		if r := int(ps.cells[k].row); r != i {
+			f := ps.cells[k].val / a
+			ps.remove(k)
+			ps.addToRow(r, others, -f)
+			ps.b[r] -= f * b
 		}
-		f := ce.v / a
-		ps.removeEntry(r, piv)
-		ps.rows[r] = addScaled(ps.rows[r], others, -f)
-		ps.b[r] -= f * b
-		for _, e := range others {
-			ps.colRows[e.j] = append(ps.colRows[e.j], r)
-		}
+		k = next
 	}
 	// And the objective (the constant c_piv*b/a drops; Postsolve recomputes
 	// the true objective from the original coefficients).
@@ -947,17 +864,20 @@ func (ps *reducer) substitute(i, piv int) bool {
 	ps.colAlive[piv] = false
 	ps.records = append(ps.records, record{
 		kind: recSubst, col: piv, row: i, a: a, b: b,
-		terms: append([]entry(nil), others...),
+		off: len(ps.terms), cnt: len(others),
 	})
+	ps.terms = append(ps.terms, others...)
 	ps.stats.SubstCols++
 	ps.pivotOf[i] = piv
 
+	// The host row lives on as the pivot's one unimplied bound constraint on
+	// the others — the row minus its pivot cell — or not at all.
 	switch {
 	case lowImplied && upImplied:
 		ps.dropRow(i)
 	case lowImplied:
 		// Keep x_piv <= u:  a>0: others >= rhsUp ;  a<0: others <= rhsUp.
-		ps.rows[i] = append([]entry(nil), others...)
+		ps.remove(pk)
 		ps.b[i] = rhsUp
 		if a > 0 {
 			ps.sense[i] = lp.GE
@@ -966,7 +886,7 @@ func (ps *reducer) substitute(i, piv int) bool {
 		}
 	default:
 		// Keep x_piv >= l:  a>0: others <= rhsLow ;  a<0: others >= rhsLow.
-		ps.rows[i] = append([]entry(nil), others...)
+		ps.remove(pk)
 		ps.b[i] = rhsLow
 		if a > 0 {
 			ps.sense[i] = lp.LE
@@ -991,10 +911,12 @@ func (ps *reducer) substitute(i, piv int) bool {
 func (ps *reducer) vubPass() bool {
 	changed := false
 	for i := 0; i < ps.m; i++ {
-		if !ps.rowAlive[i] || ps.sense[i] == lp.EQ || len(ps.rows[i]) != 2 {
+		if !ps.rowAlive[i] || ps.sense[i] == lp.EQ || ps.rowLen[i] != 2 {
 			continue
 		}
-		row := ps.rows[i]
+		k0 := ps.rowHead[i]
+		k1 := ps.cells[k0].rNext
+		row := [2]entry{{int(ps.cells[k0].col), ps.cells[k0].val}, {int(ps.cells[k1].col), ps.cells[k1].val}}
 		if row[0].j == row[1].j {
 			continue // degenerate duplicate-column row
 		}
@@ -1004,11 +926,11 @@ func (ps *reducer) vubPass() bool {
 		}
 		maxAbs := math.Max(math.Abs(row[0].v), math.Abs(row[1].v))
 		// Try the lower-fill candidate first and stop at the first that
-		// qualifies: the implication check scans every row containing the
+		// qualifies: the implication check reads the rows containing the
 		// pivot, so the second candidate is only worth testing when the
 		// first fails.
 		first := 0
-		if len(ps.colEntries(row[1].j)) < len(ps.colEntries(row[0].j)) {
+		if ps.colCnt[row[1].j] < ps.colCnt[row[0].j] {
 			first = 1
 		}
 		best := -1
@@ -1017,7 +939,7 @@ func (ps *reducer) vubPass() bool {
 			if a := math.Abs(piv.v); a < 1e-7 || a < 1e-2*maxAbs {
 				continue // numerically weak pivot
 			}
-			if len(ps.colEntries(piv.j))-1 > maxPivotRows {
+			if int(ps.colCnt[piv.j])-1 > maxPivotRows {
 				continue
 			}
 			if ps.vubBothImplied(i, piv, part, sigma) {
@@ -1056,33 +978,8 @@ func (ps *reducer) vubBothImplied(i int, piv, part entry, sigma float64) bool {
 	} else {
 		minAct = math.Inf(-1)
 	}
-	a, b := piv.v, ps.b[i]
-	lPiv, uPiv := ps.l[piv.j], ps.u[piv.j]
-	rhsLow := b - a*lPiv
-	var lowImplied bool
-	if a > 0 {
-		lowImplied = maxAct <= rhsLow+redTol*(1+math.Abs(rhsLow))
-	} else {
-		lowImplied = minAct >= rhsLow-redTol*(1+math.Abs(rhsLow))
-	}
-	upImplied := math.IsInf(uPiv, 1)
-	if !upImplied {
-		rhsUp := b - a*uPiv
-		if a > 0 {
-			upImplied = minAct >= rhsUp-redTol*(1+math.Abs(rhsUp))
-		} else {
-			upImplied = maxAct <= rhsUp+redTol*(1+math.Abs(rhsUp))
-		}
-	}
-	if !lowImplied || !upImplied {
-		impLow, impUp := ps.impliedColBounds(piv.j, i)
-		if !lowImplied && impLow >= lPiv-redTol*(1+math.Abs(lPiv)) {
-			lowImplied = true
-		}
-		if !upImplied && impUp <= uPiv+redTol*(1+math.Abs(uPiv)) {
-			upImplied = true
-		}
-	}
+	lowImplied, upImplied, _, _ := impliedSides(piv.v, ps.b[i], ps.l[piv.j], ps.u[piv.j], minAct, maxAct)
+	lowImplied, upImplied = ps.impliedByRows(piv.j, i, lowImplied, upImplied)
 	return lowImplied && upImplied
 }
 
@@ -1090,7 +987,7 @@ func (ps *reducer) vubBothImplied(i int, piv, part entry, sigma float64) bool {
 // surplus (sigma=-1): bounds [0, inf), zero objective, a single entry in
 // row i. Postsolve treats the column as the original row's slack when
 // rebuilding full-space bases.
-func (ps *reducer) addSlackCol(i int, sigma float64) int {
+func (ps *reducer) addSlackCol(i int, sigma float64) {
 	j := ps.n
 	ps.n++
 	ps.synRow = append(ps.synRow, i)
@@ -1098,76 +995,67 @@ func (ps *reducer) addSlackCol(i int, sigma float64) int {
 	ps.u = append(ps.u, math.Inf(1))
 	ps.c = append(ps.c, 0)
 	ps.colAlive = append(ps.colAlive, true)
-	ps.colRows = append(ps.colRows, []int{i})
-	ps.rows[i] = append(ps.rows[i], entry{j, sigma}) // j exceeds every id: row stays sorted
+	ps.colHead = append(ps.colHead, none)
+	ps.colCnt = append(ps.colCnt, 0)
+	ps.insert(i, none, j, sigma) // j exceeds every id: the row stays sorted
 	ps.stats.DoubletonSlacks++
-	return j
 }
 
-// impliedColBounds returns the tightest bounds on column piv implied by
-// alive rows other than skipRow, each evaluated at the other variables'
-// residual activity extremes (the same derivation propagate uses, without
-// committing the tightened bound). ±Inf when no row constrains a side.
-func (ps *reducer) impliedColBounds(piv, skipRow int) (impLow, impUp float64) {
-	impLow, impUp = math.Inf(-1), math.Inf(1)
-	for _, ce := range ps.colEntries(piv) {
-		if ce.row == skipRow || math.Abs(ce.v) < dropCoefTol {
+// impliedByRows completes an implied-free test. The host row is not the only
+// source of implied pivot bounds: any other alive row containing the pivot
+// constrains it too, through the other variables' residual activity (the
+// derivation propagate uses, without committing the bound). When one of them
+// forces a side the host row leaves open, that side's residual constraint is
+// redundant — on the paper's encoding this is what fully deletes the Eq. 3
+// rows, since y <= e implies every placement pivot's lower bound of zero.
+// Given which sides are already implied, it returns both with the rows'
+// contribution; a side is implied when the tightest row-derived bound on it
+// is, so the walk stops at the first row that settles the last open side
+// and skips rows that cannot speak to an open one.
+func (ps *reducer) impliedByRows(piv, skipRow int, lowImplied, upImplied bool) (bool, bool) {
+	lPiv, uPiv := ps.l[piv], ps.u[piv]
+	lowT := lPiv - redTol*(1+math.Abs(lPiv)) // implied lower bounds at or above this settle the low side
+	upT := uPiv + redTol*(1+math.Abs(uPiv))
+	for k := ps.colHead[piv]; k >= 0 && !(lowImplied && upImplied); k = ps.cells[k].cNext {
+		r, v := int(ps.cells[k].row), ps.cells[k].val
+		if r == skipRow || math.Abs(v) < dropCoefTol {
 			continue
 		}
-		minAct, maxAct := ps.activity(ps.rows[ce.row])
+		le := ps.sense[r] == lp.LE || ps.sense[r] == lp.EQ
+		ge := ps.sense[r] == lp.GE || ps.sense[r] == lp.EQ
+		// A <= row bounds the pivot above through a positive coefficient and
+		// below through a negative one; a >= row the other way round.
+		leOpen := le && ((v > 0 && !upImplied) || (v < 0 && !lowImplied))
+		geOpen := ge && ((v > 0 && !lowImplied) || (v < 0 && !upImplied))
+		if !leOpen && !geOpen {
+			continue
+		}
+		minAct, maxAct := ps.rowActivity(r)
 		var restMin, restMax float64
-		if ce.v > 0 {
-			restMin, restMax = minAct-ce.v*ps.l[piv], maxAct-ce.v*ps.u[piv]
+		if v > 0 {
+			restMin, restMax = minAct-v*lPiv, maxAct-v*uPiv
 		} else {
-			restMin, restMax = minAct-ce.v*ps.u[piv], maxAct-ce.v*ps.l[piv]
+			restMin, restMax = minAct-v*uPiv, maxAct-v*lPiv
 		}
-		b := ps.b[ce.row]
-		le := ps.sense[ce.row] == lp.LE || ps.sense[ce.row] == lp.EQ
-		ge := ps.sense[ce.row] == lp.GE || ps.sense[ce.row] == lp.EQ
-		if le && !math.IsInf(restMin, 0) && !math.IsNaN(restMin) {
-			bound := (b - restMin) / ce.v
-			if ce.v > 0 {
-				impUp = math.Min(impUp, bound)
+		b := ps.b[r]
+		if leOpen && !math.IsInf(restMin, 0) && !math.IsNaN(restMin) {
+			bound := (b - restMin) / v
+			if v > 0 {
+				upImplied = upImplied || bound <= upT
 			} else {
-				impLow = math.Max(impLow, bound)
+				lowImplied = lowImplied || bound >= lowT
 			}
 		}
-		if ge && !math.IsInf(restMax, 0) && !math.IsNaN(restMax) {
-			bound := (b - restMax) / ce.v
-			if ce.v > 0 {
-				impLow = math.Max(impLow, bound)
+		if geOpen && !math.IsInf(restMax, 0) && !math.IsNaN(restMax) {
+			bound := (b - restMax) / v
+			if v > 0 {
+				lowImplied = lowImplied || bound >= lowT
 			} else {
-				impUp = math.Min(impUp, bound)
+				upImplied = upImplied || bound <= upT
 			}
 		}
 	}
-	return impLow, impUp
-}
-
-// addScaled merges dst + f*src over sorted rows, dropping entries that
-// cancel below dropCoefTol.
-func addScaled(dst, src []entry, f float64) []entry {
-	out := make([]entry, 0, len(dst)+len(src))
-	di, si := 0, 0
-	for di < len(dst) || si < len(src) {
-		switch {
-		case si == len(src) || (di < len(dst) && dst[di].j < src[si].j):
-			out = append(out, dst[di])
-			di++
-		case di == len(dst) || src[si].j < dst[di].j:
-			if v := f * src[si].v; math.Abs(v) >= dropCoefTol {
-				out = append(out, entry{src[si].j, v})
-			}
-			si++
-		default:
-			if v := dst[di].v + f*src[si].v; math.Abs(v) >= dropCoefTol {
-				out = append(out, entry{dst[di].j, v})
-			}
-			di++
-			si++
-		}
-	}
-	return out
+	return lowImplied, upImplied
 }
 
 // emit builds the reduced lp.Problem. GE rows are normalized to LE by
@@ -1175,13 +1063,17 @@ func addScaled(dst, src []entry, f float64) []entry {
 // initial basis directly, while the equivalent GE row would demand a
 // phase-1 artificial — the normalization is what lets fully-presolved
 // models start phase 2 immediately. Slack values and statuses are identical
-// either way (s = |a·x - b|), so basis mapping is unaffected.
+// either way (s = |a·x - b|), so basis mapping is unaffected. The CSC is
+// laid out by counting sort over the surviving rows, so entries within a
+// column sit in row order; structural zeros are not stored.
 func (ps *reducer) emit(maxIter int) (red *lp.Problem, colKeep, rowKeep, colMap, rowMap []int) {
+	colKeep = make([]int, 0, ps.aliveCols())
 	for j := 0; j < ps.n; j++ {
 		if ps.colAlive[j] {
 			colKeep = append(colKeep, j)
 		}
 	}
+	rowKeep = make([]int, 0, ps.aliveRows())
 	for i := 0; i < ps.m; i++ {
 		if ps.rowAlive[i] {
 			rowKeep = append(rowKeep, i)
@@ -1191,26 +1083,44 @@ func (ps *reducer) emit(maxIter int) (red *lp.Problem, colKeep, rowKeep, colMap,
 	rowMap = fullMap(ps.m, rowKeep)
 
 	nr, mr := len(colKeep), len(rowKeep)
-	builder := lp.NewSparseBuilder(nr)
-	senses := make([]lp.Sense, mr)
-	bs := make([]float64, mr)
-	for rr, i := range rowKeep {
-		flip := ps.sense[i] == lp.GE
-		sgn := 1.0
-		if flip {
-			sgn = -1
-			senses[rr] = lp.LE
-		} else {
-			senses[rr] = ps.sense[i]
-		}
-		bs[rr] = sgn * ps.b[i]
-		for _, e := range ps.rows[i] {
-			builder.Add(rr, colMap[e.j], sgn*e.v)
+	csc := &lp.CSC{M: mr, N: nr, ColPtr: make([]int, nr+1)}
+	for _, i := range rowKeep {
+		for k := ps.rowHead[i]; k >= 0; k = ps.cells[k].rNext {
+			if ps.cells[k].val != 0 { //vmalloc:nondet-ok structural zero left out of the sparse matrix; exact by construction
+				csc.ColPtr[colMap[ps.cells[k].col]+1]++
+			}
 		}
 	}
-	obj := make([]float64, nr)
-	lower := make([]float64, nr)
-	upper := make([]float64, nr)
+	for j := 0; j < nr; j++ {
+		csc.ColPtr[j+1] += csc.ColPtr[j]
+	}
+	nnz := csc.ColPtr[nr]
+	csc.RowIdx = make([]int, nnz)
+	csc.Val = make([]float64, nnz)
+	senses := make([]lp.Sense, mr)
+	f := make([]float64, mr+3*nr) // one block: b, obj, lower, upper
+	bs, obj, lower, upper := f[:mr:mr], f[mr:mr+nr:mr+nr], f[mr+nr:mr+2*nr:mr+2*nr], f[mr+2*nr:]
+	for rr, i := range rowKeep {
+		sgn := 1.0
+		senses[rr] = ps.sense[i]
+		if ps.sense[i] == lp.GE {
+			sgn = -1
+			senses[rr] = lp.LE
+		}
+		bs[rr] = sgn * ps.b[i]
+		for k := ps.rowHead[i]; k >= 0; k = ps.cells[k].rNext {
+			cl := &ps.cells[k]
+			if cl.val != 0 { //vmalloc:nondet-ok structural zero left out of the sparse matrix; exact by construction
+				cr := colMap[cl.col]
+				at := csc.ColPtr[cr] // the column's fill cursor until the shift below
+				csc.ColPtr[cr]++
+				csc.RowIdx[at] = rr
+				csc.Val[at] = sgn * cl.val
+			}
+		}
+	}
+	copy(csc.ColPtr[1:], csc.ColPtr[:nr]) // every cursor ended at the next column's start
+	csc.ColPtr[0] = 0
 	for cr, j := range colKeep {
 		obj[cr] = ps.c[j]
 		lower[cr] = ps.l[j]
@@ -1218,7 +1128,7 @@ func (ps *reducer) emit(maxIter int) (red *lp.Problem, colKeep, rowKeep, colMap,
 	}
 	red = &lp.Problem{
 		Obj:     obj,
-		Cols:    builder.Build(mr),
+		Cols:    csc,
 		Sense:   senses,
 		B:       bs,
 		Upper:   upper,

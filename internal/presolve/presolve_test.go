@@ -325,6 +325,49 @@ func TestIntegralFractionalFix(t *testing.T) {
 	}
 }
 
+// TestPostsolveSlackOfMorphedEquality is the smallest model found (by
+// differential fuzzing of the reducer) on which an equality row morphs into
+// an inequality through substitution and then loses a doubleton: its
+// synthetic slack has no column in the full model, so basis reconstruction
+// must give up with a nil basis — it used to index the slack table at -1.
+func TestPostsolveSlackOfMorphedEquality(t *testing.T) {
+	p := &lp.Problem{
+		Obj: []float64{3, 1, 3, 0},
+		A: [][]float64{
+			{1, -0.5, -1, -2},
+			{0, -0.5, 0, 0},
+			{0, -0.5, 1, -1.57},
+		},
+		Sense: []lp.Sense{lp.EQ, lp.GE, lp.EQ},
+		B:     []float64{-3.5, -0.5, 0.9299999999999999},
+		Lower: []float64{1, 0, 0, 0},
+		Upper: []float64{inf(), inf(), 5, 1},
+	}
+	raw, pre := solveBoth(t, p)
+	checkEquivalent(t, p, raw, pre)
+	red, err := presolve.Reduce(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.Outcome() != presolve.Reduced {
+		t.Fatalf("outcome %v, want Reduced", red.Outcome())
+	}
+	sol, err := lp.SolveSparse(red.Problem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := red.Postsolve(sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Basis != nil {
+		t.Fatal("a basis was reconstructed for a model with an unmappable synthetic slack")
+	}
+	if d := math.Abs(full.Objective - raw.Objective); d > 1e-9*(1+math.Abs(raw.Objective)) {
+		t.Fatalf("postsolved objective %.15g vs raw %.15g", full.Objective, raw.Objective)
+	}
+}
+
 // parkScenarios returns 100+ varied park instances: the S4 equivalence
 // corpus.
 func parkScenarios() []workload.Scenario {
