@@ -803,7 +803,7 @@ func TestEngineEpochSpeedup(t *testing.T) {
 // shardedBenchCluster builds a K-shard cluster at the sharded-tier
 // acceptance scale — 64 hosts, 512 live services — and returns the live
 // ids.
-func shardedBenchCluster(tb testing.TB, shards int) (*ShardedCluster, *rand.Rand, []int) {
+func shardedBenchCluster(tb testing.TB, shards int) (*Cluster, *rand.Rand, []int) {
 	tb.Helper()
 	c, err := NewShardedCluster(clusterNodes(64), &ShardedOptions{Shards: shards, Seed: 1})
 	if err != nil {
@@ -829,7 +829,7 @@ func shardedBenchCluster(tb testing.TB, shards int) (*ShardedCluster, *rand.Rand
 
 // shardedChurnNeeds perturbs the fluid needs of n services, the steady-state
 // churn between sharded epochs.
-func shardedChurnNeeds(tb testing.TB, c *ShardedCluster, rng *rand.Rand, ids []int, n int) {
+func shardedChurnNeeds(tb testing.TB, c *Cluster, rng *rand.Rand, ids []int, n int) {
 	tb.Helper()
 	for i := 0; i < n; i++ {
 		id := ids[rng.Intn(len(ids))]
@@ -912,7 +912,7 @@ func TestShardedEpochSpeedup(t *testing.T) {
 // shardedEpochCtx runs one steady-state epoch, optionally under a live
 // trace: churn 8 needs, reallocate through the context-carrying path, and
 // finish the trace the way the HTTP middleware would.
-func shardedEpochCtx(tb testing.TB, c *ShardedCluster, rng *rand.Rand, ids []int, tracer *obs.Tracer) {
+func shardedEpochCtx(tb testing.TB, c *Cluster, rng *rand.Rand, ids []int, tracer *obs.Tracer) {
 	tb.Helper()
 	shardedChurnNeeds(tb, c, rng, ids, 8)
 	ctx := context.Background()

@@ -3,67 +3,49 @@ package vmalloc
 import (
 	"fmt"
 	"math"
-	"time"
+	"sort"
 
 	"vmalloc/internal/engine"
+	"vmalloc/internal/shard"
 )
 
 // ClusterOp identifies the kind of mutation a ClusterEvent reports.
-type ClusterOp uint8
+type ClusterOp = shard.Op
 
 const (
 	// ClusterOpAdd is a successful admission.
-	ClusterOpAdd ClusterOp = iota + 1
+	ClusterOpAdd = shard.OpAdd
 	// ClusterOpRemove is a departure.
-	ClusterOpRemove
+	ClusterOpRemove = shard.OpRemove
 	// ClusterOpUpdateNeeds replaced a live service's fluid needs.
-	ClusterOpUpdateNeeds
-	// ClusterOpSetThreshold changed the mitigation threshold.
-	ClusterOpSetThreshold
-	// ClusterOpEpoch applied a solved Reallocate or Repair epoch.
-	ClusterOpEpoch
-	// ClusterOpMoveIn installed a cross-shard rebalanced service (sharded
-	// clusters only). It replays like an admission; the move generation in
-	// ShardEvent.Gen lets a durable tier reconcile moves torn across WALs.
-	ClusterOpMoveIn
-	// ClusterOpMoveOut departed a cross-shard rebalanced service (sharded
-	// clusters only). It replays like a removal.
-	ClusterOpMoveOut
+	ClusterOpUpdateNeeds = shard.OpUpdateNeeds
+	// ClusterOpSetThreshold changed the mitigation threshold (one event per
+	// shard, so each shard's WAL carries its own copy).
+	ClusterOpSetThreshold = shard.OpSetThreshold
+	// ClusterOpEpoch applied one shard's solved Reallocate or Repair epoch.
+	ClusterOpEpoch = shard.OpEpoch
+	// ClusterOpMoveIn installed a cross-shard rebalanced service. It
+	// replays like an admission; the move generation in ClusterEvent.Gen
+	// lets a durable tier reconcile moves torn across WALs.
+	ClusterOpMoveIn = shard.OpMoveIn
+	// ClusterOpMoveOut departed a cross-shard rebalanced service. It
+	// replays like a removal.
+	ClusterOpMoveOut = shard.OpMoveOut
 )
 
-// ClusterEvent describes one applied cluster mutation, delivered to the
-// event hook after the in-memory state has changed. It carries the decision,
-// not the request: an admission event names the id and node the engine
-// chose, an epoch event the placement that was applied — exactly what a
-// write-ahead log needs to replay outcomes without re-running the solver.
+// ClusterEvent describes one applied mutation of a single placement domain,
+// delivered to the event hook after the in-memory state has changed. It
+// carries the decision, not the request: an admission event names the id and
+// node the engine chose, an epoch event the placement that was applied —
+// exactly what a write-ahead log needs to replay outcomes without re-running
+// the solver. Events name the owning shard and node indices are shard-local
+// (each shard's WAL replays onto its own domain); use Cluster.Node for the
+// park-global index.
 //
 // Slice and pointer fields may alias engine-owned buffers and are valid only
 // for the duration of the hook call; consumers must copy (or encode) what
 // they keep.
-type ClusterEvent struct {
-	Op ClusterOp
-
-	// ID names the service (ClusterOpAdd, ClusterOpRemove,
-	// ClusterOpUpdateNeeds).
-	ID int
-	// Node is the admission placement (ClusterOpAdd).
-	Node int
-	// TrueSvc and EstSvc are the admitted descriptors (ClusterOpAdd).
-	TrueSvc, EstSvc *Service
-	// Needs are the new true elem/agg and estimated elem/agg need vectors
-	// (ClusterOpUpdateNeeds).
-	Needs [4]Vec
-	// Threshold is the new mitigation threshold (ClusterOpSetThreshold).
-	Threshold float64
-	// Epoch payload (ClusterOpEpoch): the live ids in view order and the
-	// placement applied to them, plus whether this was a bounded Repair.
-	IDs        []int
-	Placement  Placement
-	Repair     bool
-	Budget     int
-	Migrations int
-	MinYield   float64
-}
+type ClusterEvent = shard.Event
 
 // SetHook installs fn as the cluster's mutation observer (nil uninstalls).
 // The hook fires synchronously after every applied state change — rejected
@@ -71,7 +53,7 @@ type ClusterEvent struct {
 // application order, which makes it the seam a durability layer journals
 // through without the engine knowing about disks. The hook must not call
 // back into the cluster.
-func (c *Cluster) SetHook(fn func(*ClusterEvent)) { c.hook = fn }
+func (c *Cluster) SetHook(fn func(*ClusterEvent)) { c.r.SetHook(fn) }
 
 // ClusterServiceState is the durable description of one live service.
 type ClusterServiceState = engine.ServiceState
@@ -186,61 +168,253 @@ func (st *ClusterState) Validate() error {
 	return nil
 }
 
-// State returns a deep copy of the cluster's durable state, services in
-// ascending id order.
-func (c *Cluster) State() *ClusterState {
-	nodes := make([]Node, len(c.eng.Nodes()))
-	for h, n := range c.eng.Nodes() {
-		nodes[h] = Node{Name: n.Name, Elementary: n.Elementary.Clone(), Aggregate: n.Aggregate.Clone()}
-	}
-	return &ClusterState{Nodes: nodes, State: *c.eng.State()}
+// ShardState returns the durable state of one placement domain: the shard's
+// own node slice plus its engine state (services keep their global ids;
+// node indices are shard-local). The per-shard states are the snapshot
+// payloads of the durable tier; a one-domain cluster's shard 0 state is its
+// State.
+func (c *Cluster) ShardState(s int) *ClusterState { return shardState(c.r, s) }
+
+// State returns a deep copy of the merged park-global durable state: all
+// nodes in park order, services ascending by id with park-global node
+// indices, and the concatenated per-node loads.
+func (c *Cluster) State() *ClusterState { return mergedState(c.r) }
+
+// routerView is the read surface shared by a live shard.Router and a
+// never-finished shard.Recovery (the replication follower's replay seam).
+type routerView interface {
+	Shards() int
+	Nodes() []Node
+	NodeRange(s int) (lo, hi int)
+	ShardState(s int) *engine.State
+	Threshold() float64
 }
 
-// RestoreCluster rebuilds a cluster from a captured state. The platform and
-// threshold come from st (opts.Threshold is ignored); solver configuration —
-// tolerance, parallelism, LP bound — comes from opts as in NewCluster. The
-// restored cluster continues bit-identically to the one that produced st.
+// shardState extracts the durable state of one placement domain from a
+// router view (see Cluster.ShardState for the representation).
+func shardState(r routerView, s int) *ClusterState {
+	lo, hi := r.NodeRange(s)
+	nodes := cloneNodes(r.Nodes()[lo:hi])
+	return &ClusterState{Nodes: nodes, State: *r.ShardState(s)}
+}
+
+// mergedState builds the merged park-global durable state from a router
+// view (see Cluster.State for the representation).
+func mergedState(r routerView) *ClusterState {
+	st := &ClusterState{Nodes: cloneNodes(r.Nodes())}
+	st.Threshold = r.Threshold()
+	for s := 0; s < r.Shards(); s++ {
+		es := r.ShardState(s)
+		lo, _ := r.NodeRange(s)
+		for i := range es.Services {
+			if es.Services[i].Node != Unplaced {
+				es.Services[i].Node += lo
+			}
+		}
+		st.Services = append(st.Services, es.Services...)
+		st.ReqLoads = append(st.ReqLoads, es.ReqLoads...)
+		st.NeedLoads = append(st.NeedLoads, es.NeedLoads...)
+		if es.NextID > st.NextID {
+			st.NextID = es.NextID
+		}
+	}
+	sort.Slice(st.Services, func(i, j int) bool { return st.Services[i].ID < st.Services[j].ID })
+	return st
+}
+
+func cloneNodes(nodes []Node) []Node {
+	out := make([]Node, len(nodes))
+	for i, n := range nodes {
+		out[i] = Node{Name: n.Name, Elementary: n.Elementary.Clone(), Aggregate: n.Aggregate.Clone()}
+	}
+	return out
+}
+
+// RestoreCluster rebuilds a one-domain cluster from a captured state. The
+// platform and threshold come from st (opts.Threshold is ignored); solver
+// configuration — tolerance, parallelism, LP bound — comes from opts as in
+// NewCluster. The restored cluster continues bit-identically to the one that
+// produced st.
 func RestoreCluster(st *ClusterState, opts *ClusterOptions) (*Cluster, error) {
-	if err := st.Validate(); err != nil {
-		return nil, err
-	}
-	if opts == nil {
-		opts = &ClusterOptions{}
-	}
-	eng, err := engine.Restore(engine.Config{
-		Nodes:      st.Nodes,
-		CPUDim:     opts.CPUDim,
-		Tol:        opts.Tolerance,
-		Placer:     engine.Placer(opts.Placer),
-		Parallel:   opts.Parallel,
-		Workers:    opts.Workers,
-		UseLPBound: opts.UseLPBound,
-		Now:        time.Now,
-	}, &st.State)
+	rs, err := RestoreShardedCluster(st.Nodes, []*ClusterState{st}, opts.sharded())
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{eng: eng}, nil
+	c, _, err := rs.Finish()
+	return c, err
 }
 
-// RestoreAdd reinstalls a service with an already-decided id and node —
-// the journal-replay counterpart of Add. It skips the admission test (the
-// decision was made when the service was first admitted) but applies the
-// same load arithmetic as a live admission. No event is emitted.
-func (c *Cluster) RestoreAdd(id, node int, trueSvc, estSvc Service) error {
-	if err := c.validateService("true", trueSvc); err != nil {
-		return err
-	}
-	if err := c.validateService("estimated", estSvc); err != nil {
-		return err
-	}
-	return c.eng.RestoreAdd(id, node, trueSvc, estSvc)
+// ShardedRestore is an in-progress recovery of a Cluster: the shard engines
+// have been rebuilt from their snapshot states, and the caller replays each
+// shard's journal tail through the Shard* methods — the replay counterparts
+// of the live mutations, which skip the admission test and the solver (the
+// decisions were made when the records were written) but apply the same
+// load arithmetic — before Finish reconciles the shards into a ready
+// cluster. A multi-WAL tier needs two things beyond plain replay: move
+// generations (to resolve a rebalance move torn across two shard WALs) and
+// departure tombstones (to drop copies a stale source WAL resurrects).
+type ShardedRestore struct {
+	rc  *shard.Recovery
+	dim int
 }
 
-// ApplyPlacement applies an externally decided placement: ids[i] moves to
-// pl[i]. The ids must be exactly the live services in ascending order (the
-// epoch view order), which is what a journaled epoch record carries. It is
-// the journal-replay counterpart of Reallocate/Repair and emits no event.
-func (c *Cluster) ApplyPlacement(ids []int, pl Placement) (migrations int, err error) {
-	return c.eng.ApplyPlacementByID(ids, pl)
+// RestoreShardedCluster begins recovery of a cluster over the given park.
+// states holds one entry per shard — the shard's last snapshot, or nil to
+// bootstrap that shard empty. Each non-nil state must carry exactly the
+// node slice its shard owns under the park partition.
+func RestoreShardedCluster(nodes []Node, states []*ClusterState, opts *ShardedOptions) (*ShardedRestore, error) {
+	if opts == nil {
+		opts = &ShardedOptions{}
+	}
+	cfg := opts.routerConfig(nodes)
+	if len(states) != cfg.Shards {
+		return nil, fmt.Errorf("vmalloc: %d shard states for %d shards", len(states), cfg.Shards)
+	}
+	estates := make([]*engine.State, len(states))
+	for s, st := range states {
+		if st == nil {
+			continue
+		}
+		if err := st.Validate(); err != nil {
+			return nil, fmt.Errorf("vmalloc: shard %d state: %w", s, err)
+		}
+		lo, hi := shard.Partition(len(nodes), cfg.Shards, s)
+		if err := nodesMatch(nodes[lo:hi], st.Nodes); err != nil {
+			return nil, fmt.Errorf("vmalloc: shard %d state: %w", s, err)
+		}
+		estates[s] = &st.State
+	}
+	rc, err := shard.Restore(cfg, estates)
+	if err != nil {
+		return nil, err
+	}
+	d := 0
+	if len(nodes) > 0 {
+		d = nodes[0].Aggregate.Dim()
+	}
+	return &ShardedRestore{rc: rc, dim: d}, nil
+}
+
+func nodesMatch(want, got []Node) error {
+	if len(want) != len(got) {
+		return fmt.Errorf("has %d nodes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if want[i].Name != got[i].Name ||
+			!vecEqual(want[i].Elementary, got[i].Elementary) ||
+			!vecEqual(want[i].Aggregate, got[i].Aggregate) {
+			return fmt.Errorf("node %d differs from the park partition", i)
+		}
+	}
+	return nil
+}
+
+func vecEqual(a, b Vec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] { //vmalloc:nondet-ok bit-identity comparison of round-tripped state vectors is the durability contract
+			return false
+		}
+	}
+	return true
+}
+
+// ShardAdd replays an admission (journal op ADD) into shard s.
+func (r *ShardedRestore) ShardAdd(s, id, node int, trueSvc, estSvc Service) error {
+	if err := validateServiceVecs(r.dim, "true", trueSvc); err != nil {
+		return err
+	}
+	if err := validateServiceVecs(r.dim, "estimated", estSvc); err != nil {
+		return err
+	}
+	return r.rc.ShardAdd(s, id, node, trueSvc, estSvc)
+}
+
+// ShardMoveIn replays a rebalance arrival (journal op MOVE_IN) into shard s.
+func (r *ShardedRestore) ShardMoveIn(s, id, node int, gen uint64, trueSvc, estSvc Service) error {
+	if err := validateServiceVecs(r.dim, "true", trueSvc); err != nil {
+		return err
+	}
+	if err := validateServiceVecs(r.dim, "estimated", estSvc); err != nil {
+		return err
+	}
+	return r.rc.ShardMoveIn(s, id, node, gen, trueSvc, estSvc)
+}
+
+// ShardRemove replays a departure (journal op REMOVE) from shard s.
+func (r *ShardedRestore) ShardRemove(s, id int) error { return r.rc.ShardRemove(s, id) }
+
+// ShardMoveOut replays a rebalance departure (journal op MOVE_OUT) from
+// shard s.
+func (r *ShardedRestore) ShardMoveOut(s, id int, gen uint64) error {
+	return r.rc.ShardMoveOut(s, id, gen)
+}
+
+// ShardUpdateNeeds replays a needs update in shard s.
+func (r *ShardedRestore) ShardUpdateNeeds(s, id int, needs [4]Vec) error {
+	for _, v := range needs {
+		if err := validateVec(r.dim, "need", v); err != nil {
+			return err
+		}
+	}
+	return r.rc.ShardUpdateNeeds(s, id, needs)
+}
+
+// ShardSetThreshold replays a threshold change in shard s.
+func (r *ShardedRestore) ShardSetThreshold(s int, th float64) error {
+	return r.rc.ShardSetThreshold(s, th)
+}
+
+// ShardApplyPlacement replays an applied epoch in shard s (global ids,
+// shard-local placement, exactly as journaled).
+func (r *ShardedRestore) ShardApplyPlacement(s int, ids []int, pl Placement) error {
+	return r.rc.ShardApplyPlacement(s, ids, pl)
+}
+
+// Read view — a replication follower applies the leader's journal records
+// through the Shard* methods above for as long as it follows, and serves
+// these read-only queries from the half-restored cluster without ever
+// calling Finish. The caller must serialize reads against replay. All reads
+// are valid until Finish; during a torn rebalance window a moving service
+// can transiently appear in two shards (Len counts both), exactly the
+// duplication Finish reconciles on promotion.
+
+// Shards returns the number of placement domains being restored.
+func (r *ShardedRestore) Shards() int { return r.rc.Shards() }
+
+// Len returns the number of live service copies across all shards.
+func (r *ShardedRestore) Len() int { return r.rc.Len() }
+
+// Threshold returns the currently replayed mitigation threshold.
+func (r *ShardedRestore) Threshold() float64 { return r.rc.Threshold() }
+
+// MinYield evaluates the achieved minimum yield of the replayed placement
+// under the §6 error model, exactly as Cluster.MinYield would.
+func (r *ShardedRestore) MinYield(policy SchedPolicy) float64 { return r.rc.MinYield(policy) }
+
+// ShardStats returns per-shard statistics over the replayed engines. Epoch
+// and migration counters stay zero while following: epochs arrive as
+// journaled placements, not locally-solved epochs.
+func (r *ShardedRestore) ShardStats() []ShardStat { return r.rc.Stats() }
+
+// ShardState returns the durable state of one replayed placement domain, in
+// the same representation as Cluster.ShardState.
+func (r *ShardedRestore) ShardState(s int) *ClusterState { return shardState(r.rc, s) }
+
+// State returns the merged park-global durable state of the replayed
+// cluster, in the same representation as Cluster.State.
+func (r *ShardedRestore) State() *ClusterState { return mergedState(r.rc) }
+
+// Finish reconciles the replayed shards and returns the recovered cluster
+// plus human-readable warnings for any cross-WAL repairs (dropped duplicate
+// or resurrected copies, threshold realignment); warnings are empty after a
+// clean shutdown and after any crash outside a rebalance commit window.
+func (r *ShardedRestore) Finish() (*Cluster, []string, error) {
+	router, warnings, err := r.rc.Finish()
+	if err != nil {
+		return nil, warnings, err
+	}
+	return &Cluster{r: router}, warnings, nil
 }

@@ -33,7 +33,7 @@ func TestClusterHookReplayReproducesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := NewCluster(stateTestNodes(), nil)
+	dst, err := RestoreShardedCluster(stateTestNodes(), []*ClusterState{nil}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +44,15 @@ func TestClusterHookReplayReproducesState(t *testing.T) {
 		}
 		switch ev.Op {
 		case ClusterOpAdd:
-			replayErr = dst.RestoreAdd(ev.ID, ev.Node, *ev.TrueSvc, *ev.EstSvc)
+			replayErr = dst.ShardAdd(ev.Shard, ev.ID, ev.Node, *ev.TrueSvc, *ev.EstSvc)
 		case ClusterOpRemove:
-			if !dst.Remove(ev.ID) {
-				t.Errorf("replay remove %d failed", ev.ID)
-			}
+			replayErr = dst.ShardRemove(ev.Shard, ev.ID)
 		case ClusterOpUpdateNeeds:
-			replayErr = dst.UpdateNeeds(ev.ID, ev.Needs[0], ev.Needs[1], ev.Needs[2], ev.Needs[3])
+			replayErr = dst.ShardUpdateNeeds(ev.Shard, ev.ID, ev.Needs)
 		case ClusterOpSetThreshold:
-			dst.SetThreshold(ev.Threshold)
+			replayErr = dst.ShardSetThreshold(ev.Shard, ev.Threshold)
 		case ClusterOpEpoch:
-			_, replayErr = dst.ApplyPlacement(ev.IDs, ev.Placement)
+			replayErr = dst.ShardApplyPlacement(ev.Shard, ev.IDs, ev.Placement)
 		}
 	})
 

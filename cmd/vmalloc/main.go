@@ -163,16 +163,16 @@ func writeMPSFile(path string, p *vmalloc.Problem) error {
 // saveSolvedState converts a solved one-shot problem into daemon-ready
 // cluster state: every service is installed with its solved placement.
 func saveSolvedState(path string, p *vmalloc.Problem, res *vmalloc.Result) error {
-	c, err := vmalloc.NewCluster(p.Nodes, nil)
+	rs, err := vmalloc.RestoreShardedCluster(p.Nodes, []*vmalloc.ClusterState{nil}, nil)
 	if err != nil {
 		return err
 	}
 	for j := range p.Services {
-		if err := c.RestoreAdd(j, res.Placement[j], p.Services[j], p.Services[j]); err != nil {
+		if err := rs.ShardAdd(0, j, res.Placement[j], p.Services[j], p.Services[j]); err != nil {
 			return err
 		}
 	}
-	return saveState(path, c.State())
+	return saveState(path, rs.State())
 }
 
 // loadState/saveState go through the same DecodeState/EncodeState the

@@ -1,5 +1,5 @@
-// Command vmallocd is the durable allocation daemon: a vmalloc.Cluster (or,
-// with -shards K, a vmalloc.ShardedCluster of K placement domains) behind
+// Command vmallocd is the durable allocation daemon: a vmalloc.Cluster of
+// -shards placement domains (one unless told otherwise) behind per-shard
 // write-ahead journals, served over HTTP/JSON.
 //
 // Every mutation (admission, departure, need update, threshold change,
@@ -7,11 +7,12 @@
 // group-commit batched fsync and is durable when the response arrives;
 // snapshots compact the log and bound recovery time. Restarting the daemon
 // on the same -dir recovers the exact pre-shutdown cluster state from
-// snapshot + WAL replay — sharded directories replay one WAL per shard.
+// snapshot + WAL replay, one WAL per shard.
 //
 // A recovered directory defines its own platform: booting it with -nodes,
-// -hosts, -state-in, -threshold or a conflicting -shards fails fast instead
-// of silently ignoring the flags.
+// -hosts, -state-in, -threshold, -seed or a conflicting -shards fails fast
+// instead of silently ignoring the flags — as does -follow with any of them,
+// since a follower's platform is its leader's.
 //
 // Usage:
 //
@@ -46,13 +47,6 @@ import (
 	"vmalloc/internal/workload"
 )
 
-// store is the daemon-facing surface shared by the unsharded and sharded
-// stores.
-type store interface {
-	server.API
-	Close() error
-}
-
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
@@ -67,7 +61,7 @@ func main() {
 		parallel  = flag.Bool("parallel", false, "race the meta strategies across workers (per shard)")
 		workers   = flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
 		lpBound   = flag.Bool("lpbound", false, "bracket the yield search with the warm-started LP bound")
-		shards    = flag.Int("shards", 0, "partition the platform into this many placement domains (first boot; 0 = unsharded)")
+		shards    = flag.Int("shards", 0, "partition the platform into this many placement domains (first boot; 0 = 1)")
 		rebGap    = flag.Float64("rebalance-gap", 0, "rebalance when the bottleneck shard trails the median yield by more than this (0 = default 0.1, negative disables)")
 		rebMoves  = flag.Int("rebalance-moves", 0, "max services migrated per rebalance pass (0 = default 2, negative disables)")
 		snapEvery = flag.Int("snapshot-every", 0, "checkpoint after this many records (0 = 4096, negative disables)")
@@ -128,7 +122,7 @@ func main() {
 				conflicts = append(conflicts, "-"+name)
 			}
 		}
-		if set["shards"] && (manifest == nil && *shards > 0 || manifest != nil && *shards != manifest.Shards) {
+		if set["shards"] && *shards != manifest.Shards {
 			conflicts = append(conflicts, "-shards")
 		}
 		if len(conflicts) > 0 {
@@ -181,12 +175,18 @@ func main() {
 		}, rand.New(rand.NewSource(*seed)))
 	}
 
-	var s store
+	// api is what the HTTP surface serves for the life of the process;
+	// closeStore checkpoints and releases whatever is behind it at exit.
+	var (
+		api        server.API
+		closeStore func() error
+	)
 	if *follow != "" {
-		// A follower's platform comes from the leader's manifest; every
-		// first-boot platform flag is a conflict.
+		// A follower's platform — nodes, partition, admission seed — comes
+		// from the leader's manifest; every first-boot platform flag is a
+		// conflict.
 		var conflicts []string
-		for _, name := range []string{"nodes", "hosts", "state-in", "threshold", "cov", "shards"} {
+		for _, name := range []string{"nodes", "hosts", "state-in", "threshold", "cov", "seed", "shards"} {
 			if set[name] {
 				conflicts = append(conflicts, "-"+name)
 			}
@@ -204,28 +204,23 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		s = replica.NewSwitch(f)
+		sw := replica.NewSwitch(f)
+		api, closeStore = sw, sw.Close
 		lg.Info("following leader (read-only until POST /v1/promote)", "leader", *follow)
-	} else if manifest != nil || (!recovered && *shards > 0) {
-		ss, err := server.OpenSharded(*dir, nodes, opts)
-		if err != nil {
-			fatal(err)
-		}
-		for _, w := range ss.RecoveryWarnings {
-			lg.Warn("recovery", "warning", w)
-		}
-		s = ss
 	} else {
 		st, err := server.Open(*dir, nodes, opts)
 		if err != nil {
 			fatal(err)
 		}
-		s = st
+		for _, w := range st.RecoveryWarnings {
+			lg.Warn("recovery", "warning", w)
+		}
+		api, closeStore = st, st.Close
 	}
-	stats := s.Stats()
+	stats := api.Stats()
 	lg.Info("recovered",
 		"services", stats.Services,
-		"shards", max(stats.Shards, 1),
+		"shards", stats.Shards,
 		"replayed", stats.Replayed,
 		"snapshot_seq", stats.SnapshotSeq,
 		"truncated_bytes", stats.TruncatedBytes,
@@ -233,9 +228,9 @@ func main() {
 
 	var m *server.Metrics
 	if !*noMetrics {
-		m = server.NewObservedMetrics(s, observer)
+		m = server.NewObservedMetrics(api, observer)
 	}
-	var handler http.Handler = server.NewObservedHandler(s, m, observer, lg)
+	var handler http.Handler = server.NewObservedHandler(api, m, observer, lg)
 	if *pprofOn {
 		outer := http.NewServeMux()
 		outer.HandleFunc("/debug/pprof/", pprof.Index)
@@ -272,11 +267,11 @@ func main() {
 		}
 	case err := <-errCh:
 		if !errors.Is(err, http.ErrServerClosed) {
-			s.Close()
+			closeStore()
 			fatal(err)
 		}
 	}
-	if err := s.Close(); err != nil {
+	if err := closeStore(); err != nil {
 		fatal(err)
 	}
 	lg.Info("checkpointed and closed")

@@ -75,7 +75,7 @@ func main() {
 	// ugly, a half-written record lands on the WAL tail, exactly what a
 	// power cut mid-append leaves behind.
 	st.Kill()
-	if err := tearTail(dir); err != nil {
+	if err := tearTail(server.ShardDir(dir, 0)); err != nil {
 		fatal(err)
 	}
 	fmt.Println("crashed: journal abandoned with a torn record on the tail")

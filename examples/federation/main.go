@@ -5,10 +5,10 @@
 // (METAHVPLIGHT) behaves as load grows, against the homogeneous METAVP.
 //
 // This is the offline, single-solve view of federation. The online
-// equivalent is the sharded serving tier: vmalloc.ShardedCluster (or
-// `vmallocd -shards K`) keeps each federated cluster as its own placement
-// domain with its own engine and WAL, admits services by shard headroom
-// and reallocates all domains scatter-gather — see the "sharded tier"
+// equivalent is a sharded vmalloc.Cluster (vmalloc.NewShardedCluster, or
+// `vmallocd -shards K`): it keeps each federated cluster as its own
+// placement domain with its own engine and WAL, admits services by shard
+// headroom and reallocates all domains scatter-gather — see the "Sharding"
 // section of the README and `cmd/experiments -exp sharded`.
 package main
 

@@ -136,3 +136,48 @@ func segmentPath(dir string, firstSeq uint64) string {
 func snapshotPath(dir string, seq uint64) string {
 	return filepath.Join(dir, snapshotName(seq))
 }
+
+// Relocate moves the journal living in from — every segment and snapshot
+// listDir would report plus the chain ledger — into to (created if needed)
+// and makes the move durable. It is resumable: a crash (or a failed rename)
+// part-way leaves each file whole in exactly one of the two directories, and
+// the next call moves the rest; with nothing left to move it is a read-only
+// no-op. from stays locked for the duration so two booting processes cannot
+// interleave. A nil fsys selects the real filesystem.
+func Relocate(fsys faultfs.FS, from, to string) error {
+	fsys = Options{FS: fsys}.fs()
+	entries, err := fsys.ReadDir(from)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	var names []string
+	for _, e := range entries {
+		_, seg := parseSeq(e.Name(), segPrefix, segSuffix)
+		_, snap := parseSeq(e.Name(), snapPrefix, snapSuffix)
+		if !e.IsDir() && (seg || snap || e.Name() == chainFile) {
+			names = append(names, e.Name())
+		}
+	}
+	if len(names) == 0 {
+		return nil
+	}
+	lock, err := lockDir(from)
+	if err != nil {
+		return err
+	}
+	if lock != nil {
+		defer lock.Close()
+	}
+	if err := fsys.MkdirAll(to, 0o755); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	for _, name := range names {
+		if err := fsys.Rename(filepath.Join(from, name), filepath.Join(to, name)); err != nil {
+			return fmt.Errorf("journal: relocating %s: %w", name, err)
+		}
+	}
+	if err := syncDir(fsys, to); err != nil {
+		return err
+	}
+	return syncDir(fsys, from)
+}

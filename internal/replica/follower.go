@@ -71,7 +71,7 @@ func (o *Options) reqTimeout() time.Duration {
 // implements the server API surface: reads are served from the continuously
 // replayed restore seam, mutations fail with server.ErrReadOnly (503 +
 // Retry-After at the HTTP layer), and Promote flips the directory into a
-// writable ShardedStore after verifying chain agreement with the leader.
+// writable Store after verifying chain agreement with the leader.
 //
 // Apply order is durable-first: a streamed batch lands in the local WAL
 // (fsynced per the configured policy) before it mutates the in-memory

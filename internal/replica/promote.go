@@ -26,9 +26,9 @@ import (
 // history) fails that verification and the promotion errors out instead of
 // serving corrupt state.
 //
-// On success the follower is closed and the returned ShardedStore serves
+// On success the follower is closed and the returned Store serves
 // writes; the caller (Switch) swaps it into the HTTP surface atomically.
-func (f *Follower) Promote(ctx context.Context) (*server.ShardedStore, error) {
+func (f *Follower) Promote(ctx context.Context) (*server.Store, error) {
 	if err := f.Err(); err != nil {
 		return nil, fmt.Errorf("replica: promote: replication failed: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 
 	"vmalloc"
 	"vmalloc/internal/journal"
+	"vmalloc/internal/obs"
 	"vmalloc/internal/server"
 	"vmalloc/internal/workload"
 )
@@ -38,7 +40,7 @@ func testService(rng *rand.Rand) vmalloc.Service {
 // drive applies a deterministic mutation mix: admissions (some batched),
 // removes, threshold changes and epochs. Every returned call is acked
 // (durable on the leader).
-func drive(t *testing.T, s *server.ShardedStore, n int, seed int64) (live []int) {
+func drive(t *testing.T, s *server.Store, n int, seed int64) (live []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
@@ -82,24 +84,37 @@ func drive(t *testing.T, s *server.ShardedStore, n int, seed int64) (live []int)
 	return live
 }
 
-func leaderOpts() *server.Options {
+// leaderOpts are a leader's store options; shards 0 is the default boot
+// (one placement domain), which is followable like any other.
+func leaderOpts(shards int) *server.Options {
 	return &server.Options{
 		Fsync:         journal.FsyncNone,
-		Shards:        2,
+		Shards:        shards,
 		ChainInterval: 4,
 		SegmentBytes:  4096,
 	}
 }
 
-// boot starts a sharded leader and its HTTP surface.
-func boot(t *testing.T, seed int64) (*server.ShardedStore, *httptest.Server) {
+// boot starts a two-shard leader and its HTTP surface.
+func boot(t *testing.T, seed int64) (*server.Store, *httptest.Server) {
+	return bootShards(t, seed, 2)
+}
+
+func bootShards(t *testing.T, seed int64, shards int) (*server.Store, *httptest.Server) {
 	t.Helper()
-	s, err := server.OpenSharded(t.TempDir(), testNodes(8, seed), leaderOpts())
+	s, err := server.Open(t.TempDir(), testNodes(8, seed), leaderOpts(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(server.Handler(s))
 	return s, ts
+}
+
+// eachLeader runs fn against a default-booted leader and a two-shard one.
+func eachLeader(t *testing.T, fn func(t *testing.T, shards int)) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { fn(t, shards) })
+	}
 }
 
 // follow opens a follower of ts with a fast poll.
@@ -119,7 +134,7 @@ func follow(t *testing.T, ts *httptest.Server) *Follower {
 
 // waitCaughtUp blocks until the follower has applied every record the leader
 // has committed (as of one leader-side reading per probe).
-func waitCaughtUp(t *testing.T, leader *server.ShardedStore, f *Follower) {
+func waitCaughtUp(t *testing.T, leader *server.Store, f *Follower) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
@@ -177,7 +192,11 @@ func stateBytes(t *testing.T, s server.API) []byte {
 }
 
 func TestFollowerReplicatesAndServes(t *testing.T) {
-	leader, ts := boot(t, 31)
+	eachLeader(t, testFollowerReplicatesAndServes)
+}
+
+func testFollowerReplicatesAndServes(t *testing.T, shards int) {
+	leader, ts := bootShards(t, 31, shards)
 	defer ts.Close()
 	defer leader.Close()
 
@@ -339,8 +358,12 @@ func TestFollowerHTTPSurface(t *testing.T) {
 // HTTP state bytes, recovered-leader state bytes and the golden all agree,
 // and the follower's WAL is byte-identical to the leader's.
 func TestPromoteDeadLeaderByteIdentity(t *testing.T) {
+	eachLeader(t, testPromoteDeadLeaderByteIdentity)
+}
+
+func testPromoteDeadLeaderByteIdentity(t *testing.T, shards int) {
 	leaderDir := t.TempDir()
-	leader, err := server.OpenSharded(leaderDir, testNodes(8, 41), leaderOpts())
+	leader, err := server.Open(leaderDir, testNodes(8, 41), leaderOpts(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +379,7 @@ func TestPromoteDeadLeaderByteIdentity(t *testing.T) {
 	ts.Close()
 	leader.Kill()
 
-	for shard := 0; shard < 2; shard++ {
+	for shard := 0; shard < max(shards, 1); shard++ {
 		lw := shardWALBytes(t, leaderDir, shard)
 		fw := shardWALBytes(t, f.opts.Dir, shard)
 		if !bytes.Equal(lw, fw) {
@@ -375,7 +398,7 @@ func TestPromoteDeadLeaderByteIdentity(t *testing.T) {
 
 	// Cross-check: recovering the leader's own directory yields the same
 	// bytes — the promoted follower is indistinguishable from the leader.
-	rec, err := server.OpenSharded(leaderDir, nil, leaderOpts())
+	rec, err := server.Open(leaderDir, nil, leaderOpts(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,5 +576,68 @@ func TestPromoteRejectsDivergedReplica(t *testing.T) {
 		t.Fatal("promotion accepted a diverged replica")
 	} else {
 		t.Logf("divergence rejected: %v", err)
+	}
+}
+
+// TestPromotedFollowerKeepsSpans pins the context surface of the Switch: a
+// request served by a promoted follower must be traced through the commit
+// pipeline like one served by a born leader — its retained trace has the
+// store's apply span, and the epoch it ran carries its request id.
+func TestPromotedFollowerKeepsSpans(t *testing.T) {
+	leader, ts := bootShards(t, 47, 0)
+	defer ts.Close()
+	defer leader.Close()
+	drive(t, leader, 30, 15)
+
+	o := obs.NewObserver()
+	f, err := Open(context.Background(), Options{
+		Leader: ts.URL,
+		Dir:    t.TempDir(),
+		Poll:   5 * time.Millisecond,
+		Server: &server.Options{Fsync: journal.FsyncNone, Obs: o},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := NewSwitch(f)
+	defer sw.Close()
+	fts := httptest.NewServer(server.NewObservedHandler(sw, nil, o, nil))
+	defer fts.Close()
+	waitCaughtUp(t, leader, f)
+	if err := sw.Promote(); err != nil {
+		t.Fatal(err)
+	}
+
+	const reqID = "promoted-epoch-1"
+	req, err := http.NewRequest("POST", fts.URL+"/v1/reallocate", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(server.RequestIDHeader, reqID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reallocate on the promoted follower = %d, want 200", resp.StatusCode)
+	}
+
+	tr, ok := o.Tracer.Lookup(reqID)
+	if !ok {
+		t.Fatalf("no retained trace %q", reqID)
+	}
+	var hasApply bool
+	for _, sp := range tr.Spans {
+		if sp.Name == "apply" && sp.Parent == 0 {
+			hasApply = true
+		}
+	}
+	if !hasApply {
+		t.Fatalf("promoted follower's trace has no apply child: %+v", tr.Spans)
+	}
+	epochs := o.Epochs.Snapshot(1)
+	if len(epochs) != 1 || epochs[0].TraceID != reqID {
+		t.Fatalf("newest epoch record = %+v, want trace id %q", epochs, reqID)
 	}
 }

@@ -28,7 +28,7 @@ type Switch struct {
 // backend is the current serving state: exactly one of f/st is non-nil.
 type backend struct {
 	f  *Follower
-	st *server.ShardedStore
+	st *server.Store
 }
 
 func (b *backend) api() server.API {
@@ -108,6 +108,55 @@ func (s *Switch) State() (*vmalloc.ClusterState, []byte, error) {
 func (s *Switch) Checkpoint() (uint64, error) { return s.cur.Load().api().Checkpoint() }
 
 func (s *Switch) Stats() server.Stats { return s.cur.Load().api().Stats() }
+
+// --- context-carrying mutations ---
+//
+// The handler traces mutations through these. A follower refuses every
+// mutation, so only the promoted store has anything to trace; forwarding
+// them keeps its apply/fsync_wait spans and epoch-ring trace ids after a
+// failover.
+
+func (s *Switch) AddBatchCtx(ctx context.Context, specs []server.AddSpec) ([]server.AddOutcome, error) {
+	if b := s.cur.Load(); b.st != nil {
+		return b.st.AddBatchCtx(ctx, specs)
+	}
+	return nil, server.ErrReadOnly
+}
+
+func (s *Switch) RemoveCtx(ctx context.Context, id int) (bool, error) {
+	if b := s.cur.Load(); b.st != nil {
+		return b.st.RemoveCtx(ctx, id)
+	}
+	return false, server.ErrReadOnly
+}
+
+func (s *Switch) UpdateNeedsCtx(ctx context.Context, id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
+	if b := s.cur.Load(); b.st != nil {
+		return b.st.UpdateNeedsCtx(ctx, id, trueElem, trueAgg, estElem, estAgg)
+	}
+	return server.ErrReadOnly
+}
+
+func (s *Switch) SetThresholdCtx(ctx context.Context, th float64) error {
+	if b := s.cur.Load(); b.st != nil {
+		return b.st.SetThresholdCtx(ctx, th)
+	}
+	return server.ErrReadOnly
+}
+
+func (s *Switch) ReallocateCtx(ctx context.Context) (*vmalloc.ClusterEpoch, error) {
+	if b := s.cur.Load(); b.st != nil {
+		return b.st.ReallocateCtx(ctx)
+	}
+	return nil, server.ErrReadOnly
+}
+
+func (s *Switch) RepairCtx(ctx context.Context, budget int) (*vmalloc.ClusterEpoch, error) {
+	if b := s.cur.Load(); b.st != nil {
+		return b.st.RepairCtx(ctx, budget)
+	}
+	return nil, server.ErrReadOnly
+}
 
 // --- optional surfaces (shard stats, journal I/O, replication, readiness) ---
 

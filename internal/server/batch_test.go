@@ -25,7 +25,7 @@ func batchOf(svcs ...vmalloc.Service) batchRequest {
 // store: every entry admitted, ids unique, and the batch lands on every
 // placement domain.
 func TestHTTPBatchAdmission(t *testing.T) {
-	s := openSharded(t, t.TempDir(), testNodes(8, 51), 4)
+	s := openStore(t, t.TempDir(), testNodes(8, 51), 4)
 	ts := httptest.NewServer(Handler(s))
 	t.Cleanup(func() { ts.Close(); s.Close() })
 
@@ -180,52 +180,54 @@ func TestBatchSingleEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedBatchKillRecovery is the crash acceptance test for bulk
-// admission: after an acked batch, a kill -9 and reopen must recover every
-// admitted service — the group append is all-in-the-log, not best-effort.
-func TestShardedBatchKillRecovery(t *testing.T) {
-	dir := t.TempDir()
-	s := openSharded(t, dir, testNodes(8, 57), 2)
+// TestBatchKillRecovery is the crash acceptance test for bulk admission:
+// after an acked batch, a kill -9 and reopen must recover every admitted
+// service — the group append is all-in-the-log, not best-effort.
+func TestBatchKillRecovery(t *testing.T) {
+	forEachK(t, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		s := openStore(t, dir, testNodes(8, 57), shards)
 
-	specs := make([]AddSpec, 80)
-	for i := range specs {
-		svc := smallService(0.001 + float64(i)*1e-5)
-		specs[i] = AddSpec{True: svc, Est: svc}
-	}
-	outs, err := s.AddBatch(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acked := 0
-	for _, o := range outs {
-		if o.Err == nil {
-			acked++
+		specs := make([]AddSpec, 80)
+		for i := range specs {
+			svc := smallService(0.001 + float64(i)*1e-5)
+			specs[i] = AddSpec{True: svc, Est: svc}
 		}
-	}
-	if acked == 0 {
-		t.Fatal("no admissions acked; test is vacuous")
-	}
-	want := append([]byte(nil), shardedStateJSON(t, s)...)
-	s.Kill()
+		outs, err := s.AddBatch(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked := 0
+		for _, o := range outs {
+			if o.Err == nil {
+				acked++
+			}
+		}
+		if acked == 0 {
+			t.Fatal("no admissions acked; test is vacuous")
+		}
+		want := append([]byte(nil), stateJSON(t, s)...)
+		s.Kill()
 
-	r := openSharded(t, dir, nil, 0)
-	defer r.Close()
-	if got := shardedStateJSON(t, r); !bytes.Equal(got, want) {
-		t.Fatalf("recovered state differs from acked pre-kill state:\npre:  %s\npost: %s", want, got)
-	}
-	if st := r.Stats(); st.Services != acked {
-		t.Fatalf("recovered %d services, want %d acked", st.Services, acked)
-	}
-	if r.Stats().Replayed == 0 {
-		t.Fatal("kill -9 recovery replayed nothing; the batch was not in the WAL")
-	}
+		r := openStore(t, dir, nil, 0)
+		defer r.Close()
+		if got := stateJSON(t, r); !bytes.Equal(got, want) {
+			t.Fatalf("recovered state differs from acked pre-kill state:\npre:  %s\npost: %s", want, got)
+		}
+		if st := r.Stats(); st.Services != acked {
+			t.Fatalf("recovered %d services, want %d acked", st.Services, acked)
+		}
+		if r.Stats().Replayed == 0 {
+			t.Fatal("kill -9 recovery replayed nothing; the batch was not in the WAL")
+		}
+	})
 }
 
 // TestMetricsEndpoint wires the instrumented handler over a sharded store and
 // checks the exposition covers the acceptance surface: per-endpoint request
 // counters and latency, per-shard gauges, journal I/O counters.
 func TestMetricsEndpoint(t *testing.T) {
-	s := openSharded(t, t.TempDir(), testNodes(8, 59), 2)
+	s := openStore(t, t.TempDir(), testNodes(8, 59), 2)
 	ts := httptest.NewServer(NewHandler(s, NewMetrics(s)))
 	t.Cleanup(func() { ts.Close(); s.Close() })
 

@@ -29,7 +29,7 @@ type Metrics struct {
 
 // NewMetrics builds the metric registry over a store: per-endpoint request
 // counters and latency histograms, plus scrape-time collectors over
-// s.Stats(), per-shard statistics (sharded stores) and journal I/O
+// s.Stats(), per-shard statistics and journal I/O
 // counters. Equivalent to NewObservedMetrics(s, nil).
 func NewMetrics(s API) *Metrics { return NewObservedMetrics(s, nil) }
 

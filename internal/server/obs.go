@@ -19,10 +19,12 @@ import (
 // back to its spans.
 const RequestIDHeader = "X-Request-Id"
 
-// ctxAPI is the optional context-carrying mutation surface. Stores that
-// implement it (Store, ShardedStore) annotate their commit pipeline with
-// the request's trace: handlers pass the request context through so
-// apply, fsync_wait and epoch spans attach to it.
+// ctxAPI is the context-carrying mutation surface every store behind the
+// handler provides next to API (Store; replica.Switch, which forwards it to
+// the promoted store): handlers pass the request context through so apply,
+// fsync_wait and epoch spans attach to the request's trace and epoch-ring
+// entries carry its id. API itself stays context-free until its remaining
+// callers move.
 type ctxAPI interface {
 	AddBatchCtx(ctx context.Context, specs []AddSpec) ([]AddOutcome, error)
 	RemoveCtx(ctx context.Context, id int) (bool, error)
@@ -32,24 +34,10 @@ type ctxAPI interface {
 	RepairCtx(ctx context.Context, budget int) (*vmalloc.ClusterEpoch, error)
 }
 
-// ctxCalls dispatches mutations to the store's context-carrying variants
-// when it has them and falls back to the plain API otherwise, so handlers
-// stay oblivious to which store they serve.
-type ctxCalls struct {
-	s API
-	c ctxAPI // nil when s has no context surface
-}
-
-func newCtxCalls(s API) ctxCalls {
-	c, _ := s.(ctxAPI)
-	return ctxCalls{s: s, c: c}
-}
-
-func (a ctxCalls) AddWithEstimate(ctx context.Context, trueSvc, estSvc vmalloc.Service) (id, node int, err error) {
-	if a.c == nil {
-		return a.s.AddWithEstimate(trueSvc, estSvc)
-	}
-	out, err := a.c.AddBatchCtx(ctx, []AddSpec{{True: trueSvc, Est: estSvc}})
+// addOne admits a single service as a batch of one, the way every store's
+// AddWithEstimate does, but under the request context.
+func addOne(ctx context.Context, c ctxAPI, trueSvc, estSvc vmalloc.Service) (id, node int, err error) {
+	out, err := c.AddBatchCtx(ctx, []AddSpec{{True: trueSvc, Est: estSvc}})
 	if err != nil {
 		return 0, -1, err
 	}
@@ -57,48 +45,6 @@ func (a ctxCalls) AddWithEstimate(ctx context.Context, trueSvc, estSvc vmalloc.S
 		return 0, -1, out[0].Err
 	}
 	return out[0].ID, out[0].Node, nil
-}
-
-func (a ctxCalls) AddBatch(ctx context.Context, specs []AddSpec) ([]AddOutcome, error) {
-	if a.c == nil {
-		return a.s.AddBatch(specs)
-	}
-	return a.c.AddBatchCtx(ctx, specs)
-}
-
-func (a ctxCalls) Remove(ctx context.Context, id int) (bool, error) {
-	if a.c == nil {
-		return a.s.Remove(id)
-	}
-	return a.c.RemoveCtx(ctx, id)
-}
-
-func (a ctxCalls) UpdateNeeds(ctx context.Context, id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
-	if a.c == nil {
-		return a.s.UpdateNeeds(id, trueElem, trueAgg, estElem, estAgg)
-	}
-	return a.c.UpdateNeedsCtx(ctx, id, trueElem, trueAgg, estElem, estAgg)
-}
-
-func (a ctxCalls) SetThreshold(ctx context.Context, th float64) error {
-	if a.c == nil {
-		return a.s.SetThreshold(th)
-	}
-	return a.c.SetThresholdCtx(ctx, th)
-}
-
-func (a ctxCalls) Reallocate(ctx context.Context) (*vmalloc.ClusterEpoch, error) {
-	if a.c == nil {
-		return a.s.Reallocate()
-	}
-	return a.c.ReallocateCtx(ctx)
-}
-
-func (a ctxCalls) Repair(ctx context.Context, budget int) (*vmalloc.ClusterEpoch, error) {
-	if a.c == nil {
-		return a.s.Repair(budget)
-	}
-	return a.c.RepairCtx(ctx, budget)
 }
 
 // instrumented reports whether a route takes part in per-endpoint latency

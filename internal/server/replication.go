@@ -8,14 +8,13 @@ import (
 )
 
 // This file is the leader-side replication surface of the durable tier: a
-// sharded store exposes its shard manifest, per-shard bootstrap checkpoints,
-// raw committed WAL frames and integrity-chain status, which the HTTP layer
+// store exposes its shard manifest, per-shard bootstrap checkpoints, raw
+// committed WAL frames and integrity-chain status, which the HTTP layer
 // serves under /v1/replica/* and a follower daemon consumes (internal/replica).
 //
-// Replication is sharded-only by design: the follower replays through the
-// same ShardedRestore seam crash recovery uses, so every replicated byte
-// travels the code path that is already proven byte-identical by the
-// recovery tests.
+// The follower replays through the same ShardedRestore seam crash recovery
+// uses, so every replicated byte travels the code path that is already
+// proven byte-identical by the recovery tests.
 
 // ErrReadOnly is returned by mutations on a store that is following a leader
 // and has not been promoted. The HTTP layer maps it to 503 with Retry-After,
@@ -49,8 +48,8 @@ type ShardChain struct {
 }
 
 // replicaSource is the optional leader-side replication surface; a store
-// that provides it (ShardedStore) additionally serves the /v1/replica/*
-// read endpoints.
+// that provides it (Store, a follower, a Switch) additionally serves the
+// /v1/replica/* read endpoints.
 type replicaSource interface {
 	ReplicaManifest() (*ShardManifest, error)
 	ReplicaCheckpoint(shard int) (*journal.Checkpoint, error)
@@ -112,38 +111,19 @@ type FollowerShardStatus struct {
 	SecondsSinceApplied float64 `json:"seconds_since_applied"`
 }
 
-// Ready reports whether the store can serve traffic: open and with a
-// writable journal. (ErrClosed or the sticky journal fault otherwise.)
+// Ready reports whether the store can serve traffic: open and with every
+// shard journal writable. (ErrClosed or the sticky journal fault otherwise.)
 func (s *Store) Ready() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.j.Err(); err != nil {
-		return fmt.Errorf("server: journal failed: %w", err)
-	}
-	return nil
-}
-
-// Ready reports whether the sharded store can serve traffic: open and with
-// every shard journal writable.
-func (s *ShardedStore) Ready() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	for i, j := range s.js {
-		if err := j.Err(); err != nil {
-			return fmt.Errorf("server: shard %d journal failed: %w", i, err)
-		}
-	}
-	return nil
+	return s.journalErr()
 }
 
 // ReplicaManifest returns the shard manifest a follower must mirror.
-func (s *ShardedStore) ReplicaManifest() (*ShardManifest, error) {
+func (s *Store) ReplicaManifest() (*ShardManifest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -156,7 +136,7 @@ func (s *ShardedStore) ReplicaManifest() (*ShardManifest, error) {
 // follower bootstrap. A leader always has one (the bootstrap checkpoint is
 // written on first boot); if compaction raced it away a fresh checkpoint is
 // forced.
-func (s *ShardedStore) ReplicaCheckpoint(shard int) (*journal.Checkpoint, error) {
+func (s *Store) ReplicaCheckpoint(shard int) (*journal.Checkpoint, error) {
 	j, err := s.shardJournal(shard)
 	if err != nil {
 		return nil, err
@@ -183,7 +163,7 @@ func (s *ShardedStore) ReplicaCheckpoint(shard int) (*journal.Checkpoint, error)
 // cursor `from`, at most maxBytes (best-effort; at least one frame when any
 // is committed). A nil batch means the follower is caught up. ErrCompacted
 // means the cursor predates retention and the follower must re-bootstrap.
-func (s *ShardedStore) ReplicaStream(shard int, from uint64, maxBytes int) (*StreamBatch, error) {
+func (s *Store) ReplicaStream(shard int, from uint64, maxBytes int) (*StreamBatch, error) {
 	j, err := s.shardJournal(shard)
 	if err != nil {
 		return nil, err
@@ -200,7 +180,7 @@ func (s *ShardedStore) ReplicaStream(shard int, from uint64, maxBytes int) (*Str
 
 // ChainStatus returns the committed high-water mark, chain head and
 // checkpoint ledger of every shard journal.
-func (s *ShardedStore) ChainStatus() ([]ShardChain, error) {
+func (s *Store) ChainStatus() ([]ShardChain, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -220,7 +200,7 @@ func (s *ShardedStore) ChainStatus() ([]ShardChain, error) {
 	return out, nil
 }
 
-func (s *ShardedStore) shardJournal(shard int) (*journal.Journal, error) {
+func (s *Store) shardJournal(shard int) (*journal.Journal, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

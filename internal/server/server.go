@@ -14,9 +14,10 @@ import (
 	"vmalloc/internal/obs"
 )
 
-// API is the store surface the HTTP handler serves. Both the single-domain
-// Store and the ShardedStore implement it; mutations must be durable when
-// the call returns.
+// API is the store surface the HTTP handler serves — Store, a replication
+// follower, and the Switch that fronts both implement it; mutations must be
+// durable when the call returns. A store handed to the handler must also
+// provide the context-carrying mutation surface (ctxAPI).
 type API interface {
 	AddWithEstimate(trueSvc, estSvc vmalloc.Service) (id, node int, err error)
 	AddBatch(specs []AddSpec) ([]AddOutcome, error)
@@ -31,8 +32,7 @@ type API interface {
 	Stats() Stats
 }
 
-// shardStatser is the optional per-shard statistics surface; a store that
-// provides it (ShardedStore) additionally serves GET /v1/shards.
+// shardStatser is the per-shard statistics surface behind GET /v1/shards.
 type shardStatser interface {
 	ShardStats() ([]vmalloc.ShardStat, error)
 }
@@ -46,12 +46,13 @@ type route struct {
 }
 
 // Routes returns "METHOD /path" for every endpoint a fully-equipped vmallocd
-// can serve (sharded store, metrics enabled), in registration order. It is
-// the single source of truth the docs coverage test diffs docs/api.md
-// against — adding a route here without documenting it fails CI.
+// can serve (follower surface included, metrics enabled), in registration
+// order. It is the single source of truth the docs coverage test diffs
+// docs/api.md against — adding a route here without documenting it fails CI.
 func Routes() []string {
 	ss := struct {
 		API
+		ctxAPI
 		shardStatser
 		replicaSource
 		replicaStatser
@@ -71,12 +72,16 @@ func Routes() []string {
 // latency and response size.
 const maxBatchServices = 4096
 
-// routes builds the route table over s. GET /v1/shards is served only by
-// sharded stores, GET /metrics only when metrics are enabled and the
-// /v1/debug/* surface only with an observer; all are still part of the
-// documented surface (see Routes).
+// routes builds the route table over s. GET /metrics is served only when
+// metrics are enabled and the /v1/debug/* surface only with an observer;
+// both are still part of the documented surface (see Routes). It panics on a
+// store without the context-carrying mutation surface — every store in the
+// tree has it, so that is a wiring bug, not an input.
 func routes(s API, m *Metrics, o *obs.Observer) []route {
-	ca := newCtxCalls(s)
+	ca, ok := s.(ctxAPI)
+	if !ok {
+		panic(fmt.Sprintf("server: %T lacks the context-carrying mutation surface", s))
+	}
 	rs := []route{
 		{"POST", "/v1/services", func(w http.ResponseWriter, r *http.Request) {
 			var req addRequest
@@ -91,7 +96,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 			if req.Est != nil {
 				est = req.Est
 			}
-			id, node, err := ca.AddWithEstimate(r.Context(), *req.True, *est)
+			id, node, err := addOne(r.Context(), ca, *req.True, *est)
 			if err != nil {
 				if errors.Is(err, ErrRejected) {
 					httpError(w, http.StatusConflict, err)
@@ -131,7 +136,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 				specs = append(specs, AddSpec{True: *e.True, Est: *est})
 				idx = append(idx, i)
 			}
-			outs, err := ca.AddBatch(r.Context(), specs)
+			outs, err := ca.AddBatchCtx(r.Context(), specs)
 			if err != nil {
 				mutationError(w, err)
 				return
@@ -165,7 +170,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 			if !ok {
 				return
 			}
-			removed, err := ca.Remove(r.Context(), id)
+			removed, err := ca.RemoveCtx(r.Context(), id)
 			if err != nil {
 				mutationError(w, err)
 				return
@@ -185,7 +190,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 			if !decodeBody(w, r, &req) {
 				return
 			}
-			if err := ca.UpdateNeeds(r.Context(), id, req.TrueElem, req.TrueAgg, req.EstElem, req.EstAgg); err != nil {
+			if err := ca.UpdateNeedsCtx(r.Context(), id, req.TrueElem, req.TrueAgg, req.EstElem, req.EstAgg); err != nil {
 				mutationError(w, err)
 				return
 			}
@@ -202,14 +207,14 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 				httpError(w, http.StatusBadRequest, errors.New("threshold must be a number >= 0"))
 				return
 			}
-			if err := ca.SetThreshold(r.Context(), *req.Threshold); err != nil {
+			if err := ca.SetThresholdCtx(r.Context(), *req.Threshold); err != nil {
 				mutationError(w, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, map[string]float64{"threshold": *req.Threshold})
 		}},
 		{"POST", "/v1/reallocate", func(w http.ResponseWriter, r *http.Request) {
-			ce, err := ca.Reallocate(r.Context())
+			ce, err := ca.ReallocateCtx(r.Context())
 			if err != nil {
 				mutationError(w, err)
 				return
@@ -231,7 +236,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 			if !decodeOptionalBody(w, r, &req) {
 				return
 			}
-			ce, err := ca.Repair(r.Context(), req.Budget)
+			ce, err := ca.RepairCtx(r.Context(), req.Budget)
 			if err != nil {
 				mutationError(w, err)
 				return
@@ -459,7 +464,7 @@ func queryUint64(w http.ResponseWriter, r *http.Request, name string, def uint64
 //	POST   /v1/repair              run a bounded repair epoch {"budget":4}
 //	GET    /v1/minyield?policy=P   evaluate §6 min yield (ALLOCCAPS|ALLOCWEIGHTS|EQUALWEIGHTS)
 //	GET    /v1/stats               counters
-//	GET    /v1/shards              per-shard statistics (sharded store only)
+//	GET    /v1/shards              per-shard statistics
 //	GET    /v1/snapshot            full cluster state (stable JSON)
 //	POST   /v1/snapshot            force a checkpoint
 //	GET    /healthz                liveness
@@ -552,7 +557,7 @@ type epochResponse struct {
 	IDs        []int             `json:"ids"`
 	Placement  vmalloc.Placement `json:"placement"`
 	// Stats carries the epoch's solve wall time, solver-tier work counters
-	// and (sharded stores) the per-shard breakdown.
+	// and the per-shard breakdown.
 	Stats *vmalloc.EpochStats `json:"stats,omitempty"`
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,164 +11,16 @@ import (
 	"vmalloc/internal/journal"
 )
 
-func openSharded(t *testing.T, dir string, nodes []vmalloc.Node, shards int) *ShardedStore {
-	t.Helper()
-	s, err := OpenSharded(dir, nodes, &Options{
-		Fsync:  journal.FsyncNone,
-		Shards: shards,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func shardedStateJSON(t *testing.T, s *ShardedStore) []byte {
-	t.Helper()
-	_, data, err := s.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// applyShardedOps drives tape[from:to] against a sharded store, mirroring
-// applyOps for the unsharded one.
-func applyShardedOps(t *testing.T, s *ShardedStore, tape []op, from, to int, live *[]int) {
-	t.Helper()
-	for i := from; i < to; i++ {
-		o := &tape[i]
-		switch o.kind {
-		case "add":
-			id, _, err := s.AddWithEstimate(o.trueSvc, o.estSvc)
-			if err == nil {
-				*live = append(*live, id)
-			} else if err != ErrRejected {
-				t.Fatalf("op %d add: %v", i, err)
-			}
-		case "remove":
-			if len(*live) == 0 {
-				continue
-			}
-			idx := o.pick % len(*live)
-			id := (*live)[idx]
-			ok, err := s.Remove(id)
-			if err != nil || !ok {
-				t.Fatalf("op %d remove %d: ok=%v err=%v", i, id, ok, err)
-			}
-			*live = append((*live)[:idx], (*live)[idx+1:]...)
-		case "update":
-			if len(*live) == 0 {
-				continue
-			}
-			id := (*live)[o.pick%len(*live)]
-			if err := s.UpdateNeeds(id, o.needs[0], o.needs[1], o.needs[2], o.needs[3]); err != nil {
-				t.Fatalf("op %d update %d: %v", i, id, err)
-			}
-		case "threshold":
-			if err := s.SetThreshold(o.threshold); err != nil {
-				t.Fatalf("op %d threshold: %v", i, err)
-			}
-		case "realloc":
-			if _, err := s.Reallocate(); err != nil {
-				t.Fatalf("op %d realloc: %v", i, err)
-			}
-		case "repair":
-			if _, err := s.Repair(o.budget); err != nil {
-				t.Fatalf("op %d repair: %v", i, err)
-			}
-		}
-	}
-}
-
-// TestShardedStoreKillRecovery is the sharded crash acceptance test: a
-// two-shard store is killed without a final checkpoint (the kill -9
-// analog), reopened, and must recover the exact pre-crash merged state from
-// per-shard WAL replay — then keep serving.
-func TestShardedStoreKillRecovery(t *testing.T) {
-	dir := t.TempDir()
-	nodes := testNodes(8, 41)
-	tape := opTape(160, 42)
-	var live []int
-
-	s := openSharded(t, dir, nodes, 2)
-	applyShardedOps(t, s, tape, 0, 120, &live)
-	want := append([]byte(nil), shardedStateJSON(t, s)...)
-	wantStats := s.Stats()
-	s.Kill()
-
-	r := openSharded(t, dir, nil, 0) // recovered boot: platform and K from the manifest
-	defer r.Close()
-	if len(r.RecoveryWarnings) != 0 {
-		t.Fatalf("clean-tape kill produced recovery warnings: %v", r.RecoveryWarnings)
-	}
-	if got := shardedStateJSON(t, r); !bytes.Equal(got, want) {
-		t.Fatalf("recovered state differs from pre-kill state:\npre:  %s\npost: %s", want, got)
-	}
-	rstats := r.Stats()
-	if rstats.Services != wantStats.Services {
-		t.Fatalf("recovered %d services, want %d", rstats.Services, wantStats.Services)
-	}
-	if rstats.Shards != 2 {
-		t.Fatalf("recovered %d shards, want 2", rstats.Shards)
-	}
-	if rstats.Replayed == 0 {
-		t.Fatal("kill -9 recovery replayed no records; the WAL tail was lost")
-	}
-	// The recovered store must keep serving the rest of the tape.
-	applyShardedOps(t, r, tape, 120, len(tape), &live)
-	if _, err := r.Reallocate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardedStoreCleanReopen checks Close-then-Open round-trips the merged
-// state bit for bit with zero replay (the close-time checkpoint covers the
-// log) and keeps per-shard stats consistent.
-func TestShardedStoreCleanReopen(t *testing.T) {
-	dir := t.TempDir()
-	nodes := testNodes(8, 43)
-	tape := opTape(120, 44)
-	var live []int
-
-	s := openSharded(t, dir, nodes, 2)
-	applyShardedOps(t, s, tape, 0, len(tape), &live)
-	want := append([]byte(nil), shardedStateJSON(t, s)...)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := openSharded(t, dir, nil, 0)
-	defer r.Close()
-	if got := shardedStateJSON(t, r); !bytes.Equal(got, want) {
-		t.Fatalf("reopened state differs")
-	}
-	if r.Stats().Replayed != 0 {
-		t.Fatalf("clean reopen replayed %d records, want 0", r.Stats().Replayed)
-	}
-	stats, err := r.ShardStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, st := range stats {
-		total += st.Services
-	}
-	if total != r.Stats().Services {
-		t.Fatalf("shard stats count %d, store has %d", total, r.Stats().Services)
-	}
-}
-
 // TestShardedStoreShardCountConflict pins the fail-fast on -shards
 // disagreeing with a recovered manifest.
 func TestShardedStoreShardCountConflict(t *testing.T) {
 	dir := t.TempDir()
-	s := openSharded(t, dir, testNodes(8, 45), 2)
+	s := openStore(t, dir, testNodes(8, 45), 2)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenSharded(dir, nil, &Options{Fsync: journal.FsyncNone, Shards: 4})
-	if err == nil || !strings.Contains(err.Error(), "conflicts with recovered manifest") {
+	_, err := Open(dir, nil, &Options{Fsync: journal.FsyncNone, Shards: 4})
+	if err == nil || !strings.Contains(err.Error(), "conflicts with recovered manifest (2 shards)") {
 		t.Fatalf("shard-count conflict not detected: %v", err)
 	}
 	recovered, m, derr := DirRecovered(dir)
@@ -181,61 +32,41 @@ func TestShardedStoreShardCountConflict(t *testing.T) {
 	}
 }
 
-// TestDirRecoveredUnsharded covers the unsharded detection path used by
-// vmallocd's flag-conflict check.
-func TestDirRecoveredUnsharded(t *testing.T) {
-	dir := t.TempDir()
-	if rec, _, err := DirRecovered(dir); err != nil || rec {
-		t.Fatalf("empty dir reported recovered=%v err=%v", rec, err)
-	}
-	s, err := Open(dir, testNodes(4, 46), &Options{Fsync: journal.FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Add(smallService(0.05)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, m, err := DirRecovered(dir)
-	if err != nil || !rec || m != nil {
-		t.Fatalf("DirRecovered = (%v, %v, %v), want unsharded recovery", rec, m, err)
-	}
-	if d := DescribeDir(dir); !strings.Contains(d, "4 nodes") {
-		t.Fatalf("DescribeDir = %q", d)
-	}
-}
+// TestShardsHTTP serves a store over the shared handler and exercises the
+// per-shard surface, which a one-shard store serves like any other.
+func TestShardsHTTP(t *testing.T) {
+	forEachK(t, func(t *testing.T, k int) {
+		s := openStore(t, t.TempDir(), testNodes(8, 47), k)
+		ts := httptest.NewServer(Handler(s))
+		t.Cleanup(func() { ts.Close(); s.Close() })
 
-// TestShardedHTTP serves a two-shard store over the shared handler and
-// exercises the sharded-only surface.
-func TestShardedHTTP(t *testing.T) {
-	s := openSharded(t, t.TempDir(), testNodes(8, 47), 2)
-	ts := httptest.NewServer(Handler(s))
-	t.Cleanup(func() { ts.Close(); s.Close() })
-
-	var add addResponse
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/services",
-		addRequest{True: ptrService(smallService(0.05))}, &add); code != http.StatusCreated {
-		t.Fatalf("add: %d %s", code, body)
-	}
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/reallocate", nil, nil); code != http.StatusOK {
-		t.Fatalf("reallocate: %d %s", code, body)
-	}
-	var shards []vmalloc.ShardStat
-	if code, body := doJSON(t, "GET", ts.URL+"/v1/shards", nil, &shards); code != http.StatusOK {
-		t.Fatalf("shards: %d %s", code, body)
-	}
-	if len(shards) != 2 {
-		t.Fatalf("got %d shard stats, want 2", len(shards))
-	}
-	if shards[0].Services+shards[1].Services != 1 {
-		t.Fatalf("shard stats don't cover the admitted service: %+v", shards)
-	}
-	var stats Stats
-	if code, _ := doJSON(t, "GET", ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK || stats.Shards != 2 {
-		t.Fatalf("stats = %+v", stats)
-	}
+		var add addResponse
+		if code, body := doJSON(t, "POST", ts.URL+"/v1/services",
+			addRequest{True: ptrService(smallService(0.05))}, &add); code != http.StatusCreated {
+			t.Fatalf("add: %d %s", code, body)
+		}
+		if code, body := doJSON(t, "POST", ts.URL+"/v1/reallocate", nil, nil); code != http.StatusOK {
+			t.Fatalf("reallocate: %d %s", code, body)
+		}
+		var shards []vmalloc.ShardStat
+		if code, body := doJSON(t, "GET", ts.URL+"/v1/shards", nil, &shards); code != http.StatusOK {
+			t.Fatalf("shards: %d %s", code, body)
+		}
+		if len(shards) != k {
+			t.Fatalf("got %d shard stats, want %d", len(shards), k)
+		}
+		total := 0
+		for _, sh := range shards {
+			total += sh.Services
+		}
+		if total != 1 {
+			t.Fatalf("shard stats don't cover the admitted service: %+v", shards)
+		}
+		var stats Stats
+		if code, _ := doJSON(t, "GET", ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK || stats.Shards != k {
+			t.Fatalf("stats = %+v", stats)
+		}
+	})
 }
 
 func ptrService(s vmalloc.Service) *vmalloc.Service { return &s }

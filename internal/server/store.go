@@ -1,20 +1,23 @@
 // Package server is the durable tier of the allocation system: a Store that
-// couples a vmalloc.Cluster to a write-ahead journal, and an HTTP/JSON
-// handler (vmallocd) that serves the full Cluster API over it.
+// couples a vmalloc.Cluster to write-ahead journals — one per placement
+// domain — and an HTTP/JSON handler (vmallocd) that serves the full Cluster
+// API over it.
 //
 // Durability follows the log-the-decision design of internal/journal: every
 // applied mutation is captured through the cluster's event-hook seam,
-// encoded as a journal record and group-committed. The commit pipeline
-// serializes *application* (one mutation at a time holds the state lock)
-// but overlaps *durability*: the lock is released before waiting for the
-// fsync, so concurrent requests batch into a single disk flush. Reads are
-// served from an immutable published snapshot that is re-derived lazily
-// after mutations, so they never wait on the solver or the disk.
+// encoded as a journal record and group-committed to the owning shard's WAL.
+// The commit pipeline serializes *application* (one mutation at a time holds
+// the state lock) but overlaps *durability*: the lock is released before
+// waiting for the fsync, so concurrent requests batch into a single disk
+// flush per shard. Reads are served from an immutable published snapshot
+// that is re-derived lazily after mutations, so they never wait on the
+// solver or the disk.
 //
-// Recovery is snapshot + tail replay: the newest snapshot that validates is
-// restored via vmalloc.RestoreCluster, then the journal tail re-applies
-// recorded decisions (RestoreAdd/ApplyPlacement — no solver re-runs), which
-// reconstructs the pre-crash state bit for bit.
+// Recovery is snapshot + tail replay, shard by shard: the newest snapshot
+// that validates restores each shard engine, then the journal tail re-applies
+// recorded decisions through vmalloc.ShardedRestore (no solver re-runs),
+// which reconstructs the pre-crash state bit for bit. A single placement
+// domain is simply the one-shard case of all of this.
 package server
 
 import (
@@ -50,9 +53,10 @@ type Options struct {
 	// this many journaled records; 0 selects 4096, negative disables
 	// automatic snapshots.
 	SnapshotEvery int
-	// InitialState bootstraps a fresh directory from a saved state file
-	// instead of an empty cluster (ignored when the directory already
-	// holds a journal; unsupported by sharded stores).
+	// InitialState bootstraps a fresh one-shard directory from a saved
+	// state file instead of an empty cluster (ignored when the directory
+	// already holds a journal). A merged state is shard 0's state only when
+	// there is one shard, so it is rejected with Shards > 1.
 	InitialState *vmalloc.ClusterState
 	// Obs receives the store's operational telemetry: commit-pipeline spans
 	// attach to traces carried by request contexts, and every epoch pushes
@@ -60,9 +64,9 @@ type Options struct {
 	// disables both at zero cost.
 	Obs *obs.Observer
 
-	// Sharded-store knobs (OpenSharded only). Shards is the placement
-	// domain count on first boot (0 selects 1; later boots take it from
-	// the manifest and only check for conflicts); ShardSeed fixes the
+	// Shards is the placement-domain count on first boot (0 selects 1;
+	// later boots take it from the manifest and only check for
+	// conflicts); ShardSeed fixes the
 	// admission hash; RebalanceGap/RebalanceMoves tune the cross-shard
 	// rebalance pass as in vmalloc.ShardedOptions.
 	Shards         int
@@ -98,8 +102,8 @@ type Stats struct {
 	// Boot-time recovery facts.
 	Replayed       int `json:"replayed"`
 	TruncatedBytes int `json:"truncated_bytes"`
-	// Shards is the placement-domain count (0 for an unsharded store).
-	Shards int `json:"shards,omitempty"`
+	// Shards is the placement-domain count (>= 1).
+	Shards int `json:"shards"`
 }
 
 // AddSpec is one service of a bulk admission: the true descriptor and the
@@ -135,24 +139,100 @@ func invalid(err error) error {
 	return fmt.Errorf("%w: %s", ErrInvalid, err)
 }
 
-// Store is a journaled cluster. All mutations are durable when the call
-// returns; reads come from published snapshots. Safe for concurrent use.
+// Store is the durable tier: a vmalloc.Cluster whose K placement domains
+// (K=1 by default) each journal to their own WAL directory (dir/shard-0 …
+// dir/shard-K-1), behind one commit pipeline. All mutations are durable when
+// the call returns; reads come from published snapshots. Mutations apply
+// under a single lock (preserving the router's deterministic
+// trajectory) and the fsync waits happen after unlock, so concurrent
+// requests group-commit per shard; an epoch's records fan out to every
+// shard's journal and the call returns only when all of them are durable.
+//
+// Cross-WAL atomicity for rebalance moves follows a fixed discipline: the
+// destination's MOVE_IN record is fsynced before the source's MOVE_OUT is
+// even enqueued, and checkpoints barrier every journal before writing any
+// snapshot. A crash can therefore leave a moving service recovered in two
+// shards — never in zero — and recovery resolves the duplicate by move
+// generation (see vmalloc.ShardedRestore.Finish). Safe for concurrent use.
 type Store struct {
-	opts Options
+	opts     Options
+	manifest *ShardManifest // immutable after Open
 
-	mu           sync.Mutex // serializes cluster access and journal enqueue order
+	mu           sync.Mutex
 	cluster      *vmalloc.Cluster
-	j            *journal.Journal
-	tickets      []*journal.Ticket // tickets enqueued by the hook during one mutation
-	batch        *journal.Batch    // bulk-admission record group (AddBatch)
-	batching     bool              // route hook events into batch instead of Enqueue
-	batchErr     error             // first batch encode failure, surfaced after commit
+	js           []*journal.Journal
+	tickets      []*journal.Ticket
+	batches      []*journal.Batch        // per-shard bulk-admission record groups (AddBatch)
+	batching     bool                    // route hook events into batches instead of Enqueue
+	moveIn       map[int]*journal.Ticket // pending MOVE_IN tickets by service id
+	hookErr      error                   // first enqueue-ordering failure, surfaced at finish
+	enqueued     int                     // records enqueued by the current mutation
 	recordsSince int
 	closed       bool
 	stats        Stats
 
-	version   atomic.Uint64 // bumped per applied mutation
+	// RecoveryWarnings describes cross-WAL repairs performed at boot
+	// (dropped duplicate copies of moved services, threshold
+	// realignment). Empty after a clean shutdown.
+	RecoveryWarnings []string
+
+	version   atomic.Uint64
 	published atomic.Pointer[publishedState]
+}
+
+// Open recovers (or bootstraps) the journaled cluster in dir. On first boot
+// nodes (or, for one shard, opts.InitialState) defines the park and
+// opts.Shards the partition, and a manifest plus per-shard bootstrap
+// snapshots are written; on every later boot the manifest defines both and
+// nodes is ignored (opts.Shards, when non-zero, must agree with the
+// manifest). A legacy single-WAL directory is migrated in place into the
+// one-shard layout first. After a replay longer than the snapshot interval a
+// fresh checkpoint compacts the logs right away.
+func Open(dir string, nodes []vmalloc.Node, opts *Options) (*Store, error) {
+	if opts == nil {
+		opts = &Options{}
+	}
+	if err := prepareDir(dir, nodes, opts); err != nil {
+		return nil, err
+	}
+	rep, err := OpenShardedReplay(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	cluster, warnings, err := rep.Restore.Finish()
+	if err != nil {
+		rep.Close()
+		return nil, err
+	}
+	s := &Store{
+		opts:             *opts,
+		manifest:         rep.Manifest,
+		cluster:          cluster,
+		js:               rep.Journals,
+		moveIn:           make(map[int]*journal.Ticket),
+		RecoveryWarnings: warnings,
+	}
+	s.stats.Replayed = rep.Replayed
+	s.stats.TruncatedBytes = rep.TruncatedBytes
+	s.stats.SnapshotSeq = rep.SnapshotSeq
+	s.stats.Threshold = cluster.State().Threshold
+	cluster.SetHook(s.onEvent)
+
+	// A fresh shard must hold a snapshot before its first record: the
+	// snapshot carries the platform, which records do not. A long replay is
+	// compacted away immediately so the next boot is fast.
+	if rep.Fresh || (opts.snapshotEvery() > 0 && rep.Replayed >= opts.snapshotEvery()) {
+		if _, err := s.Checkpoint(); err != nil {
+			s.closeJournals()
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// OpenSharded is Open, kept for callers that name the partition explicitly.
+func OpenSharded(dir string, nodes []vmalloc.Node, opts *Options) (*Store, error) {
+	return Open(dir, nodes, opts)
 }
 
 type publishedState struct {
@@ -179,116 +259,29 @@ func EncodeState(st *vmalloc.ClusterState) ([]byte, error) {
 	return json.Marshal(st)
 }
 
-// Open recovers (or bootstraps) the journaled cluster in dir. For a fresh
-// directory, nodes (or opts.InitialState) defines the platform and a
-// bootstrap snapshot is written immediately; for an existing one the
-// platform comes from the recovered state and nodes is ignored. After a
-// replay longer than the snapshot interval a fresh snapshot compacts the
-// log right away.
-func Open(dir string, nodes []vmalloc.Node, opts *Options) (*Store, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	s := &Store{opts: *opts}
-	jopts := journal.Options{
-		Dir:              dir,
-		SegmentBytes:     opts.SegmentBytes,
-		Fsync:            opts.Fsync,
-		KeepSnapshots:    opts.KeepSnapshots,
-		ChainInterval:    opts.ChainInterval,
-		FS:               opts.FS,
-		ValidateSnapshot: func(b []byte) error { _, err := DecodeState(b); return err },
-	}
-	rc, err := journal.Recover(jopts)
-	if err != nil {
-		return nil, err
-	}
-	// No-op once rc.Journal() succeeds (the journal owns the directory lock
-	// from then on); releases it on every earlier error path.
-	defer rc.Close()
-	info := rc.Info()
-	bootstrap := false
-	if info.Snapshot != nil {
-		st, err := DecodeState(info.Snapshot)
-		if err != nil {
-			return nil, err // validated during Recover; unreachable in practice
-		}
-		s.cluster, err = vmalloc.RestoreCluster(st, &opts.Cluster)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		bootstrap = true
-		switch {
-		case opts.InitialState != nil:
-			s.cluster, err = vmalloc.RestoreCluster(opts.InitialState, &opts.Cluster)
-		case len(nodes) > 0:
-			s.cluster, err = vmalloc.NewCluster(nodes, &opts.Cluster)
-		default:
-			return nil, errors.New("server: fresh directory needs nodes or an initial state")
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := rc.Replay(func(r *journal.Record) error { return applyRecord(s.cluster, r) }); err != nil {
-		return nil, err
-	}
-	s.j, err = rc.Journal()
-	if err != nil {
-		return nil, err
-	}
-	info = rc.Info()
-	s.stats.Replayed = info.Replayed
-	s.stats.TruncatedBytes = info.TruncatedBytes
-	s.stats.SnapshotSeq = info.SnapshotSeq
-	s.stats.Threshold = s.cluster.State().Threshold
-	s.cluster.SetHook(s.onEvent)
-
-	// A fresh directory must hold a snapshot before the first record: the
-	// snapshot carries the platform, which records do not. A long replay is
-	// compacted away immediately so the next boot is fast.
-	if bootstrap || (opts.snapshotEvery() > 0 && info.Replayed >= opts.snapshotEvery()) {
-		if _, err := s.Checkpoint(); err != nil {
-			s.j.Close()
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// applyRecord replays one journaled decision onto the cluster (the hook is
-// not installed yet, so replay does not re-journal).
-func applyRecord(c *vmalloc.Cluster, r *journal.Record) error {
-	switch r.Op {
-	case journal.OpAdd:
-		return c.RestoreAdd(r.ID, r.Node, r.TrueSvc, r.EstSvc)
-	case journal.OpRemove:
-		if !c.Remove(r.ID) {
-			return fmt.Errorf("server: replay: remove of unknown id %d (seq %d)", r.ID, r.Seq)
-		}
-		return nil
-	case journal.OpUpdateNeeds:
-		return c.UpdateNeeds(r.ID, r.Needs[0], r.Needs[1], r.Needs[2], r.Needs[3])
-	case journal.OpSetThreshold:
-		return c.SetThreshold(r.Threshold)
-	case journal.OpEpoch:
-		_, err := c.ApplyPlacement(r.IDs, r.Placement)
-		return err
-	}
-	return fmt.Errorf("server: replay: unknown op %d (seq %d)", uint8(r.Op), r.Seq)
-}
-
-// onEvent is the cluster hook: it runs while the mutation holds s.mu, so
-// enqueue order equals application order.
+// onEvent journals one applied shard mutation. It runs while the mutation
+// holds s.mu, so per-journal enqueue order equals application order. For a
+// rebalance move the MOVE_OUT waits for its MOVE_IN to be durable before
+// being enqueued — the invariant recovery's duplicate resolution rests on.
 func (s *Store) onEvent(ev *vmalloc.ClusterEvent) {
 	rec := &journal.Record{}
 	switch ev.Op {
 	case vmalloc.ClusterOpAdd:
 		rec.Op, rec.ID, rec.Node = journal.OpAdd, ev.ID, ev.Node
 		rec.TrueSvc, rec.EstSvc = *ev.TrueSvc, *ev.EstSvc
+	case vmalloc.ClusterOpMoveIn:
+		rec.Op, rec.ID, rec.Node, rec.Gen = journal.OpMoveIn, ev.ID, ev.Node, ev.Gen
+		rec.TrueSvc, rec.EstSvc = *ev.TrueSvc, *ev.EstSvc
 	case vmalloc.ClusterOpRemove:
 		rec.Op, rec.ID = journal.OpRemove, ev.ID
+	case vmalloc.ClusterOpMoveOut:
+		rec.Op, rec.ID, rec.Gen = journal.OpMoveOut, ev.ID, ev.Gen
+		if t := s.moveIn[ev.ID]; t != nil {
+			delete(s.moveIn, ev.ID)
+			if err := t.Wait(); err != nil && s.hookErr == nil {
+				s.hookErr = err
+			}
+		}
 	case vmalloc.ClusterOpUpdateNeeds:
 		rec.Op, rec.ID = journal.OpUpdateNeeds, ev.ID
 		rec.Needs = ev.Needs
@@ -301,60 +294,83 @@ func (s *Store) onEvent(ev *vmalloc.ClusterEvent) {
 		return
 	}
 	// Enqueue and Batch.Add both encode synchronously, so aliasing engine
-	// buffers is safe. During a bulk admission the records accumulate in the
-	// batch and commit as one group sharing a single fsync.
+	// buffers is safe. During a bulk admission each shard's records
+	// accumulate in that shard's batch and commit as one group sharing a
+	// single fsync per shard.
 	if s.batching {
-		if err := s.batch.Add(rec); err != nil && s.batchErr == nil {
-			s.batchErr = err
+		b := s.batches[ev.Shard]
+		if b == nil {
+			b = s.js[ev.Shard].NewBatch()
+			s.batches[ev.Shard] = b
+		}
+		if err := b.Add(rec); err != nil && s.hookErr == nil {
+			s.hookErr = err
 		}
 		return
 	}
-	s.tickets = append(s.tickets, s.j.Enqueue(rec))
+	t := s.js[ev.Shard].Enqueue(rec)
+	s.enqueued++
+	if rec.Op == journal.OpMoveIn {
+		// Tickets are single-use: the paired MOVE_OUT (or finish, if the
+		// pair never completes) waits this one, so it stays out of the
+		// common list.
+		s.moveIn[ev.ID] = t
+		return
+	}
+	s.tickets = append(s.tickets, t)
 }
 
-// begin/finish bracket one mutation: apply under the lock, then wait for
-// durability after releasing it so concurrent mutations group-commit.
-func (s *Store) begin() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := s.j.Err(); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("server: store failed: %w", err)
-	}
-	s.tickets = s.tickets[:0]
-	return nil
-}
-
-// beginCtx is begin under a tracing context: the returned "apply" span
-// covers lock wait plus in-memory application and must be handed to
-// finishCtx. With no span in ctx (or tracing disabled) it is free.
-func (s *Store) beginCtx(ctx context.Context) (obs.Span, error) {
+// begin/finish bracket one mutation: begin takes the state lock (refusing on
+// a closed store or a failed journal) and opens the "apply" span, which
+// covers lock wait plus in-memory application and must be handed to finish.
+// With no span in ctx (or tracing disabled) the span is free.
+func (s *Store) begin(ctx context.Context) (obs.Span, error) {
 	apply := obs.SpanFromContext(ctx).StartChild("apply")
-	if err := s.begin(); err != nil {
+	s.mu.Lock()
+	err := s.journalErr()
+	if s.closed {
+		err = ErrClosed
+	}
+	if err != nil {
+		s.mu.Unlock()
 		apply.End()
 		return obs.Span{}, err
 	}
+	s.tickets = s.tickets[:0]
+	s.hookErr = nil
+	s.enqueued = 0
 	return apply, nil
 }
 
-// finish is called with s.mu held; it releases the lock, waits for the
-// journal tickets and triggers an automatic checkpoint when due.
-func (s *Store) finish() error {
-	_, err := s.finishCtx(context.Background(), obs.Span{})
-	return err
+// journalErr reports the first shard journal that has failed (sticky).
+// Called with s.mu held.
+func (s *Store) journalErr() error {
+	for i, j := range s.js {
+		if err := j.Err(); err != nil {
+			return fmt.Errorf("server: shard %d journal failed: %w", i, err)
+		}
+	}
+	return nil
 }
 
-// finishCtx is finish with phase spans: apply (from beginCtx) ends at
-// unlock, and the ticket waits run under a sibling "fsync_wait" span.
-// Returns the time spent waiting on durability.
-func (s *Store) finishCtx(ctx context.Context, apply obs.Span) (waitNs int64, err error) {
+// finish is called with s.mu held: it releases the lock, ends the apply
+// span there, waits for the mutation's journal tickets across shards under a
+// sibling "fsync_wait" span — after the unlock, so concurrent mutations
+// group-commit — and triggers an automatic checkpoint when due. Returns the
+// time spent waiting on durability.
+func (s *Store) finish(ctx context.Context, apply obs.Span) (waitNs int64, err error) {
 	tickets := s.tickets
 	s.tickets = nil
+	hookErr := s.hookErr
+	// Every MOVE_IN is normally consumed by its paired MOVE_OUT wait; any
+	// leftovers still owe a durability wait.
+	for id, t := range s.moveIn {
+		tickets = append(tickets, t)
+		delete(s.moveIn, id)
+	}
 	checkpoint := false
-	if n := len(tickets); n > 0 {
+	n := s.enqueued
+	if n > 0 {
 		s.version.Add(1)
 		s.stats.Records += uint64(n)
 		s.recordsSince += n
@@ -364,10 +380,11 @@ func (s *Store) finishCtx(ctx context.Context, apply obs.Span) (waitNs int64, er
 		}
 	}
 	s.mu.Unlock()
+	apply.SetInt("records", int64(n))
 	apply.End()
 	if len(tickets) > 0 {
 		wait := obs.SpanFromContext(ctx).StartChild("fsync_wait")
-		wait.SetInt("records", int64(len(tickets)))
+		wait.SetInt("records", int64(n))
 		start := time.Now()
 		for _, t := range tickets {
 			if werr := t.Wait(); werr != nil {
@@ -377,6 +394,9 @@ func (s *Store) finishCtx(ctx context.Context, apply obs.Span) (waitNs int64, er
 		}
 		waitNs = time.Since(start).Nanoseconds()
 		wait.End()
+	}
+	if hookErr != nil {
+		return waitNs, fmt.Errorf("server: journal append: %w", hookErr)
 	}
 	if checkpoint {
 		if _, err := s.Checkpoint(); err != nil {
@@ -391,46 +411,35 @@ func (s *Store) Add(svc vmalloc.Service) (id, node int, err error) {
 	return s.AddWithEstimate(svc, svc)
 }
 
-// AddWithEstimate admits a service whose scheduler-visible estimate differs
-// from its true needs. The admission decision is durable on return. It is a
-// batch of one: the single-service path and POST /v1/services:batch share
-// one admission and commit code path (AddBatch).
+// AddWithEstimate admits a service through the deterministic two-choice
+// shard router; the admission decision is durable on return. It is a batch
+// of one: the single-service path and POST /v1/services:batch share one
+// admission and commit code path (AddBatch).
 func (s *Store) AddWithEstimate(trueSvc, estSvc vmalloc.Service) (id, node int, err error) {
-	out, err := s.AddBatch([]AddSpec{{True: trueSvc, Est: estSvc}})
-	if err != nil {
-		return 0, -1, err
-	}
-	if out[0].Err != nil {
-		return 0, -1, out[0].Err
-	}
-	return out[0].ID, out[0].Node, nil
+	return addOne(context.Background(), s, trueSvc, estSvc)
 }
 
-// AddBatch admits specs in order as one bulk operation: every admission
-// routes through the same code path as a single Add (each one sees the
-// capacity left by the previous), but the journal records of the whole batch
-// commit as one group sharing a single fsync, and the call returns when the
-// group is durable. The outcome is per-entry — an invalid or rejected entry
-// never aborts the rest of the batch; the error return is reserved for
-// whole-batch failures (closed store, journal failure).
+// AddBatch admits specs in order through the deterministic two-choice shard
+// router as one bulk operation. Admissions are grouped per placement domain:
+// each shard's records commit to its WAL as one batch sharing a single
+// group-commit fsync, and the call returns when every touched shard is
+// durable. Outcomes are per-entry — an invalid or rejected entry never
+// aborts the rest of the batch; the error return is reserved for whole-batch
+// failures (closed store, journal failure).
 func (s *Store) AddBatch(specs []AddSpec) ([]AddOutcome, error) {
 	return s.AddBatchCtx(context.Background(), specs)
 }
 
-// AddBatchCtx is AddBatch under a tracing context: application runs under
-// an "apply" span and the group-commit wait under "fsync_wait".
+// AddBatchCtx is AddBatch under a tracing context (see begin and finish).
 func (s *Store) AddBatchCtx(ctx context.Context, specs []AddSpec) ([]AddOutcome, error) {
-	apply, err := s.beginCtx(ctx)
+	apply, err := s.begin(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if s.batch == nil {
-		s.batch = s.j.NewBatch()
-	} else {
-		s.batch.Reset()
+	if s.batches == nil {
+		s.batches = make([]*journal.Batch, len(s.js))
 	}
 	s.batching = true
-	s.batchErr = nil
 	entries := make([]vmalloc.BatchEntry, len(specs))
 	for i := range specs {
 		entries[i] = vmalloc.BatchEntry{True: specs[i].True, Est: specs[i].Est}
@@ -441,37 +450,306 @@ func (s *Store) AddBatchCtx(ctx context.Context, specs []AddSpec) ([]AddOutcome,
 	if admitted > 0 {
 		s.stats.Batches++
 	}
-	batchErr := s.batchErr
-	n := s.batch.Len()
-	ticket := s.batch.Commit()
-	checkpoint := false
-	if n > 0 {
-		s.version.Add(1)
-		s.stats.Records += uint64(n)
-		s.recordsSince += n
-		if every := s.opts.snapshotEvery(); every > 0 && s.recordsSince >= every {
-			s.recordsSince = 0
-			checkpoint = true
+	for _, b := range s.batches {
+		if b != nil && b.Len() > 0 {
+			s.enqueued += b.Len()
+			s.tickets = append(s.tickets, b.Commit())
 		}
+	}
+	_, err = s.finish(ctx, apply)
+	return out, err
+}
+
+// Remove departs a service; reports whether the id was live.
+func (s *Store) Remove(id int) (bool, error) {
+	return s.RemoveCtx(context.Background(), id)
+}
+
+// RemoveCtx is Remove under a tracing context.
+func (s *Store) RemoveCtx(ctx context.Context, id int) (bool, error) {
+	apply, err := s.begin(ctx)
+	if err != nil {
+		return false, err
+	}
+	ok := s.cluster.Remove(id)
+	if ok {
+		s.stats.Removes++
+	}
+	_, err = s.finish(ctx, apply)
+	return ok, err
+}
+
+// UpdateNeeds replaces a live service's fluid needs.
+func (s *Store) UpdateNeeds(id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
+	return s.UpdateNeedsCtx(context.Background(), id, trueElem, trueAgg, estElem, estAgg)
+}
+
+// UpdateNeedsCtx is UpdateNeeds under a tracing context.
+func (s *Store) UpdateNeedsCtx(ctx context.Context, id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
+	apply, err := s.begin(ctx)
+	if err != nil {
+		return err
+	}
+	err = s.cluster.UpdateNeeds(id, trueElem, trueAgg, estElem, estAgg)
+	if err != nil && !errors.Is(err, vmalloc.ErrUnknownService) {
+		err = invalid(err)
+	}
+	if err == nil {
+		s.stats.NeedUpdates++
+	}
+	if _, ferr := s.finish(ctx, apply); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// SetThreshold changes the mitigation threshold on every shard.
+func (s *Store) SetThreshold(th float64) error {
+	return s.SetThresholdCtx(context.Background(), th)
+}
+
+// SetThresholdCtx is SetThreshold under a tracing context.
+func (s *Store) SetThresholdCtx(ctx context.Context, th float64) error {
+	apply, err := s.begin(ctx)
+	if err != nil {
+		return err
+	}
+	err = s.cluster.SetThreshold(th)
+	if err != nil {
+		err = invalid(err)
+	} else {
+		s.stats.Threshold = th
+	}
+	if _, ferr := s.finish(ctx, apply); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// Reallocate runs one scatter-gather reallocation epoch (with cross-shard
+// rebalancing); the applied placements are durable in every shard's WAL
+// when the call returns.
+func (s *Store) Reallocate() (*vmalloc.ClusterEpoch, error) {
+	return s.ReallocateCtx(context.Background())
+}
+
+// ReallocateCtx is Reallocate under a tracing context: the scatter-gather
+// solve runs under an "epoch" span with one "shard_epoch" child per
+// placement domain, and the epoch's phase timing plus per-shard solver
+// counters are retained in the observer's epoch ring.
+func (s *Store) ReallocateCtx(ctx context.Context) (*vmalloc.ClusterEpoch, error) {
+	return s.epochCtx(ctx, false, 0, func(ctx context.Context, c *vmalloc.Cluster) *vmalloc.ClusterEpoch {
+		return c.ReallocateCtx(ctx)
+	})
+}
+
+// Repair runs one migration-bounded repair epoch per shard.
+func (s *Store) Repair(budget int) (*vmalloc.ClusterEpoch, error) {
+	return s.RepairCtx(context.Background(), budget)
+}
+
+// RepairCtx is Repair under a tracing context.
+func (s *Store) RepairCtx(ctx context.Context, budget int) (*vmalloc.ClusterEpoch, error) {
+	return s.epochCtx(ctx, true, budget, func(ctx context.Context, c *vmalloc.Cluster) *vmalloc.ClusterEpoch {
+		return c.RepairCtx(ctx, budget)
+	})
+}
+
+func (s *Store) epochCtx(ctx context.Context, repair bool, budget int, run func(context.Context, *vmalloc.Cluster) *vmalloc.ClusterEpoch) (*vmalloc.ClusterEpoch, error) {
+	start := time.Now()
+	apply, err := s.begin(ctx)
+	if err != nil {
+		return nil, err
+	}
+	ce := run(ctx, s.cluster)
+	s.stats.Epochs++
+	if ce.Result.Solved {
+		s.stats.Migrations += uint64(ce.Migrations)
+		s.stats.LastMinYield = ce.Result.MinYield
+	} else {
+		s.stats.FailedEpochs++
+	}
+	waitNs, ferr := s.finish(ctx, apply)
+	recordEpoch(s.opts.Obs, ctx, start, repair, budget, ce, waitNs)
+	return ce, ferr
+}
+
+// MinYield evaluates the current placement under the §6 error model,
+// minimized over non-empty shards.
+func (s *Store) MinYield(policy vmalloc.SchedPolicy) (float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0, ErrClosed
+	}
+	return s.cluster.MinYield(policy), nil
+}
+
+// ShardStats returns per-shard statistics.
+func (s *Store) ShardStats() ([]vmalloc.ShardStat, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	return s.cluster.ShardStats(), nil
+}
+
+// State returns the merged park-global cluster state and its stable JSON
+// encoding, served from the published snapshot. The returned state and
+// bytes are shared — callers must not modify them.
+func (s *Store) State() (*vmalloc.ClusterState, []byte, error) {
+	v := s.version.Load()
+	if p := s.published.Load(); p != nil && p.version == v {
+		return p.state, p.data, nil
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, nil, ErrClosed
+	}
+	v = s.version.Load()
+	st := s.cluster.State()
+	s.mu.Unlock()
+	data, err := EncodeState(st)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.published.Store(&publishedState{version: v, state: st, data: data})
+	return st, data, nil
+}
+
+// Checkpoint snapshots every shard and compacts the WALs behind the
+// snapshots. Before any snapshot is written, a barrier on every journal
+// waits out all previously enqueued records — so no shard snapshot can ever
+// include a rebalanced arrival whose matching departure is not yet durable
+// in the source shard's WAL. Returns the highest covered sequence number.
+func (s *Store) Checkpoint() (uint64, error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return 0, ErrClosed
+	}
+	// Under the lock only what must be mutually consistent is taken — each
+	// shard's state copy, chain head and barrier; encoding and disk writes
+	// happen after it is released so writers are not held up by them.
+	type shardSnap struct {
+		at journal.ChainPoint
+		st *vmalloc.ClusterState
+	}
+	snaps := make([]shardSnap, len(s.js))
+	barriers := make([]*journal.Ticket, len(s.js))
+	for i, j := range s.js {
+		barriers[i] = j.Barrier()
+		snaps[i] = shardSnap{at: j.ChainHead(), st: s.cluster.ShardState(i)}
 	}
 	s.mu.Unlock()
-	apply.SetInt("records", int64(n))
-	apply.End()
-	wait := obs.SpanFromContext(ctx).StartChild("fsync_wait")
-	werr := ticket.Wait()
-	wait.End()
-	if werr != nil {
-		return out, fmt.Errorf("server: journal append: %w", werr)
-	}
-	if batchErr != nil {
-		return out, fmt.Errorf("server: journal append: %w", batchErr)
-	}
-	if checkpoint {
-		if _, err := s.Checkpoint(); err != nil {
-			return out, err
+	for _, b := range barriers {
+		if err := b.Wait(); err != nil {
+			return 0, fmt.Errorf("server: checkpoint barrier: %w", err)
 		}
 	}
-	return out, nil
+	var maxSeq uint64
+	for i, j := range s.js {
+		data, err := EncodeState(snaps[i].st)
+		if err != nil {
+			return 0, err
+		}
+		if err := j.WriteSnapshot(snaps[i].at, data); err != nil {
+			return 0, fmt.Errorf("server: shard %d snapshot: %w", i, err)
+		}
+		maxSeq = max(maxSeq, snaps[i].at.Seq)
+	}
+	s.mu.Lock()
+	s.stats.Snapshots++
+	if maxSeq > s.stats.SnapshotSeq {
+		s.stats.SnapshotSeq = maxSeq
+	}
+	s.mu.Unlock()
+	return maxSeq, nil
+}
+
+// Stats returns a point-in-time counter snapshot (LastSeq is the sum over
+// shard journals, so it is monotone across any single-shard or epoch-wide
+// mutation).
+func (s *Store) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.stats
+	st.Services = s.cluster.Len()
+	for _, j := range s.js {
+		st.LastSeq += j.LastSeq()
+	}
+	st.Shards = len(s.js)
+	return st
+}
+
+// JournalIOStats returns the cumulative write-path counters summed over the
+// per-shard WALs.
+func (s *Store) JournalIOStats() journal.IOStats {
+	var sum journal.IOStats
+	for _, j := range s.js {
+		st := j.IOStats()
+		sum.Records += st.Records
+		sum.Batches += st.Batches
+		sum.Fsyncs += st.Fsyncs
+		sum.Rotations += st.Rotations
+		for i := range sum.BatchSizes {
+			sum.BatchSizes[i] += st.BatchSizes[i]
+		}
+	}
+	return sum
+}
+
+func (s *Store) closeJournals() error {
+	var first error
+	for _, j := range s.js {
+		if err := j.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// markClosed flips the store to closed and invalidates the read cache (the
+// version bump also defeats a concurrently re-published one). It reports
+// false when the store was closed already.
+func (s *Store) markClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.closed = true
+	s.published.Store(nil)
+	s.version.Add(1)
+	return true
+}
+
+// Kill abandons the store without the Close-time checkpoint, leaving every
+// shard directory exactly as a crash would: the durable records, no fresh
+// snapshot. Recovery tooling and crash tests use it to exercise the replay
+// path; production code wants Close.
+func (s *Store) Kill() {
+	if s.markClosed() {
+		s.closeJournals()
+	}
+}
+
+// Close checkpoints every shard and shuts the journals down. Further
+// operations fail with ErrClosed.
+func (s *Store) Close() error {
+	_, cerr := s.Checkpoint()
+	if !s.markClosed() {
+		return nil
+	}
+	err := s.closeJournals()
+	if cerr != nil {
+		// A failed journal cannot checkpoint; the files are released all the
+		// same and the checkpoint failure is what the caller hears.
+		return cerr
+	}
+	return err
 }
 
 // convertBatchResults maps cluster batch results to the store's per-entry
@@ -493,123 +771,6 @@ func convertBatchResults(results []vmalloc.BatchResult, stats *Stats) (out []Add
 		}
 	}
 	return out, admitted
-}
-
-// Remove departs a service; reports whether the id was live.
-func (s *Store) Remove(id int) (bool, error) {
-	return s.RemoveCtx(context.Background(), id)
-}
-
-// RemoveCtx is Remove under a tracing context.
-func (s *Store) RemoveCtx(ctx context.Context, id int) (bool, error) {
-	apply, err := s.beginCtx(ctx)
-	if err != nil {
-		return false, err
-	}
-	ok := s.cluster.Remove(id)
-	if ok {
-		s.stats.Removes++
-	}
-	if _, err := s.finishCtx(ctx, apply); err != nil {
-		return ok, err
-	}
-	return ok, nil
-}
-
-// UpdateNeeds replaces a live service's fluid needs.
-func (s *Store) UpdateNeeds(id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
-	return s.UpdateNeedsCtx(context.Background(), id, trueElem, trueAgg, estElem, estAgg)
-}
-
-// UpdateNeedsCtx is UpdateNeeds under a tracing context.
-func (s *Store) UpdateNeedsCtx(ctx context.Context, id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
-	apply, err := s.beginCtx(ctx)
-	if err != nil {
-		return err
-	}
-	err = s.cluster.UpdateNeeds(id, trueElem, trueAgg, estElem, estAgg)
-	if err != nil && !errors.Is(err, vmalloc.ErrUnknownService) {
-		err = invalid(err)
-	}
-	if err == nil {
-		s.stats.NeedUpdates++
-	}
-	if _, ferr := s.finishCtx(ctx, apply); err == nil {
-		err = ferr
-	}
-	return err
-}
-
-// SetThreshold changes the mitigation threshold.
-func (s *Store) SetThreshold(th float64) error {
-	return s.SetThresholdCtx(context.Background(), th)
-}
-
-// SetThresholdCtx is SetThreshold under a tracing context.
-func (s *Store) SetThresholdCtx(ctx context.Context, th float64) error {
-	apply, err := s.beginCtx(ctx)
-	if err != nil {
-		return err
-	}
-	err = s.cluster.SetThreshold(th)
-	if err != nil {
-		err = invalid(err)
-	} else {
-		s.stats.Threshold = th
-	}
-	if _, ferr := s.finishCtx(ctx, apply); err == nil {
-		err = ferr
-	}
-	return err
-}
-
-// Reallocate runs one full reallocation epoch; the applied placement is
-// durable when the call returns.
-func (s *Store) Reallocate() (*vmalloc.ClusterEpoch, error) {
-	return s.ReallocateCtx(context.Background())
-}
-
-// ReallocateCtx is Reallocate under a tracing context: the solve runs under
-// an "epoch" span and the epoch's phase timing plus solver counters are
-// retained in the observer's epoch ring.
-func (s *Store) ReallocateCtx(ctx context.Context) (*vmalloc.ClusterEpoch, error) {
-	return s.epochCtx(ctx, false, 0, func(ctx context.Context, c *vmalloc.Cluster) *vmalloc.ClusterEpoch {
-		return c.ReallocateCtx(ctx)
-	})
-}
-
-// Repair runs one migration-bounded repair epoch.
-func (s *Store) Repair(budget int) (*vmalloc.ClusterEpoch, error) {
-	return s.RepairCtx(context.Background(), budget)
-}
-
-// RepairCtx is Repair under a tracing context.
-func (s *Store) RepairCtx(ctx context.Context, budget int) (*vmalloc.ClusterEpoch, error) {
-	return s.epochCtx(ctx, true, budget, func(ctx context.Context, c *vmalloc.Cluster) *vmalloc.ClusterEpoch {
-		return c.RepairCtx(ctx, budget)
-	})
-}
-
-func (s *Store) epochCtx(ctx context.Context, repair bool, budget int, run func(context.Context, *vmalloc.Cluster) *vmalloc.ClusterEpoch) (*vmalloc.ClusterEpoch, error) {
-	start := time.Now()
-	apply, err := s.beginCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ce := run(ctx, s.cluster)
-	s.stats.Epochs++
-	if ce.Result.Solved {
-		s.stats.Migrations += uint64(ce.Migrations)
-		s.stats.LastMinYield = ce.Result.MinYield
-	} else {
-		s.stats.FailedEpochs++
-	}
-	waitNs, ferr := s.finishCtx(ctx, apply)
-	recordEpoch(s.opts.Obs, ctx, start, repair, budget, ce, waitNs)
-	if ferr != nil {
-		return ce, ferr
-	}
-	return ce, nil
 }
 
 // recordEpoch pushes one finished epoch into the observer's retained ring,
@@ -637,128 +798,4 @@ func recordEpoch(o *obs.Observer, ctx context.Context, start time.Time, repair b
 		rec.Shards = st.Shards
 	}
 	ring.Add(rec)
-}
-
-// MinYield evaluates the current placement under the §6 error model. It
-// needs the engine's scratch buffers, so it serializes with mutations.
-func (s *Store) MinYield(policy vmalloc.SchedPolicy) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	return s.cluster.MinYield(policy), nil
-}
-
-// State returns the current cluster state and its stable JSON encoding,
-// served from the published snapshot (re-derived only after a mutation).
-// The returned state and bytes are shared — callers must not modify them.
-func (s *Store) State() (*vmalloc.ClusterState, []byte, error) {
-	v := s.version.Load()
-	// Close/Kill clear the published pointer, so the lock-free fast path
-	// cannot serve cached state from a closed store.
-	if p := s.published.Load(); p != nil && p.version == v {
-		return p.state, p.data, nil
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, nil, ErrClosed
-	}
-	v = s.version.Load() // stable while we hold the mutation lock
-	st := s.cluster.State()
-	s.mu.Unlock()
-	data, err := EncodeState(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.published.Store(&publishedState{version: v, state: st, data: data})
-	return st, data, nil
-}
-
-// Checkpoint writes a snapshot of the current state to the journal and
-// compacts segments behind it. Returns the sequence number the snapshot
-// covers.
-func (s *Store) Checkpoint() (uint64, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	st := s.cluster.State()
-	at := s.j.ChainHead() // seq + chain, consistent with st under s.mu
-	seq := at.Seq
-	s.mu.Unlock()
-	data, err := EncodeState(st)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.j.WriteSnapshot(at, data); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	s.stats.Snapshots++
-	if seq > s.stats.SnapshotSeq {
-		s.stats.SnapshotSeq = seq
-	}
-	s.mu.Unlock()
-	return seq, nil
-}
-
-// JournalIOStats returns the WAL's cumulative write-path counters (records,
-// group-commit batches, fsyncs, rotations, batch-size histogram).
-func (s *Store) JournalIOStats() journal.IOStats {
-	return s.j.IOStats()
-}
-
-// Stats returns a point-in-time counter snapshot.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Services = s.cluster.Len()
-	st.LastSeq = s.j.LastSeq()
-	return st
-}
-
-// Kill abandons the store without the Close-time checkpoint, leaving the
-// journal directory exactly as a crash would: the durable records, no fresh
-// snapshot. Recovery tooling and crash tests use it to exercise the replay
-// path; production code wants Close.
-func (s *Store) Kill() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.published.Store(nil)
-	s.version.Add(1) // invalidate any concurrently re-published read cache
-	s.mu.Unlock()
-	s.j.Close()
-}
-
-// Close checkpoints and shuts the journal down. Further operations fail
-// with ErrClosed.
-func (s *Store) Close() error {
-	if _, err := s.Checkpoint(); err != nil && !errors.Is(err, ErrClosed) {
-		// A failed journal cannot checkpoint; still release the files.
-		s.mu.Lock()
-		s.closed = true
-		s.published.Store(nil)
-		s.version.Add(1) // invalidate any concurrently re-published read cache
-		s.mu.Unlock()
-		s.j.Close()
-		return err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.published.Store(nil)
-	s.version.Add(1) // invalidate any concurrently re-published read cache
-	s.mu.Unlock()
-	return s.j.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -124,6 +125,25 @@ func applyOps(t *testing.T, s *Store, tape []op, from, to int, live *[]int) {
 	}
 }
 
+// openStore opens (or recovers) a store with fsync off; shards 0 leaves the
+// count to the default on first boot and to the manifest afterwards.
+func openStore(t *testing.T, dir string, nodes []vmalloc.Node, shards int) *Store {
+	t.Helper()
+	s, err := Open(dir, nodes, &Options{Fsync: journal.FsyncNone, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// forEachK runs fn as a subtest per shard count: layout-independent store
+// behaviour must hold for one placement domain and for several alike.
+func forEachK(t *testing.T, fn func(t *testing.T, shards int)) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) { fn(t, k) })
+	}
+}
+
 func stateJSON(t *testing.T, s *Store) []byte {
 	t.Helper()
 	_, data, err := s.State()
@@ -133,36 +153,97 @@ func stateJSON(t *testing.T, s *Store) []byte {
 	return data
 }
 
-func TestStoreDurableAcrossCleanReopen(t *testing.T) {
-	dir := t.TempDir()
-	nodes := testNodes(6, 41)
-	opts := &Options{Fsync: journal.FsyncNone}
-	s, err := Open(dir, nodes, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tape := opTape(60, 7)
-	var live []int
-	applyOps(t, s, tape, 0, len(tape), &live)
-	want := stateJSON(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+// TestStoreCleanReopen checks Close-then-Open round-trips the merged state
+// bit for bit with zero replay (the close-time checkpoint covers the log),
+// keeps per-shard stats consistent, and leaves a store that keeps working.
+func TestStoreCleanReopen(t *testing.T) {
+	for _, tc := range []struct {
+		shards, hosts int
+		nodeSeed      int64
+		ops           int
+		tapeSeed      int64
+	}{
+		{shards: 1, hosts: 6, nodeSeed: 41, ops: 60, tapeSeed: 7},
+		{shards: 2, hosts: 8, nodeSeed: 43, ops: 120, tapeSeed: 44},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			dir := t.TempDir()
+			s := openStore(t, dir, testNodes(tc.hosts, tc.nodeSeed), tc.shards)
+			tape := opTape(tc.ops, tc.tapeSeed)
+			var live []int
+			applyOps(t, s, tape, 0, len(tape), &live)
+			want := append([]byte(nil), stateJSON(t, s)...)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, err := Open(dir, nil, opts) // nodes come from the snapshot
-	if err != nil {
-		t.Fatal(err)
+			r := openStore(t, dir, nil, 0) // platform and K come from the manifest
+			defer r.Close()
+			if got := stateJSON(t, r); !bytes.Equal(got, want) {
+				t.Fatalf("state changed across clean reopen:\n got  %s\n want %s", got, want)
+			}
+			if st := r.Stats(); st.Replayed != 0 || st.Shards != tc.shards {
+				t.Fatalf("clean reopen: replayed %d records over %d shards, want 0 over %d (checkpoint at close should cover all)",
+					st.Replayed, st.Shards, tc.shards)
+			}
+			stats, err := r.ShardStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, st := range stats {
+				total += st.Services
+			}
+			if total != r.Stats().Services {
+				t.Fatalf("shard stats count %d, store has %d", total, r.Stats().Services)
+			}
+			// The store keeps working after recovery.
+			var live2 []int
+			applyOps(t, r, opTape(10, 8), 0, 10, &live2)
+		})
 	}
-	defer s2.Close()
-	if got := stateJSON(t, s2); !bytes.Equal(got, want) {
-		t.Fatalf("state changed across clean reopen:\n got  %s\n want %s", got, want)
-	}
-	if st := s2.Stats(); st.Replayed != 0 {
-		t.Fatalf("clean reopen replayed %d records (checkpoint at close should cover all)", st.Replayed)
-	}
-	// The store keeps working after recovery.
-	var live2 []int
-	applyOps(t, s2, opTape(10, 8), 0, 10, &live2)
+}
+
+// TestStoreKillRecovery is the crash acceptance test: a store is killed
+// without a final checkpoint (the kill -9 analog), reopened, and must recover
+// the exact pre-crash merged state from per-shard WAL replay — then keep
+// serving.
+func TestStoreKillRecovery(t *testing.T) {
+	forEachK(t, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		tape := opTape(160, 42)
+		var live []int
+
+		s := openStore(t, dir, testNodes(8, 41), shards)
+		applyOps(t, s, tape, 0, 120, &live)
+		want := append([]byte(nil), stateJSON(t, s)...)
+		wantStats := s.Stats()
+		s.Kill()
+
+		r := openStore(t, dir, nil, 0) // recovered boot: platform and K from the manifest
+		defer r.Close()
+		if len(r.RecoveryWarnings) != 0 {
+			t.Fatalf("clean-tape kill produced recovery warnings: %v", r.RecoveryWarnings)
+		}
+		if got := stateJSON(t, r); !bytes.Equal(got, want) {
+			t.Fatalf("recovered state differs from pre-kill state:\npre:  %s\npost: %s", want, got)
+		}
+		rstats := r.Stats()
+		if rstats.Services != wantStats.Services {
+			t.Fatalf("recovered %d services, want %d", rstats.Services, wantStats.Services)
+		}
+		if rstats.Shards != shards {
+			t.Fatalf("recovered %d shards, want %d", rstats.Shards, shards)
+		}
+		if rstats.Replayed == 0 {
+			t.Fatal("kill -9 recovery replayed no records; the WAL tail was lost")
+		}
+		// The recovered store must keep serving the rest of the tape.
+		applyOps(t, r, tape, 120, len(tape), &live)
+		if _, err := r.Reallocate(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestCrashRecoveryGolden is the acceptance test of the durable tier: a
@@ -215,7 +296,7 @@ func TestCrashRecoveryGolden(t *testing.T) {
 	var liveB []int
 	applyOps(t, b, tape, 0, crashAt, &liveB)
 	b.Kill()
-	tearLastSegment(t, dirB)
+	tearLastSegment(t, ShardDir(dirB, 0))
 
 	// Recover and check bit-identity at the crash point.
 	b2, err := Open(dirB, nil, opts())
@@ -318,14 +399,17 @@ func TestAutoSnapshotCompaction(t *testing.T) {
 	}
 	// Snapshot retention bounded the directory.
 	count := 0
-	entries, _ := os.ReadDir(dir)
+	entries, err := os.ReadDir(ShardDir(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), "snap-") {
 			count++
 		}
 	}
-	if count > 3 { // 2 kept + possibly one fresh from this boot
-		t.Fatalf("%d snapshots retained, want <= 3", count)
+	if count == 0 || count > 3 { // 2 kept + possibly one fresh from this boot
+		t.Fatalf("%d snapshots retained, want 1..3", count)
 	}
 }
 
@@ -364,101 +448,104 @@ func TestOpenFromInitialState(t *testing.T) {
 	if len(got.Services) != 1 || got.Services[0].ID != id {
 		t.Fatalf("initial state not loaded: %+v", got.Services)
 	}
+
+	// A merged state is a shard's state only when there is one shard.
+	_, err = Open(t.TempDir(), nil, &Options{Fsync: journal.FsyncNone, InitialState: st, Shards: 2})
+	if err == nil || !strings.Contains(err.Error(), "-state-in") {
+		t.Fatalf("initial state over 2 shards: %v, want the -state-in rejection", err)
+	}
 }
 
 func TestStoreStatsCounters(t *testing.T) {
-	s, err := Open(t.TempDir(), testNodes(4, 1), &Options{Fsync: journal.FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	svc := vmalloc.Service{
-		ReqElem: vmalloc.Of(0.1, 0.1), ReqAgg: vmalloc.Of(0.1, 0.1),
-		NeedElem: vmalloc.Of(0.2, 0), NeedAgg: vmalloc.Of(0.2, 0),
-	}
-	id, _, err := s.Add(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Reallocate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Remove(id); err != nil {
-		t.Fatal(err)
-	}
-	// An impossible service is rejected but not journaled.
-	big := svc
-	big.ReqElem = vmalloc.Of(1e6, 1e6)
-	big.ReqAgg = vmalloc.Of(1e6, 1e6)
-	if _, _, err := s.Add(big); err != ErrRejected {
-		t.Fatalf("want ErrRejected, got %v", err)
-	}
-	st := s.Stats()
-	if st.Adds != 1 || st.Removes != 1 || st.Epochs != 1 || st.Rejected != 1 {
-		t.Fatalf("counters: %+v", st)
-	}
-	if st.Records != 3 { // add + epoch + remove; the rejection wrote nothing
-		t.Fatalf("journaled %d records, want 3", st.Records)
-	}
-	if st.Services != 0 {
-		t.Fatalf("services %d, want 0", st.Services)
-	}
+	forEachK(t, func(t *testing.T, shards int) {
+		s := openStore(t, t.TempDir(), testNodes(4, 1), shards)
+		defer s.Close()
+		svc := vmalloc.Service{
+			ReqElem: vmalloc.Of(0.1, 0.1), ReqAgg: vmalloc.Of(0.1, 0.1),
+			NeedElem: vmalloc.Of(0.2, 0), NeedAgg: vmalloc.Of(0.2, 0),
+		}
+		id, _, err := s.Add(svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Reallocate(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		// An impossible service is rejected but not journaled.
+		big := svc
+		big.ReqElem = vmalloc.Of(1e6, 1e6)
+		big.ReqAgg = vmalloc.Of(1e6, 1e6)
+		if _, _, err := s.Add(big); err != ErrRejected {
+			t.Fatalf("want ErrRejected, got %v", err)
+		}
+		st := s.Stats()
+		if st.Adds != 1 || st.Removes != 1 || st.Epochs != 1 || st.Rejected != 1 {
+			t.Fatalf("counters: %+v", st)
+		}
+		if st.Records != 3 { // add + epoch + remove; the rejection wrote nothing
+			t.Fatalf("journaled %d records, want 3", st.Records)
+		}
+		if st.Services != 0 {
+			t.Fatalf("services %d, want 0", st.Services)
+		}
+	})
 }
 
 func TestMutationsFailAfterClose(t *testing.T) {
-	s, err := Open(t.TempDir(), testNodes(3, 1), &Options{Fsync: journal.FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	svc := vmalloc.Service{
-		ReqElem: vmalloc.Of(0.1, 0.1), ReqAgg: vmalloc.Of(0.1, 0.1),
-		NeedElem: vmalloc.Of(0.1, 0), NeedAgg: vmalloc.Of(0.1, 0),
-	}
-	if _, _, err := s.Add(svc); err != ErrClosed {
-		t.Fatalf("Add after close: %v", err)
-	}
-	if _, err := s.Reallocate(); err != ErrClosed {
-		t.Fatalf("Reallocate after close: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("double close: %v", err)
-	}
+	forEachK(t, func(t *testing.T, shards int) {
+		s := openStore(t, t.TempDir(), testNodes(3, 1), shards)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		svc := vmalloc.Service{
+			ReqElem: vmalloc.Of(0.1, 0.1), ReqAgg: vmalloc.Of(0.1, 0.1),
+			NeedElem: vmalloc.Of(0.1, 0), NeedAgg: vmalloc.Of(0.1, 0),
+		}
+		if _, _, err := s.Add(svc); err != ErrClosed {
+			t.Fatalf("Add after close: %v", err)
+		}
+		if _, err := s.Reallocate(); err != ErrClosed {
+			t.Fatalf("Reallocate after close: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("double close: %v", err)
+		}
+	})
 }
 
 func TestStateSharedAcrossReads(t *testing.T) {
-	s, err := Open(t.TempDir(), testNodes(3, 1), &Options{Fsync: journal.FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	_, d1, err := s.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, d2, err := s.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &d1[0] != &d2[0] {
-		t.Fatal("published state not reused between mutations")
-	}
-	svc := vmalloc.Service{
-		ReqElem: vmalloc.Of(0.1, 0.1), ReqAgg: vmalloc.Of(0.1, 0.1),
-		NeedElem: vmalloc.Of(0.1, 0), NeedAgg: vmalloc.Of(0.1, 0),
-	}
-	if _, _, err := s.Add(svc); err != nil {
-		t.Fatal(err)
-	}
-	_, d3, err := s.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(d1, d3) {
-		t.Fatal("published state not refreshed after mutation")
-	}
+	forEachK(t, func(t *testing.T, shards int) {
+		s := openStore(t, t.TempDir(), testNodes(3, 1), shards)
+		defer s.Close()
+		_, d1, err := s.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, d2, err := s.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &d1[0] != &d2[0] {
+			t.Fatal("published state not reused between mutations")
+		}
+		svc := vmalloc.Service{
+			ReqElem: vmalloc.Of(0.1, 0.1), ReqAgg: vmalloc.Of(0.1, 0.1),
+			NeedElem: vmalloc.Of(0.1, 0), NeedAgg: vmalloc.Of(0.1, 0),
+		}
+		if _, _, err := s.Add(svc); err != nil {
+			t.Fatal(err)
+		}
+		_, d3, err := s.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(d1, d3) {
+			t.Fatal("published state not refreshed after mutation")
+		}
+	})
 }
 
 func BenchmarkStoreAdd(b *testing.B) {
@@ -480,28 +567,27 @@ func BenchmarkStoreAdd(b *testing.B) {
 }
 
 func TestStoreRejectsInvalidThresholdAndServesNoStateAfterClose(t *testing.T) {
-	s, err := Open(t.TempDir(), testNodes(3, 1), &Options{Fsync: journal.FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetThreshold(-1); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("negative threshold: %v, want ErrInvalid", err)
-	}
-	if err := s.SetThreshold(math.NaN()); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("NaN threshold: %v, want ErrInvalid", err)
-	}
-	// The rejected thresholds journaled nothing; snapshots stay valid.
-	if st := s.Stats(); st.Records != 0 {
-		t.Fatalf("invalid thresholds journaled %d records", st.Records)
-	}
-	// Warm the read cache, close, and demand ErrClosed on the fast path.
-	if _, _, err := s.State(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.State(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("State after Close: %v, want ErrClosed", err)
-	}
+	forEachK(t, func(t *testing.T, shards int) {
+		s := openStore(t, t.TempDir(), testNodes(3, 1), shards)
+		if err := s.SetThreshold(-1); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("negative threshold: %v, want ErrInvalid", err)
+		}
+		if err := s.SetThreshold(math.NaN()); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("NaN threshold: %v, want ErrInvalid", err)
+		}
+		// The rejected thresholds journaled nothing; snapshots stay valid.
+		if st := s.Stats(); st.Records != 0 {
+			t.Fatalf("invalid thresholds journaled %d records", st.Records)
+		}
+		// Warm the read cache, close, and demand ErrClosed on the fast path.
+		if _, _, err := s.State(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.State(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("State after Close: %v, want ErrClosed", err)
+		}
+	})
 }

@@ -674,7 +674,7 @@ func (r *Router) rebalance(reps []*engine.EpochReport) (moved, carried int) {
 			gen := r.moveGen[c.id] + 1
 			r.moveGen[c.id] = gen
 			// Hook order matters for durability: the destination's
-			// move-in is journaled (and fsynced, see server.ShardedStore)
+			// move-in is journaled (and fsynced, see server.Store)
 			// before the source's move-out, so a crash can duplicate a
 			// moving service across WALs but never lose it.
 			if r.hook != nil {

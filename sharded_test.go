@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math/rand"
 	"testing"
+
+	"vmalloc/internal/engine"
 )
 
 // shardedTapeOp is one entry of a deterministic mutation tape shared by
@@ -50,7 +52,8 @@ func shardedTape(n int, seed int64) []shardedTapeOp {
 	return tape
 }
 
-// clusterLike is the mutation surface shared by Cluster and ShardedCluster.
+// clusterLike is the mutation surface shared by Cluster and the bare-engine
+// reference (engineRef).
 type clusterLike interface {
 	AddWithEstimate(trueSvc, estSvc Service) (int, bool, error)
 	Remove(id int) bool
@@ -108,16 +111,44 @@ func driveTape(t *testing.T, c clusterLike, tape []shardedTapeOp) (yields []floa
 	return yields, live
 }
 
-// TestShardedK1Equivalence is the acceptance gate for the sharded tier: a
-// one-shard ShardedCluster must follow a fixed-seed mutate/reallocate/repair
-// trajectory bit-identically to an unsharded Cluster — same admissions,
-// same epoch min yields, same final durable state bytes.
+// engineRef drives a bare engine.Engine through the clusterLike surface: the
+// reference a one-domain Cluster is held bit-identical to. The engine knows
+// nothing of routers, shards or hooks — it is the single-platform arithmetic
+// the K=1 cluster must reduce to.
+type engineRef struct{ e *engine.Engine }
+
+func (r engineRef) AddWithEstimate(trueSvc, estSvc Service) (int, bool, error) {
+	id, _, ok := r.e.Add(trueSvc, estSvc)
+	return id, ok, nil
+}
+func (r engineRef) Remove(id int) bool { return r.e.Remove(id) }
+func (r engineRef) UpdateNeeds(id int, a, b, c, d Vec) error {
+	if !r.e.UpdateNeeds(id, a, b, c, d) {
+		return ErrUnknownService
+	}
+	return nil
+}
+func (r engineRef) SetThreshold(th float64) error { r.e.SetThreshold(th); return nil }
+func (r engineRef) Reallocate() *ClusterEpoch {
+	return &ClusterEpoch{Result: r.e.Reallocate().Result}
+}
+func (r engineRef) Repair(budget int) *ClusterEpoch {
+	return &ClusterEpoch{Result: r.e.Repair(budget).Result}
+}
+func (r engineRef) MinYield(policy SchedPolicy) float64 { return r.e.EvaluateMinYield(policy) }
+
+// TestShardedK1Equivalence is the acceptance gate for "the one-domain cluster
+// is the cluster": a K=1 Cluster must follow a fixed-seed
+// mutate/reallocate/repair trajectory bit-identically to a bare
+// engine.Engine over the same nodes — same admissions, same epoch min
+// yields, same final durable state bytes.
 func TestShardedK1Equivalence(t *testing.T) {
 	nodes := clusterNodes(12)
-	plain, err := NewCluster(nodes, nil)
+	eng, err := engine.New(engine.Config{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := engineRef{eng}
 	shd, err := NewShardedCluster(nodes, &ShardedOptions{Shards: 1, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +162,7 @@ func TestShardedK1Equivalence(t *testing.T) {
 	}
 	for i := range py {
 		if py[i] != sy[i] {
-			t.Fatalf("epoch sample %d: plain %v != sharded %v (must be bit-identical)", i, py[i], sy[i])
+			t.Fatalf("epoch sample %d: engine %v != cluster %v (must be bit-identical)", i, py[i], sy[i])
 		}
 	}
 	if len(plive) != len(slive) {
@@ -141,14 +172,14 @@ func TestShardedK1Equivalence(t *testing.T) {
 		if plive[i] != slive[i] {
 			t.Fatalf("live id %d differs: %d vs %d", i, plive[i], slive[i])
 		}
-		pn, _ := plain.Node(plive[i])
+		pn, _ := eng.Node(plive[i])
 		sn, _ := shd.Node(slive[i])
 		if pn != sn {
 			t.Fatalf("service %d placed on node %d vs %d", plive[i], pn, sn)
 		}
 	}
 
-	pj, err := json.Marshal(plain.State())
+	pj, err := json.Marshal(&ClusterState{Nodes: nodes, State: *eng.State()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +188,7 @@ func TestShardedK1Equivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pj, sj) {
-		t.Fatalf("final states differ:\nplain:   %s\nsharded: %s", pj, sj)
+		t.Fatalf("final states differ:\nengine:  %s\ncluster: %s", pj, sj)
 	}
 }
 
@@ -168,7 +199,7 @@ func TestShardedK1Equivalence(t *testing.T) {
 func TestShardedDeterministicTrajectory(t *testing.T) {
 	nodes := clusterNodes(16)
 	tape := shardedTape(300, 5)
-	mk := func(seed int64) *ShardedCluster {
+	mk := func(seed int64) *Cluster {
 		c, err := NewShardedCluster(nodes, &ShardedOptions{Shards: 4, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
