@@ -33,17 +33,16 @@ var ErrUnknownService = errors.New("no live service")
 // trails the median. A one-domain cluster is the paper's single platform:
 // its trajectory is bit-identical to a bare engine over the same nodes.
 //
-// Sequential and parallel reallocation produce identical placements for the
-// same cluster history (the parallel sweep keeps the lowest-index success).
-// A Cluster is not safe for concurrent use (the epoch parallelism is
-// internal).
+// Each domain races its strategy roster on max(1, GOMAXPROCS/K) workers;
+// the sweep keeps the lowest-index success, so placements for the same
+// cluster history are identical at every core count. A Cluster is not safe
+// for concurrent use (the epoch parallelism is internal).
 type Cluster struct {
 	r *shard.Router
 }
 
 // ClusterOptions tunes the engine of each placement domain. The zero value
-// (nil pointer) selects the sequential METAHVPLIGHT engine at the paper's
-// tolerance.
+// (nil pointer) selects the METAHVPLIGHT engine at the paper's tolerance.
 type ClusterOptions struct {
 	// CPUDim is the resource dimension holding CPU needs (and receiving the
 	// mitigation threshold). Generated workloads use 0.
@@ -57,13 +56,6 @@ type ClusterOptions struct {
 	// Placer overrides the built-in meta placer (it receives the estimated,
 	// thresholded view, valid only during the call).
 	Placer func(p *Problem) *Result
-	// Parallel races the strategy roster across Workers goroutines with
-	// results identical to the sequential sweep. It parallelizes *within*
-	// one placement domain — the domains themselves always solve
-	// concurrently.
-	Parallel bool
-	// Workers is the parallel worker count; <= 0 selects GOMAXPROCS.
-	Workers int
 	// UseLPBound brackets the binary search with the sparse LP relaxation
 	// bound, warm-started from the previous epoch's basis. Worthwhile only
 	// when packing dominates the epoch (large rosters, tight tolerances).
@@ -101,8 +93,6 @@ func (o *ShardedOptions) routerConfig(nodes []Node) shard.Config {
 		CPUDim:     o.CPUDim,
 		Tol:        o.Tolerance,
 		Placer:     engine.Placer(o.Placer),
-		Parallel:   o.Parallel,
-		Workers:    o.Workers,
 		UseLPBound: o.UseLPBound,
 		Now:        time.Now,
 	}

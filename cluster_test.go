@@ -164,31 +164,6 @@ func TestClusterRejectsMalformedInput(t *testing.T) {
 	}
 }
 
-// TestClusterParallelMatchesSequential feeds the same admission history to a
-// sequential and a parallel cluster and requires identical epochs.
-func TestClusterParallelMatchesSequential(t *testing.T) {
-	seq, _ := NewCluster(clusterNodes(4), nil)
-	par, _ := NewCluster(clusterNodes(4), &ClusterOptions{Parallel: true, Workers: 3})
-	rng1 := rand.New(rand.NewSource(5))
-	rng2 := rand.New(rand.NewSource(5))
-	for epoch := 0; epoch < 4; epoch++ {
-		for i := 0; i < 10; i++ {
-			seq.Add(clusterService(rng1))
-			par.Add(clusterService(rng2))
-		}
-		a, b := seq.Reallocate(), par.Reallocate()
-		if a.Result.Solved != b.Result.Solved || a.Result.MinYield != b.Result.MinYield ||
-			a.Migrations != b.Migrations {
-			t.Fatalf("epoch %d: sequential and parallel epochs differ", epoch)
-		}
-		for i := range a.Result.Placement {
-			if a.Result.Placement[i] != b.Result.Placement[i] {
-				t.Fatalf("epoch %d: placement[%d] differs", epoch, i)
-			}
-		}
-	}
-}
-
 func TestClusterCustomPlacer(t *testing.T) {
 	calls := 0
 	c, err := NewCluster(clusterNodes(2), &ClusterOptions{

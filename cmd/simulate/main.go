@@ -2,13 +2,13 @@
 // future-work system) on the persistent allocation engine: services arrive
 // and depart over time, METAHVPLIGHT reallocates every epoch on warm solver
 // state, CPU-need estimates are noisy, and the mitigation threshold is fixed
-// or adaptive. -parallel races the strategy roster across workers without
-// changing the trajectory.
+// or adaptive. Each epoch races the strategy roster across GOMAXPROCS
+// workers; the trajectory is the same at every core count.
 //
 // Usage:
 //
 //	simulate -hosts 16 -rate 4 -lifetime 10 -horizon 200 -epoch 5 \
-//	         -maxerr 0.2 -threshold adaptive -parallel
+//	         -maxerr 0.2 -threshold adaptive
 package main
 
 import (
@@ -35,8 +35,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		repair    = flag.Bool("repair", false, "use migration-bounded incremental repair instead of full reallocation")
 		budget    = flag.Int("budget", -1, "migrations allowed per repair epoch (-1 = unlimited)")
-		parallel  = flag.Bool("parallel", false, "race the reallocation roster across workers (deterministic: same trajectory as sequential)")
-		workers   = flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -66,8 +64,6 @@ func main() {
 		Threshold:       th,
 		UseRepair:       *repair,
 		MigrationBudget: *budget,
-		Parallel:        *parallel,
-		Workers:         *workers,
 		Seed:            *seed,
 	})
 	if err != nil {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	vmalloc -in problem.json [-algo METAHVPLIGHT] [-seed 1] [-parallel]
+//	vmalloc -in problem.json [-algo METAHVPLIGHT] [-seed 1]
 //	vmalloc -demo            # run the paper's Figure 1 example
 //
 // One-shot runs compose with the durable daemon through cluster snapshots:
@@ -32,7 +32,6 @@ func main() {
 		in       = flag.String("in", "", "problem JSON file (see cmd/expgen)")
 		algo     = flag.String("algo", vmalloc.AlgoMetaHVPLight, "algorithm name")
 		seed     = flag.Int64("seed", 1, "seed for randomized algorithms")
-		parallel = flag.Bool("parallel", false, "run meta strategies concurrently")
 		bound    = flag.Bool("bound", false, "also print the LP relaxation upper bound")
 		demo     = flag.Bool("demo", false, "solve the paper's Figure 1 example")
 		stateIn  = flag.String("state-in", "", "cluster state JSON to load (runs one reallocation epoch)")
@@ -43,7 +42,7 @@ func main() {
 	flag.Parse()
 
 	if *stateIn != "" {
-		runStateEpoch(*stateIn, *stateOut, *budget, *parallel)
+		runStateEpoch(*stateIn, *stateOut, *budget)
 		return
 	}
 
@@ -72,7 +71,7 @@ func main() {
 		fmt.Printf("mps written:    %s\n", *mpsOut)
 	}
 
-	res, err := vmalloc.Solve(*algo, p, &vmalloc.Options{Seed: *seed, Parallel: *parallel})
+	res, err := vmalloc.Solve(*algo, p, &vmalloc.Options{Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}
@@ -111,12 +110,12 @@ func main() {
 // runStateEpoch loads a cluster state, runs one epoch on it (full
 // reallocation or bounded repair) and optionally saves the new state — the
 // one-shot counterpart of POST /v1/reallocate on the daemon.
-func runStateEpoch(stateIn, stateOut string, budget int, parallel bool) {
+func runStateEpoch(stateIn, stateOut string, budget int) {
 	st, err := loadState(stateIn)
 	if err != nil {
 		fatal(err)
 	}
-	c, err := vmalloc.RestoreCluster(st, &vmalloc.ClusterOptions{Parallel: parallel})
+	c, err := vmalloc.RestoreCluster(st, nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -7,7 +7,9 @@
 // group-commit batched fsync and is durable when the response arrives;
 // snapshots compact the log and bound recovery time. Restarting the daemon
 // on the same -dir recovers the exact pre-shutdown cluster state from
-// snapshot + WAL replay, one WAL per shard.
+// snapshot + WAL replay, one WAL per shard. Each shard's epochs race the
+// strategy roster on max(1, GOMAXPROCS/shards) workers; the placements are
+// the same at every core count.
 //
 // A recovered directory defines its own platform: booting it with -nodes,
 // -hosts, -state-in, -threshold, -seed or a conflicting -shards fails fast
@@ -58,8 +60,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed for -hosts (and the shard admission hash)")
 		threshold = flag.Float64("threshold", 0, "initial mitigation threshold (first boot)")
 		tolerance = flag.Float64("tol", 0, "yield search tolerance (0 = paper default)")
-		parallel  = flag.Bool("parallel", false, "race the meta strategies across workers (per shard)")
-		workers   = flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
 		lpBound   = flag.Bool("lpbound", false, "bracket the yield search with the warm-started LP bound")
 		shards    = flag.Int("shards", 0, "partition the platform into this many placement domains (first boot; 0 = 1)")
 		rebGap    = flag.Float64("rebalance-gap", 0, "rebalance when the bottleneck shard trails the median yield by more than this (0 = default 0.1, negative disables)")
@@ -135,8 +135,6 @@ func main() {
 		Cluster: vmalloc.ClusterOptions{
 			Tolerance:  *tolerance,
 			Threshold:  *threshold,
-			Parallel:   *parallel,
-			Workers:    *workers,
 			UseLPBound: *lpBound,
 		},
 		SegmentBytes:   *segBytes,

@@ -19,19 +19,22 @@
 //   - the problem views recycle their backing arrays (services are listed in
 //     ascending id order, which equals arrival order, so view-dependent
 //     tie-breaking is identical to the arrival-ordered rebuild), and
-//   - one arena vp.Solver per engine — or one per worker when Parallel — is
-//     Rebind-ed to the mutated view each epoch, keeping bin-order caches and
-//     flat buffers warm; with UseLPBound the sparse-relaxation bracket bound
-//     re-solves warm-started from the previous epoch's optimal basis.
+//   - one arena vp.Solver per worker is Rebind-ed to the mutated view each
+//     epoch, keeping bin-order caches and flat buffers warm; with UseLPBound
+//     the sparse-relaxation bracket bound re-solves warm-started from the
+//     previous epoch's optimal basis.
 //
 // Reallocation through the engine is result-identical to the
 // rebuild-per-epoch path: a Rebind-ed solver behaves exactly like a fresh
-// one, the sequential meta sweep is unchanged, and the Parallel mode races
-// strategies under a lowest-index-success reduction that provably returns
-// the sequential result (see hvp.MetaDeterministicSolvers) — so for a given
-// engine the trajectory is a function of its history alone, worker count
-// notwithstanding. One caveat separates the engine from the *historical*
-// simulator it replaces: the incremental load updates of Remove are not
+// one, and the workers race the strategy roster under a
+// lowest-index-success reduction that provably returns the sequential
+// result (see hvp.MetaDeterministicSolvers) — so for a given engine the
+// trajectory is a function of its history alone, worker count
+// notwithstanding. The count is not a user option: the engine's owners set
+// it with DomainWorkers from the cores the process may use.
+//
+// One caveat separates the engine from the *historical* simulator it
+// replaces: the incremental load updates of Remove are not
 // floating-point-identical to re-summing loads from scratch on every
 // arrival, so an admission whose best-fit scores tie within one ULP could
 // in principle resolve differently than the old code. The golden-trajectory
@@ -42,6 +45,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"time"
 
@@ -62,6 +66,19 @@ import (
 // the call.
 type Placer func(p *core.Problem) *core.Result
 
+// DomainWorkers is the worker count of each of domains placement domains
+// that solve concurrently: max(1, GOMAXPROCS/domains). The cores are split
+// across domains first, and only what is left over races a domain's
+// strategy roster. The shard router calls it with its shard count, the
+// platform driver with 1; the count never changes a result.
+func DomainWorkers(domains int) int {
+	return domainWorkers(runtime.GOMAXPROCS(0), domains)
+}
+
+func domainWorkers(procs, domains int) int {
+	return max(1, procs/domains)
+}
+
 // Config parameterizes an Engine.
 type Config struct {
 	// Nodes is the fixed physical platform (required, never mutated).
@@ -78,11 +95,10 @@ type Config struct {
 	// Placer overrides the built-in meta placer entirely (the engine's
 	// persistent solvers are then unused).
 	Placer Placer
-	// Parallel races the strategy roster across Workers goroutines with the
-	// deterministic lowest-index-success reduction: results stay bit-identical
-	// to the sequential sweep.
-	Parallel bool
-	// Workers is the parallel worker count; <= 0 selects GOMAXPROCS.
+	// Workers is the number of goroutines racing the strategy roster at each
+	// binary-search step, under the deterministic lowest-index-success
+	// reduction; <= 1 runs the sequential sweep. Results are bit-identical at
+	// every count. Owners set it with DomainWorkers.
 	Workers int
 	// UseLPBound brackets the built-in meta's binary search with the sparse
 	// LP relaxation bound, warm-starting each epoch's relaxation from the
@@ -130,8 +146,7 @@ type EpochReport struct {
 }
 
 // Engine is the persistent allocation engine. It is not safe for concurrent
-// use; the Parallel option refers to internal worker parallelism within one
-// Reallocate call.
+// use; Config.Workers is internal parallelism within one Reallocate call.
 type Engine struct {
 	cfg     Config
 	configs []vp.Config
@@ -157,9 +172,8 @@ type Engine struct {
 	threshBuf []float64 // backs thresholded est need vectors, 2·J·D
 	placeBuf  core.Placement
 
-	solver *vp.Solver   // sequential persistent solver (lazy)
-	pool   []*vp.Solver // parallel persistent solvers (lazy)
-	basis  *lp.Basis    // LP warm-start basis carried across epochs
+	solvers []*vp.Solver // persistent solvers, one per worker (lazy)
+	basis   *lp.Basis    // LP warm-start basis carried across epochs
 
 	// lpStats accumulates the relaxation-solve counters of the current
 	// epoch (lpBound is called once per binary-search bracket); drained
@@ -463,22 +477,14 @@ func (e *Engine) solve() *core.Result {
 	if e.cfg.UseLPBound {
 		opts.UpperBound = e.lpBound
 	}
-	if e.cfg.Parallel {
-		if e.pool == nil {
-			e.pool = hvp.NewSolverPool(&e.estP, e.cfg.Workers)
-		} else {
-			for _, s := range e.pool {
-				s.Rebind(&e.estP)
-			}
-		}
-		return hvp.MetaDeterministicSolvers(e.pool, e.configs, opts)
-	}
-	if e.solver == nil {
-		e.solver = vp.NewSolver(&e.estP)
+	if e.solvers == nil {
+		e.solvers = hvp.NewSolverPool(&e.estP, e.cfg.Workers)
 	} else {
-		e.solver.Rebind(&e.estP)
+		for _, s := range e.solvers {
+			s.Rebind(&e.estP)
+		}
 	}
-	return vp.MetaConfigsSolver(e.solver, e.configs, opts)
+	return hvp.MetaDeterministicSolvers(e.solvers, e.configs, opts)
 }
 
 // lpBound is the warm-started LPBOUND hook: each epoch's relaxation is
@@ -525,16 +531,13 @@ func (e *Engine) noteRelaxation(rel *relax.Relaxed) {
 }
 
 // takeSolverStats drains the epoch's solver-tier counters: the lpBound
-// accumulator plus the persistent vp solvers' pack counters (the pool
-// workers are joined before solve returns, so the drain is race-free).
+// accumulator plus the persistent vp solvers' pack counters (the workers
+// are joined before solve returns, so the drain is race-free).
 func (e *Engine) takeSolverStats() obs.SolverStats {
 	st := e.lpStats
 	e.lpStats = obs.SolverStats{}
 	var v vp.Stats
-	if e.solver != nil {
-		v.Add(e.solver.TakeStats())
-	}
-	for _, s := range e.pool {
+	for _, s := range e.solvers {
 		v.Add(s.TakeStats())
 	}
 	st.VPPacks += int64(v.Packs)

@@ -193,15 +193,27 @@ func TestReallocateMatchesRebuildPath(t *testing.T) {
 	}
 }
 
+// TestDomainWorkers pins the worker policy: the cores are split across the
+// concurrently solving domains, and every domain keeps at least one worker.
+func TestDomainWorkers(t *testing.T) {
+	for _, tc := range []struct{ procs, domains, want int }{
+		{2, 4, 1}, {2, 1, 2}, {8, 3, 2}, {1, 1, 1}, {4, 4, 1}, {16, 4, 4},
+	} {
+		if got := domainWorkers(tc.procs, tc.domains); got != tc.want {
+			t.Errorf("domainWorkers(%d procs, %d domains) = %d, want %d", tc.procs, tc.domains, got, tc.want)
+		}
+	}
+}
+
 // TestParallelMatchesSequential runs the same churn trace through a
-// sequential and a parallel engine: every epoch must produce identical
+// one-worker and a four-worker engine: every epoch must produce identical
 // results (the deterministic reduction), including under -race.
 func TestParallelMatchesSequential(t *testing.T) {
-	mk := func(parallel bool) *Engine {
-		e, _ := New(Config{Nodes: testNodes(4), Parallel: parallel, Workers: 4})
+	mk := func(workers int) *Engine {
+		e, _ := New(Config{Nodes: testNodes(4), Workers: workers})
 		return e
 	}
-	seq, par := mk(false), mk(true)
+	seq, par := mk(1), mk(4)
 	rng1 := rand.New(rand.NewSource(31))
 	rng2 := rand.New(rand.NewSource(31))
 	var ids1, ids2 []int

@@ -35,8 +35,6 @@ type OnlineSpec struct {
 	// MigrationBudget.
 	UseRepair       bool
 	MigrationBudget int
-	// Parallel enables the engine's deterministic parallel meta.
-	Parallel bool
 	// Seeds drive the per-rate replications.
 	Seeds []int64
 }
@@ -92,7 +90,6 @@ func (spec OnlineSpec) Run() ([]OnlineRow, error) {
 				Threshold:       spec.Threshold,
 				UseRepair:       spec.UseRepair,
 				MigrationBudget: spec.MigrationBudget,
-				Parallel:        spec.Parallel,
 				Seed:            seed,
 			})
 			if err != nil {

@@ -10,8 +10,8 @@ import (
 // TestMetaDeterministicMatchesSequential is the determinism contract: for
 // any worker count, MetaDeterministicSolvers must return exactly the result
 // of the sequential meta — same Solved flag, same MinYield, same placement —
-// because the step reduction keeps the lowest-index success. (MetaParallelOpt
-// deliberately does not promise this; the engine's golden trajectories do.)
+// because the step reduction keeps the lowest-index success. The engine's
+// golden trajectories rely on it.
 func TestMetaDeterministicMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	configs := LightStrategies()

@@ -7,13 +7,10 @@
 package hvp
 
 import (
-	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"vmalloc/internal/core"
-	"vmalloc/internal/relax"
 	"vmalloc/internal/vec"
 	"vmalloc/internal/vp"
 )
@@ -71,13 +68,6 @@ func LightStrategies() []vp.Config {
 	return out
 }
 
-// SolveStrategy runs a single heterogeneous strategy inside the yield
-// binary search.
-func SolveStrategy(p *core.Problem, c vp.Config, tol float64) *core.Result {
-	c.Hetero = true
-	return vp.Solve(p, c, tol)
-}
-
 // MetaHVP runs METAHVP: at each binary-search step all 253 strategies are
 // tried until one succeeds.
 func MetaHVP(p *core.Problem, tol float64) *core.Result {
@@ -87,33 +77,6 @@ func MetaHVP(p *core.Problem, tol float64) *core.Result {
 // MetaHVPLight runs METAHVPLIGHT over the reduced strategy set.
 func MetaHVPLight(p *core.Problem, tol float64) *core.Result {
 	return vp.MetaConfigs(p, LightStrategies(), tol)
-}
-
-// LPYieldBound adapts the sparse LP relaxation bound (LPBOUND,
-// relax.UpperBound) to the vp.SearchOptions upper-bound hook: every integral
-// allocation's minimum yield is bounded by the relaxation's optimum, so the
-// binary search can start from the bracket [0, min(1, Y_LP)] instead of
-// [0, 1] — echoing the bound-guided pruning of stage-decomposed IPs — and
-// skip the packing work above the bound entirely.
-func LPYieldBound(p *core.Problem) (float64, error) {
-	return relax.UpperBound(p)
-}
-
-// MetaHVPBounded is METAHVP with the LP-bracketed binary search: the sparse
-// relaxation is solved once up front and its optimal yield caps the bracket
-// before any packing runs. The relaxation solve is not free — it pays off
-// when the packing side dominates (very large strategy rosters or tight
-// tolerances) or when the caller already has the relaxation in hand for
-// RRND/RRNZ; benchmark both variants on your workload before choosing.
-func MetaHVPBounded(p *core.Problem, tol float64) *core.Result {
-	return vp.MetaConfigsOpt(p, Strategies(), vp.SearchOptions{Tol: tol, UpperBound: LPYieldBound})
-}
-
-// MetaHVPParallel is METAHVP with every binary-search step raced by a worker
-// pool with first-success cancellation. workers <= 0 selects GOMAXPROCS.
-// Combine with MetaParallelOpt and LPYieldBound for LP bracketing on top.
-func MetaHVPParallel(p *core.Problem, tol float64, workers int) *core.Result {
-	return MetaParallelOpt(p, Strategies(), vp.SearchOptions{Tol: tol}, workers)
 }
 
 // MetaDeterministicSolvers runs the meta search with each binary-search step
@@ -131,10 +94,10 @@ func MetaHVPParallel(p *core.Problem, tol float64, workers int) *core.Result {
 // and fails (packing a strategy is deterministic and independent of sibling
 // strategies — each Pack starts from a cleared arena). The minimum recorded
 // success is therefore exactly the sequential first success, and its
-// placement is byte-identical to the sequential one. Unlike MetaParallelOpt
-// — which keeps whichever success lands first — this variant is safe for
-// golden-trajectory reproducibility; the price is that workers cannot
-// early-cancel siblings below the current minimum.
+// placement is byte-identical to the sequential one, which is what keeps
+// golden trajectories independent of the worker count; the price is that
+// workers cannot early-cancel siblings below the current minimum. With one
+// solver the step is the plain sequential sweep of vp.MetaConfigsSolver.
 func MetaDeterministicSolvers(solvers []*vp.Solver, configs []vp.Config, opts vp.SearchOptions) *core.Result {
 	if len(solvers) == 0 || len(configs) == 0 {
 		return &core.Result{}
@@ -143,7 +106,7 @@ func MetaDeterministicSolvers(solvers []*vp.Solver, configs []vp.Config, opts vp
 	if len(solvers) == 1 {
 		return vp.MetaConfigsSolver(solvers[0], configs, opts)
 	}
-	return vp.SearchMaxYieldOpt(p, opts, func(y float64) (core.Placement, bool) {
+	return vp.SearchMaxYield(p, opts, func(y float64) (core.Placement, bool) {
 		// A step no strategy can win fails without spawning any goroutine.
 		if !solvers[0].StepFeasible(y) {
 			return nil, false
@@ -190,90 +153,13 @@ func MetaDeterministicSolvers(solvers []*vp.Solver, configs []vp.Config, opts vp
 	})
 }
 
-// NewSolverPool returns n independent solvers for p (n <= 0 selects
-// GOMAXPROCS), the worker set for MetaDeterministicSolvers; rebind each of
-// them after mutating the problem.
+// NewSolverPool returns max(1, n) independent solvers for p, the worker set
+// for MetaDeterministicSolvers; rebind each of them after mutating the
+// problem.
 func NewSolverPool(p *core.Problem, n int) []*vp.Solver {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	solvers := make([]*vp.Solver, n)
+	solvers := make([]*vp.Solver, max(1, n))
 	for i := range solvers {
 		solvers[i] = vp.NewSolver(p)
 	}
 	return solvers
-}
-
-// MetaParallel runs a meta algorithm with the binary-search step evaluated
-// by a pool of workers racing over the strategy list: a step succeeds as
-// soon as any worker packs the instance. Results are identical to the
-// sequential meta in terms of success/failure per step; the placement kept
-// for a successful step may come from a different (still successful)
-// strategy. workers <= 0 selects GOMAXPROCS.
-func MetaParallel(p *core.Problem, configs []vp.Config, tol float64, workers int) *core.Result {
-	return MetaParallelOpt(p, configs, vp.SearchOptions{Tol: tol}, workers)
-}
-
-// MetaParallelOpt is MetaParallel with search options (LP-bound
-// bracketing). Each worker owns one reusable vp.Solver for the whole search,
-// so per-step work is an O(J·D) instance refresh instead of per-strategy
-// reallocation, and the first worker to pack a step cancels its siblings
-// mid-pack via context.
-func MetaParallelOpt(p *core.Problem, configs []vp.Config, opts vp.SearchOptions, workers int) *core.Result {
-	if len(configs) == 0 {
-		return &core.Result{}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(configs) {
-		workers = len(configs)
-	}
-	solvers := make([]*vp.Solver, workers)
-	for w := range solvers {
-		solvers[w] = vp.NewSolver(p)
-	}
-	return vp.SearchMaxYieldOpt(p, opts, func(y float64) (core.Placement, bool) {
-		// A step no strategy can win fails without spawning any packing work.
-		if !solvers[0].StepFeasible(y) {
-			return nil, false
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var (
-			next    int64 = -1
-			found   atomic.Value
-			success atomic.Bool
-			wg      sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(sol *vp.Solver) {
-				defer wg.Done()
-				for {
-					if success.Load() {
-						return
-					}
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(configs) {
-						return
-					}
-					if pl, ok := sol.PackCtx(ctx, y, configs[i]); ok {
-						// Clone: the solver arena is reused next step, but the
-						// search may retain this placement as its best.
-						if success.CompareAndSwap(false, true) {
-							found.Store(pl.Clone())
-						}
-						cancel()
-						return
-					}
-				}
-			}(solvers[w])
-		}
-		wg.Wait()
-		if success.Load() {
-			return found.Load().(core.Placement), true
-		}
-		return nil, false
-	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vmalloc/internal/core"
+	"vmalloc/internal/relax"
 	"vmalloc/internal/vec"
 	"vmalloc/internal/vp"
 )
@@ -107,40 +108,6 @@ func TestMetaHVPAtLeastMatchesLight(t *testing.T) {
 	}
 }
 
-func TestMetaParallelMatchesSequentialSuccess(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for iter := 0; iter < 5; iter++ {
-		p := randomProblem(rng, 3, 10)
-		seq := MetaHVPLight(p, 1e-3)
-		par := MetaParallel(p, LightStrategies(), 1e-3, 4)
-		if seq.Solved != par.Solved {
-			t.Fatalf("iter %d: solved mismatch seq=%v par=%v", iter, seq.Solved, par.Solved)
-		}
-		if seq.Solved {
-			if err := par.Placement.Validate(p); err != nil {
-				t.Fatalf("iter %d: parallel placement invalid: %v", iter, err)
-			}
-			// Both drive the same binary search, so the achieved lower bound
-			// must agree up to tolerance (the placement itself may differ).
-			if math.Abs(seq.MinYield-par.MinYield) > 0.05 {
-				t.Fatalf("iter %d: yields diverge: %v vs %v", iter, seq.MinYield, par.MinYield)
-			}
-		}
-	}
-}
-
-func TestSolveStrategyForcesHetero(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := randomProblem(rng, 3, 6)
-	c := vp.Config{Alg: vp.BestFit, ItemOrder: vp.Order{Metric: vec.MetricMax, Descending: true}}
-	res := SolveStrategy(p, c, 1e-3)
-	if res.Solved {
-		if err := res.Placement.Validate(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // On a strongly heterogeneous instance, bin-capacity-aware first fit
 // (ascending capacity) must beat naive first fit in natural order when the
 // natural order lists big nodes first: filling big nodes with small items
@@ -215,16 +182,16 @@ func TestBinOrderApplied(t *testing.T) {
 	}
 }
 
-// The LP-bracketed variants must agree with the classic search within the
-// binary-search tolerance: the relaxation bound only removes yields no
-// packing can reach.
+// METAHVP with the LP-bracketed search (the relaxation optimum caps the
+// bracket) must agree with the classic search within the binary-search
+// tolerance: the relaxation bound only removes yields no packing can reach.
 func TestMetaHVPBoundedWithinTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const tol = 1e-3
 	for iter := 0; iter < 5; iter++ {
 		p := randomProblem(rng, 3, 9)
 		plain := MetaHVP(p, tol)
-		bounded := MetaHVPBounded(p, tol)
+		bounded := vp.MetaConfigsSolver(vp.NewSolver(p), Strategies(), vp.SearchOptions{Tol: tol, UpperBound: relax.UpperBound})
 		if plain.Solved != bounded.Solved {
 			t.Fatalf("iter %d: solved mismatch plain=%v bounded=%v", iter, plain.Solved, bounded.Solved)
 		}
@@ -236,40 +203,6 @@ func TestMetaHVPBoundedWithinTolerance(t *testing.T) {
 				t.Fatalf("iter %d: %v", iter, err)
 			}
 		}
-	}
-}
-
-// MetaHVPParallel races per-worker solver arenas with first-success
-// cancellation over an *unbounded* bracket; comparing against the
-// LP-bracketed sequential meta, solvedness must match and yields may differ
-// by bracket discretization plus racing nondeterminism, both within the
-// 0.05 allowance.
-func TestMetaHVPParallelMatchesBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 4; iter++ {
-		p := randomProblem(rng, 4, 12)
-		seq := MetaHVPBounded(p, 1e-3)
-		par := MetaHVPParallel(p, 1e-3, 4)
-		if seq.Solved != par.Solved {
-			t.Fatalf("iter %d: solved mismatch seq=%v par=%v", iter, seq.Solved, par.Solved)
-		}
-		if seq.Solved {
-			if err := par.Placement.Validate(p); err != nil {
-				t.Fatalf("iter %d: %v", iter, err)
-			}
-			if math.Abs(seq.MinYield-par.MinYield) > 0.05 {
-				t.Fatalf("iter %d: yields diverge: %v vs %v", iter, seq.MinYield, par.MinYield)
-			}
-		}
-	}
-}
-
-// An empty strategy roster must fail gracefully, not panic.
-func TestMetaParallelEmptyRoster(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	p := randomProblem(rng, 2, 4)
-	if res := MetaParallel(p, nil, 1e-3, 4); res.Solved {
-		t.Fatal("empty roster cannot solve anything")
 	}
 }
 

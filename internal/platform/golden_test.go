@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"vmalloc/internal/core"
@@ -58,13 +59,31 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden_"+name+".json")
 }
 
-func runGoldenConfig(t *testing.T, cfg Config) *Stats {
+// runGoldenConfig runs cfg with GOMAXPROCS set to procs. The platform's one
+// engine races the reallocation roster on engine.DomainWorkers(1) =
+// GOMAXPROCS workers, so procs 1 is the sequential sweep and more is the
+// multi-worker race.
+func runGoldenConfig(t *testing.T, cfg Config, procs int) *Stats {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	st, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+func readGolden(t *testing.T, name string) *Stats {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		t.Fatalf("missing golden file (run with -golden.update): %v", err)
+	}
+	var want Stats
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return &want
 }
 
 // compareStats asserts exact equality, floats included: encoding/json emits
@@ -95,10 +114,12 @@ func statsHeader(st *Stats) Stats {
 	return h
 }
 
+// TestGoldenTrajectories replays every golden config at GOMAXPROCS 1, the
+// sequential sweep, and rewrites the files under -golden.update.
 func TestGoldenTrajectories(t *testing.T) {
 	for name, cfg := range goldenConfigs() {
 		t.Run(name, func(t *testing.T) {
-			st := runGoldenConfig(t, cfg)
+			st := runGoldenConfig(t, cfg, 1)
 			path := goldenPath(name)
 			if *updateGolden {
 				data, err := json.MarshalIndent(st, "", "  ")
@@ -114,57 +135,23 @@ func TestGoldenTrajectories(t *testing.T) {
 				t.Logf("wrote %s (%d samples)", path, len(st.Samples))
 				return
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -golden.update): %v", err)
-			}
-			var want Stats
-			if err := json.Unmarshal(data, &want); err != nil {
-				t.Fatal(err)
-			}
-			compareStats(t, name, st, &want)
+			compareStats(t, name, st, readGolden(t, name))
 		})
 	}
 }
 
-// TestGoldenTrajectoriesParallel re-runs the full-reallocation golden
-// configs with the engine's parallel meta enabled: the deterministic
-// lowest-index-success reduction must reproduce the sequential trajectories
-// exactly, worker count notwithstanding. The "repair" config is excluded —
-// repair epochs run through opt.Repair and never touch the parallel roster,
-// so re-running it here would add no coverage.
+// TestGoldenTrajectoriesParallel replays the full-reallocation golden
+// configs at GOMAXPROCS 4: four workers race the roster, and the
+// lowest-index-success reduction must reproduce the same files. "repair" is
+// excluded — repair epochs run through opt.Repair and never reach the
+// roster — and -short skips the long "steady" run.
 func TestGoldenTrajectoriesParallel(t *testing.T) {
-	for _, name := range []string{"clean"} {
-		cfg := goldenConfigs()[name]
-		cfg.Parallel = true
-		cfg.Workers = 4
+	for _, name := range []string{"clean", "steady"} {
 		t.Run(name, func(t *testing.T) {
-			st := runGoldenConfig(t, cfg)
-			data, err := os.ReadFile(goldenPath(name))
-			if err != nil {
-				t.Fatalf("missing golden file (run with -golden.update): %v", err)
+			if name == "steady" && testing.Short() {
+				t.Skip("steady trajectory skipped in -short mode")
 			}
-			var want Stats
-			if err := json.Unmarshal(data, &want); err != nil {
-				t.Fatal(err)
-			}
-			compareStats(t, name, st, &want)
+			compareStats(t, name, runGoldenConfig(t, goldenConfigs()[name], 4), readGolden(t, name))
 		})
 	}
-	if testing.Short() {
-		return
-	}
-	cfg := goldenConfigs()["steady"]
-	cfg.Parallel = true
-	cfg.Workers = 4
-	st := runGoldenConfig(t, cfg)
-	data, err := os.ReadFile(goldenPath("steady"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want Stats
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	compareStats(t, "steady-parallel", st, &want)
 }

@@ -13,8 +13,10 @@
 // adaptive-threshold controller. Admission uses the engine's best-fit test,
 // reallocation happens every epoch through the engine (full meta
 // reallocation or migration-bounded repair), and achieved yields are sampled
-// under the work-conserving ALLOCWEIGHTS policy. For a fixed seed the
-// trajectory is deterministic regardless of Parallel/Workers, and the
+// under the work-conserving ALLOCWEIGHTS policy. The engine is the only
+// placement domain, so it races its strategy roster on
+// engine.DomainWorkers(1) = GOMAXPROCS workers. For a fixed seed the
+// trajectory is deterministic regardless of that count, and the
 // golden-trajectory tests pin it bit for bit against the historical
 // rebuild-per-epoch simulator at the acceptance-scale seeds (see the
 // internal/engine doc for the one ULP-level caveat on admission ties).
@@ -78,12 +80,6 @@ type Config struct {
 	// MigrationBudget caps migrations per repair epoch (negative =
 	// unlimited). Ignored unless UseRepair is set.
 	MigrationBudget int
-	// Parallel races the reallocation strategy roster across Workers
-	// goroutines inside the engine. The deterministic lowest-index-success
-	// reduction keeps the trajectory bit-identical to the sequential run.
-	Parallel bool
-	// Workers is the parallel worker count; <= 0 selects GOMAXPROCS.
-	Workers int
 	// Seed drives all randomness.
 	Seed int64
 	// Google overrides the service-size marginals (DefaultGoogle when nil).
@@ -203,12 +199,11 @@ func Run(cfg Config) (*Stats, error) {
 	}
 
 	eng, err := engine.New(engine.Config{
-		Nodes:    cfg.Nodes,
-		CPUDim:   workload.CPU,
-		Placer:   engine.Placer(cfg.Placer),
-		Parallel: cfg.Parallel,
-		Workers:  cfg.Workers,
-		Now:      time.Now,
+		Nodes:   cfg.Nodes,
+		CPUDim:  workload.CPU,
+		Placer:  engine.Placer(cfg.Placer),
+		Workers: engine.DomainWorkers(1),
+		Now:     time.Now,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("platform: %v", err)

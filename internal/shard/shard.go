@@ -6,7 +6,7 @@
 // engine over the whole park serializes every mutation and every epoch
 // through a single solver, so epoch latency grows with total service count.
 // A Router instead partitions the park into K contiguous placement domains,
-// each owning its own engine.Engine (and therefore its own arena vp.Solver
+// each owning its own engine.Engine (and therefore its own arena vp.Solvers
 // and LP warm-start basis), and
 //
 //   - admits services by shard headroom: the classic best-of-two-choices
@@ -14,7 +14,9 @@
 //     deterministic (and recovery-stable) by hashing a fixed seed with the
 //     service id instead of drawing from a stateful RNG;
 //   - runs reallocation and repair epochs scatter-gather, one goroutine per
-//     shard, merging results into a global minimum yield;
+//     shard, merging results into a global minimum yield; each shard's
+//     engine races its strategy roster on max(1, GOMAXPROCS/K) workers
+//     (engine.DomainWorkers), a count that never changes a result;
 //   - rebalances across shards when the bottleneck shard's yield trails the
 //     median by a configurable gap, migrating its heaviest services into
 //     the shard with the most headroom and re-solving the affected domains.
@@ -72,12 +74,11 @@ type Config struct {
 	// DefaultMoves; negative disables rebalancing.
 	Moves int
 
-	// Per-domain engine knobs, as in engine.Config.
+	// Per-domain engine knobs, as in engine.Config. The worker count is not
+	// among them: every domain gets engine.DomainWorkers(Shards).
 	CPUDim     int
 	Tol        float64
 	Placer     engine.Placer
-	Parallel   bool
-	Workers    int
 	UseLPBound bool
 	// Now is the injected wall clock forwarded to every domain engine for
 	// EpochReport.SolveNs stamping; nil leaves solve times zero. The router
@@ -180,7 +181,8 @@ type domain struct {
 // Router is the sharded allocation engine: K placement domains behind
 // deterministic headroom-based admission and scatter-gather epochs. Like
 // engine.Engine it is not safe for concurrent use; the internal parallelism
-// (one goroutine per shard during epochs) is invisible to callers.
+// (one goroutine per shard during epochs, each with its roster workers) is
+// invisible to callers.
 type Router struct {
 	cfg     Config
 	domains []*domain
@@ -202,7 +204,13 @@ func Partition(h, k, s int) (lo, hi int) {
 }
 
 // New validates cfg and returns an empty router.
-func New(cfg Config) (*Router, error) {
+func New(cfg Config) (*Router, error) { return newRouter(cfg, nil) }
+
+// newRouter validates cfg and builds the K domain engines, shard s from
+// states[s] (a nil slice or entry bootstraps an empty shard). Every engine
+// runs engine.DomainWorkers(K) workers: the K domains already solve
+// concurrently, so each races its roster only on the cores left over.
+func newRouter(cfg Config, states []*engine.State) (*Router, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: %d shards (want >= 1)", cfg.Shards)
 	}
@@ -216,18 +224,25 @@ func New(cfg Config) (*Router, error) {
 		headroomBuf: make([]float64, cfg.Shards),
 		orderBuf:    make([]int, 0, cfg.Shards),
 	}
+	workers := engine.DomainWorkers(cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
 		lo, hi := Partition(len(cfg.Nodes), cfg.Shards, s)
-		eng, err := engine.New(engine.Config{
+		ecfg := engine.Config{
 			Nodes:      cfg.Nodes[lo:hi],
 			CPUDim:     cfg.CPUDim,
 			Tol:        cfg.Tol,
 			Placer:     cfg.Placer,
-			Parallel:   cfg.Parallel,
-			Workers:    cfg.Workers,
+			Workers:    workers,
 			UseLPBound: cfg.UseLPBound,
 			Now:        cfg.Now,
-		})
+		}
+		var eng *engine.Engine
+		var err error
+		if states == nil || states[s] == nil {
+			eng, err = engine.New(ecfg)
+		} else {
+			eng, err = engine.Restore(ecfg, states[s])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"vmalloc/internal/core"
@@ -56,42 +55,9 @@ func Restore(cfg Config, states []*engine.State) (*Recovery, error) {
 	if len(states) != cfg.Shards {
 		return nil, fmt.Errorf("shard: restore: %d states for %d shards", len(states), cfg.Shards)
 	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("shard: %d shards (want >= 1)", cfg.Shards)
-	}
-	if cfg.Shards > len(cfg.Nodes) {
-		return nil, fmt.Errorf("shard: %d shards over %d nodes (want <= nodes)", cfg.Shards, len(cfg.Nodes))
-	}
-	r := &Router{
-		cfg:         cfg,
-		byID:        make(map[int]int),
-		moveGen:     make(map[int]uint64),
-		headroomBuf: make([]float64, cfg.Shards),
-		orderBuf:    make([]int, 0, cfg.Shards),
-	}
-	for s := 0; s < cfg.Shards; s++ {
-		lo, hi := Partition(len(cfg.Nodes), cfg.Shards, s)
-		ecfg := engine.Config{
-			Nodes:      cfg.Nodes[lo:hi],
-			CPUDim:     cfg.CPUDim,
-			Tol:        cfg.Tol,
-			Placer:     cfg.Placer,
-			Parallel:   cfg.Parallel,
-			Workers:    cfg.Workers,
-			UseLPBound: cfg.UseLPBound,
-			Now:        cfg.Now,
-		}
-		var eng *engine.Engine
-		var err error
-		if states[s] == nil {
-			eng, err = engine.New(ecfg)
-		} else {
-			eng, err = engine.Restore(ecfg, states[s])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: restore: %w", s, err)
-		}
-		r.domains = append(r.domains, &domain{index: s, offset: lo, eng: eng, lastYield: math.NaN()})
+	r, err := newRouter(cfg, states)
+	if err != nil {
+		return nil, err
 	}
 	return &Recovery{
 		r:       r,

@@ -158,7 +158,7 @@ func naivePackByBins(inst *Instance, items []int, c Config) {
 // SolveNaive runs one strategy inside the yield binary search with the naive
 // packing path.
 func SolveNaive(p *core.Problem, c Config, tol float64) *core.Result {
-	return SearchMaxYield(p, tol, func(y float64) (core.Placement, bool) {
+	return SearchMaxYield(p, SearchOptions{Tol: tol}, func(y float64) (core.Placement, bool) {
 		return PackNaive(p, y, c)
 	})
 }
@@ -168,7 +168,7 @@ func SolveNaive(p *core.Problem, c Config, tol float64) *core.Result {
 // from scratch. It probes exactly the same (yield, strategy) sequence as
 // MetaConfigs, so the two must agree bit-for-bit.
 func MetaConfigsNaive(p *core.Problem, configs []Config, tol float64) *core.Result {
-	return SearchMaxYield(p, tol, func(y float64) (core.Placement, bool) {
+	return SearchMaxYield(p, SearchOptions{Tol: tol}, func(y float64) (core.Placement, bool) {
 		for _, c := range configs {
 			if pl, ok := PackNaive(p, y, c); ok {
 				return pl, true

@@ -33,7 +33,7 @@ func TestRebindMatchesFreshSolver(t *testing.T) {
 			s.Rebind(p)
 		}
 		got := MetaConfigsSolver(s, configs, SearchOptions{Tol: 1e-3})
-		want := MetaConfigsOpt(p.Clone(), configs, SearchOptions{Tol: 1e-3})
+		want := MetaConfigs(p.Clone(), configs, 1e-3)
 		if got.Solved != want.Solved {
 			t.Fatalf("epoch %d (J=%d): solved=%v, fresh solver says %v", epoch, j, got.Solved, want.Solved)
 		}

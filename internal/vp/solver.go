@@ -1,8 +1,6 @@
 package vp
 
 import (
-	"context"
-
 	"vmalloc/internal/core"
 	"vmalloc/internal/sliceutil"
 	"vmalloc/internal/vec"
@@ -209,25 +207,6 @@ func (s *Solver) Rebind(p *core.Problem) {
 	s.haveYield = false // force an instance Reset on the next prepare
 }
 
-// Pack attempts to pack every service at yield y under strategy c. The
-// returned placement is a view into the solver's arena: it is valid only
-// until the next Pack call, and callers that retain it must Clone it.
-func (s *Solver) Pack(y float64, c Config) (core.Placement, bool) {
-	return s.pack(nil, y, c)
-}
-
-// PackCtx is Pack with cooperative cancellation: the packing loops poll
-// ctx.Done() once per placement decision and bail out with a failure as soon
-// as it fires. Meta searches racing sibling strategies use this to stop the
-// losers the moment one strategy packs the step.
-func (s *Solver) PackCtx(ctx context.Context, y float64, c Config) (core.Placement, bool) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	return s.pack(done, y, c)
-}
-
 // prepare brings the arena to yield y: an O(J·D) refresh plus cache
 // invalidation when the yield changed, or a load/placement clear when it
 // did not.
@@ -320,7 +299,10 @@ func (s *Solver) StepFeasible(y float64) bool {
 	return true
 }
 
-func (s *Solver) pack(done <-chan struct{}, y float64, c Config) (core.Placement, bool) {
+// Pack attempts to pack every service at yield y under strategy c. The
+// returned placement is a view into the solver's arena: it is valid only
+// until the next Pack call, and callers that retain it must Clone it.
+func (s *Solver) Pack(y float64, c Config) (core.Placement, bool) {
 	s.stats.Packs++
 	s.prepare(y)
 	s.ensureElemFit()
@@ -329,11 +311,11 @@ func (s *Solver) pack(done <-chan struct{}, y float64, c Config) (core.Placement
 	var ok bool
 	switch c.Alg {
 	case FirstFit:
-		pl, ok = s.packFirstFit(done, items, c)
+		pl, ok = s.packFirstFit(items, c)
 	case BestFit:
-		pl, ok = s.packBestFit(done, items, c)
+		pl, ok = s.packBestFit(items, c)
 	case PermutationPack, ChoosePack:
-		pl, ok = s.packByBins(done, items, c)
+		pl, ok = s.packByBins(items, c)
 	default:
 		panic("vp: unknown algorithm")
 	}
@@ -547,27 +529,11 @@ func (s *Solver) itemRanks() [][]int {
 	return s.itemRank
 }
 
-// canceled reports whether the cancellation channel has fired.
-func canceled(done <-chan struct{}) bool {
-	if done == nil {
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
 // packFirstFit places each item in the first bin (in bin order) that fits.
-func (s *Solver) packFirstFit(done <-chan struct{}, items []int, c Config) (core.Placement, bool) {
+func (s *Solver) packFirstFit(items []int, c Config) (core.Placement, bool) {
 	inst := s.inst
 	bins := s.binOrderPerm(c.BinOrder)
 	for _, j := range items {
-		if canceled(done) {
-			return nil, false
-		}
 		ok := false
 		for _, h := range bins {
 			if s.fits(j, h) {
@@ -586,13 +552,10 @@ func (s *Solver) packFirstFit(done <-chan struct{}, items []int, c Config) (core
 // packBestFit places each item in the fullest feasible bin: greatest load
 // sum in the homogeneous variant, least remaining capacity sum in the
 // heterogeneous variant.
-func (s *Solver) packBestFit(done <-chan struct{}, items []int, c Config) (core.Placement, bool) {
+func (s *Solver) packBestFit(items []int, c Config) (core.Placement, bool) {
 	inst := s.inst
 	numNodes := s.p.NumNodes()
 	for _, j := range items {
-		if canceled(done) {
-			return nil, false
-		}
 		best, found := -1, false
 		var bestScore float64
 		for h := 0; h < numNodes; h++ {
@@ -620,7 +583,7 @@ func (s *Solver) packBestFit(done <-chan struct{}, items []int, c Config) (core.
 // packByBins runs the Permutation-Pack / Choose-Pack loop: for each bin in
 // order, repeatedly select the unplaced fitting item whose dimension
 // permutation best complements the bin, until nothing more fits.
-func (s *Solver) packByBins(done <-chan struct{}, items []int, c Config) (core.Placement, bool) {
+func (s *Solver) packByBins(items []int, c Config) (core.Placement, bool) {
 	inst := s.inst
 	d := s.p.Dim()
 	w := c.Window
@@ -636,9 +599,6 @@ func (s *Solver) packByBins(done <-chan struct{}, items []int, c Config) (core.P
 	live := append(s.live[:0], items...)
 	for _, h := range bins {
 		for {
-			if canceled(done) {
-				return nil, false
-			}
 			// Rank the bin's dimensions: ascending load (homogeneous) or,
 			// equivalently for the heterogeneous variant, descending
 			// remaining capacity.

@@ -111,8 +111,8 @@ func TestBoundedSearchMatchesNaiveReference(t *testing.T) {
 	opts := SearchOptions{Tol: 1e-3, UpperBound: relax.UpperBound}
 	for iter := 0; iter < 25; iter++ {
 		p := randomProblem(rng, 3, 6+iter%6)
-		fast := MetaConfigsOpt(p, configs, opts)
-		naive := SearchMaxYieldOpt(p, opts, func(y float64) (core.Placement, bool) {
+		fast := MetaConfigsSolver(NewSolver(p), configs, opts)
+		naive := SearchMaxYield(p, opts, func(y float64) (core.Placement, bool) {
 			for _, c := range configs {
 				if pl, ok := PackNaive(p, y, c); ok {
 					return pl, true
@@ -139,7 +139,7 @@ func TestBoundedSearchWithinToleranceOfUnbounded(t *testing.T) {
 	for iter := 0; iter < 15; iter++ {
 		p := randomProblem(rng, 3, 7)
 		plain := MetaConfigs(p, configs, tol)
-		bounded := MetaConfigsOpt(p, configs, SearchOptions{Tol: tol, UpperBound: relax.UpperBound})
+		bounded := MetaConfigsSolver(NewSolver(p), configs, SearchOptions{Tol: tol, UpperBound: relax.UpperBound})
 		if plain.Solved != bounded.Solved {
 			t.Fatalf("iter %d: solved mismatch plain=%v bounded=%v", iter, plain.Solved, bounded.Solved)
 		}
@@ -155,7 +155,7 @@ func TestBoundedSearchBoundErrorFallsBack(t *testing.T) {
 	p := simpleProblem()
 	c := Config{Alg: FirstFit}
 	plain := Solve(p, c, 1e-3)
-	bounded := SolveOpt(p, c, SearchOptions{Tol: 1e-3, UpperBound: func(*core.Problem) (float64, error) {
+	bounded := MetaConfigsSolver(NewSolver(p), []Config{c}, SearchOptions{Tol: 1e-3, UpperBound: func(*core.Problem) (float64, error) {
 		return 0, errBound
 	}})
 	if plain.Solved != bounded.Solved || math.Abs(plain.MinYield-bounded.MinYield) > 1e-12 {
@@ -174,7 +174,7 @@ var errBound = boundErr{}
 func TestBoundedSearchNegativeBound(t *testing.T) {
 	p := simpleProblem()
 	probes := 0
-	res := SearchMaxYieldOpt(p, SearchOptions{Tol: 1e-4, UpperBound: func(*core.Problem) (float64, error) {
+	res := SearchMaxYield(p, SearchOptions{Tol: 1e-4, UpperBound: func(*core.Problem) (float64, error) {
 		return -1, nil
 	}}, func(y float64) (core.Placement, bool) {
 		probes++

@@ -307,7 +307,7 @@ func Pack(p *core.Problem, y float64, c Config) (core.Placement, bool) {
 // may return views into reused scratch.
 type TryFunc func(y float64) (core.Placement, bool)
 
-// SearchOptions tunes SearchMaxYieldOpt.
+// SearchOptions tunes SearchMaxYield.
 type SearchOptions struct {
 	// Tol is the binary-search stopping threshold (DefaultTolerance if <= 0).
 	Tol float64
@@ -322,17 +322,11 @@ type SearchOptions struct {
 }
 
 // SearchMaxYield performs the paper's binary search for the largest yield at
-// which try succeeds, with the given tolerance (DefaultTolerance if <= 0).
-// The returned result evaluates the best placement found, so the reported
-// minimum yield can slightly exceed the search's lower bound.
-func SearchMaxYield(p *core.Problem, tol float64, try TryFunc) *core.Result {
-	return SearchMaxYieldOpt(p, SearchOptions{Tol: tol}, try)
-}
-
-// SearchMaxYieldOpt is SearchMaxYield with an optional a-priori upper bound
-// shrinking the initial bracket. With no bound the probe sequence is exactly
-// the classic search: try 1, try 0, then bisect [0, 1].
-func SearchMaxYieldOpt(p *core.Problem, opts SearchOptions, try TryFunc) *core.Result {
+// which try succeeds. With no upper bound the probe sequence is exactly the
+// classic search: try 1, try 0, then bisect [0, 1]. The returned result
+// evaluates the best placement found, so the reported minimum yield can
+// slightly exceed the search's lower bound.
+func SearchMaxYield(p *core.Problem, opts SearchOptions, try TryFunc) *core.Result {
 	tol := opts.Tol
 	if tol <= 0 {
 		tol = DefaultTolerance
@@ -374,14 +368,8 @@ func SearchMaxYieldOpt(p *core.Problem, opts SearchOptions, try TryFunc) *core.R
 
 // Solve runs one packing strategy inside the yield binary search.
 func Solve(p *core.Problem, c Config, tol float64) *core.Result {
-	return SolveOpt(p, c, SearchOptions{Tol: tol})
-}
-
-// SolveOpt runs one packing strategy inside the yield binary search with
-// search options (LP-bound bracketing).
-func SolveOpt(p *core.Problem, c Config, opts SearchOptions) *core.Result {
 	s := NewSolver(p)
-	return SearchMaxYieldOpt(p, opts, func(y float64) (core.Placement, bool) {
+	return SearchMaxYield(p, SearchOptions{Tol: tol}, func(y float64) (core.Placement, bool) {
 		return s.Pack(y, c)
 	})
 }
@@ -410,25 +398,21 @@ func MetaVP(p *core.Problem, tol float64) *core.Result {
 // so the instance refresh at each new yield is a single O(J·D) pass and the
 // sort permutations are computed once per distinct order, not per strategy.
 func MetaConfigs(p *core.Problem, configs []Config, tol float64) *core.Result {
-	return MetaConfigsOpt(p, configs, SearchOptions{Tol: tol})
+	return MetaConfigsSolver(NewSolver(p), configs, SearchOptions{Tol: tol})
 }
 
-// MetaConfigsOpt is MetaConfigs with search options (LP-bound bracketing).
-// Each step first runs the O(J·H·D) StepFeasible necessary-condition check:
-// a step no strategy can win is declared failed without packing at all.
-func MetaConfigsOpt(p *core.Problem, configs []Config, opts SearchOptions) *core.Result {
-	return MetaConfigsSolver(NewSolver(p), configs, opts)
-}
-
-// MetaConfigsSolver is MetaConfigsOpt on a caller-owned Solver. Long-lived
-// callers that re-solve a mutating problem (online engines reallocating
-// every epoch) hold one Solver for the cluster lifetime, Rebind it after
-// editing the service list, and run the meta search here with warm bin-order
-// caches and no per-epoch arena allocation. The strategy sweep is the exact
-// sequential first-success scan of MetaConfigs, so results are identical to
-// a fresh MetaConfigsOpt on the same problem.
+// MetaConfigsSolver is MetaConfigs on a caller-owned Solver with search
+// options (LP-bound bracketing). Long-lived callers that re-solve a mutating
+// problem (online engines reallocating every epoch) hold one Solver for the
+// cluster lifetime, Rebind it after editing the service list, and run the
+// meta search here with warm bin-order caches and no per-epoch arena
+// allocation. Each step first runs the O(J·H·D) StepFeasible
+// necessary-condition check: a step no strategy can win is declared failed
+// without packing at all. The strategy sweep is the exact sequential
+// first-success scan, so results are identical to MetaConfigs on a fresh
+// solver over the same problem.
 func MetaConfigsSolver(s *Solver, configs []Config, opts SearchOptions) *core.Result {
-	return SearchMaxYieldOpt(s.Problem(), opts, func(y float64) (core.Placement, bool) {
+	return SearchMaxYield(s.Problem(), opts, func(y float64) (core.Placement, bool) {
 		if !s.StepFeasible(y) {
 			return nil, false
 		}

@@ -220,7 +220,7 @@ func TestSearchMaxYieldFindsOptimum(t *testing.T) {
 func TestSearchMaxYieldShortCircuitAtOne(t *testing.T) {
 	p := simpleProblem()
 	calls := 0
-	res := SearchMaxYield(p, 1e-4, func(y float64) (core.Placement, bool) {
+	res := SearchMaxYield(p, SearchOptions{Tol: 1e-4}, func(y float64) (core.Placement, bool) {
 		calls++
 		return Pack(p, y, Config{Alg: FirstFit})
 	})

@@ -49,9 +49,6 @@ type Options struct {
 	Attempts int
 	// MaxNodes caps branch-and-bound nodes for EXACT; <= 0 selects 100000.
 	MaxNodes int
-	// Parallel enables the concurrent meta-strategy runner for METAHVP and
-	// METAHVPLIGHT.
-	Parallel bool
 }
 
 func (o *Options) attempts() int {
@@ -86,7 +83,8 @@ func Algorithms() []string {
 // Solve runs the named algorithm on p. A nil opts selects paper defaults.
 // The returned result has Solved=false when the algorithm cannot place all
 // services (this is an outcome, not an error); errors indicate invalid input
-// or solver breakdown.
+// or solver breakdown. Every algorithm runs sequentially, so the same input
+// and options always return the same placement.
 func Solve(name string, p *Problem, opts *Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -109,18 +107,12 @@ func Solve(name string, p *Problem, opts *Options) (*Result, error) {
 		}
 		return relax.RRNZ(p, rel, opts.attempts(), rng), nil
 	case AlgoMetaGreedy:
-		return greedy.MetaGreedy(p, opts != nil && opts.Parallel), nil
+		return greedy.MetaGreedy(p, false), nil
 	case AlgoMetaVP:
 		return vp.MetaVP(p, opts.tol()), nil
 	case AlgoMetaHVP:
-		if opts != nil && opts.Parallel {
-			return hvp.MetaParallel(p, hvp.Strategies(), opts.tol(), 0), nil
-		}
 		return hvp.MetaHVP(p, opts.tol()), nil
 	case AlgoMetaHVPLight:
-		if opts != nil && opts.Parallel {
-			return hvp.MetaParallel(p, hvp.LightStrategies(), opts.tol(), 0), nil
-		}
 		return hvp.MetaHVPLight(p, opts.tol()), nil
 	default:
 		return nil, fmt.Errorf("vmalloc: unknown algorithm %q (known: %v)", name, Algorithms())

@@ -3,7 +3,9 @@ package vmalloc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"vmalloc/internal/engine"
@@ -141,8 +143,20 @@ func (r engineRef) MinYield(policy SchedPolicy) float64 { return r.e.EvaluateMin
 // is the cluster": a K=1 Cluster must follow a fixed-seed
 // mutate/reallocate/repair trajectory bit-identically to a bare
 // engine.Engine over the same nodes — same admissions, same epoch min
-// yields, same final durable state bytes.
+// yields, same final durable state bytes. The bare engine is sequential
+// (zero Workers); the cluster runs engine.DomainWorkers(1) = GOMAXPROCS
+// workers, so replaying the tape at GOMAXPROCS 1 and 4 also makes this the
+// one-worker-vs-many gate on any box.
 func TestShardedK1Equivalence(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			shardedK1Equivalence(t)
+		})
+	}
+}
+
+func shardedK1Equivalence(t *testing.T) {
 	nodes := clusterNodes(12)
 	eng, err := engine.New(engine.Config{Nodes: nodes})
 	if err != nil {

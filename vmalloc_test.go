@@ -98,21 +98,6 @@ func TestGenerateAndSolvePipeline(t *testing.T) {
 	}
 }
 
-func TestParallelOptionMatchesSequentialSuccess(t *testing.T) {
-	p := Generate(Scenario{Hosts: 8, Services: 24, COV: 0.7, Slack: 0.4, Seed: 12})
-	seq, err := Solve(AlgoMetaHVPLight, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Solve(AlgoMetaHVPLight, p, &Options{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Solved != par.Solved {
-		t.Fatalf("solved mismatch: %v vs %v", seq.Solved, par.Solved)
-	}
-}
-
 func TestErrorPipeline(t *testing.T) {
 	trueP := Generate(Scenario{Hosts: 8, Services: 20, COV: 0.5, Slack: 0.5, Seed: 5})
 	est := PerturbCPUNeeds(trueP, 0.05, 99)
