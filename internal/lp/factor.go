@@ -5,7 +5,8 @@
 // per-iteration cost tracks the nonzero structure of the basis instead of
 // the dense m² of an explicit inverse — on the allocation relaxation
 // (a few nonzeros per column) that is the difference between toy-scale and
-// paper-scale LP solves.
+// paper-scale LP solves. Every factor lives in flat arenas that are reused
+// from one factorization (and one solve) to the next.
 
 package lp
 
@@ -16,9 +17,16 @@ import "math"
 const luPivotTol = 1e-10
 
 // refactorEvery bounds the eta file length: after this many post-
-// factorization pivots the basis is refactorized from scratch, keeping both
-// solve cost and accumulated roundoff in check.
+// factorization pivots the basis is refactorized from scratch, keeping
+// accumulated roundoff in check.
 const refactorEvery = 64
+
+// etaFill is the other refactorization trigger: once the eta file holds
+// more than etaFill times the nonzeros of the LU factors, a fresh
+// factorization is cheaper than carrying the file through every FTRAN and
+// BTRAN. On the allocation relaxations an eta vector is about half dense, so
+// this fires well before refactorEvery.
+const etaFill = 4
 
 // basisLU is the factorized basis. Elimination step t processed basis slot
 // ord[t] and pivoted matrix row pivotRow[t]; L carries the elimination
@@ -30,11 +38,16 @@ type basisLU struct {
 	ord      []int // elimination order over basis slots
 	pivotRow []int // pivotRow[t] = matrix row pivoted at step t
 	rowStep  []int // inverse permutation: rowStep[pivotRow[t]] = t
-	lRows    [][]int
-	lVals    [][]float64
-	uRows    [][]int // row indices of earlier pivots, per step
-	uVals    [][]float64
-	uDiag    []float64
+	slotStep []int // inverse of ord: slotStep[ord[t]] = t
+	// The L column of step t is lIdx/lVal[lStart[t]:lStart[t+1]], the U
+	// column uIdx/uVal[uStart[t]:uStart[t+1]] (row indices of earlier
+	// pivots). lSteps lists, in order, the steps whose L column is not
+	// empty: the only ones elimination and the L-solve have to visit.
+	lStart, uStart []int
+	lIdx, uIdx     []int
+	lVal, uVal     []float64
+	uDiag          []float64
+	lSteps         []int
 
 	// Product-form eta file, flattened into one arena: eta k pivots slot
 	// etaSlot[k] with direction entries etaIdx/etaVal[etaStart[k]:
@@ -46,83 +59,111 @@ type basisLU struct {
 	etaIdx   []int
 	etaVal   []float64
 
-	x []float64 // row/slot-space scratch
-	z []float64 // step-space scratch
+	// singular lists the basis slots the last factorize found dependent on
+	// the slots before them; pivoted marks the rows it did pivot.
+	singular []int
+	pivoted  []bool
+
+	x       []float64 // row/slot-space scratch
+	z       []float64 // step-space scratch
+	touched []int     // factorize scratch
+	count   []int     // factorize scratch
 }
 
-func newBasisLU(m int) *basisLU {
-	return &basisLU{
-		m:        m,
-		ord:      make([]int, m),
-		pivotRow: make([]int, m),
-		rowStep:  make([]int, m),
-		lRows:    make([][]int, m),
-		lVals:    make([][]float64, m),
-		uRows:    make([][]int, m),
-		uVals:    make([][]float64, m),
-		uDiag:    make([]float64, m),
-		x:        make([]float64, m),
-		z:        make([]float64, m),
+// grow returns s resliced to length n, reallocating only when its capacity
+// is short. The contents are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
-// nEtas returns the eta-file length since the last factorization.
-func (lu *basisLU) nEtas() int { return len(lu.etaSlot) }
+// reset sizes the factorization for an m-row basis, reusing its arenas.
+func (lu *basisLU) reset(m int) {
+	lu.m = m
+	lu.ord = grow(lu.ord, m)
+	lu.pivotRow = grow(lu.pivotRow, m)
+	lu.rowStep = grow(lu.rowStep, m)
+	lu.slotStep = grow(lu.slotStep, m)
+	lu.lStart = grow(lu.lStart, m+1)
+	lu.uStart = grow(lu.uStart, m+1)
+	lu.uDiag = grow(lu.uDiag, m)
+	lu.pivoted = grow(lu.pivoted, m)
+	lu.count = grow(lu.count, m+2)
+	lu.x = grow(lu.x, m)
+	lu.z = grow(lu.z, m)
+	clear(lu.x)
+}
 
-// factorize rebuilds the LU factors from the given basis columns and clears
-// the eta file. Slots are eliminated sparsest-column-first with partial
-// pivoting by magnitude. It reports false on a numerically singular basis,
-// leaving the factorization unusable.
-func (lu *basisLU) factorize(bcols []*sparseCol) bool {
+// dueForRefactor reports whether the eta file has grown past either
+// refactorization trigger.
+func (lu *basisLU) dueForRefactor() bool {
+	return len(lu.etaSlot) >= refactorEvery || len(lu.etaIdx) > etaFill*(len(lu.lIdx)+len(lu.uIdx)+lu.m)
+}
+
+// factorize rebuilds the LU factors of the basis whose slot i holds column
+// basis[i] and clears the eta file. Slots are eliminated sparsest-column-
+// first with partial pivoting by magnitude. A slot with no usable pivot is
+// dependent on the slots before it: it is recorded in singular, skipped,
+// and factorize reports false, leaving the factors unusable until the
+// caller swaps those slots out and factorizes again.
+func (lu *basisLU) factorize(basis []int, cols *columns) bool {
 	m := lu.m
 	lu.etaSlot = lu.etaSlot[:0]
 	lu.etaStart = append(lu.etaStart[:0], 0)
 	lu.etaPivot = lu.etaPivot[:0]
 	lu.etaIdx = lu.etaIdx[:0]
 	lu.etaVal = lu.etaVal[:0]
+	lu.lIdx, lu.lVal = lu.lIdx[:0], lu.lVal[:0]
+	lu.uIdx, lu.uVal = lu.uIdx[:0], lu.uVal[:0]
+	lu.lSteps = lu.lSteps[:0]
+	lu.singular = lu.singular[:0]
 
 	// Sparsest columns first keeps the slack-heavy part of the basis
-	// fill-free; counting sort by nonzero count.
-	buckets := make([][]int, 0)
-	for slot, c := range bcols {
-		nnz := len(c.rows)
-		for len(buckets) <= nnz {
-			buckets = append(buckets, nil)
-		}
-		buckets[nnz] = append(buckets[nnz], slot)
+	// fill-free; a stable counting sort by nonzero count.
+	count := lu.count
+	clear(count)
+	for _, col := range basis {
+		count[cols.start[col+1]-cols.start[col]+1]++
 	}
-	lu.ord = lu.ord[:0]
-	for _, b := range buckets {
-		lu.ord = append(lu.ord, b...)
+	for k := 1; k < len(count); k++ {
+		count[k] += count[k-1]
+	}
+	for slot, col := range basis {
+		nnz := cols.start[col+1] - cols.start[col]
+		lu.ord[count[nnz]] = slot
+		count[nnz]++
 	}
 
 	x := lu.x
-	for i := range x {
-		x[i] = 0
-	}
-	pivoted := make([]bool, m)
-	touched := make([]int, 0, m)
-
-	for t, slot := range lu.ord {
-		c := bcols[slot]
+	clear(x)
+	pivoted := lu.pivoted
+	clear(pivoted)
+	touched := lu.touched[:0]
+	t := 0
+	lu.lStart[0], lu.uStart[0] = 0, 0
+	for _, slot := range lu.ord {
+		rows, vals := cols.col(basis[slot])
 		touched = touched[:0]
-		for k, r := range c.rows {
-			x[r] = c.vals[k]
+		for k, r := range rows {
+			x[r] = vals[k]
 			touched = append(touched, r)
 		}
-		// Eliminate with the L columns of earlier steps, tracking fill-in.
-		for t2 := 0; t2 < t; t2++ {
+		// Eliminate with the nonempty L columns of earlier steps, tracking
+		// fill-in.
+		for _, t2 := range lu.lSteps {
 			r2 := lu.pivotRow[t2]
 			xr := x[r2]
 			if xr == 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
 				continue
 			}
-			rows, vals := lu.lRows[t2], lu.lVals[t2]
-			for k, i := range rows {
+			for k := lu.lStart[t2]; k < lu.lStart[t2+1]; k++ {
+				i := lu.lIdx[k]
 				if x[i] == 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
 					touched = append(touched, i)
 				}
-				x[i] -= vals[k] * xr
+				x[i] -= lu.lVal[k] * xr
 			}
 		}
 		// Partial pivoting among unpivoted rows.
@@ -138,13 +179,10 @@ func (lu *basisLU) factorize(bcols []*sparseCol) bool {
 			for _, i := range touched {
 				x[i] = 0
 			}
-			return false
+			lu.singular = append(lu.singular, slot)
+			continue
 		}
 		pv := x[piv]
-		var lr []int
-		var lv []float64
-		var ur []int
-		var uv []float64
 		for _, i := range touched {
 			v := x[i]
 			x[i] = 0
@@ -152,21 +190,28 @@ func (lu *basisLU) factorize(bcols []*sparseCol) bool {
 				continue
 			}
 			if pivoted[i] {
-				ur = append(ur, i)
-				uv = append(uv, v)
+				lu.uIdx = append(lu.uIdx, i)
+				lu.uVal = append(lu.uVal, v)
 			} else {
-				lr = append(lr, i)
-				lv = append(lv, v/pv)
+				lu.lIdx = append(lu.lIdx, i)
+				lu.lVal = append(lu.lVal, v/pv)
 			}
 		}
-		lu.lRows[t], lu.lVals[t] = lr, lv
-		lu.uRows[t], lu.uVals[t] = ur, uv
+		if len(lu.lIdx) > lu.lStart[t] {
+			lu.lSteps = append(lu.lSteps, t)
+		}
+		lu.lStart[t+1] = len(lu.lIdx)
+		lu.uStart[t+1] = len(lu.uIdx)
+		lu.ord[t] = slot
+		lu.slotStep[slot] = t
 		lu.uDiag[t] = pv
 		lu.pivotRow[t] = piv
 		lu.rowStep[piv] = t
 		pivoted[piv] = true
+		t++
 	}
-	return true
+	lu.touched = touched
+	return t == m
 }
 
 // appendEta records a post-factorization pivot: the basis column at slot
@@ -187,15 +232,12 @@ func (lu *basisLU) appendEta(slot int, w []float64) {
 	lu.etaStart = append(lu.etaStart, len(lu.etaIdx))
 }
 
-// ftran solves B w = a for the sparse column a, writing the dense result
-// (indexed by basis slot) into dst.
-func (lu *basisLU) ftran(dst []float64, a *sparseCol) {
+// ftran solves B w = a for the sparse column a (row indices and values),
+// writing the dense result (indexed by basis slot) into dst.
+func (lu *basisLU) ftran(dst []float64, rows []int, vals []float64) {
 	x := lu.x
-	for i := range x {
-		x[i] = 0
-	}
-	for k, r := range a.rows {
-		x[r] = a.vals[k]
+	for k, r := range rows {
+		x[r] = vals[k]
 	}
 	lu.solveLU(dst, x)
 	lu.applyEtas(dst)
@@ -216,14 +258,13 @@ func (lu *basisLU) ftranDense(dst, src []float64) {
 func (lu *basisLU) solveLU(dst, x []float64) {
 	m := lu.m
 	// L-solve in row space: after step t, x[pivotRow[t]] is settled.
-	for t := 0; t < m; t++ {
+	for _, t := range lu.lSteps {
 		xr := x[lu.pivotRow[t]]
 		if xr == 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
 			continue
 		}
-		rows, vals := lu.lRows[t], lu.lVals[t]
-		for k, i := range rows {
-			x[i] -= vals[k] * xr
+		for k := lu.lStart[t]; k < lu.lStart[t+1]; k++ {
+			x[lu.lIdx[k]] -= lu.lVal[k] * xr
 		}
 	}
 	// Backward U-solve, scattering contributions back into row space.
@@ -237,9 +278,8 @@ func (lu *basisLU) solveLU(dst, x []float64) {
 		}
 		xt := v / lu.uDiag[t]
 		dst[lu.ord[t]] = xt
-		rows, vals := lu.uRows[t], lu.uVals[t]
-		for k, i := range rows {
-			x[i] -= vals[k] * xt
+		for k := lu.uStart[t]; k < lu.uStart[t+1]; k++ {
+			x[lu.uIdx[k]] -= lu.uVal[k] * xt
 		}
 	}
 }
@@ -283,14 +323,22 @@ func (lu *basisLU) btran(dst, c []float64) {
 		}
 		x[slot] = (x[slot] - s) / lu.etaVal[pivotAt]
 	}
-	// Uᵀ-solve forward in step space.
+	// Uᵀ-solve forward in step space. Steps before the first one whose slot
+	// holds a nonzero solve to zero: a unit row (the pivot row's BTRAN)
+	// skips a prefix of the factors.
 	z := lu.z
-	for t := 0; t < m; t++ {
+	t0 := m
+	for slot, v := range x[:m] {
+		if v != 0 && lu.slotStep[slot] < t0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
+			t0 = lu.slotStep[slot]
+		}
+	}
+	clear(z[:t0])
+	for t := t0; t < m; t++ {
 		s := x[lu.ord[t]]
-		rows, vals := lu.uRows[t], lu.uVals[t]
-		for k, i := range rows {
-			if v := z[lu.rowStep[i]]; v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
-				s -= vals[k] * v
+		for k := lu.uStart[t]; k < lu.uStart[t+1]; k++ {
+			if v := z[lu.rowStep[lu.uIdx[k]]]; v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
+				s -= lu.uVal[k] * v
 			}
 		}
 		z[t] = s / lu.uDiag[t]
@@ -298,12 +346,12 @@ func (lu *basisLU) btran(dst, c []float64) {
 	// Lᵀ-solve backward into row space.
 	for t := m - 1; t >= 0; t-- {
 		s := z[t]
-		rows, vals := lu.lRows[t], lu.lVals[t]
-		for k, i := range rows {
-			if v := dst[i]; v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
-				s -= vals[k] * v
+		for k := lu.lStart[t]; k < lu.lStart[t+1]; k++ {
+			if v := dst[lu.lIdx[k]]; v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
+				s -= lu.lVal[k] * v
 			}
 		}
 		dst[lu.pivotRow[t]] = s
 	}
+	clear(x)
 }

@@ -1,12 +1,14 @@
 package lp
 
 import (
+	"fmt"
 	"math"
+	"sync"
 )
 
 // SolveRevised maximizes the problem with a revised bounded simplex: the
-// constraint matrix is stored column-sparse and only the dense m×m basis
-// inverse is maintained, so memory is O(m² + nnz) instead of the dense
+// constraint matrix is stored column-sparse and the basis is held as sparse
+// LU factors, so memory is O(m² + nnz) at worst instead of the dense
 // tableau's O(m·(n+m)). Results match Solve (both are exact); the revised
 // path wins on the large sparse relaxations produced by internal/relax.
 // It is SolveSparse without a warm basis.
@@ -14,97 +16,125 @@ func SolveRevised(p *Problem) (*Solution, error) {
 	return SolveSparseWarm(p, nil)
 }
 
-// runRevised solves a validated, lower-shifted problem with the revised
-// simplex, warm-starting from warm when it installs cleanly (see
-// installBasis) and cold-starting through phase 1 otherwise.
-func runRevised(p *Problem, warm *Basis) *Solution {
-	rv := newRevised(p)
-	warmed := warm != nil && rv.installBasis(warm)
-	if warm != nil && !warmed {
-		rv = newRevised(p) // a failed install leaves partial state behind
+// Workspace is the sparse revised simplex's state: the sign-normalized
+// columns, their row-wise mirror, the LU factors and eta file, and every
+// per-column and per-row vector a solve needs, in arenas that grow to fit
+// the largest problem solved and are reused by the next solve. A solve on a
+// warmed-up workspace allocates only the Solution it returns. The zero value
+// is ready to use; a Workspace must not be used by two goroutines at once.
+//
+// One-shot solves (SolveSparse, Simplex) borrow a pooled workspace; a caller
+// that solves a sequence of related problems, such as the nodes of a
+// branch-and-bound tree, owns one.
+type Workspace struct {
+	rv revised
+}
+
+var workspacePool = sync.Pool{New: func() any { return new(Workspace) }}
+
+// Solve maximizes p, warm-started from warm when it fits (see
+// SolveSparseWarm). Like SolveSparseTrusted it does not validate p: an
+// invalid problem is a bug in the caller and may panic. The workspace keeps
+// no reference to p or to the returned Solution.
+func (w *Workspace) Solve(p *Problem, warm *Basis) (*Solution, error) {
+	sol := w.rv.solve(p, warm)
+	if sol.Status == IterLimit {
+		return sol, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, sol.Iters)
+	}
+	return sol, nil
+}
+
+// solve runs one solve of p on the workspace. A warm basis that installs
+// (see installBasis) and is primal feasible goes straight to the primal
+// simplex; one that is primal infeasible but dual feasible — a bound change,
+// such as a branch-and-bound child's fixing — is first finished by the dual
+// simplex. Anything else starts cold through phase 1.
+func (rv *revised) solve(p *Problem, warm *Basis) *Solution {
+	rv.load(p)
+	warmed, priced := false, false
+	if warm != nil && rv.installBasis(warm) {
+		rv.setObjective(p.Obj)
+		switch {
+		case rv.primalFeasible():
+			warmed = true
+		case rv.dualFeasible():
+			switch rv.dualSimplex() {
+			case Optimal:
+				// The dual carried the reduced costs across its pivots.
+				warmed, priced = true, true
+			case Infeasible:
+				return rv.result(p, Infeasible, true)
+			}
+		}
 	}
 	if !warmed {
+		rv.coldBasis()
 		if rv.needPhase1() {
 			for i := 0; i < rv.m; i++ {
 				rv.cost[rv.nReal+i] = -1
 			}
+			rv.priceAll()
 			st := rv.iterate()
 			if st == IterLimit {
-				return &Solution{Status: IterLimit, Iters: rv.iters,
-					Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
+				return rv.result(p, IterLimit, false)
 			}
 			if rv.phase1Objective() < -feasTol {
-				return &Solution{Status: Infeasible, Iters: rv.iters,
-					Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
+				return rv.result(p, Infeasible, false)
 			}
 			rv.driveOutArtificials()
 		}
-		for j := rv.nReal; j < rv.n; j++ {
-			rv.banned[j] = true
-			rv.upper[j] = 0
-			rv.cost[j] = 0
-		}
+		rv.banArtificials()
+		rv.setObjective(p.Obj)
 	}
-	for j := 0; j < rv.nStruct; j++ {
-		rv.cost[j] = p.Obj[j]
+	if !priced {
+		rv.priceAll()
 	}
-	for j := rv.nStruct; j < rv.nReal; j++ {
-		rv.cost[j] = 0
-	}
-
-	st := rv.iterate()
-	sol := &Solution{Status: st, Iters: rv.iters, WarmStarted: warmed,
-		Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
-	if st != Optimal {
-		return sol
-	}
-	x := rv.extract()
-	sol.X = x[:rv.nStruct:rv.nStruct]
-	for j, c := range p.Obj {
-		sol.Objective += c * sol.X[j]
-	}
-	y := rv.dualVector()
-	sol.Duals = make([]float64, rv.m)
-	for i := 0; i < rv.m; i++ {
-		sol.Duals[i] = rv.rowSign[i] * y[i]
-	}
-	sol.BoundDuals = make([]float64, rv.nStruct)
-	for j := 0; j < rv.nStruct; j++ {
-		if rv.status[j] == atUpper {
-			if d := rv.reducedCost(j, y); d > 0 {
-				sol.BoundDuals[j] = d
-			}
-		}
-	}
-	sol.Basis = rv.captureBasis()
-	return sol
+	return rv.result(p, rv.iterate(), warmed)
 }
 
-// sparseCol is one column of the equality-form constraint matrix.
-type sparseCol struct {
-	rows []int
-	vals []float64
+// columns is the sign-normalized equality-form matrix in compressed-sparse-
+// column form over reusable arenas: column j's entries sit in rows and vals
+// at start[j]:start[j+1]. Offsets rather than per-column slices keep a
+// reload free of pointer writes.
+type columns struct {
+	start []int
+	rows  []int
+	vals  []float64
+}
+
+// col returns column j's row indices and values.
+func (c *columns) col(j int) (rows []int, vals []float64) {
+	a, b := c.start[j], c.start[j+1]
+	return c.rows[a:b:b], c.vals[a:b:b]
 }
 
 // revised is the revised-simplex state. The basis is represented by a
 // sparse LU factorization plus an eta file (see factor.go), never by an
 // explicit inverse.
 type revised struct {
-	m, n    int
-	nStruct int
-	nReal   int
-	cols    []sparseCol // all n columns, sign-normalized
-	b       []float64   // sign-normalized rhs
-	rowSign []float64
-	lu      *basisLU
-	xB      []float64 // values of basic variables per row
-	basis   []int
-	inBasis []int // column -> row, or -1
-	status  []varStatus
-	upper   []float64
-	cost    []float64 // raw costs of the current phase
-	banned  []bool
-	broken  bool // a refactorization failed; abort with IterLimit
+	m, n     int
+	nStruct  int
+	nReal    int
+	cols     columns   // all n columns: structural, slack, artificial
+	slackOf  []int     // row -> its slack column, or -1 for an EQ row
+	lower    []float64 // the problem's lower bounds, nil when all are zero
+	lowerBuf []float64
+	b        []float64 // sign-normalized, lower-shifted rhs
+	rowSign  []float64
+	lu       basisLU
+	xB       []float64 // values of basic variables per row
+	basis    []int
+	inBasis  []int // column -> row, or -1
+	status   []varStatus
+	upper    []float64 // lower-shifted upper bounds
+	cost     []float64 // raw costs of the current phase
+	banned   []bool
+	// dir is each column's entering direction, kept in step with status,
+	// banned and upper: +1 nonbasic at its lower bound, -1 at its upper
+	// bound, 0 when it cannot enter (basic, banned or fixed at zero).
+	dir      []float64
+	broken   bool // the basis stayed singular after repair; abort with IterLimit
+	repaired bool // a refactorization repaired the basis; feasibility may be lost
 
 	// Work counters surfaced on the Solution for observability.
 	refactors int // LU rebuilds
@@ -121,164 +151,326 @@ type revised struct {
 	rowCol    []int
 	rowVal    []float64
 	alpha     []float64 // scatter scratch for the pivot-row coefficients
+	touched   []int     // columns the last pivot-row scatter reached
+	cand      []int     // dual ratio test scratch: candidate columns
+	ratio     []float64 // and their ratios
 	iters     int
 	maxIter   int
 	scratch   []float64
 	yScratch  []float64
 	cbScratch []float64
+	rhs       []float64 // row-space scratch
+	costSave  []float64 // column-space scratch
 }
 
-func newRevised(p *Problem) *revised {
+// load sizes the workspace for p and builds its sign-normalized columns,
+// bounds and right-hand side, with lower bounds shifted to zero (x = l + x'
+// moves only the right-hand side and the upper bounds). The basis is left
+// for installBasis or coldBasis to set.
+func (rv *revised) load(p *Problem) {
 	m, ns := p.NumRows(), p.NumVars()
+	rv.slackOf = grow(rv.slackOf, m)
 	nSlack := 0
-	slackOf := make([]int, m)
 	for i, s := range p.Sense {
 		if s == EQ {
-			slackOf[i] = -1
+			rv.slackOf[i] = -1
 		} else {
-			slackOf[i] = ns + nSlack
+			rv.slackOf[i] = ns + nSlack
 			nSlack++
 		}
 	}
 	nReal := ns + nSlack
 	n := nReal + m
+	rv.m, rv.n, rv.nStruct, rv.nReal = m, n, ns, nReal
+	rv.iters, rv.refactors, rv.blandActs = 0, 0, 0
+	rv.broken, rv.repaired = false, false
+	rv.maxIter = iterCap(p.MaxIter, m, n)
 
-	rv := &revised{
-		m: m, n: n, nStruct: ns, nReal: nReal,
-		cols:      make([]sparseCol, n),
-		b:         make([]float64, m),
-		rowSign:   make([]float64, m),
-		lu:        newBasisLU(m),
-		xB:        make([]float64, m),
-		basis:     make([]int, m),
-		inBasis:   make([]int, n),
-		status:    make([]varStatus, n),
-		upper:     make([]float64, n),
-		cost:      make([]float64, n),
-		banned:    make([]bool, n),
-		d:         make([]float64, n),
-		alpha:     make([]float64, n),
-		maxIter:   iterCap(p.MaxIter, m, n),
-		scratch:   make([]float64, m),
-		yScratch:  make([]float64, m),
-		cbScratch: make([]float64, m),
-	}
-	for j := range rv.inBasis {
-		rv.inBasis[j] = -1
+	rv.cols.start = grow(rv.cols.start, n+1)
+	rv.inBasis = grow(rv.inBasis, n)
+	rv.status = grow(rv.status, n)
+	rv.upper = grow(rv.upper, n)
+	rv.cost = grow(rv.cost, n)
+	rv.banned = grow(rv.banned, n)
+	rv.dir = grow(rv.dir, n)
+	rv.d = grow(rv.d, n)
+	rv.alpha = grow(rv.alpha, n)
+	clear(rv.alpha)
+	rv.b = grow(rv.b, m)
+	rv.rowSign = grow(rv.rowSign, m)
+	rv.xB = grow(rv.xB, m)
+	rv.basis = grow(rv.basis, m)
+	rv.scratch = grow(rv.scratch, m)
+	rv.yScratch = grow(rv.yScratch, m)
+	rv.cbScratch = grow(rv.cbScratch, m)
+	rv.rhs = grow(rv.rhs, m)
+	rv.costSave = grow(rv.costSave, n)
+	rv.lu.reset(m)
+
+	rv.lower = nil
+	for _, l := range p.Lower {
+		if l != 0 { //vmalloc:nondet-ok structural zero test: only exactly-zero lower bounds skip the shift
+			rv.lower = append(rv.lowerBuf[:0], p.Lower...)
+			rv.lowerBuf = rv.lower
+			break
+		}
 	}
 	for j := 0; j < ns; j++ {
+		u := math.Inf(1)
 		if p.Upper != nil {
-			rv.upper[j] = p.Upper[j]
-		} else {
-			rv.upper[j] = math.Inf(1)
+			u = p.Upper[j]
 		}
+		if rv.lower != nil {
+			u -= rv.lower[j] // Inf stays Inf
+		}
+		rv.upper[j] = u
 	}
 	for j := ns; j < n; j++ {
 		rv.upper[j] = math.Inf(1)
 	}
 
-	// Build sign-normalized sparse columns. CSC input shares its row-index
-	// slices (never mutated); dense rows are scanned column by column.
-	sign := make([]float64, m)
-	for i := 0; i < m; i++ {
-		sign[i] = 1
-		if p.B[i] < 0 {
-			sign[i] = -1
-		}
-		rv.rowSign[i] = sign[i]
-		rv.b[i] = sign[i] * p.B[i]
-	}
-	if p.Cols != nil {
-		csc := p.Cols
-		for j := 0; j < ns; j++ {
-			lo, hi := csc.ColPtr[j], csc.ColPtr[j+1]
-			if lo == hi {
-				continue
-			}
-			rows := csc.RowIdx[lo:hi:hi]
-			vals := make([]float64, hi-lo)
-			for k, r := range rows {
-				vals[k] = sign[r] * csc.Val[lo+k]
-			}
-			rv.cols[j] = sparseCol{rows: rows, vals: vals}
-		}
-	} else {
-		for j := 0; j < ns; j++ {
-			var c sparseCol
-			for i := 0; i < m; i++ {
-				if v := p.A[i][j]; v != 0 { //vmalloc:nondet-ok structural zero test when building sparse columns
-					c.rows = append(c.rows, i)
-					c.vals = append(c.vals, sign[i]*v)
+	// Shift the right-hand side by the lower bounds, column by column.
+	rhs := rv.rhs
+	copy(rhs, p.B)
+	if rv.lower != nil {
+		if p.Cols != nil {
+			c := p.Cols
+			for j := 0; j < ns; j++ {
+				l := rv.lower[j]
+				if l == 0 { //vmalloc:nondet-ok structural zero test: only exactly-zero lower bounds skip the shift
+					continue
+				}
+				for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
+					rhs[c.RowIdx[k]] -= c.Val[k] * l
 				}
 			}
-			rv.cols[j] = c
+		} else {
+			for i, row := range p.A {
+				for j, a := range row {
+					if l := rv.lower[j]; l != 0 && a != 0 { //vmalloc:nondet-ok structural zero tests on stored bound and coefficient; exact by construction
+						rhs[i] -= a * l
+					}
+				}
+			}
 		}
 	}
 	for i := 0; i < m; i++ {
-		if sj := slackOf[i]; sj >= 0 {
+		rv.rowSign[i] = 1
+		if rhs[i] < 0 {
+			rv.rowSign[i] = -1
+		}
+		rv.b[i] = rv.rowSign[i] * rhs[i]
+	}
+
+	// Sign-normalized columns in one arena: structural columns in input
+	// order, then a singleton per slack and per artificial.
+	nnz := nSlack + m
+	if p.Cols != nil {
+		nnz += p.Cols.NNZ()
+	} else {
+		for _, row := range p.A {
+			for _, v := range row {
+				if v != 0 { //vmalloc:nondet-ok structural zero test when building sparse columns
+					nnz++
+				}
+			}
+		}
+	}
+	c := &rv.cols
+	c.rows = grow(c.rows, nnz)
+	c.vals = grow(c.vals, nnz)
+	sign := rv.rowSign
+	at := 0
+	for j := 0; j < ns; j++ {
+		c.start[j] = at
+		if pc := p.Cols; pc != nil {
+			for k := pc.ColPtr[j]; k < pc.ColPtr[j+1]; k++ {
+				r := pc.RowIdx[k]
+				c.rows[at], c.vals[at] = r, sign[r]*pc.Val[k]
+				at++
+			}
+		} else {
+			for i := 0; i < m; i++ {
+				if v := p.A[i][j]; v != 0 { //vmalloc:nondet-ok structural zero test when building sparse columns
+					c.rows[at], c.vals[at] = i, sign[i]*v
+					at++
+				}
+			}
+		}
+	}
+	for i := 0; i < m; i++ {
+		if sj := rv.slackOf[i]; sj >= 0 {
 			v := 1.0
 			if p.Sense[i] == GE {
 				v = -1
 			}
-			rv.cols[sj] = sparseCol{rows: []int{i}, vals: []float64{sign[i] * v}}
+			c.start[sj] = at
+			c.rows[at], c.vals[at] = i, sign[i]*v
+			at++
 		}
-		rv.cols[nReal+i] = sparseCol{rows: []int{i}, vals: []float64{1}}
 	}
-
-	// Initial basis: slack when its coefficient is +1, else artificial.
 	for i := 0; i < m; i++ {
+		c.start[nReal+i] = at
+		c.rows[at], c.vals[at] = i, 1
+		at++
+	}
+	c.start[n] = at
+	rv.buildCSR()
+}
+
+// coldBasis installs the crash basis of a cold start: per row the slack
+// when its coefficient is +1, else the artificial, every other column at
+// its lower bound, all costs zero.
+func (rv *revised) coldBasis() {
+	for j := 0; j < rv.n; j++ {
+		rv.status[j] = atLower
+		rv.inBasis[j] = -1
+		rv.banned[j] = false
+		rv.cost[j] = 0
+		rv.d[j] = 0
+	}
+	for j := rv.nReal; j < rv.n; j++ {
+		rv.upper[j] = math.Inf(1)
+	}
+	for i := 0; i < rv.m; i++ {
 		rv.xB[i] = rv.b[i]
-		col := nReal + i
-		if sj := slackOf[i]; sj >= 0 && rv.cols[sj].vals[0] == 1 { //vmalloc:nondet-ok slack coefficients are exactly 1 by construction
+		col := rv.nReal + i
+		if sj := rv.slackOf[i]; sj >= 0 && rv.cols.vals[rv.cols.start[sj]] == 1 { //vmalloc:nondet-ok slack coefficients are exactly 1 by construction
 			col = sj
-			rv.upper[nReal+i] = 0
+			rv.upper[rv.nReal+i] = 0
 		}
 		rv.basis[i] = col
 		rv.inBasis[col] = i
 		rv.status[col] = basic
 	}
-	// The initial basis is all singleton ±1 columns; factorization is
+	for j := 0; j < rv.n; j++ {
+		rv.setDir(j)
+	}
+	// The crash basis is all singleton ±1 columns; factorization is
 	// trivial and cannot fail.
-	rv.lu.factorize(rv.basisCols())
-	rv.buildCSR()
-	return rv
+	rv.lu.factorize(rv.basis, &rv.cols)
+}
+
+// banArtificials disables the artificial columns for phase 2, as after a
+// completed phase 1: fixed at zero, zero cost, never entering. A basic
+// artificial (a redundant row) stays basic at ~0.
+func (rv *revised) banArtificials() {
+	for j := rv.nReal; j < rv.n; j++ {
+		rv.banned[j] = true
+		rv.upper[j] = 0
+		rv.cost[j] = 0
+		rv.dir[j] = 0
+	}
+}
+
+// setObjective installs the phase-2 costs: the objective on the structural
+// columns, zero on the slacks.
+func (rv *revised) setObjective(obj []float64) {
+	copy(rv.cost, obj)
+	for j := rv.nStruct; j < rv.nReal; j++ {
+		rv.cost[j] = 0
+	}
+}
+
+// setDir recomputes column j's entering direction from its status, ban and
+// upper bound.
+func (rv *revised) setDir(j int) {
+	switch {
+	case rv.status[j] == basic || rv.banned[j] || rv.upper[j] == 0: //vmalloc:nondet-ok upper bound exactly 0 means fixed-at-zero variable; exact by construction
+		rv.dir[j] = 0
+	case rv.status[j] == atLower:
+		rv.dir[j] = 1
+	default:
+		rv.dir[j] = -1
+	}
+}
+
+// result packages the outcome of a solve, translating the lower-shifted
+// solution back to the problem's variables. An optimal Solution costs three
+// allocations: the Solution and its Basis together, X, Duals and BoundDuals
+// in one backing array, and the basis contents.
+func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
+	if st != Optimal {
+		return &Solution{Status: st, Iters: rv.iters, WarmStarted: warmed,
+			Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
+	}
+	out := &struct {
+		sol   Solution
+		basis Basis
+	}{}
+	sol := &out.sol
+	*sol = Solution{Status: st, Iters: rv.iters, WarmStarted: warmed,
+		Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
+	ns, m := rv.nStruct, rv.m
+	vals := make([]float64, 2*ns+m)
+	sol.X = vals[:ns:ns]
+	sol.Duals = vals[ns : ns+m : ns+m]
+	sol.BoundDuals = vals[ns+m:]
+	for j := range sol.X {
+		if rv.status[j] == atUpper {
+			sol.X[j] = rv.upper[j]
+		}
+	}
+	for i, b := range rv.basis {
+		if b >= rv.nStruct {
+			continue
+		}
+		v := rv.xB[i]
+		if v < 0 && v > -feasTol {
+			v = 0
+		}
+		sol.X[b] = v
+	}
+	for j, c := range p.Obj {
+		sol.Objective += c * sol.X[j]
+	}
+	// y and the reduced costs are exact: iterate priced them to confirm
+	// optimality.
+	for i, y := range rv.yScratch[:rv.m] {
+		sol.Duals[i] = rv.rowSign[i] * y
+	}
+	for j := 0; j < rv.nStruct; j++ {
+		if rv.status[j] == atUpper && rv.d[j] > 0 {
+			sol.BoundDuals[j] = rv.d[j]
+		}
+	}
+	rv.captureBasis(&out.basis)
+	sol.Basis = &out.basis
+	if rv.lower != nil {
+		for j := range sol.X {
+			sol.X[j] += rv.lower[j]
+			sol.Objective += p.Obj[j] * rv.lower[j]
+		}
+	}
+	return sol
 }
 
 // buildCSR mirrors the sign-normalized columns row-wise for pricing.
 func (rv *revised) buildCSR() {
-	counts := make([]int, rv.m+1)
-	nnz := 0
-	for j := range rv.cols {
-		for _, r := range rv.cols[j].rows {
-			counts[r+1]++
-			nnz++
-		}
+	nnz := len(rv.cols.rows)
+	rv.rowPtr = grow(rv.rowPtr, rv.m+1)
+	clear(rv.rowPtr)
+	for _, r := range rv.cols.rows {
+		rv.rowPtr[r+1]++
 	}
-	rv.rowPtr = counts
 	for i := 0; i < rv.m; i++ {
 		rv.rowPtr[i+1] += rv.rowPtr[i]
 	}
-	rv.rowCol = make([]int, nnz)
-	rv.rowVal = make([]float64, nnz)
-	next := append([]int(nil), rv.rowPtr[:rv.m]...)
-	for j := range rv.cols {
-		c := &rv.cols[j]
-		for k, r := range c.rows {
+	rv.rowCol = grow(rv.rowCol, nnz)
+	rv.rowVal = grow(rv.rowVal, nnz)
+	// touched is idle outside a pivot: borrow it for the row cursors.
+	next := grow(rv.touched, rv.m)
+	copy(next, rv.rowPtr[:rv.m])
+	for j := 0; j < rv.n; j++ {
+		rows, vals := rv.cols.col(j)
+		for k, r := range rows {
 			at := next[r]
 			next[r]++
 			rv.rowCol[at] = j
-			rv.rowVal[at] = c.vals[k]
+			rv.rowVal[at] = vals[k]
 		}
 	}
-}
-
-// basisCols collects pointers to the current basis columns, slot by slot.
-func (rv *revised) basisCols() []*sparseCol {
-	bc := make([]*sparseCol, rv.m)
-	for i, col := range rv.basis {
-		bc[i] = &rv.cols[col]
-	}
-	return bc
+	rv.touched = next[:0]
 }
 
 func (rv *revised) needPhase1() bool {
@@ -315,9 +507,9 @@ func (rv *revised) dualVector() []float64 {
 // reducedCost computes d_j = c_j - y·A_j.
 func (rv *revised) reducedCost(j int, y []float64) float64 {
 	d := rv.cost[j]
-	c := &rv.cols[j]
-	for k, r := range c.rows {
-		d -= y[r] * c.vals[k]
+	rows, vals := rv.cols.col(j)
+	for k, r := range rows {
+		d -= y[r] * vals[k]
 	}
 	return d
 }
@@ -325,17 +517,27 @@ func (rv *revised) reducedCost(j int, y []float64) float64 {
 // ftran computes w = B^{-1} · A_j into rv.scratch (a sparse FTRAN through
 // the LU factors and eta file).
 func (rv *revised) ftran(j int) []float64 {
-	rv.lu.ftran(rv.scratch, &rv.cols[j])
+	rows, vals := rv.cols.col(j)
+	rv.lu.ftran(rv.scratch, rows, vals)
 	return rv.scratch
 }
 
+// iterate runs primal simplex pivots from the reduced costs in d, which the
+// caller must have priced for the current costs, until optimality,
+// unboundedness or the iteration cap. Optimal is only ever returned right
+// after priceAll confirmed it, so y (in yScratch) and d are then exact.
 func (rv *revised) iterate() Status {
-	rv.priceAll()
 	stall := 0
 	bland := false
 	for ; rv.iters < rv.maxIter; rv.iters++ {
 		if rv.broken {
 			return IterLimit
+		}
+		if rv.repaired {
+			rv.repaired = false
+			if !rv.primalFeasible() && !rv.restoreFeasibility() {
+				return IterLimit
+			}
 		}
 		if rv.iters%256 == 255 {
 			rv.refreshXB() // limit incremental drift
@@ -389,65 +591,72 @@ func (rv *revised) priceAll() {
 	}
 }
 
+// pivotRow computes row r of B^{-1}A: rho = e_rᵀB^{-1} by BTRAN, then
+// alpha = rhoᵀA row-wise through the CSR mirror, touching only the columns
+// of rows where rho is nonzero. The columns reached are listed in touched
+// (a column may repeat); the caller must zero their alpha entries.
+func (rv *revised) pivotRow(r int) {
+	e := rv.cbScratch
+	clear(e)
+	e[r] = 1
+	rho := rv.yScratch
+	rv.lu.btran(rho, e)
+	touched := rv.touched[:0]
+	for i := 0; i < rv.m; i++ {
+		ri := rho[i]
+		if ri == 0 { //vmalloc:nondet-ok structural zero test on a stored eta value
+			continue
+		}
+		for k := rv.rowPtr[i]; k < rv.rowPtr[i+1]; k++ {
+			j := rv.rowCol[k]
+			if rv.alpha[j] == 0 { //vmalloc:nondet-ok structural zero test on a stored pricing value
+				touched = append(touched, j)
+			}
+			rv.alpha[j] += ri * rv.rowVal[k]
+		}
+	}
+	rv.touched = touched
+}
+
 // updateDuals carries the reduced costs across the coming pivot (enter
-// becomes basic in row) using the pivot row of B^{-1}A: rho = e_rowᵀB^{-1}
-// by BTRAN, then alpha = rhoᵀA row-wise through the CSR mirror, touching
-// only the columns of rows where rho is nonzero. Must run before the
+// becomes basic in row) using the pivot row of B^{-1}A. Must run before the
 // pivot's eta is appended.
 func (rv *revised) updateDuals(enter, row int, w []float64) {
 	ratio := rv.d[enter] / w[row]
 	if ratio != 0 { //vmalloc:nondet-ok structural zero test on a stored ratio entry
-		e := rv.cbScratch
-		for i := range e {
-			e[i] = 0
-		}
-		e[row] = 1
-		rho := rv.yScratch
-		rv.lu.btran(rho, e)
-		for i := 0; i < rv.m; i++ {
-			ri := rho[i]
-			if ri == 0 { //vmalloc:nondet-ok structural zero test on a stored eta value
-				continue
-			}
-			for k := rv.rowPtr[i]; k < rv.rowPtr[i+1]; k++ {
-				rv.alpha[rv.rowCol[k]] += ri * rv.rowVal[k]
-			}
-		}
-		for i := 0; i < rv.m; i++ {
-			if rho[i] == 0 { //vmalloc:nondet-ok structural zero test on a stored row value
-				continue
-			}
-			for k := rv.rowPtr[i]; k < rv.rowPtr[i+1]; k++ {
-				j := rv.rowCol[k]
-				if a := rv.alpha[j]; a != 0 { //vmalloc:nondet-ok structural zero test on a stored pricing value
-					rv.d[j] -= ratio * a
-					rv.alpha[j] = 0
-				}
-			}
-		}
+		rv.pivotRow(row)
+		rv.gatherDuals(ratio)
 	}
 	rv.d[enter] = 0
 }
 
+// gatherDuals applies d_j -= ratio·alpha_j over the columns the last
+// pivot-row scatter touched, zeroing alpha behind it.
+func (rv *revised) gatherDuals(ratio float64) {
+	for _, j := range rv.touched {
+		if a := rv.alpha[j]; a != 0 { //vmalloc:nondet-ok structural zero test on a stored pricing value
+			rv.d[j] -= ratio * a
+			rv.alpha[j] = 0
+		}
+	}
+}
+
+// chooseEntering picks the improving column with the largest reduced cost
+// (Dantzig), lowest index on ties, or under Bland's rule the lowest-index
+// improving column; -1 at optimality.
 func (rv *revised) chooseEntering(bland bool) int {
+	d := rv.d[:rv.n]
+	if bland {
+		for j, s := range rv.dir[:rv.n] {
+			if s*d[j] > costTol {
+				return j
+			}
+		}
+		return -1
+	}
 	best, bestScore := -1, costTol
-	for j := 0; j < rv.n; j++ {
-		if rv.status[j] == basic || rv.banned[j] || rv.upper[j] == 0 { //vmalloc:nondet-ok upper bound exactly 0 means fixed-at-zero variable; exact by construction
-			continue
-		}
-		d := rv.d[j]
-		var score float64
-		if rv.status[j] == atLower && d > costTol {
-			score = d
-		} else if rv.status[j] == atUpper && d < -costTol {
-			score = -d
-		} else {
-			continue
-		}
-		if bland {
-			return j
-		}
-		if score > bestScore {
+	for j, s := range rv.dir[:rv.n] {
+		if score := s * d[j]; score > bestScore {
 			best, bestScore = j, score
 		}
 	}
@@ -517,61 +726,309 @@ func (rv *revised) apply(enter int, w []float64, row int, leaveTo varStatus, del
 		} else {
 			rv.status[enter] = atLower
 		}
+		rv.setDir(enter)
 		return
 	}
 	newVal := delta
 	if rv.status[enter] == atUpper {
 		newVal = rv.upper[enter] - delta
 	}
+	rv.swap(row, enter, newVal, leaveTo, w)
+}
+
+// swap makes enter basic in row at value val in place of the column there,
+// which comes to rest at leaveTo, and records the change in the eta file (w
+// is the entering column's FTRAN), refactorizing once the file is due.
+func (rv *revised) swap(row, enter int, val float64, leaveTo varStatus, w []float64) {
 	old := rv.basis[row]
 	rv.status[old] = leaveTo
 	rv.inBasis[old] = -1
-
-	// Record the basis change as an eta; refactorize once the file grows.
+	rv.setDir(old)
 	rv.lu.appendEta(row, w)
-
 	rv.basis[row] = enter
 	rv.inBasis[enter] = row
 	rv.status[enter] = basic
-	rv.xB[row] = newVal
-	if rv.lu.nEtas() >= refactorEvery {
+	rv.dir[enter] = 0
+	rv.xB[row] = val
+	if rv.lu.dueForRefactor() {
 		rv.refactorize()
 	}
 }
 
 // refactorize rebuilds the LU factors from the current basis and resets the
-// incrementally maintained reduced costs against the fresh factors. A
-// failure (numerically singular basis, which pivot-size guarantees should
-// prevent) marks the solver broken so iterate aborts instead of diverging.
+// incrementally maintained reduced costs against the fresh factors. A basis
+// the factorization finds singular is repaired (repairBasis); one that stays
+// singular marks the solver broken so the solve aborts instead of diverging.
 func (rv *revised) refactorize() {
 	rv.refactors++
-	if !rv.lu.factorize(rv.basisCols()) {
+	if !rv.lu.factorize(rv.basis, &rv.cols) && !rv.repairBasis() {
 		rv.broken = true
 		return
 	}
 	rv.priceAll()
 }
 
+// repairBasis swaps every slot the last factorization found dependent for
+// the slack of a row it left without a pivot — the row's artificial when it
+// has none — and factorizes again. The swapped-out columns come to rest at
+// the bound nearer their value and the basic values are recomputed, which
+// can leave them primal infeasible: the pivot loops see rv.repaired and
+// restore feasibility. It reports false if the basis stays singular.
+func (rv *revised) repairBasis() bool {
+	lu := &rv.lu
+	for attempt := 0; attempt < 3; attempt++ {
+		for _, slot := range lu.singular {
+			old := rv.basis[slot]
+			st := atLower
+			if v, u := rv.xB[slot], rv.upper[old]; !math.IsInf(u, 1) && math.Abs(v-u) < math.Abs(v) {
+				st = atUpper
+			}
+			rv.status[old] = st
+			rv.inBasis[old] = -1
+			rv.setDir(old)
+		}
+		row := 0
+		for _, slot := range lu.singular {
+			for lu.pivoted[row] {
+				row++
+			}
+			col := rv.slackOf[row]
+			if col < 0 || rv.status[col] == basic {
+				col = rv.nReal + row
+			}
+			rv.basis[slot] = col
+			rv.inBasis[col] = slot
+			rv.status[col] = basic
+			rv.dir[col] = 0
+			row++
+		}
+		if lu.factorize(rv.basis, &rv.cols) {
+			rv.repaired = true
+			rv.refreshXB()
+			return true
+		}
+	}
+	return false
+}
+
+// primalFeasible reports whether every basic value lies within its bounds
+// up to feasTol and, if so, clamps the roundoff so pivoting starts from
+// clean values.
+func (rv *revised) primalFeasible() bool {
+	for i, col := range rv.basis {
+		if v := rv.xB[i]; v < -feasTol || v > rv.upper[col]+feasTol {
+			return false
+		}
+	}
+	for i, col := range rv.basis {
+		if v := rv.xB[i]; v < 0 {
+			rv.xB[i] = 0
+		} else if v > rv.upper[col] {
+			rv.xB[i] = rv.upper[col]
+		}
+	}
+	return true
+}
+
+// dualFeasible prices every column exactly and reports whether no nonbasic
+// column could improve the objective by more than feasTol per unit: the
+// precondition of the dual simplex.
+func (rv *revised) dualFeasible() bool {
+	rv.priceAll()
+	for j, s := range rv.dir[:rv.n] {
+		if s*rv.d[j] > feasTol {
+			return false
+		}
+	}
+	return true
+}
+
+// dualSimplex runs the bounded dual simplex from a dual feasible basis: each
+// iteration the basic variable furthest outside its bounds leaves to the
+// bound it violates, and the entering column is the one whose reduced cost
+// reaches zero first along the pivot row (a textbook ratio test with Harris'
+// tolerance, preferring the largest pivot among near-ties). It returns
+// Optimal once the basis is primal feasible (the primal simplex then
+// confirms optimality), Infeasible when a violated row provably cannot be
+// repaired within the bounds of its nonbasic columns, and IterLimit when it
+// gives up — a long dual-degenerate stall, a vanishing pivot, a violation it
+// cannot certify — so that the caller starts cold instead.
+func (rv *revised) dualSimplex() Status {
+	stall := 0
+	for ; rv.iters < rv.maxIter; rv.iters++ {
+		if rv.broken {
+			return IterLimit
+		}
+		rv.repaired = false // the dual needs no primal feasibility
+		if rv.iters%256 == 255 {
+			rv.refreshXB()
+		}
+		r, s := rv.chooseLeaving()
+		if r < 0 {
+			rv.primalFeasible()
+			return Optimal
+		}
+		rv.pivotRow(r)
+		q := rv.dualRatioTest(s)
+		if q < 0 {
+			infeasible := rv.rowInfeasible(r, s)
+			rv.clearAlpha()
+			if infeasible {
+				return Infeasible
+			}
+			return IterLimit
+		}
+		w := rv.ftran(q)
+		if math.Abs(w[r]) < pivotTol {
+			rv.clearAlpha()
+			return IterLimit
+		}
+		target, leaveTo := 0.0, atLower
+		if s < 0 {
+			target, leaveTo = rv.upper[rv.basis[r]], atUpper
+		}
+		delta := (rv.xB[r] - target) / (w[r] * rv.dir[q])
+		if delta < 0 {
+			delta = 0
+		}
+		theta := rv.d[q] / w[r]
+		rv.gatherDuals(theta)
+		rv.clearAlpha()
+		rv.d[q] = 0
+		rv.apply(q, w, r, leaveTo, delta)
+		if theta != 0 { //vmalloc:nondet-ok structural zero test: an exactly-zero dual step is a degenerate pivot
+			stall = 0
+		} else if stall++; stall > 2*(rv.m+10) {
+			return IterLimit
+		}
+	}
+	return IterLimit
+}
+
+// chooseLeaving returns the row whose basic value lies furthest outside its
+// bounds (lowest row on ties), with s = +1 when it must rise to its lower
+// bound and -1 when it must fall to its upper bound; row -1 when every
+// basic value is within feasTol.
+func (rv *revised) chooseLeaving() (row int, s float64) {
+	row, worst := -1, feasTol
+	for i, col := range rv.basis {
+		v := rv.xB[i]
+		if -v > worst {
+			row, worst, s = i, -v, 1
+		} else if e := v - rv.upper[col]; e > worst {
+			row, worst, s = i, e, -1
+		}
+	}
+	return row, s
+}
+
+// dualRatioTest picks the entering column for the pivot row in alpha, whose
+// basic variable must move in direction s. A nonbasic column is a candidate
+// when moving it away from its bound moves the leaving variable that way;
+// its ratio is its dual slack over |alpha|. Harris' two passes: the
+// smallest ratio with the slacks relaxed by costTol bounds the step, and
+// the largest |alpha| within that bound enters (lowest index on ties).
+func (rv *revised) dualRatioTest(s float64) int {
+	cand, ratio := rv.cand[:0], rv.ratio[:0]
+	bound := math.Inf(1)
+	for _, j := range rv.touched {
+		a := rv.alpha[j] * rv.dir[j] * s
+		if a >= -pivotTol {
+			continue
+		}
+		slack := -rv.dir[j] * rv.d[j]
+		if slack < 0 {
+			slack = 0
+		}
+		if r := (slack + costTol) / -a; r < bound {
+			bound = r
+		}
+		cand, ratio = append(cand, j), append(ratio, slack/-a)
+	}
+	rv.cand, rv.ratio = cand, ratio
+	q, best := -1, 0.0
+	for k, j := range cand {
+		if ratio[k] > bound {
+			continue
+		}
+		if a := math.Abs(rv.alpha[j]); a > best || (a == best && j < q) { //vmalloc:nondet-ok exact tie on a stored pivot magnitude, broken by index
+			q, best = j, a
+		}
+	}
+	return q
+}
+
+// rowInfeasible certifies that row r's basic variable cannot reach the
+// bound it violates (in direction s) however the nonbasic columns move
+// within their bounds: its violation exceeds, by more than feasTol, the
+// most the pivot row in alpha lets them repair. An entry below pivotTol —
+// roundoff of a zero, which no pivot would use — counts only through a
+// finite bound.
+func (rv *revised) rowInfeasible(r int, s float64) bool {
+	gap := -rv.xB[r]
+	if s < 0 {
+		gap = rv.xB[r] - rv.upper[rv.basis[r]]
+	}
+	room := 0.0
+	for _, j := range rv.touched {
+		a := rv.alpha[j] * s
+		if math.Abs(a) < pivotTol && math.IsInf(rv.upper[j], 1) {
+			continue
+		}
+		switch {
+		case rv.status[j] == atLower && a < 0:
+			room -= a * rv.upper[j]
+		case rv.status[j] == atUpper && a > 0:
+			room += a * rv.upper[j]
+		}
+	}
+	return gap-room > feasTol
+}
+
+// clearAlpha zeroes the pivot-row scatter left by pivotRow.
+func (rv *revised) clearAlpha() {
+	for _, j := range rv.touched {
+		rv.alpha[j] = 0
+	}
+}
+
+// restoreFeasibility makes a primal infeasible basis — a repaired one —
+// feasible again without leaving it: the costs of nonbasic columns whose
+// reduced costs have the wrong sign are shifted to zero them, which makes
+// the basis dual feasible, the dual simplex runs to primal feasibility, and
+// the true costs come back. It reports whether feasibility was restored.
+func (rv *revised) restoreFeasibility() bool {
+	copy(rv.costSave, rv.cost)
+	rv.priceAll()
+	for j, s := range rv.dir[:rv.n] {
+		if s*rv.d[j] > 0 {
+			rv.cost[j] -= rv.d[j]
+			rv.d[j] = 0
+		}
+	}
+	st := rv.dualSimplex()
+	copy(rv.cost, rv.costSave)
+	rv.priceAll()
+	return st == Optimal
+}
+
+// driveOutArtificials pivots each basic artificial (at value ~0 after a
+// feasible phase 1) out in favour of the lowest-index real nonbasic column
+// with a nonzero entry in its row of B^{-1}A; a row with none is redundant
+// and keeps its artificial.
 func (rv *revised) driveOutArtificials() {
 	for i := 0; i < rv.m; i++ {
 		if rv.basis[i] < rv.nReal {
 			continue
 		}
-		// Find a real nonbasic column with a nonzero entry in row i of
-		// B^{-1}A.
+		rv.pivotRow(i)
 		piv := -1
-		var wPiv []float64
-		for j := 0; j < rv.nReal; j++ {
-			if rv.status[j] == basic {
-				continue
-			}
-			w := rv.ftran(j)
-			if math.Abs(w[i]) > 1e-7 {
+		for _, j := range rv.touched {
+			if j < rv.nReal && rv.status[j] != basic && math.Abs(rv.alpha[j]) > 1e-7 && (piv < 0 || j < piv) {
 				piv = j
-				wPiv = append([]float64(nil), w...)
-				break
 			}
 		}
+		rv.clearAlpha()
 		if piv < 0 {
 			continue // redundant row: artificial stays basic at ~0
 		}
@@ -580,31 +1037,21 @@ func (rv *revised) driveOutArtificials() {
 		if rv.status[piv] == atUpper {
 			val = rv.upper[piv]
 		}
-		old := rv.basis[i]
-		rv.status[old] = atLower
-		rv.inBasis[old] = -1
-		rv.lu.appendEta(i, wPiv)
-		rv.basis[i] = piv
-		rv.inBasis[piv] = i
-		rv.status[piv] = basic
-		rv.xB[i] = val
-		if rv.lu.nEtas() >= refactorEvery {
-			rv.refactorize()
-		}
+		rv.swap(i, piv, val, atLower, rv.ftran(piv))
 	}
 }
 
 // refreshXB recomputes the basic values from scratch:
 // x_B = B^{-1}·(b − Σ_{j at upper} A_j·u_j), countering incremental drift.
 func (rv *revised) refreshXB() {
-	r := make([]float64, rv.m)
+	r := rv.rhs
 	copy(r, rv.b)
 	for j := 0; j < rv.n; j++ {
 		if rv.status[j] == atUpper && rv.upper[j] != 0 { //vmalloc:nondet-ok structural zero test on a stored bound
-			c := &rv.cols[j]
+			rows, vals := rv.cols.col(j)
 			u := rv.upper[j]
-			for k, row := range c.rows {
-				r[row] -= c.vals[k] * u
+			for k, row := range rows {
+				r[row] -= vals[k] * u
 			}
 		}
 	}
@@ -616,21 +1063,4 @@ func (rv *revised) refreshXB() {
 		}
 		rv.xB[i] = s
 	}
-}
-
-func (rv *revised) extract() []float64 {
-	x := make([]float64, rv.n)
-	for j := 0; j < rv.n; j++ {
-		if rv.status[j] == atUpper {
-			x[j] = rv.upper[j]
-		}
-	}
-	for i, b := range rv.basis {
-		v := rv.xB[i]
-		if v < 0 && v > -feasTol {
-			v = 0
-		}
-		x[b] = v
-	}
-	return x
 }

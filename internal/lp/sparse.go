@@ -148,10 +148,17 @@ func (b *SparseBuilder) Build(numRows int) *CSC {
 // objective, right-hand side and bounds may differ.
 type Basis struct {
 	m, nStruct, nReal int
-	cols              []int
-	status            []varStatus
-	attached          any
+	// data holds, in one allocation, the column basic in each of the m rows
+	// followed by the varStatus of each of the nReal real columns.
+	data     []int32
+	attached any
 }
+
+// cols returns the column basic in each row.
+func (b *Basis) cols() []int32 { return b.data[:b.m] }
+
+// status returns the varStatus of each real column.
+func (b *Basis) status() []int32 { return b.data[b.m:] }
 
 // WithAttachment returns a copy of the basis (sharing its immutable
 // contents) that carries v, an opaque value of the backend that handed the
@@ -216,9 +223,12 @@ func (b *Basis) Dims() (m, numStruct, numReal int) {
 // is the resting status of every real column j < numReal. Both slices are
 // fresh copies.
 func (b *Basis) Export() (basicByRow []int, nonbasic []BasisVarStatus) {
-	basicByRow = append([]int(nil), b.cols...)
-	nonbasic = make([]BasisVarStatus, len(b.status))
-	for j, st := range b.status {
+	basicByRow = make([]int, b.m)
+	for i, col := range b.cols() {
+		basicByRow[i] = int(col)
+	}
+	nonbasic = make([]BasisVarStatus, b.nReal)
+	for j, st := range b.status() {
 		nonbasic[j] = BasisVarStatus(st)
 	}
 	return basicByRow, nonbasic
@@ -246,15 +256,12 @@ func NewBasis(senses []Sense, numStruct int, basicByRow []int, nonbasic []BasisV
 	if len(nonbasic) != nReal {
 		return nil, fmt.Errorf("lp: NewBasis: %d statuses for %d real columns", len(nonbasic), nReal)
 	}
-	b := &Basis{
-		m: m, nStruct: numStruct, nReal: nReal,
-		cols:   append([]int(nil), basicByRow...),
-		status: make([]varStatus, nReal),
-	}
+	b := &Basis{m: m, nStruct: numStruct, nReal: nReal, data: make([]int32, m+nReal)}
+	status := b.status()
 	for j, st := range nonbasic {
 		switch st {
 		case BasisAtLower, BasisAtUpper, BasisBasic:
-			b.status[j] = varStatus(st)
+			status[j] = int32(st)
 		default:
 			return nil, fmt.Errorf("lp: NewBasis: invalid status %d for column %d", st, j)
 		}
@@ -265,38 +272,42 @@ func NewBasis(senses []Sense, numStruct int, basicByRow []int, nonbasic []BasisV
 			return nil, fmt.Errorf("lp: NewBasis: invalid or duplicate basic column %d in row %d", col, i)
 		}
 		seen[col] = true
+		b.cols()[i] = int32(col)
 		if col < nReal {
-			b.status[col] = basic
+			status[col] = int32(basic)
 		}
 	}
 	return b, nil
 }
 
-// captureBasis snapshots the solver's current basis.
-func (rv *revised) captureBasis() *Basis {
-	return &Basis{
-		m: rv.m, nStruct: rv.nStruct, nReal: rv.nReal,
-		cols:   append([]int(nil), rv.basis...),
-		status: append([]varStatus(nil), rv.status[:rv.nReal]...),
+// captureBasis snapshots the solver's current basis into b.
+func (rv *revised) captureBasis(b *Basis) {
+	*b = Basis{m: rv.m, nStruct: rv.nStruct, nReal: rv.nReal, data: make([]int32, rv.m+rv.nReal)}
+	for i, col := range rv.basis {
+		b.data[i] = int32(col)
+	}
+	for j, st := range rv.status[:rv.nReal] {
+		b.data[rv.m+j] = int32(st)
 	}
 }
 
 // installBasis seeds the solver from a previously captured basis: nonbasic
-// statuses are clamped to the new bounds, the basis matrix is refactorized
-// from scratch, and the implied basic values are checked for primal
-// feasibility. It reports false — leaving the solver in an undefined state,
-// so callers must rebuild it — when the basis does not fit the problem
-// shape, is singular, or is primal infeasible under the new bounds.
+// statuses are clamped to the new bounds, artificials are banned as after a
+// completed phase 1, the basis matrix is refactorized from scratch and the
+// implied basic values are computed; whether they are feasible is the
+// caller's question. It reports false — leaving the state for coldBasis to
+// overwrite — when the basis does not fit the problem shape or is singular.
 func (rv *revised) installBasis(wb *Basis) bool {
 	if wb == nil || wb.m != rv.m || wb.nStruct != rv.nStruct || wb.nReal != rv.nReal {
 		return false
 	}
-	for j := 0; j < rv.nReal; j++ {
-		st := wb.status[j]
+	for j, ws := range wb.status() {
+		st := varStatus(ws)
 		if st == basic || (st == atUpper && math.IsInf(rv.upper[j], 1)) {
 			st = atLower
 		}
 		rv.status[j] = st
+		rv.banned[j] = false
 	}
 	// Artificials are disabled exactly as after a completed phase 1; a
 	// basic artificial (redundant row) is allowed but must sit at ~0.
@@ -306,35 +317,25 @@ func (rv *revised) installBasis(wb *Basis) bool {
 		rv.upper[j] = 0
 		rv.cost[j] = 0
 	}
-	for j := range rv.inBasis {
+	for j := range rv.inBasis[:rv.n] {
 		rv.inBasis[j] = -1
 	}
-	seen := make([]bool, rv.n)
-	for i, col := range wb.cols {
-		if col < 0 || col >= rv.n || seen[col] {
+	for i, c := range wb.cols() {
+		col := int(c)
+		if col < 0 || col >= rv.n || rv.inBasis[col] >= 0 {
 			return false
 		}
-		seen[col] = true
 		rv.basis[i] = col
 		rv.inBasis[col] = i
 		rv.status[col] = basic
 	}
-	if !rv.lu.factorize(rv.basisCols()) {
+	for j := 0; j < rv.n; j++ {
+		rv.setDir(j)
+	}
+	if !rv.lu.factorize(rv.basis, &rv.cols) {
 		return false
 	}
 	rv.refreshXB()
-	for i, col := range rv.basis {
-		v := rv.xB[i]
-		if v < -feasTol || v > rv.upper[col]+feasTol {
-			return false
-		}
-		// Clamp roundoff so the ratio test starts from clean values.
-		if v < 0 {
-			rv.xB[i] = 0
-		} else if v > rv.upper[col] {
-			rv.xB[i] = rv.upper[col]
-		}
-	}
 	return true
 }
 
@@ -349,10 +350,12 @@ func SolveSparse(p *Problem) (*Solution, error) {
 
 // SolveSparseWarm is SolveSparse warm-started from the basis of a previous
 // solve of a same-shaped problem (bounds, objective and right-hand side may
-// differ). When the basis still fits and remains primal feasible the two
-// simplex phases collapse into a refactorization plus the few pivots the
-// perturbation requires; otherwise the solver falls back to a cold start, so
-// a stale or mismatched basis costs only the failed feasibility check.
+// differ). When the basis still fits, the two simplex phases collapse into a
+// refactorization plus the few pivots the perturbation requires: primal
+// simplex pivots when the basis is still primal feasible, dual simplex
+// pivots first when only the bounds or right-hand side moved (the basis is
+// then still dual feasible). A basis that fits neither way, or that is
+// singular or mismatched, costs only the failed checks before a cold start.
 //
 // When the iteration cap (Problem.MaxIter, or the automatic cap) is hit the
 // returned error wraps ErrIterLimit and the Solution — still returned —
@@ -369,11 +372,7 @@ func SolveSparseWarm(p *Problem, warm *Basis) (*Solution, error) {
 // presolving backend's reduced models). An invalid problem here is a bug in
 // the caller and may panic.
 func SolveSparseTrusted(p *Problem, warm *Basis) (*Solution, error) {
-	q, lower := p.shiftLower()
-	sol := runRevised(q, warm)
-	unshiftSolution(sol, p.Obj, lower)
-	if sol.Status == IterLimit {
-		return sol, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, sol.Iters)
-	}
-	return sol, nil
+	w := workspacePool.Get().(*Workspace)
+	defer workspacePool.Put(w)
+	return w.Solve(p, warm)
 }

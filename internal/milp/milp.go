@@ -4,16 +4,22 @@
 // instances of the paper's MILP (Eqs. 1–7), used both as a correctness oracle
 // for the heuristics and to reproduce the §3.2 claim that the rational
 // relaxation upper-bounds the mixed solution.
+//
+// A node's relaxation is the root LP with its branched binaries fixed by
+// bounds alone, so every node has the root's shape: the whole tree runs on
+// one simplex workspace, and each node starts from its parent's optimal
+// basis, which a bound change leaves dual feasible — the dual simplex
+// finishes it in a few pivots instead of a cold two-phase solve.
 package milp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"vmalloc/internal/heapx"
 	"vmalloc/internal/lp"
-	"vmalloc/internal/presolve"
 )
 
 // Problem is an LP plus a set of variables restricted to {0, 1}.
@@ -60,6 +66,11 @@ type Solution struct {
 	Bound float64
 	// Nodes is the number of branch-and-bound nodes solved.
 	Nodes int
+	// WarmStarts counts the node solves that started from their parent's
+	// basis instead of a cold start (every node but the root, unless a
+	// basis stopped fitting); LPIters is the simplex pivots over all nodes.
+	WarmStarts int
+	LPIters    int
 	// Pruned is the number of open nodes discarded because their bound
 	// could not beat the incumbent (before or after their relaxation
 	// solved).
@@ -77,27 +88,16 @@ type Options struct {
 	// Gap is the relative optimality gap at which search stops early
 	// (0 = prove exact optimality).
 	Gap float64
-	// DisableWarmStart turns off basis reuse between parent and child
-	// nodes. Child relaxations differ from their parent only in variable
-	// bounds, so by default each node is solved warm-started from its
-	// parent's optimal basis (the solver falls back to a cold start when
-	// the stale basis no longer fits).
-	DisableWarmStart bool
-	// DisablePresolve turns off per-node presolve. By default every node
-	// LP is reduced before the simplex runs: branched binaries are fixed
-	// purely by bound shrinking, so presolve's fixed-column and forcing-row
-	// rules cascade (a placement fixed to 1 zeroes its siblings, which
-	// empties their linked rows) and child nodes presolve smaller every
-	// level down the tree. Integrality marks let presolve prune nodes whose
-	// reductions force a binary to a fractional value.
-	DisablePresolve bool
 }
 
+// node is an open subproblem: its parent's, with one more binary fixed.
 type node struct {
-	fix0, fix1 []int
-	bound      float64
+	parent *node // nil at the root
+	branch int   // the binary this node fixes
+	fixTo1 bool  // fixed to 1 (through Lower and Upper) rather than 0
+	bound  float64
 	// warm is the optimal basis of the parent relaxation, shared by both
-	// children; nil at the root or when warm starts are disabled.
+	// children and dropped once the node is solved; nil at the root.
 	warm *lp.Basis
 }
 
@@ -109,8 +109,8 @@ func newNodeQueue() *heapx.Heap[*node] {
 
 // Solve runs best-first branch and bound. The relaxation at each node is the
 // LP with branched binaries fixed purely via bound changes (Upper = 0 for a
-// 0-fix, Lower = Upper = 1 for a 1-fix), so every node shares the base
-// constraint matrix and can be warm-started from its parent's basis.
+// 0-fix, Lower = Upper = 1 for a 1-fix), solved on one workspace from the
+// parent's basis.
 func Solve(p *Problem, opts *Options) (*Solution, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -132,21 +132,18 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 		}
 	}
 
-	// Fixing binaries via bound changes keeps every node's LP the same
-	// shape, which is what makes parent bases reusable; sparsify the matrix
-	// once so node solves share one CSC instead of copying rows.
+	// Sparsify the matrix once so node solves share one CSC instead of
+	// copying rows.
 	base := p.LP
 	if base.Cols == nil {
 		base = *base.Sparsify()
 	}
-	var solver lp.Backend = lp.Simplex{}
-	if !opts.DisablePresolve {
-		integral := make([]bool, base.NumVars())
-		for _, j := range p.Binary {
-			integral[j] = true
-		}
-		solver = presolve.Backend{Opts: &presolve.Options{Integral: integral}}
-	}
+	rs := treePool.Get().(*relaxations)
+	rs.reset(&base)
+	defer func() {
+		rs.reset(nil)
+		treePool.Put(rs)
+	}()
 
 	sol := &Solution{Status: NodeLimit, Objective: math.Inf(-1), Bound: math.Inf(1)}
 	q := newNodeQueue()
@@ -169,7 +166,8 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 			sol.Bound = nd.bound
 			return sol, nil
 		}
-		rel, err := solveRelaxation(solver, &base, nd)
+		rel, err := rs.solve(nd)
+		nd.warm = nil
 		sol.Nodes++
 		if err != nil {
 			if errors.Is(err, lp.ErrIterLimit) {
@@ -177,6 +175,10 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 			}
 			return nil, err
 		}
+		if rel.WarmStarted {
+			sol.WarmStarts++
+		}
+		sol.LPIters += rel.Iters
 		switch rel.Status {
 		case lp.Infeasible:
 			continue
@@ -192,19 +194,13 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 			// Integral: new incumbent.
 			if rel.Objective > sol.Objective {
 				sol.Objective = rel.Objective
-				sol.X = append([]float64(nil), rel.X...)
+				sol.X = rel.X
 				sol.HasIncumbent = true
 			}
 			continue
 		}
-		var warm *lp.Basis
-		if !opts.DisableWarmStart {
-			warm = rel.Basis
-		}
-		lo := &node{fix0: append(append([]int(nil), nd.fix0...), branch), fix1: nd.fix1, bound: rel.Objective, warm: warm}
-		hi := &node{fix0: nd.fix0, fix1: append(append([]int(nil), nd.fix1...), branch), bound: rel.Objective, warm: warm}
-		q.Push(lo)
-		q.Push(hi)
+		q.Push(&node{parent: nd, branch: branch, bound: rel.Objective, warm: rel.Basis})
+		q.Push(&node{parent: nd, branch: branch, fixTo1: true, bound: rel.Objective, warm: rel.Basis})
 	}
 
 	if sol.HasIncumbent {
@@ -216,46 +212,76 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 	return sol, nil
 }
 
-// solveRelaxation solves the node LP through the configured backend: the
-// base problem with branched binaries fixed purely through bound changes (0
-// via Upper, 1 via Lower+Upper), so every node shares the base constraint
-// matrix — and, through the parent's warm token, the presolving backend's
-// one prepared copy of it: a child re-reduces only because its bounds moved.
-// The bound fixings happen before reduction, so each level's fixings shrink
-// the child's reduced model further; the parent's basis then only installs
-// when parent and child reduce to the same shape, and costs a cheap cold
-// fallback otherwise. Bound slices are copied only when the node fixes
-// something through them, so fixings never leak across nodes.
-func solveRelaxation(solver lp.Backend, base *lp.Problem, nd *node) (*lp.Solution, error) {
-	q := *base
-	if len(nd.fix0)+len(nd.fix1) > 0 {
-		q.Upper = make([]float64, base.NumVars())
-		if base.Upper != nil {
-			copy(q.Upper, base.Upper)
-		} else {
-			for j := range q.Upper {
-				q.Upper[j] = math.Inf(1)
-			}
-		}
-		for _, j := range nd.fix0 {
-			q.Upper[j] = 0
+// relaxations solves node LPs for one tree: the base problem with a node's
+// fixings applied to bound slices reused from node to node, on one simplex
+// workspace.
+type relaxations struct {
+	base         *lp.Problem
+	ws           lp.Workspace
+	upper, lower []float64
+}
+
+// treePool recycles relaxations across trees, so the workspace's arenas and
+// the bound slices are sized once per goroutine rather than once per tree.
+var treePool = sync.Pool{New: func() any { return new(relaxations) }}
+
+// reset points rs at the base problem of a new tree (nil when the tree is
+// done, so the pool holds no reference to it) and sizes the bound slices.
+func (rs *relaxations) reset(base *lp.Problem) {
+	rs.base = base
+	if base == nil {
+		return
+	}
+	if n := base.NumVars(); cap(rs.upper) < n {
+		rs.upper, rs.lower = make([]float64, n), make([]float64, n)
+	} else {
+		rs.upper, rs.lower = rs.upper[:n], rs.lower[:n]
+	}
+}
+
+// solve solves nd's relaxation warm from its parent's basis. The base
+// bounds are copied only when the node fixes something, and Lower only when
+// it fixes a binary to 1.
+func (rs *relaxations) solve(nd *node) (*lp.Solution, error) {
+	q := *rs.base
+	if nd.parent == nil {
+		return rs.ws.Solve(&q, nd.warm)
+	}
+	if q.Upper != nil {
+		copy(rs.upper, q.Upper)
+	} else {
+		for j := range rs.upper {
+			rs.upper[j] = math.Inf(1)
 		}
 	}
-	if len(nd.fix1) > 0 {
-		q.Lower = make([]float64, base.NumVars())
-		if base.Lower != nil {
-			copy(q.Lower, base.Lower)
+	fixes1 := false
+	for a := nd; a.parent != nil; a = a.parent {
+		if !a.fixTo1 {
+			rs.upper[a.branch] = 0
+		} else if !fixes1 {
+			fixes1 = true
+			if q.Lower != nil {
+				copy(rs.lower, q.Lower)
+			} else {
+				clear(rs.lower)
+			}
 		}
-		for _, j := range nd.fix1 {
-			if q.Upper[j] < 1 {
+	}
+	q.Upper = rs.upper
+	if fixes1 {
+		for a := nd; a.parent != nil; a = a.parent {
+			if !a.fixTo1 {
+				continue
+			}
+			if rs.upper[a.branch] < 1 {
 				// The variable cannot reach 1: the node is infeasible.
 				return &lp.Solution{Status: lp.Infeasible}, nil
 			}
-			q.Lower[j] = 1
-			q.Upper[j] = 1
+			rs.lower[a.branch], rs.upper[a.branch] = 1, 1
 		}
+		q.Lower = rs.lower
 	}
-	return solver.SolveWarm(&q, nd.warm)
+	return rs.ws.Solve(&q, nd.warm)
 }
 
 // pickBranchVar returns the most fractional binary variable, or -1 if all
