@@ -199,42 +199,36 @@ func TestLPRosterPresolveSpeedup(t *testing.T) {
 // presolveBenchInputs returns the two shapes the presolve goldens pin: a
 // paper-scale 8x64 relaxation, the reduction every relaxation solve pays
 // for, and a 3x8 branch-and-bound node (two placements branched to 0, one to
-// 1, integrality marks on).
-func presolveBenchInputs() (relaxed, child *lp.Problem, childOpts *presolve.Options) {
+// 1).
+func presolveBenchInputs() (relaxed, child *lp.Problem) {
 	relaxed = relax.Encode(workload.Generate(lpPaperGrid()[2])).LP
 
 	enc := relax.Encode(workload.Generate(workload.Scenario{Hosts: 3, Services: 8, COV: 0.5, Slack: 0.5, Seed: 1}))
 	q := *enc.LP
 	q.Upper = append([]float64(nil), enc.LP.Upper...)
 	q.Lower = make([]float64, q.NumVars())
-	integral := make([]bool, q.NumVars())
-	for j := 0; j < enc.J; j++ {
-		for h := 0; h < enc.H; h++ {
-			integral[enc.EVar(j, h)] = true
-		}
-	}
 	q.Upper[enc.EVar(0, 0)], q.Upper[enc.EVar(1, 2)] = 0, 0
 	q.Lower[enc.EVar(2, 1)] = 1
-	return relaxed, &q, &presolve.Options{Integral: integral}
+	return relaxed, &q
 }
 
 // BenchmarkPresolveReduce times the reducer alone on the two production
 // shapes; run with -benchmem, B/op and allocs/op are what is left after the
 // pooled scratch: the Reduction itself and the reduced model.
 func BenchmarkPresolveReduce(b *testing.B) {
-	relaxed, child, childOpts := presolveBenchInputs()
-	run := func(p *lp.Problem, opts *presolve.Options) func(*testing.B) {
+	relaxed, child := presolveBenchInputs()
+	run := func(p *lp.Problem) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := presolve.Reduce(p, opts); err != nil {
+				if _, err := presolve.Reduce(p, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
-	b.Run("relax8x64", run(relaxed, nil))
-	b.Run("milpchild3x8", run(child, childOpts))
+	b.Run("relax8x64", run(relaxed))
+	b.Run("milpchild3x8", run(child))
 }
 
 // TestPresolveReduceAllocs gates the allocation count of a warmed-up Reduce:
@@ -245,18 +239,17 @@ func TestPresolveReduceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	relaxed, child, childOpts := presolveBenchInputs()
+	relaxed, child := presolveBenchInputs()
 	for _, tc := range []struct {
 		name string
 		p    *lp.Problem
-		opts *presolve.Options
 		max  float64
 	}{
-		{"relax8x64", relaxed, nil, 32},
-		{"milpchild3x8", child, childOpts, 32},
+		{"relax8x64", relaxed, 32},
+		{"milpchild3x8", child, 32},
 	} {
 		reduce := func() {
-			if _, err := presolve.Reduce(tc.p, tc.opts); err != nil {
+			if _, err := presolve.Reduce(tc.p, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -273,7 +266,7 @@ func TestPresolveReduceAllocs(t *testing.T) {
 // placement MILP, whose branch and bound runs every node on one workspace.
 func simplexBenchInputs(tb testing.TB) (reduced *lp.Problem, exact *milp.Problem) {
 	tb.Helper()
-	relaxed, _, _ := presolveBenchInputs()
+	relaxed, _ := presolveBenchInputs()
 	red, err := presolve.Reduce(relaxed, nil)
 	if err != nil || red.Outcome() != presolve.Reduced {
 		tb.Fatalf("reduce: %v (outcome %v)", err, red.Outcome())

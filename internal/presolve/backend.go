@@ -1,17 +1,16 @@
 // Backend wraps any lp.Backend with the reduction pipeline, making
-// presolve+solve+postsolve a drop-in solver for relax, hvp's LPBOUND
-// bracket, and exp.LPRoster. The warm token it hands out is the REDUCED
+// presolve+solve+postsolve a drop-in solver for relax (LPBOUND, RRND, RRNZ
+// and the engine's bound bracket). The warm token it hands out is the REDUCED
 // model's basis with the Reduction it belongs to attached. A re-solve of an
-// element-for-element equal problem — the RRND-then-RRNZ roster pattern —
-// finds its reduction on the token, skips Reduce and installs the basis
-// directly; a re-solve that shares only the constraint matrix (every
-// branch-and-bound child) reuses the token's prepared matrix and reduces the
-// rest afresh; anything else reduces from scratch. The comparison is against
-// the reducer's own copy of the earlier problem, so editing a problem in
-// place between solves can never revive a stale reduction. A basis that does
-// not fit the new reduced model fails the install shape check inside the
-// inner solver and costs only a cold start. Use Reduce/Postsolve directly
-// when the full-space basis is needed instead.
+// element-for-element equal problem — the bound-then-RRND-then-RRNZ pattern
+// internal/relax replays from its table of recent tokens — finds its
+// reduction on the token, skips Reduce and installs the basis directly;
+// anything else reduces from scratch. The comparison is against the
+// reducer's own copy of the earlier problem, so editing a problem in place
+// between solves can never revive a stale reduction. A basis that does not
+// fit the new reduced model fails the install shape check inside the inner
+// solver and costs only a cold start. Use Reduce/Postsolve directly when the
+// full-space basis is needed instead.
 
 package presolve
 

@@ -7,13 +7,10 @@ import "vmalloc/internal/lp"
 func (r *Reduction) RecordCount() int { return len(r.records) }
 
 // Reuse runs the backend's reduction step for a solve of p under opts that
-// was handed token, and reports what it took off the token: the whole
-// reduction (nothing ran), or only the prepared matrix.
-func Reuse(token *lp.Basis, p *lp.Problem, opts *Options) (reduction, matrix bool) {
+// was handed token, and reports whether it took the whole reduction off the
+// token (nothing ran).
+func Reuse(token *lp.Basis, p *lp.Problem, opts *Options) bool {
 	prev, _ := token.Attachment().(*Reduction)
 	red, err := reduce(p, opts, prev)
-	if err != nil || prev == nil {
-		return false, false
-	}
-	return red == prev, red.src.mat == prev.src.mat
+	return err == nil && prev != nil && red == prev
 }

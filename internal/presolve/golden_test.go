@@ -36,20 +36,13 @@ func paperRelaxation(seed int64) *lp.Problem {
 
 // milpNode is a 3x8 branch-and-bound node LP: the relaxation of seeded park
 // number seed with one to four seeded placement fixings applied the way
-// internal/milp applies them (0 through Upper, 1 through Lower and Upper),
-// plus the integrality marks of the placement columns.
-func milpNode(seed int64) (*lp.Problem, *presolve.Options) {
+// internal/milp applies them (0 through Upper, 1 through Lower and Upper).
+func milpNode(seed int64) *lp.Problem {
 	scn := workload.Scenario{Hosts: 3, Services: 8, COV: 0.5, Slack: 0.5, Seed: seed}
 	enc := relax.Encode(workload.Generate(scn))
 	q := *enc.LP
 	q.Upper = append([]float64(nil), enc.LP.Upper...)
 	q.Lower = make([]float64, q.NumVars())
-	integral := make([]bool, q.NumVars())
-	for j := 0; j < enc.J; j++ {
-		for h := 0; h < enc.H; h++ {
-			integral[enc.EVar(j, h)] = true
-		}
-	}
 	rng := rand.New(rand.NewSource(seed))
 	for k := 1 + rng.Intn(4); k > 0; k-- {
 		v := enc.EVar(rng.Intn(enc.J), rng.Intn(enc.H))
@@ -60,16 +53,16 @@ func milpNode(seed int64) (*lp.Problem, *presolve.Options) {
 			q.Upper[v] = 0
 		}
 	}
-	return &q, &presolve.Options{Integral: integral}
+	return &q
 }
 
 // fingerprint condenses a reduction into one line: outcome, every counter,
 // the length of the postsolve stack, and a hash of the reduced model's
 // canonical MPS text (shortest round-trip floats, so equal hashes mean equal
 // bits in every coefficient, bound and right-hand side, in the same order).
-func fingerprint(t *testing.T, name string, p *lp.Problem, opts *presolve.Options) string {
+func fingerprint(t *testing.T, name string, p *lp.Problem) string {
 	t.Helper()
-	red, err := presolve.Reduce(p, opts)
+	red, err := presolve.Reduce(p, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -86,8 +79,10 @@ func fingerprint(t *testing.T, name string, p *lp.Problem, opts *presolve.Option
 
 // TestGoldenReductions pins "same reductions, same order": the fingerprints
 // in testdata/reductions.golden were captured from the row-copying reducer
-// this kernel replaced, over the netlib corpus, 100 paper-scale relaxations
-// and 100 branch-and-bound nodes, and must be reproduced byte for byte.
+// this kernel replaced, over the netlib corpus and 100 paper-scale
+// relaxations, plus 100 branch-and-bound nodes recaptured when the
+// integrality option went (no caller presolves nodes any more), and must be
+// reproduced byte for byte.
 func TestGoldenReductions(t *testing.T) {
 	var lines []string
 	files, err := filepath.Glob(filepath.Join("..", "lp", "testdata", "netlib", "*.mps"))
@@ -105,12 +100,11 @@ func TestGoldenReductions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		lines = append(lines, fingerprint(t, "netlib/"+filepath.Base(path), p, nil))
+		lines = append(lines, fingerprint(t, "netlib/"+filepath.Base(path), p))
 	}
 	for seed := int64(1); seed <= goldenParks; seed++ {
-		lines = append(lines, fingerprint(t, fmt.Sprintf("relax8x64/%d", seed), paperRelaxation(seed), nil))
-		p, opts := milpNode(seed)
-		lines = append(lines, fingerprint(t, fmt.Sprintf("node3x8/%d", seed), p, opts))
+		lines = append(lines, fingerprint(t, fmt.Sprintf("relax8x64/%d", seed), paperRelaxation(seed)))
+		lines = append(lines, fingerprint(t, fmt.Sprintf("node3x8/%d", seed), milpNode(seed)))
 	}
 	got := strings.Join(lines, "\n") + "\n"
 

@@ -12,11 +12,7 @@
 // force the two-phase simplex into a long artificial-elimination phase 1.
 // Equality substitution of Eq. 3 plus the >=-to-<= normalization performed
 // at emit leave a reduced model whose initial slack basis is feasible, so
-// warm-started re-solves (RRND/RRNZ rosters, branch-and-bound children)
-// skip phase 1 entirely. In branch and bound the bound fixings applied by
-// internal/milp cascade: a branched e_jh = 1 forces the sibling placements
-// to 0, which empties the linked y-rows, which fixes their columns, so
-// child nodes presolve smaller every level down the tree.
+// a cold solve of the reduced model skips phase 1 entirely.
 package presolve
 
 import (
@@ -28,12 +24,6 @@ import (
 
 // Options tunes a reduction.
 type Options struct {
-	// Integral marks variables that must take integer values in the
-	// surrounding MILP (len = NumVars, or nil for a pure LP). Presolve
-	// rounds their bounds inward and detects fractional forced values as
-	// infeasibility, which is what lets branch-and-bound nodes die in
-	// presolve instead of in the simplex.
-	Integral []bool
 	// MaxPasses caps the outer reduce-to-fixpoint loop (0 = default 10).
 	MaxPasses int
 	// DisableSubst turns off equality substitution (singleton-column and
@@ -128,7 +118,7 @@ type source struct {
 	obj, b  []float64
 	l, u    []float64
 	sense   []lp.Sense
-	opts    Options // Integral copied
+	opts    Options
 	maxIter int
 }
 
@@ -155,9 +145,6 @@ func newSource(mat *matrix, p *lp.Problem, opts *Options) *source {
 		for j := range s.u {
 			s.u[j] = math.Inf(1)
 		}
-	}
-	if opts.Integral != nil {
-		s.opts.Integral = append([]bool(nil), opts.Integral...)
 	}
 	return s
 }
@@ -188,14 +175,8 @@ func sameBits(a, b []float64, def float64) bool {
 // compared equal matches the snapshot in everything else a reduction reads:
 // objective, right-hand sides, senses, bounds, iteration cap and options.
 func (s *source) sameData(p *lp.Problem, opts *Options) bool {
-	if p.MaxIter != s.maxIter || opts.MaxPasses != s.opts.MaxPasses || opts.DisableSubst != s.opts.DisableSubst ||
-		len(opts.Integral) != len(s.opts.Integral) || (opts.Integral == nil) != (s.opts.Integral == nil) {
+	if p.MaxIter != s.maxIter || *opts != s.opts {
 		return false
-	}
-	for j, v := range opts.Integral {
-		if v != s.opts.Integral[j] {
-			return false
-		}
 	}
 	for i, v := range p.Sense {
 		if v != s.sense[i] {
@@ -254,7 +235,6 @@ const (
 	forceTol    = 1e-12 // forcing-row activity margin
 	propEps     = 1e-7  // minimum bound improvement worth recording
 	dropCoefTol = 1e-12 // coefficients this small after cancellation vanish
-	intRound    = 1e-9  // integrality rounding margin
 )
 
 // substitution limits: a pivot may appear in at most maxPivotRows other
@@ -271,10 +251,9 @@ func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 	return reduce(p, opts, nil)
 }
 
-// reduce is Reduce with a previous reduction to draw on. When p and opts
+// reduce is Reduce with a previous reduction to draw on: when p and opts
 // equal, element for element, what prev was reduced from, prev itself is
-// the answer and nothing runs; when only the constraint matrix does, prev's
-// prepared matrix is shared and the rest reduces afresh. Either way the
+// the answer and nothing runs; anything else reduces afresh. Either way the
 // result is what Reduce(p, opts) alone would return.
 func reduce(p *lp.Problem, opts *Options, prev *Reduction) (*Reduction, error) {
 	if err := p.Validate(); err != nil {
@@ -283,23 +262,14 @@ func reduce(p *lp.Problem, opts *Options, prev *Reduction) (*Reduction, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	if opts.Integral != nil && len(opts.Integral) != p.NumVars() {
-		return nil, fmt.Errorf("presolve: |Integral|=%d, want %d", len(opts.Integral), p.NumVars())
-	}
 	sp := p.Sparsify()
 	ps := reducerPool.Get().(*reducer)
 	defer reducerPool.Put(ps)
 
-	var mat *matrix
-	if prev != nil && prev.src.mat.equals(sp.Cols, &ps.cursor) {
-		if prev.src.sameData(sp, opts) {
-			return prev, nil
-		}
-		mat = prev.src.mat
-	} else {
-		mat = newMatrix(sp.Cols, &ps.cursor)
+	if prev != nil && prev.src.mat.equals(sp.Cols, &ps.cursor) && prev.src.sameData(sp, opts) {
+		return prev, nil
 	}
-	src := newSource(mat, sp, opts)
+	src := newSource(newMatrix(sp.Cols, &ps.cursor), sp, opts)
 	ps.load(src)
 	ps.run()
 
@@ -405,14 +375,6 @@ func (ps *reducer) aliveCols() int {
 
 // run iterates every rule to a fixpoint (or the pass cap).
 func (ps *reducer) run() {
-	// Integral bounds round inward once up front; later tightenings
-	// re-round as they land.
-	for j := 0; j < ps.n; j++ {
-		ps.roundIntegral(j)
-		if ps.infeasible {
-			return
-		}
-	}
 	maxPasses := ps.opts.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = 10
@@ -676,8 +638,7 @@ func (ps *reducer) propagate(i int, minAct, maxAct float64) bool {
 	return changed
 }
 
-// tighten intersects [lo,hi] into column j's bounds, rounding integral
-// columns inward.
+// tighten intersects [lo,hi] into column j's bounds.
 func (ps *reducer) tighten(j int, lo, hi float64) {
 	if lo > ps.l[j] {
 		ps.l[j] = lo
@@ -687,26 +648,6 @@ func (ps *reducer) tighten(j int, lo, hi float64) {
 	if hi < ps.u[j] {
 		ps.u[j] = hi
 		ps.stats.BoundsTightened++
-		ps.touchCol(j)
-	}
-	ps.roundIntegral(j)
-	if ps.l[j] > ps.u[j]+feasTol {
-		ps.infeasible = true
-	}
-}
-
-// roundIntegral rounds an integral column's bounds inward; a fractional
-// forced value turns into an empty domain, caught by the caller.
-func (ps *reducer) roundIntegral(j int) {
-	if j >= len(ps.opts.Integral) || !ps.opts.Integral[j] {
-		return // synthetic slacks (j >= len) are continuous by construction
-	}
-	if l := math.Ceil(ps.l[j] - intRound); l > ps.l[j] {
-		ps.l[j] = l
-		ps.touchCol(j)
-	}
-	if u := math.Floor(ps.u[j] + intRound); u < ps.u[j] {
-		ps.u[j] = u
 		ps.touchCol(j)
 	}
 	if ps.l[j] > ps.u[j]+feasTol {

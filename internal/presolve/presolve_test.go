@@ -298,33 +298,6 @@ func TestUnboundedDetection(t *testing.T) {
 	}
 }
 
-// TestIntegralFractionalFix checks a reduction that forces an integral
-// variable to a fractional value prunes the node as infeasible.
-func TestIntegralFractionalFix(t *testing.T) {
-	p := &lp.Problem{
-		Obj:   []float64{1},
-		A:     [][]float64{{2}},
-		Sense: []lp.Sense{lp.EQ},
-		B:     []float64{1}, // x = 0.5
-		Upper: []float64{1},
-	}
-	red, err := presolve.Reduce(p, &presolve.Options{Integral: []bool{true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red.Outcome() != presolve.Infeasible {
-		t.Fatalf("outcome %v, want Infeasible (fractional forced binary)", red.Outcome())
-	}
-	// Without the mark the same model is feasible.
-	red, err = presolve.Reduce(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red.Outcome() == presolve.Infeasible {
-		t.Fatal("continuous relaxation wrongly infeasible")
-	}
-}
-
 // TestPostsolveSlackOfMorphedEquality is the smallest model found (by
 // differential fuzzing of the reducer) on which an equality row morphs into
 // an inequality through substitution and then loses a doubleton: its
@@ -457,16 +430,12 @@ func TestEquivalenceRandomParks(t *testing.T) {
 
 // presolvedBnB is a test-side reference branch and bound that reduces every
 // node afresh: depth first, each node's LP (binaries fixed through Lower =
-// Upper) solved cold through presolve.Backend with the binaries marked
-// integral, branching on the first fractional binary.
+// Upper) solved cold through presolve.Backend, branching on the first
+// fractional binary.
 func presolvedBnB(t *testing.T, p *milp.Problem) (best float64, found bool) {
 	t.Helper()
 	n := p.LP.NumVars()
-	integral := make([]bool, n)
-	for _, j := range p.Binary {
-		integral[j] = true
-	}
-	be := presolve.Backend{Opts: &presolve.Options{Integral: integral}}
+	be := presolve.Backend{}
 	var visit func(lower, upper []float64)
 	visit = func(lower, upper []float64) {
 		q := p.LP
@@ -494,10 +463,9 @@ func presolvedBnB(t *testing.T, p *milp.Problem) (best float64, found bool) {
 	return best, found
 }
 
-// TestEquivalenceUnderMILP proves presolve with integrality marks is exact
-// under branch and bound: a search that presolves every node reaches the
-// optimum of milp.Solve, which runs its tree unreduced, warm from node to
-// node.
+// TestEquivalenceUnderMILP proves presolve is exact under branch and bound:
+// a search that presolves every node's bound-fixed LP reaches the optimum of
+// milp.Solve, which runs its tree unreduced, warm from node to node.
 func TestEquivalenceUnderMILP(t *testing.T) {
 	count := 0
 	for _, hosts := range []int{2, 3} {

@@ -76,8 +76,8 @@ func sameSolution(t *testing.T, what string, got, want *lp.Solution) {
 // TestTokenReuseOnlyForEqualProblems pins when the warm token's reduction
 // stands in for a fresh Reduce: for an element-for-element equal problem
 // (however it was rebuilt), and for nothing else — one bound, one right-hand
-// side, one coefficient, one sense or the integrality marks apart, the solve
-// reduces afresh and answers exactly what a tokenless solve answers.
+// side, one coefficient, one sense or one option apart, the solve reduces
+// afresh and answers exactly what a tokenless solve answers.
 func TestTokenReuseOnlyForEqualProblems(t *testing.T) {
 	p, clone := reuseInstance()
 	b := presolve.Backend{}
@@ -88,33 +88,26 @@ func TestTokenReuseOnlyForEqualProblems(t *testing.T) {
 	token := cold.Basis
 	agg := aggregateRow(t, p)
 
-	if red, _ := presolve.Reuse(token, clone(), nil); !red {
+	if !presolve.Reuse(token, clone(), nil) {
 		t.Fatal("an equal problem rebuilt from scratch did not reuse the token's reduction")
 	}
 
-	integral := make([]bool, p.NumVars())
-	integral[0] = true
 	for _, tc := range []struct {
-		name       string
-		edit       func(q *lp.Problem)
-		opts       *presolve.Options
-		sameMatrix bool
+		name string
+		edit func(q *lp.Problem)
+		opts *presolve.Options
 	}{
-		{"one bound", func(q *lp.Problem) { q.Upper[3] = 0.5 }, nil, true},
-		{"one rhs", func(q *lp.Problem) { q.B[agg] *= 0.75 }, nil, true},
-		{"one coefficient", func(q *lp.Problem) { q.Cols.Val[5] *= 1.5 }, nil, false},
-		{"one sense", func(q *lp.Problem) { q.Sense[agg] = lp.EQ }, nil, true},
-		{"integral marks", func(q *lp.Problem) {}, &presolve.Options{Integral: integral}, true},
-		{"lower bounds appear", func(q *lp.Problem) { q.Lower = make([]float64, q.NumVars()); q.Lower[3] = 0.25 }, nil, true},
+		{"one bound", func(q *lp.Problem) { q.Upper[3] = 0.5 }, nil},
+		{"one rhs", func(q *lp.Problem) { q.B[agg] *= 0.75 }, nil},
+		{"one coefficient", func(q *lp.Problem) { q.Cols.Val[5] *= 1.5 }, nil},
+		{"one sense", func(q *lp.Problem) { q.Sense[agg] = lp.EQ }, nil},
+		{"one option", func(q *lp.Problem) {}, &presolve.Options{MaxPasses: 1}},
+		{"lower bounds appear", func(q *lp.Problem) { q.Lower = make([]float64, q.NumVars()); q.Lower[3] = 0.25 }, nil},
 	} {
 		q := clone()
 		tc.edit(q)
-		red, mat := presolve.Reuse(token, q, tc.opts)
-		if red {
+		if presolve.Reuse(token, q, tc.opts) {
 			t.Fatalf("%s: the stale reduction was reused", tc.name)
-		}
-		if mat != tc.sameMatrix {
-			t.Fatalf("%s: prepared matrix shared = %v, want %v", tc.name, mat, tc.sameMatrix)
 		}
 		be := presolve.Backend{Opts: tc.opts}
 		fresh, err := be.Solve(q)
@@ -140,11 +133,11 @@ func TestTokenReuseOnlyForEqualProblems(t *testing.T) {
 	// either: the token compares against the reducer's own copy.
 	saved := p.B[agg]
 	p.B[agg] *= 0.75
-	if red, _ := presolve.Reuse(token, p, nil); red {
+	if presolve.Reuse(token, p, nil) {
 		t.Fatal("an in-place edit of the solved problem reused the stale reduction")
 	}
 	p.B[agg] = saved
-	if red, _ := presolve.Reuse(token, p, nil); !red {
+	if !presolve.Reuse(token, p, nil) {
 		t.Fatal("undoing the edit did not restore reuse")
 	}
 }
@@ -161,7 +154,7 @@ func TestTokenStillWarmStartsWithoutReuse(t *testing.T) {
 	}
 	q := clone()
 	q.B[aggregateRow(t, p)] *= 0.99
-	if red, _ := presolve.Reuse(cold.Basis, q, nil); red {
+	if presolve.Reuse(cold.Basis, q, nil) {
 		t.Fatal("a different right-hand side reused the reduction")
 	}
 	warm, err := b.SolveWarm(q, cold.Basis)
@@ -187,7 +180,7 @@ func TestReusedSolveIdenticalToFresh(t *testing.T) {
 		if cold.Status != lp.Optimal {
 			continue
 		}
-		if red, _ := presolve.Reuse(cold.Basis, paperRelaxation(seed), nil); !red {
+		if !presolve.Reuse(cold.Basis, paperRelaxation(seed), nil) {
 			t.Fatalf("seed %d: re-encoded relaxation did not reuse the reduction", seed)
 		}
 		reused, err := b.SolveWarm(paperRelaxation(seed), cold.Basis)
@@ -209,9 +202,9 @@ func TestReusedSolveIdenticalToFresh(t *testing.T) {
 }
 
 // TestTokenSharedAcrossGoroutines hammers one token from many goroutines on
-// both reuse paths — equal problem (reduction reused) and moved bound
-// (prepared matrix reused) — the way exp.Runner's parallel workers would;
-// run under -race it is the proof the attachment is read-only.
+// both paths — equal problem (reduction reused) and moved bound (reduced
+// afresh, basis still installed) — the way exp.Runner's parallel workers
+// would; run under -race it is the proof the attachment is read-only.
 func TestTokenSharedAcrossGoroutines(t *testing.T) {
 	p, clone := reuseInstance()
 	b := presolve.Backend{}
