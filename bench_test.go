@@ -65,13 +65,35 @@ func lpPaperGrid() []workload.Scenario {
 }
 
 // BenchmarkTable1LPRounding regenerates the RRND/RRNZ rows of Table 1 at the
-// paper-scale LP tier. The roster shares a warm-start cache: RRNZ re-solves
-// each relaxation from the basis RRND left behind.
+// paper-scale LP tier. RRNZ re-solves each relaxation warm from the basis
+// RRND's solve of the same instance left in relax's token table.
 func BenchmarkTable1LPRounding(b *testing.B) {
 	scns := lpPaperGrid()
 	for i := 0; i < b.N; i++ {
 		rs := (&exp.Runner{}).Run(scns, exp.LPRoster(1))
 		_ = rs.Table1([]string{exp.NameRRND, exp.NameRRNZ})
+	}
+}
+
+// BenchmarkRelaxRepeat times one instance of the LP tier the way solve-lp
+// runs it: the bound, RRND and RRNZ, three relaxation solves of one 8x64
+// problem. Each iteration generates a fresh problem outside the timer, so the
+// bound solves cold and both rounding entries re-solve warm from its basis
+// through relax's token table. Run with -benchmem.
+func BenchmarkRelaxRepeat(b *testing.B) {
+	scns := lpPaperGrid()
+	roster := exp.LPRoster(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := workload.Generate(scns[i%len(scns)])
+		b.StartTimer()
+		if _, err := RelaxedUpperBound(p); err != nil {
+			b.Fatal(err)
+		}
+		for _, a := range roster {
+			_ = a.Run(p)
+		}
 	}
 }
 

@@ -1,17 +1,17 @@
 // Package exp is the experiment harness: it runs the paper's algorithm
 // roster over generated instance sweeps in parallel, computes the pairwise
 // comparison metrics of §5, and renders the tables and figure series of
-// §5–§6.
+// §5–§6. A sweep's outcomes do not depend on its worker count: the LP
+// entries of one instance share its relaxation through relax's table of
+// recent warm tokens, and a hit there returns a cold solve's bits.
 package exp
 
 import (
 	"math/rand"
-	"sync"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/greedy"
 	"vmalloc/internal/hvp"
-	"vmalloc/internal/lp"
 	"vmalloc/internal/relax"
 	"vmalloc/internal/vp"
 )
@@ -87,55 +87,14 @@ func RRNZAlgo(seed int64) Algo {
 	}}
 }
 
-// basisCache hands the optimal simplex basis of one algorithm's relaxation
-// solve to the next algorithm running on the same instance. Entries are
-// removed when taken, so the cache stays bounded by the number of in-flight
-// instances.
-type basisCache struct {
-	mu    sync.Mutex
-	basis map[*core.Problem]*lp.Basis
-}
-
-func (c *basisCache) put(p *core.Problem, b *lp.Basis) {
-	if b == nil {
-		return
-	}
-	c.mu.Lock()
-	c.basis[p] = b
-	c.mu.Unlock()
-}
-
-func (c *basisCache) take(p *core.Problem) *lp.Basis {
-	c.mu.Lock()
-	b := c.basis[p]
-	delete(c.basis, p)
-	c.mu.Unlock()
-	return b
-}
-
-// LPRoster returns the RRND and RRNZ roster entries sharing a warm-start
-// cache: both round the same rational relaxation, so the RRNZ entry
-// re-solves each instance warm-started from the basis RRND left behind and
-// reconverges in a refactorization instead of two full simplex phases. This
-// is the roster the paper-scale LP tier runs.
+// LPRoster returns the RRND and RRNZ roster entries, the roster the
+// paper-scale LP tier runs. Both round the same rational relaxation, and a
+// repeat relaxation solve of one instance is a warm re-solve from that
+// instance's own optimal basis (relax keeps the tokens of the last few
+// problems it solved), so the second entry pays a refactorization instead of
+// a cold simplex and rounds exactly the bits a cold solve gives.
 func LPRoster(seed int64) []Algo {
-	cache := &basisCache{basis: map[*core.Problem]*lp.Basis{}}
-	rrnd := Algo{Name: NameRRND, Run: func(p *core.Problem) *core.Result {
-		rel, err := relax.SolveRelaxed(p)
-		if err != nil {
-			return &core.Result{}
-		}
-		cache.put(p, rel.Basis)
-		return relax.RRND(p, rel, RoundingAttempts, rand.New(rand.NewSource(seed)))
-	}}
-	rrnz := Algo{Name: NameRRNZ, Run: func(p *core.Problem) *core.Result {
-		rel, err := relax.SolveRelaxedWarm(p, cache.take(p))
-		if err != nil {
-			return &core.Result{}
-		}
-		return relax.RRNZ(p, rel, RoundingAttempts, rand.New(rand.NewSource(seed)))
-	}}
-	return []Algo{rrnd, rrnz}
+	return []Algo{RRNDAlgo(seed), RRNZAlgo(seed)}
 }
 
 // HeuristicRoster returns the non-LP algorithms of Table 1 (METAGREEDY,
@@ -144,9 +103,9 @@ func HeuristicRoster(tol float64) []Algo {
 	return []Algo{MetaGreedyAlgo(), MetaVPAlgo(tol), MetaHVPAlgo(tol), MetaHVPLightAlgo(tol)}
 }
 
-// FullRoster additionally includes the LP-based RRND and RRNZ (sharing the
-// LPRoster warm-start cache); with the sparse simplex this runs at the
-// paper-scale LP tier, not just reduced sizes.
+// FullRoster additionally includes the LP-based RRND and RRNZ of LPRoster;
+// with the sparse simplex this runs at the paper-scale LP tier, not just
+// reduced sizes.
 func FullRoster(tol float64, seed int64) []Algo {
 	return append(LPRoster(seed), HeuristicRoster(tol)...)
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -302,22 +303,53 @@ func TestHardnessMonotoneOnRealSweep(t *testing.T) {
 	}
 }
 
-// The warm-start-sharing LP roster must produce exactly the results of the
-// independent cold RRND/RRNZ entries: basis reuse changes solve time, never
-// the relaxation optimum the rounding draws from.
-func TestLPRosterMatchesColdRoster(t *testing.T) {
-	grid := GridSpec{
-		Hosts: 4, Services: []int{10}, COVs: []float64{0.5},
+// lpGrid is the paper-scale LP tier's grid: 8 hosts, 64 services, the three
+// heterogeneities.
+func lpGrid() []workload.Scenario {
+	return GridSpec{
+		Hosts: 8, Services: []int{64}, COVs: []float64{0, 0.5, 1.0},
 		Slacks: []float64{0.5}, Seeds: []int64{1, 2},
-	}
-	warm := (&Runner{}).Run(grid.Scenarios(), LPRoster(7))
-	cold := (&Runner{}).Run(grid.Scenarios(), []Algo{RRNDAlgo(7), RRNZAlgo(7)})
-	for _, name := range []string{NameRRND, NameRRNZ} {
-		for i := range warm.ByAlgo[name] {
-			w, c := warm.ByAlgo[name][i], cold.ByAlgo[name][i]
-			if w.Solved != c.Solved || math.Abs(w.MinYield-c.MinYield) > 1e-9 {
-				t.Fatalf("%s scenario %d: warm %+v vs cold %+v", name, i, w, c)
+	}.Scenarios()
+}
+
+// sameOutcomes fails unless two sweeps agree bit for bit on every outcome of
+// the named algorithms.
+func sameOutcomes(t *testing.T, what string, got, want *ResultSet, names []string) {
+	t.Helper()
+	for _, name := range names {
+		for i := range want.ByAlgo[name] {
+			g, w := got.ByAlgo[name][i], want.ByAlgo[name][i]
+			if g.Solved != w.Solved || math.Float64bits(g.MinYield) != math.Float64bits(w.MinYield) {
+				t.Fatalf("%s: %s on scenario %d: %+v vs %+v", what, name, i, g, w)
 			}
 		}
 	}
+}
+
+// The LP roster, whose RRNZ re-solves each instance warm from the basis
+// RRND's solve left behind, must give exactly the results of the true cold
+// path: every entry on its own independently generated instance, which no
+// earlier solve has seen. A warm hit changes solve time, never bits.
+func TestLPRosterMatchesColdRoster(t *testing.T) {
+	scns := lpGrid()
+	warm := (&Runner{}).Run(scns, LPRoster(7))
+	cold := &ResultSet{Scenarios: scns, ByAlgo: map[string][]Outcome{}}
+	for _, a := range LPRoster(7) {
+		for _, scn := range scns {
+			res := a.Run(workload.Generate(scn))
+			cold.ByAlgo[a.Name] = append(cold.ByAlgo[a.Name], Outcome{Solved: res.Solved, MinYield: res.MinYield})
+		}
+	}
+	sameOutcomes(t, "warm roster vs cold", warm, cold, []string{NameRRND, NameRRNZ})
+}
+
+// The full roster must report the same bits however many workers share the
+// relaxation token table: at four times GOMAXPROCS workers the table may
+// evict an instance's token before its second solve, which costs time only.
+func TestFullRosterDeterministicAcrossWorkers(t *testing.T) {
+	scns := lpGrid()
+	algos := FullRoster(1e-3, 7)
+	one := (&Runner{Workers: 1, DisableAllocStats: true}).Run(scns, algos)
+	many := (&Runner{Workers: 4 * runtime.GOMAXPROCS(0), DisableAllocStats: true}).Run(scns, algos)
+	sameOutcomes(t, "4xGOMAXPROCS workers vs 1", many, one, one.Algos)
 }

@@ -389,10 +389,20 @@ func (rv *revised) setDir(j int) {
 // solution back to the problem's variables. An optimal Solution costs three
 // allocations: the Solution and its Basis together, X, Duals and BoundDuals
 // in one backing array, and the basis contents.
+//
+// An optimal answer is read off a fresh factorization of the final basis —
+// the two calls installBasis makes, then exact prices — not off the values
+// the pivots updated along the way. It is then a function of the problem and
+// its final basis alone: a warm re-solve from that basis, which takes no
+// pivot, returns the same X, Objective and duals bit for bit.
 func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 	if st != Optimal {
 		return &Solution{Status: st, Iters: rv.iters, WarmStarted: warmed,
 			Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
+	}
+	if rv.lu.factorize(rv.basis, &rv.cols) {
+		rv.refreshXB()
+		rv.priceAll()
 	}
 	out := &struct {
 		sol   Solution

@@ -173,9 +173,12 @@ type Relaxed struct {
 	// E[j][h] is the fractional placement of service j on node h.
 	E [][]float64
 	// Basis is the backend's warm-start token (nil when infeasible): with
-	// the default presolving backend it is the basis of the REDUCED model,
-	// valid for re-solving the relaxation of the identical instance (the
-	// RRND-then-RRNZ roster pattern). A token that no longer fits falls
+	// the default presolving backend it is the basis of the REDUCED model
+	// with its reduction attached. SolveRelaxed already remembers it for
+	// the next solve of the same *core.Problem; pass it to
+	// SolveRelaxedWarm explicitly for a solve the table may not serve, such
+	// as another problem object or one solved long after (the engine hands
+	// each epoch's token to the next). A token that no longer fits falls
 	// back to a cold start inside the solver.
 	Basis *lp.Basis
 	// Iters/Refactorizations/BlandActivations count the simplex work of
@@ -199,20 +202,29 @@ func (r *Relaxed) fillWork(sol *lp.Solution) {
 }
 
 // SolveRelaxed solves the rational relaxation of the MILP for p through the
-// configured backend (presolve + sparse revised simplex by default).
+// configured backend (presolve + sparse revised simplex by default). A
+// repeat solve of the same *core.Problem re-solves warm from the basis its
+// last solve ended on (see warmTable) and returns the same bits.
 func SolveRelaxed(p *core.Problem) (*Relaxed, error) {
 	return SolveRelaxedWarm(p, nil)
 }
 
-// SolveRelaxedWarm is SolveRelaxed warm-started from the basis token of a
-// previous relaxation solve of the identical instance (a stale token falls
-// back to a cold start inside the solver).
+// SolveRelaxedWarm is SolveRelaxed warm-started from warm, the basis token of
+// a previous relaxation solve of the same or a similar instance (a token that
+// no longer fits falls back to a cold start inside the solver). A nil warm
+// starts from the token of p's own last solve when the table still holds
+// one; an explicit token always wins.
 func SolveRelaxedWarm(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
+	if warm == nil {
+		warm = rememberedBasis(p)
+	}
 	enc := Encode(p)
 	sol, err := CurrentBackend().SolveWarm(enc.LP, warm)
 	if err != nil {
+		rememberBasis(p, nil)
 		return nil, err
 	}
+	rememberBasis(p, sol.Basis)
 	switch sol.Status {
 	case lp.Infeasible:
 		r := &Relaxed{}

@@ -3,7 +3,6 @@ package vmalloc
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/greedy"
@@ -74,10 +73,7 @@ func (o *Options) seed() int64 {
 
 // Algorithms returns the registered algorithm names in display order.
 func Algorithms() []string {
-	names := []string{AlgoExact, AlgoRRND, AlgoRRNZ, AlgoMetaGreedy, AlgoMetaVP, AlgoMetaHVP, AlgoMetaHVPLight}
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	return names
+	return []string{AlgoExact, AlgoRRND, AlgoRRNZ, AlgoMetaGreedy, AlgoMetaVP, AlgoMetaHVP, AlgoMetaHVPLight}
 }
 
 // Solve runs the named algorithm on p. A nil opts selects paper defaults.
