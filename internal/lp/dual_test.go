@@ -237,3 +237,40 @@ func TestRefactorizeRepairsSingularBasis(t *testing.T) {
 		t.Errorf("%d refactorizations, want the one that repaired", rv.refactors)
 	}
 }
+
+// A pivot-row entry that cancels to exactly zero partway through the
+// row-wise scatter and is then reached again must count once in the dual's
+// infeasibility certificate. Here B = [x0 x1 x2] makes row 0 of B^{-1}
+// (1, -1, 1), so x3's entry sums 1·1 − 1·1 = 0 over rows 0 and 1 and ends at
+// −2⁻³¹ from row 2: below pivotTol, so x3 cannot enter, but its bound of 10⁶
+// lets it repair 2⁻³¹·10⁶ ≈ 4.7e-4 of row 0's 7e-4 violation. Counted once
+// the row is certified infeasible on the warm basis; counted twice (9.3e-4)
+// the dual could not certify it, gave up and the solve restarted cold.
+func TestDualCertifiesRowWithCancelledEntry(t *testing.T) {
+	p := &Problem{
+		Obj: []float64{0, 0, 0, -1},
+		A: [][]float64{
+			{1, 1, 0, 1},
+			{0, 1, 1, 1},
+			{0, 0, 1, -math.Ldexp(1, -31)},
+		},
+		Sense: []Sense{EQ, EQ, EQ},
+		B:     []float64{1, 2.0007, 1},
+		Upper: []float64{math.Inf(1), math.Inf(1), math.Inf(1), 1e6},
+	}
+	warm, err := NewBasis(p.Sense, 4, []int{0, 1, 2}, []BasisVarStatus{BasisBasic, BasisBasic, BasisBasic, BasisAtLower})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := SolveSparseWarm(p, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Infeasible || !sol.WarmStarted || sol.Iters != 0 {
+		t.Fatalf("status %v, warm-started %v after %d pivots; want infeasible, certified on the warm basis with no pivot",
+			sol.Status, sol.WarmStarted, sol.Iters)
+	}
+	if cold, err := Solve(p); err != nil || cold.Status != Infeasible {
+		t.Fatalf("dense reference: %v %v", cold.Status, err)
+	}
+}

@@ -10,7 +10,10 @@
 
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // luPivotTol is the magnitude below which a factorization pivot is treated
 // as singular.
@@ -30,19 +33,19 @@ const etaFill = 4
 
 // basisLU is the factorized basis. Elimination step t processed basis slot
 // ord[t] and pivoted matrix row pivotRow[t]; L carries the elimination
-// multipliers (unit diagonal implicit), U the triangularized columns in
-// step space. Slots and rows share the index set 0..m-1 (basis[i] is the
-// column basic in row i).
+// multipliers (unit diagonal implicit) in row space, U the triangularized
+// columns in step space. Slots and rows share the index set 0..m-1
+// (basis[i] is the column basic in row i).
 type basisLU struct {
 	m        int
 	ord      []int // elimination order over basis slots
 	pivotRow []int // pivotRow[t] = matrix row pivoted at step t
 	rowStep  []int // inverse permutation: rowStep[pivotRow[t]] = t
 	slotStep []int // inverse of ord: slotStep[ord[t]] = t
-	// The L column of step t is lIdx/lVal[lStart[t]:lStart[t+1]], the U
-	// column uIdx/uVal[uStart[t]:uStart[t+1]] (row indices of earlier
-	// pivots). lSteps lists, in order, the steps whose L column is not
-	// empty: the only ones elimination and the L-solve have to visit.
+	// The L column of step t is lIdx/lVal[lStart[t]:lStart[t+1]] (row
+	// indices), the U column uIdx/uVal[uStart[t]:uStart[t+1]] (the earlier
+	// steps whose pivot rows it meets). lSteps lists, in order, the steps
+	// whose L column is not empty: the only ones the L-solve has to visit.
 	lStart, uStart []int
 	lIdx, uIdx     []int
 	lVal, uVal     []float64
@@ -50,12 +53,12 @@ type basisLU struct {
 	lSteps         []int
 
 	// Product-form eta file, flattened into one arena: eta k pivots slot
-	// etaSlot[k] with direction entries etaIdx/etaVal[etaStart[k]:
-	// etaStart[k+1]] (the FTRAN of the entering column at pivot time), and
-	// its pivot entry sits at arena position etaPivot[k].
+	// etaSlot[k] on the FTRAN of the entering column at pivot time, whose
+	// pivot entry is etaPiv[k] and whose other nonzeros are etaIdx/etaVal[
+	// etaStart[k]:etaStart[k+1]], in ascending row order.
 	etaSlot  []int
 	etaStart []int
-	etaPivot []int
+	etaPiv   []float64
 	etaIdx   []int
 	etaVal   []float64
 
@@ -68,6 +71,7 @@ type basisLU struct {
 	z       []float64 // step-space scratch
 	touched []int     // factorize scratch
 	count   []int     // factorize scratch
+	reach   []uint64  // factorize scratch: a bit per step, the L steps a column reaches
 }
 
 // grow returns s resliced to length n, reallocating only when its capacity
@@ -91,15 +95,18 @@ func (lu *basisLU) reset(m int) {
 	lu.uDiag = grow(lu.uDiag, m)
 	lu.pivoted = grow(lu.pivoted, m)
 	lu.count = grow(lu.count, m+2)
+	lu.reach = grow(lu.reach, (m+63)/64)
 	lu.x = grow(lu.x, m)
 	lu.z = grow(lu.z, m)
 	clear(lu.x)
 }
 
 // dueForRefactor reports whether the eta file has grown past either
-// refactorization trigger.
+// refactorization trigger. Its nonzeros are the off-pivot entries plus one
+// pivot per eta.
 func (lu *basisLU) dueForRefactor() bool {
-	return len(lu.etaSlot) >= refactorEvery || len(lu.etaIdx) > etaFill*(len(lu.lIdx)+len(lu.uIdx)+lu.m)
+	etas := len(lu.etaSlot)
+	return etas >= refactorEvery || len(lu.etaIdx)+etas > etaFill*(len(lu.lIdx)+len(lu.uIdx)+lu.m)
 }
 
 // factorize rebuilds the LU factors of the basis whose slot i holds column
@@ -108,11 +115,17 @@ func (lu *basisLU) dueForRefactor() bool {
 // dependent on the slots before it: it is recorded in singular, skipped,
 // and factorize reports false, leaving the factors unusable until the
 // caller swaps those slots out and factorizes again.
+//
+// Each column is eliminated with the L steps it reaches, in ascending step
+// order: a step is marked when its pivot row first takes a nonzero, from
+// the column itself or as fill from an earlier step's L column (whose rows
+// all pivot later), so the unmarked steps are exactly those whose pivot row
+// stays zero and that a pass over every L step would skip.
 func (lu *basisLU) factorize(basis []int, cols *columns) bool {
 	m := lu.m
 	lu.etaSlot = lu.etaSlot[:0]
 	lu.etaStart = append(lu.etaStart[:0], 0)
-	lu.etaPivot = lu.etaPivot[:0]
+	lu.etaPiv = lu.etaPiv[:0]
 	lu.etaIdx = lu.etaIdx[:0]
 	lu.etaVal = lu.etaVal[:0]
 	lu.lIdx, lu.lVal = lu.lIdx[:0], lu.lVal[:0]
@@ -140,6 +153,17 @@ func (lu *basisLU) factorize(basis []int, cols *columns) bool {
 	clear(x)
 	pivoted := lu.pivoted
 	clear(pivoted)
+	reach := lu.reach
+	clear(reach)
+	// mark notes that row r took a nonzero: if an earlier step with a
+	// nonempty L column pivoted it, that step must eliminate.
+	mark := func(r int) {
+		if pivoted[r] {
+			if t2 := lu.rowStep[r]; lu.lStart[t2+1] > lu.lStart[t2] {
+				reach[t2>>6] |= 1 << (t2 & 63)
+			}
+		}
+	}
 	touched := lu.touched[:0]
 	t := 0
 	lu.lStart[0], lu.uStart[0] = 0, 0
@@ -149,21 +173,27 @@ func (lu *basisLU) factorize(basis []int, cols *columns) bool {
 		for k, r := range rows {
 			x[r] = vals[k]
 			touched = append(touched, r)
+			mark(r)
 		}
-		// Eliminate with the nonempty L columns of earlier steps, tracking
-		// fill-in.
-		for _, t2 := range lu.lSteps {
-			r2 := lu.pivotRow[t2]
-			xr := x[r2]
-			if xr == 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
-				continue
-			}
-			for k := lu.lStart[t2]; k < lu.lStart[t2+1]; k++ {
-				i := lu.lIdx[k]
-				if x[i] == 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
-					touched = append(touched, i)
+		// Eliminate with the reached L columns of earlier steps, lowest
+		// step first, tracking fill-in. Fill only marks later steps.
+		for w := range reach[:t>>6+1] {
+			for reach[w] != 0 {
+				b := bits.TrailingZeros64(reach[w])
+				reach[w] &^= 1 << b
+				t2 := w<<6 | b
+				xr := x[lu.pivotRow[t2]]
+				if xr == 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
+					continue
 				}
-				x[i] -= lu.lVal[k] * xr
+				for k := lu.lStart[t2]; k < lu.lStart[t2+1]; k++ {
+					i := lu.lIdx[k]
+					if x[i] == 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
+						touched = append(touched, i)
+						mark(i)
+					}
+					x[i] -= lu.lVal[k] * xr
+				}
 			}
 		}
 		// Partial pivoting among unpivoted rows.
@@ -190,7 +220,7 @@ func (lu *basisLU) factorize(basis []int, cols *columns) bool {
 				continue
 			}
 			if pivoted[i] {
-				lu.uIdx = append(lu.uIdx, i)
+				lu.uIdx = append(lu.uIdx, lu.rowStep[i])
 				lu.uVal = append(lu.uVal, v)
 			} else {
 				lu.lIdx = append(lu.lIdx, i)
@@ -215,20 +245,16 @@ func (lu *basisLU) factorize(basis []int, cols *columns) bool {
 }
 
 // appendEta records a post-factorization pivot: the basis column at slot
-// changed, with FTRAN direction w (dense, row space).
+// changed, with FTRAN direction w (dense, slot space).
 func (lu *basisLU) appendEta(slot int, w []float64) {
-	pivotAt := -1
 	for i, v := range w {
-		if v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
-			if i == slot {
-				pivotAt = len(lu.etaIdx)
-			}
+		if v != 0 && i != slot { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
 			lu.etaIdx = append(lu.etaIdx, i)
 			lu.etaVal = append(lu.etaVal, v)
 		}
 	}
 	lu.etaSlot = append(lu.etaSlot, slot)
-	lu.etaPivot = append(lu.etaPivot, pivotAt)
+	lu.etaPiv = append(lu.etaPiv, w[slot])
 	lu.etaStart = append(lu.etaStart, len(lu.etaIdx))
 }
 
@@ -267,19 +293,23 @@ func (lu *basisLU) solveLU(dst, x []float64) {
 			x[lu.lIdx[k]] -= lu.lVal[k] * xr
 		}
 	}
-	// Backward U-solve, scattering contributions back into row space.
+	// Backward U-solve in step space.
+	z := lu.z
+	for t, r := range lu.pivotRow[:m] {
+		z[t], x[r] = x[r], 0
+	}
 	for t := m - 1; t >= 0; t-- {
-		r := lu.pivotRow[t]
-		v := x[r]
-		x[r] = 0
+		v := z[t]
 		if v == 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
 			dst[lu.ord[t]] = 0
 			continue
 		}
 		xt := v / lu.uDiag[t]
 		dst[lu.ord[t]] = xt
-		for k := lu.uStart[t]; k < lu.uStart[t+1]; k++ {
-			x[lu.uIdx[k]] -= lu.uVal[k] * xt
+		a, b := lu.uStart[t], lu.uStart[t+1]
+		vals := lu.uVal[a:b:b]
+		for k, s := range lu.uIdx[a:b:b] {
+			z[s] -= vals[k] * xt
 		}
 	}
 }
@@ -290,13 +320,11 @@ func (lu *basisLU) applyEtas(w []float64) {
 		if w[slot] == 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
 			continue
 		}
-		wr := w[slot] / lu.etaVal[lu.etaPivot[k]]
-		pivotAt := lu.etaPivot[k]
-		for p := lu.etaStart[k]; p < lu.etaStart[k+1]; p++ {
-			if p == pivotAt {
-				continue
-			}
-			w[lu.etaIdx[p]] -= lu.etaVal[p] * wr
+		wr := w[slot] / lu.etaPiv[k]
+		a, b := lu.etaStart[k], lu.etaStart[k+1]
+		vals := lu.etaVal[a:b:b]
+		for p, i := range lu.etaIdx[a:b:b] {
+			w[i] -= vals[p] * wr
 		}
 		w[slot] = wr
 	}
@@ -308,20 +336,17 @@ func (lu *basisLU) btran(dst, c []float64) {
 	m := lu.m
 	x := lu.x
 	copy(x, c)
-	// Transposed eta file, reverse order.
+	// Transposed eta file, reverse order. A zero entry adds an exact zero to
+	// a sum that starts at +0, so the dot product needs no zero test.
 	for k := len(lu.etaSlot) - 1; k >= 0; k-- {
-		slot := lu.etaSlot[k]
-		pivotAt := lu.etaPivot[k]
+		a, b := lu.etaStart[k], lu.etaStart[k+1]
+		vals := lu.etaVal[a:b:b]
 		s := 0.0
-		for p := lu.etaStart[k]; p < lu.etaStart[k+1]; p++ {
-			if p == pivotAt {
-				continue
-			}
-			if v := x[lu.etaIdx[p]]; v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
-				s += lu.etaVal[p] * v
-			}
+		for p, i := range lu.etaIdx[a:b:b] {
+			s += vals[p] * x[i]
 		}
-		x[slot] = (x[slot] - s) / lu.etaVal[pivotAt]
+		slot := lu.etaSlot[k]
+		x[slot] = (x[slot] - s) / lu.etaPiv[k]
 	}
 	// Uᵀ-solve forward in step space. Steps before the first one whose slot
 	// holds a nonzero solve to zero: a unit row (the pivot row's BTRAN)
@@ -336,19 +361,28 @@ func (lu *basisLU) btran(dst, c []float64) {
 	clear(z[:t0])
 	for t := t0; t < m; t++ {
 		s := x[lu.ord[t]]
-		for k := lu.uStart[t]; k < lu.uStart[t+1]; k++ {
-			if v := z[lu.rowStep[lu.uIdx[k]]]; v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
-				s -= lu.uVal[k] * v
+		a, b := lu.uStart[t], lu.uStart[t+1]
+		vals := lu.uVal[a:b:b]
+		for k, st := range lu.uIdx[a:b:b] {
+			if v := z[st]; v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
+				s -= vals[k] * v
 			}
 		}
 		z[t] = s / lu.uDiag[t]
 	}
-	// Lᵀ-solve backward into row space.
-	for t := m - 1; t >= 0; t-- {
+	// Lᵀ-solve backward into row space. A step with an empty L column
+	// copies its value over; the rest read only rows pivoted after them.
+	for t, r := range lu.pivotRow[:m] {
+		dst[r] = z[t]
+	}
+	for i := len(lu.lSteps) - 1; i >= 0; i-- {
+		t := lu.lSteps[i]
 		s := z[t]
-		for k := lu.lStart[t]; k < lu.lStart[t+1]; k++ {
-			if v := dst[lu.lIdx[k]]; v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
-				s -= lu.lVal[k] * v
+		a, b := lu.lStart[t], lu.lStart[t+1]
+		vals := lu.lVal[a:b:b]
+		for k, r := range lu.lIdx[a:b:b] {
+			if v := dst[r]; v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
+				s -= vals[k] * v
 			}
 		}
 		dst[lu.pivotRow[t]] = s

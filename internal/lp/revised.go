@@ -147,11 +147,12 @@ type revised struct {
 	d []float64
 	// CSR mirror of the sign-normalized equality-form matrix (structural,
 	// slack and artificial columns), for row-wise pricing.
-	rowPtr    []int
-	rowCol    []int
-	rowVal    []float64
-	alpha     []float64 // scatter scratch for the pivot-row coefficients
-	touched   []int     // columns the last pivot-row scatter reached
+	rowPtr []int
+	rowCol []int
+	rowVal []float64
+	// alpha holds the pivot row of B^{-1}A by column between pivotRow and
+	// the gatherDuals or clearAlpha that zeroes it; zero everywhere else.
+	alpha     []float64
 	cand      []int     // dual ratio test scratch: candidate columns
 	ratio     []float64 // and their ratios
 	iters     int
@@ -468,8 +469,8 @@ func (rv *revised) buildCSR() {
 	}
 	rv.rowCol = grow(rv.rowCol, nnz)
 	rv.rowVal = grow(rv.rowVal, nnz)
-	// touched is idle outside a pivot: borrow it for the row cursors.
-	next := grow(rv.touched, rv.m)
+	// cand is idle outside a pivot: borrow it for the row cursors.
+	next := grow(rv.cand, rv.m)
 	copy(next, rv.rowPtr[:rv.m])
 	for j := 0; j < rv.n; j++ {
 		rows, vals := rv.cols.col(j)
@@ -480,7 +481,7 @@ func (rv *revised) buildCSR() {
 			rv.rowVal[at] = vals[k]
 		}
 	}
-	rv.touched = next[:0]
+	rv.cand = next[:0]
 }
 
 func (rv *revised) needPhase1() bool {
@@ -601,31 +602,28 @@ func (rv *revised) priceAll() {
 	}
 }
 
-// pivotRow computes row r of B^{-1}A: rho = e_rᵀB^{-1} by BTRAN, then
-// alpha = rhoᵀA row-wise through the CSR mirror, touching only the columns
-// of rows where rho is nonzero. The columns reached are listed in touched
-// (a column may repeat); the caller must zero their alpha entries.
+// pivotRow computes row r of B^{-1}A into alpha, by column: rho =
+// e_rᵀB^{-1} by BTRAN, then alpha = rhoᵀA scattered row-wise through the
+// CSR mirror over the rows where rho is nonzero, each entry accumulating
+// over those rows in ascending order. alpha must be zero on entry; the
+// caller zeroes it again (gatherDuals or clearAlpha).
 func (rv *revised) pivotRow(r int) {
 	e := rv.cbScratch
 	clear(e)
 	e[r] = 1
 	rho := rv.yScratch
 	rv.lu.btran(rho, e)
-	touched := rv.touched[:0]
-	for i := 0; i < rv.m; i++ {
-		ri := rho[i]
+	alpha := rv.alpha[:rv.n]
+	for i, ri := range rho[:rv.m] {
 		if ri == 0 { //vmalloc:nondet-ok structural zero test on a stored eta value
 			continue
 		}
-		for k := rv.rowPtr[i]; k < rv.rowPtr[i+1]; k++ {
-			j := rv.rowCol[k]
-			if rv.alpha[j] == 0 { //vmalloc:nondet-ok structural zero test on a stored pricing value
-				touched = append(touched, j)
-			}
-			rv.alpha[j] += ri * rv.rowVal[k]
+		a, b := rv.rowPtr[i], rv.rowPtr[i+1]
+		vals := rv.rowVal[a:b:b]
+		for k, j := range rv.rowCol[a:b:b] {
+			alpha[j] += ri * vals[k]
 		}
 	}
-	rv.touched = touched
 }
 
 // updateDuals carries the reduced costs across the coming pivot (enter
@@ -640,14 +638,15 @@ func (rv *revised) updateDuals(enter, row int, w []float64) {
 	rv.d[enter] = 0
 }
 
-// gatherDuals applies d_j -= ratio·alpha_j over the columns the last
-// pivot-row scatter touched, zeroing alpha behind it.
+// gatherDuals applies d_j -= ratio·alpha_j over every column, zeroing alpha
+// behind it. A zero alpha_j leaves d_j's value alone (at most the sign of a
+// zero d_j, which no test reads, changes), so the pass needs no zero test.
 func (rv *revised) gatherDuals(ratio float64) {
-	for _, j := range rv.touched {
-		if a := rv.alpha[j]; a != 0 { //vmalloc:nondet-ok structural zero test on a stored pricing value
-			rv.d[j] -= ratio * a
-			rv.alpha[j] = 0
-		}
+	alpha := rv.alpha[:rv.n]
+	d := rv.d[:len(alpha)]
+	for j, a := range alpha {
+		d[j] -= ratio * a
+		alpha[j] = 0
 	}
 }
 
@@ -655,9 +654,10 @@ func (rv *revised) gatherDuals(ratio float64) {
 // (Dantzig), lowest index on ties, or under Bland's rule the lowest-index
 // improving column; -1 at optimality.
 func (rv *revised) chooseEntering(bland bool) int {
-	d := rv.d[:rv.n]
+	dir := rv.dir[:rv.n]
+	d := rv.d[:len(dir)]
 	if bland {
-		for j, s := range rv.dir[:rv.n] {
+		for j, s := range dir {
 			if s*d[j] > costTol {
 				return j
 			}
@@ -665,7 +665,7 @@ func (rv *revised) chooseEntering(bland bool) int {
 		return -1
 	}
 	best, bestScore := -1, costTol
-	for j, s := range rv.dir[:rv.n] {
+	for j, s := range dir {
 		if score := s * d[j]; score > bestScore {
 			best, bestScore = j, score
 		}
@@ -903,7 +903,6 @@ func (rv *revised) dualSimplex() Status {
 		}
 		theta := rv.d[q] / w[r]
 		rv.gatherDuals(theta)
-		rv.clearAlpha()
 		rv.d[q] = 0
 		rv.apply(q, w, r, leaveTo, delta)
 		if theta != 0 { //vmalloc:nondet-ok structural zero test: an exactly-zero dual step is a degenerate pivot
@@ -941,12 +940,14 @@ func (rv *revised) chooseLeaving() (row int, s float64) {
 func (rv *revised) dualRatioTest(s float64) int {
 	cand, ratio := rv.cand[:0], rv.ratio[:0]
 	bound := math.Inf(1)
-	for _, j := range rv.touched {
-		a := rv.alpha[j] * rv.dir[j] * s
+	alpha := rv.alpha[:rv.n]
+	dir, d := rv.dir[:len(alpha)], rv.d[:len(alpha)]
+	for j, aj := range alpha {
+		a := aj * dir[j] * s
 		if a >= -pivotTol {
 			continue
 		}
-		slack := -rv.dir[j] * rv.d[j]
+		slack := -dir[j] * d[j]
 		if slack < 0 {
 			slack = 0
 		}
@@ -980,8 +981,8 @@ func (rv *revised) rowInfeasible(r int, s float64) bool {
 		gap = rv.xB[r] - rv.upper[rv.basis[r]]
 	}
 	room := 0.0
-	for _, j := range rv.touched {
-		a := rv.alpha[j] * s
+	for j, aj := range rv.alpha[:rv.n] {
+		a := aj * s
 		if math.Abs(a) < pivotTol && math.IsInf(rv.upper[j], 1) {
 			continue
 		}
@@ -997,9 +998,7 @@ func (rv *revised) rowInfeasible(r int, s float64) bool {
 
 // clearAlpha zeroes the pivot-row scatter left by pivotRow.
 func (rv *revised) clearAlpha() {
-	for _, j := range rv.touched {
-		rv.alpha[j] = 0
-	}
+	clear(rv.alpha[:rv.n])
 }
 
 // restoreFeasibility makes a primal infeasible basis — a repaired one —
@@ -1033,9 +1032,10 @@ func (rv *revised) driveOutArtificials() {
 		}
 		rv.pivotRow(i)
 		piv := -1
-		for _, j := range rv.touched {
-			if j < rv.nReal && rv.status[j] != basic && math.Abs(rv.alpha[j]) > 1e-7 && (piv < 0 || j < piv) {
+		for j, a := range rv.alpha[:rv.nReal] {
+			if rv.status[j] != basic && math.Abs(a) > 1e-7 {
 				piv = j
+				break
 			}
 		}
 		rv.clearAlpha()
