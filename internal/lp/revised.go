@@ -395,13 +395,19 @@ func (rv *revised) setDir(j int) {
 // the two calls installBasis makes, then exact prices — not off the values
 // the pivots updated along the way. It is then a function of the problem and
 // its final basis alone: a warm re-solve from that basis, which takes no
-// pivot, returns the same X, Objective and duals bit for bit.
+// pivot, returns the same X, Objective and duals bit for bit. With no pivot
+// since the last factorization (an empty eta file) the factors already are
+// that fresh factorization, factorize being deterministic, and iterate
+// priced against them; only the basic values are recomputed.
 func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 	if st != Optimal {
 		return &Solution{Status: st, Iters: rv.iters, WarmStarted: warmed,
 			Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
 	}
-	if rv.lu.factorize(rv.basis, &rv.cols) {
+	switch {
+	case len(rv.lu.etaSlot) == 0:
+		rv.refreshXB()
+	case rv.lu.factorize(rv.basis, &rv.cols):
 		rv.refreshXB()
 		rv.priceAll()
 	}
