@@ -118,7 +118,7 @@ func BenchmarkLPSparseVsDense(b *testing.B) {
 	b.Run("sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, enc := range encs {
-				if _, err := lp.SolveSparse(enc.LP); err != nil {
+				if _, err := (lp.Simplex{}).SolveWarm(enc.LP, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -136,7 +136,7 @@ func TestPaperScaleLPSparseVsDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := lp.SolveSparse(enc.LP)
+		sparse, err := lp.Simplex{}.SolveWarm(enc.LP, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,61 +149,69 @@ func TestPaperScaleLPSparseVsDense(t *testing.T) {
 	}
 }
 
-// lpRosterRun drives the RRND/RRNZ roster over scenarios with the given
-// relaxation backend installed (single worker, so timings compare cleanly).
-func lpRosterRun(scns []workload.Scenario, be lp.Backend) *exp.ResultSet {
-	prev := relax.SetBackend(be)
-	defer relax.SetBackend(prev)
-	return (&exp.Runner{Workers: 1, DisableAllocStats: true}).Run(scns, exp.LPRoster(1))
-}
-
-// BenchmarkLPRosterPresolve times the paper-scale RRND/RRNZ roster through
-// the warm-start-only sparse simplex versus the presolving backend (the
-// default). The presolve sub-bench's edge over warmonly is the reduction
-// pipeline's payoff — Eq. 3/Eq. 7 substitutions eliminate every phase-1
-// artificial, so reduced models solve in a single phase — and is archived
-// in BENCH_lp.json.
+// BenchmarkLPRosterPresolve times the relaxation solves of the paper-scale
+// RRND/RRNZ roster — per 8x64 relaxation one cold solve, then one re-solve
+// warm from its token, as the bound and the rounding entries share it —
+// through the plain sparse simplex and through the presolving solve relax
+// runs, on the same encoded relaxations. The presolve sub-bench's edge is
+// the reduction pipeline's payoff — Eq. 3/Eq. 7 substitutions eliminate
+// every phase-1 artificial, so reduced models solve in a single phase — and
+// is archived in BENCH_lp.json.
 func BenchmarkLPRosterPresolve(b *testing.B) {
-	scns := lpPaperGrid()
-	b.Run("warmonly", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = lpRosterRun(scns, lp.Simplex{})
-		}
-	})
-	b.Run("presolve", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = lpRosterRun(scns, presolve.Backend{})
-		}
-	})
+	var lps []*lp.Problem
+	for _, scn := range lpPaperGrid() {
+		lps = append(lps, relax.Encode(workload.Generate(scn)).LP)
+	}
+	for _, tc := range []struct {
+		name  string
+		solve func(*lp.Problem, *lp.Basis) (*lp.Solution, error)
+	}{
+		{"simplex", lp.Simplex{}.SolveWarm},
+		{"presolve", presolve.Backend{}.SolveWarm},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, p := range lps {
+					cold, err := tc.solve(p, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := tc.solve(p, cold.Basis); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }
 
-// TestLPRosterPresolveSpeedup checks the presolve tier on the paper-scale
-// (8 hosts x 64 services) LP grid: the presolving backend must reach the
-// warm-start-only simplex's optimal objective on every relaxation to 1e-9
+// TestLPRosterPresolveMatchesSimplex checks the presolve tier on the
+// paper-scale (8 hosts x 64 services) LP grid: the presolving solve must
+// reach the plain simplex's optimal objective on every relaxation to 1e-9
 // (the optimal vertex may differ — these degenerate LPs have alternative
 // optima — so the rounded roster yields are not compared) and its warm token
 // must actually warm-start the RRNZ-style re-solve. How much faster the
-// presolved roster runs, BenchmarkLPRosterPresolve measures.
-func TestLPRosterPresolveSpeedup(t *testing.T) {
+// presolved solves run, BenchmarkLPRosterPresolve measures.
+func TestLPRosterPresolveMatchesSimplex(t *testing.T) {
 	pre := presolve.Backend{}
 	for i, scn := range lpPaperGrid() {
 		enc := relax.Encode(workload.Generate(scn))
-		plainSol, err := lp.Simplex{}.Solve(enc.LP)
+		plainSol, err := lp.Simplex{}.SolveWarm(enc.LP, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		preSol, err := pre.Solve(enc.LP)
+		preSol, err := pre.SolveWarm(enc.LP, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if plainSol.Status != preSol.Status {
-			t.Fatalf("scenario %d: status %v (warmonly) vs %v (presolve)", i, plainSol.Status, preSol.Status)
+			t.Fatalf("scenario %d: status %v (simplex) vs %v (presolve)", i, plainSol.Status, preSol.Status)
 		}
 		if plainSol.Status != lp.Optimal {
 			continue
 		}
 		if math.Abs(plainSol.Objective-preSol.Objective) > 1e-9*(1+math.Abs(plainSol.Objective)) {
-			t.Fatalf("scenario %d: objective %v (warmonly) vs %v (presolve)", i, plainSol.Objective, preSol.Objective)
+			t.Fatalf("scenario %d: objective %v (simplex) vs %v (presolve)", i, plainSol.Objective, preSol.Objective)
 		}
 		warm, err := pre.SolveWarm(enc.LP, preSol.Basis)
 		if err != nil {
@@ -311,7 +319,7 @@ func BenchmarkSimplex(b *testing.B) {
 	b.Run("cold8x64", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := (lp.Simplex{}).Solve(reduced); err != nil {
+			if _, err := (lp.Simplex{}).SolveWarm(reduced, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -342,7 +350,7 @@ func TestSimplexAllocs(t *testing.T) {
 	}
 	reduced, exact := simplexBenchInputs(t)
 	cold := func() {
-		if _, err := (lp.Simplex{}).Solve(reduced); err != nil {
+		if _, err := (lp.Simplex{}).SolveWarm(reduced, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

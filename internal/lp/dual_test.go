@@ -24,7 +24,7 @@ func boundedProblem(rng *rand.Rand) *Problem {
 			p.Lower[j] = p.Upper[j]
 		}
 	}
-	return p.Sparsify()
+	return p
 }
 
 // agree reports whether two solutions have the same status and, when
@@ -47,7 +47,7 @@ func TestKernelMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := SolveSparse(p)
+		sparse, err := Simplex{}.SolveWarm(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestKernelMatchesDense(t *testing.T) {
 			t.Fatalf("iter %d: sparse %v/%.17g, dense %v/%.17g", iter, sparse.Status, sparse.Objective, dense.Status, dense.Objective)
 		}
 		if sparse.Status == Optimal {
-			checkCSCFeasible(t, p, sparse.X)
+			checkFeasible(t, p, sparse.X)
 		}
 		statuses[sparse.Status]++
 	}
@@ -103,7 +103,7 @@ func TestDualRestartMatchesCold(t *testing.T) {
 	tried, infeasible, pivoted := 0, 0, 0
 	for iter := 0; iter < 5000; iter++ {
 		p := boundedProblem(rng)
-		base, err := SolveSparse(p)
+		base, err := Simplex{}.SolveWarm(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,11 @@ func TestDualRestartMatchesCold(t *testing.T) {
 			continue
 		}
 		q := perturbBounds(rng, p)
-		warm, err := SolveSparseWarm(q, base.Basis)
+		warm, err := Simplex{}.SolveWarm(q, base.Basis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := SolveSparse(q)
+		cold, err := Simplex{}.SolveWarm(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestDualRestartMatchesCold(t *testing.T) {
 			t.Fatalf("iter %d: bound change did not warm-start (%v)", iter, warm.Status)
 		}
 		if warm.Status == Optimal {
-			checkCSCFeasible(t, q, warm.X)
+			checkFeasible(t, q, warm.X)
 		}
 		tried++
 		if warm.Status == Infeasible {
@@ -149,7 +149,7 @@ func TestWarmStartFallsBackCold(t *testing.T) {
 	reused, rejected := 0, 0
 	for iter := 0; iter < 1000; iter++ {
 		p := boundedProblem(rng)
-		base, err := SolveSparse(p)
+		base, err := Simplex{}.SolveWarm(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +161,11 @@ func TestWarmStartFallsBackCold(t *testing.T) {
 		for j := range q.Obj {
 			q.Obj[j] = -q.Obj[j]
 		}
-		warm, err := SolveSparseWarm(q, base.Basis)
+		warm, err := Simplex{}.SolveWarm(q, base.Basis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := SolveSparse(q)
+		cold, err := Simplex{}.SolveWarm(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,11 +193,11 @@ func TestRefactorizeRepairsSingularBasis(t *testing.T) {
 	// max x0 + x1 + 2 x2 + x3 with x0 and x1 sharing a column.
 	p := &Problem{
 		Obj: []float64{1, 1, 2, 1},
-		A: [][]float64{
+		Cols: NewCSCFromDense([][]float64{
 			{1, 1, 1, 0},
 			{2, 2, 0, 1},
 			{0, 0, 1, 1},
-		},
+		}, 4),
 		Sense: []Sense{LE, LE, LE},
 		B:     []float64{4, 6, 3},
 		Upper: []float64{1.5, 1, 2, math.Inf(1)},
@@ -249,20 +249,18 @@ func TestRefactorizeRepairsSingularBasis(t *testing.T) {
 func TestDualCertifiesRowWithCancelledEntry(t *testing.T) {
 	p := &Problem{
 		Obj: []float64{0, 0, 0, -1},
-		A: [][]float64{
+		Cols: NewCSCFromDense([][]float64{
 			{1, 1, 0, 1},
 			{0, 1, 1, 1},
 			{0, 0, 1, -math.Ldexp(1, -31)},
-		},
+		}, 4),
 		Sense: []Sense{EQ, EQ, EQ},
 		B:     []float64{1, 2.0007, 1},
 		Upper: []float64{math.Inf(1), math.Inf(1), math.Inf(1), 1e6},
 	}
-	warm, err := NewBasis(p.Sense, 4, []int{0, 1, 2}, []BasisVarStatus{BasisBasic, BasisBasic, BasisBasic, BasisAtLower})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := SolveSparseWarm(p, warm)
+	// x0, x1, x2 basic in rows 0, 1, 2; x3 at its lower bound.
+	warm := &Basis{m: 3, nStruct: 4, nReal: 4, data: []int32{0, 1, 2, int32(basic), int32(basic), int32(basic), int32(atLower)}}
+	sol, err := Simplex{}.SolveWarm(p, warm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func checkDuality(t *testing.T, p *Problem, s *Solution) {
 func TestDualityOnTextbookLP(t *testing.T) {
 	p := &Problem{
 		Obj:   []float64{3, 5},
-		A:     [][]float64{{1, 0}, {0, 2}, {3, 2}},
+		Cols:  NewCSCFromDense([][]float64{{1, 0}, {0, 2}, {3, 2}}, 2),
 		Sense: []Sense{LE, LE, LE},
 		B:     []float64{4, 12, 18},
 	}
@@ -75,7 +75,7 @@ func TestDualityWithBindingUpperBounds(t *testing.T) {
 	// row is slack so its dual is 0 and the bound duals carry everything.
 	p := &Problem{
 		Obj:   []float64{1, 1},
-		A:     [][]float64{{1, 1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 1}}, 2),
 		Sense: []Sense{LE},
 		B:     []float64{10},
 		Upper: []float64{1.5, 2.5},
@@ -93,7 +93,7 @@ func TestDualityWithBindingUpperBounds(t *testing.T) {
 func TestDualityWithEqualityAndGE(t *testing.T) {
 	p := &Problem{
 		Obj:   []float64{1, 2},
-		A:     [][]float64{{1, 1}, {1, -1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 1}, {1, -1}}, 2),
 		Sense: []Sense{EQ, LE},
 		B:     []float64{3, 1},
 	}
@@ -102,7 +102,7 @@ func TestDualityWithEqualityAndGE(t *testing.T) {
 
 	q := &Problem{
 		Obj:   []float64{-1, -1},
-		A:     [][]float64{{1, 2}, {3, 1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 2}, {3, 1}}, 2),
 		Sense: []Sense{GE, GE},
 		B:     []float64{4, 6},
 	}
@@ -120,15 +120,17 @@ func TestDualityRandomLPs(t *testing.T) {
 			p.Obj[j] = rng.NormFloat64()
 			p.Upper[j] = 0.5 + 3*rng.Float64()
 		}
+		var a [][]float64
 		for i := 0; i < rows; i++ {
 			row := make([]float64, n)
 			for j := 0; j < n; j++ {
 				row[j] = rng.NormFloat64()
 			}
-			p.A = append(p.A, row)
+			a = append(a, row)
 			p.Sense = append(p.Sense, Sense(rng.Intn(3)))
 			p.B = append(p.B, rng.NormFloat64())
 		}
+		p.Cols = NewCSCFromDense(a, n)
 		s := solveOK(t, p)
 		if s.Status != Optimal {
 			continue

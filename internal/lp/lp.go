@@ -1,12 +1,17 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs with bounded variables. It stands in for the GLPK/CPLEX back-ends
-// used in the paper (§3.2): the resource-allocation relaxation (Eqs. 1–7)
-// only needs a correct optimum, not an industrial-strength solver.
+// Package lp solves linear programs with bounded variables. It stands in for
+// the GLPK/CPLEX back-ends used in the paper (§3.2): the resource-allocation
+// relaxation (Eqs. 1–7) only needs a correct optimum, not an
+// industrial-strength solver.
 //
-// The solver maximizes c·x subject to A x {<=,>=,=} b and 0 <= x <= u, where
-// upper bounds may be +Inf. Bounds are handled implicitly (bounded-variable
-// simplex with bound flips) so the [0,1] box constraints of the relaxation do
-// not inflate the row count.
+// The model maximizes c·x subject to A x {<=,>=,=} b and l <= x <= u, where
+// upper bounds may be +Inf, with A held in compressed-sparse-column form.
+// Bounds are handled implicitly (bounded-variable simplex with bound flips)
+// so the [0,1] box constraints of the relaxation do not inflate the row
+// count. The production solver is the sparse revised simplex with LU
+// factorization and warm starts: Simplex.SolveWarm for a one-shot solve,
+// Workspace.Solve for a sequence of solves on one caller-owned workspace.
+// Solve, a dense two-phase tableau, is kept as the differential oracle the
+// tests check the revised simplex against.
 package lp
 
 import (
@@ -41,8 +46,8 @@ const (
 	IterLimit
 )
 
-// ErrIterLimit is returned (wrapped) by SolveSparse and SolveSparseWarm when
-// the simplex hits its iteration cap before reaching optimality; the
+// ErrIterLimit is returned (wrapped) by Simplex.SolveWarm and Workspace.Solve
+// when the simplex hits its iteration cap before reaching optimality; the
 // accompanying Solution still reports Status == IterLimit and the iteration
 // count. Test with errors.Is.
 var ErrIterLimit = errors.New("lp: simplex iteration limit reached")
@@ -66,18 +71,11 @@ func (s Status) String() string {
 // Problem is a linear program in the solver's canonical form: maximize Obj·x
 // subject to the rows of the constraint matrix, with every variable bounded
 // to [Lower[j], Upper[j]] (Lower defaults to 0).
-//
-// The constraint matrix is given either dense (A, one row per constraint) or
-// column-sparse (Cols); exactly one of the two may be non-nil. The sparse
-// form is what internal/relax emits and what SolveSparse consumes without
-// densification.
 type Problem struct {
 	// Obj holds the objective coefficients (length = number of variables).
 	Obj []float64
-	// A holds one dense coefficient row per constraint. Nil when Cols is set.
-	A [][]float64
-	// Cols holds the constraint matrix in compressed-sparse-column form.
-	// Nil when A is set.
+	// Cols holds the constraint matrix in compressed-sparse-column form; a
+	// hand-written dense matrix converts with NewCSCFromDense.
 	Cols *CSC
 	// Sense holds the relational operator of each row.
 	Sense []Sense
@@ -104,40 +102,41 @@ type Problem struct {
 func (p *Problem) NumVars() int { return len(p.Obj) }
 
 // NumRows returns the number of constraints.
-func (p *Problem) NumRows() int {
-	if p.Cols != nil {
-		return p.Cols.M
-	}
-	return len(p.A)
-}
+func (p *Problem) NumRows() int { return p.Cols.M }
 
-// Validate checks dimensional consistency.
+// Validate checks dimensional consistency and that every objective
+// coefficient, right-hand side, matrix entry and bound is a number the
+// simplex can pivot on: all finite, except that an upper bound may be +Inf.
 func (p *Problem) Validate() error {
 	n := p.NumVars()
 	if n == 0 {
 		return errors.New("lp: no variables")
 	}
-	if p.Cols != nil {
-		if p.A != nil {
-			return errors.New("lp: both A and Cols set; supply exactly one constraint matrix")
+	if p.Cols == nil {
+		return errors.New("lp: no constraint matrix")
+	}
+	if err := p.Cols.validate(); err != nil {
+		return err
+	}
+	if p.Cols.N != n {
+		return fmt.Errorf("lp: Cols has %d columns, want %d", p.Cols.N, n)
+	}
+	if len(p.B) != p.Cols.M || len(p.Sense) != p.Cols.M {
+		return fmt.Errorf("lp: rows mismatch: |Cols|=%d |B|=%d |Sense|=%d", p.Cols.M, len(p.B), len(p.Sense))
+	}
+	for j, c := range p.Obj {
+		if !finite(c) {
+			return fmt.Errorf("lp: non-finite objective coefficient %g for variable %d", c, j)
 		}
-		if err := p.Cols.validate(); err != nil {
-			return err
+	}
+	for i, b := range p.B {
+		if !finite(b) {
+			return fmt.Errorf("lp: non-finite right-hand side %g in row %d", b, i)
 		}
-		if p.Cols.N != n {
-			return fmt.Errorf("lp: Cols has %d columns, want %d", p.Cols.N, n)
-		}
-		if len(p.B) != p.Cols.M || len(p.Sense) != p.Cols.M {
-			return fmt.Errorf("lp: rows mismatch: |Cols|=%d |B|=%d |Sense|=%d", p.Cols.M, len(p.B), len(p.Sense))
-		}
-	} else {
-		if len(p.B) != len(p.A) || len(p.Sense) != len(p.A) {
-			return fmt.Errorf("lp: rows mismatch: |A|=%d |B|=%d |Sense|=%d", len(p.A), len(p.B), len(p.Sense))
-		}
-		for i, row := range p.A {
-			if len(row) != n {
-				return fmt.Errorf("lp: row %d has %d coefficients, want %d", i, len(row), n)
-			}
+	}
+	for k, v := range p.Cols.Val {
+		if !finite(v) {
+			return fmt.Errorf("lp: non-finite coefficient %g in row %d", v, p.Cols.RowIdx[k])
 		}
 	}
 	if p.Upper != nil && len(p.Upper) != n {
@@ -170,6 +169,9 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
+// finite reports whether v is neither infinite nor NaN.
+func finite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
+
 // Solution holds the result of Solve.
 type Solution struct {
 	Status    Status
@@ -187,8 +189,8 @@ type Solution struct {
 	// nonzero lower bounds the strong-duality identity additionally involves
 	// lower-bound duals, which are not reported.
 	BoundDuals []float64
-	// Basis is the optimal simplex basis, populated by the sparse/revised
-	// solvers when Status == Optimal. Pass it to SolveSparseWarm to
+	// Basis is the optimal simplex basis, populated by the revised simplex
+	// when Status == Optimal. Pass it back to the solver that returned it to
 	// warm-start the next solve of a same-shaped problem.
 	Basis *Basis
 	// WarmStarted reports whether a supplied warm basis was actually used
@@ -202,13 +204,13 @@ type Solution struct {
 	// anti-cycling rule after a degenerate stall.
 	BlandActivations int
 	// Presolve carries the reduction counters when the problem was solved
-	// through the presolving backend; nil for a direct simplex solve.
+	// through presolve.Backend; nil for a direct simplex solve.
 	Presolve *PresolveStats
 }
 
 // PresolveStats summarizes what presolve eliminated before the simplex ran.
 // It lives in this package (not internal/presolve) so Solution can carry it
-// without an import cycle; the presolving backend fills it in.
+// without an import cycle; presolve.Backend fills it in.
 type PresolveStats struct {
 	RowsEliminated  int `json:"rows_eliminated"`
 	ColsEliminated  int `json:"cols_eliminated"`
@@ -265,21 +267,16 @@ type tableau struct {
 }
 
 // Solve maximizes the problem with the two-phase bounded simplex method on a
-// dense tableau. Column-sparse problems are densified first; prefer
-// SolveSparse for the large sparse relaxations produced by internal/relax.
+// dense tableau, densifying the constraint matrix first. It is the reference
+// the tests hold the revised simplex to; production solves go through
+// Simplex.SolveWarm or Workspace.Solve.
 func Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	orig := p
 	p, lower := p.shiftLower()
-	if p.Cols != nil {
-		q := *p
-		q.A = p.Cols.Dense()
-		q.Cols = nil
-		p = &q
-	}
-	tb := newTableau(p)
+	tb := newTableau(p, p.Cols.Dense())
 
 	// Phase 1: maximize -(sum of artificials). Feasible iff optimum is ~0.
 	if tb.needPhase1() {
@@ -350,24 +347,14 @@ func (p *Problem) shiftLower() (*Problem, []float64) {
 		q.Upper[j] = u - p.Lower[j] // Inf stays Inf
 	}
 	q.B = append([]float64(nil), p.B...)
-	if p.Cols != nil {
-		c := p.Cols
-		for j := 0; j < n; j++ {
-			l := p.Lower[j]
-			if l == 0 { //vmalloc:nondet-ok structural zero test: only exactly-zero lower bounds skip the shift
-				continue
-			}
-			for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
-				q.B[c.RowIdx[k]] -= c.Val[k] * l
-			}
+	c := p.Cols
+	for j := 0; j < n; j++ {
+		l := p.Lower[j]
+		if l == 0 { //vmalloc:nondet-ok structural zero test: only exactly-zero lower bounds skip the shift
+			continue
 		}
-	} else {
-		for i, row := range p.A {
-			for j, a := range row {
-				if l := p.Lower[j]; l != 0 && a != 0 { //vmalloc:nondet-ok structural zero tests on stored bound and coefficient; exact by construction
-					q.B[i] -= a * l
-				}
-			}
+		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
+			q.B[c.RowIdx[k]] -= c.Val[k] * l
 		}
 	}
 	return &q, p.Lower
@@ -411,10 +398,11 @@ func (tb *tableau) boundDuals() []float64 {
 	return w
 }
 
-// newTableau converts the problem to equality form with slack variables and
-// one artificial per row, sign-normalized so every right-hand side is >= 0,
-// and seeds the basis with slacks where possible, artificials elsewhere.
-func newTableau(p *Problem) *tableau {
+// newTableau converts the problem, whose constraint matrix a holds densified,
+// to equality form with slack variables and one artificial per row,
+// sign-normalized so every right-hand side is >= 0, and seeds the basis with
+// slacks where possible, artificials elsewhere.
+func newTableau(p *Problem, a [][]float64) *tableau {
 	m, ns := p.NumRows(), p.NumVars()
 	nSlack := 0
 	slackOf := make([]int, m)
@@ -461,7 +449,7 @@ func newTableau(p *Problem) *tableau {
 		}
 		tb.rowSign[i] = sign
 		for j := 0; j < ns; j++ {
-			row[j] = sign * p.A[i][j]
+			row[j] = sign * a[i][j]
 		}
 		rhs := sign * p.B[i]
 		if sj := slackOf[i]; sj >= 0 {

@@ -28,36 +28,41 @@ func wantOptimal(t *testing.T, p *Problem, obj float64, tol float64) *Solution {
 	return s
 }
 
-// checkFeasible verifies s satisfies all rows and bounds of p.
+// checkFeasible verifies x against the rows and bounds of p.
 func checkFeasible(t *testing.T, p *Problem, x []float64) {
 	t.Helper()
 	const tol = 1e-6
 	for j, v := range x {
-		u := math.Inf(1)
+		l, u := 0.0, math.Inf(1)
+		if p.Lower != nil {
+			l = p.Lower[j]
+		}
 		if p.Upper != nil {
 			u = p.Upper[j]
 		}
-		if v < -tol || v > u+tol {
-			t.Fatalf("x[%d] = %v violates bounds [0,%v]", j, v, u)
+		if v < l-tol || v > u+tol {
+			t.Fatalf("x[%d] = %v violates bounds [%v,%v]", j, v, l, u)
 		}
 	}
-	for i, row := range p.A {
-		lhs := 0.0
-		for j, a := range row {
-			lhs += a * x[j]
+	lhs := make([]float64, p.NumRows())
+	for j := 0; j < p.NumVars(); j++ {
+		for k := p.Cols.ColPtr[j]; k < p.Cols.ColPtr[j+1]; k++ {
+			lhs[p.Cols.RowIdx[k]] += p.Cols.Val[k] * x[j]
 		}
+	}
+	for i, l := range lhs {
 		switch p.Sense[i] {
 		case LE:
-			if lhs > p.B[i]+tol {
-				t.Fatalf("row %d: %v <= %v violated", i, lhs, p.B[i])
+			if l > p.B[i]+tol {
+				t.Fatalf("row %d: %v <= %v violated", i, l, p.B[i])
 			}
 		case GE:
-			if lhs < p.B[i]-tol {
-				t.Fatalf("row %d: %v >= %v violated", i, lhs, p.B[i])
+			if l < p.B[i]-tol {
+				t.Fatalf("row %d: %v >= %v violated", i, l, p.B[i])
 			}
 		case EQ:
-			if math.Abs(lhs-p.B[i]) > tol {
-				t.Fatalf("row %d: %v == %v violated", i, lhs, p.B[i])
+			if math.Abs(l-p.B[i]) > tol {
+				t.Fatalf("row %d: %v == %v violated", i, l, p.B[i])
 			}
 		}
 	}
@@ -67,7 +72,7 @@ func TestSimpleMaximization(t *testing.T) {
 	// max 3x + 5y st x <= 4; 2y <= 12; 3x + 2y <= 18 -> (2,6), obj 36.
 	p := &Problem{
 		Obj:   []float64{3, 5},
-		A:     [][]float64{{1, 0}, {0, 2}, {3, 2}},
+		Cols:  NewCSCFromDense([][]float64{{1, 0}, {0, 2}, {3, 2}}, 2),
 		Sense: []Sense{LE, LE, LE},
 		B:     []float64{4, 12, 18},
 	}
@@ -81,7 +86,7 @@ func TestUpperBoundsViaBox(t *testing.T) {
 	// max x + y st x + y <= 10, x <= 1.5 (box), y <= 2.5 (box) -> 4.
 	p := &Problem{
 		Obj:   []float64{1, 1},
-		A:     [][]float64{{1, 1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 1}}, 2),
 		Sense: []Sense{LE},
 		B:     []float64{10},
 		Upper: []float64{1.5, 2.5},
@@ -93,7 +98,7 @@ func TestBoundFlipOnly(t *testing.T) {
 	// No binding rows at all: solution is everything at its upper bound.
 	p := &Problem{
 		Obj:   []float64{2, 3, 1},
-		A:     [][]float64{{1, 1, 1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 1, 1}}, 3),
 		Sense: []Sense{LE},
 		B:     []float64{100},
 		Upper: []float64{1, 1, 1},
@@ -106,7 +111,7 @@ func TestGEConstraints(t *testing.T) {
 	// Optimum at intersection: x = 1.6, y = 1.2, sum = 2.8.
 	p := &Problem{
 		Obj:   []float64{-1, -1},
-		A:     [][]float64{{1, 2}, {3, 1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 2}, {3, 1}}, 2),
 		Sense: []Sense{GE, GE},
 		B:     []float64{4, 6},
 	}
@@ -118,7 +123,7 @@ func TestEqualityConstraints(t *testing.T) {
 	// x = 0, y = 3, obj 6.
 	p := &Problem{
 		Obj:   []float64{1, 2},
-		A:     [][]float64{{1, 1}, {1, -1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 1}, {1, -1}}, 2),
 		Sense: []Sense{EQ, LE},
 		B:     []float64{3, 1},
 	}
@@ -129,7 +134,7 @@ func TestNegativeRHS(t *testing.T) {
 	// max x st -x <= -2 (i.e. x >= 2), x <= 5.
 	p := &Problem{
 		Obj:   []float64{1},
-		A:     [][]float64{{-1}, {1}},
+		Cols:  NewCSCFromDense([][]float64{{-1}, {1}}, 1),
 		Sense: []Sense{LE, LE},
 		B:     []float64{-2, 5},
 	}
@@ -139,7 +144,7 @@ func TestNegativeRHS(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	p := &Problem{
 		Obj:   []float64{1},
-		A:     [][]float64{{1}, {1}},
+		Cols:  NewCSCFromDense([][]float64{{1}, {1}}, 1),
 		Sense: []Sense{GE, LE},
 		B:     []float64{5, 2},
 	}
@@ -152,7 +157,7 @@ func TestInfeasible(t *testing.T) {
 func TestInfeasibleEquality(t *testing.T) {
 	p := &Problem{
 		Obj:   []float64{1, 1},
-		A:     [][]float64{{1, 1}, {1, 1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 1}, {1, 1}}, 2),
 		Sense: []Sense{EQ, EQ},
 		B:     []float64{2, 3},
 	}
@@ -164,7 +169,7 @@ func TestInfeasibleEquality(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	p := &Problem{
 		Obj:   []float64{1, 0},
-		A:     [][]float64{{0, 1}},
+		Cols:  NewCSCFromDense([][]float64{{0, 1}}, 2),
 		Sense: []Sense{LE},
 		B:     []float64{1},
 	}
@@ -177,7 +182,7 @@ func TestBoundedByBoxNotUnbounded(t *testing.T) {
 	// Same as above but with a box bound: not unbounded anymore.
 	p := &Problem{
 		Obj:   []float64{1, 0},
-		A:     [][]float64{{0, 1}},
+		Cols:  NewCSCFromDense([][]float64{{0, 1}}, 2),
 		Sense: []Sense{LE},
 		B:     []float64{1},
 		Upper: []float64{7, math.Inf(1)},
@@ -189,7 +194,7 @@ func TestDegenerateLP(t *testing.T) {
 	// Classic degenerate vertex: multiple constraints meet at optimum.
 	p := &Problem{
 		Obj:   []float64{1, 1},
-		A:     [][]float64{{1, 0}, {0, 1}, {1, 1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 0}, {0, 1}, {1, 1}}, 2),
 		Sense: []Sense{LE, LE, LE},
 		B:     []float64{1, 1, 2},
 	}
@@ -200,7 +205,7 @@ func TestRedundantEqualityRows(t *testing.T) {
 	// Duplicate equality rows create a redundant row in phase 1.
 	p := &Problem{
 		Obj:   []float64{1, 1},
-		A:     [][]float64{{1, 1}, {2, 2}, {1, -1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 1}, {2, 2}, {1, -1}}, 2),
 		Sense: []Sense{EQ, EQ, LE},
 		B:     []float64{2, 4, 0},
 	}
@@ -211,7 +216,7 @@ func TestZeroObjectiveFeasibility(t *testing.T) {
 	// Pure feasibility problem.
 	p := &Problem{
 		Obj:   []float64{0, 0},
-		A:     [][]float64{{1, 1}, {1, -1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 1}, {1, -1}}, 2),
 		Sense: []Sense{EQ, EQ},
 		B:     []float64{4, 0},
 	}
@@ -224,9 +229,12 @@ func TestZeroObjectiveFeasibility(t *testing.T) {
 func TestValidateErrors(t *testing.T) {
 	bad := []*Problem{
 		{},
-		{Obj: []float64{1}, A: [][]float64{{1, 2}}, Sense: []Sense{LE}, B: []float64{1}},
-		{Obj: []float64{1}, A: [][]float64{{1}}, Sense: []Sense{LE}, B: []float64{1, 2}},
-		{Obj: []float64{1}, A: [][]float64{{1}}, Sense: []Sense{LE}, B: []float64{1}, Upper: []float64{-1}},
+		{Obj: []float64{1}, Cols: NewCSCFromDense([][]float64{{1, 2}}, 2), Sense: []Sense{LE}, B: []float64{1}},
+		{Obj: []float64{1}, Cols: NewCSCFromDense([][]float64{{1}}, 1), Sense: []Sense{LE}, B: []float64{1, 2}},
+		{Obj: []float64{1}, Cols: NewCSCFromDense([][]float64{{1}}, 1), Sense: []Sense{LE}, B: []float64{1}, Upper: []float64{-1}},
+		{Obj: []float64{1, 2}, Cols: NewCSCFromDense([][]float64{{1, 1}}, 2), Sense: []Sense{LE}, B: []float64{1},
+			Lower: []float64{0, 2}, Upper: []float64{1, 1}},
+		{Obj: []float64{1}, Sense: []Sense{LE}, B: []float64{1}},
 	}
 	for i, p := range bad {
 		if _, err := Solve(p); err == nil {
@@ -243,16 +251,18 @@ func TestKleeMintyDoesNotCycle(t *testing.T) {
 	for j := 0; j < n; j++ {
 		p.Obj[j] = math.Pow(2, float64(n-1-j))
 	}
+	var a [][]float64
 	for i := 0; i < n; i++ {
 		row := make([]float64, n)
 		for j := 0; j < i; j++ {
 			row[j] = math.Pow(2, float64(i-j+1))
 		}
 		row[i] = 1
-		p.A = append(p.A, row)
+		a = append(a, row)
 		p.Sense = append(p.Sense, LE)
 		p.B = append(p.B, math.Pow(5, float64(i+1)))
 	}
+	p.Cols = NewCSCFromDense(a, n)
 	s := solveOK(t, p)
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
@@ -269,7 +279,8 @@ func referenceSolve2D(p *Problem) (best float64, found bool) {
 	var cands [][2]float64
 	type line struct{ a, b, c float64 } // a*x + b*y = c
 	var lines []line
-	for i, row := range p.A {
+	a := p.Cols.Dense()
+	for i, row := range a {
 		lines = append(lines, line{row[0], row[1], p.B[i]})
 	}
 	ub := [2]float64{math.Inf(1), math.Inf(1)}
@@ -301,7 +312,7 @@ func referenceSolve2D(p *Problem) (best float64, found bool) {
 			continue
 		}
 		ok := true
-		for i, row := range p.A {
+		for i, row := range a {
 			lhs := row[0]*x + row[1]*y
 			switch p.Sense[i] {
 			case LE:
@@ -331,11 +342,13 @@ func TestRandomLPsAgainstVertexEnumeration(t *testing.T) {
 			Obj:   []float64{rng.NormFloat64(), rng.NormFloat64()},
 			Upper: []float64{1 + 4*rng.Float64(), 1 + 4*rng.Float64()},
 		}
+		var a [][]float64
 		for i := 0; i < rows; i++ {
-			p.A = append(p.A, []float64{rng.NormFloat64(), rng.NormFloat64()})
+			a = append(a, []float64{rng.NormFloat64(), rng.NormFloat64()})
 			p.Sense = append(p.Sense, Sense(rng.Intn(2))) // LE or GE
 			p.B = append(p.B, rng.NormFloat64()*2)
 		}
+		p.Cols = NewCSCFromDense(a, 2)
 		ref, feasible := referenceSolve2D(p)
 		s := solveOK(t, p)
 		if !feasible {
@@ -367,6 +380,7 @@ func TestModerateSizeRandomFeasible(t *testing.T) {
 			p.Obj[j] = rng.Float64()
 			p.Upper[j] = 1
 		}
+		var a [][]float64
 		for i := 0; i < m; i++ {
 			row := make([]float64, n)
 			for j := 0; j < n; j++ {
@@ -374,10 +388,11 @@ func TestModerateSizeRandomFeasible(t *testing.T) {
 					row[j] = rng.Float64()
 				}
 			}
-			p.A = append(p.A, row)
+			a = append(a, row)
 			p.Sense = append(p.Sense, LE)
 			p.B = append(p.B, 0.5+rng.Float64()*2)
 		}
+		p.Cols = NewCSCFromDense(a, n)
 		s := solveOK(t, p)
 		if s.Status != Optimal {
 			t.Fatalf("iter %d: status %v", iter, s.Status)
@@ -398,6 +413,7 @@ func BenchmarkSimplexMedium(b *testing.B) {
 		p.Obj[j] = rng.Float64()
 		p.Upper[j] = 1
 	}
+	var a [][]float64
 	for i := 0; i < m; i++ {
 		row := make([]float64, n)
 		for j := 0; j < n; j++ {
@@ -405,10 +421,11 @@ func BenchmarkSimplexMedium(b *testing.B) {
 				row[j] = rng.Float64()
 			}
 		}
-		p.A = append(p.A, row)
+		a = append(a, row)
 		p.Sense = append(p.Sense, LE)
 		p.B = append(p.B, 1+rng.Float64())
 	}
+	p.Cols = NewCSCFromDense(a, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(p); err != nil {

@@ -360,8 +360,7 @@ func WriteMPS(w io.Writer, p *Problem) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	sp := p.Sparsify()
-	c := sp.Cols
+	c := p.Cols
 	bw := bufio.NewWriter(w)
 
 	field := func(s string) string {
@@ -376,7 +375,7 @@ func WriteMPS(w io.Writer, p *Problem) error {
 	fmt.Fprintln(bw, "    MAX")
 	fmt.Fprintln(bw, "ROWS")
 	fmt.Fprintln(bw, " N  COST")
-	for i, s := range sp.Sense {
+	for i, s := range p.Sense {
 		t := "L"
 		switch s {
 		case GE:
@@ -390,8 +389,8 @@ func WriteMPS(w io.Writer, p *Problem) error {
 	for j := 0; j < c.N; j++ {
 		name := field(mpsColName(j))
 		wrote := false
-		if sp.Obj[j] != 0 { //vmalloc:nondet-ok structural zero test deciding MPS section membership
-			fmt.Fprintf(bw, "    %s%s%s\n", name, field("COST"), mpsNum(sp.Obj[j]))
+		if p.Obj[j] != 0 { //vmalloc:nondet-ok structural zero test deciding MPS section membership
+			fmt.Fprintf(bw, "    %s%s%s\n", name, field("COST"), mpsNum(p.Obj[j]))
 			wrote = true
 		}
 		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
@@ -405,14 +404,14 @@ func WriteMPS(w io.Writer, p *Problem) error {
 		}
 	}
 	fmt.Fprintln(bw, "RHS")
-	for i, b := range sp.B {
+	for i, b := range p.B {
 		if b != 0 { //vmalloc:nondet-ok structural zero test deciding MPS section membership
 			fmt.Fprintf(bw, "    %s%s%s\n", field("RHS"), field(mpsRowName(i)), mpsNum(b))
 		}
 	}
 	needBounds := false
 	for j := 0; j < c.N; j++ {
-		if lowerOf(sp, j) != 0 || !math.IsInf(upperOf(sp, j), 1) { //vmalloc:nondet-ok structural zero/default-bound test deciding MPS section membership
+		if lowerOf(p, j) != 0 || !math.IsInf(upperOf(p, j), 1) { //vmalloc:nondet-ok structural zero/default-bound test deciding MPS section membership
 			needBounds = true
 			break
 		}
@@ -420,7 +419,7 @@ func WriteMPS(w io.Writer, p *Problem) error {
 	if needBounds {
 		fmt.Fprintln(bw, "BOUNDS")
 		for j := 0; j < c.N; j++ {
-			l, u := lowerOf(sp, j), upperOf(sp, j)
+			l, u := lowerOf(p, j), upperOf(p, j)
 			switch {
 			case l == u: //vmalloc:nondet-ok exact bound equality encodes a fixed variable; bounds are stored, not computed
 				fmt.Fprintf(bw, " FX %s%s%s\n", field("BND"), field(mpsColName(j)), mpsNum(l))

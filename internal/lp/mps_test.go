@@ -3,6 +3,7 @@ package lp_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -16,8 +17,8 @@ import (
 
 // netlibOptima lists the vendored corpus with optima in the solver's
 // maximization form (minimizing files negate: e.g. transp's min 210 is a
-// max of -210). These values gate both the raw simplex and the presolve
-// backend in CI.
+// max of -210). These values gate both the raw simplex and the presolving
+// solve in CI.
 var netlibOptima = map[string]float64{
 	"klee3.mps":   10000,
 	"beale.mps":   0.05,
@@ -41,25 +42,114 @@ func parseNetlib(t *testing.T, name string) *lp.Problem {
 	return p
 }
 
+// solvers are the two solve paths every netlib model must pass: the raw
+// simplex and the presolving solve.
+var solvers = []struct {
+	name  string
+	solve func(*lp.Problem, *lp.Basis) (*lp.Solution, error)
+}{
+	{"simplex", lp.Simplex{}.SolveWarm},
+	{"presolve", presolve.Backend{}.SolveWarm},
+}
+
 // TestNetlibKnownOptima is the CI gate for solver correctness on the
-// vendored corpus: every backend must reproduce the documented optimum to
+// vendored corpus: both solve paths must reproduce the documented optimum to
 // 1e-4.
 func TestNetlibKnownOptima(t *testing.T) {
-	backends := []lp.Backend{lp.Simplex{}, presolve.Backend{}}
 	for name, want := range netlibOptima {
 		p := parseNetlib(t, name)
-		for _, be := range backends {
-			sol, err := be.Solve(p)
+		for _, s := range solvers {
+			sol, err := s.solve(p, nil)
 			if err != nil {
-				t.Errorf("%s via %s: %v", name, be.Name(), err)
+				t.Errorf("%s via %s: %v", name, s.name, err)
 				continue
 			}
 			if sol.Status != lp.Optimal {
-				t.Errorf("%s via %s: status %v, want optimal", name, be.Name(), sol.Status)
+				t.Errorf("%s via %s: status %v, want optimal", name, s.name, sol.Status)
 				continue
 			}
 			if math.Abs(sol.Objective-want) > 1e-4 {
-				t.Errorf("%s via %s: objective %.6f, want %.6f", name, be.Name(), sol.Objective, want)
+				t.Errorf("%s via %s: objective %.6f, want %.6f", name, s.name, sol.Objective, want)
+			}
+		}
+	}
+}
+
+// nonFiniteMPS is a two-row model, max x0 + x1 subject to x0 + x1 <= 4 and
+// x0 - x1 <= 2, whose optimum is 4; the three verbs fill in x0's objective
+// coefficient, its coefficient in R0 and R0's right-hand side. x0's PL bound
+// keeps an infinite upper bound, which stays valid.
+const nonFiniteMPS = `NAME          NONFINITE
+OBJSENSE
+    MAX
+ROWS
+ N  COST
+ L  R0
+ L  R1
+COLUMNS
+    X0        COST      %s
+    X0        R0        %s
+    X0        R1        1
+    X1        COST      1
+    X1        R0        1
+    X1        R1        -1
+RHS
+    RHS       R0        %s
+    RHS       R1        2
+BOUNDS
+ PL BND       X0
+ENDATA
+`
+
+// TestValidateRejectsNonFinite: a NaN or infinite objective coefficient,
+// matrix entry or right-hand side is refused, by ParseMPS (through
+// Validate) and by every solve path, instead of solving to a wrong Optimal.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	parse := func(obj, a, rhs string) (*lp.Problem, error) {
+		return lp.ParseMPS(strings.NewReader(fmt.Sprintf(nonFiniteMPS, obj, a, rhs)))
+	}
+	p, err := parse("1", "1", "4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range solvers {
+		if sol, err := s.solve(p, nil); err != nil || sol.Status != lp.Optimal || sol.Objective != 4 {
+			t.Fatalf("finite model via %s: %v, want optimal 4 (%v)", s.name, sol, err)
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		obj, a, rhs string
+		edit        func(q *lp.Problem, v float64)
+		replacement float64
+	}{
+		{"NaN coefficient", "1", "NaN", "4", func(q *lp.Problem, v float64) { q.Cols.Val[0] = v }, math.NaN()},
+		{"+Inf coefficient", "1", "+Inf", "4", func(q *lp.Problem, v float64) { q.Cols.Val[0] = v }, math.Inf(1)},
+		{"-Inf coefficient", "1", "-Inf", "4", func(q *lp.Problem, v float64) { q.Cols.Val[0] = v }, math.Inf(-1)},
+		{"NaN right-hand side", "1", "1", "NaN", func(q *lp.Problem, v float64) { q.B[0] = v }, math.NaN()},
+		{"+Inf right-hand side", "1", "1", "+Inf", func(q *lp.Problem, v float64) { q.B[0] = v }, math.Inf(1)},
+		{"NaN objective", "NaN", "1", "4", func(q *lp.Problem, v float64) { q.Obj[0] = v }, math.NaN()},
+		{"+Inf objective", "+Inf", "1", "4", func(q *lp.Problem, v float64) { q.Obj[0] = v }, math.Inf(1)},
+	} {
+		if _, err := parse(tc.obj, tc.a, tc.rhs); err == nil {
+			t.Errorf("%s: ParseMPS accepted the model", tc.name)
+		}
+		q := *p
+		q.Obj = append([]float64(nil), p.Obj...)
+		q.B = append([]float64(nil), p.B...)
+		c := *p.Cols
+		c.Val = append([]float64(nil), p.Cols.Val...)
+		q.Cols = &c
+		tc.edit(&q, tc.replacement)
+		if err := q.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the model", tc.name)
+		}
+		if _, err := lp.Solve(&q); err == nil {
+			t.Errorf("%s: the dense oracle solved the model", tc.name)
+		}
+		for _, s := range solvers {
+			if _, err := s.solve(&q, nil); err == nil {
+				t.Errorf("%s: solved via %s", tc.name, s.name)
 			}
 		}
 	}
@@ -96,7 +186,6 @@ func randomProblem(rng *rand.Rand) *lp.Problem {
 	m := rng.Intn(7)
 	p := &lp.Problem{
 		Obj:   make([]float64, n),
-		A:     make([][]float64, m),
 		Sense: make([]lp.Sense, m),
 		B:     make([]float64, m),
 		Lower: make([]float64, n),
@@ -118,17 +207,18 @@ func randomProblem(rng *rand.Rand) *lp.Problem {
 			p.Upper[j] = p.Lower[j] // fixed
 		}
 	}
-	for i := 0; i < m; i++ {
-		row := make([]float64, n)
-		for j := range row {
+	a := make([][]float64, m)
+	for i := range a {
+		a[i] = make([]float64, n)
+		for j := range a[i] {
 			if rng.Intn(2) == 0 {
-				row[j] = math.Round(rng.NormFloat64()*64) / 16
+				a[i][j] = math.Round(rng.NormFloat64()*64) / 16
 			}
 		}
-		p.A[i] = row
 		p.Sense[i] = lp.Sense(rng.Intn(3))
 		p.B[i] = math.Round(rng.NormFloat64() * 8)
 	}
+	p.Cols = lp.NewCSCFromDense(a, n)
 	return p
 }
 
@@ -158,8 +248,8 @@ func TestMPSRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: dims changed: %dx%d -> %dx%d",
 				trial, p.NumRows(), p.NumVars(), q.NumRows(), q.NumVars())
 		}
-		sp, errP := lp.SolveSparse(p.Sparsify())
-		sq, errQ := lp.SolveSparse(q)
+		sp, errP := lp.Simplex{}.SolveWarm(p, nil)
+		sq, errQ := lp.Simplex{}.SolveWarm(q, nil)
 		if (errP == nil) != (errQ == nil) {
 			t.Fatalf("trial %d: solve error mismatch: %v vs %v", trial, errP, errQ)
 		}

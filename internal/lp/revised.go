@@ -6,14 +6,33 @@ import (
 	"sync"
 )
 
-// SolveRevised maximizes the problem with a revised bounded simplex: the
-// constraint matrix is stored column-sparse and the basis is held as sparse
-// LU factors, so memory is O(m² + nnz) at worst instead of the dense
-// tableau's O(m·(n+m)). Results match Solve (both are exact); the revised
-// path wins on the large sparse relaxations produced by internal/relax.
-// It is SolveSparse without a warm basis.
-func SolveRevised(p *Problem) (*Solution, error) {
-	return SolveSparseWarm(p, nil)
+// Simplex is the sparse revised simplex as a one-shot solver: the constraint
+// matrix is stored column-sparse and the basis is held as sparse LU factors,
+// so memory is O(m² + nnz) at worst instead of the dense tableau's
+// O(m·(n+m)). Each solve validates its problem and borrows a pooled
+// Workspace.
+type Simplex struct{}
+
+// SolveWarm maximizes p, warm-started from the basis of a previous solve of
+// a same-shaped problem when it fits (bounds, objective and right-hand side
+// may differ; nil starts cold). When the basis still fits, the two simplex
+// phases collapse into a refactorization plus the few pivots the
+// perturbation requires: primal simplex pivots when the basis is still
+// primal feasible, dual simplex pivots first when only the bounds or
+// right-hand side moved (the basis is then still dual feasible). A basis
+// that fits neither way, or that is singular or mismatched, costs only the
+// failed checks before a cold start.
+//
+// When the iteration cap (Problem.MaxIter, or the automatic cap) is hit the
+// returned error wraps ErrIterLimit and the Solution — still returned —
+// carries Status == IterLimit plus the iteration count.
+func (Simplex) SolveWarm(p *Problem, warm *Basis) (*Solution, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	w := workspacePool.Get().(*Workspace)
+	defer workspacePool.Put(w)
+	return w.Solve(p, warm)
 }
 
 // Workspace is the sparse revised simplex's state: the sign-normalized
@@ -23,9 +42,9 @@ func SolveRevised(p *Problem) (*Solution, error) {
 // warmed-up workspace allocates only the Solution it returns. The zero value
 // is ready to use; a Workspace must not be used by two goroutines at once.
 //
-// One-shot solves (SolveSparse, Simplex) borrow a pooled workspace; a caller
-// that solves a sequence of related problems, such as the nodes of a
-// branch-and-bound tree, owns one.
+// One-shot solves (Simplex) borrow a pooled workspace; a caller that solves a
+// sequence of related problems, such as the nodes of a branch-and-bound
+// tree, owns one.
 type Workspace struct {
 	rv revised
 }
@@ -33,7 +52,7 @@ type Workspace struct {
 var workspacePool = sync.Pool{New: func() any { return new(Workspace) }}
 
 // Solve maximizes p, warm-started from warm when it fits (see
-// SolveSparseWarm). Like SolveSparseTrusted it does not validate p: an
+// Simplex.SolveWarm). Unlike Simplex.SolveWarm it does not validate p: an
 // invalid problem is a bug in the caller and may panic. The workspace keeps
 // no reference to p or to the returned Solution.
 func (w *Workspace) Solve(p *Problem, warm *Basis) (*Solution, error) {
@@ -233,25 +252,15 @@ func (rv *revised) load(p *Problem) {
 	// Shift the right-hand side by the lower bounds, column by column.
 	rhs := rv.rhs
 	copy(rhs, p.B)
+	pc := p.Cols
 	if rv.lower != nil {
-		if p.Cols != nil {
-			c := p.Cols
-			for j := 0; j < ns; j++ {
-				l := rv.lower[j]
-				if l == 0 { //vmalloc:nondet-ok structural zero test: only exactly-zero lower bounds skip the shift
-					continue
-				}
-				for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
-					rhs[c.RowIdx[k]] -= c.Val[k] * l
-				}
+		for j := 0; j < ns; j++ {
+			l := rv.lower[j]
+			if l == 0 { //vmalloc:nondet-ok structural zero test: only exactly-zero lower bounds skip the shift
+				continue
 			}
-		} else {
-			for i, row := range p.A {
-				for j, a := range row {
-					if l := rv.lower[j]; l != 0 && a != 0 { //vmalloc:nondet-ok structural zero tests on stored bound and coefficient; exact by construction
-						rhs[i] -= a * l
-					}
-				}
+			for k := pc.ColPtr[j]; k < pc.ColPtr[j+1]; k++ {
+				rhs[pc.RowIdx[k]] -= pc.Val[k] * l
 			}
 		}
 	}
@@ -265,18 +274,7 @@ func (rv *revised) load(p *Problem) {
 
 	// Sign-normalized columns in one arena: structural columns in input
 	// order, then a singleton per slack and per artificial.
-	nnz := nSlack + m
-	if p.Cols != nil {
-		nnz += p.Cols.NNZ()
-	} else {
-		for _, row := range p.A {
-			for _, v := range row {
-				if v != 0 { //vmalloc:nondet-ok structural zero test when building sparse columns
-					nnz++
-				}
-			}
-		}
-	}
+	nnz := nSlack + m + pc.NNZ()
 	c := &rv.cols
 	c.rows = grow(c.rows, nnz)
 	c.vals = grow(c.vals, nnz)
@@ -284,19 +282,10 @@ func (rv *revised) load(p *Problem) {
 	at := 0
 	for j := 0; j < ns; j++ {
 		c.start[j] = at
-		if pc := p.Cols; pc != nil {
-			for k := pc.ColPtr[j]; k < pc.ColPtr[j+1]; k++ {
-				r := pc.RowIdx[k]
-				c.rows[at], c.vals[at] = r, sign[r]*pc.Val[k]
-				at++
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				if v := p.A[i][j]; v != 0 { //vmalloc:nondet-ok structural zero test when building sparse columns
-					c.rows[at], c.vals[at] = i, sign[i]*v
-					at++
-				}
-			}
+		for k := pc.ColPtr[j]; k < pc.ColPtr[j+1]; k++ {
+			r := pc.RowIdx[k]
+			c.rows[at], c.vals[at] = r, sign[r]*pc.Val[k]
+			at++
 		}
 	}
 	for i := 0; i < m; i++ {

@@ -9,11 +9,11 @@ import (
 func TestRevisedSimpleMaximization(t *testing.T) {
 	p := &Problem{
 		Obj:   []float64{3, 5},
-		A:     [][]float64{{1, 0}, {0, 2}, {3, 2}},
+		Cols:  NewCSCFromDense([][]float64{{1, 0}, {0, 2}, {3, 2}}, 2),
 		Sense: []Sense{LE, LE, LE},
 		B:     []float64{4, 12, 18},
 	}
-	s, err := SolveRevised(p)
+	s, err := Simplex{}.SolveWarm(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +26,10 @@ func TestRevisedSimpleMaximization(t *testing.T) {
 
 func TestRevisedStatuses(t *testing.T) {
 	infeasible := &Problem{
-		Obj: []float64{1}, A: [][]float64{{1}, {1}},
+		Obj: []float64{1}, Cols: NewCSCFromDense([][]float64{{1}, {1}}, 1),
 		Sense: []Sense{GE, LE}, B: []float64{5, 2},
 	}
-	s, err := SolveRevised(infeasible)
+	s, err := Simplex{}.SolveWarm(infeasible, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,10 @@ func TestRevisedStatuses(t *testing.T) {
 		t.Fatalf("status = %v", s.Status)
 	}
 	unbounded := &Problem{
-		Obj: []float64{1, 0}, A: [][]float64{{0, 1}},
+		Obj: []float64{1, 0}, Cols: NewCSCFromDense([][]float64{{0, 1}}, 2),
 		Sense: []Sense{LE}, B: []float64{1},
 	}
-	s, err = SolveRevised(unbounded)
+	s, err = Simplex{}.SolveWarm(unbounded, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestRevisedStatuses(t *testing.T) {
 func TestRevisedEqualityAndNegativeRHS(t *testing.T) {
 	p := &Problem{
 		Obj:   []float64{1, 2},
-		A:     [][]float64{{1, 1}, {-1, 0}},
+		Cols:  NewCSCFromDense([][]float64{{1, 1}, {-1, 0}}, 2),
 		Sense: []Sense{EQ, LE},
 		B:     []float64{3, -0.5}, // x >= 0.5
 	}
-	s, err := SolveRevised(p)
+	s, err := Simplex{}.SolveWarm(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +86,7 @@ func TestRevisedMatchesDenseOnRandomLPs(t *testing.T) {
 				p.Upper[j] = 0.5 + 3*rng.Float64()
 			}
 		}
+		var a [][]float64
 		for i := 0; i < rows; i++ {
 			row := make([]float64, n)
 			for j := 0; j < n; j++ {
@@ -93,15 +94,16 @@ func TestRevisedMatchesDenseOnRandomLPs(t *testing.T) {
 					row[j] = rng.NormFloat64()
 				}
 			}
-			p.A = append(p.A, row)
+			a = append(a, row)
 			p.Sense = append(p.Sense, Sense(rng.Intn(3)))
 			p.B = append(p.B, rng.NormFloat64())
 		}
+		p.Cols = NewCSCFromDense(a, n)
 		dense, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rev, err := SolveRevised(p)
+		rev, err := Simplex{}.SolveWarm(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,6 +131,7 @@ func TestRevisedModerateSparse(t *testing.T) {
 			p.Obj[j] = rng.Float64()
 			p.Upper[j] = 1
 		}
+		var a [][]float64
 		for i := 0; i < m; i++ {
 			row := make([]float64, n)
 			for j := 0; j < n; j++ {
@@ -136,15 +139,16 @@ func TestRevisedModerateSparse(t *testing.T) {
 					row[j] = rng.Float64()
 				}
 			}
-			p.A = append(p.A, row)
+			a = append(a, row)
 			p.Sense = append(p.Sense, LE)
 			p.B = append(p.B, 0.5+rng.Float64())
 		}
+		p.Cols = NewCSCFromDense(a, n)
 		dense, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rev, err := SolveRevised(p)
+		rev, err := Simplex{}.SolveWarm(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,6 +170,7 @@ func BenchmarkRevisedVsDenseSparse(b *testing.B) {
 		p.Obj[j] = rng.Float64()
 		p.Upper[j] = 1
 	}
+	var a [][]float64
 	for i := 0; i < m; i++ {
 		row := make([]float64, n)
 		for j := 0; j < n; j++ {
@@ -173,10 +178,11 @@ func BenchmarkRevisedVsDenseSparse(b *testing.B) {
 				row[j] = rng.Float64()
 			}
 		}
-		p.A = append(p.A, row)
+		a = append(a, row)
 		p.Sense = append(p.Sense, LE)
 		p.B = append(p.B, 0.5+rng.Float64())
 	}
+	p.Cols = NewCSCFromDense(a, n)
 	b.Run("dense", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := Solve(p); err != nil {
@@ -186,7 +192,7 @@ func BenchmarkRevisedVsDenseSparse(b *testing.B) {
 	})
 	b.Run("revised", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := SolveRevised(p); err != nil {
+			if _, err := (Simplex{}).SolveWarm(p, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

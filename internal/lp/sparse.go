@@ -1,11 +1,11 @@
-// Sparse-matrix support for the revised simplex: compressed-sparse-column
+// The model's matrix and the simplex's warm token: compressed-sparse-column
 // (CSC) constraint storage, a triplet builder for row-oriented encoders such
-// as internal/relax, and warm-started solve entry points that reuse the
-// optimal basis of a previous solve. The allocation LP of the paper (Eqs.
-// 1–7) touches only a handful of variables per constraint, so the CSC form
-// cuts both memory and per-iteration cost from O(m·n) to O(m² + nnz), and
-// warm starts collapse re-solves of perturbed instances (rounding retries,
-// branch-and-bound children) to a refactorization plus a few pivots.
+// as internal/relax, and the Basis a solve hands out to warm-start the next
+// one. The allocation LP of the paper (Eqs. 1–7) touches only a handful of
+// variables per constraint, so the CSC form cuts both memory and
+// per-iteration cost from O(m·n) to O(m² + nnz), and warm starts collapse
+// re-solves of perturbed instances (rounding retries, branch-and-bound
+// children) to a refactorization plus a few pivots.
 
 package lp
 
@@ -73,19 +73,6 @@ func NewCSCFromDense(a [][]float64, numVars int) *CSC {
 		}
 	}
 	return b.Build(len(a))
-}
-
-// Sparsify returns a copy of the problem with the constraint matrix in CSC
-// form (the copy shares everything else). Problems already sparse are
-// returned unchanged.
-func (p *Problem) Sparsify() *Problem {
-	if p.Cols != nil {
-		return p
-	}
-	q := *p
-	q.Cols = NewCSCFromDense(p.A, p.NumVars())
-	q.A = nil
-	return &q
 }
 
 // SparseBuilder accumulates matrix entries in any order (typically row by
@@ -161,13 +148,12 @@ func (b *Basis) cols() []int32 { return b.data[:b.m] }
 func (b *Basis) status() []int32 { return b.data[b.m:] }
 
 // WithAttachment returns a copy of the basis (sharing its immutable
-// contents) that carries v, an opaque value of the backend that handed the
-// basis out: a backend whose warm token is more than a basis — the
-// presolving backend's token also names the reduction the basis belongs to —
-// stores the rest here and reads it back with Attachment when the token
-// returns. The solvers never look at it. v lives as long as the token does
-// and, like the basis, may be read from several goroutines at once, so it
-// must be immutable.
+// contents) that carries v, an opaque value of the caller that handed the
+// basis out as its warm token: presolve.Backend's token also names the
+// reduction the basis belongs to, stored here and read back with Attachment
+// when the token returns. The simplex never looks at it. v lives as long as
+// the token does and, like the basis, may be read from several goroutines at
+// once, so it must be immutable.
 func (b *Basis) WithAttachment(v any) *Basis {
 	c := *b
 	c.attached = v
@@ -176,109 +162,6 @@ func (b *Basis) WithAttachment(v any) *Basis {
 
 // Attachment returns the value WithAttachment stored, or nil.
 func (b *Basis) Attachment() any { return b.attached }
-
-// BasisVarStatus is the exported view of a simplex variable's position in a
-// Basis: resting at its lower bound, resting at its upper bound, or basic.
-type BasisVarStatus int8
-
-const (
-	// BasisAtLower marks a nonbasic variable at its lower bound.
-	BasisAtLower BasisVarStatus = BasisVarStatus(atLower)
-	// BasisAtUpper marks a nonbasic variable at its upper bound.
-	BasisAtUpper BasisVarStatus = BasisVarStatus(atUpper)
-	// BasisBasic marks a basic variable.
-	BasisBasic BasisVarStatus = BasisVarStatus(basic)
-)
-
-// SlackColumns returns, for each row, the equality-form column index of its
-// slack variable, or -1 for EQ rows (which have none). This is the column
-// convention shared by the solvers and Basis: structural variables occupy
-// columns 0..numStruct-1, slacks are assigned to non-EQ rows in row order
-// starting at numStruct, and the artificial of row i is numReal+i where
-// numReal = numStruct + (number of non-EQ rows).
-func SlackColumns(senses []Sense, numStruct int) []int {
-	slackOf := make([]int, len(senses))
-	next := numStruct
-	for i, s := range senses {
-		if s == EQ {
-			slackOf[i] = -1
-		} else {
-			slackOf[i] = next
-			next++
-		}
-	}
-	return slackOf
-}
-
-// Dims returns the basis shape: constraint rows, structural columns, and
-// real (structural + slack) columns. Artificial columns are numReal..
-// numReal+m-1, with the artificial of row i at numReal+i.
-func (b *Basis) Dims() (m, numStruct, numReal int) {
-	return b.m, b.nStruct, b.nReal
-}
-
-// Export returns the basis contents in the equality-form column convention
-// documented on SlackColumns: basicByRow[i] is the column basic in row i
-// (possibly an artificial >= numReal for a redundant row), and nonbasic[j]
-// is the resting status of every real column j < numReal. Both slices are
-// fresh copies.
-func (b *Basis) Export() (basicByRow []int, nonbasic []BasisVarStatus) {
-	basicByRow = make([]int, b.m)
-	for i, col := range b.cols() {
-		basicByRow[i] = int(col)
-	}
-	nonbasic = make([]BasisVarStatus, b.nReal)
-	for j, st := range b.status() {
-		nonbasic[j] = BasisVarStatus(st)
-	}
-	return basicByRow, nonbasic
-}
-
-// NewBasis assembles a Basis from explicit contents, the inverse of Export:
-// senses give the row senses of the target problem (fixing the slack-column
-// layout per SlackColumns), basicByRow names the column basic in each row,
-// and nonbasic gives the resting status of every real column (entries for
-// basic columns are ignored). It validates shape and duplicates only;
-// numerical fitness (nonsingularity, primal feasibility) is checked when the
-// basis is installed, where a failure falls back to a cold start.
-func NewBasis(senses []Sense, numStruct int, basicByRow []int, nonbasic []BasisVarStatus) (*Basis, error) {
-	m := len(senses)
-	if len(basicByRow) != m {
-		return nil, fmt.Errorf("lp: NewBasis: %d basic columns for %d rows", len(basicByRow), m)
-	}
-	nSlack := 0
-	for _, s := range senses {
-		if s != EQ {
-			nSlack++
-		}
-	}
-	nReal := numStruct + nSlack
-	if len(nonbasic) != nReal {
-		return nil, fmt.Errorf("lp: NewBasis: %d statuses for %d real columns", len(nonbasic), nReal)
-	}
-	b := &Basis{m: m, nStruct: numStruct, nReal: nReal, data: make([]int32, m+nReal)}
-	status := b.status()
-	for j, st := range nonbasic {
-		switch st {
-		case BasisAtLower, BasisAtUpper, BasisBasic:
-			status[j] = int32(st)
-		default:
-			return nil, fmt.Errorf("lp: NewBasis: invalid status %d for column %d", st, j)
-		}
-	}
-	seen := make(map[int]bool, m)
-	for i, col := range basicByRow {
-		if col < 0 || col >= nReal+m || seen[col] {
-			return nil, fmt.Errorf("lp: NewBasis: invalid or duplicate basic column %d in row %d", col, i)
-		}
-		seen[col] = true
-		b.cols()[i] = int32(col)
-		if col < nReal {
-			status[col] = int32(basic)
-		}
-	}
-	return b, nil
-}
 
 // captureBasis snapshots the solver's current basis into b.
 func (rv *revised) captureBasis(b *Basis) {
@@ -337,42 +220,4 @@ func (rv *revised) installBasis(wb *Basis) bool {
 	}
 	rv.refreshXB()
 	return true
-}
-
-// SolveSparse maximizes the problem with the sparse revised simplex. It
-// shares the Problem/Solution API with Solve and accepts either matrix form,
-// but never densifies: column-sparse problems run directly on their CSC
-// storage. The returned Solution carries the optimal Basis for
-// warm-starting.
-func SolveSparse(p *Problem) (*Solution, error) {
-	return SolveSparseWarm(p, nil)
-}
-
-// SolveSparseWarm is SolveSparse warm-started from the basis of a previous
-// solve of a same-shaped problem (bounds, objective and right-hand side may
-// differ). When the basis still fits, the two simplex phases collapse into a
-// refactorization plus the few pivots the perturbation requires: primal
-// simplex pivots when the basis is still primal feasible, dual simplex
-// pivots first when only the bounds or right-hand side moved (the basis is
-// then still dual feasible). A basis that fits neither way, or that is
-// singular or mismatched, costs only the failed checks before a cold start.
-//
-// When the iteration cap (Problem.MaxIter, or the automatic cap) is hit the
-// returned error wraps ErrIterLimit and the Solution — still returned —
-// carries Status == IterLimit plus the iteration count.
-func SolveSparseWarm(p *Problem, warm *Basis) (*Solution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return SolveSparseTrusted(p, warm)
-}
-
-// SolveSparseTrusted is SolveSparseWarm without the Validate pass, for a
-// problem the caller validated itself or built valid by construction (the
-// presolving backend's reduced models). An invalid problem here is a bug in
-// the caller and may panic.
-func SolveSparseTrusted(p *Problem, warm *Basis) (*Solution, error) {
-	w := workspacePool.Get().(*Workspace)
-	defer workspacePool.Put(w)
-	return w.Solve(p, warm)
 }

@@ -18,6 +18,7 @@ func randomProblem(rng *rand.Rand, n, rows int, density float64) *Problem {
 			p.Upper[j] = 0.5 + 3*rng.Float64()
 		}
 	}
+	var a [][]float64
 	for i := 0; i < rows; i++ {
 		row := make([]float64, n)
 		for j := 0; j < n; j++ {
@@ -25,10 +26,11 @@ func randomProblem(rng *rand.Rand, n, rows int, density float64) *Problem {
 				row[j] = rng.NormFloat64()
 			}
 		}
-		p.A = append(p.A, row)
+		a = append(a, row)
 		p.Sense = append(p.Sense, Sense(rng.Intn(3)))
 		p.B = append(p.B, rng.NormFloat64())
 	}
+	p.Cols = NewCSCFromDense(a, n)
 	return p
 }
 
@@ -74,58 +76,17 @@ func TestSparseBuilderArbitraryOrder(t *testing.T) {
 	}
 }
 
-// checkCSCFeasible verifies x against the sparse rows and bounds of p.
-func checkCSCFeasible(t *testing.T, p *Problem, x []float64) {
-	t.Helper()
-	const tol = 1e-6
-	for j, v := range x {
-		l, u := 0.0, math.Inf(1)
-		if p.Lower != nil {
-			l = p.Lower[j]
-		}
-		if p.Upper != nil {
-			u = p.Upper[j]
-		}
-		if v < l-tol || v > u+tol {
-			t.Fatalf("x[%d] = %v violates bounds [%v,%v]", j, v, l, u)
-		}
-	}
-	lhs := make([]float64, p.NumRows())
-	for j := 0; j < p.NumVars(); j++ {
-		for k := p.Cols.ColPtr[j]; k < p.Cols.ColPtr[j+1]; k++ {
-			lhs[p.Cols.RowIdx[k]] += p.Cols.Val[k] * x[j]
-		}
-	}
-	for i, l := range lhs {
-		switch p.Sense[i] {
-		case LE:
-			if l > p.B[i]+tol {
-				t.Fatalf("row %d: %v <= %v violated", i, l, p.B[i])
-			}
-		case GE:
-			if l < p.B[i]-tol {
-				t.Fatalf("row %d: %v >= %v violated", i, l, p.B[i])
-			}
-		case EQ:
-			if math.Abs(l-p.B[i]) > tol {
-				t.Fatalf("row %d: %v == %v violated", i, l, p.B[i])
-			}
-		}
-	}
-}
-
-// Randomized cross-validation: SolveSparse on the CSC form must match the
-// dense Solve on status and objective (1e-6) and satisfy the duality checks.
+// Randomized cross-validation: the revised simplex must match the dense
+// Solve on status and objective (1e-6) and satisfy the duality checks.
 func TestSparseMatchesDenseOnRandomLPs(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for iter := 0; iter < 400; iter++ {
 		p := randomProblem(rng, 2+rng.Intn(5), 1+rng.Intn(6), 0.7)
-		sp := p.Sparsify()
 		dense, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := SolveSparse(sp)
+		sparse, err := Simplex{}.SolveWarm(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +99,6 @@ func TestSparseMatchesDenseOnRandomLPs(t *testing.T) {
 		if math.Abs(dense.Objective-sparse.Objective) > 1e-6*(1+math.Abs(dense.Objective)) {
 			t.Fatalf("iter %d: objective dense=%v sparse=%v", iter, dense.Objective, sparse.Objective)
 		}
-		checkCSCFeasible(t, sp, sparse.X)
 		checkFeasible(t, p, sparse.X)
 		checkDuality(t, p, sparse)
 		if sparse.Basis == nil {
@@ -147,41 +107,18 @@ func TestSparseMatchesDenseOnRandomLPs(t *testing.T) {
 	}
 }
 
-// Sparse solve of a densified problem and dense solve of a CSC problem must
-// both work: the two matrix forms are interchangeable at the API level.
-func TestMatrixFormsInterchangeable(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	p := randomProblem(rng, 6, 5, 0.6)
-	sp := p.Sparsify()
-	fromDense, err := SolveSparse(p) // dense A through the sparse solver
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCSC, err := Solve(sp) // CSC through the dense solver (densifies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromDense.Status != fromCSC.Status {
-		t.Fatalf("status %v vs %v", fromDense.Status, fromCSC.Status)
-	}
-	if fromDense.Status == Optimal &&
-		math.Abs(fromDense.Objective-fromCSC.Objective) > 1e-6*(1+math.Abs(fromDense.Objective)) {
-		t.Fatalf("objective %v vs %v", fromDense.Objective, fromCSC.Objective)
-	}
-}
-
 func TestLowerBoundsSimple(t *testing.T) {
 	// max -x with 1 <= x <= 3: optimum at the lower bound, x = 1.
 	p := &Problem{
 		Obj:   []float64{-1},
-		A:     [][]float64{{1}},
+		Cols:  NewCSCFromDense([][]float64{{1}}, 1),
 		Sense: []Sense{LE},
 		B:     []float64{10},
 		Lower: []float64{1},
 		Upper: []float64{3},
 	}
 	for name, solve := range map[string]func(*Problem) (*Solution, error){
-		"dense": Solve, "sparse": SolveSparse,
+		"dense": Solve, "sparse": func(p *Problem) (*Solution, error) { return Simplex{}.SolveWarm(p, nil) },
 	} {
 		s, err := solve(p)
 		if err != nil {
@@ -198,13 +135,13 @@ func TestLowerBoundsFixedVariable(t *testing.T) {
 	// max x + y st x + y <= 1.5 -> y = 0.5, objective 1.5.
 	p := &Problem{
 		Obj:   []float64{1, 1},
-		A:     [][]float64{{1, 1}},
+		Cols:  NewCSCFromDense([][]float64{{1, 1}}, 2),
 		Sense: []Sense{LE},
 		B:     []float64{1.5},
 		Lower: []float64{1, 0},
 		Upper: []float64{1, math.Inf(1)},
 	}
-	s, err := SolveSparse(p)
+	s, err := Simplex{}.SolveWarm(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +170,7 @@ func TestLowerBoundsRandomCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := SolveSparse(p.Sparsify())
+		sparse, err := Simplex{}.SolveWarm(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,22 +183,22 @@ func TestLowerBoundsRandomCrossValidation(t *testing.T) {
 		if math.Abs(dense.Objective-sparse.Objective) > 1e-6*(1+math.Abs(dense.Objective)) {
 			t.Fatalf("iter %d: objective dense=%v sparse=%v", iter, dense.Objective, sparse.Objective)
 		}
-		checkCSCFeasible(t, p.Sparsify(), sparse.X)
+		checkFeasible(t, p, sparse.X)
 	}
 }
 
 func TestWarmStartIdenticalProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for iter := 0; iter < 50; iter++ {
-		p := randomProblem(rng, 3+rng.Intn(5), 2+rng.Intn(5), 0.7).Sparsify()
-		cold, err := SolveSparse(p)
+		p := randomProblem(rng, 3+rng.Intn(5), 2+rng.Intn(5), 0.7)
+		cold, err := Simplex{}.SolveWarm(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cold.Status != Optimal {
 			continue
 		}
-		warm, err := SolveSparseWarm(p, cold.Basis)
+		warm, err := Simplex{}.SolveWarm(p, cold.Basis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,16 +230,15 @@ func TestWarmStartPerturbedBounds(t *testing.T) {
 				p.Upper[j] = 1 + rng.Float64()
 			}
 		}
-		sp := p.Sparsify()
-		base, err := SolveSparse(sp)
+		base, err := Simplex{}.SolveWarm(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if base.Status != Optimal {
 			continue
 		}
-		q := *sp
-		q.Upper = append([]float64(nil), sp.Upper...)
+		q := *p
+		q.Upper = append([]float64(nil), p.Upper...)
 		j := rng.Intn(len(q.Upper))
 		if rng.Float64() < 0.5 {
 			q.Upper[j] = 0 // fix to 0
@@ -310,11 +246,11 @@ func TestWarmStartPerturbedBounds(t *testing.T) {
 			q.Lower = make([]float64, len(q.Upper))
 			q.Lower[j] = q.Upper[j] // fix to its upper bound
 		}
-		warm, err := SolveSparseWarm(&q, base.Basis)
+		warm, err := Simplex{}.SolveWarm(&q, base.Basis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := SolveSparse(&q)
+		cold, err := Simplex{}.SolveWarm(&q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +270,7 @@ func TestWarmStartPerturbedBounds(t *testing.T) {
 		if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
 			t.Fatalf("iter %d: warm objective %v vs cold %v", iter, warm.Objective, cold.Objective)
 		}
-		checkCSCFeasible(t, q.Sparsify(), warm.X)
+		checkFeasible(t, &q, warm.X)
 	}
 	if reused == 0 || pivoted == 0 {
 		t.Fatalf("%d warm starts, %d of them pivoting: the perturbations exercised nothing", reused, pivoted)
@@ -345,8 +281,8 @@ func TestWarmStartPerturbedBounds(t *testing.T) {
 func TestWarmStartPerturbedRHSAndObjective(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	for iter := 0; iter < 150; iter++ {
-		p := randomProblem(rng, 3+rng.Intn(5), 2+rng.Intn(5), 0.7).Sparsify()
-		base, err := SolveSparse(p)
+		p := randomProblem(rng, 3+rng.Intn(5), 2+rng.Intn(5), 0.7)
+		base, err := Simplex{}.SolveWarm(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,11 +294,11 @@ func TestWarmStartPerturbedRHSAndObjective(t *testing.T) {
 		q.Obj = append([]float64(nil), p.Obj...)
 		q.B[rng.Intn(len(q.B))] += 0.1 * rng.NormFloat64()
 		q.Obj[rng.Intn(len(q.Obj))] += 0.1 * rng.NormFloat64()
-		warm, err := SolveSparseWarm(&q, base.Basis)
+		warm, err := Simplex{}.SolveWarm(&q, base.Basis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := SolveSparse(&q)
+		cold, err := Simplex{}.SolveWarm(&q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,51 +315,27 @@ func TestWarmStartPerturbedRHSAndObjective(t *testing.T) {
 // A basis from a differently-shaped problem must be rejected, not crash.
 func TestWarmStartShapeMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	small := randomProblem(rng, 3, 2, 0.9).Sparsify()
-	big := randomProblem(rng, 6, 5, 0.9).Sparsify()
-	bs, err := SolveSparse(small)
+	small := randomProblem(rng, 3, 2, 0.9)
+	big := randomProblem(rng, 6, 5, 0.9)
+	bs, err := Simplex{}.SolveWarm(small, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bs.Status != Optimal {
 		t.Skip("unlucky draw: small problem not optimal")
 	}
-	s, err := SolveSparseWarm(big, bs.Basis)
+	s, err := Simplex{}.SolveWarm(big, bs.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.WarmStarted {
 		t.Fatal("mismatched basis must not be installed")
 	}
-	cold, err := SolveSparse(big)
+	cold, err := Simplex{}.SolveWarm(big, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Status != cold.Status {
 		t.Fatalf("fallback status %v vs cold %v", s.Status, cold.Status)
-	}
-}
-
-func TestValidateRejectsAmbiguousMatrix(t *testing.T) {
-	p := &Problem{
-		Obj:   []float64{1},
-		A:     [][]float64{{1}},
-		Cols:  NewCSCFromDense([][]float64{{1}}, 1),
-		Sense: []Sense{LE},
-		B:     []float64{1},
-	}
-	if err := p.Validate(); err == nil {
-		t.Fatal("Validate must reject problems with both A and Cols set")
-	}
-	bad := &Problem{
-		Obj:   []float64{1, 2},
-		A:     [][]float64{{1, 1}},
-		Sense: []Sense{LE},
-		B:     []float64{1},
-		Lower: []float64{0, 2},
-		Upper: []float64{1, 1},
-	}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate must reject Lower > Upper")
 	}
 }

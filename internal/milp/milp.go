@@ -132,14 +132,8 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 		}
 	}
 
-	// Sparsify the matrix once so node solves share one CSC instead of
-	// copying rows.
-	base := p.LP
-	if base.Cols == nil {
-		base = *base.Sparsify()
-	}
 	rs := treePool.Get().(*relaxations)
-	rs.reset(&base)
+	rs.reset(&p.LP)
 	defer func() {
 		rs.reset(nil)
 		treePool.Put(rs)

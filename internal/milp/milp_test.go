@@ -14,7 +14,7 @@ func TestKnapsack(t *testing.T) {
 	p := &Problem{
 		LP: lp.Problem{
 			Obj:   []float64{10, 13, 7},
-			A:     [][]float64{{3, 4, 2}},
+			Cols:  lp.NewCSCFromDense([][]float64{{3, 4, 2}}, 3),
 			Sense: []lp.Sense{lp.LE},
 			B:     []float64{6},
 			Upper: []float64{1, 1, 1},
@@ -38,7 +38,7 @@ func TestRelaxationTighterThanInteger(t *testing.T) {
 	// the integer optimum, matching the paper's §3.2 upper-bound claim.
 	rel, err := lp.Solve(&lp.Problem{
 		Obj:   []float64{10, 13, 7},
-		A:     [][]float64{{3, 4, 2}},
+		Cols:  lp.NewCSCFromDense([][]float64{{3, 4, 2}}, 3),
 		Sense: []lp.Sense{lp.LE},
 		B:     []float64{6},
 		Upper: []float64{1, 1, 1},
@@ -57,7 +57,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	p := &Problem{
 		LP: lp.Problem{
 			Obj:   []float64{5, 1},
-			A:     [][]float64{{-2, 1}, {0, 1}},
+			Cols:  lp.NewCSCFromDense([][]float64{{-2, 1}, {0, 1}}, 2),
 			Sense: []lp.Sense{lp.LE, lp.LE},
 			B:     []float64{0, 1.5},
 			Upper: []float64{1, math.Inf(1)},
@@ -81,7 +81,7 @@ func TestInfeasibleMILP(t *testing.T) {
 	p := &Problem{
 		LP: lp.Problem{
 			Obj:   []float64{1, 1},
-			A:     [][]float64{{1, 1}},
+			Cols:  lp.NewCSCFromDense([][]float64{{1, 1}}, 2),
 			Sense: []lp.Sense{lp.EQ},
 			B:     []float64{1.5},
 			Upper: []float64{1, 1},
@@ -101,7 +101,7 @@ func TestNodeLimit(t *testing.T) {
 	p := &Problem{
 		LP: lp.Problem{
 			Obj:   []float64{1, 1, 1, 1},
-			A:     [][]float64{{1, 1, 1, 1}},
+			Cols:  lp.NewCSCFromDense([][]float64{{1, 1, 1, 1}}, 4),
 			Sense: []lp.Sense{lp.LE},
 			B:     []float64{2.5},
 			Upper: []float64{1, 1, 1, 1},
@@ -120,7 +120,7 @@ func TestNodeLimit(t *testing.T) {
 func TestBadBinaryIndex(t *testing.T) {
 	p := &Problem{
 		LP: lp.Problem{
-			Obj: []float64{1}, A: [][]float64{{1}}, Sense: []lp.Sense{lp.LE}, B: []float64{1},
+			Obj: []float64{1}, Cols: lp.NewCSCFromDense([][]float64{{1}}, 1), Sense: []lp.Sense{lp.LE}, B: []float64{1},
 		},
 		Binary: []int{5},
 	}
@@ -209,12 +209,13 @@ func TestWarmStartMatchesColdSearch(t *testing.T) {
 				p.Binary = append(p.Binary, j)
 			}
 		}
+		var a [][]float64
 		for i := 0; i < rows; i++ {
 			w := make([]float64, n)
 			for j := range w {
 				w[j] = rng.Float64() * 5
 			}
-			p.LP.A = append(p.LP.A, w)
+			a = append(a, w)
 			p.LP.Sense = append(p.LP.Sense, lp.LE)
 			p.LP.B = append(p.LP.B, rng.Float64()*10)
 		}
@@ -223,10 +224,11 @@ func TestWarmStartMatchesColdSearch(t *testing.T) {
 			for _, j := range p.Binary {
 				cover[j] = 1
 			}
-			p.LP.A = append(p.LP.A, cover)
+			a = append(a, cover)
 			p.LP.Sense = append(p.LP.Sense, lp.GE)
 			p.LP.B = append(p.LP.B, 1)
 		}
+		p.LP.Cols = lp.NewCSCFromDense(a, n)
 		got, err := Solve(p, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -257,7 +259,7 @@ func TestRandomKnapsacksAgainstBruteForce(t *testing.T) {
 		capacity := rng.Float64() * 10
 		p := &Problem{
 			LP: lp.Problem{
-				Obj: obj, A: [][]float64{w}, Sense: []lp.Sense{lp.LE}, B: []float64{capacity}, Upper: up,
+				Obj: obj, Cols: lp.NewCSCFromDense([][]float64{w}, n), Sense: []lp.Sense{lp.LE}, B: []float64{capacity}, Upper: up,
 			},
 			Binary: func() []int {
 				b := make([]int, n)

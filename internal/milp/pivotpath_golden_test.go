@@ -56,7 +56,7 @@ func relaxationPath(i int) (string, string, error) {
 	if red.Outcome() != presolve.Reduced {
 		return scn.String(), fmt.Sprintf("presolve=%v", red.Outcome()), nil
 	}
-	sol, err := lp.SolveSparse(red.Problem())
+	sol, err := lp.Simplex{}.SolveWarm(red.Problem(), nil)
 	if err != nil {
 		return "", "", err
 	}

@@ -1,6 +1,6 @@
-// Backend wraps any lp.Backend with the reduction pipeline, making
-// presolve+solve+postsolve a drop-in solver for relax (LPBOUND, RRND, RRNZ
-// and the engine's bound bracket). The warm token it hands out is the REDUCED
+// Backend is the presolving solve relax runs for LPBOUND, RRND, RRNZ and the
+// engine's bound bracket: reduce, solve the reduced model with the sparse
+// simplex, postsolve the primal. The warm token it hands out is the REDUCED
 // model's basis with the Reduction it belongs to attached. A re-solve of an
 // element-for-element equal problem — the bound-then-RRND-then-RRNZ pattern
 // internal/relax replays from its table of recent tokens — finds its
@@ -8,50 +8,28 @@
 // anything else reduces from scratch. The comparison is against the
 // reducer's own copy of the earlier problem, so editing a problem in place
 // between solves can never revive a stale reduction. A basis that does not
-// fit the new reduced model fails the install shape check inside the inner
-// solver and costs only a cold start. Use Reduce/Postsolve directly when the
-// full-space basis is needed instead.
+// fit the new reduced model fails the simplex's install shape check and costs
+// only a cold start.
 
 package presolve
 
 import "vmalloc/internal/lp"
 
-// Backend is a presolving lp.Backend. The zero value wraps the in-tree
-// sparse simplex.
-type Backend struct {
-	// Inner solves the reduced models; nil means lp.Simplex.
-	Inner lp.Backend
-	// Opts configures every reduction (nil = defaults).
-	Opts *Options
-}
+// Backend solves linear programs through the reduction pipeline under the
+// default Options.
+type Backend struct{}
 
-func init() {
-	lp.MustRegister(Backend{})
-}
-
-func (b Backend) inner() lp.Backend {
-	if b.Inner == nil {
-		return lp.Simplex{}
-	}
-	return b.Inner
-}
-
-// Name implements lp.Backend.
-func (b Backend) Name() string { return "presolve+" + b.inner().Name() }
-
-// Solve implements lp.Backend.
-func (b Backend) Solve(p *lp.Problem) (*lp.Solution, error) { return b.SolveWarm(p, nil) }
-
-// SolveWarm implements lp.Backend: reduce (or take the reduction off the
-// token), solve the reduced model (warm when the token fits), postsolve the
-// primal, and return the reduced basis, reduction attached, as the next warm
-// token.
-func (b Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) {
+// SolveWarm maximizes p: reduce (or take the reduction off the token), solve
+// the reduced model (warm when the token fits), postsolve the primal, and
+// return the reduced basis, reduction attached, as the next warm token. A
+// problem presolve decides outright — infeasible, unbounded, or eliminated
+// entirely — is answered without the simplex and hands out no token.
+func (Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) {
 	var prev *Reduction
 	if warm != nil {
 		prev, _ = warm.Attachment().(*Reduction)
 	}
-	red, err := reduce(p, b.Opts, prev)
+	red, err := reduce(p, nil, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -68,19 +46,11 @@ func (b Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) 
 		full.Presolve = red.solutionStats()
 		return full, nil
 	}
-	var sol *lp.Solution
-	if b.Inner == nil {
-		// emit built the reduced model valid; the simplex need not re-check it.
-		sol, err = lp.SolveSparseTrusted(red.Problem(), warm)
-	} else {
-		sol, err = b.Inner.SolveWarm(red.Problem(), warm)
-	}
+	sol, err := lp.Simplex{}.SolveWarm(red.Problem(), warm)
 	if err != nil {
 		return sol, err
 	}
-	// Hand the reduced basis back as the warm token; the full-space basis
-	// reconstruction is reachable via explicit Reduce+Postsolve.
-	full, err := red.postsolve(sol, false)
+	full, err := red.Postsolve(sol)
 	if err != nil {
 		return nil, err
 	}

@@ -6,11 +6,11 @@ import "vmalloc/internal/lp"
 // fingerprints: together with Stats it pins how many eliminations ran.
 func (r *Reduction) RecordCount() int { return len(r.records) }
 
-// Reuse runs the backend's reduction step for a solve of p under opts that
-// was handed token, and reports whether it took the whole reduction off the
-// token (nothing ran).
-func Reuse(token *lp.Basis, p *lp.Problem, opts *Options) bool {
+// Reuse runs Backend's reduction step for a solve of p that was handed
+// token, and reports whether it took the whole reduction off the token
+// (nothing ran).
+func Reuse(token *lp.Basis, p *lp.Problem) bool {
 	prev, _ := token.Attachment().(*Reduction)
-	red, err := reduce(p, opts, prev)
+	red, err := reduce(p, nil, prev)
 	return err == nil && prev != nil && red == prev
 }

@@ -117,7 +117,7 @@ func (a *matrix) equals(c *lp.CSC, cursor *[]int32) bool {
 // reducer is the mutable working state of one reduction, always indexed by
 // original row/column ids. It doubles as the pooled scratch: every buffer is
 // recycled from one reduction to the next, and finish copies the results
-// (records, terms, synRow, pivotOf) out at their final size.
+// (records, terms) out at their final size.
 type reducer struct {
 	n, m  int // current counts; n grows past nOrig as slacks are added
 	nOrig int // columns in the input problem
@@ -139,20 +139,18 @@ type reducer struct {
 	assumeImplied            bool // see substitute
 	stats                    Stats
 	opts                     Options
-	synRow                   []int // synthetic column n0+k -> its source inequality row
-	pivotOf                  []int
 	records                  []record
 	terms                    []entry // backing store of every recSubst's terms
 }
 
 var reducerPool = sync.Pool{New: func() any { return new(reducer) }}
 
-// load resets the reducer to the start of a reduction of src.
-func (ps *reducer) load(src *source) {
+// load resets the reducer to the start of a reduction of src under opts.
+func (ps *reducer) load(src *source, opts *Options) {
 	a := src.mat
 	n, m := a.n, a.m
 	ps.n, ps.m, ps.nOrig = n, m, n
-	ps.opts = src.opts
+	ps.opts = *opts
 	ps.stats = Stats{RowsBefore: m, ColsBefore: n, NNZBefore: len(a.cells)}
 	ps.infeasible, ps.unbounded, ps.assumeImplied = false, false, false
 
@@ -187,13 +185,8 @@ func (ps *reducer) load(src *source) {
 		ps.colAlive[j] = true
 	}
 
-	ps.synRow = ps.synRow[:0]
 	ps.records = ps.records[:0]
 	ps.terms = ps.terms[:0]
-	ps.pivotOf = sliceutil.Grow(ps.pivotOf, m)
-	for i := range ps.pivotOf {
-		ps.pivotOf[i] = -1
-	}
 }
 
 // newCell returns a cell to overwrite, recycled when one is free. Growing

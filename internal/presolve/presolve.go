@@ -4,8 +4,8 @@
 // columns out through equality rows (singleton columns are the zero-fill
 // case), drops redundant rows, fixes whole rows when their activity bounds
 // force every variable, and iterates bound propagation to a fixpoint. The
-// reduced model is solved by any lp.Backend; a postsolve stack then
-// reconstructs the full primal solution and a full-space simplex basis.
+// reduced model is solved by the sparse simplex, and a postsolve stack then
+// reconstructs the full primal solution; Backend runs the three steps.
 //
 // The paper's relaxation (Eqs. 1–7) is the design target: its per-service
 // placement equalities (Eq. 3) and min-yield linking rows (Eq. 7) are what
@@ -78,38 +78,26 @@ type Stats struct {
 
 // Reduction is the result of Reduce: the reduced problem plus everything
 // Postsolve needs to translate a reduced solution back to the original
-// variable and row space. It is immutable once returned, so one Reduction
+// variable space. It is immutable once returned, so one Reduction
 // may serve any number of Postsolve calls on any number of goroutines.
 type Reduction struct {
 	outcome Outcome
 	stats   Stats
 
-	src    *source // private copy of the problem as given
-	n0, m0 int
+	src *source // private copy of the problem as given
+	// n0 is the number of original columns, nCols that plus the synthetic
+	// doubleton slacks (reducer columns n0..nCols-1).
+	n0, nCols int
 
 	reduced *lp.Problem
-	colKeep []int // reduced col -> reducer col (>= n0: synthetic doubleton slack)
-	colMap  []int // reducer col -> reduced col, or -1
-	rowKeep []int // reduced row -> original row
-	rowMap  []int // original row -> reduced row, or -1
-
-	// synRow[k] is the original inequality row whose slack became synthetic
-	// column n0+k during doubleton elimination. In the full model that
-	// column IS the row's slack, which is how postsolve maps it back.
-	synRow []int
-
-	// pivotOf[i] is the column substituted out through original EQ row i
-	// (-1 otherwise). When the row survives (morphed to an inequality) its
-	// reduced slack stands in for the pivot column; when it was dropped the
-	// pivot column is basic in the full row.
-	pivotOf []int
+	colKeep []int // reduced col -> reducer col
 
 	records []record
 	terms   []entry // backing store of the recSubst records' terms
 }
 
-// source is the reducer's own copy of one problem: the prepared matrix,
-// bounds with nil fields expanded, and the options it was reduced under.
+// source is the reducer's own copy of one problem: the prepared matrix and
+// the bounds with nil fields expanded.
 // Holding copies instead of the caller's slices is what lets a Reduction
 // outlive the call that made it — as the warm token's attachment — and
 // still decide, by comparison alone, whether a later problem is the same.
@@ -118,20 +106,18 @@ type source struct {
 	obj, b  []float64
 	l, u    []float64
 	sense   []lp.Sense
-	opts    Options
 	maxIter int
 }
 
 // newSource snapshots a validated sparse problem over an already prepared
 // matrix.
-func newSource(mat *matrix, p *lp.Problem, opts *Options) *source {
+func newSource(mat *matrix, p *lp.Problem) *source {
 	n, m := mat.n, mat.m
 	f := make([]float64, 3*n+m) // one block: obj, l, u, b
 	s := &source{
 		mat: mat,
 		obj: f[:n:n], l: f[n : 2*n : 2*n], u: f[2*n : 3*n : 3*n], b: f[3*n:],
 		sense:   append([]lp.Sense(nil), p.Sense...),
-		opts:    *opts,
 		maxIter: p.MaxIter,
 	}
 	copy(s.obj, p.Obj)
@@ -171,11 +157,11 @@ func sameBits(a, b []float64, def float64) bool {
 	return true
 }
 
-// sameData reports whether a validated sparse problem whose matrix already
+// sameData reports whether a validated problem whose matrix already
 // compared equal matches the snapshot in everything else a reduction reads:
-// objective, right-hand sides, senses, bounds, iteration cap and options.
-func (s *source) sameData(p *lp.Problem, opts *Options) bool {
-	if p.MaxIter != s.maxIter || *opts != s.opts {
+// objective, right-hand sides, senses, bounds and iteration cap.
+func (s *source) sameData(p *lp.Problem) bool {
+	if p.MaxIter != s.maxIter {
 		return false
 	}
 	for i, v := range p.Sense {
@@ -245,16 +231,18 @@ const (
 	maxSubstFill = 100
 )
 
-// Reduce runs the pipeline on a validated problem (either matrix form; the
-// dense form is sparsified first) and returns the reduction.
+// Reduce runs the pipeline on a validated problem (nil opts: the defaults)
+// and returns the reduction.
 func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 	return reduce(p, opts, nil)
 }
 
-// reduce is Reduce with a previous reduction to draw on: when p and opts
-// equal, element for element, what prev was reduced from, prev itself is
-// the answer and nothing runs; anything else reduces afresh. Either way the
-// result is what Reduce(p, opts) alone would return.
+// reduce is Reduce with a previous reduction to draw on: when p equals,
+// element for element, what prev was reduced from, prev itself is the answer
+// and nothing runs; anything else reduces afresh. Either way the result is
+// what Reduce(p, opts) alone would return, provided prev was reduced under
+// the same options — Backend, the one caller with a prev, reduces every
+// problem under the defaults.
 func reduce(p *lp.Problem, opts *Options, prev *Reduction) (*Reduction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -262,18 +250,17 @@ func reduce(p *lp.Problem, opts *Options, prev *Reduction) (*Reduction, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	sp := p.Sparsify()
 	ps := reducerPool.Get().(*reducer)
 	defer reducerPool.Put(ps)
 
-	if prev != nil && prev.src.mat.equals(sp.Cols, &ps.cursor) && prev.src.sameData(sp, opts) {
+	if prev != nil && prev.src.mat.equals(p.Cols, &ps.cursor) && prev.src.sameData(p) {
 		return prev, nil
 	}
-	src := newSource(newMatrix(sp.Cols, &ps.cursor), sp, opts)
-	ps.load(src)
+	src := newSource(newMatrix(p.Cols, &ps.cursor), p)
+	ps.load(src, opts)
 	ps.run()
 
-	r := &Reduction{src: src, n0: ps.nOrig, m0: ps.m}
+	r := &Reduction{src: src, n0: ps.nOrig}
 	switch {
 	case ps.infeasible:
 		r.outcome = Infeasible
@@ -316,15 +303,13 @@ func reduce(p *lp.Problem, opts *Options, prev *Reduction) (*Reduction, error) {
 			return ps.finish(r), nil
 		}
 		r.outcome = Solved
-		r.colMap = fullMap(ps.n, nil)
-		r.rowMap = fullMap(ps.m, nil)
 		return ps.finish(r), nil
 	}
 
 	r.outcome = Reduced
-	r.reduced, r.colKeep, r.rowKeep, r.colMap, r.rowMap = ps.emit(p.MaxIter)
+	r.reduced, r.colKeep = ps.emit(p.MaxIter)
 	ps.finish(r)
-	r.stats.RowsAfter = len(r.rowKeep)
+	r.stats.RowsAfter = r.reduced.NumRows()
 	r.stats.ColsAfter = len(r.colKeep)
 	r.stats.NNZAfter = r.reduced.Cols.NNZ()
 	return r, nil
@@ -333,10 +318,9 @@ func reduce(p *lp.Problem, opts *Options, prev *Reduction) (*Reduction, error) {
 // finish moves the run's results out of the pooled scratch into r.
 func (ps *reducer) finish(r *Reduction) *Reduction {
 	r.stats = ps.stats
+	r.nCols = ps.n
 	r.records = append([]record(nil), ps.records...)
 	r.terms = append([]entry(nil), ps.terms...)
-	r.synRow = append([]int(nil), ps.synRow...)
-	r.pivotOf = append([]int(nil), ps.pivotOf...)
 	return r
 }
 
@@ -809,7 +793,6 @@ func (ps *reducer) substitute(i, piv int) bool {
 	})
 	ps.terms = append(ps.terms, others...)
 	ps.stats.SubstCols++
-	ps.pivotOf[i] = piv
 
 	// The host row lives on as the pivot's one unimplied bound constraint on
 	// the others — the row minus its pivot cell — or not at all.
@@ -926,12 +909,10 @@ func (ps *reducer) vubBothImplied(i int, piv, part entry, sigma float64) bool {
 
 // addSlackCol appends a fresh column holding row i's slack (sigma=+1) or
 // surplus (sigma=-1): bounds [0, inf), zero objective, a single entry in
-// row i. Postsolve treats the column as the original row's slack when
-// rebuilding full-space bases.
+// row i.
 func (ps *reducer) addSlackCol(i int, sigma float64) {
 	j := ps.n
 	ps.n++
-	ps.synRow = append(ps.synRow, i)
 	ps.l = append(ps.l, 0)
 	ps.u = append(ps.u, math.Inf(1))
 	ps.c = append(ps.c, 0)
@@ -1003,25 +984,24 @@ func (ps *reducer) impliedByRows(piv, skipRow int, lowImplied, upImplied bool) (
 // negation here: with a nonnegative right-hand side a LE slack enters the
 // initial basis directly, while the equivalent GE row would demand a
 // phase-1 artificial — the normalization is what lets fully-presolved
-// models start phase 2 immediately. Slack values and statuses are identical
-// either way (s = |a·x - b|), so basis mapping is unaffected. The CSC is
-// laid out by counting sort over the surviving rows, so entries within a
-// column sit in row order; structural zeros are not stored.
-func (ps *reducer) emit(maxIter int) (red *lp.Problem, colKeep, rowKeep, colMap, rowMap []int) {
+// models start phase 2 immediately. Slack values are identical either way
+// (s = |a·x - b|). The CSC is laid out by counting sort over the surviving
+// rows, so entries within a column sit in row order; structural zeros are
+// not stored. colKeep maps each reduced column to its reducer column.
+func (ps *reducer) emit(maxIter int) (red *lp.Problem, colKeep []int) {
 	colKeep = make([]int, 0, ps.aliveCols())
 	for j := 0; j < ps.n; j++ {
 		if ps.colAlive[j] {
 			colKeep = append(colKeep, j)
 		}
 	}
-	rowKeep = make([]int, 0, ps.aliveRows())
+	rowKeep := make([]int, 0, ps.aliveRows())
 	for i := 0; i < ps.m; i++ {
 		if ps.rowAlive[i] {
 			rowKeep = append(rowKeep, i)
 		}
 	}
-	colMap = fullMap(ps.n, colKeep)
-	rowMap = fullMap(ps.m, rowKeep)
+	colMap := fullMap(ps.n, colKeep)
 
 	nr, mr := len(colKeep), len(rowKeep)
 	csc := &lp.CSC{M: mr, N: nr, ColPtr: make([]int, nr+1)}
@@ -1076,5 +1056,5 @@ func (ps *reducer) emit(maxIter int) (red *lp.Problem, colKeep, rowKeep, colMap,
 		Lower:   lower,
 		MaxIter: maxIter,
 	}
-	return red, colKeep, rowKeep, colMap, rowMap
+	return red, colKeep
 }

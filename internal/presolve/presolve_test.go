@@ -11,15 +11,15 @@ import (
 	"vmalloc/internal/workload"
 )
 
-// solveBoth solves p unreduced and through the presolving backend and
-// returns both solutions.
+// solveBoth solves p unreduced and through presolve.Backend and returns
+// both solutions.
 func solveBoth(t *testing.T, p *lp.Problem) (raw, pre *lp.Solution) {
 	t.Helper()
-	raw, err := lp.SolveSparse(p)
+	raw, err := lp.Simplex{}.SolveWarm(p, nil)
 	if err != nil {
 		t.Fatalf("raw solve: %v", err)
 	}
-	pre, err = presolve.Backend{}.Solve(p)
+	pre, err = presolve.Backend{}.SolveWarm(p, nil)
 	if err != nil {
 		t.Fatalf("presolved solve: %v", err)
 	}
@@ -69,11 +69,7 @@ func checkFeasible(t *testing.T, p *lp.Problem, x []float64) {
 			t.Fatalf("x[%d]=%g outside [%g,%g]", j, v, l, u)
 		}
 	}
-	a := p.A
-	if p.Cols != nil {
-		a = p.Cols.Dense()
-	}
-	for i, row := range a {
+	for i, row := range p.Cols.Dense() {
 		lhs := 0.0
 		for j, c := range row {
 			lhs += c * x[j]
@@ -98,19 +94,24 @@ func checkFeasible(t *testing.T, p *lp.Problem, x []float64) {
 
 func inf() float64 { return math.Inf(1) }
 
-// TestRuleFixedAndEmpty exercises fixed variables (equal bounds), empty
-// columns, and empty rows in one model.
-func TestRuleFixedAndEmpty(t *testing.T) {
-	// max 2a + b + 3c: a free-ish in [0,4] unconstrained (empty col),
-	// b fixed at 2, c in a real constraint; plus a vacuous 0 <= 5 row.
-	p := &lp.Problem{
+// fixedAndEmpty is max 2a + b + 3c with a free-ish in [0,4] unconstrained
+// (empty col), b fixed at 2, c in a real constraint, plus a vacuous 0 <= 5
+// row: a model presolve eliminates entirely.
+func fixedAndEmpty() *lp.Problem {
+	return &lp.Problem{
 		Obj:   []float64{2, 1, 3},
-		A:     [][]float64{{0, 1, 1}, {0, 0, 0}},
+		Cols:  lp.NewCSCFromDense([][]float64{{0, 1, 1}, {0, 0, 0}}, 3),
 		Sense: []lp.Sense{lp.LE, lp.LE},
 		B:     []float64{5, 5},
 		Lower: []float64{0, 2, 0},
 		Upper: []float64{4, 2, 10},
 	}
+}
+
+// TestRuleFixedAndEmpty exercises fixed variables (equal bounds), empty
+// columns, and empty rows in one model.
+func TestRuleFixedAndEmpty(t *testing.T) {
+	p := fixedAndEmpty()
 	red, err := presolve.Reduce(p, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -130,23 +131,79 @@ func TestRuleFixedAndEmpty(t *testing.T) {
 			t.Fatalf("x[%d]=%g, want %g", j, full.X[j], w)
 		}
 	}
-	raw, err := lp.SolveSparse(p)
+	raw, err := lp.Simplex{}.SolveWarm(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(full.Objective-raw.Objective) > 1e-9 {
 		t.Fatalf("objective %g, want %g", full.Objective, raw.Objective)
 	}
-	if full.Basis == nil {
-		t.Fatal("Solved outcome should reconstruct a basis")
+}
+
+// TestBackendSolvedOutcome solves a model presolve eliminates entirely
+// through Backend: the answer is Postsolve(nil)'s, bit for bit, within 1e-9
+// of the dense oracle, with the presolve counters set and no warm token; a
+// repeat solve, cold or handed another problem's token, returns the same
+// bits.
+func TestBackendSolvedOutcome(t *testing.T) {
+	p := fixedAndEmpty()
+	red, err := presolve.Reduce(p, nil)
+	if err != nil || red.Outcome() != presolve.Solved {
+		t.Fatalf("outcome %v (%v), want Solved", red.Outcome(), err)
 	}
-	warm, err := lp.SolveSparseWarm(p, full.Basis)
+	want, err := red.Postsolve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.WarmStarted || warm.Status != lp.Optimal {
-		t.Fatalf("reconstructed basis rejected: warm=%v status=%v", warm.WarmStarted, warm.Status)
+	oracle, err := lp.Solve(p)
+	if err != nil || oracle.Status != lp.Optimal {
+		t.Fatalf("dense oracle: %v %v", oracle.Status, err)
 	}
+	same := func(what string, got *lp.Solution) {
+		t.Helper()
+		if got.Status != lp.Optimal || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+			t.Fatalf("%s: %v/%v, want optimal/%v", what, got.Status, got.Objective, want.Objective)
+		}
+		for j, x := range want.X {
+			if math.Float64bits(got.X[j]) != math.Float64bits(x) {
+				t.Fatalf("%s: x[%d] = %v, want %v", what, j, got.X[j], x)
+			}
+		}
+		if got.Basis != nil {
+			t.Fatalf("%s: a fully presolved model handed out a token", what)
+		}
+		if got.Presolve == nil || got.Presolve.ColsEliminated != p.NumVars() {
+			t.Fatalf("%s: presolve stats %+v, want all %d columns eliminated", what, got.Presolve, p.NumVars())
+		}
+	}
+	b := presolve.Backend{}
+	first, err := b.SolveWarm(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("cold", first)
+	if d := math.Abs(first.Objective - oracle.Objective); d > 1e-9*(1+math.Abs(oracle.Objective)) {
+		t.Fatalf("objective %.15g, dense oracle %.15g", first.Objective, oracle.Objective)
+	}
+	for j, x := range oracle.X {
+		if math.Abs(first.X[j]-x) > 1e-9 {
+			t.Fatalf("x[%d] = %v, dense oracle %v", j, first.X[j], x)
+		}
+	}
+	again, err := b.SolveWarm(p, first.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("repeat", again)
+	other, err := b.SolveWarm(paperRelaxation(1), nil)
+	if err != nil || other.Basis == nil {
+		t.Fatalf("token source: %v (%v)", other.Status, err)
+	}
+	foreign, err := b.SolveWarm(p, other.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("foreign token", foreign)
 }
 
 // TestRuleSingletonRow checks singleton rows become bound tightenings in
@@ -154,13 +211,13 @@ func TestRuleFixedAndEmpty(t *testing.T) {
 func TestRuleSingletonRow(t *testing.T) {
 	p := &lp.Problem{
 		Obj: []float64{1, 1, -1, 1},
-		A: [][]float64{
+		Cols: lp.NewCSCFromDense([][]float64{
 			{2, 0, 0, 0},  // 2a <= 6  -> a <= 3
 			{0, -1, 0, 0}, // -b <= -1 -> b >= 1
 			{0, 0, 3, 0},  // 3c = 6   -> c = 2
 			{0, 0, 0, 1},  // d >= 0.5
 			{1, 1, 1, 1},  // keeps the model nontrivial
-		},
+		}, 4),
 		Sense: []lp.Sense{lp.LE, lp.LE, lp.EQ, lp.GE, lp.LE},
 		B:     []float64{6, -1, 6, 0.5, 7},
 		Upper: []float64{10, 10, 10, 10},
@@ -181,11 +238,11 @@ func TestRuleSingletonRow(t *testing.T) {
 func TestRuleRedundantAndForcing(t *testing.T) {
 	p := &lp.Problem{
 		Obj: []float64{1, 2, 5},
-		A: [][]float64{
+		Cols: lp.NewCSCFromDense([][]float64{
 			{1, 1, 0}, // a+b <= 100: redundant (max activity 2)
 			{1, 1, 0}, // a+b >= 0: redundant (min activity 0)
 			{0, 1, 1}, // b+c <= 0: forcing (min activity 0) -> b=c=0
-		},
+		}, 3),
 		Sense: []lp.Sense{lp.LE, lp.GE, lp.LE},
 		B:     []float64{100, 0, 0},
 		Upper: []float64{1, 1, 1},
@@ -218,7 +275,7 @@ func TestRuleSubstitution(t *testing.T) {
 	// [0,10] below), x + 2y <= 2.
 	p := &lp.Problem{
 		Obj:   []float64{1, 1, 10},
-		A:     [][]float64{{1, 1, 1}, {1, 2, 0}},
+		Cols:  lp.NewCSCFromDense([][]float64{{1, 1, 1}, {1, 2, 0}}, 3),
 		Sense: []lp.Sense{lp.EQ, lp.LE},
 		B:     []float64{1.5, 2},
 		Upper: []float64{1, 1, 10},
@@ -241,7 +298,7 @@ func TestRuleBoundPropagation(t *testing.T) {
 	// similarly; propagation must chain z's bound through y into x.
 	p := &lp.Problem{
 		Obj:   []float64{1, 0, 0},
-		A:     [][]float64{{2, -1, 0}, {0, 2, -1}},
+		Cols:  lp.NewCSCFromDense([][]float64{{2, -1, 0}, {0, 2, -1}}, 3),
 		Sense: []lp.Sense{lp.LE, lp.LE},
 		B:     []float64{0, 0},
 		Upper: []float64{100, 100, 1},
@@ -258,7 +315,7 @@ func TestRuleBoundPropagation(t *testing.T) {
 func TestInfeasibleDetection(t *testing.T) {
 	p := &lp.Problem{
 		Obj:   []float64{1, 1},
-		A:     [][]float64{{1, 1}},
+		Cols:  lp.NewCSCFromDense([][]float64{{1, 1}}, 2),
 		Sense: []lp.Sense{lp.GE},
 		B:     []float64{5},
 		Upper: []float64{1, 1},
@@ -270,7 +327,7 @@ func TestInfeasibleDetection(t *testing.T) {
 	if red.Outcome() != presolve.Infeasible {
 		t.Fatalf("outcome %v, want Infeasible", red.Outcome())
 	}
-	sol, err := presolve.Backend{}.Solve(p)
+	sol, err := presolve.Backend{}.SolveWarm(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +341,7 @@ func TestInfeasibleDetection(t *testing.T) {
 func TestUnboundedDetection(t *testing.T) {
 	p := &lp.Problem{
 		Obj:   []float64{1, 1},
-		A:     [][]float64{{1, 0}},
+		Cols:  lp.NewCSCFromDense([][]float64{{1, 0}}, 2),
 		Sense: []lp.Sense{lp.LE},
 		B:     []float64{1},
 		Upper: []float64{1, inf()},
@@ -301,16 +358,16 @@ func TestUnboundedDetection(t *testing.T) {
 // TestPostsolveSlackOfMorphedEquality is the smallest model found (by
 // differential fuzzing of the reducer) on which an equality row morphs into
 // an inequality through substitution and then loses a doubleton: its
-// synthetic slack has no column in the full model, so basis reconstruction
-// must give up with a nil basis — it used to index the slack table at -1.
+// synthetic slack has no column in the full model, and postsolve must still
+// recover the unreduced optimum.
 func TestPostsolveSlackOfMorphedEquality(t *testing.T) {
 	p := &lp.Problem{
 		Obj: []float64{3, 1, 3, 0},
-		A: [][]float64{
+		Cols: lp.NewCSCFromDense([][]float64{
 			{1, -0.5, -1, -2},
 			{0, -0.5, 0, 0},
 			{0, -0.5, 1, -1.57},
-		},
+		}, 4),
 		Sense: []lp.Sense{lp.EQ, lp.GE, lp.EQ},
 		B:     []float64{-3.5, -0.5, 0.9299999999999999},
 		Lower: []float64{1, 0, 0, 0},
@@ -325,16 +382,13 @@ func TestPostsolveSlackOfMorphedEquality(t *testing.T) {
 	if red.Outcome() != presolve.Reduced {
 		t.Fatalf("outcome %v, want Reduced", red.Outcome())
 	}
-	sol, err := lp.SolveSparse(red.Problem())
+	sol, err := lp.Simplex{}.SolveWarm(red.Problem(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full, err := red.Postsolve(sol)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if full.Basis != nil {
-		t.Fatal("a basis was reconstructed for a model with an unmappable synthetic slack")
 	}
 	if d := math.Abs(full.Objective - raw.Objective); d > 1e-9*(1+math.Abs(raw.Objective)) {
 		t.Fatalf("postsolved objective %.15g vs raw %.15g", full.Objective, raw.Objective)
@@ -364,14 +418,13 @@ func parkScenarios() []workload.Scenario {
 
 // TestEquivalenceRandomParks is the headline equivalence gate: across 100+
 // random park relaxations the reduced-model objective and reconstructed
-// primal must match the unreduced solve to 1e-9, and the reconstructed
-// full-space basis must warm-start the unreduced model.
+// primal must match the unreduced solve to 1e-9, through presolve.Backend
+// and through Reduce, the simplex and Postsolve step by step.
 func TestEquivalenceRandomParks(t *testing.T) {
 	scns := parkScenarios()
 	if len(scns) < 100 {
 		t.Fatalf("corpus too small: %d instances", len(scns))
 	}
-	basisOK := 0
 	for _, scn := range scns {
 		p := workload.Generate(scn)
 		enc := relax.Encode(p)
@@ -381,7 +434,6 @@ func TestEquivalenceRandomParks(t *testing.T) {
 			continue
 		}
 
-		// Full-space basis reconstruction through the explicit API.
 		red, err := presolve.Reduce(enc.LP, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", scn, err)
@@ -392,7 +444,7 @@ func TestEquivalenceRandomParks(t *testing.T) {
 		if s := red.Stats(); s.RowsAfter >= s.RowsBefore && s.ColsAfter >= s.ColsBefore {
 			t.Errorf("%v: presolve removed nothing: %+v", scn, s)
 		}
-		rsol, err := lp.SolveSparse(red.Problem())
+		rsol, err := lp.Simplex{}.SolveWarm(red.Problem(), nil)
 		if err != nil {
 			t.Fatalf("%v: reduced solve: %v", scn, err)
 		}
@@ -404,28 +456,8 @@ func TestEquivalenceRandomParks(t *testing.T) {
 		if d := math.Abs(full.Objective - raw.Objective); d > 1e-9*scale {
 			t.Fatalf("%v: postsolved objective %.15g vs raw %.15g", scn, full.Objective, raw.Objective)
 		}
-		if full.Basis != nil {
-			warm, err := lp.SolveSparseWarm(enc.LP, full.Basis)
-			if err != nil {
-				t.Fatalf("%v: warm from reconstructed basis: %v", scn, err)
-			}
-			if warm.Status != lp.Optimal {
-				t.Fatalf("%v: warm status %v", scn, warm.Status)
-			}
-			if d := math.Abs(warm.Objective - raw.Objective); d > 1e-9*scale {
-				t.Fatalf("%v: warm objective drifted: %.15g vs %.15g", scn, warm.Objective, raw.Objective)
-			}
-			if warm.WarmStarted {
-				basisOK++
-			}
-		}
+		checkFeasible(t, enc.LP, full.X)
 	}
-	// The reconstruction must be usable in the common case, not just a
-	// permanent cold-start fallback.
-	if basisOK < len(scns)/2 {
-		t.Fatalf("reconstructed full basis installed on only %d/%d instances", basisOK, len(scns))
-	}
-	t.Logf("full-space basis installed warm on %d/%d instances", basisOK, len(scns))
 }
 
 // presolvedBnB is a test-side reference branch and bound that reduces every
@@ -435,12 +467,11 @@ func TestEquivalenceRandomParks(t *testing.T) {
 func presolvedBnB(t *testing.T, p *milp.Problem) (best float64, found bool) {
 	t.Helper()
 	n := p.LP.NumVars()
-	be := presolve.Backend{}
 	var visit func(lower, upper []float64)
 	visit = func(lower, upper []float64) {
 		q := p.LP
 		q.Lower, q.Upper = lower, upper
-		s, err := be.Solve(&q)
+		s, err := presolve.Backend{}.SolveWarm(&q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,14 +534,14 @@ func TestEquivalenceUnderMILP(t *testing.T) {
 	}
 }
 
-// TestWarmTokenRoundTrip checks the backend's reduced-space warm token
+// TestWarmTokenRoundTrip checks the reduced-space warm token
 // installs when re-solving the identical problem (the RRND->RRNZ roster
 // pattern).
 func TestWarmTokenRoundTrip(t *testing.T) {
 	p := workload.Generate(workload.Scenario{Hosts: 4, Services: 16, COV: 0.5, Slack: 0.5, Seed: 7})
 	enc := relax.Encode(p)
 	b := presolve.Backend{}
-	cold, err := b.Solve(enc.LP)
+	cold, err := b.SolveWarm(enc.LP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,16 +560,5 @@ func TestWarmTokenRoundTrip(t *testing.T) {
 	}
 	if d := math.Abs(warm.Objective - cold.Objective); d > 1e-9*(1+math.Abs(cold.Objective)) {
 		t.Fatalf("warm objective drifted: %.15g vs %.15g", warm.Objective, cold.Objective)
-	}
-}
-
-// TestBackendRegistered checks the presolving backend self-registers in the
-// lp registry.
-func TestBackendRegistered(t *testing.T) {
-	if _, ok := lp.Lookup("presolve+simplex"); !ok {
-		t.Fatalf("presolve+simplex not registered; have %v", lp.Backends())
-	}
-	if _, ok := lp.Lookup("simplex"); !ok {
-		t.Fatalf("simplex not registered; have %v", lp.Backends())
 	}
 }

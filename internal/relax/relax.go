@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/lp"
@@ -17,33 +16,6 @@ import (
 	"vmalloc/internal/presolve"
 	"vmalloc/internal/vec"
 )
-
-// The relaxation solves route through a pluggable lp.Backend, by default the
-// presolving wrapper around the in-tree sparse simplex: the reduction
-// pipeline shrinks every warm-started re-solve (RRND/RRNZ rosters, LPBOUND
-// brackets) before the simplex runs.
-var (
-	backendMu sync.RWMutex
-	backend   lp.Backend = presolve.Backend{}
-)
-
-// SetBackend swaps the LP backend used by all relaxation solves and returns
-// the previous one. Safe for concurrent use; intended for experiments and
-// tests (e.g. comparing the raw simplex against the presolved path).
-func SetBackend(b lp.Backend) lp.Backend {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	prev := backend
-	backend = b
-	return prev
-}
-
-// CurrentBackend returns the backend used by relaxation solves.
-func CurrentBackend() lp.Backend {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return backend
-}
 
 // Epsilon is the probability floor used by RRNZ (paper uses 0.01).
 const Epsilon = 0.01
@@ -67,7 +39,7 @@ func (enc *Encoding) MinYieldVar() int { return 2 * enc.J * enc.H }
 // Encode builds the LP for problem p, emitting the constraint matrix
 // directly in compressed-sparse-column form: every row touches only a
 // handful of the e_jh/y_jh variables, so the sparse encoding is what lets
-// lp.SolveSparse run the full-scale relaxation without materializing
+// the revised simplex run the full-scale relaxation without materializing
 // O(rows·vars) dense storage. Elementary rows that can never bind
 // (requirement plus need within elementary capacity) are omitted; elementary
 // requirements that exceed a node's elementary capacity force e_jh = 0 via a
@@ -172,10 +144,10 @@ type Relaxed struct {
 	MinYield float64
 	// E[j][h] is the fractional placement of service j on node h.
 	E [][]float64
-	// Basis is the backend's warm-start token (nil when infeasible): with
-	// the default presolving backend it is the basis of the REDUCED model
-	// with its reduction attached. SolveRelaxed already remembers it for
-	// the next solve of the same *core.Problem; pass it to
+	// Basis is the warm-start token of presolve.Backend: the basis of the
+	// REDUCED model with its reduction attached, nil when the relaxation is
+	// infeasible or presolve solved it outright. SolveRelaxed already
+	// remembers it for the next solve of the same *core.Problem; pass it to
 	// SolveRelaxedWarm explicitly for a solve the table may not serve, such
 	// as another problem object or one solved long after (the engine hands
 	// each epoch's token to the next). A token that no longer fits falls
@@ -183,8 +155,8 @@ type Relaxed struct {
 	Basis *lp.Basis
 	// Iters/Refactorizations/BlandActivations count the simplex work of
 	// this solve and WarmStarted reports whether a supplied basis actually
-	// installed; Presolve carries the reduction counters when the backend
-	// presolves (nil otherwise). Valid on infeasible outcomes too.
+	// installed; Presolve carries the reduction counters. Valid on
+	// infeasible outcomes too.
 	Iters            int
 	Refactorizations int
 	BlandActivations int
@@ -192,7 +164,7 @@ type Relaxed struct {
 	Presolve         *lp.PresolveStats
 }
 
-// fillWork copies the solver-work counters off a backend solution.
+// fillWork copies the solver-work counters off a solution.
 func (r *Relaxed) fillWork(sol *lp.Solution) {
 	r.Iters = sol.Iters
 	r.Refactorizations = sol.Refactorizations
@@ -201,9 +173,9 @@ func (r *Relaxed) fillWork(sol *lp.Solution) {
 	r.Presolve = sol.Presolve
 }
 
-// SolveRelaxed solves the rational relaxation of the MILP for p through the
-// configured backend (presolve + sparse revised simplex by default). A
-// repeat solve of the same *core.Problem re-solves warm from the basis its
+// SolveRelaxed solves the rational relaxation of the MILP for p through
+// presolve.Backend (presolve, then the sparse revised simplex). A repeat
+// solve of the same *core.Problem re-solves warm from the basis its
 // last solve ended on (see warmTable) and returns the same bits.
 func SolveRelaxed(p *core.Problem) (*Relaxed, error) {
 	return SolveRelaxedWarm(p, nil)
@@ -219,7 +191,7 @@ func SolveRelaxedWarm(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 		warm = rememberedBasis(p)
 	}
 	enc := Encode(p)
-	sol, err := CurrentBackend().SolveWarm(enc.LP, warm)
+	sol, err := presolve.Backend{}.SolveWarm(enc.LP, warm)
 	if err != nil {
 		rememberBasis(p, nil)
 		return nil, err

@@ -24,7 +24,7 @@ type warmEntry struct {
 // warmTable holds the warm tokens of the most recently solved problems,
 // keyed by problem pointer, so a repeat solve of the same *core.Problem —
 // the bound, then RRND, then RRNZ — re-solves warm from that problem's own
-// optimal basis. The table never decides reuse: the presolving backend
+// optimal basis. The table never decides reuse: presolve.Backend
 // compares the problem against its own copy of the one the token's
 // reduction came from (an in-place edit reduces afresh), and a basis that
 // does not fit costs a cold start. Since an optimal result is read off a

@@ -8,8 +8,6 @@ import (
 	"weak"
 
 	"vmalloc/internal/core"
-	"vmalloc/internal/lp"
-	"vmalloc/internal/presolve"
 	"vmalloc/internal/workload"
 )
 
@@ -73,7 +71,7 @@ func TestRepeatSolveIsBitIdenticalHit(t *testing.T) {
 
 // TestInPlaceEditReducesAfresh edits one service's need between two solves
 // of the same problem: the table still hands over the old token, but the
-// presolving backend sees the edit, reduces afresh and answers what a cold
+// presolving solve sees the edit, reduces afresh and answers what a cold
 // solve of the edited problem answers.
 func TestInPlaceEditReducesAfresh(t *testing.T) {
 	p := workload.Generate(boundScenario(4))
@@ -122,30 +120,6 @@ func TestEvictionCostsOnlyTime(t *testing.T) {
 		t.Fatal("an evicted problem still warm-started")
 	}
 	sameBits(t, "after eviction", again, rels[0])
-}
-
-// TestSwappedBackendStaysCorrect swaps the relaxation backend between solves
-// of one problem in both directions: a token the new backend cannot use
-// fails its shape check and costs a cold start, never a wrong answer.
-func TestSwappedBackendStaysCorrect(t *testing.T) {
-	p := workload.Generate(boundScenario(7))
-	want := mustSolve(t, p.Clone())
-	if !want.Feasible {
-		t.Fatal("instance should be feasible")
-	}
-	check := func(what string) {
-		t.Helper()
-		got := mustSolve(t, p)
-		if !got.Feasible || math.Abs(got.MinYield-want.MinYield) > 1e-9 {
-			t.Fatalf("%s: MinYield %.15g, want %.15g", what, got.MinYield, want.MinYield)
-		}
-	}
-	check("presolve")
-	prev := SetBackend(lp.Simplex{})
-	defer SetBackend(prev)
-	check("presolve token under plain simplex")
-	SetBackend(presolve.Backend{})
-	check("plain simplex token under presolve")
 }
 
 // TestTableConcurrentUse runs eight goroutines through the table at once,
