@@ -65,8 +65,8 @@ func lpPaperGrid() []workload.Scenario {
 }
 
 // BenchmarkTable1LPRounding regenerates the RRND/RRNZ rows of Table 1 at the
-// paper-scale LP tier. RRNZ re-solves each relaxation warm from the basis
-// RRND's solve of the same instance left in relax's token table.
+// paper-scale LP tier. RRNZ's relaxation of each instance is RRND's answer,
+// remembered in relax's table.
 func BenchmarkTable1LPRounding(b *testing.B) {
 	scns := lpPaperGrid()
 	for i := 0; i < b.N; i++ {
@@ -78,8 +78,8 @@ func BenchmarkTable1LPRounding(b *testing.B) {
 // BenchmarkRelaxRepeat times one instance of the LP tier the way solve-lp
 // runs it: the bound, RRND and RRNZ, three relaxation solves of one 8x64
 // problem. Each iteration generates a fresh problem outside the timer, so the
-// bound solves cold and both rounding entries re-solve warm from its basis
-// through relax's token table. Run with -benchmem.
+// bound solves cold and both rounding entries are answered from relax's
+// table. Run with -benchmem.
 func BenchmarkRelaxRepeat(b *testing.B) {
 	scns := lpPaperGrid()
 	roster := exp.LPRoster(1)
@@ -94,6 +94,23 @@ func BenchmarkRelaxRepeat(b *testing.B) {
 		for _, a := range roster {
 			_ = a.Run(p)
 		}
+	}
+}
+
+// TestRelaxMemoHitAllocs gates what a repeat relaxation solve of an unedited
+// problem allocates: it is answered from relax's table with a copy of the
+// remembered answer — the Relaxed, E's row headers and one backing array —
+// and nothing else.
+func TestRelaxMemoHitAllocs(t *testing.T) {
+	p := workload.Generate(lpPaperGrid()[2])
+	solve := func() {
+		if _, err := relax.SolveRelaxed(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve() // the miss that fills the table
+	if got := testing.AllocsPerRun(20, solve); got > 3 {
+		t.Errorf("%.0f allocs per memo hit, want <= 3", got)
 	}
 }
 

@@ -137,8 +137,7 @@ type Basis struct {
 	m, nStruct, nReal int
 	// data holds, in one allocation, the column basic in each of the m rows
 	// followed by the varStatus of each of the nReal real columns.
-	data     []int32
-	attached any
+	data []int32
 }
 
 // cols returns the column basic in each row.
@@ -146,22 +145,6 @@ func (b *Basis) cols() []int32 { return b.data[:b.m] }
 
 // status returns the varStatus of each real column.
 func (b *Basis) status() []int32 { return b.data[b.m:] }
-
-// WithAttachment returns a copy of the basis (sharing its immutable
-// contents) that carries v, an opaque value of the caller that handed the
-// basis out as its warm token: presolve.Backend's token also names the
-// reduction the basis belongs to, stored here and read back with Attachment
-// when the token returns. The simplex never looks at it. v lives as long as
-// the token does and, like the basis, may be read from several goroutines at
-// once, so it must be immutable.
-func (b *Basis) WithAttachment(v any) *Basis {
-	c := *b
-	c.attached = v
-	return &c
-}
-
-// Attachment returns the value WithAttachment stored, or nil.
-func (b *Basis) Attachment() any { return b.attached }
 
 // captureBasis snapshots the solver's current basis into b.
 func (rv *revised) captureBasis(b *Basis) {

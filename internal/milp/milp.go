@@ -20,6 +20,7 @@ import (
 
 	"vmalloc/internal/heapx"
 	"vmalloc/internal/lp"
+	"vmalloc/internal/sliceutil"
 )
 
 // Problem is an LP plus a set of variables restricted to {0, 1}.
@@ -134,6 +135,7 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 
 	rs := treePool.Get().(*relaxations)
 	rs.reset(&p.LP)
+	rs.findGroups(p.Binary)
 	defer func() {
 		rs.reset(nil)
 		treePool.Put(rs)
@@ -183,6 +185,14 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 			sol.Pruned++
 			continue
 		}
+		if g := rs.pickGroup(rel.X, intTol); g >= 0 {
+			// One child per member of the exactly-one row, each fixing its
+			// member to 1: the children partition the node's integral points.
+			for _, j := range rs.members(g) {
+				q.Push(&node{parent: nd, branch: int(j), fixTo1: true, bound: rel.Objective, warm: rel.Basis})
+			}
+			continue
+		}
 		branch := pickBranchVar(rel.X, p.Binary, intTol)
 		if branch < 0 {
 			// Integral: new incumbent.
@@ -208,11 +218,15 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 
 // relaxations solves node LPs for one tree: the base problem with a node's
 // fixings applied to bound slices reused from node to node, on one simplex
-// workspace.
+// workspace. It also holds the tree's exactly-one rows (see findGroups),
+// row g's members being grpVar[grpPtr[g]:grpPtr[g+1]].
 type relaxations struct {
-	base         *lp.Problem
-	ws           lp.Workspace
-	upper, lower []float64
+	base           *lp.Problem
+	ws             lp.Workspace
+	upper, lower   []float64
+	isBin          []bool
+	rowCnt         []int32
+	grpPtr, grpVar []int32
 }
 
 // treePool recycles relaxations across trees, so the workspace's arenas and
@@ -276,6 +290,86 @@ func (rs *relaxations) solve(nd *node) (*lp.Solution, error) {
 		q.Lower = rs.lower
 	}
 	return rs.ws.Solve(&q, nd.warm)
+}
+
+// findGroups records the base problem's exactly-one rows: equalities with
+// right-hand side 1 whose entries are all coefficient 1 on binaries, such as
+// the placement rows of Eq. 3 (each service on exactly one node). Members
+// are listed in ascending column order, rows in ascending row order.
+func (rs *relaxations) findGroups(binary []int) {
+	p := rs.base
+	n, m := p.NumVars(), p.NumRows()
+	rs.isBin = sliceutil.Grow(rs.isBin, n)
+	clear(rs.isBin)
+	for _, j := range binary {
+		rs.isBin[j] = true
+	}
+	// rowCnt[i] counts row i's members so far, -1 once it cannot qualify.
+	rs.rowCnt = sliceutil.Grow(rs.rowCnt, m)
+	for i := range rs.rowCnt {
+		rs.rowCnt[i] = -1
+		if p.Sense[i] == lp.EQ && p.B[i] == 1 { //vmalloc:nondet-ok an exactly-one row is stored with rhs exactly 1; anything else is another row
+			rs.rowCnt[i] = 0
+		}
+	}
+	c := p.Cols
+	for j := 0; j < n; j++ {
+		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
+			i := c.RowIdx[k]
+			switch {
+			case rs.rowCnt[i] < 0:
+			case c.Val[k] != 1 || !rs.isBin[j]: //vmalloc:nondet-ok stored coefficients are compared, not computed ones
+				rs.rowCnt[i] = -1
+			default:
+				rs.rowCnt[i]++
+			}
+		}
+	}
+	// Lay the qualifying rows out one after another, then fill them column
+	// by column; rowCnt[i] becomes row i's next free slot.
+	rs.grpPtr = append(rs.grpPtr[:0], 0)
+	total := int32(0)
+	for i, cnt := range rs.rowCnt {
+		if cnt > 0 {
+			rs.rowCnt[i] = total
+			total += cnt
+			rs.grpPtr = append(rs.grpPtr, total)
+		}
+	}
+	rs.grpVar = sliceutil.Grow(rs.grpVar, int(total))
+	for j := 0; j < n; j++ {
+		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
+			if i := c.RowIdx[k]; rs.rowCnt[i] >= 0 {
+				rs.grpVar[rs.rowCnt[i]] = int32(j)
+				rs.rowCnt[i]++
+			}
+		}
+	}
+}
+
+// members returns the variables of exactly-one row g.
+func (rs *relaxations) members(g int) []int32 {
+	return rs.grpVar[rs.grpPtr[g]:rs.grpPtr[g+1]]
+}
+
+// pickGroup returns the exactly-one row to branch on at a node with primal
+// x: among the rows with a member fractional beyond tol, the one whose
+// largest member is smallest, the lowest row on ties; -1 if every row is
+// integral.
+func (rs *relaxations) pickGroup(x []float64, tol float64) int {
+	best, bestMax := -1, math.Inf(1)
+	for g := 0; g+1 < len(rs.grpPtr); g++ {
+		frac, top := false, math.Inf(-1)
+		for _, j := range rs.members(g) {
+			f := x[j] - math.Floor(x[j])
+			frac = frac || math.Min(f, 1-f) > tol
+			top = math.Max(top, x[j])
+		}
+		if frac && top < bestMax {
+			best, bestMax = g, top
+		}
+	}
+	return best
 }
 
 // pickBranchVar returns the most fractional binary variable, or -1 if all

@@ -1,15 +1,10 @@
 // Backend is the presolving solve relax runs for LPBOUND, RRND, RRNZ and the
 // engine's bound bracket: reduce, solve the reduced model with the sparse
 // simplex, postsolve the primal. The warm token it hands out is the REDUCED
-// model's basis with the Reduction it belongs to attached. A re-solve of an
-// element-for-element equal problem — the bound-then-RRND-then-RRNZ pattern
-// internal/relax replays from its table of recent tokens — finds its
-// reduction on the token, skips Reduce and installs the basis directly;
-// anything else reduces from scratch. The comparison is against the
-// reducer's own copy of the earlier problem, so editing a problem in place
-// between solves can never revive a stale reduction. A basis that does not
-// fit the new reduced model fails the simplex's install shape check and costs
-// only a cold start.
+// model's basis. Every solve reduces afresh — a repeat solve of an unedited
+// problem never gets here, relax answers it from memory — and a token whose
+// basis does not fit the new reduced model fails the simplex's install shape
+// check and costs only a cold start.
 
 package presolve
 
@@ -19,17 +14,13 @@ import "vmalloc/internal/lp"
 // default Options.
 type Backend struct{}
 
-// SolveWarm maximizes p: reduce (or take the reduction off the token), solve
-// the reduced model (warm when the token fits), postsolve the primal, and
-// return the reduced basis, reduction attached, as the next warm token. A
-// problem presolve decides outright — infeasible, unbounded, or eliminated
-// entirely — is answered without the simplex and hands out no token.
+// SolveWarm maximizes p: reduce, solve the reduced model (warm when the
+// token fits), postsolve the primal, and return the reduced basis as the
+// next warm token. A problem presolve decides outright — infeasible,
+// unbounded, or eliminated entirely — is answered without the simplex and
+// hands out no token.
 func (Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) {
-	var prev *Reduction
-	if warm != nil {
-		prev, _ = warm.Attachment().(*Reduction)
-	}
-	red, err := reduce(p, nil, prev)
+	red, err := Reduce(p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -54,9 +45,7 @@ func (Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sol.Basis != nil {
-		full.Basis = sol.Basis.WithAttachment(red)
-	}
+	full.Basis = sol.Basis
 	full.Refactorizations = sol.Refactorizations
 	full.BlandActivations = sol.BlandActivations
 	full.Presolve = red.solutionStats()

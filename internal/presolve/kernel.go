@@ -88,32 +88,6 @@ func newMatrix(c *lp.CSC, cursor *[]int32) *matrix {
 	return a
 }
 
-// equals reports whether a validated CSC holds exactly this matrix: the same
-// shape and, entry for entry in storage order, the same rows, columns and
-// coefficient bits. cursor is caller scratch.
-func (a *matrix) equals(c *lp.CSC, cursor *[]int32) bool {
-	if c.M != a.m || c.N != a.n || len(c.Val) != len(a.cells) {
-		return false
-	}
-	next := sliceutil.Grow(*cursor, c.M)
-	*cursor = next
-	copy(next, a.rowPtr)
-	for j := 0; j < c.N; j++ {
-		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
-			i := c.RowIdx[k]
-			at := next[i]
-			if at == a.rowPtr[i+1] {
-				return false
-			}
-			next[i]++
-			if cl := &a.cells[at]; int(cl.col) != j || math.Float64bits(cl.val) != math.Float64bits(c.Val[k]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // reducer is the mutable working state of one reduction, always indexed by
 // original row/column ids. It doubles as the pooled scratch: every buffer is
 // recycled from one reduction to the next, and finish copies the results
@@ -145,9 +119,9 @@ type reducer struct {
 
 var reducerPool = sync.Pool{New: func() any { return new(reducer) }}
 
-// load resets the reducer to the start of a reduction of src under opts.
-func (ps *reducer) load(src *source, opts *Options) {
-	a := src.mat
+// load resets the reducer to the start of a reduction of p, whose matrix a
+// mirrors, under opts. Nil bounds expand to 0 and +Inf.
+func (ps *reducer) load(a *matrix, p *lp.Problem, opts *Options) {
 	n, m := a.n, a.m
 	ps.n, ps.m, ps.nOrig = n, m, n
 	ps.opts = *opts
@@ -172,14 +146,26 @@ func (ps *reducer) load(src *source, opts *Options) {
 		ps.rowAlive[i] = true
 		ps.actOK[i] = false
 	}
-	ps.sense = append(ps.sense[:0], src.sense...)
-	ps.b = append(ps.b[:0], src.b...)
+	ps.sense = append(ps.sense[:0], p.Sense...)
+	ps.b = append(ps.b[:0], p.B...)
 
 	ps.colHead = append(ps.colHead[:0], a.colHead...)
 	ps.colCnt = append(ps.colCnt[:0], a.colCnt...)
-	ps.l = append(ps.l[:0], src.l...)
-	ps.u = append(ps.u[:0], src.u...)
-	ps.c = append(ps.c[:0], src.obj...)
+	ps.l = sliceutil.Grow(ps.l, n)
+	ps.u = sliceutil.Grow(ps.u, n)
+	ps.c = append(ps.c[:0], p.Obj...)
+	if p.Lower != nil {
+		copy(ps.l, p.Lower)
+	} else {
+		clear(ps.l)
+	}
+	if p.Upper != nil {
+		copy(ps.u, p.Upper)
+	} else {
+		for j := range ps.u {
+			ps.u[j] = math.Inf(1)
+		}
+	}
 	ps.colAlive = sliceutil.Grow(ps.colAlive, n)
 	for j := range ps.colAlive {
 		ps.colAlive[j] = true

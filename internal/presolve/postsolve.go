@@ -70,7 +70,7 @@ func (r *Reduction) fillPrimal(full *lp.Solution, redX []float64) {
 		}
 	}
 	full.X = x[:r.n0]
-	for j, c := range r.src.obj {
+	for j, c := range r.obj {
 		full.Objective += c * x[j]
 	}
 }

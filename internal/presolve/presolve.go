@@ -84,7 +84,7 @@ type Reduction struct {
 	outcome Outcome
 	stats   Stats
 
-	src *source // private copy of the problem as given
+	obj []float64 // the original objective, which Postsolve re-evaluates
 	// n0 is the number of original columns, nCols that plus the synthetic
 	// doubleton slacks (reducer columns n0..nCols-1).
 	n0, nCols int
@@ -94,83 +94,6 @@ type Reduction struct {
 
 	records []record
 	terms   []entry // backing store of the recSubst records' terms
-}
-
-// source is the reducer's own copy of one problem: the prepared matrix and
-// the bounds with nil fields expanded.
-// Holding copies instead of the caller's slices is what lets a Reduction
-// outlive the call that made it — as the warm token's attachment — and
-// still decide, by comparison alone, whether a later problem is the same.
-type source struct {
-	mat     *matrix
-	obj, b  []float64
-	l, u    []float64
-	sense   []lp.Sense
-	maxIter int
-}
-
-// newSource snapshots a validated sparse problem over an already prepared
-// matrix.
-func newSource(mat *matrix, p *lp.Problem) *source {
-	n, m := mat.n, mat.m
-	f := make([]float64, 3*n+m) // one block: obj, l, u, b
-	s := &source{
-		mat: mat,
-		obj: f[:n:n], l: f[n : 2*n : 2*n], u: f[2*n : 3*n : 3*n], b: f[3*n:],
-		sense:   append([]lp.Sense(nil), p.Sense...),
-		maxIter: p.MaxIter,
-	}
-	copy(s.obj, p.Obj)
-	copy(s.b, p.B)
-	if p.Lower != nil {
-		copy(s.l, p.Lower)
-	}
-	if p.Upper != nil {
-		copy(s.u, p.Upper)
-	} else {
-		for j := range s.u {
-			s.u[j] = math.Inf(1)
-		}
-	}
-	return s
-}
-
-// sameBits reports element-for-element bit equality, with a nil b standing
-// for a slice of def.
-func sameBits(a, b []float64, def float64) bool {
-	if b == nil {
-		for _, v := range a {
-			if math.Float64bits(v) != math.Float64bits(def) {
-				return false
-			}
-		}
-		return true
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if math.Float64bits(v) != math.Float64bits(b[k]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameData reports whether a validated problem whose matrix already
-// compared equal matches the snapshot in everything else a reduction reads:
-// objective, right-hand sides, senses, bounds and iteration cap.
-func (s *source) sameData(p *lp.Problem) bool {
-	if p.MaxIter != s.maxIter {
-		return false
-	}
-	for i, v := range p.Sense {
-		if v != s.sense[i] {
-			return false
-		}
-	}
-	return sameBits(s.obj, p.Obj, 0) && sameBits(s.b, p.B, 0) &&
-		sameBits(s.l, p.Lower, 0) && sameBits(s.u, p.Upper, math.Inf(1))
 }
 
 // record is one postsolve step, undone in reverse application order.
@@ -234,16 +157,6 @@ const (
 // Reduce runs the pipeline on a validated problem (nil opts: the defaults)
 // and returns the reduction.
 func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
-	return reduce(p, opts, nil)
-}
-
-// reduce is Reduce with a previous reduction to draw on: when p equals,
-// element for element, what prev was reduced from, prev itself is the answer
-// and nothing runs; anything else reduces afresh. Either way the result is
-// what Reduce(p, opts) alone would return, provided prev was reduced under
-// the same options — Backend, the one caller with a prev, reduces every
-// problem under the defaults.
-func reduce(p *lp.Problem, opts *Options, prev *Reduction) (*Reduction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -253,14 +166,10 @@ func reduce(p *lp.Problem, opts *Options, prev *Reduction) (*Reduction, error) {
 	ps := reducerPool.Get().(*reducer)
 	defer reducerPool.Put(ps)
 
-	if prev != nil && prev.src.mat.equals(p.Cols, &ps.cursor) && prev.src.sameData(p) {
-		return prev, nil
-	}
-	src := newSource(newMatrix(p.Cols, &ps.cursor), p)
-	ps.load(src, opts)
+	ps.load(newMatrix(p.Cols, &ps.cursor), p, opts)
 	ps.run()
 
-	r := &Reduction{src: src, n0: ps.nOrig}
+	r := &Reduction{obj: append([]float64(nil), p.Obj...), n0: ps.nOrig}
 	switch {
 	case ps.infeasible:
 		r.outcome = Infeasible

@@ -145,13 +145,12 @@ type Relaxed struct {
 	// E[j][h] is the fractional placement of service j on node h.
 	E [][]float64
 	// Basis is the warm-start token of presolve.Backend: the basis of the
-	// REDUCED model with its reduction attached, nil when the relaxation is
-	// infeasible or presolve solved it outright. SolveRelaxed already
-	// remembers it for the next solve of the same *core.Problem; pass it to
-	// SolveRelaxedWarm explicitly for a solve the table may not serve, such
-	// as another problem object or one solved long after (the engine hands
-	// each epoch's token to the next). A token that no longer fits falls
-	// back to a cold start inside the solver.
+	// REDUCED model, nil when the relaxation is infeasible or presolve solved
+	// it outright. A repeat solve of the same *core.Problem needs no token
+	// (SolveRelaxed remembers the answer, see warmTable); pass it to
+	// SolveRelaxedWarm explicitly to start a solve of another problem from
+	// it (the engine hands each epoch's token to the next). A token that
+	// does not fit costs a cold start inside the solver.
 	Basis *lp.Basis
 	// Iters/Refactorizations/BlandActivations count the simplex work of
 	// this solve and WarmStarted reports whether a supplied basis actually
@@ -175,28 +174,46 @@ func (r *Relaxed) fillWork(sol *lp.Solution) {
 
 // SolveRelaxed solves the rational relaxation of the MILP for p through
 // presolve.Backend (presolve, then the sparse revised simplex). A repeat
-// solve of the same *core.Problem re-solves warm from the basis its
-// last solve ended on (see warmTable) and returns the same bits.
+// solve of the same, unedited *core.Problem is answered from memory (see
+// warmTable) with the first solve's bits.
 func SolveRelaxed(p *core.Problem) (*Relaxed, error) {
 	return SolveRelaxedWarm(p, nil)
 }
 
 // SolveRelaxedWarm is SolveRelaxed warm-started from warm, the basis token of
 // a previous relaxation solve of the same or a similar instance (a token that
-// no longer fits falls back to a cold start inside the solver). A nil warm
-// starts from the token of p's own last solve when the table still holds
-// one; an explicit token always wins.
+// no longer fits falls back to a cold start inside the solver). When p's data
+// is unchanged since its remembered solve and warm is nil or that solve's own
+// token, the answer is a copy of the remembered one: 0 iterations, 0
+// refactorizations, WarmStarted, the remembered Basis and Presolve. Otherwise
+// a nil warm starts from the token of p's last solve when the table still
+// holds one; an explicit token always wins.
 func SolveRelaxedWarm(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
-	if warm == nil {
-		warm = rememberedBasis(p)
+	e := recall(p)
+	if e.rel != nil && (warm == nil || warm == e.rel.Basis) && e.matches(p) {
+		r := e.rel.clone()
+		r.Iters, r.Refactorizations, r.BlandActivations, r.WarmStarted = 0, 0, 0, true
+		return r, nil
 	}
+	if warm == nil && e.rel != nil {
+		warm = e.rel.Basis
+	}
+	r, err := solveRelaxed(p, warm)
+	if err != nil {
+		remember(warmEntry{p: p})
+		return nil, err
+	}
+	remember(snapshot(p, r))
+	return r.clone(), nil
+}
+
+// solveRelaxed encodes p and solves the relaxation from warm.
+func solveRelaxed(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 	enc := Encode(p)
 	sol, err := presolve.Backend{}.SolveWarm(enc.LP, warm)
 	if err != nil {
-		rememberBasis(p, nil)
 		return nil, err
 	}
-	rememberBasis(p, sol.Basis)
 	switch sol.Status {
 	case lp.Infeasible:
 		r := &Relaxed{}
@@ -209,9 +226,10 @@ func SolveRelaxedWarm(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 	r := &Relaxed{Feasible: true, MinYield: sol.X[enc.MinYieldVar()], Basis: sol.Basis}
 	r.fillWork(sol)
 	r.E = make([][]float64, enc.J)
-	for j := 0; j < enc.J; j++ {
-		r.E[j] = make([]float64, enc.H)
-		for h := 0; h < enc.H; h++ {
+	flat := make([]float64, enc.J*enc.H)
+	for j := range r.E {
+		r.E[j] = flat[j*enc.H : (j+1)*enc.H : (j+1)*enc.H]
+		for h := range r.E[j] {
 			v := sol.X[enc.EVar(j, h)]
 			if v < 0 {
 				v = 0
@@ -222,9 +240,31 @@ func SolveRelaxedWarm(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 	return r, nil
 }
 
+// clone returns a copy of r that shares nothing mutable with it: E is
+// copied into one backing array, Basis and Presolve are read-only.
+func (r *Relaxed) clone() *Relaxed {
+	c := *r
+	if r.E != nil {
+		c.E = make([][]float64, len(r.E))
+		n := 0
+		for _, row := range r.E {
+			n += len(row)
+		}
+		flat := make([]float64, n)
+		for j, row := range r.E {
+			c.E[j] = flat[:len(row):len(row)]
+			flat = flat[len(row):]
+			copy(c.E[j], row)
+		}
+	}
+	return &c
+}
+
 // SolveExact solves the MILP exactly by branch and bound. Intended for small
 // instances (the paper notes MILP solve time is exponential). The returned
-// result carries the optimal placement and its evaluated minimum yield.
+// result carries the optimal placement and its evaluated minimum yield, or
+// Solved=false when no placement exists. A search that reaches opts.MaxNodes
+// before proving either is an error.
 func SolveExact(p *core.Problem, opts *milp.Options) (*core.Result, error) {
 	enc := Encode(p)
 	bins := make([]int, 0, enc.J*enc.H)
@@ -236,6 +276,9 @@ func SolveExact(p *core.Problem, opts *milp.Options) (*core.Result, error) {
 	sol, err := milp.Solve(&milp.Problem{LP: *enc.LP, Binary: bins}, opts)
 	if err != nil {
 		return nil, err
+	}
+	if sol.Status == milp.NodeLimit {
+		return nil, fmt.Errorf("relax: branch and bound stopped after %d nodes without proving the optimum (bound %g)", sol.Nodes, sol.Bound)
 	}
 	if !sol.HasIncumbent {
 		return &core.Result{}, nil

@@ -1,14 +1,17 @@
 package relax
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/lp"
 	"vmalloc/internal/milp"
 	"vmalloc/internal/vec"
+	"vmalloc/internal/workload"
 )
 
 // fig1 is the paper's Figure 1 instance (see internal/core tests).
@@ -218,6 +221,25 @@ func TestRandomInstancesBoundAndRounding(t *testing.T) {
 					t.Fatalf("iter %d: RRNZ yield %v exceeds UB %v", iter, res.MinYield, ub)
 				}
 			}
+		}
+	}
+}
+
+// A search cut short by MaxNodes has proven nothing: SolveExact must say so
+// instead of reporting "cannot place" or an unproven incumbent as the optimum.
+func TestExactNodeLimitIsAnError(t *testing.T) {
+	p := workload.Generate(workload.Scenario{Hosts: 3, Services: 6, COV: 0.5, Slack: 0.6, Seed: 1})
+	full, err := SolveExact(p, nil)
+	if err != nil || !full.Solved {
+		t.Fatalf("uncapped search: solved=%v err=%v", full != nil && full.Solved, err)
+	}
+	for _, cap := range []int{1, 2, 3, 5} {
+		res, err := SolveExact(p, &milp.Options{MaxNodes: cap})
+		if err == nil {
+			t.Fatalf("MaxNodes %d: no error (solved=%v, yield %v; optimum %v)", cap, res.Solved, res.MinYield, full.MinYield)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("after %d nodes", cap)) || !strings.Contains(err.Error(), "bound") {
+			t.Fatalf("MaxNodes %d: error %q names neither the node count nor the bound", cap, err)
 		}
 	}
 }

@@ -1,74 +1,114 @@
 package relax
 
 import (
+	"math"
 	"sync"
 
 	"vmalloc/internal/core"
-	"vmalloc/internal/lp"
 )
 
-// warmTableSize is how many problems' warm tokens the relaxation solves
+// warmTableSize is how many problems' answers the relaxation solves
 // remember: at least four times the experiment roster's worker count on a
 // two-core machine, so an instance's bound, RRND and RRNZ solves find one
-// another's token even with every worker mid-instance. Each entry holds one
-// token (about 0.4 MB at 8x64: the reduced basis and the reduction it
-// belongs to) and keeps its problem reachable until evicted.
+// another's answer even with every worker mid-instance. Each entry holds a
+// snapshot of its problem's data (about 4 KB at 8x64), the answer and its
+// warm token, and keeps its problem reachable until evicted.
 const warmTableSize = 8
 
-// warmEntry is one remembered problem and the token of its latest solve.
+// warmEntry is one remembered problem: what Encode read from it when it was
+// last solved, and that solve's answer, whose Basis is the entry's token.
 type warmEntry struct {
-	p     *core.Problem
-	basis *lp.Basis
+	p       *core.Problem
+	j, h, d int
+	data    []float64 // see snapshot
+	rel     *Relaxed  // never handed out: callers get copies
 }
 
-// warmTable holds the warm tokens of the most recently solved problems,
+// warmTable remembers the answers of the most recently solved problems,
 // keyed by problem pointer, so a repeat solve of the same *core.Problem —
-// the bound, then RRND, then RRNZ — re-solves warm from that problem's own
-// optimal basis. The table never decides reuse: presolve.Backend
-// compares the problem against its own copy of the one the token's
-// reduction came from (an in-place edit reduces afresh), and a basis that
-// does not fit costs a cold start. Since an optimal result is read off a
-// fresh factorization of its final basis, a hit returns a cold solve's bits
-// and a miss costs time, never bits. An equal problem held in a different
-// object misses by design.
+// the bound, then RRND, then RRNZ — is answered from memory: no Encode, no
+// presolve, no simplex. A hit needs the problem's data to be bit-equal to
+// the entry's snapshot, so an in-place edit misses and re-solves, warm from
+// the entry's token. An equal problem held in a different object misses by
+// design.
 var warmTable struct {
 	mu      sync.Mutex
 	next    int // the slot a new problem takes: the oldest one's
 	entries [warmTableSize]warmEntry
 }
 
-// rememberedBasis returns the token of p's latest solve, or nil.
-func rememberedBasis(p *core.Problem) *lp.Basis {
+// recall returns p's entry, zero when p has none.
+func recall(p *core.Problem) warmEntry {
 	warmTable.mu.Lock()
 	defer warmTable.mu.Unlock()
 	for _, e := range &warmTable.entries {
 		if e.p == p {
-			return e.basis
+			return e
 		}
 	}
-	return nil
+	return warmEntry{}
 }
 
-// rememberBasis records b as p's latest token: in place when p has an
-// entry, else over the oldest entry. A nil b — a solve that ended without a
-// basis — forgets p instead, so the next solve of p starts cold, as it would
-// have without the table.
-func rememberBasis(p *core.Problem, b *lp.Basis) {
+// remember records e as its problem's entry: in place when the problem has
+// one, else over the oldest entry. An entry with no answer — a solve that
+// failed — forgets the problem instead.
+func remember(e warmEntry) {
 	warmTable.mu.Lock()
 	defer warmTable.mu.Unlock()
 	entries := &warmTable.entries
 	for i := range entries {
-		if entries[i].p == p {
-			if b == nil {
-				entries[i] = warmEntry{}
-			} else {
-				entries[i].basis = b
+		if entries[i].p == e.p {
+			if e.rel == nil {
+				e = warmEntry{}
 			}
+			entries[i] = e
 			return
 		}
 	}
-	if b != nil {
-		entries[warmTable.next] = warmEntry{p: p, basis: b}
+	if e.rel != nil {
+		entries[warmTable.next] = e
 		warmTable.next = (warmTable.next + 1) % warmTableSize
+	}
+}
+
+// snapshot returns an entry for p holding a copy of everything Encode reads
+// from it: J, H, D and, per service then per node, each vector's first D
+// entries.
+func snapshot(p *core.Problem, rel *Relaxed) warmEntry {
+	e := warmEntry{p: p, j: p.NumServices(), h: p.NumNodes(), d: p.Dim(), rel: rel}
+	e.data = make([]float64, 0, e.d*(4*e.j+2*e.h))
+	eachVector(p, e.d, func(v []float64) { e.data = append(e.data, v...) })
+	return e
+}
+
+// matches reports whether p still holds, bit for bit, the data e was taken
+// from.
+func (e *warmEntry) matches(p *core.Problem) bool {
+	if p.NumServices() != e.j || p.NumNodes() != e.h || p.Dim() != e.d {
+		return false
+	}
+	k, same := 0, true
+	eachVector(p, e.d, func(v []float64) {
+		for _, x := range v {
+			same = same && math.Float64bits(x) == math.Float64bits(e.data[k])
+			k++
+		}
+	})
+	return same
+}
+
+// eachVector calls fn on the first d entries of each of p's vectors, in a
+// fixed order.
+func eachVector(p *core.Problem, d int, fn func([]float64)) {
+	for i := range p.Services {
+		s := &p.Services[i]
+		fn(s.ReqElem[:d])
+		fn(s.ReqAgg[:d])
+		fn(s.NeedElem[:d])
+		fn(s.NeedAgg[:d])
+	}
+	for i := range p.Nodes {
+		fn(p.Nodes[i].Elementary[:d])
+		fn(p.Nodes[i].Aggregate[:d])
 	}
 }

@@ -3,6 +3,7 @@ package relax
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"weak"
@@ -36,42 +37,50 @@ func mustSolve(t *testing.T, p *core.Problem) *Relaxed {
 	return rel
 }
 
+// isHit reports whether a solve was answered from the table: a hit shares
+// the remembered answer's presolve counters, a solve makes its own.
+func isHit(got, remembered *Relaxed) bool {
+	return got.Presolve == remembered.Presolve
+}
+
 // TestRepeatSolveIsBitIdenticalHit pins the table's contract on the paper's
-// 8x64 relaxations: a second SolveRelaxed of the same *core.Problem is a warm
-// hit that takes no pivot and reuses the first solve's reduction, and it
-// returns exactly the bits a cold solve of an independent clone returns.
-// Under the race detector every tenth instance runs.
+// 8x64 relaxations: a second SolveRelaxed of the same *core.Problem is
+// answered from memory — no pivot, no refactorization, the first solve's
+// token — and returns exactly the bits a cold solve of an independent clone
+// returns, infeasible instances included. Under the race detector every
+// tenth instance runs.
 func TestRepeatSolveIsBitIdenticalHit(t *testing.T) {
 	step := 1
 	if raceEnabled {
 		step = 10
 	}
-	hits := 0
+	hits, infeasible := 0, 0
 	for i := 0; i < goldenBounds; i += step {
 		scn := boundScenario(i)
 		p := workload.Generate(scn)
 		first := mustSolve(t, p)
-		if !first.Feasible {
-			continue
-		}
 		again := mustSolve(t, p)
-		if !again.WarmStarted || again.Iters != 0 {
-			t.Fatalf("%s: repeat solve warm=%v after %d iterations, want a warm hit with none", scn, again.WarmStarted, again.Iters)
-		}
-		if again.Basis.Attachment() != first.Basis.Attachment() {
-			t.Fatalf("%s: repeat solve reduced afresh instead of reusing the reduction", scn)
+		if !isHit(again, first) || !again.WarmStarted || again.Iters != 0 || again.Refactorizations != 0 || again.Basis != first.Basis {
+			t.Fatalf("%s: repeat solve hit=%v warm=%v after %d iterations and %d refactorizations, want a hit with none",
+				scn, isHit(again, first), again.WarmStarted, again.Iters, again.Refactorizations)
 		}
 		sameBits(t, scn.String()+": hit vs cold clone", again, mustSolve(t, p.Clone()))
 		hits++
+		if !first.Feasible {
+			infeasible++
+		}
 	}
-	if hits == 0 {
+	if hits == infeasible {
 		t.Fatal("no feasible instance exercised")
+	}
+	if !raceEnabled && infeasible == 0 {
+		t.Fatal("no infeasible instance exercised")
 	}
 }
 
 // TestInPlaceEditReducesAfresh edits one service's need between two solves
 // of the same problem: the table still hands over the old token, but the
-// presolving solve sees the edit, reduces afresh and answers what a cold
+// answer is not reused — the solve reduces afresh and answers what a cold
 // solve of the edited problem answers.
 func TestInPlaceEditReducesAfresh(t *testing.T) {
 	p := workload.Generate(boundScenario(4))
@@ -82,8 +91,8 @@ func TestInPlaceEditReducesAfresh(t *testing.T) {
 	s := &p.Services[3]
 	s.NeedAgg, s.NeedElem = s.NeedAgg.Scale(0.5), s.NeedElem.Scale(0.5)
 	edited := mustSolve(t, p)
-	if edited.Basis.Attachment() == first.Basis.Attachment() {
-		t.Fatal("an in-place edit reused the stale reduction")
+	if isHit(edited, first) {
+		t.Fatal("an in-place edit was answered from memory")
 	}
 	cold := mustSolve(t, p.Clone())
 	if !edited.Feasible || math.Abs(edited.MinYield-cold.MinYield) > 1e-9 {
@@ -91,6 +100,54 @@ func TestInPlaceEditReducesAfresh(t *testing.T) {
 	}
 	if edited.MinYield < first.MinYield-1e-9 {
 		t.Fatalf("halving a need lowered the bound: %.15g -> %.15g", first.MinYield, edited.MinYield)
+	}
+}
+
+// TestMemoMissesOnEdit edits, in place, one entry of each vector the
+// encoding reads: every edit misses and answers what a cold solve of the
+// edited problem answers. Its own explicit token hits; a foreign one misses.
+func TestMemoMissesOnEdit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		vec  func(p *core.Problem) []float64
+	}{
+		{"ReqElem", func(p *core.Problem) []float64 { return p.Services[5].ReqElem }},
+		{"ReqAgg", func(p *core.Problem) []float64 { return p.Services[5].ReqAgg }},
+		{"NeedElem", func(p *core.Problem) []float64 { return p.Services[5].NeedElem }},
+		{"NeedAgg", func(p *core.Problem) []float64 { return p.Services[5].NeedAgg }},
+		{"Elementary", func(p *core.Problem) []float64 { return p.Nodes[2].Elementary }},
+		{"Aggregate", func(p *core.Problem) []float64 { return p.Nodes[2].Aggregate }},
+	} {
+		p := workload.Generate(boundScenario(4))
+		first := mustSolve(t, p)
+		v := tc.vec(p)
+		v[slices.Index(v, slices.Max(v))] *= 0.75
+		edited := mustSolve(t, p)
+		if isHit(edited, first) {
+			t.Fatalf("%s: an in-place edit was answered from memory", tc.name)
+		}
+		cold := mustSolve(t, p.Clone())
+		if edited.Feasible != cold.Feasible || math.Abs(edited.MinYield-cold.MinYield) > 1e-9 {
+			t.Fatalf("%s: edited MinYield %.15g (feasible %v), cold clone %.15g (feasible %v)",
+				tc.name, edited.MinYield, edited.Feasible, cold.MinYield, cold.Feasible)
+		}
+	}
+
+	p := workload.Generate(boundScenario(4))
+	own := mustSolve(t, p)
+	foreign := mustSolve(t, workload.Generate(boundScenario(7)))
+	if got, err := SolveRelaxedWarm(p, own.Basis); err != nil || !isHit(got, own) {
+		t.Fatalf("the problem's own token missed: %v", err)
+	}
+	got, err := SolveRelaxedWarm(p, foreign.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if isHit(got, own) {
+		t.Fatal("a foreign token was answered from memory")
+	}
+	if math.Abs(got.MinYield-own.MinYield) > 1e-9 {
+		t.Fatalf("foreign-token solve MinYield %.15g, own %.15g", got.MinYield, own.MinYield)
 	}
 }
 
@@ -107,17 +164,17 @@ func TestEvictionCostsOnlyTime(t *testing.T) {
 			t.Fatalf("instance %d should be feasible", i)
 		}
 	}
-	if rememberedBasis(ps[0]) != nil {
+	if recall(ps[0]).rel != nil {
 		t.Fatal("the oldest problem was not evicted")
 	}
 	for _, p := range ps[1:] {
-		if rememberedBasis(p) == nil {
+		if recall(p).rel == nil {
 			t.Fatal("a recently solved problem was evicted")
 		}
 	}
 	again := mustSolve(t, ps[0])
-	if again.WarmStarted {
-		t.Fatal("an evicted problem still warm-started")
+	if again.WarmStarted || isHit(again, rels[0]) {
+		t.Fatal("an evicted problem was still answered from memory or warm-started")
 	}
 	sameBits(t, "after eviction", again, rels[0])
 }
@@ -172,32 +229,47 @@ func TestTableConcurrentUse(t *testing.T) {
 }
 
 // TestTableRetentionBounded is the memory gate: however many problems are
-// solved, the table keeps at most warmTableSize of them (and their tokens)
-// reachable once the caller drops them.
+// solved, the table keeps at most warmTableSize of them — and of their
+// snapshots and answers — reachable once the caller drops them.
 func TestTableRetentionBounded(t *testing.T) {
 	const n = 4 * warmTableSize
-	refs := solveAndDrop(t, n)
+	probs, snaps, answers := solveAndDrop(t, n)
 	runtime.GC()
 	runtime.GC()
+	for _, c := range []struct {
+		what  string
+		alive int
+	}{{"problems", countAlive(probs)}, {"snapshots", countAlive(snaps)}, {"answers", countAlive(answers)}} {
+		if c.alive > warmTableSize {
+			t.Errorf("%d of %d solved problems' %s still reachable, want at most %d", c.alive, n, c.what, warmTableSize)
+		}
+	}
+}
+
+// solveAndDrop solves n distinct problems and returns only weak pointers to
+// them and to the snapshots and answers the table took of them.
+func solveAndDrop(t *testing.T, n int) (probs []weak.Pointer[core.Problem], snaps []weak.Pointer[float64], answers []weak.Pointer[Relaxed]) {
+	for i := 0; i < n; i++ {
+		p := workload.Generate(workload.Scenario{Hosts: 4, Services: 16, COV: 0.5, Slack: 0.5, Seed: int64(200 + i)})
+		mustSolve(t, p)
+		e := recall(p)
+		if e.rel == nil {
+			t.Fatal("a just-solved problem has no entry")
+		}
+		probs = append(probs, weak.Make(p))
+		snaps = append(snaps, weak.Make(&e.data[0]))
+		answers = append(answers, weak.Make(e.rel))
+	}
+	return probs, snaps, answers
+}
+
+// countAlive counts the weak pointers whose value is still reachable.
+func countAlive[T any](refs []weak.Pointer[T]) int {
 	alive := 0
 	for _, r := range refs {
 		if r.Value() != nil {
 			alive++
 		}
 	}
-	if alive > warmTableSize {
-		t.Fatalf("%d of %d solved problems still reachable, want at most %d", alive, n, warmTableSize)
-	}
-}
-
-// solveAndDrop solves n distinct problems and returns only weak pointers to
-// them.
-func solveAndDrop(t *testing.T, n int) []weak.Pointer[core.Problem] {
-	refs := make([]weak.Pointer[core.Problem], n)
-	for i := range refs {
-		p := workload.Generate(workload.Scenario{Hosts: 4, Services: 16, COV: 0.5, Slack: 0.5, Seed: int64(200 + i)})
-		mustSolve(t, p)
-		refs[i] = weak.Make(p)
-	}
-	return refs
+	return alive
 }

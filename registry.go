@@ -47,6 +47,7 @@ type Options struct {
 	// Attempts caps rounding retries for RRND/RRNZ; <= 0 selects 20.
 	Attempts int
 	// MaxNodes caps branch-and-bound nodes for EXACT; <= 0 selects 100000.
+	// A search that reaches the cap unproven is an error.
 	MaxNodes int
 }
 
