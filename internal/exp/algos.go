@@ -3,7 +3,7 @@
 // comparison metrics of §5, and renders the tables and figure series of
 // §5–§6. A sweep's outcomes do not depend on its worker count: the LP
 // entries of one instance share its relaxation through relax's table of
-// recent warm tokens, and a hit there returns a cold solve's bits.
+// recent answers, and a hit there returns a cold solve's bits.
 package exp
 
 import (

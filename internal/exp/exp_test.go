@@ -326,10 +326,10 @@ func sameOutcomes(t *testing.T, what string, got, want *ResultSet, names []strin
 	}
 }
 
-// The LP roster, whose RRNZ re-solves each instance warm from the basis
-// RRND's solve left behind, must give exactly the results of the true cold
-// path: every entry on its own independently generated instance, which no
-// earlier solve has seen. A warm hit changes solve time, never bits.
+// The LP roster, whose RRNZ reads each instance's relaxation from the answer
+// RRND's solve left in relax's table, must give exactly the results of the
+// true cold path: every entry on its own independently generated instance,
+// which no earlier solve has seen. A hit changes solve time, never bits.
 func TestLPRosterMatchesColdRoster(t *testing.T) {
 	scns := lpGrid()
 	warm := (&Runner{}).Run(scns, LPRoster(7))
@@ -344,8 +344,8 @@ func TestLPRosterMatchesColdRoster(t *testing.T) {
 }
 
 // The full roster must report the same bits however many workers share the
-// relaxation token table: at four times GOMAXPROCS workers the table may
-// evict an instance's token before its second solve, which costs time only.
+// relaxation answer table: at four times GOMAXPROCS workers the table may
+// evict an instance's answer before its second solve, which costs time only.
 func TestFullRosterDeterministicAcrossWorkers(t *testing.T) {
 	scns := lpGrid()
 	algos := FullRoster(1e-3, 7)

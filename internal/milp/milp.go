@@ -97,7 +97,7 @@ type node struct {
 	branch int   // the binary this node fixes
 	fixTo1 bool  // fixed to 1 (through Lower and Upper) rather than 0
 	bound  float64
-	// warm is the optimal basis of the parent relaxation, shared by both
+	// warm is the optimal basis of the parent relaxation, shared by all its
 	// children and dropped once the node is solved; nil at the root.
 	warm *lp.Basis
 }
@@ -111,7 +111,9 @@ func newNodeQueue() *heapx.Heap[*node] {
 // Solve runs best-first branch and bound. The relaxation at each node is the
 // LP with branched binaries fixed purely via bound changes (Upper = 0 for a
 // 0-fix, Lower = Upper = 1 for a 1-fix), solved on one workspace from the
-// parent's basis.
+// parent's basis. A fractional node branches on an exactly-one row when one
+// is fractional (see findGroups, pickGroup), one child per member fixed to
+// 1, and otherwise on its most fractional binary, one child per value.
 func Solve(p *Problem, opts *Options) (*Solution, error) {
 	if opts == nil {
 		opts = &Options{}

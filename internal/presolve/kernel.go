@@ -4,8 +4,8 @@
 // index is its position for life, so a column reaches each of its rows'
 // entries without searching, an entry is deleted or edited where it sits,
 // and substitution splices fill-in into the host rows instead of rebuilding
-// them. The immutable starting state — the row mirror of a problem's CSC —
-// is a matrix; reductions copy it into pooled scratch and edit the copy.
+// them. A reduction starts by mirroring the problem's CSC row-wise into
+// pooled scratch, then edits the mirror.
 
 package presolve
 
@@ -25,67 +25,6 @@ type cell struct {
 	rNext, rPrev int32 // neighbours in the row, ascending column id
 	cNext, cPrev int32 // neighbours in the column
 	val          float64
-}
-
-// matrix is the prepared row mirror of a constraint matrix: cells in
-// row-major order (row i is cells[rowPtr[i]:rowPtr[i+1]], ascending column)
-// with the row and column lists already threaded, column lists in the
-// source CSC's entry order. It is never modified after newMatrix returns, so
-// any number of reductions — on any number of goroutines — may share it.
-type matrix struct {
-	m, n    int
-	cells   []cell
-	rowPtr  []int32
-	colHead []int32
-	colCnt  []int32
-}
-
-// newMatrix mirrors a validated CSC row-wise by counting sort: one pass to
-// size the rows, one to drop every entry into place. cursor is caller
-// scratch.
-func newMatrix(c *lp.CSC, cursor *[]int32) *matrix {
-	a := &matrix{
-		m: c.M, n: c.N,
-		cells:   make([]cell, len(c.Val)),
-		rowPtr:  make([]int32, c.M+1),
-		colHead: make([]int32, c.N),
-		colCnt:  make([]int32, c.N),
-	}
-	for _, i := range c.RowIdx {
-		a.rowPtr[i+1]++
-	}
-	for i := 0; i < c.M; i++ {
-		a.rowPtr[i+1] += a.rowPtr[i]
-	}
-	next := sliceutil.Grow(*cursor, c.M)
-	*cursor = next
-	copy(next, a.rowPtr)
-	for j := 0; j < c.N; j++ {
-		lo, hi := c.ColPtr[j], c.ColPtr[j+1]
-		a.colHead[j] = none
-		a.colCnt[j] = int32(hi - lo)
-		prev := none
-		for k := lo; k < hi; k++ {
-			i := c.RowIdx[k]
-			at := next[i]
-			next[i]++
-			cl := &a.cells[at]
-			*cl = cell{row: int32(i), col: int32(j), rNext: at + 1, rPrev: at - 1, cNext: none, cPrev: prev, val: c.Val[k]}
-			if at == a.rowPtr[i] {
-				cl.rPrev = none
-			}
-			if at+1 == a.rowPtr[i+1] {
-				cl.rNext = none
-			}
-			if prev >= 0 {
-				a.cells[prev].cNext = at
-			} else {
-				a.colHead[j] = at
-			}
-			prev = at
-		}
-	}
-	return a
 }
 
 // reducer is the mutable working state of one reduction, always indexed by
@@ -108,7 +47,6 @@ type reducer struct {
 	actMin, actMax           []float64 // row activity bounds, valid where actOK
 	actOK                    []bool
 	others, scan             []entry // row snapshots: substitute's host row; the row a pass is on
-	cursor                   []int32
 	infeasible, unbounded    bool
 	assumeImplied            bool // see substitute
 	stats                    Stats
@@ -119,28 +57,65 @@ type reducer struct {
 
 var reducerPool = sync.Pool{New: func() any { return new(reducer) }}
 
-// load resets the reducer to the start of a reduction of p, whose matrix a
-// mirrors, under opts. Nil bounds expand to 0 and +Inf.
-func (ps *reducer) load(a *matrix, p *lp.Problem, opts *Options) {
-	n, m := a.n, a.m
+// load resets the reducer to the start of a reduction of a validated p
+// under opts. Nil bounds expand to 0 and +Inf.
+func (ps *reducer) load(p *lp.Problem, opts *Options) {
+	c := p.Cols
+	n, m := c.N, c.M
 	ps.n, ps.m, ps.nOrig = n, m, n
 	ps.opts = *opts
-	ps.stats = Stats{RowsBefore: m, ColsBefore: n, NNZBefore: len(a.cells)}
+	ps.stats = Stats{RowsBefore: m, ColsBefore: n, NNZBefore: len(c.Val)}
 	ps.infeasible, ps.unbounded, ps.assumeImplied = false, false, false
 
-	ps.cells = append(ps.cells[:0], a.cells...)
-	ps.free = none
+	// Mirror the CSC row-wise by counting sort: row i takes cells
+	// rowHead[i] .. rowHead[i]+rowLen[i]-1, in ascending column order, and
+	// rowTail[i] follows its entries in as the columns are walked.
 	ps.rowHead = sliceutil.Grow(ps.rowHead, m)
 	ps.rowTail = sliceutil.Grow(ps.rowTail, m)
 	ps.rowLen = sliceutil.Grow(ps.rowLen, m)
+	clear(ps.rowLen)
+	for _, i := range c.RowIdx {
+		ps.rowLen[i]++
+	}
+	at := int32(0)
+	for i := range ps.rowHead {
+		ps.rowHead[i], ps.rowTail[i] = at, at-1
+		at += ps.rowLen[i]
+	}
+	ps.cells = sliceutil.Grow(ps.cells, len(c.Val))
+	ps.free = none
+	ps.colHead = sliceutil.Grow(ps.colHead, n)
+	ps.colCnt = sliceutil.Grow(ps.colCnt, n)
+	for j := 0; j < n; j++ {
+		lo, hi := c.ColPtr[j], c.ColPtr[j+1]
+		ps.colHead[j], ps.colCnt[j] = none, int32(hi-lo)
+		prev := none
+		for k := lo; k < hi; k++ {
+			i := c.RowIdx[k]
+			ps.rowTail[i]++
+			at := ps.rowTail[i]
+			cl := &ps.cells[at]
+			*cl = cell{row: int32(i), col: int32(j), rNext: at + 1, rPrev: at - 1, cNext: none, cPrev: prev, val: c.Val[k]}
+			if at == ps.rowHead[i] {
+				cl.rPrev = none
+			}
+			if at+1 == ps.rowHead[i]+ps.rowLen[i] {
+				cl.rNext = none
+			}
+			if prev >= 0 {
+				ps.cells[prev].cNext = at
+			} else {
+				ps.colHead[j] = at
+			}
+			prev = at
+		}
+	}
 	ps.rowAlive = sliceutil.Grow(ps.rowAlive, m)
 	ps.actMin = sliceutil.Grow(ps.actMin, m)
 	ps.actMax = sliceutil.Grow(ps.actMax, m)
 	ps.actOK = sliceutil.Grow(ps.actOK, m)
 	for i := 0; i < m; i++ {
-		lo, hi := a.rowPtr[i], a.rowPtr[i+1]
-		ps.rowHead[i], ps.rowTail[i], ps.rowLen[i] = lo, hi-1, hi-lo
-		if lo == hi {
+		if ps.rowLen[i] == 0 {
 			ps.rowHead[i], ps.rowTail[i] = none, none
 		}
 		ps.rowAlive[i] = true
@@ -149,8 +124,6 @@ func (ps *reducer) load(a *matrix, p *lp.Problem, opts *Options) {
 	ps.sense = append(ps.sense[:0], p.Sense...)
 	ps.b = append(ps.b[:0], p.B...)
 
-	ps.colHead = append(ps.colHead[:0], a.colHead...)
-	ps.colCnt = append(ps.colCnt[:0], a.colCnt...)
 	ps.l = sliceutil.Grow(ps.l, n)
 	ps.u = sliceutil.Grow(ps.u, n)
 	ps.c = append(ps.c[:0], p.Obj...)

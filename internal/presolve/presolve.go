@@ -166,7 +166,7 @@ func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 	ps := reducerPool.Get().(*reducer)
 	defer reducerPool.Put(ps)
 
-	ps.load(newMatrix(p.Cols, &ps.cursor), p, opts)
+	ps.load(p, opts)
 	ps.run()
 
 	r := &Reduction{obj: append([]float64(nil), p.Obj...), n0: ps.nOrig}

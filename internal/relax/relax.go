@@ -190,7 +190,7 @@ func SolveRelaxed(p *core.Problem) (*Relaxed, error) {
 // holds one; an explicit token always wins.
 func SolveRelaxedWarm(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 	e := recall(p)
-	if e.rel != nil && (warm == nil || warm == e.rel.Basis) && e.matches(p) {
+	if e.rel != nil && (warm == nil || warm == e.rel.Basis) && sameData(p, e.snap) {
 		r := e.rel.clone()
 		r.Iters, r.Refactorizations, r.BlandActivations, r.WarmStarted = 0, 0, 0, true
 		return r, nil
@@ -203,7 +203,7 @@ func SolveRelaxedWarm(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 		remember(warmEntry{p: p})
 		return nil, err
 	}
-	remember(snapshot(p, r))
+	remember(warmEntry{p: p, snap: p.Clone(), rel: r})
 	return r.clone(), nil
 }
 
@@ -226,10 +226,9 @@ func solveRelaxed(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 	r := &Relaxed{Feasible: true, MinYield: sol.X[enc.MinYieldVar()], Basis: sol.Basis}
 	r.fillWork(sol)
 	r.E = make([][]float64, enc.J)
-	flat := make([]float64, enc.J*enc.H)
-	for j := range r.E {
-		r.E[j] = flat[j*enc.H : (j+1)*enc.H : (j+1)*enc.H]
-		for h := range r.E[j] {
+	for j := 0; j < enc.J; j++ {
+		r.E[j] = make([]float64, enc.H)
+		for h := 0; h < enc.H; h++ {
 			v := sol.X[enc.EVar(j, h)]
 			if v < 0 {
 				v = 0
@@ -240,21 +239,17 @@ func solveRelaxed(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 	return r, nil
 }
 
-// clone returns a copy of r that shares nothing mutable with it: E is
-// copied into one backing array, Basis and Presolve are read-only.
+// clone returns a copy of r that shares nothing mutable with it: E, J rows
+// of H, is copied into one backing array; Basis and Presolve are read-only.
 func (r *Relaxed) clone() *Relaxed {
 	c := *r
-	if r.E != nil {
+	if len(r.E) > 0 {
+		h := len(r.E[0])
+		flat := make([]float64, len(r.E)*h)
 		c.E = make([][]float64, len(r.E))
-		n := 0
-		for _, row := range r.E {
-			n += len(row)
-		}
-		flat := make([]float64, n)
-		for j, row := range r.E {
-			c.E[j] = flat[:len(row):len(row)]
-			flat = flat[len(row):]
-			copy(c.E[j], row)
+		for j := range c.E {
+			c.E[j] = flat[j*h : (j+1)*h : (j+1)*h]
+			copy(c.E[j], r.E[j])
 		}
 	}
 	return &c

@@ -2,6 +2,7 @@ package relax
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"vmalloc/internal/core"
@@ -15,13 +16,12 @@ import (
 // warm token, and keeps its problem reachable until evicted.
 const warmTableSize = 8
 
-// warmEntry is one remembered problem: what Encode read from it when it was
-// last solved, and that solve's answer, whose Basis is the entry's token.
+// warmEntry is one remembered problem: a snapshot (a Clone) of it as it
+// was when last solved, and that solve's answer, whose Basis is the entry's
+// token.
 type warmEntry struct {
-	p       *core.Problem
-	j, h, d int
-	data    []float64 // see snapshot
-	rel     *Relaxed  // never handed out: callers get copies
+	p, snap *core.Problem
+	rel     *Relaxed // never handed out: callers get copies
 }
 
 // warmTable remembers the answers of the most recently solved problems,
@@ -71,44 +71,27 @@ func remember(e warmEntry) {
 	}
 }
 
-// snapshot returns an entry for p holding a copy of everything Encode reads
-// from it: J, H, D and, per service then per node, each vector's first D
-// entries.
-func snapshot(p *core.Problem, rel *Relaxed) warmEntry {
-	e := warmEntry{p: p, j: p.NumServices(), h: p.NumNodes(), d: p.Dim(), rel: rel}
-	e.data = make([]float64, 0, e.d*(4*e.j+2*e.h))
-	eachVector(p, e.d, func(v []float64) { e.data = append(e.data, v...) })
-	return e
-}
-
-// matches reports whether p still holds, bit for bit, the data e was taken
-// from.
-func (e *warmEntry) matches(p *core.Problem) bool {
-	if p.NumServices() != e.j || p.NumNodes() != e.h || p.Dim() != e.d {
+// sameData reports whether p holds, bit for bit, the data of snapshot q.
+func sameData(p, q *core.Problem) bool {
+	if len(p.Services) != len(q.Services) || len(p.Nodes) != len(q.Nodes) {
 		return false
 	}
-	k, same := 0, true
-	eachVector(p, e.d, func(v []float64) {
-		for _, x := range v {
-			same = same && math.Float64bits(x) == math.Float64bits(e.data[k])
-			k++
-		}
-	})
-	return same
-}
-
-// eachVector calls fn on the first d entries of each of p's vectors, in a
-// fixed order.
-func eachVector(p *core.Problem, d int, fn func([]float64)) {
 	for i := range p.Services {
-		s := &p.Services[i]
-		fn(s.ReqElem[:d])
-		fn(s.ReqAgg[:d])
-		fn(s.NeedElem[:d])
-		fn(s.NeedAgg[:d])
+		s, t := &p.Services[i], &q.Services[i]
+		if !sameVec(s.ReqElem, t.ReqElem) || !sameVec(s.ReqAgg, t.ReqAgg) ||
+			!sameVec(s.NeedElem, t.NeedElem) || !sameVec(s.NeedAgg, t.NeedAgg) {
+			return false
+		}
 	}
 	for i := range p.Nodes {
-		fn(p.Nodes[i].Elementary[:d])
-		fn(p.Nodes[i].Aggregate[:d])
+		if !sameVec(p.Nodes[i].Elementary, q.Nodes[i].Elementary) || !sameVec(p.Nodes[i].Aggregate, q.Nodes[i].Aggregate) {
+			return false
+		}
 	}
+	return true
+}
+
+// sameVec reports element-for-element bit equality.
+func sameVec(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

@@ -248,7 +248,7 @@ func TestTableRetentionBounded(t *testing.T) {
 
 // solveAndDrop solves n distinct problems and returns only weak pointers to
 // them and to the snapshots and answers the table took of them.
-func solveAndDrop(t *testing.T, n int) (probs []weak.Pointer[core.Problem], snaps []weak.Pointer[float64], answers []weak.Pointer[Relaxed]) {
+func solveAndDrop(t *testing.T, n int) (probs, snaps []weak.Pointer[core.Problem], answers []weak.Pointer[Relaxed]) {
 	for i := 0; i < n; i++ {
 		p := workload.Generate(workload.Scenario{Hosts: 4, Services: 16, COV: 0.5, Slack: 0.5, Seed: int64(200 + i)})
 		mustSolve(t, p)
@@ -257,7 +257,7 @@ func solveAndDrop(t *testing.T, n int) (probs []weak.Pointer[core.Problem], snap
 			t.Fatal("a just-solved problem has no entry")
 		}
 		probs = append(probs, weak.Make(p))
-		snaps = append(snaps, weak.Make(&e.data[0]))
+		snaps = append(snaps, weak.Make(e.snap))
 		answers = append(answers, weak.Make(e.rel))
 	}
 	return probs, snaps, answers
