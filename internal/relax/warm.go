@@ -12,7 +12,7 @@ import (
 // remember: at least four times the experiment roster's worker count on a
 // two-core machine, so an instance's bound, RRND and RRNZ solves find one
 // another's answer even with every worker mid-instance. Each entry holds a
-// snapshot of its problem's data (about 4 KB at 8x64), the answer and its
+// Clone of its problem (13 KB allocated at 8x64), the answer and its
 // warm token, and keeps its problem reachable until evicted.
 const warmTableSize = 8
 
