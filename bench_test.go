@@ -172,8 +172,7 @@ func TestPaperScaleLPSparseVsDense(t *testing.T) {
 // through the plain sparse simplex and through the presolving solve relax
 // runs, on the same encoded relaxations. The presolve sub-bench's edge is
 // the reduction pipeline's payoff — Eq. 3/Eq. 7 substitutions eliminate
-// every phase-1 artificial, so reduced models solve in a single phase — and
-// is archived in BENCH_lp.json.
+// every phase-1 artificial, so reduced models solve in a single phase.
 func BenchmarkLPRosterPresolve(b *testing.B) {
 	var lps []*lp.Problem
 	for _, scn := range lpPaperGrid() {
@@ -470,8 +469,7 @@ func vpPaperProblem() *Problem {
 }
 
 // BenchmarkMetaHeuristicsPaperScale times the full meta-heuristic roster on
-// the paper-scale instance with allocation reporting; cmd/benchjson turns
-// this into the BENCH_vp.json trajectory CI archives.
+// the paper-scale instance with allocation reporting.
 func BenchmarkMetaHeuristicsPaperScale(b *testing.B) {
 	p := vpPaperProblem()
 	runs := []struct {
@@ -877,7 +875,7 @@ func BenchmarkShardedEpoch(b *testing.B) {
 // faster than over one domain when at least 4 cores are available (below
 // that the assertion is skipped — the scatter-gather win needs cores,
 // though the smaller per-domain instances usually win even single-core;
-// BENCH_shard.json records the trajectory either way).
+// BenchmarkShardedEpoch reports the numbers either way).
 func TestShardedEpochSpeedup(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing assertion skipped in -short/race modes")
@@ -1081,8 +1079,7 @@ func journalBenchRecord(id int) *journal.Record {
 
 // BenchmarkJournalAppend measures write-ahead-log append throughput under
 // concurrent writers: group commit batches everything enqueued while the
-// previous batch is flushing into one write+fsync. The records/s metric is
-// what BENCH_journal.json tracks.
+// previous batch is flushing into one write+fsync; it reports records/s.
 func BenchmarkJournalAppend(b *testing.B) {
 	for _, mode := range []struct {
 		name  string

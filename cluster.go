@@ -47,9 +47,6 @@ type ClusterOptions struct {
 	// CPUDim is the resource dimension holding CPU needs (and receiving the
 	// mitigation threshold). Generated workloads use 0.
 	CPUDim int
-	// Tolerance is the yield binary-search tolerance; <= 0 selects the
-	// paper's 1e-4.
-	Tolerance float64
 	// Threshold is the initial §6.2 mitigation threshold applied to
 	// estimated CPU needs at reallocation (see SetThreshold).
 	Threshold float64
@@ -58,11 +55,13 @@ type ClusterOptions struct {
 	Placer func(p *Problem) *Result
 	// UseLPBound brackets the binary search with the sparse LP relaxation
 	// bound, warm-started from the previous epoch's basis. Worthwhile only
-	// when packing dominates the epoch (large rosters, tight tolerances).
+	// when packing dominates the epoch.
 	UseLPBound bool
 }
 
-// ShardedOptions tunes a Cluster of more than one placement domain.
+// ShardedOptions tunes a Cluster of more than one placement domain. The
+// cross-shard rebalance is fixed: it runs when the bottleneck shard's yield
+// trails the median shard's by more than 0.1 and moves at most 2 services.
 type ShardedOptions struct {
 	ClusterOptions
 	// Shards is the placement-domain count K (1 <= K <= len(nodes)); 0
@@ -70,13 +69,6 @@ type ShardedOptions struct {
 	Shards int
 	// Seed fixes the deterministic best-of-two-choices admission hash.
 	Seed int64
-	// RebalanceGap triggers the cross-shard rebalance pass when the
-	// bottleneck shard's epoch yield trails the median shard yield by more
-	// than this; 0 selects the default (0.1), negative disables.
-	RebalanceGap float64
-	// RebalanceMoves caps services migrated per rebalance pass; 0 selects
-	// the default (2), negative disables.
-	RebalanceMoves int
 }
 
 func (o *ShardedOptions) routerConfig(nodes []Node) shard.Config {
@@ -88,10 +80,7 @@ func (o *ShardedOptions) routerConfig(nodes []Node) shard.Config {
 		Nodes:      nodes,
 		Shards:     k,
 		Seed:       o.Seed,
-		Gap:        o.RebalanceGap,
-		Moves:      o.RebalanceMoves,
 		CPUDim:     o.CPUDim,
-		Tol:        o.Tolerance,
 		Placer:     engine.Placer(o.Placer),
 		UseLPBound: o.UseLPBound,
 		Now:        time.Now,

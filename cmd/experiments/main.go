@@ -91,17 +91,16 @@ func main() {
 
 // config holds sweep sizes for quick vs full mode.
 type config struct {
-	full      bool
-	hosts     int
-	services  []int
-	covs      []float64
-	slacks    []float64
-	seeds     []int64
-	errSteps  []float64
-	workers   int
-	lpHosts   int
-	lpSvcs    []int
-	tolerance float64
+	full     bool
+	hosts    int
+	services []int
+	covs     []float64
+	slacks   []float64
+	seeds    []int64
+	errSteps []float64
+	workers  int
+	lpHosts  int
+	lpSvcs   []int
 }
 
 func newConfig(full bool) config {
@@ -153,7 +152,7 @@ func table1(cfg config) {
 		COVs: cfg.covs, Slacks: cfg.slacks, Seeds: cfg.seeds,
 	}
 	runner := &exp.Runner{Workers: cfg.workers}
-	heur := runner.Run(grid.Scenarios(), exp.HeuristicRoster(cfg.tolerance))
+	heur := runner.Run(grid.Scenarios(), exp.HeuristicRoster(vp.DefaultTolerance))
 	dumpCSV("table1", heur)
 	names := []string{exp.NameMetaGreedy, exp.NameMetaVP, exp.NameMetaHVP, exp.NameMetaHVPLight}
 	for _, j := range cfg.services {
@@ -168,7 +167,7 @@ func table1(cfg config) {
 		Hosts: cfg.lpHosts, Services: cfg.lpSvcs,
 		COVs: []float64{0, 0.5, 1.0}, Slacks: []float64{0.4, 0.6}, Seeds: cfg.seeds,
 	}
-	all := runner.Run(lpGrid.Scenarios(), exp.FullRoster(cfg.tolerance, 42))
+	all := runner.Run(lpGrid.Scenarios(), exp.FullRoster(vp.DefaultTolerance, 42))
 	lpNames := []string{exp.NameRRND, exp.NameRRNZ, exp.NameMetaGreedy, exp.NameMetaVP, exp.NameMetaHVP}
 	for _, j := range cfg.lpSvcs {
 		sub := all.Filter(func(s workload.Scenario) bool { return s.Services == j })
@@ -185,7 +184,7 @@ func table2(cfg config) {
 		COVs: []float64{0, 0.5, 1.0}, Slacks: []float64{0.5}, Seeds: cfg.seeds,
 	}
 	runner := &exp.Runner{Workers: cfg.workers}
-	rs := runner.Run(grid.Scenarios(), exp.HeuristicRoster(cfg.tolerance))
+	rs := runner.Run(grid.Scenarios(), exp.HeuristicRoster(vp.DefaultTolerance))
 	fmt.Print(rs.Table2([]string{exp.NameMetaGreedy, exp.NameMetaVP, exp.NameMetaHVP, exp.NameMetaHVPLight}))
 
 	fmt.Println("\n-- RRNZ timing (LP tier sizes) --")
@@ -227,7 +226,7 @@ func figYieldVsCOV(cfg config, which string, slackOv float64, svcOv int) {
 		COVs: covs, Slacks: []float64{slack}, Seeds: cfg.seeds, Mode: mode,
 	}
 	runner := &exp.Runner{Workers: cfg.workers}
-	rs := runner.Run(grid.Scenarios(), exp.HeuristicRoster(cfg.tolerance))
+	rs := runner.Run(grid.Scenarios(), exp.HeuristicRoster(vp.DefaultTolerance))
 	fmt.Print(rs.FigureYieldVsCOV([]string{exp.NameMetaGreedy, exp.NameMetaVP}, exp.NameMetaHVP))
 	dumpCSV(which, rs)
 	if plotFlag {
@@ -331,7 +330,7 @@ func lightComparison(cfg config) {
 	})
 	run := func(name string, f func(*core.Problem, float64) *core.Result) {
 		start := time.Now()
-		res := f(p, cfg.tolerance)
+		res := f(p, vp.DefaultTolerance)
 		el := time.Since(start)
 		fmt.Printf("%-14s solved=%-5v min yield=%.4f time=%.2fs\n", name, res.Solved, res.MinYield, el.Seconds())
 	}
@@ -357,7 +356,7 @@ func binOrderAblation(cfg config) {
 				ItemOrder: vp.Order{Metric: vec.MetricSum, Descending: true},
 				BinOrder:  bo,
 				Hetero:    true,
-			}, cfg.tolerance)
+			}, vp.DefaultTolerance)
 		}})
 	}
 	runner := &exp.Runner{Workers: cfg.workers}
@@ -374,7 +373,7 @@ func hardnessCurve(cfg config) {
 		COVs: []float64{0.5}, Slacks: covRange(0.1, 0.9, 0.1), Seeds: cfg.seeds,
 	}
 	runner := &exp.Runner{Workers: cfg.workers}
-	rs := runner.Run(grid.Scenarios(), exp.HeuristicRoster(cfg.tolerance))
+	rs := runner.Run(grid.Scenarios(), exp.HeuristicRoster(vp.DefaultTolerance))
 	names := []string{exp.NameMetaGreedy, exp.NameMetaVP, exp.NameMetaHVP}
 	fmt.Printf("%-8s", "slack")
 	for _, n := range names {
@@ -405,7 +404,7 @@ func profileStrategies(cfg config) {
 		Hosts: cfg.hosts, Services: []int{cfg.services[len(cfg.services)-1]},
 		COVs: []float64{0.25, 0.5, 1.0}, Slacks: []float64{0.3, 0.6}, Seeds: cfg.seeds,
 	}
-	stats := exp.ProfileStrategies(grid.Scenarios(), cfg.tolerance, cfg.workers)
+	stats := exp.ProfileStrategies(grid.Scenarios(), vp.DefaultTolerance, cfg.workers)
 	fmt.Print(exp.RenderProfile(stats, 50))
 	fmt.Printf("\nMETAHVPLIGHT membership among the top 50: %.0f%%\n",
 		exp.LightCoverage(stats, 50)*100)

@@ -59,11 +59,8 @@ func main() {
 		cov       = flag.Float64("cov", 0.5, "coefficient of variation for -hosts")
 		seed      = flag.Int64("seed", 1, "seed for -hosts (and the shard admission hash)")
 		threshold = flag.Float64("threshold", 0, "initial mitigation threshold (first boot)")
-		tolerance = flag.Float64("tol", 0, "yield search tolerance (0 = paper default)")
 		lpBound   = flag.Bool("lpbound", false, "bracket the yield search with the warm-started LP bound")
 		shards    = flag.Int("shards", 0, "partition the platform into this many placement domains (first boot; 0 = 1)")
-		rebGap    = flag.Float64("rebalance-gap", 0, "rebalance when the bottleneck shard trails the median yield by more than this (0 = default 0.1, negative disables)")
-		rebMoves  = flag.Int("rebalance-moves", 0, "max services migrated per rebalance pass (0 = default 2, negative disables)")
 		snapEvery = flag.Int("snapshot-every", 0, "checkpoint after this many records (0 = 4096, negative disables)")
 		segBytes  = flag.Int64("segment-bytes", 0, "WAL segment rotation size (0 = 8 MiB)")
 		fsync     = flag.String("fsync", "batch", "durability mode: batch (group commit) or none")
@@ -133,18 +130,15 @@ func main() {
 
 	opts := &server.Options{
 		Cluster: vmalloc.ClusterOptions{
-			Tolerance:  *tolerance,
 			Threshold:  *threshold,
 			UseLPBound: *lpBound,
 		},
-		SegmentBytes:   *segBytes,
-		Fsync:          fsyncMode,
-		SnapshotEvery:  *snapEvery,
-		Shards:         *shards,
-		ShardSeed:      *seed,
-		RebalanceGap:   *rebGap,
-		RebalanceMoves: *rebMoves,
-		Obs:            observer,
+		SegmentBytes:  *segBytes,
+		Fsync:         fsyncMode,
+		SnapshotEvery: *snapEvery,
+		Shards:        *shards,
+		ShardSeed:     *seed,
+		Obs:           observer,
 	}
 
 	// The platform only matters on first boot; an existing journal carries
@@ -226,9 +220,9 @@ func main() {
 
 	var m *server.Metrics
 	if !*noMetrics {
-		m = server.NewObservedMetrics(api, observer)
+		m = server.NewMetrics(api, observer)
 	}
-	var handler http.Handler = server.NewObservedHandler(api, m, observer, lg)
+	var handler http.Handler = server.NewHandler(api, m, observer, lg)
 	if *pprofOn {
 		outer := http.NewServeMux()
 		outer.HandleFunc("/debug/pprof/", pprof.Index)

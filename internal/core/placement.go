@@ -39,18 +39,6 @@ func (pl Placement) Clone() Placement {
 	return c
 }
 
-// ServicesOn returns the indices of the services placed on node h, in
-// increasing service order.
-func (pl Placement) ServicesOn(h int) []int {
-	var out []int
-	for j, n := range pl {
-		if n == h {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Validate checks that pl is structurally consistent with the problem and
 // that requirements are satisfiable at yield 0 on every node: elementary
 // requirements fit within node elementary capacities and summed aggregate

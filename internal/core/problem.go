@@ -120,10 +120,6 @@ func (s *Service) ElemAt(y float64) vec.Vec { return s.ReqElem.AddScaled(y, s.Ne
 // r^a + y*n^a.
 func (s *Service) AggAt(y float64) vec.Vec { return s.ReqAgg.AddScaled(y, s.NeedAgg) }
 
-// Demand returns the full demand of the service at yield 1
-// (requirements plus needs), the natural "size" for placement heuristics.
-func (s *Service) Demand() vec.Vec { return s.ReqAgg.Add(s.NeedAgg) }
-
 // FitsRequirements reports whether the service's rigid requirements alone fit
 // on node n given the node's current aggregate load (sum of aggregate
 // requirement vectors of services already placed there). This is the minimum
@@ -142,26 +138,6 @@ func (p *Problem) TotalAggregate() vec.Vec {
 	t := vec.New(p.Dim())
 	for _, n := range p.Nodes {
 		t.AccumAdd(n.Aggregate)
-	}
-	return t
-}
-
-// TotalDemand returns the element-wise sum over services of requirements plus
-// needs (aggregate).
-func (p *Problem) TotalDemand() vec.Vec {
-	t := vec.New(p.Dim())
-	for _, s := range p.Services {
-		t.AccumAdd(s.ReqAgg)
-		t.AccumAdd(s.NeedAgg)
-	}
-	return t
-}
-
-// TotalRequirements returns the element-wise sum of aggregate requirements.
-func (p *Problem) TotalRequirements() vec.Vec {
-	t := vec.New(p.Dim())
-	for _, s := range p.Services {
-		t.AccumAdd(s.ReqAgg)
 	}
 	return t
 }

@@ -86,12 +86,6 @@ type Config struct {
 	// CPUDim is the resource dimension the mitigation threshold applies to
 	// (workload-generated problems use 0).
 	CPUDim int
-	// Tol is the yield binary-search tolerance of the built-in meta placer;
-	// <= 0 selects the paper's default.
-	Tol float64
-	// Strategies is the packing roster of the built-in meta placer; nil
-	// selects the METAHVPLIGHT set.
-	Strategies []vp.Config
 	// Placer overrides the built-in meta placer entirely (the engine's
 	// persistent solvers are then unused).
 	Placer Placer
@@ -103,7 +97,7 @@ type Config struct {
 	// UseLPBound brackets the built-in meta's binary search with the sparse
 	// LP relaxation bound, warm-starting each epoch's relaxation from the
 	// previous epoch's optimal basis. The relaxation solve is far from free —
-	// enable it only when the roster/tolerance make packing dominate.
+	// enable it only when packing dominates the epoch.
 	UseLPBound bool
 	// Now is the injected wall clock used solely to stamp
 	// EpochReport.SolveNs; nil leaves SolveNs zero. The engine is
@@ -195,13 +189,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CPUDim < 0 || cfg.CPUDim >= d {
 		return nil, fmt.Errorf("engine: CPU dimension %d out of range [0,%d)", cfg.CPUDim, d)
 	}
-	configs := cfg.Strategies
-	if configs == nil {
-		configs = hvp.LightStrategies()
-	}
 	e := &Engine{
 		cfg:       cfg,
-		configs:   configs,
+		configs:   hvp.LightStrategies(),
 		byID:      make(map[int]int),
 		reqLoads:  make([]vec.Vec, len(cfg.Nodes)),
 		needLoads: make([]vec.Vec, len(cfg.Nodes)),
@@ -473,7 +463,7 @@ func (e *Engine) solve() *core.Result {
 	if e.cfg.Placer != nil {
 		return e.cfg.Placer(&e.estP)
 	}
-	opts := vp.SearchOptions{Tol: e.cfg.Tol}
+	var opts vp.SearchOptions
 	if e.cfg.UseLPBound {
 		opts.UpperBound = e.lpBound
 	}

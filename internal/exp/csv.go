@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"vmalloc/internal/workload"
 )
 
 // WriteResultsCSV emits the raw sweep results, one row per (scenario,
@@ -71,54 +69,4 @@ func WriteErrorCurvesCSV(w io.Writer, curves []ErrorCurves, thresholds []float64
 	return cw.Error()
 }
 
-// WriteCOVSeriesCSV emits the Figures 2–4 series (difference from ref per
-// COV) as CSV.
-func (rs *ResultSet) WriteCOVSeriesCSV(w io.Writer, names []string, ref string) error {
-	cw := csv.NewWriter(w)
-	header := []string{"cov"}
-	for _, a := range names {
-		header = append(header, a+"_minus_"+ref)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	// Union of COVs in ascending order.
-	covSet := map[float64]bool{}
-	for _, s := range rs.Scenarios {
-		covSet[s.COV] = true
-	}
-	var covs []float64
-	for c := range covSet {
-		covs = append(covs, c)
-	}
-	sortFloats(covs)
-	series := map[string]map[float64]float64{}
-	for _, a := range names {
-		cs, ds := rs.YieldDifferenceSeries(a, ref)
-		m := map[float64]float64{}
-		for i := range cs {
-			m[cs[i]] = ds[i]
-		}
-		series[a] = m
-	}
-	for _, c := range covs {
-		row := []string{formatF(c)}
-		for _, a := range names {
-			if d, ok := series[a][c]; ok {
-				row = append(row, formatF(d))
-			} else {
-				row = append(row, "")
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 func formatF(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-
-// scenarioLabel is a compact identifier used in CSV filenames and logs.
-func scenarioLabel(s workload.Scenario) string { return s.String() }

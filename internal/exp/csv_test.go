@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"encoding/csv"
-	"strings"
 	"testing"
 	"time"
 
@@ -48,27 +47,6 @@ func TestWriteResultsCSV(t *testing.T) {
 	}
 }
 
-func TestWriteCOVSeriesCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleResultSet().WriteCOVSeriesCSV(&buf, []string{"A"}, "REF"); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 { // header + 2 COV values
-		t.Fatalf("rows = %v", rows)
-	}
-	if !strings.Contains(rows[0][1], "A_minus_REF") {
-		t.Fatalf("header = %v", rows[0])
-	}
-	// COV 0.5: A failed, cell empty.
-	if rows[2][1] != "" {
-		t.Fatalf("expected empty diff cell, got %q", rows[2][1])
-	}
-}
-
 func TestWriteErrorCurvesCSV(t *testing.T) {
 	curves := []ErrorCurves{
 		{MaxErr: 0, Ideal: 0.5, ZeroKnowledge: 0.1, Caps: 0.5, Instances: 3,
@@ -88,12 +66,5 @@ func TestWriteErrorCurvesCSV(t *testing.T) {
 	}
 	if rows[1][len(rows[1])-1] != "3" {
 		t.Fatalf("instances column = %v", rows[1])
-	}
-}
-
-func TestScenarioLabel(t *testing.T) {
-	s := workload.Scenario{Hosts: 4, Services: 10, COV: 0.5, Slack: 0.3, Seed: 7}
-	if got := scenarioLabel(s); !strings.Contains(got, "H4/J10") {
-		t.Fatalf("label = %q", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 
-	"vmalloc/internal/core"
 	"vmalloc/internal/sched"
 	"vmalloc/internal/workload"
 )
@@ -168,14 +167,4 @@ func (e *ErrorExperiment) runOne(placer Algo, maxErr float64, scn workload.Scena
 	}
 	c.ok = true
 	return c
-}
-
-// IdealMinYield runs the placer on the true problem and returns the
-// perfect-knowledge minimum yield, a convenience for tests.
-func IdealMinYield(placer Algo, p *core.Problem) float64 {
-	res := placer.Run(p)
-	if !res.Solved {
-		return -1
-	}
-	return res.MinYield
 }

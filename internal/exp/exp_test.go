@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"vmalloc/internal/core"
 	"vmalloc/internal/workload"
 )
 
@@ -237,16 +236,6 @@ func TestErrorMonotonicityShape(t *testing.T) {
 	if math.Abs(curves[0].Ideal-curves[1].Ideal) > 1e-12 {
 		t.Fatalf("ideal should be error-independent: %v vs %v", curves[0].Ideal, curves[1].Ideal)
 	}
-}
-
-func TestIdealMinYield(t *testing.T) {
-	p := workload.Generate(workload.Scenario{Hosts: 8, Services: 16, COV: 0.5, Slack: 0.5, Seed: 1})
-	y := IdealMinYield(MetaHVPLightAlgo(1e-3), p)
-	if y < 0 || y > 1 {
-		t.Fatalf("ideal = %v", y)
-	}
-	bad := &core.Problem{}
-	_ = bad
 }
 
 func TestFullRosterOnTinyInstances(t *testing.T) {

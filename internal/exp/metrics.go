@@ -73,24 +73,6 @@ func (rs *ResultSet) MeanYield(a string) float64 {
 	return sum / float64(n)
 }
 
-// MeanYieldOnCommon returns the average minimum yields of a and b restricted
-// to instances both solve.
-func (rs *ResultSet) MeanYieldOnCommon(a, b string) (ya, yb float64, n int) {
-	oa, ob := rs.ByAlgo[a], rs.ByAlgo[b]
-	for i := range rs.Scenarios {
-		if oa[i].Solved && ob[i].Solved {
-			ya += oa[i].MinYield
-			yb += ob[i].MinYield
-			n++
-		}
-	}
-	if n > 0 {
-		ya /= float64(n)
-		yb /= float64(n)
-	}
-	return ya, yb, n
-}
-
 // MeanRuntime returns the average wall-clock run time of algorithm a over
 // all instances (solved or not).
 func (rs *ResultSet) MeanRuntime(a string) time.Duration {

@@ -33,10 +33,6 @@ type ShardedSpec struct {
 	MeanLifetime     float64
 	// Epochs is the horizon (default 40).
 	Epochs int
-	// RebalanceGap and RebalanceMoves tune the cross-shard rebalance as in
-	// shard.Config (0 selects defaults, negative disables).
-	RebalanceGap   float64
-	RebalanceMoves int
 	// Seeds drive the replications (default {1}).
 	Seeds []int64
 }
@@ -105,8 +101,6 @@ func (spec ShardedSpec) Run() ([]ShardedRow, error) {
 				Nodes:  nodes,
 				Shards: k,
 				Seed:   seed,
-				Gap:    spec.RebalanceGap,
-				Moves:  spec.RebalanceMoves,
 				Now:    time.Now,
 			})
 			if err != nil {

@@ -206,21 +206,15 @@ func (st *state) place(j, h int) {
 	st.demandLoad[h].AccumAdd(s.NeedAgg)
 }
 
-// available returns the node's aggregate capacity minus demand load (may be
-// negative when a node is oversubscribed in terms of needs).
-func (st *state) available(h int) vec.Vec {
-	return st.p.Nodes[h].Aggregate.Sub(st.demandLoad[h])
-}
-
-// availAt returns one component of the node's available capacity without
-// materializing the vector.
+// availAt returns one component of the node's available capacity (aggregate
+// capacity minus demand load; negative when a node is oversubscribed in
+// terms of needs) without materializing the vector.
 func (st *state) availAt(h, d int) float64 {
 	return st.p.Nodes[h].Aggregate[d] - st.demandLoad[h][d]
 }
 
 // availSum returns the summed available capacity; vec.SumDiff keeps P4/P6
-// tie-breaking bit-identical to the allocating available(h).Sum()
-// formulation.
+// tie-breaking bit-identical to summing Aggregate.Sub(demandLoad[h]).
 func (st *state) availSum(h int) float64 {
 	return vec.SumDiff(st.p.Nodes[h].Aggregate, st.demandLoad[h])
 }

@@ -24,11 +24,6 @@ func New[T any](less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{less: less}
 }
 
-// NewWithCapacity is New with a pre-sized backing array.
-func NewWithCapacity[T any](less func(a, b T) bool, n int) *Heap[T] {
-	return &Heap[T]{less: less, s: make([]T, 0, n)}
-}
-
 // Len returns the number of elements in the heap.
 func (h *Heap[T]) Len() int { return len(h.s) }
 

@@ -31,7 +31,7 @@ func TestPushPopSorted(t *testing.T) {
 }
 
 func TestPeekAndClear(t *testing.T) {
-	h := NewWithCapacity(func(a, b int) bool { return a < b }, 8)
+	h := New(func(a, b int) bool { return a < b })
 	h.Push(3)
 	h.Push(1)
 	h.Push(2)

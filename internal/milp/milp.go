@@ -84,12 +84,10 @@ type Solution struct {
 type Options struct {
 	// MaxNodes caps the number of LP relaxations solved (0 = default 100000).
 	MaxNodes int
-	// IntTol is the integrality tolerance (0 = default 1e-6).
-	IntTol float64
-	// Gap is the relative optimality gap at which search stops early
-	// (0 = prove exact optimality).
-	Gap float64
 }
+
+// intTol is the integrality tolerance.
+const intTol = 1e-6
 
 // node is an open subproblem: its parent's, with one more binary fixed.
 type node struct {
@@ -122,10 +120,6 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 	if maxNodes <= 0 {
 		maxNodes = 100000
 	}
-	intTol := opts.IntTol
-	if intTol <= 0 {
-		intTol = 1e-6
-	}
 	if err := p.LP.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,13 +150,6 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 		if nd.bound <= sol.Objective+1e-12 && sol.HasIncumbent {
 			sol.Pruned++
 			continue // pruned by incumbent
-		}
-		if opts.Gap > 0 && sol.HasIncumbent &&
-			nd.bound <= sol.Objective*(1+opts.Gap)+1e-12 {
-			// Within the requested relative gap: accept the incumbent.
-			sol.Status = Optimal
-			sol.Bound = nd.bound
-			return sol, nil
 		}
 		rel, err := rs.solve(nd)
 		nd.warm = nil

@@ -6,11 +6,10 @@ import (
 )
 
 // SolverStats aggregates the cheap per-solve counters of the whole solver
-// tier — presolve reductions, simplex work, branch-and-bound effort, and
-// the vector-packing meta-heuristic's pruning — over one epoch (or one
-// shard's slice of one). Counters are plain ints: each solver instance is
-// single-threaded, and cross-shard aggregation happens after the
-// scatter-gather join.
+// tier — presolve reductions, simplex work and the vector-packing
+// meta-heuristic's pruning — over one epoch (or one shard's slice of one).
+// Counters are plain ints: each solver instance is single-threaded, and
+// cross-shard aggregation happens after the scatter-gather join.
 type SolverStats struct {
 	// Presolve reductions, by rule.
 	PresolveRowsEliminated  int64 `json:"presolve_rows_eliminated"`
@@ -28,10 +27,6 @@ type SolverStats struct {
 	LPBlandActivations int64 `json:"lp_bland_activations"`
 	LPWarmStarts       int64 `json:"lp_warm_starts"`
 	LPColdStarts       int64 `json:"lp_cold_starts"`
-
-	// Branch and bound.
-	MILPNodes  int64 `json:"milp_nodes"`
-	MILPPruned int64 `json:"milp_pruned"`
 
 	// Vector-packing meta-heuristic.
 	VPPacks       int64 `json:"vp_packs"`
@@ -54,8 +49,6 @@ func (s *SolverStats) Add(o SolverStats) {
 	s.LPBlandActivations += o.LPBlandActivations
 	s.LPWarmStarts += o.LPWarmStarts
 	s.LPColdStarts += o.LPColdStarts
-	s.MILPNodes += o.MILPNodes
-	s.MILPPruned += o.MILPPruned
 	s.VPPacks += o.VPPacks
 	s.VPPacksSolved += o.VPPacksSolved
 	s.VPStepsPruned += o.VPStepsPruned

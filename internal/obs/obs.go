@@ -60,7 +60,7 @@ type Span struct {
 // Tracer owns the trace rings. Safe for concurrent use.
 type Tracer struct {
 	enabled atomic.Bool
-	slowNs  atomic.Int64
+	slowNs  int64 // set once by NewTracer
 	seq     atomic.Uint64
 	base    string
 
@@ -93,12 +93,12 @@ func NewTracer(size int, slow time.Duration) *Tracer {
 		slowSize = 4
 	}
 	t := &Tracer{
-		base: strconv.FormatInt(time.Now().UnixNano(), 36),
-		ring: make([]*Trace, size),
-		slow: make([]*Trace, slowSize),
+		slowNs: int64(slow),
+		base:   strconv.FormatInt(time.Now().UnixNano(), 36),
+		ring:   make([]*Trace, size),
+		slow:   make([]*Trace, slowSize),
 	}
 	t.enabled.Store(true)
-	t.slowNs.Store(int64(slow))
 	return t
 }
 
@@ -107,17 +107,6 @@ func NewTracer(size int, slow time.Duration) *Tracer {
 func (t *Tracer) SetEnabled(on bool) {
 	if t != nil {
 		t.enabled.Store(on)
-	}
-}
-
-// Enabled reports whether StartTrace currently hands out live traces.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetSlowThreshold changes the duration beyond which a finished trace is
-// copied to the slow ring.
-func (t *Tracer) SetSlowThreshold(d time.Duration) {
-	if t != nil && d > 0 {
-		t.slowNs.Store(int64(d))
 	}
 }
 
@@ -200,7 +189,7 @@ func (tr *Trace) Finish(status int) {
 	}
 	tr.mu.Unlock()
 	t := tr.tr
-	if now >= t.slowNs.Load() || status >= 500 {
+	if now >= t.slowNs || status >= 500 {
 		t.mu.Lock()
 		t.slow[t.slowNext] = tr
 		t.slowNext = (t.slowNext + 1) % len(t.slow)

@@ -18,10 +18,10 @@ import (
 type ImproveOptions struct {
 	// MaxRounds caps full passes over the service list (<= 0 selects 10).
 	MaxRounds int
-	// MinGain is the minimum-yield improvement below which the search stops
-	// (<= 0 selects 1e-6).
-	MinGain float64
 }
+
+// minGain is the minimum-yield improvement below which Improve stops.
+const minGain = 1e-6
 
 func (o *ImproveOptions) rounds() int {
 	if o == nil || o.MaxRounds <= 0 {
@@ -30,18 +30,11 @@ func (o *ImproveOptions) rounds() int {
 	return o.MaxRounds
 }
 
-func (o *ImproveOptions) gain() float64 {
-	if o == nil || o.MinGain <= 0 {
-		return 1e-6
-	}
-	return o.MinGain
-}
-
 // Improve hill-climbs from a solved placement: each round it examines, for
 // every service on a bottleneck node, all single moves to other nodes and
 // all swaps with services on other nodes, applying the change that most
 // increases the minimum yield. It stops at a local optimum, after MaxRounds,
-// or when the improvement drops below MinGain. The input placement is not
+// or when the improvement drops below 1e-6. The input placement is not
 // modified.
 func Improve(p *core.Problem, pl core.Placement, opts *ImproveOptions) *core.Result {
 	cur := core.EvaluatePlacement(p, pl)
@@ -50,7 +43,7 @@ func Improve(p *core.Problem, pl core.Placement, opts *ImproveOptions) *core.Res
 	}
 	for round := 0; round < opts.rounds(); round++ {
 		next := bestNeighbor(p, cur)
-		if next == nil || next.MinYield <= cur.MinYield+opts.gain() {
+		if next == nil || next.MinYield <= cur.MinYield+minGain {
 			break
 		}
 		cur = next

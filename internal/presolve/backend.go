@@ -10,8 +10,7 @@ package presolve
 
 import "vmalloc/internal/lp"
 
-// Backend solves linear programs through the reduction pipeline under the
-// default Options.
+// Backend solves linear programs through the reduction pipeline.
 type Backend struct{}
 
 // SolveWarm maximizes p: reduce, solve the reduced model (warm when the

@@ -50,20 +50,18 @@ type reducer struct {
 	infeasible, unbounded    bool
 	assumeImplied            bool // see substitute
 	stats                    Stats
-	opts                     Options
 	records                  []record
 	terms                    []entry // backing store of every recSubst's terms
 }
 
 var reducerPool = sync.Pool{New: func() any { return new(reducer) }}
 
-// load resets the reducer to the start of a reduction of a validated p
-// under opts. Nil bounds expand to 0 and +Inf.
-func (ps *reducer) load(p *lp.Problem, opts *Options) {
+// load resets the reducer to the start of a reduction of a validated p.
+// Nil bounds expand to 0 and +Inf.
+func (ps *reducer) load(p *lp.Problem) {
 	c := p.Cols
 	n, m := c.N, c.M
 	ps.n, ps.m, ps.nOrig = n, m, n
-	ps.opts = *opts
 	ps.stats = Stats{RowsBefore: m, ColsBefore: n, NNZBefore: len(c.Val)}
 	ps.infeasible, ps.unbounded, ps.assumeImplied = false, false, false
 

@@ -22,15 +22,9 @@ import (
 	"vmalloc/internal/lp"
 )
 
-// Options tunes a reduction.
-type Options struct {
-	// MaxPasses caps the outer reduce-to-fixpoint loop (0 = default 10).
-	MaxPasses int
-	// DisableSubst turns off equality substitution (singleton-column and
-	// general fill-capped), leaving only the row/bound reductions. Used by
-	// tests to isolate rules; production callers keep it on.
-	DisableSubst bool
-}
+// Options is the argument slot of Reduce; it has no fields, the pipeline
+// is fixed.
+type Options struct{}
 
 // Outcome classifies a reduction.
 type Outcome int
@@ -154,19 +148,16 @@ const (
 	maxSubstFill = 100
 )
 
-// Reduce runs the pipeline on a validated problem (nil opts: the defaults)
-// and returns the reduction.
-func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
+// Reduce runs the pipeline on a validated problem and returns the
+// reduction; opts is ignored and may be nil.
+func Reduce(p *lp.Problem, _ *Options) (*Reduction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if opts == nil {
-		opts = &Options{}
 	}
 	ps := reducerPool.Get().(*reducer)
 	defer reducerPool.Put(ps)
 
-	ps.load(p, opts)
+	ps.load(p)
 	ps.run()
 
 	r := &Reduction{obj: append([]float64(nil), p.Obj...), n0: ps.nOrig}
@@ -266,19 +257,16 @@ func (ps *reducer) aliveCols() int {
 	return c
 }
 
+// maxPasses caps the outer reduce-to-fixpoint loop.
+const maxPasses = 10
+
 // run iterates every rule to a fixpoint (or the pass cap).
 func (ps *reducer) run() {
-	maxPasses := ps.opts.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 10
-	}
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := ps.fixPass()
 		changed = ps.rowPass() || changed
-		if !ps.opts.DisableSubst {
-			changed = ps.vubPass() || changed
-			changed = ps.substPass() || changed
-		}
+		changed = ps.vubPass() || changed
+		changed = ps.substPass() || changed
 		if ps.infeasible || ps.unbounded || !changed {
 			return
 		}

@@ -33,7 +33,6 @@ import (
 // concurrent use.
 type Client struct {
 	base string
-	hc   *http.Client
 
 	mu   sync.Mutex
 	rng  *rand.Rand
@@ -41,12 +40,9 @@ type Client struct {
 }
 
 // NewClient returns a client for the leader at base (e.g.
-// "http://10.0.0.1:7070"). hc may be nil for http.DefaultClient.
-func NewClient(base string, hc *http.Client) *Client {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
+// "http://10.0.0.1:7070"); requests go through http.DefaultClient.
+func NewClient(base string) *Client {
+	return &Client{base: strings.TrimRight(base, "/")}
 }
 
 // Backoff parameters for transient pull failures: capped exponential with
@@ -149,7 +145,7 @@ func (c *Client) get(ctx context.Context, path string, q url.Values) (*http.Resp
 	if err != nil {
 		return nil, fmt.Errorf("replica: %w", err)
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("replica: %w", err)
 	}

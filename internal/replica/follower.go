@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,17 +26,18 @@ type Options struct {
 	// ReadyLag is the per-shard record lag above which Ready() fails
 	// (default 4096). Zero means the default; -1 disables the bound.
 	ReadyLag int64
-	// PullBytes bounds one stream batch (default 1 MiB).
-	PullBytes int
 	// Server carries the store options used to open the local journals and,
 	// at promotion, the writable store (segment size, fsync policy, chain
 	// interval, cluster options...).
 	Server *server.Options
-	// HTTPClient overrides http.DefaultClient.
-	HTTPClient *http.Client
-	// RequestTimeout bounds every single leader request (default 10s).
-	RequestTimeout time.Duration
 }
+
+// pullBytes bounds one stream batch; requestTimeout bounds every single
+// leader request.
+const (
+	pullBytes      = 1 << 20
+	requestTimeout = 10 * time.Second
+)
 
 func (o *Options) poll() time.Duration {
 	if o.Poll <= 0 {
@@ -51,20 +51,6 @@ func (o *Options) readyLag() int64 {
 		return 4096
 	}
 	return o.ReadyLag
-}
-
-func (o *Options) pullBytes() int {
-	if o.PullBytes <= 0 {
-		return 1 << 20
-	}
-	return o.PullBytes
-}
-
-func (o *Options) reqTimeout() time.Duration {
-	if o.RequestTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return o.RequestTimeout
 }
 
 // Follower is a read-only vmallocd store fed by a leader's WAL stream. It
@@ -120,7 +106,7 @@ func Open(ctx context.Context, opts Options) (*Follower, error) {
 	if opts.Server == nil {
 		opts.Server = &server.Options{}
 	}
-	f := &Follower{opts: opts, client: NewClient(opts.Leader, opts.HTTPClient)}
+	f := &Follower{opts: opts, client: NewClient(opts.Leader)}
 
 	if err := f.bootstrap(ctx); err != nil {
 		return nil, err
@@ -197,7 +183,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 func (f *Follower) retryManifest(ctx context.Context) (*server.ShardManifest, error) {
 	var last error
 	for attempt := 0; ; attempt++ {
-		rctx, cancel := context.WithTimeout(ctx, f.opts.reqTimeout())
+		rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 		m, err := f.client.Manifest(rctx)
 		cancel()
 		if err == nil {
@@ -219,7 +205,7 @@ func (f *Follower) retryManifest(ctx context.Context) (*server.ShardManifest, er
 func (f *Follower) retryCheckpoint(ctx context.Context, shard int) (*journal.Checkpoint, error) {
 	var last error
 	for attempt := 0; ; attempt++ {
-		rctx, cancel := context.WithTimeout(ctx, f.opts.reqTimeout())
+		rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 		cp, err := f.client.Checkpoint(rctx, shard)
 		cancel()
 		if err == nil {
@@ -282,9 +268,9 @@ var errFatal = errors.New("replica: fatal")
 // pullOnce pulls and applies at most one batch. applied reports whether any
 // records landed (false when caught up).
 func (f *Follower) pullOnce(shard int) (applied bool, err error) {
-	rctx, cancel := context.WithTimeout(f.ctx, f.opts.reqTimeout())
+	rctx, cancel := context.WithTimeout(f.ctx, requestTimeout)
 	defer cancel()
-	b, err := f.client.Stream(rctx, shard, f.cursors[shard].Load(), f.opts.pullBytes())
+	b, err := f.client.Stream(rctx, shard, f.cursors[shard].Load(), pullBytes)
 	if err != nil {
 		return false, err
 	}
@@ -330,7 +316,7 @@ func (f *Follower) pullOnce(shard int) (applied bool, err error) {
 func (f *Follower) chainLoop() {
 	defer f.wg.Done()
 	for {
-		rctx, cancel := context.WithTimeout(f.ctx, f.opts.reqTimeout())
+		rctx, cancel := context.WithTimeout(f.ctx, requestTimeout)
 		cs, err := f.client.Chains(rctx)
 		cancel()
 		if err == nil {

@@ -39,7 +39,7 @@ func (f *Follower) Promote(ctx context.Context) (*server.Store, error) {
 		return nil, server.ErrClosed
 	}
 
-	rctx, cancel := context.WithTimeout(ctx, f.opts.reqTimeout())
+	rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	chains, err := f.client.Chains(rctx)
 	cancel()
 	if err == nil {

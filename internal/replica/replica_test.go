@@ -106,7 +106,7 @@ func bootShards(t *testing.T, seed int64, shards int) (*server.Store, *httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.Handler(s))
+	ts := httptest.NewServer(server.NewHandler(s, nil, nil, nil))
 	return s, ts
 }
 
@@ -266,7 +266,7 @@ func TestFollowerHTTPSurface(t *testing.T) {
 	f := follow(t, ts)
 	sw := NewSwitch(f)
 	defer sw.Close()
-	fts := httptest.NewServer(server.Handler(sw))
+	fts := httptest.NewServer(server.NewHandler(sw, nil, nil, nil))
 	defer fts.Close()
 	waitCaughtUp(t, leader, f)
 
@@ -367,7 +367,7 @@ func testPromoteDeadLeaderByteIdentity(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.Handler(leader))
+	ts := httptest.NewServer(server.NewHandler(leader, nil, nil, nil))
 
 	drive(t, leader, 120, 11)
 	f := follow(t, ts)
@@ -601,7 +601,7 @@ func TestPromotedFollowerKeepsSpans(t *testing.T) {
 	}
 	sw := NewSwitch(f)
 	defer sw.Close()
-	fts := httptest.NewServer(server.NewObservedHandler(sw, nil, o, nil))
+	fts := httptest.NewServer(server.NewHandler(sw, nil, o, nil))
 	defer fts.Close()
 	waitCaughtUp(t, leader, f)
 	if err := sw.Promote(); err != nil {

@@ -261,8 +261,11 @@ func TestZeroKnowledgePlacementBalances(t *testing.T) {
 	if !pl.Complete() {
 		t.Fatal("placement incomplete")
 	}
-	c0, c1 := len(pl.ServicesOn(0)), len(pl.ServicesOn(1))
-	if c0 != 2 || c1 != 2 {
+	var counts [2]int
+	for _, h := range pl {
+		counts[h]++
+	}
+	if c0, c1 := counts[0], counts[1]; c0 != 2 || c1 != 2 {
 		t.Fatalf("counts = %d,%d, want 2,2", c0, c1)
 	}
 	if err := pl.Validate(p); err != nil {

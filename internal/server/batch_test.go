@@ -26,7 +26,7 @@ func batchOf(svcs ...vmalloc.Service) batchRequest {
 // placement domain.
 func TestHTTPBatchAdmission(t *testing.T) {
 	s := openStore(t, t.TempDir(), testNodes(8, 51), 4)
-	ts := httptest.NewServer(Handler(s))
+	ts := httptest.NewServer(NewHandler(s, nil, nil, nil))
 	t.Cleanup(func() { ts.Close(); s.Close() })
 
 	const n = 64
@@ -228,7 +228,7 @@ func TestBatchKillRecovery(t *testing.T) {
 // counters and latency, per-shard gauges, journal I/O counters.
 func TestMetricsEndpoint(t *testing.T) {
 	s := openStore(t, t.TempDir(), testNodes(8, 59), 2)
-	ts := httptest.NewServer(NewHandler(s, NewMetrics(s)))
+	ts := httptest.NewServer(NewHandler(s, NewMetrics(s, nil), nil, nil))
 	t.Cleanup(func() { ts.Close(); s.Close() })
 
 	if code, raw := doJSON(t, "POST", ts.URL+"/v1/services",

@@ -29,15 +29,11 @@ type Metrics struct {
 
 // NewMetrics builds the metric registry over a store: per-endpoint request
 // counters and latency histograms, plus scrape-time collectors over
-// s.Stats(), per-shard statistics and journal I/O
-// counters. Equivalent to NewObservedMetrics(s, nil).
-func NewMetrics(s API) *Metrics { return NewObservedMetrics(s, nil) }
-
-// NewObservedMetrics is NewMetrics plus the observer-backed families: Go
-// runtime gauges, build info, cumulative epoch phase timing and the
-// solver-tier work counters aggregated from the epoch ring, and the count
-// of traces started.
-func NewObservedMetrics(s API, o *obs.Observer) *Metrics {
+// s.Stats(), per-shard statistics and journal I/O counters. A non-nil
+// observer adds Go runtime gauges, build info, cumulative epoch phase
+// timing and the solver-tier work counters aggregated from the epoch ring,
+// and the count of traces started.
+func NewMetrics(s API, o *obs.Observer) *Metrics {
 	reg := metrics.NewRegistry()
 	m := &Metrics{reg: reg}
 	m.reqs = reg.NewCounterVec("vmallocd_http_requests_total",
@@ -310,7 +306,7 @@ func registerObserverMetrics(reg *metrics.Registry, o *obs.Observer) {
 			})
 		reg.Collect("vmallocd_solver_work_total",
 			"Solver-tier work counters summed over every epoch, by kind: presolve "+
-				"reductions, simplex effort, branch-and-bound nodes and vector-packing pruning.", "counter",
+				"reductions, simplex effort and vector-packing pruning.", "counter",
 			func(emit func(metrics.Labels, float64)) {
 				sv := ring.Totals().Solver
 				for _, kv := range []struct {
@@ -330,8 +326,6 @@ func registerObserverMetrics(reg *metrics.Registry, o *obs.Observer) {
 					{"lp_bland_activations", sv.LPBlandActivations},
 					{"lp_warm_starts", sv.LPWarmStarts},
 					{"lp_cold_starts", sv.LPColdStarts},
-					{"milp_nodes", sv.MILPNodes},
-					{"milp_pruned", sv.MILPPruned},
 					{"vp_packs", sv.VPPacks},
 					{"vp_packs_solved", sv.VPPacksSolved},
 					{"vp_steps_pruned", sv.VPStepsPruned},

@@ -26,8 +26,8 @@ func newObservedServer(t *testing.T, opts *Options) (*Store, *obs.Observer, *htt
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewObservedMetrics(s, o)
-	ts := httptest.NewServer(NewObservedHandler(s, m, o, nil))
+	m := NewMetrics(s, o)
+	ts := httptest.NewServer(NewHandler(s, m, o, nil))
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, o, ts
 }
@@ -114,7 +114,7 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("implausible epoch record: %+v", rec)
 	}
 	work := rec.Solver.LPSolves + rec.Solver.LPIterations + rec.Solver.VPPacks +
-		rec.Solver.VPPacksSolved + rec.Solver.MILPNodes + rec.Solver.PresolveRowsEliminated
+		rec.Solver.VPPacksSolved + rec.Solver.PresolveRowsEliminated
 	if work == 0 {
 		t.Fatalf("epoch record carries no solver work: %+v", rec.Solver)
 	}

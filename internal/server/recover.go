@@ -268,8 +268,6 @@ func OpenShardedReplay(dir string, opts *Options) (*ShardedReplay, error) {
 		ClusterOptions: opts.Cluster,
 		Shards:         m.Shards,
 		Seed:           m.Seed,
-		RebalanceGap:   opts.RebalanceGap,
-		RebalanceMoves: opts.RebalanceMoves,
 	}
 	restore, err := vmalloc.RestoreShardedCluster(m.Nodes, states, sopts)
 	if err != nil {

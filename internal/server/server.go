@@ -453,7 +453,7 @@ func queryUint64(w http.ResponseWriter, r *http.Request, name string, def uint64
 	return v, true
 }
 
-// Handler returns the vmallocd HTTP/JSON API over a store, without metrics:
+// NewHandler returns the vmallocd HTTP/JSON API over a store:
 //
 //	POST   /v1/services            admit a service            {"true":{...},"est":{...}}
 //	POST   /v1/services:batch      bulk admission             {"services":[{"true":{...}},...]}
@@ -469,33 +469,24 @@ func queryUint64(w http.ResponseWriter, r *http.Request, name string, def uint64
 //	POST   /v1/snapshot            force a checkpoint
 //	GET    /healthz                liveness
 //
-// NewHandler additionally serves GET /metrics and per-endpoint
-// instrumentation; NewObservedHandler adds request tracing and the
-// /v1/debug/* surface. docs/api.md is the full reference; a test keeps it
-// in lockstep with this table.
+// docs/api.md is the full reference; a test keeps it in lockstep with this
+// table.
+//
+// When m is non-nil every endpoint is instrumented (request counts and
+// latency histograms by method, path pattern and status code) and GET
+// /metrics serves the Prometheus text exposition. A non-nil observer
+// enables request tracing (X-Request-Id correlation, a span tree per
+// request) and serves GET /v1/debug/traces and GET /v1/debug/epochs; a
+// non-nil logger emits one structured line per request, stamped with the
+// request id. GET /metrics and /v1/debug/* are excluded from both latency
+// instrumentation and tracing so the scrape path cannot pollute what it
+// reads.
 //
 // Mutations are serialized through the store's commit pipeline and are
 // durable when the response arrives; reads are lock-free against published
 // state. Request bodies must be a single JSON value: trailing bytes after
 // the value are rejected with 400 rather than silently ignored.
-func Handler(s API) http.Handler { return NewHandler(s, nil) }
-
-// NewHandler returns the vmallocd HTTP/JSON API over a store. When m is
-// non-nil every endpoint is instrumented (request counts and latency
-// histograms by method, path pattern and status code) and GET /metrics
-// serves the Prometheus text exposition.
-func NewHandler(s API, m *Metrics) http.Handler {
-	return NewObservedHandler(s, m, nil, nil)
-}
-
-// NewObservedHandler is NewHandler with operational telemetry: a non-nil
-// observer enables request tracing (X-Request-Id correlation, a span tree
-// per request) and serves GET /v1/debug/traces and GET /v1/debug/epochs; a
-// non-nil logger emits one structured line per request, stamped with the
-// request id. GET /metrics and /v1/debug/* are excluded from both latency
-// instrumentation and tracing so the scrape path cannot pollute what it
-// reads.
-func NewObservedHandler(s API, m *Metrics, o *obs.Observer, lg *slog.Logger) http.Handler {
+func NewHandler(s API, m *Metrics, o *obs.Observer, lg *slog.Logger) http.Handler {
 	mux := http.NewServeMux()
 	tracer := o.TracerOf()
 	for _, rt := range routes(s, m, o) {

@@ -20,7 +20,7 @@ func newTestServer(t *testing.T) (*Store, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(Handler(s))
+	ts := httptest.NewServer(NewHandler(s, nil, nil, nil))
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
 }

@@ -37,7 +37,7 @@ func TestShardedStoreShardCountConflict(t *testing.T) {
 func TestShardsHTTP(t *testing.T) {
 	forEachK(t, func(t *testing.T, k int) {
 		s := openStore(t, t.TempDir(), testNodes(8, 47), k)
-		ts := httptest.NewServer(Handler(s))
+		ts := httptest.NewServer(NewHandler(s, nil, nil, nil))
 		t.Cleanup(func() { ts.Close(); s.Close() })
 
 		var add addResponse

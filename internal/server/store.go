@@ -66,13 +66,9 @@ type Options struct {
 
 	// Shards is the placement-domain count on first boot (0 selects 1;
 	// later boots take it from the manifest and only check for
-	// conflicts); ShardSeed fixes the
-	// admission hash; RebalanceGap/RebalanceMoves tune the cross-shard
-	// rebalance pass as in vmalloc.ShardedOptions.
-	Shards         int
-	ShardSeed      int64
-	RebalanceGap   float64
-	RebalanceMoves int
+	// conflicts); ShardSeed fixes the admission hash.
+	Shards    int
+	ShardSeed int64
 }
 
 func (o *Options) snapshotEvery() int {

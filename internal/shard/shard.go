@@ -77,7 +77,6 @@ type Config struct {
 	// Per-domain engine knobs, as in engine.Config. The worker count is not
 	// among them: every domain gets engine.DomainWorkers(Shards).
 	CPUDim     int
-	Tol        float64
 	Placer     engine.Placer
 	UseLPBound bool
 	// Now is the injected wall clock forwarded to every domain engine for
@@ -230,7 +229,6 @@ func newRouter(cfg Config, states []*engine.State) (*Router, error) {
 		ecfg := engine.Config{
 			Nodes:      cfg.Nodes[lo:hi],
 			CPUDim:     cfg.CPUDim,
-			Tol:        cfg.Tol,
 			Placer:     cfg.Placer,
 			Workers:    workers,
 			UseLPBound: cfg.UseLPBound,

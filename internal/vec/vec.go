@@ -210,7 +210,7 @@ const (
 	MetricLex
 )
 
-// metricNames indexes Metric names for String and ParseMetric.
+// metricNames indexes Metric names for String.
 var metricNames = [...]string{"MAX", "SUM", "MAXRATIO", "MAXDIFFERENCE", "LEX"}
 
 // String returns the paper's name for the metric.
@@ -219,16 +219,6 @@ func (m Metric) String() string {
 		return fmt.Sprintf("Metric(%d)", int(m))
 	}
 	return metricNames[m]
-}
-
-// ParseMetric converts a metric name (as printed by String) to a Metric.
-func ParseMetric(s string) (Metric, error) {
-	for i, n := range metricNames {
-		if strings.EqualFold(s, n) {
-			return Metric(i), nil
-		}
-	}
-	return 0, fmt.Errorf("vec: unknown metric %q", s)
 }
 
 // Scalar returns the scalar value of v under metric m. It panics for

@@ -44,19 +44,13 @@ type Options struct {
 	Tolerance float64
 	// Seed drives the randomized-rounding algorithms; ignored otherwise.
 	Seed int64
-	// Attempts caps rounding retries for RRND/RRNZ; <= 0 selects 20.
-	Attempts int
 	// MaxNodes caps branch-and-bound nodes for EXACT; <= 0 selects 100000.
 	// A search that reaches the cap unproven is an error.
 	MaxNodes int
 }
 
-func (o *Options) attempts() int {
-	if o == nil || o.Attempts <= 0 {
-		return 20
-	}
-	return o.Attempts
-}
+// roundingAttempts caps the rounding retries of RRND and RRNZ.
+const roundingAttempts = 20
 
 func (o *Options) tol() float64 {
 	if o == nil {
@@ -100,9 +94,9 @@ func Solve(name string, p *Problem, opts *Options) (*Result, error) {
 		}
 		rng := rand.New(rand.NewSource(opts.seed()))
 		if name == AlgoRRND {
-			return relax.RRND(p, rel, opts.attempts(), rng), nil
+			return relax.RRND(p, rel, roundingAttempts, rng), nil
 		}
-		return relax.RRNZ(p, rel, opts.attempts(), rng), nil
+		return relax.RRNZ(p, rel, roundingAttempts, rng), nil
 	case AlgoMetaGreedy:
 		return greedy.MetaGreedy(p, false), nil
 	case AlgoMetaVP:
