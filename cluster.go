@@ -25,13 +25,13 @@ var ErrUnknownService = errors.New("no live service")
 // The node park is partitioned into K placement domains (K=1 unless
 // ShardedOptions.Shards says otherwise), each owning its own persistent
 // engine — live services in a slab with O(1) admission and departure,
-// per-node loads maintained incrementally, recycled problem views, warm
-// solver arenas and, with UseLPBound, the previous epoch's LP basis — behind
-// a router that admits services by shard headroom (deterministic
-// best-of-two-choices), runs reallocation epochs scatter-gather across the
-// domains, and migrates services out of the bottleneck shard when its yield
-// trails the median. A one-domain cluster is the paper's single platform:
-// its trajectory is bit-identical to a bare engine over the same nodes.
+// per-node loads maintained incrementally, recycled problem views and warm
+// solver arenas — behind a router that admits services by shard headroom
+// (deterministic best-of-two-choices), runs reallocation epochs
+// scatter-gather across the domains, and migrates services out of the
+// bottleneck shard when its yield trails the median. A one-domain cluster is
+// the paper's single platform: its trajectory is bit-identical to a bare
+// engine over the same nodes.
 //
 // Each domain races its strategy roster on max(1, GOMAXPROCS/K) workers;
 // the sweep keeps the lowest-index success, so placements for the same
@@ -53,10 +53,6 @@ type ClusterOptions struct {
 	// Placer overrides the built-in meta placer (it receives the estimated,
 	// thresholded view, valid only during the call).
 	Placer func(p *Problem) *Result
-	// UseLPBound brackets the binary search with the sparse LP relaxation
-	// bound, warm-started from the previous epoch's basis. Worthwhile only
-	// when packing dominates the epoch.
-	UseLPBound bool
 }
 
 // ShardedOptions tunes a Cluster of more than one placement domain. The
@@ -77,13 +73,12 @@ func (o *ShardedOptions) routerConfig(nodes []Node) shard.Config {
 		k = 1
 	}
 	return shard.Config{
-		Nodes:      nodes,
-		Shards:     k,
-		Seed:       o.Seed,
-		CPUDim:     o.CPUDim,
-		Placer:     engine.Placer(o.Placer),
-		UseLPBound: o.UseLPBound,
-		Now:        time.Now,
+		Nodes:  nodes,
+		Shards: k,
+		Seed:   o.Seed,
+		CPUDim: o.CPUDim,
+		Placer: engine.Placer(o.Placer),
+		Now:    time.Now,
 	}
 }
 
@@ -118,9 +113,8 @@ type ClusterEpoch struct {
 // internal/obs.EpochStats, the dependency-free observability seam).
 type EpochStats = obs.EpochStats
 
-// SolverStats aggregates the solver tier's per-epoch work counters:
-// presolve reductions, simplex iterations/refactorizations, warm-vs-cold
-// starts, branch-and-bound nodes and vector-packing attempts (alias of
+// SolverStats aggregates the epoch's vector-packing work counters: pack
+// attempts, successful packs and pruned search steps (alias of
 // internal/obs.SolverStats).
 type SolverStats = obs.SolverStats
 

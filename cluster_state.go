@@ -232,8 +232,8 @@ func cloneNodes(nodes []Node) []Node {
 
 // RestoreCluster rebuilds a one-domain cluster from a captured state. The
 // platform and threshold come from st (opts.Threshold is ignored); the
-// placer and the LP bound come from opts as in NewCluster. The restored
-// cluster continues bit-identically to the one that produced st.
+// placer comes from opts as in NewCluster. The restored cluster continues
+// bit-identically to the one that produced st.
 func RestoreCluster(st *ClusterState, opts *ClusterOptions) (*Cluster, error) {
 	rs, err := RestoreShardedCluster(st.Nodes, []*ClusterState{st}, opts.sharded())
 	if err != nil {

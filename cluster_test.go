@@ -190,23 +190,3 @@ func TestClusterCustomPlacer(t *testing.T) {
 		t.Fatal("custom placer never invoked")
 	}
 }
-
-func TestClusterLPBoundPath(t *testing.T) {
-	c, err := NewCluster(clusterNodes(3), &ClusterOptions{UseLPBound: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for epoch := 0; epoch < 3; epoch++ {
-		for i := 0; i < 5; i++ {
-			c.Add(clusterService(rng))
-		}
-		ep := c.Reallocate()
-		if !ep.Result.Solved {
-			t.Fatalf("LP-bracketed epoch %d failed", epoch)
-		}
-		if ep.Result.MinYield < 0 || ep.Result.MinYield > 1 {
-			t.Fatalf("yield %v out of range", ep.Result.MinYield)
-		}
-	}
-}

@@ -59,7 +59,6 @@ func main() {
 		cov       = flag.Float64("cov", 0.5, "coefficient of variation for -hosts")
 		seed      = flag.Int64("seed", 1, "seed for -hosts (and the shard admission hash)")
 		threshold = flag.Float64("threshold", 0, "initial mitigation threshold (first boot)")
-		lpBound   = flag.Bool("lpbound", false, "bracket the yield search with the warm-started LP bound")
 		shards    = flag.Int("shards", 0, "partition the platform into this many placement domains (first boot; 0 = 1)")
 		snapEvery = flag.Int("snapshot-every", 0, "checkpoint after this many records (0 = 4096, negative disables)")
 		segBytes  = flag.Int64("segment-bytes", 0, "WAL segment rotation size (0 = 8 MiB)")
@@ -129,10 +128,7 @@ func main() {
 	}
 
 	opts := &server.Options{
-		Cluster: vmalloc.ClusterOptions{
-			Threshold:  *threshold,
-			UseLPBound: *lpBound,
-		},
+		Cluster:       vmalloc.ClusterOptions{Threshold: *threshold},
 		SegmentBytes:  *segBytes,
 		Fsync:         fsyncMode,
 		SnapshotEvery: *snapEvery,

@@ -2,8 +2,8 @@
 // dynamic hosting platform of the paper's §8: one long-lived object owns the
 // mutable cluster state — live services, per-node loads, the true and
 // estimated problem views — together with the long-lived solver resources
-// (arena-backed vp.Solvers, LP warm-start bases) that the epoch hot path
-// reuses across reallocations.
+// (arena-backed vp.Solvers) that the epoch hot path reuses across
+// reallocations.
 //
 // The rebuild-per-epoch simulator this replaces recomputed everything from
 // scratch at every event: per-node loads were re-summed over all live
@@ -20,9 +20,7 @@
 //     ascending id order, which equals arrival order, so view-dependent
 //     tie-breaking is identical to the arrival-ordered rebuild), and
 //   - one arena vp.Solver per worker is Rebind-ed to the mutated view each
-//     epoch, keeping bin-order caches and flat buffers warm; with UseLPBound
-//     the sparse-relaxation bracket bound re-solves warm-started from the
-//     previous epoch's optimal basis.
+//     epoch, keeping bin-order caches and flat buffers warm.
 //
 // Reallocation through the engine is result-identical to the
 // rebuild-per-epoch path: a Rebind-ed solver behaves exactly like a fresh
@@ -51,10 +49,8 @@ import (
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/hvp"
-	"vmalloc/internal/lp"
 	"vmalloc/internal/obs"
 	"vmalloc/internal/opt"
-	"vmalloc/internal/relax"
 	"vmalloc/internal/sched"
 	"vmalloc/internal/sliceutil"
 	"vmalloc/internal/vec"
@@ -94,11 +90,6 @@ type Config struct {
 	// reduction; <= 1 runs the sequential sweep. Results are bit-identical at
 	// every count. Owners set it with DomainWorkers.
 	Workers int
-	// UseLPBound brackets the built-in meta's binary search with the sparse
-	// LP relaxation bound, warm-starting each epoch's relaxation from the
-	// previous epoch's optimal basis. The relaxation solve is far from free —
-	// enable it only when packing dominates the epoch.
-	UseLPBound bool
 	// Now is the injected wall clock used solely to stamp
 	// EpochReport.SolveNs; nil leaves SolveNs zero. The engine is
 	// determinism-critical (its decisions are replayed from the WAL), so it
@@ -134,8 +125,7 @@ type EpochReport struct {
 	// view building and load recomputation excluded.
 	SolveNs int64
 	// Solver aggregates the solver-tier work counters of this epoch: the
-	// vp packing attempts (drained from the persistent solvers), and with
-	// UseLPBound the simplex/presolve work of the relaxation solves.
+	// vp packing attempts, drained from the persistent solvers.
 	Solver obs.SolverStats
 }
 
@@ -167,12 +157,6 @@ type Engine struct {
 	placeBuf  core.Placement
 
 	solvers []*vp.Solver // persistent solvers, one per worker (lazy)
-	basis   *lp.Basis    // LP warm-start basis carried across epochs
-
-	// lpStats accumulates the relaxation-solve counters of the current
-	// epoch (lpBound is called once per binary-search bracket); drained
-	// into the EpochReport alongside the vp solver counters.
-	lpStats obs.SolverStats
 }
 
 // New validates cfg and returns an empty engine.
@@ -463,10 +447,6 @@ func (e *Engine) solve() *core.Result {
 	if e.cfg.Placer != nil {
 		return e.cfg.Placer(&e.estP)
 	}
-	var opts vp.SearchOptions
-	if e.cfg.UseLPBound {
-		opts.UpperBound = e.lpBound
-	}
 	if e.solvers == nil {
 		e.solvers = hvp.NewSolverPool(&e.estP, e.cfg.Workers)
 	} else {
@@ -474,66 +454,21 @@ func (e *Engine) solve() *core.Result {
 			s.Rebind(&e.estP)
 		}
 	}
-	return hvp.MetaDeterministicSolvers(e.solvers, e.configs, opts)
+	return hvp.MetaDeterministicSolvers(e.solvers, e.configs, vp.SearchOptions{})
 }
 
-// lpBound is the warm-started LPBOUND hook: each epoch's relaxation is
-// solved from the previous epoch's optimal basis (the sparse solver falls
-// back to a cold start when the cluster changed shape too much for the basis
-// to fit).
-func (e *Engine) lpBound(p *core.Problem) (float64, error) {
-	rel, err := relax.SolveRelaxedWarm(p, e.basis)
-	if err != nil {
-		e.basis = nil
-		return 0, err
-	}
-	e.noteRelaxation(rel)
-	if !rel.Feasible {
-		e.basis = nil
-		return -1, nil
-	}
-	e.basis = rel.Basis
-	return math.Min(rel.MinYield, 1), nil
-}
-
-// noteRelaxation folds one relaxation solve's work counters into the
-// current epoch's accumulator.
-func (e *Engine) noteRelaxation(rel *relax.Relaxed) {
-	st := &e.lpStats
-	st.LPSolves++
-	st.LPIterations += int64(rel.Iters)
-	st.LPRefactorizations += int64(rel.Refactorizations)
-	st.LPBlandActivations += int64(rel.BlandActivations)
-	if rel.WarmStarted {
-		st.LPWarmStarts++
-	} else {
-		st.LPColdStarts++
-	}
-	if ps := rel.Presolve; ps != nil {
-		st.PresolveRowsEliminated += int64(ps.RowsEliminated)
-		st.PresolveColsEliminated += int64(ps.ColsEliminated)
-		st.PresolveFixedCols += int64(ps.FixedCols)
-		st.PresolveDroppedRows += int64(ps.DroppedRows)
-		st.PresolveSubstCols += int64(ps.SubstCols)
-		st.PresolveBoundsTightened += int64(ps.BoundsTightened)
-		st.PresolveDoubletonSlacks += int64(ps.DoubletonSlacks)
-	}
-}
-
-// takeSolverStats drains the epoch's solver-tier counters: the lpBound
-// accumulator plus the persistent vp solvers' pack counters (the workers
-// are joined before solve returns, so the drain is race-free).
+// takeSolverStats drains the persistent vp solvers' pack counters (the
+// workers are joined before solve returns, so the drain is race-free).
 func (e *Engine) takeSolverStats() obs.SolverStats {
-	st := e.lpStats
-	e.lpStats = obs.SolverStats{}
 	var v vp.Stats
 	for _, s := range e.solvers {
 		v.Add(s.TakeStats())
 	}
-	st.VPPacks += int64(v.Packs)
-	st.VPPacksSolved += int64(v.PacksSolved)
-	st.VPStepsPruned += int64(v.StepsPruned)
-	return st
+	return obs.SolverStats{
+		VPPacks:       int64(v.Packs),
+		VPPacksSolved: int64(v.PacksSolved),
+		VPStepsPruned: int64(v.StepsPruned),
+	}
 }
 
 // apply commits a solved placement (in IDs order), counting migrations of

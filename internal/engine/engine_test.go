@@ -7,7 +7,6 @@ import (
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/hvp"
-	"vmalloc/internal/relax"
 	"vmalloc/internal/sched"
 	"vmalloc/internal/vec"
 	"vmalloc/internal/workload"
@@ -372,47 +371,5 @@ func TestGeneratedWorkload(t *testing.T) {
 	min := sched.EvaluatePlacement(e.TrueView(), e.EstView(), rep.Result.Placement, sched.AllocWeights, 0)
 	if min < 0 || min > 1 {
 		t.Fatalf("evaluated min yield %v out of range", min)
-	}
-}
-
-// TestLPBoundWarmStartSurvivesEviction pins what the engine's carried basis
-// is for: relax's answer table remembers only the last 8 problems, so once
-// other solves evict the engine's entry, the basis the engine carried from
-// its previous epoch is the only warm start left. One service's needs change
-// (same reduced shape), so the next epoch must re-solve, and warm.
-func TestLPBoundWarmStartSurvivesEviction(t *testing.T) {
-	e := newTestEngine(t, Config{Nodes: testNodes(4), UseLPBound: true})
-	rng := rand.New(rand.NewSource(3))
-	var ids []int
-	for i := 0; i < 12; i++ {
-		s := randService(rng)
-		id, _, ok := e.Add(s, cloneService(s))
-		if !ok {
-			t.Fatalf("admission %d failed", i)
-		}
-		ids = append(ids, id)
-	}
-	if rep := e.Reallocate(); !rep.Result.Solved || rep.Solver.LPSolves != 1 {
-		t.Fatalf("first epoch: solved %v, %d relaxation solves, want 1", rep.Result.Solved, rep.Solver.LPSolves)
-	}
-
-	for seed := int64(1); seed <= 8; seed++ {
-		p := workload.Generate(workload.Scenario{Hosts: 3, Services: 6, COV: 0.5, Slack: 0.5, Seed: seed})
-		if _, err := relax.SolveRelaxed(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	trueSvc, estSvc, _ := e.Service(ids[0])
-	scaled := func(v vec.Vec) vec.Vec { return vec.Of(v[0]*0.9, v[1]) }
-	if !e.UpdateNeeds(ids[0], scaled(trueSvc.NeedElem), scaled(trueSvc.NeedAgg), scaled(estSvc.NeedElem), scaled(estSvc.NeedAgg)) {
-		t.Fatal("update of a live id failed")
-	}
-	rep := e.Reallocate()
-	if !rep.Result.Solved {
-		t.Fatal("second epoch did not solve")
-	}
-	if st := rep.Solver; st.LPSolves != 1 || st.LPWarmStarts != 1 {
-		t.Fatalf("second epoch: %d relaxation solves, %d warm starts, %d cold; want 1 warm", st.LPSolves, st.LPWarmStarts, st.LPColdStarts)
 	}
 }

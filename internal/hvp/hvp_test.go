@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vmalloc/internal/core"
-	"vmalloc/internal/relax"
 	"vmalloc/internal/vec"
 	"vmalloc/internal/vp"
 )
@@ -179,30 +178,6 @@ func TestBinOrderApplied(t *testing.T) {
 	})
 	if !ok || pl[0] != 0 {
 		t.Fatalf("descending bins should pick the big node: %v (ok=%v)", pl, ok)
-	}
-}
-
-// METAHVP with the LP-bracketed search (the relaxation optimum caps the
-// bracket) must agree with the classic search within the binary-search
-// tolerance: the relaxation bound only removes yields no packing can reach.
-func TestMetaHVPBoundedWithinTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const tol = 1e-3
-	for iter := 0; iter < 5; iter++ {
-		p := randomProblem(rng, 3, 9)
-		plain := MetaHVP(p, tol)
-		bounded := vp.MetaConfigsSolver(vp.NewSolver(p), Strategies(), vp.SearchOptions{Tol: tol, UpperBound: relax.UpperBound})
-		if plain.Solved != bounded.Solved {
-			t.Fatalf("iter %d: solved mismatch plain=%v bounded=%v", iter, plain.Solved, bounded.Solved)
-		}
-		if plain.Solved && math.Abs(plain.MinYield-bounded.MinYield) > tol {
-			t.Fatalf("iter %d: bounded %v vs plain %v", iter, bounded.MinYield, plain.MinYield)
-		}
-		if bounded.Solved {
-			if err := bounded.Placement.Validate(p); err != nil {
-				t.Fatalf("iter %d: %v", iter, err)
-			}
-		}
 	}
 }
 

@@ -5,30 +5,11 @@ import (
 	"time"
 )
 
-// SolverStats aggregates the cheap per-solve counters of the whole solver
-// tier — presolve reductions, simplex work and the vector-packing
-// meta-heuristic's pruning — over one epoch (or one shard's slice of one).
-// Counters are plain ints: each solver instance is single-threaded, and
+// SolverStats aggregates the cheap per-solve counters of the epoch's solver,
+// the vector-packing meta-heuristic, over one epoch (or one shard's slice of
+// one). Counters are plain ints: each solver instance is single-threaded, and
 // cross-shard aggregation happens after the scatter-gather join.
 type SolverStats struct {
-	// Presolve reductions, by rule.
-	PresolveRowsEliminated  int64 `json:"presolve_rows_eliminated"`
-	PresolveColsEliminated  int64 `json:"presolve_cols_eliminated"`
-	PresolveFixedCols       int64 `json:"presolve_fixed_cols"`
-	PresolveDroppedRows     int64 `json:"presolve_dropped_rows"`
-	PresolveSubstCols       int64 `json:"presolve_subst_cols"`
-	PresolveBoundsTightened int64 `json:"presolve_bounds_tightened"`
-	PresolveDoubletonSlacks int64 `json:"presolve_doubleton_slacks"`
-
-	// Simplex work.
-	LPSolves           int64 `json:"lp_solves"`
-	LPIterations       int64 `json:"lp_iterations"`
-	LPRefactorizations int64 `json:"lp_refactorizations"`
-	LPBlandActivations int64 `json:"lp_bland_activations"`
-	LPWarmStarts       int64 `json:"lp_warm_starts"`
-	LPColdStarts       int64 `json:"lp_cold_starts"`
-
-	// Vector-packing meta-heuristic.
 	VPPacks       int64 `json:"vp_packs"`
 	VPPacksSolved int64 `json:"vp_packs_solved"`
 	VPStepsPruned int64 `json:"vp_steps_pruned"`
@@ -36,19 +17,6 @@ type SolverStats struct {
 
 // Add accumulates o into s.
 func (s *SolverStats) Add(o SolverStats) {
-	s.PresolveRowsEliminated += o.PresolveRowsEliminated
-	s.PresolveColsEliminated += o.PresolveColsEliminated
-	s.PresolveFixedCols += o.PresolveFixedCols
-	s.PresolveDroppedRows += o.PresolveDroppedRows
-	s.PresolveSubstCols += o.PresolveSubstCols
-	s.PresolveBoundsTightened += o.PresolveBoundsTightened
-	s.PresolveDoubletonSlacks += o.PresolveDoubletonSlacks
-	s.LPSolves += o.LPSolves
-	s.LPIterations += o.LPIterations
-	s.LPRefactorizations += o.LPRefactorizations
-	s.LPBlandActivations += o.LPBlandActivations
-	s.LPWarmStarts += o.LPWarmStarts
-	s.LPColdStarts += o.LPColdStarts
 	s.VPPacks += o.VPPacks
 	s.VPPacksSolved += o.VPPacksSolved
 	s.VPStepsPruned += o.VPStepsPruned

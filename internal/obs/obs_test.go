@@ -173,7 +173,7 @@ func TestEpochRingWrapAndTotals(t *testing.T) {
 			Solved:  i%2 == 0,
 			SolveNs: 10,
 			TotalNs: 25,
-			Solver:  SolverStats{LPIterations: 3, VPPacks: 2, LPSolves: 1},
+			Solver:  SolverStats{VPPacks: 2, VPPacksSolved: 1, VPStepsPruned: 3},
 		}
 		r.Add(rec)
 	}
@@ -191,7 +191,7 @@ func TestEpochRingWrapAndTotals(t *testing.T) {
 	if tot.SolveNs != 60 || tot.TotalNs != 150 {
 		t.Fatalf("time totals: %+v", tot)
 	}
-	if tot.Solver.LPIterations != 18 || tot.Solver.VPPacks != 12 || tot.Solver.LPSolves != 6 {
+	if tot.Solver.VPPacks != 12 || tot.Solver.VPPacksSolved != 6 || tot.Solver.VPStepsPruned != 18 {
 		t.Fatalf("solver totals: %+v", tot.Solver)
 	}
 	if got := r.Snapshot(2); len(got) != 2 || got[0].Seq != 6 {
@@ -200,12 +200,9 @@ func TestEpochRingWrapAndTotals(t *testing.T) {
 }
 
 func TestSolverStatsAdd(t *testing.T) {
-	a := SolverStats{LPIterations: 1, PresolveRowsEliminated: 2, VPStepsPruned: 3, LPWarmStarts: 1}
-	a.Add(SolverStats{LPIterations: 4, PresolveRowsEliminated: 5, VPStepsPruned: 6, LPColdStarts: 2, VPPacksSolved: 7})
-	want := SolverStats{
-		LPIterations: 5, PresolveRowsEliminated: 7, VPStepsPruned: 9,
-		LPWarmStarts: 1, LPColdStarts: 2, VPPacksSolved: 7,
-	}
+	a := SolverStats{VPPacks: 1, VPStepsPruned: 3}
+	a.Add(SolverStats{VPPacks: 4, VPStepsPruned: 6, VPPacksSolved: 7})
+	want := SolverStats{VPPacks: 5, VPStepsPruned: 9, VPPacksSolved: 7}
 	if a != want {
 		t.Fatalf("Add: got %+v want %+v", a, want)
 	}

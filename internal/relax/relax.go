@@ -146,11 +146,9 @@ type Relaxed struct {
 	E [][]float64
 	// Basis is the warm-start token of presolve.Backend: the basis of the
 	// REDUCED model, nil when the relaxation is infeasible or presolve solved
-	// it outright. A repeat solve of the same *core.Problem needs no token
-	// (SolveRelaxed remembers the answer, see warmTable); pass it to
-	// SolveRelaxedWarm explicitly to start a solve of another problem from
-	// it (the engine hands each epoch's token to the next). A token that
-	// does not fit costs a cold start inside the solver.
+	// it outright. SolveRelaxed remembers it with the answer (see warmTable)
+	// and re-solves an edited problem from it; a token that no longer fits
+	// costs a cold start inside the solver.
 	Basis *lp.Basis
 	// Iters/Refactorizations/BlandActivations count the simplex work of
 	// this solve and WarmStarted reports whether a supplied basis actually
@@ -175,27 +173,18 @@ func (r *Relaxed) fillWork(sol *lp.Solution) {
 // SolveRelaxed solves the rational relaxation of the MILP for p through
 // presolve.Backend (presolve, then the sparse revised simplex). A repeat
 // solve of the same, unedited *core.Problem is answered from memory (see
-// warmTable) with the first solve's bits.
+// warmTable) with the first solve's bits: 0 iterations, 0 refactorizations,
+// WarmStarted, the remembered Basis and Presolve. A problem edited since its
+// remembered solve re-solves warm from that solve's token.
 func SolveRelaxed(p *core.Problem) (*Relaxed, error) {
-	return SolveRelaxedWarm(p, nil)
-}
-
-// SolveRelaxedWarm is SolveRelaxed warm-started from warm, the basis token of
-// a previous relaxation solve of the same or a similar instance (a token that
-// no longer fits falls back to a cold start inside the solver). When p's data
-// is unchanged since its remembered solve and warm is nil or that solve's own
-// token, the answer is a copy of the remembered one: 0 iterations, 0
-// refactorizations, WarmStarted, the remembered Basis and Presolve. Otherwise
-// a nil warm starts from the token of p's last solve when the table still
-// holds one; an explicit token always wins.
-func SolveRelaxedWarm(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 	e := recall(p)
-	if e.rel != nil && (warm == nil || warm == e.rel.Basis) && sameData(p, e.snap) {
+	if e.rel != nil && sameData(p, e.snap) {
 		r := e.rel.clone()
 		r.Iters, r.Refactorizations, r.BlandActivations, r.WarmStarted = 0, 0, 0, true
 		return r, nil
 	}
-	if warm == nil && e.rel != nil {
+	var warm *lp.Basis
+	if e.rel != nil {
 		warm = e.rel.Basis
 	}
 	r, err := solveRelaxed(p, warm)

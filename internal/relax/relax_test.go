@@ -286,32 +286,6 @@ func TestEncodeEmitsSparseMatrix(t *testing.T) {
 	}
 }
 
-// A warm-started re-solve of the same instance must agree with the cold
-// solve and actually reuse the basis.
-func TestSolveRelaxedWarmMatchesCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	for iter := 0; iter < 6; iter++ {
-		p := randomProblem(rng, 3, 6)
-		cold, err := SolveRelaxed(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cold.Feasible {
-			continue
-		}
-		if cold.Basis == nil {
-			t.Fatal("feasible relaxation should carry a basis")
-		}
-		warm, err := SolveRelaxedWarm(p, cold.Basis)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !warm.Feasible || math.Abs(warm.MinYield-cold.MinYield) > 1e-8 {
-			t.Fatalf("iter %d: warm yield %v vs cold %v", iter, warm.MinYield, cold.MinYield)
-		}
-	}
-}
-
 // The dense tableau and the revised simplex must agree on the relaxation.
 func TestRelaxationSolverBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))

@@ -305,27 +305,14 @@ func registerObserverMetrics(reg *metrics.Registry, o *obs.Observer) {
 				emit(nil, float64(ring.Totals().FsyncWaitNs)/1e9)
 			})
 		reg.Collect("vmallocd_solver_work_total",
-			"Solver-tier work counters summed over every epoch, by kind: presolve "+
-				"reductions, simplex effort and vector-packing pruning.", "counter",
+			"Solver-tier work counters summed over every epoch, by kind: vector-packing "+
+				"attempts, successes and pruned steps.", "counter",
 			func(emit func(metrics.Labels, float64)) {
 				sv := ring.Totals().Solver
 				for _, kv := range []struct {
 					kind string
 					v    int64
 				}{
-					{"presolve_rows_eliminated", sv.PresolveRowsEliminated},
-					{"presolve_cols_eliminated", sv.PresolveColsEliminated},
-					{"presolve_fixed_cols", sv.PresolveFixedCols},
-					{"presolve_dropped_rows", sv.PresolveDroppedRows},
-					{"presolve_subst_cols", sv.PresolveSubstCols},
-					{"presolve_bounds_tightened", sv.PresolveBoundsTightened},
-					{"presolve_doubleton_slacks", sv.PresolveDoubletonSlacks},
-					{"lp_solves", sv.LPSolves},
-					{"lp_iterations", sv.LPIterations},
-					{"lp_refactorizations", sv.LPRefactorizations},
-					{"lp_bland_activations", sv.LPBlandActivations},
-					{"lp_warm_starts", sv.LPWarmStarts},
-					{"lp_cold_starts", sv.LPColdStarts},
 					{"vp_packs", sv.VPPacks},
 					{"vp_packs_solved", sv.VPPacksSolved},
 					{"vp_steps_pruned", sv.VPStepsPruned},

@@ -113,9 +113,7 @@ func TestDebugEndpoints(t *testing.T) {
 	if !rec.Solved || rec.TotalNs <= 0 {
 		t.Fatalf("implausible epoch record: %+v", rec)
 	}
-	work := rec.Solver.LPSolves + rec.Solver.LPIterations + rec.Solver.VPPacks +
-		rec.Solver.VPPacksSolved + rec.Solver.PresolveRowsEliminated
-	if work == 0 {
+	if rec.Solver.VPPacks == 0 {
 		t.Fatalf("epoch record carries no solver work: %+v", rec.Solver)
 	}
 	if rec.TraceID == "" {

@@ -37,8 +37,8 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// Cluster tunes the underlying allocation engine (solver roster,
-	// parallelism, LP bound). When recovering, the threshold inside the
+	// Cluster tunes the underlying allocation engine (CPU dimension,
+	// threshold, placer). When recovering, the threshold inside the
 	// recovered state wins over Cluster.Threshold.
 	Cluster vmalloc.ClusterOptions
 	// SegmentBytes, Fsync, KeepSnapshots, ChainInterval and FS pass through

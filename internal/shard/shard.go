@@ -6,8 +6,8 @@
 // engine over the whole park serializes every mutation and every epoch
 // through a single solver, so epoch latency grows with total service count.
 // A Router instead partitions the park into K contiguous placement domains,
-// each owning its own engine.Engine (and therefore its own arena vp.Solvers
-// and LP warm-start basis), and
+// each owning its own engine.Engine (and therefore its own arena
+// vp.Solvers), and
 //
 //   - admits services by shard headroom: the classic best-of-two-choices
 //     load-balancing rule over estimated residual aggregate capacity, made
@@ -76,9 +76,8 @@ type Config struct {
 
 	// Per-domain engine knobs, as in engine.Config. The worker count is not
 	// among them: every domain gets engine.DomainWorkers(Shards).
-	CPUDim     int
-	Placer     engine.Placer
-	UseLPBound bool
+	CPUDim int
+	Placer engine.Placer
 	// Now is the injected wall clock forwarded to every domain engine for
 	// EpochReport.SolveNs stamping; nil leaves solve times zero. The router
 	// is determinism-critical and never reads the clock itself.
@@ -227,12 +226,11 @@ func newRouter(cfg Config, states []*engine.State) (*Router, error) {
 	for s := 0; s < cfg.Shards; s++ {
 		lo, hi := Partition(len(cfg.Nodes), cfg.Shards, s)
 		ecfg := engine.Config{
-			Nodes:      cfg.Nodes[lo:hi],
-			CPUDim:     cfg.CPUDim,
-			Placer:     cfg.Placer,
-			Workers:    workers,
-			UseLPBound: cfg.UseLPBound,
-			Now:        cfg.Now,
+			Nodes:   cfg.Nodes[lo:hi],
+			CPUDim:  cfg.CPUDim,
+			Placer:  cfg.Placer,
+			Workers: workers,
+			Now:     cfg.Now,
 		}
 		var eng *engine.Engine
 		var err error

@@ -257,8 +257,7 @@ func (s *Solver) ensureElemFit() {
 // demand fits the total bin capacity per dimension, and every single item
 // fits at least one empty bin. When either fails, all strategies of a meta
 // step must fail, so the step can be declared unsuccessful in O(J·H·D)
-// instead of running the full strategy roster — the cheap complement to the
-// LP bracket bound for the yields inside the bracket. A true result promises
+// instead of running the full strategy roster. A true result promises
 // nothing; a false result is exact (up to a conservative margin on the
 // aggregate sums), so meta results stay bit-identical.
 func (s *Solver) StepFeasible(y float64) bool {

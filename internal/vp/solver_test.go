@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vmalloc/internal/core"
-	"vmalloc/internal/relax"
 	"vmalloc/internal/vec"
 )
 
@@ -102,92 +101,44 @@ func TestMetaConfigsMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// The LP-bracketed search must agree with the naive packing path fed through
-// the identical bracket: the bound changes which yields are probed, not what
-// each probe decides.
-func TestBoundedSearchMatchesNaiveReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	configs := MetaVPConfigs()
-	opts := SearchOptions{Tol: 1e-3, UpperBound: relax.UpperBound}
-	for iter := 0; iter < 25; iter++ {
-		p := randomProblem(rng, 3, 6+iter%6)
-		fast := MetaConfigsSolver(NewSolver(p), configs, opts)
-		naive := SearchMaxYield(p, opts, func(y float64) (core.Placement, bool) {
-			for _, c := range configs {
-				if pl, ok := PackNaive(p, y, c); ok {
-					return pl, true
-				}
-			}
-			return nil, false
-		})
-		if fast.Solved != naive.Solved {
-			t.Fatalf("iter %d: solved mismatch solver=%v naive=%v", iter, fast.Solved, naive.Solved)
-		}
-		if fast.Solved && math.Abs(fast.MinYield-naive.MinYield) > 1e-9 {
-			t.Fatalf("iter %d: MinYield solver=%v naive=%v", iter, fast.MinYield, naive.MinYield)
-		}
-	}
-}
-
-// The bracketed search may probe fewer yields but must land within tolerance
-// of the classic unbounded search: the LP bound only removes yields that no
-// packing can achieve.
-func TestBoundedSearchWithinToleranceOfUnbounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	configs := MetaVPConfigs()
-	const tol = 1e-3
-	for iter := 0; iter < 15; iter++ {
-		p := randomProblem(rng, 3, 7)
-		plain := MetaConfigs(p, configs, tol)
-		bounded := MetaConfigsSolver(NewSolver(p), configs, SearchOptions{Tol: tol, UpperBound: relax.UpperBound})
-		if plain.Solved != bounded.Solved {
-			t.Fatalf("iter %d: solved mismatch plain=%v bounded=%v", iter, plain.Solved, bounded.Solved)
-		}
-		if plain.Solved && math.Abs(plain.MinYield-bounded.MinYield) > tol {
-			t.Fatalf("iter %d: bounded MinYield %v vs plain %v differs by more than tol",
-				iter, bounded.MinYield, plain.MinYield)
-		}
-	}
-}
-
-// An upper bound that errors must leave the classic search untouched.
-func TestBoundedSearchBoundErrorFallsBack(t *testing.T) {
+// The search probes yield 1, then 0, then bisects [0, 1] until the bracket
+// is no wider than tol: 2 + ⌈log2(1/tol)⌉ probes when y = 1 fails and y = 0
+// succeeds. TestSearchMaxYieldShortCircuitAtOne covers a success at y = 1.
+func TestSearchMaxYieldProbeSequence(t *testing.T) {
 	p := simpleProblem()
-	c := Config{Alg: FirstFit}
-	plain := Solve(p, c, 1e-3)
-	bounded := MetaConfigsSolver(NewSolver(p), []Config{c}, SearchOptions{Tol: 1e-3, UpperBound: func(*core.Problem) (float64, error) {
-		return 0, errBound
-	}})
-	if plain.Solved != bounded.Solved || math.Abs(plain.MinYield-bounded.MinYield) > 1e-12 {
-		t.Fatalf("plain %+v vs bounded %+v", plain, bounded)
+	pl, ok := Pack(p, 0, Config{Alg: FirstFit})
+	if !ok {
+		t.Fatal("simpleProblem does not pack at yield 0")
 	}
-}
-
-type boundErr struct{}
-
-func (boundErr) Error() string { return "bound unavailable" }
-
-var errBound = boundErr{}
-
-// A negative bound (infeasible relaxation) collapses the bracket to the
-// single probe y=0.
-func TestBoundedSearchNegativeBound(t *testing.T) {
-	p := simpleProblem()
-	probes := 0
-	res := SearchMaxYield(p, SearchOptions{Tol: 1e-4, UpperBound: func(*core.Problem) (float64, error) {
-		return -1, nil
-	}}, func(y float64) (core.Placement, bool) {
-		probes++
-		if y != 0 {
-			t.Fatalf("probe at y=%v, want only 0", y)
-		}
-		return Pack(p, y, Config{Alg: FirstFit})
+	const tol = 1e-4
+	var probes []float64
+	res := SearchMaxYield(p, SearchOptions{Tol: tol}, func(y float64) (core.Placement, bool) {
+		probes = append(probes, y)
+		return pl, y <= 0.3
 	})
-	if probes != 1 {
-		t.Fatalf("probes = %d, want 1", probes)
-	}
 	if !res.Solved {
-		t.Fatal("yield-0 packing should still be attempted and succeed")
+		t.Fatal("search with a feasible yield 0 did not solve")
+	}
+	want := []float64{1, 0, 0.5, 0.25, 0.375, 0.3125, 0.28125}
+	for lo, hi := 0.28125, 0.3125; hi-lo > tol; {
+		mid := (lo + hi) / 2
+		want = append(want, mid)
+		if mid <= 0.3 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if n := 2 + int(math.Ceil(math.Log2(1/tol))); len(want) != n {
+		t.Fatalf("reference sequence has %d probes, want %d", len(want), n)
+	}
+	if len(probes) != len(want) {
+		t.Fatalf("%d probes %v, want %d %v", len(probes), probes, len(want), want)
+	}
+	for i := range want {
+		if probes[i] != want[i] {
+			t.Fatalf("probe %d at y=%v, want %v (sequence %v)", i, probes[i], want[i], probes)
+		}
 	}
 }
 

@@ -311,19 +311,10 @@ type TryFunc func(y float64) (core.Placement, bool)
 type SearchOptions struct {
 	// Tol is the binary-search stopping threshold (DefaultTolerance if <= 0).
 	Tol float64
-	// UpperBound, when non-nil, is consulted once per search for an a-priori
-	// upper bound on the achievable yield — typically the LP relaxation
-	// bound (LPBOUND, relax.UpperBound), which every integral solution
-	// respects. A bound below 1 shrinks the initial bracket to [0, bound]
-	// before any packing runs. Errors fall back to the unbounded bracket; a
-	// negative bound (infeasible relaxation) collapses the bracket to the
-	// single probe y=0.
-	UpperBound func(p *core.Problem) (float64, error)
 }
 
 // SearchMaxYield performs the paper's binary search for the largest yield at
-// which try succeeds. With no upper bound the probe sequence is exactly the
-// classic search: try 1, try 0, then bisect [0, 1]. The returned result
+// which try succeeds: try 1, try 0, then bisect [0, 1]. The returned result
 // evaluates the best placement found, so the reported minimum yield can
 // slightly exceed the search's lower bound.
 func SearchMaxYield(p *core.Problem, opts SearchOptions, try TryFunc) *core.Result {
@@ -331,29 +322,16 @@ func SearchMaxYield(p *core.Problem, opts SearchOptions, try TryFunc) *core.Resu
 	if tol <= 0 {
 		tol = DefaultTolerance
 	}
-	hi := 1.0
-	if opts.UpperBound != nil {
-		if ub, err := opts.UpperBound(p); err == nil && ub < hi {
-			if ub < 0 {
-				ub = 0
-			}
-			hi = ub
-		}
-	}
-	// The bracket top first: success there is optimal (up to the bound) and
-	// short-circuits the search.
-	if pl, ok := try(hi); ok {
+	// Yield 1 first: success there is optimal and short-circuits the search.
+	if pl, ok := try(1); ok {
 		return core.EvaluatePlacement(p, pl)
-	}
-	if hi == 0 { //vmalloc:nondet-ok exact-zero bracket top short-circuits to the empty result
-		return &core.Result{}
 	}
 	pl, ok := try(0)
 	if !ok {
 		return &core.Result{}
 	}
 	bestPl := pl.Clone()
-	lo := 0.0
+	lo, hi := 0.0, 1.0
 	for hi-lo > tol {
 		mid := (lo + hi) / 2
 		if pl, ok := try(mid); ok {
@@ -402,15 +380,14 @@ func MetaConfigs(p *core.Problem, configs []Config, tol float64) *core.Result {
 }
 
 // MetaConfigsSolver is MetaConfigs on a caller-owned Solver with search
-// options (LP-bound bracketing). Long-lived callers that re-solve a mutating
-// problem (online engines reallocating every epoch) hold one Solver for the
-// cluster lifetime, Rebind it after editing the service list, and run the
-// meta search here with warm bin-order caches and no per-epoch arena
-// allocation. Each step first runs the O(J·H·D) StepFeasible
-// necessary-condition check: a step no strategy can win is declared failed
-// without packing at all. The strategy sweep is the exact sequential
-// first-success scan, so results are identical to MetaConfigs on a fresh
-// solver over the same problem.
+// options. Long-lived callers that re-solve a mutating problem (online
+// engines reallocating every epoch) hold one Solver for the cluster lifetime,
+// Rebind it after editing the service list, and run the meta search here
+// with warm bin-order caches and no per-epoch arena allocation. Each step
+// first runs the O(J·H·D) StepFeasible necessary-condition check: a step no
+// strategy can win is declared failed without packing at all. The strategy
+// sweep is the exact sequential first-success scan, so results are identical
+// to MetaConfigs on a fresh solver over the same problem.
 func MetaConfigsSolver(s *Solver, configs []Config, opts SearchOptions) *core.Result {
 	return SearchMaxYield(s.Problem(), opts, func(y float64) (core.Placement, bool) {
 		if !s.StepFeasible(y) {

@@ -219,16 +219,16 @@ func TestSearchMaxYieldFindsOptimum(t *testing.T) {
 
 func TestSearchMaxYieldShortCircuitAtOne(t *testing.T) {
 	p := simpleProblem()
-	calls := 0
+	var probes []float64
 	res := SearchMaxYield(p, SearchOptions{Tol: 1e-4}, func(y float64) (core.Placement, bool) {
-		calls++
+		probes = append(probes, y)
 		return Pack(p, y, Config{Alg: FirstFit})
 	})
 	if !res.Solved || res.MinYield < 1-1e-9 {
 		t.Fatalf("yield = %v", res.MinYield)
 	}
-	if calls != 1 {
-		t.Fatalf("expected single call at yield 1, got %d", calls)
+	if len(probes) != 1 || probes[0] != 1 {
+		t.Fatalf("a search that succeeds at y=1 probed %v, want only [1]", probes)
 	}
 }
 
