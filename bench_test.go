@@ -652,7 +652,7 @@ func BenchmarkAblationPPKeyMapping(b *testing.B) {
 	}{{"D=2", p2, 0.5}, {"D=4", p4, 0}} {
 		b.Run("keyed/"+tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _ = vp.Pack(tc.p, tc.y, vp.Config{Alg: vp.PermutationPack, ItemOrder: io, BinOrder: vp.NoOrder})
+				_, _ = vp.NewSolver(tc.p).Pack(tc.y, vp.Config{Alg: vp.PermutationPack, ItemOrder: io, BinOrder: vp.NoOrder})
 			}
 		})
 		b.Run("naive/"+tc.name, func(b *testing.B) {
@@ -672,7 +672,7 @@ func BenchmarkAblationWindowSize(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _ = vp.Pack(p, 0, vp.Config{Alg: vp.PermutationPack, ItemOrder: io, Window: w})
+				_, _ = vp.NewSolver(p).Pack(0, vp.Config{Alg: vp.PermutationPack, ItemOrder: io, Window: w})
 			}
 		})
 	}

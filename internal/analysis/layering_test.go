@@ -4,6 +4,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -31,6 +32,44 @@ func TestEpochPathSkipsLPTier(t *testing.T) {
 		if chain := importChain(t, root, start, forbidden); chain != nil {
 			t.Errorf("%s reaches the LP tier: %s", start, strings.Join(chain, " -> "))
 		}
+	}
+}
+
+// TestTestutilStaysInTests fences the test-only packages: no non-test file
+// outside internal/testutil/ — in the module or in bench/ — may import an
+// internal/testutil/... package, so production binaries never link them.
+func TestTestutilStaysInTests(t *testing.T) {
+	root := filepath.Join("..", "..")
+	const testutil = "vmalloc/internal/testutil/"
+	checked := 0
+	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		pkg := path.Join("vmalloc", filepath.ToSlash(rel))
+		if strings.HasPrefix(pkg+"/", testutil) {
+			return filepath.SkipDir
+		}
+		checked++
+		for _, imp := range moduleImports(t, root, pkg) {
+			if strings.HasPrefix(imp, testutil) {
+				t.Errorf("%s imports the test-only package %s", pkg, imp)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked < 30 {
+		t.Fatalf("walked only %d directories; the module root is not where the test expects it", checked)
 	}
 }
 
@@ -63,7 +102,10 @@ func importChain(t *testing.T, root, start string, forbidden []string) []string 
 
 // moduleImports lists the vmalloc/... imports of pkg's non-test files, sorted.
 func moduleImports(t *testing.T, root, pkg string) []string {
-	dir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(pkg, "vmalloc/")))
+	dir := root
+	if rel, ok := strings.CutPrefix(pkg, "vmalloc/"); ok {
+		dir = filepath.Join(root, filepath.FromSlash(rel))
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("package %s: %v", pkg, err)

@@ -192,9 +192,6 @@ func New(cfg Config) (*Engine, error) {
 // Dim returns the resource dimensionality.
 func (e *Engine) Dim() int { return e.cfg.Nodes[0].Aggregate.Dim() }
 
-// CPUDim returns the configured CPU dimension.
-func (e *Engine) CPUDim() int { return e.cfg.CPUDim }
-
 // EvaluateMinYield rebuilds the views and evaluates the current placement
 // under the §6 error model: true needs running against the estimated
 // (thresholded) view with the given CPU-sharing policy. Returns 1 for an
@@ -209,9 +206,6 @@ func (e *Engine) EvaluateMinYield(policy sched.Policy) float64 {
 
 // Len returns the number of live services.
 func (e *Engine) Len() int { return len(e.live) }
-
-// Nodes returns the platform (not to be mutated).
-func (e *Engine) Nodes() []core.Node { return e.cfg.Nodes }
 
 // SetThreshold sets the §6.2 mitigation threshold applied to estimated CPU
 // needs when the views are built (0 disables).
@@ -362,12 +356,6 @@ func (e *Engine) Node(id int) (int, bool) {
 		return -1, false
 	}
 	return e.slots[si].node, true
-}
-
-// NodeLoad returns clones of node h's aggregate requirement and need loads
-// over its live services.
-func (e *Engine) NodeLoad(h int) (req, need vec.Vec) {
-	return e.reqLoads[h].Clone(), e.needLoads[h].Clone()
 }
 
 func (e *Engine) allocSlot() int {

@@ -42,6 +42,12 @@ func perturb(rng *rand.Rand, s core.Service, maxErr float64) core.Service {
 	return est
 }
 
+// NodeLoad returns clones of node h's aggregate requirement and need loads
+// over its live services.
+func (e *Engine) NodeLoad(h int) (req, need vec.Vec) {
+	return e.reqLoads[h].Clone(), e.needLoads[h].Clone()
+}
+
 func newTestEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
 	e, err := New(cfg)

@@ -1,13 +1,19 @@
-package faultfs
+// The injector's tests run here, over this package's OS passthrough; the
+// injector itself lives in internal/testutil/faultinject so that production
+// binaries do not link it.
+package faultfs_test
 
 import (
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"vmalloc/internal/faultfs"
+	"vmalloc/internal/testutil/faultinject"
 )
 
-func openRW(t *testing.T, fsys FS, path string) File {
+func openRW(t *testing.T, fsys faultfs.FS, path string) faultfs.File {
 	t.Helper()
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -20,7 +26,7 @@ func openRW(t *testing.T, fsys FS, path string) File {
 // the full surface the journal uses.
 func TestOSPassthrough(t *testing.T) {
 	dir := t.TempDir()
-	var fsys FS = OS{}
+	var fsys faultfs.FS = faultfs.OS{}
 	if err := fsys.MkdirAll(filepath.Join(dir, "a/b"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +70,7 @@ func TestOSPassthrough(t *testing.T) {
 // write fails with ErrInjected and (untorn) leaves the file unchanged.
 func TestInjectWriteCountdown(t *testing.T) {
 	dir := t.TempDir()
-	inj := NewInjector(nil, 1)
+	inj := faultinject.NewInjector(nil, 1)
 	inj.FailWrites(2, false)
 	f := openRW(t, inj, filepath.Join(dir, "f"))
 	defer f.Close()
@@ -73,10 +79,10 @@ func TestInjectWriteCountdown(t *testing.T) {
 			t.Fatalf("write %d: %v", k, err)
 		}
 	}
-	if _, err := f.Write([]byte("boom")); !errors.Is(err, ErrInjected) {
+	if _, err := f.Write([]byte("boom")); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("third write: %v, want ErrInjected", err)
 	}
-	if _, err := f.Write([]byte("boom")); !errors.Is(err, ErrInjected) {
+	if _, err := f.Write([]byte("boom")); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("faults must be sticky, got %v", err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "f"))
@@ -84,7 +90,7 @@ func TestInjectWriteCountdown(t *testing.T) {
 		t.Fatalf("file = %q, %v; failed writes must not land bytes", data, err)
 	}
 	c := inj.Counts()
-	if c.Ops[OpWrite] != 4 || c.Injected[OpWrite] != 2 {
+	if c.Ops[faultinject.OpWrite] != 4 || c.Injected[faultinject.OpWrite] != 2 {
 		t.Fatalf("counts = %+v", c)
 	}
 }
@@ -94,13 +100,13 @@ func TestInjectWriteCountdown(t *testing.T) {
 // mid-write.
 func TestInjectTornWrite(t *testing.T) {
 	dir := t.TempDir()
-	inj := NewInjector(nil, 42)
+	inj := faultinject.NewInjector(nil, 42)
 	inj.FailWrites(0, true)
 	f := openRW(t, inj, filepath.Join(dir, "f"))
 	defer f.Close()
 	payload := []byte("0123456789abcdef0123456789abcdef")
 	n, err := f.Write(payload)
-	if !errors.Is(err, ErrInjected) {
+	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if n >= len(payload) {
@@ -116,7 +122,7 @@ func TestInjectTornWrite(t *testing.T) {
 func TestInjectTornWriteDeterministic(t *testing.T) {
 	tear := func() int {
 		dir := t.TempDir()
-		inj := NewInjector(nil, 7)
+		inj := faultinject.NewInjector(nil, 7)
 		inj.FailWrites(0, true)
 		f := openRW(t, inj, filepath.Join(dir, "f"))
 		defer f.Close()
@@ -131,19 +137,19 @@ func TestInjectTornWriteDeterministic(t *testing.T) {
 // TestInjectSyncAndRename: fsync and rename faults fire on countdown.
 func TestInjectSyncAndRename(t *testing.T) {
 	dir := t.TempDir()
-	inj := NewInjector(nil, 1)
+	inj := faultinject.NewInjector(nil, 1)
 	inj.FailSyncs(1)
 	f := openRW(t, inj, filepath.Join(dir, "f"))
 	defer f.Close()
 	if err := f.Sync(); err != nil {
 		t.Fatalf("first sync: %v", err)
 	}
-	if err := f.Sync(); !errors.Is(err, ErrInjected) {
+	if err := f.Sync(); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("second sync: %v, want ErrInjected", err)
 	}
 
 	inj.FailRenames(0)
-	if err := inj.Rename(filepath.Join(dir, "f"), filepath.Join(dir, "g")); !errors.Is(err, ErrInjected) {
+	if err := inj.Rename(filepath.Join(dir, "f"), filepath.Join(dir, "g")); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("rename: %v, want ErrInjected", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "f")); err != nil {
@@ -160,7 +166,7 @@ func TestInjectShortRead(t *testing.T) {
 	if err := os.WriteFile(path, make([]byte, 4096), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	inj := NewInjector(nil, 3)
+	inj := faultinject.NewInjector(nil, 3)
 	inj.ShortReads(0)
 	data, err := inj.ReadFile(path)
 	if err != nil {
@@ -180,7 +186,7 @@ func TestInjectShortRead(t *testing.T) {
 func TestTortureDeterministic(t *testing.T) {
 	run := func() []bool {
 		dir := t.TempDir()
-		inj := NewInjector(nil, 99)
+		inj := faultinject.NewInjector(nil, 99)
 		inj.Torture(0.3, 0.3, 0)
 		f := openRW(t, inj, filepath.Join(dir, "f"))
 		defer f.Close()

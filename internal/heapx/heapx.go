@@ -52,15 +52,6 @@ func (h *Heap[T]) Pop() T {
 // empty heap.
 func (h *Heap[T]) Peek() T { return h.s[0] }
 
-// Clear empties the heap, keeping the backing array.
-func (h *Heap[T]) Clear() {
-	var zero T
-	for i := range h.s {
-		h.s[i] = zero
-	}
-	h.s = h.s[:0]
-}
-
 func (h *Heap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// Clear empties the heap, keeping the backing array.
+func (h *Heap[T]) Clear() {
+	var zero T
+	for i := range h.s {
+		h.s[i] = zero
+	}
+	h.s = h.s[:0]
+}
+
 func TestPushPopSorted(t *testing.T) {
 	h := New(func(a, b int) bool { return a < b })
 	rng := rand.New(rand.NewSource(1))

@@ -128,17 +128,17 @@ func TestHeteroBinSortingHelps(t *testing.T) {
 	}
 	p.Services = []core.Service{smallSvc, smallSvc, smallSvc, bigSvc}
 
-	naive := vp.Pack
+	naive := vp.NewSolver(p).Pack
 	// Natural order at yield 0: smalls land on the big node (first fit),
 	// big service still fits? big needs mem 1.5; big node has 2 - 3*0.3 =
 	// 1.1 < 1.5 -> fails.
-	_, okNaive := naive(p, 0, vp.Config{Alg: vp.FirstFit, ItemOrder: vp.NoOrder, BinOrder: vp.NoOrder})
+	_, okNaive := naive(0, vp.Config{Alg: vp.FirstFit, ItemOrder: vp.NoOrder, BinOrder: vp.NoOrder})
 	if okNaive {
 		t.Fatal("naive FF should fail on this construction")
 	}
 	// Ascending-capacity bins: smalls go to small nodes, big node stays
 	// free for the big service.
-	_, okSorted := naive(p, 0, vp.Config{
+	_, okSorted := naive(0, vp.Config{
 		Alg: vp.FirstFit, Hetero: true,
 		BinOrder: vp.Order{Metric: vec.MetricSum},
 	})
@@ -163,7 +163,7 @@ func TestBinOrderApplied(t *testing.T) {
 			NeedElem: vec.New(2), NeedAgg: vec.New(2),
 		}},
 	}
-	pl, ok := vp.Pack(p, 0, vp.Config{
+	pl, ok := vp.NewSolver(p).Pack(0, vp.Config{
 		Alg: vp.FirstFit, Hetero: true,
 		ItemOrder: vp.NoOrder,
 		BinOrder:  vp.Order{Metric: vec.MetricSum},
@@ -171,7 +171,7 @@ func TestBinOrderApplied(t *testing.T) {
 	if !ok || pl[0] != 1 {
 		t.Fatalf("ascending bins should pick the small node: %v (ok=%v)", pl, ok)
 	}
-	pl, ok = vp.Pack(p, 0, vp.Config{
+	pl, ok = vp.NewSolver(p).Pack(0, vp.Config{
 		Alg: vp.FirstFit, Hetero: true,
 		ItemOrder: vp.NoOrder,
 		BinOrder:  vp.Order{Metric: vec.MetricSum, Descending: true},

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vmalloc/internal/faultfs"
+	"vmalloc/internal/testutil/faultinject"
 )
 
 // jsonSnapshots rejects snapshot bytes that are not valid JSON — the
@@ -217,7 +218,7 @@ func TestChainRefusesTruncatingDurableRecords(t *testing.T) {
 
 	// A short read of the same bytes: the injector shortens the segment
 	// read during replay without touching the file.
-	inj := faultfs.NewInjector(nil, 11)
+	inj := faultinject.NewInjector(nil, 11)
 	short := opts
 	short.FS = inj
 	// Reads during open: chain.json, snap-20 (invalid), snap-10, segment.

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"vmalloc/internal/faultfs"
+	"vmalloc/internal/testutil/faultinject"
 )
 
 // TestTortureAckedNeverLost is the durability contract under injected write
@@ -21,7 +21,7 @@ func TestTortureAckedNeverLost(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			inj := faultfs.NewInjector(nil, seed)
+			inj := faultinject.NewInjector(nil, seed)
 			opts := Options{Dir: dir, FS: inj, ChainInterval: 8, SegmentBytes: 4096}
 			j, _, err := Open(opts, nil)
 			if err != nil {
@@ -34,7 +34,7 @@ func TestTortureAckedNeverLost(t *testing.T) {
 					inj.Torture(0.01, 0.01, 0)
 				}
 				if err := j.Append(r); err != nil {
-					if !errors.Is(err, faultfs.ErrInjected) {
+					if !errors.Is(err, faultinject.ErrInjected) {
 						t.Fatalf("append %d failed with a non-injected error: %v", i, err)
 					}
 					break
@@ -87,7 +87,7 @@ func TestTortureAckedNeverLost(t *testing.T) {
 // that off and fall back to the log.
 func TestSnapshotRenameFaultRecoverable(t *testing.T) {
 	dir := t.TempDir()
-	inj := faultfs.NewInjector(nil, 7)
+	inj := faultinject.NewInjector(nil, 7)
 	opts := Options{Dir: dir, FS: inj, ChainInterval: 4}
 	j := openFresh(t, opts)
 	recs := testRecords(12)
@@ -100,7 +100,7 @@ func TestSnapshotRenameFaultRecoverable(t *testing.T) {
 	// the worst ordering, because the ledger now references a base with no
 	// matching snapshot file.
 	inj.FailRenames(1)
-	if err := j.WriteSnapshot(j.ChainHead(), []byte(`{"at":12}`)); !errors.Is(err, faultfs.ErrInjected) {
+	if err := j.WriteSnapshot(j.ChainHead(), []byte(`{"at":12}`)); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("snapshot under rename fault: %v, want injected", err)
 	}
 	inj.Disarm()
@@ -129,7 +129,7 @@ func TestSnapshotRenameFaultRecoverable(t *testing.T) {
 // torn MOVE_OUT — the service is duplicated across shards, never lost.
 func TestTornTailMovePair(t *testing.T) {
 	dir := t.TempDir()
-	inj := faultfs.NewInjector(nil, 3)
+	inj := faultinject.NewInjector(nil, 3)
 	opts := Options{Dir: dir, FS: inj, ChainInterval: 4}
 	j := openFresh(t, opts)
 	for _, r := range testRecords(8) {
@@ -145,7 +145,7 @@ func TestTornTailMovePair(t *testing.T) {
 	// The destination's MOVE_IN is on disk. Now the source's MOVE_OUT tears.
 	inj.FailWrites(0, true)
 	moveOut := &Record{Op: OpMoveOut, ID: 99, Gen: 5}
-	if err := j.Append(moveOut); !errors.Is(err, faultfs.ErrInjected) {
+	if err := j.Append(moveOut); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("torn MOVE_OUT: %v, want injected fault", err)
 	}
 	j.Close()
@@ -181,14 +181,14 @@ func TestTornTailMovePair(t *testing.T) {
 // the sticky fault rather than silently dropping durability.
 func TestFsyncFaultFailsAck(t *testing.T) {
 	dir := t.TempDir()
-	inj := faultfs.NewInjector(nil, 5)
+	inj := faultinject.NewInjector(nil, 5)
 	opts := Options{Dir: dir, FS: inj, ChainInterval: 4}
 	j := openFresh(t, opts)
 	if err := j.Append(testRecords(1)[0]); err != nil {
 		t.Fatal(err)
 	}
 	inj.FailSyncs(0)
-	if err := j.Append(testRecords(2)[1]); !errors.Is(err, faultfs.ErrInjected) {
+	if err := j.Append(testRecords(2)[1]); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("append over failed fsync acked: %v", err)
 	}
 	if err := j.Err(); err == nil || !strings.Contains(err.Error(), "injected") {

@@ -43,7 +43,7 @@ type Options struct {
 	// next older one. The journal itself treats snapshot state as opaque.
 	ValidateSnapshot func([]byte) error
 	// FS is the filesystem the journal runs on; nil selects the real OS.
-	// Tests thread a faultfs.Injector to prove the durability contract
+	// Tests thread a faultinject.Injector to prove the durability contract
 	// under injected write/fsync/rename faults.
 	FS faultfs.FS
 	// ChainInterval is how often, in records, the rolling integrity chain

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vmalloc/internal/lp"
+	"vmalloc/internal/testutil/mps"
 )
 
 // FuzzParseMPS asserts the reader never panics on arbitrary input and that
@@ -35,7 +36,7 @@ func FuzzParseMPS(f *testing.F) {
 	f.Add("RANGES\n    R A 1\nENDATA\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
-		p, err := lp.ParseMPS(strings.NewReader(src))
+		p, err := mps.Parse(strings.NewReader(src))
 		if err != nil {
 			return
 		}
@@ -43,7 +44,7 @@ func FuzzParseMPS(f *testing.F) {
 		if err := lp.WriteMPS(&buf, p); err != nil {
 			t.Fatalf("accepted model fails to write: %v\ninput:\n%s", err, src)
 		}
-		q, err := lp.ParseMPS(bytes.NewReader(buf.Bytes()))
+		q, err := mps.Parse(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("written model fails to reparse: %v\nwritten:\n%s", err, buf.String())
 		}

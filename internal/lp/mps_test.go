@@ -13,6 +13,7 @@ import (
 
 	"vmalloc/internal/lp"
 	"vmalloc/internal/presolve"
+	"vmalloc/internal/testutil/mps"
 )
 
 // netlibOptima lists the vendored corpus with optima in the solver's
@@ -35,7 +36,7 @@ func parseNetlib(t *testing.T, name string) *lp.Problem {
 		t.Fatalf("open %s: %v", name, err)
 	}
 	defer f.Close()
-	p, err := lp.ParseMPS(f)
+	p, err := mps.Parse(f)
 	if err != nil {
 		t.Fatalf("parse %s: %v", name, err)
 	}
@@ -102,11 +103,11 @@ ENDATA
 `
 
 // TestValidateRejectsNonFinite: a NaN or infinite objective coefficient,
-// matrix entry or right-hand side is refused, by ParseMPS (through
+// matrix entry or right-hand side is refused, by mps.Parse (through
 // Validate) and by every solve path, instead of solving to a wrong Optimal.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	parse := func(obj, a, rhs string) (*lp.Problem, error) {
-		return lp.ParseMPS(strings.NewReader(fmt.Sprintf(nonFiniteMPS, obj, a, rhs)))
+		return mps.Parse(strings.NewReader(fmt.Sprintf(nonFiniteMPS, obj, a, rhs)))
 	}
 	p, err := parse("1", "1", "4")
 	if err != nil {
@@ -132,7 +133,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"+Inf objective", "+Inf", "1", "4", func(q *lp.Problem, v float64) { q.Obj[0] = v }, math.Inf(1)},
 	} {
 		if _, err := parse(tc.obj, tc.a, tc.rhs); err == nil {
-			t.Errorf("%s: ParseMPS accepted the model", tc.name)
+			t.Errorf("%s: mps.Parse accepted the model", tc.name)
 		}
 		q := *p
 		q.Obj = append([]float64(nil), p.Obj...)
@@ -164,7 +165,7 @@ func TestMPSRoundTripNetlib(t *testing.T) {
 		if err := lp.WriteMPS(&first, p); err != nil {
 			t.Fatalf("write %s: %v", name, err)
 		}
-		q, err := lp.ParseMPS(bytes.NewReader(first.Bytes()))
+		q, err := mps.Parse(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("reparse %s: %v", name, err)
 		}
@@ -232,7 +233,7 @@ func TestMPSRoundTripProperty(t *testing.T) {
 		if err := lp.WriteMPS(&first, p); err != nil {
 			t.Fatalf("trial %d: write: %v", trial, err)
 		}
-		q, err := lp.ParseMPS(bytes.NewReader(first.Bytes()))
+		q, err := mps.Parse(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("trial %d: parse: %v\n%s", trial, err, first.String())
 		}
@@ -266,8 +267,8 @@ func TestMPSRoundTripProperty(t *testing.T) {
 }
 
 func TestMPSUnsupportedAndMalformed(t *testing.T) {
-	var unsup *lp.MPSUnsupportedError
-	var malformed *lp.MPSParseError
+	var unsup *mps.UnsupportedError
+	var malformed *mps.ParseError
 	cases := []struct {
 		name string
 		src  string
@@ -287,7 +288,7 @@ func TestMPSUnsupportedAndMalformed(t *testing.T) {
 		{"dup coefficient", "NAME X\nROWS\n N OBJ\n L R0\nCOLUMNS\n    A R0 1\n    A R0 2\nENDATA\n", &malformed},
 	}
 	for _, tc := range cases {
-		_, err := lp.ParseMPS(strings.NewReader(tc.src))
+		_, err := mps.Parse(strings.NewReader(tc.src))
 		if err == nil {
 			t.Errorf("%s: expected error, got nil", tc.name)
 			continue

@@ -65,9 +65,6 @@ func (h *HDR) Record(v int64) {
 	}
 }
 
-// Count returns the number of recorded values.
-func (h *HDR) Count() uint64 { return h.count }
-
 // Max returns the largest recorded value (0 when empty).
 func (h *HDR) Max() int64 { return h.max }
 

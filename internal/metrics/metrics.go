@@ -74,9 +74,6 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.n.Add(1) }
 
-// Add adds delta (must be non-negative to keep the counter monotone).
-func (c *Counter) Add(delta uint64) { c.n.Add(delta) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
 
@@ -121,12 +118,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 		v *= factor
 	}
 	return out
-}
-
-// Sample is one (labels, value) pair emitted by a collect callback.
-type Sample struct {
-	Labels Labels
-	Value  float64
 }
 
 // family is one named metric with its children (one per label set).

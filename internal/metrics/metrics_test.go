@@ -18,7 +18,7 @@ func render(t *testing.T, r *Registry) string {
 func TestCounterExposition(t *testing.T) {
 	r := NewRegistry()
 	v := r.NewCounterVec("test_requests_total", "Requests.")
-	v.With(L("path", "/a", "code", "200")).Add(3)
+	v.With(L("path", "/a", "code", "200")).n.Add(3)
 	v.With(L("path", "/b", "code", "404")).Inc()
 	v.With(L("path", "/a", "code", "200")).Inc()
 
@@ -126,8 +126,8 @@ func TestHDRQuantiles(t *testing.T) {
 	for i := int64(1); i <= 10000; i++ {
 		h.Record(i)
 	}
-	if h.Count() != 10000 || h.Max() != 10000 {
-		t.Fatalf("Count=%d Max=%d", h.Count(), h.Max())
+	if h.count != 10000 || h.Max() != 10000 {
+		t.Fatalf("count=%d Max=%d", h.count, h.Max())
 	}
 	if m := h.Mean(); math.Abs(m-5000.5) > 1e-6 {
 		t.Fatalf("Mean = %g", m)
@@ -158,8 +158,8 @@ func TestHDRSmallValuesExact(t *testing.T) {
 		t.Fatalf("Quantile(0.5) = %d, want 32", got)
 	}
 	h.Record(-5) // clamps to 0
-	if h.Count() != 65 {
-		t.Fatalf("Count = %d", h.Count())
+	if h.count != 65 {
+		t.Fatalf("count = %d", h.count)
 	}
 }
 
@@ -170,8 +170,8 @@ func TestHDRMerge(t *testing.T) {
 		b.Record(i * 1000)
 	}
 	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged Count = %d", a.Count())
+	if a.count != 200 {
+		t.Fatalf("merged count = %d", a.count)
 	}
 	if a.Max() != 100000 {
 		t.Fatalf("merged Max = %d", a.Max())

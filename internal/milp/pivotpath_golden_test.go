@@ -15,22 +15,11 @@ import (
 	"vmalloc/internal/milp"
 	"vmalloc/internal/presolve"
 	"vmalloc/internal/relax"
+	"vmalloc/internal/testutil/grid"
 	"vmalloc/internal/workload"
 )
 
 const pathRelaxations = 300
-
-// relaxScenario is 8x64 park number i of the relaxation goldens (relax's
-// boundScenario), cycling through the platform heterogeneities and memory
-// slacks of the paper's grid.
-func relaxScenario(i int) workload.Scenario {
-	return workload.Scenario{
-		Hosts: 8, Services: 64,
-		COV:   []float64{0, 0.5, 1.0}[i%3],
-		Slack: []float64{0.3, 0.5, 0.7}[(i/3)%3],
-		Seed:  int64(i + 1),
-	}
-}
 
 // bitsHash is the SHA-256 of the IEEE-754 bits of xs, in order.
 func bitsHash(xs ...float64) string {
@@ -48,7 +37,7 @@ func bitsHash(xs ...float64) string {
 // describes the pivot path: status, iterations, refactorizations and a hash
 // of the bits of X and the objective.
 func relaxationPath(i int) (string, string, error) {
-	scn := relaxScenario(i)
+	scn := grid.Scenario(i)
 	red, err := presolve.Reduce(relax.Encode(workload.Generate(scn)).LP, nil)
 	if err != nil {
 		return "", "", err

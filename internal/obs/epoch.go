@@ -154,12 +154,6 @@ type Observer struct {
 	Epochs *EpochRing
 }
 
-// NewObserver returns an observer with default-sized tracer and epoch
-// rings.
-func NewObserver() *Observer {
-	return &Observer{Tracer: NewTracer(0, 0), Epochs: NewEpochRing(0)}
-}
-
 // TracerOf returns o.Tracer, tolerating a nil receiver.
 func (o *Observer) TracerOf() *Tracer {
 	if o == nil {

@@ -253,8 +253,8 @@ func TestObserverNilSafety(t *testing.T) {
 	if o.TracerOf() != nil || o.EpochsOf() != nil {
 		t.Fatal("nil observer leaked components")
 	}
-	o = NewObserver()
-	if o.Tracer == nil || o.Epochs == nil {
-		t.Fatal("NewObserver left nil components")
+	o = &Observer{Tracer: NewTracer(0, 0), Epochs: NewEpochRing(0)}
+	if o.TracerOf() != o.Tracer || o.EpochsOf() != o.Epochs {
+		t.Fatal("observer accessors did not return its components")
 	}
 }

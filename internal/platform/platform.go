@@ -31,7 +31,6 @@ import (
 	"vmalloc/internal/core"
 	"vmalloc/internal/engine"
 	"vmalloc/internal/heapx"
-	"vmalloc/internal/hvp"
 	"vmalloc/internal/sched"
 	"vmalloc/internal/vec"
 	"vmalloc/internal/workload"
@@ -39,11 +38,6 @@ import (
 
 // Placer computes a placement from the (estimated) problem view.
 type Placer func(p *core.Problem) *core.Result
-
-// DefaultPlacer is METAHVPLIGHT at the paper's tolerance — the algorithm the
-// engine's persistent path reproduces exactly; set Config.Placer only to
-// override it.
-func DefaultPlacer(p *core.Problem) *core.Result { return hvp.MetaHVPLight(p, 0) }
 
 // AdaptiveThreshold requests the feedback controller of §8: the mitigation
 // threshold follows the maximum estimation error observed on departed

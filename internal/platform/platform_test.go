@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vmalloc/internal/core"
+	"vmalloc/internal/hvp"
 	"vmalloc/internal/vec"
 	"vmalloc/internal/workload"
 )
@@ -235,7 +236,7 @@ func TestCustomPlacerIsUsed(t *testing.T) {
 	calls := 0
 	cfg.Placer = func(p *core.Problem) *core.Result {
 		calls++
-		return DefaultPlacer(p)
+		return hvp.MetaHVPLight(p, 0)
 	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)

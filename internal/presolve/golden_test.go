@@ -15,6 +15,7 @@ import (
 	"vmalloc/internal/lp"
 	"vmalloc/internal/presolve"
 	"vmalloc/internal/relax"
+	"vmalloc/internal/testutil/mps"
 	"vmalloc/internal/workload"
 )
 
@@ -95,7 +96,7 @@ func TestGoldenReductions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := lp.ParseMPS(f)
+		p, err := mps.Parse(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)

@@ -10,23 +10,13 @@ import (
 	"strings"
 	"testing"
 
+	"vmalloc/internal/testutil/grid"
 	"vmalloc/internal/workload"
 )
 
 var updateGolden = flag.Bool("golden.update", false, "rewrite testdata/upperbound.golden from the current solver")
 
 const goldenBounds = 300
-
-// boundScenario is 8x64 park number i, cycling through the platform
-// heterogeneities and memory slacks of the paper's grid.
-func boundScenario(i int) workload.Scenario {
-	return workload.Scenario{
-		Hosts: 8, Services: 64,
-		COV:   []float64{0, 0.5, 1.0}[i%3],
-		Slack: []float64{0.3, 0.5, 0.7}[(i/3)%3],
-		Seed:  int64(i + 1),
-	}
-}
 
 // TestUpperBoundFormerIterLimit pins an 8x64 instance (drawn by the solve-lp
 // benchmark) whose bound used to fail with lp.ErrIterLimit: a
@@ -58,7 +48,7 @@ func TestUpperBoundGolden(t *testing.T) {
 	got := make(map[string]float64)
 	var lines []string
 	for i := 0; i < goldenBounds; i += step {
-		scn := boundScenario(i)
+		scn := grid.Scenario(i)
 		y, err := UpperBound(workload.Generate(scn))
 		if err != nil {
 			t.Fatalf("%s: %v", scn, err)

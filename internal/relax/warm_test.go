@@ -9,6 +9,7 @@ import (
 	"weak"
 
 	"vmalloc/internal/core"
+	"vmalloc/internal/testutil/grid"
 	"vmalloc/internal/workload"
 )
 
@@ -56,7 +57,7 @@ func TestRepeatSolveIsBitIdenticalHit(t *testing.T) {
 	}
 	hits, infeasible := 0, 0
 	for i := 0; i < goldenBounds; i += step {
-		scn := boundScenario(i)
+		scn := grid.Scenario(i)
 		p := workload.Generate(scn)
 		first := mustSolve(t, p)
 		again := mustSolve(t, p)
@@ -83,7 +84,7 @@ func TestRepeatSolveIsBitIdenticalHit(t *testing.T) {
 // answer is not reused — the solve reduces afresh and answers what a cold
 // solve of the edited problem answers.
 func TestInPlaceEditReducesAfresh(t *testing.T) {
-	p := workload.Generate(boundScenario(4))
+	p := workload.Generate(grid.Scenario(4))
 	first := mustSolve(t, p)
 	if !first.Feasible {
 		t.Fatal("instance should be feasible")
@@ -118,7 +119,7 @@ func TestMemoMissesOnEdit(t *testing.T) {
 		{"Elementary", func(p *core.Problem) []float64 { return p.Nodes[2].Elementary }},
 		{"Aggregate", func(p *core.Problem) []float64 { return p.Nodes[2].Aggregate }},
 	} {
-		p := workload.Generate(boundScenario(4))
+		p := workload.Generate(grid.Scenario(4))
 		first := mustSolve(t, p)
 		v := tc.vec(p)
 		v[slices.Index(v, slices.Max(v))] *= 0.75

@@ -589,7 +589,7 @@ func TestPromotedFollowerKeepsSpans(t *testing.T) {
 	defer leader.Close()
 	drive(t, leader, 30, 15)
 
-	o := obs.NewObserver()
+	o := &obs.Observer{Tracer: obs.NewTracer(0, 0), Epochs: obs.NewEpochRing(0)}
 	f, err := Open(context.Background(), Options{
 		Leader: ts.URL,
 		Dir:    t.TempDir(),

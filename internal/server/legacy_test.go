@@ -10,6 +10,7 @@ import (
 
 	"vmalloc/internal/faultfs"
 	"vmalloc/internal/journal"
+	"vmalloc/internal/testutil/faultinject"
 )
 
 // testdata/legacy-dir is a single-WAL journal directory written by the
@@ -132,7 +133,7 @@ func TestLegacyDirMigrates(t *testing.T) {
 func TestLegacyMigrationSurvivesFaults(t *testing.T) {
 	for n := 0; ; n++ {
 		dir, want, files := legacyCopy(t)
-		inj := faultfs.NewInjector(nil, int64(n))
+		inj := faultinject.NewInjector(nil, int64(n))
 		inj.FailRenames(n)
 		s, err := Open(dir, nil, legacyOpts(inj))
 		if err == nil {
@@ -143,7 +144,7 @@ func TestLegacyMigrationSurvivesFaults(t *testing.T) {
 			}
 			return
 		}
-		if !errors.Is(err, faultfs.ErrInjected) {
+		if !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("rename fault %d: %v, want the injected fault", n, err)
 		}
 		wantRecovered(t, dir, "half-migrated")

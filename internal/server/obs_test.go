@@ -11,6 +11,7 @@ import (
 	"vmalloc/internal/faultfs"
 	"vmalloc/internal/journal"
 	"vmalloc/internal/obs"
+	"vmalloc/internal/testutil/faultinject"
 )
 
 // newObservedServer builds a store with a live observer and serves it
@@ -20,7 +21,7 @@ func newObservedServer(t *testing.T, opts *Options) (*Store, *obs.Observer, *htt
 	if opts == nil {
 		opts = &Options{Fsync: journal.FsyncNone}
 	}
-	o := obs.NewObserver()
+	o := &obs.Observer{Tracer: obs.NewTracer(0, 0), Epochs: obs.NewEpochRing(0)}
 	opts.Obs = o
 	s, err := Open(t.TempDir(), testNodes(6, 31), opts)
 	if err != nil {
@@ -201,7 +202,7 @@ func TestDebugSurfacesNotInstrumented(t *testing.T) {
 // GET /v1/debug/traces — including the commit-pipeline spans that show
 // where it died.
 func TestInjectedFaultTraceable(t *testing.T) {
-	inj := faultfs.NewInjector(faultfs.OS{}, 1)
+	inj := faultinject.NewInjector(faultfs.OS{}, 1)
 	_, _, ts := newObservedServer(t, &Options{Fsync: journal.FsyncBatch, FS: inj})
 
 	// A healthy mutation first, so the failure below is the journal's fault.

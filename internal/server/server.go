@@ -45,28 +45,6 @@ type route struct {
 	h       http.HandlerFunc
 }
 
-// Routes returns "METHOD /path" for every endpoint a fully-equipped vmallocd
-// can serve (follower surface included, metrics enabled), in registration
-// order. It is the single source of truth the docs coverage test diffs
-// docs/api.md against — adding a route here without documenting it fails CI.
-func Routes() []string {
-	ss := struct {
-		API
-		ctxAPI
-		shardStatser
-		replicaSource
-		replicaStatser
-		promoter
-		readier
-	}{}
-	rs := routes(ss, &Metrics{}, &obs.Observer{})
-	out := make([]string, len(rs))
-	for i, rt := range rs {
-		out[i] = rt.method + " " + rt.pattern
-	}
-	return out
-}
-
 // maxBatchServices caps one bulk admission request; larger batches gain
 // nothing (the journal group is already one fsync) and only grow tail
 // latency and response size.

@@ -43,7 +43,7 @@ type Options struct {
 	Cluster vmalloc.ClusterOptions
 	// SegmentBytes, Fsync, KeepSnapshots, ChainInterval and FS pass through
 	// to the journal. FS (nil for the real filesystem) is the fault-injection
-	// seam: crash-safety tests run the whole store over a faultfs.Injector.
+	// seam: crash-safety tests run the whole store over a faultinject.Injector.
 	SegmentBytes  int64
 	Fsync         journal.FsyncMode
 	KeepSnapshots int

@@ -269,10 +269,6 @@ func (r *Router) NodeRange(s int) (lo, hi int) {
 	return Partition(len(r.cfg.Nodes), len(r.domains), s)
 }
 
-// Engine returns shard s's engine, for state capture and tests. Callers must
-// not mutate services through it (the router's id map would go stale).
-func (r *Router) Engine(s int) *engine.Engine { return r.domains[s].eng }
-
 // Threshold returns the current mitigation threshold.
 func (r *Router) Threshold() float64 { return r.domains[0].eng.Threshold() }
 

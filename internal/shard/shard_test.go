@@ -18,6 +18,9 @@ func testPark(hosts int, seed int64) []core.Node {
 	}, rand.New(rand.NewSource(seed)))
 }
 
+// Engine returns shard s's engine.
+func (r *Router) Engine(s int) *engine.Engine { return r.domains[s].eng }
+
 func randService(rng *rand.Rand) core.Service {
 	req := vec.Of(0.02+0.05*rng.Float64(), 0.02+0.05*rng.Float64())
 	need := vec.Of(0.05+0.2*rng.Float64(), 0.02*rng.Float64())

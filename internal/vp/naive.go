@@ -155,14 +155,6 @@ func naivePackByBins(inst *Instance, items []int, c Config) {
 	}
 }
 
-// SolveNaive runs one strategy inside the yield binary search with the naive
-// packing path.
-func SolveNaive(p *core.Problem, c Config, tol float64) *core.Result {
-	return SearchMaxYield(p, SearchOptions{Tol: tol}, func(y float64) (core.Placement, bool) {
-		return PackNaive(p, y, c)
-	})
-}
-
 // MetaConfigsNaive is MetaConfigs over the naive packing path: every
 // binary-search step rebuilds each strategy's instance and sort permutations
 // from scratch. It probes exactly the same (yield, strategy) sequence as

@@ -30,7 +30,7 @@ func TestKeyedPPMatchesNaiveReference(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		p := randomProblem(rng, 3, 8)
 		for _, y := range []float64{0, 0.4, 0.9} {
-			fast, okF := Pack(p, y, Config{Alg: PermutationPack, ItemOrder: io, BinOrder: NoOrder})
+			fast, okF := NewSolver(p).Pack(y, Config{Alg: PermutationPack, ItemOrder: io, BinOrder: NoOrder})
 			slow, okS := PackPermutationNaive(p, y, io, NoOrder)
 			if okF != okS {
 				t.Fatalf("iter %d y=%v: success mismatch fast=%v naive=%v", iter, y, okF, okS)
@@ -53,7 +53,7 @@ func TestKeyedPPMatchesNaive4D(t *testing.T) {
 	io := Order{Metric: vec.MetricMax, Descending: true}
 	for iter := 0; iter < 15; iter++ {
 		p := random4DProblem(rng, 3, 7)
-		fast, okF := Pack(p, 0, Config{Alg: PermutationPack, ItemOrder: io, BinOrder: NoOrder})
+		fast, okF := NewSolver(p).Pack(0, Config{Alg: PermutationPack, ItemOrder: io, BinOrder: NoOrder})
 		slow, okS := PackPermutationNaive(p, 0, io, NoOrder)
 		if okF != okS {
 			t.Fatalf("iter %d: success mismatch fast=%v naive=%v", iter, okF, okS)
@@ -96,7 +96,7 @@ func TestWindowSizeChangesSelection4D(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		p := random4DProblem(rng, 3, 8)
 		for _, w := range []int{1, 2, 4} {
-			pl, ok := Pack(p, 0, Config{Alg: PermutationPack, ItemOrder: io, Window: w})
+			pl, ok := NewSolver(p).Pack(0, Config{Alg: PermutationPack, ItemOrder: io, Window: w})
 			if !ok {
 				continue
 			}

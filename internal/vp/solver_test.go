@@ -106,7 +106,7 @@ func TestMetaConfigsMatchesNaiveReference(t *testing.T) {
 // succeeds. TestSearchMaxYieldShortCircuitAtOne covers a success at y = 1.
 func TestSearchMaxYieldProbeSequence(t *testing.T) {
 	p := simpleProblem()
-	pl, ok := Pack(p, 0, Config{Alg: FirstFit})
+	pl, ok := NewSolver(p).Pack(0, Config{Alg: FirstFit})
 	if !ok {
 		t.Fatal("simpleProblem does not pack at yield 0")
 	}

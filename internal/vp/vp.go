@@ -292,15 +292,6 @@ func (c Config) String() string {
 	return fmt.Sprintf("%s-%s[items=%s,bins=%s]", prefix, c.Alg, c.ItemOrder, c.BinOrder)
 }
 
-// Pack attempts to pack every service at yield y under strategy c, returning
-// the placement and whether it is complete. It is the one-shot convenience
-// front-end; callers packing the same problem repeatedly (binary-search
-// steps, meta-strategy rosters) should hold a Solver, which reuses all
-// scratch state and sort permutations across calls.
-func Pack(p *core.Problem, y float64, c Config) (core.Placement, bool) {
-	return NewSolver(p).Pack(y, c)
-}
-
 // TryFunc attempts a packing at a yield, returning a complete placement and
 // success. The placement only needs to stay valid until the next invocation
 // of the same TryFunc: searches copy any placement they retain, so solvers

@@ -108,7 +108,7 @@ func TestPlaceTwicePanics(t *testing.T) {
 
 func TestPackFirstFitSucceedsAtYield1(t *testing.T) {
 	p := simpleProblem()
-	pl, ok := Pack(p, 1.0, Config{Alg: FirstFit, ItemOrder: NoOrder, BinOrder: NoOrder})
+	pl, ok := NewSolver(p).Pack(1.0, Config{Alg: FirstFit, ItemOrder: NoOrder, BinOrder: NoOrder})
 	if !ok {
 		t.Fatal("FF should pack at yield 1")
 	}
@@ -121,7 +121,7 @@ func TestPackFailsWhenOverCapacity(t *testing.T) {
 	p := simpleProblem()
 	p.Services = append(p.Services, service(0.1, 0.9, 0.1)) // mem 0.9 + 0.3 > 1.0 anywhere combined
 	p.Services = append(p.Services, service(0.1, 0.9, 0.1))
-	_, ok := Pack(p, 1.0, Config{Alg: FirstFit})
+	_, ok := NewSolver(p).Pack(1.0, Config{Alg: FirstFit})
 	if ok {
 		t.Fatal("should fail at yield 1 with four services")
 	}
@@ -131,7 +131,7 @@ func TestBestFitHomogeneousStacks(t *testing.T) {
 	p := simpleProblem()
 	// At yield 0, items are tiny (0.1 CPU, 0.3 mem): homogeneous BF puts the
 	// second item on the fullest bin = where the first went.
-	pl, ok := Pack(p, 0, Config{Alg: BestFit})
+	pl, ok := NewSolver(p).Pack(0, Config{Alg: BestFit})
 	if !ok {
 		t.Fatal("BF should pack at yield 0")
 	}
@@ -145,7 +145,7 @@ func TestBestFitHeteroPrefersSmallestRemaining(t *testing.T) {
 		Nodes:    []core.Node{node(0.5, 2.0, 2.0), node(0.25, 1.0, 1.0)},
 		Services: []core.Service{service(0.1, 0.3, 0.0)},
 	}
-	pl, ok := Pack(p, 0, Config{Alg: BestFit, Hetero: true})
+	pl, ok := NewSolver(p).Pack(0, Config{Alg: BestFit, Hetero: true})
 	if !ok {
 		t.Fatal("should pack")
 	}
@@ -170,7 +170,7 @@ func TestPermutationPackComplementsBin(t *testing.T) {
 			},
 		},
 	}
-	pl, ok := Pack(p, 0, Config{Alg: PermutationPack})
+	pl, ok := NewSolver(p).Pack(0, Config{Alg: PermutationPack})
 	if !ok {
 		t.Fatalf("PP should pack both items (loads 0.7, 0.7): %v", pl)
 	}
@@ -185,8 +185,8 @@ func TestChoosePackWindowOneEqualsPermutationPack(t *testing.T) {
 			c1 := Config{Alg: PermutationPack, ItemOrder: Order{Metric: vec.MetricSum, Descending: true}, Window: 1}
 			c2 := c1
 			c2.Alg = ChoosePack
-			pl1, ok1 := Pack(p, y, c1)
-			pl2, ok2 := Pack(p, y, c2)
+			pl1, ok1 := NewSolver(p).Pack(y, c1)
+			pl2, ok2 := NewSolver(p).Pack(y, c2)
 			if ok1 != ok2 {
 				t.Fatalf("iter %d y=%v: success mismatch PP=%v CP=%v", iter, y, ok1, ok2)
 			}
@@ -222,7 +222,7 @@ func TestSearchMaxYieldShortCircuitAtOne(t *testing.T) {
 	var probes []float64
 	res := SearchMaxYield(p, SearchOptions{Tol: 1e-4}, func(y float64) (core.Placement, bool) {
 		probes = append(probes, y)
-		return Pack(p, y, Config{Alg: FirstFit})
+		return NewSolver(p).Pack(y, Config{Alg: FirstFit})
 	})
 	if !res.Solved || res.MinYield < 1-1e-9 {
 		t.Fatalf("yield = %v", res.MinYield)
@@ -292,7 +292,7 @@ func TestQuickPackYieldConsistency(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		y := math.Abs(math.Mod(yRaw, 1))
 		p := randomProblem(rng, 3, 6)
-		pl, ok := Pack(p, y, Config{Alg: FirstFit, ItemOrder: Order{Metric: vec.MetricSum, Descending: true}})
+		pl, ok := NewSolver(p).Pack(y, Config{Alg: FirstFit, ItemOrder: Order{Metric: vec.MetricSum, Descending: true}})
 		if !ok {
 			return true
 		}

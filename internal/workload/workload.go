@@ -288,16 +288,3 @@ func PerturbCPUNeeds(trueP *core.Problem, maxErr float64, rng *rand.Rand) *core.
 	}
 	return est
 }
-
-// MeanCPUNeed returns the average aggregate CPU need over services, the
-// reference quantity the paper uses to express error magnitudes.
-func MeanCPUNeed(p *core.Problem) float64 {
-	if p.NumServices() == 0 {
-		return 0
-	}
-	s := 0.0
-	for j := range p.Services {
-		s += p.Services[j].NeedAgg[CPU]
-	}
-	return s / float64(p.NumServices())
-}

@@ -230,16 +230,29 @@ func TestPerturbZeroErrorIsIdentityShaped(t *testing.T) {
 	}
 }
 
+// meanCPUNeed returns the average aggregate CPU need over services, the
+// reference quantity the paper uses to express error magnitudes.
+func meanCPUNeed(p *core.Problem) float64 {
+	if p.NumServices() == 0 {
+		return 0
+	}
+	s := 0.0
+	for j := range p.Services {
+		s += p.Services[j].NeedAgg[CPU]
+	}
+	return s / float64(p.NumServices())
+}
+
 func TestMeanCPUNeed(t *testing.T) {
 	p := Generate(baseScenario())
-	m := MeanCPUNeed(p)
+	m := meanCPUNeed(p)
 	// Total need equals total capacity (16 nodes, ~0.5 each with clamping),
 	// so the mean per service is total/40.
 	want := p.TotalAggregate()[CPU] / 40
 	if math.Abs(m-want) > 1e-9 {
 		t.Fatalf("mean = %v, want %v", m, want)
 	}
-	if MeanCPUNeed(&core.Problem{}) != 0 {
+	if meanCPUNeed(&core.Problem{}) != 0 {
 		t.Fatal("empty problem mean should be 0")
 	}
 }
@@ -253,7 +266,7 @@ func TestMeanNeedScalesInverselyWithServices(t *testing.T) {
 	for i, j := range []int{100, 250, 500} {
 		scn := base
 		scn.Services = j
-		m := MeanCPUNeed(Generate(scn))
+		m := meanCPUNeed(Generate(scn))
 		if i > 0 && m >= prev {
 			t.Fatalf("mean need should decrease with service count: %v then %v", prev, m)
 		}
