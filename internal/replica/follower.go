@@ -53,11 +53,12 @@ func (o *Options) readyLag() int64 {
 	return o.ReadyLag
 }
 
-// Follower is a read-only vmallocd store fed by a leader's WAL stream. It
-// implements the server API surface: reads are served from the continuously
-// replayed restore seam, mutations fail with server.ErrReadOnly (503 +
-// Retry-After at the HTTP layer), and Promote flips the directory into a
-// writable Store after verifying chain agreement with the leader.
+// Follower is the read side of a vmallocd replica, fed by a leader's WAL
+// stream. It has no mutations: it serves the store's reads from the
+// continuously replayed restore seam and the replication reads from its own
+// journals, and Promote flips the directory into a writable Store after
+// verifying chain agreement with the leader. A Switch puts it behind the
+// HTTP handler and refuses writes until promotion.
 //
 // Apply order is durable-first: a streamed batch lands in the local WAL
 // (fsynced per the configured policy) before it mutates the in-memory
@@ -368,43 +369,10 @@ func (f *Follower) Close() error {
 	}
 	f.closed = true
 	f.mu.Unlock()
-	return f.rep.Close()
+	return f.rep.Journals.Close()
 }
 
-// --- server API surface (read-only) ---
-
-// AddWithEstimate refuses: the follower is read-only until promoted.
-func (f *Follower) AddWithEstimate(trueSvc, estSvc vmalloc.Service) (int, int, error) {
-	return 0, -1, server.ErrReadOnly
-}
-
-// AddBatch refuses: the follower is read-only until promoted.
-func (f *Follower) AddBatch(specs []server.AddSpec) ([]server.AddOutcome, error) {
-	return nil, server.ErrReadOnly
-}
-
-// Remove refuses: the follower is read-only until promoted.
-func (f *Follower) Remove(id int) (bool, error) { return false, server.ErrReadOnly }
-
-// UpdateNeeds refuses: the follower is read-only until promoted.
-func (f *Follower) UpdateNeeds(id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
-	return server.ErrReadOnly
-}
-
-// SetThreshold refuses: the follower is read-only until promoted.
-func (f *Follower) SetThreshold(th float64) error { return server.ErrReadOnly }
-
-// Reallocate refuses: the follower is read-only until promoted.
-func (f *Follower) Reallocate() (*vmalloc.ClusterEpoch, error) { return nil, server.ErrReadOnly }
-
-// Repair refuses: the follower is read-only until promoted.
-func (f *Follower) Repair(budget int) (*vmalloc.ClusterEpoch, error) {
-	return nil, server.ErrReadOnly
-}
-
-// Checkpoint refuses: snapshot cadence is the leader's job; the follower
-// bootstraps from the leader's checkpoints instead of cutting its own.
-func (f *Follower) Checkpoint() (uint64, error) { return 0, server.ErrReadOnly }
+// --- reads the Switch forwards until promotion ---
 
 // MinYield evaluates the replicated placement under the §6 error model.
 func (f *Follower) MinYield(policy vmalloc.SchedPolicy) (float64, error) {
@@ -464,27 +432,7 @@ func (f *Follower) ShardStats() ([]vmalloc.ShardStat, error) {
 }
 
 // JournalIOStats sums the local shard journals' write-path counters.
-func (f *Follower) JournalIOStats() journal.IOStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var sum journal.IOStats
-	if f.closed {
-		return sum
-	}
-	for _, j := range f.rep.Journals {
-		st := j.IOStats()
-		sum.Records += st.Records
-		sum.Batches += st.Batches
-		sum.Fsyncs += st.Fsyncs
-		sum.Rotations += st.Rotations
-		for i := range sum.BatchSizes {
-			sum.BatchSizes[i] += st.BatchSizes[i]
-		}
-	}
-	return sum
-}
-
-// --- leader-side replication surface (chained followers, status) ---
+func (f *Follower) JournalIOStats() journal.IOStats { return f.rep.Journals.IOStats() }
 
 // ReplicaManifest returns the mirrored shard manifest, so a follower can
 // itself seed further replicas.
@@ -501,67 +449,40 @@ func (f *Follower) ReplicaManifest() (*server.ShardManifest, error) {
 // bootstrap checkpoint installed from the leader, until promotion cuts new
 // ones).
 func (f *Follower) ReplicaCheckpoint(shard int) (*journal.Checkpoint, error) {
-	j, err := f.shardJournal(shard)
+	js, err := f.journals()
 	if err != nil {
 		return nil, err
 	}
-	cp, err := j.LatestCheckpoint()
-	if err != nil {
-		return nil, err
-	}
-	if cp == nil {
-		return nil, fmt.Errorf("replica: shard %d has no checkpoint", shard)
-	}
-	return cp, nil
+	return js.Checkpoint(shard)
 }
 
 // ReplicaStream serves raw committed frames from the local WAL.
 func (f *Follower) ReplicaStream(shard int, from uint64, maxBytes int) (*server.StreamBatch, error) {
-	j, err := f.shardJournal(shard)
+	js, err := f.journals()
 	if err != nil {
 		return nil, err
 	}
-	data, first, last, err := j.ReadEncoded(from, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	if first == 0 {
-		return nil, nil
-	}
-	return &server.StreamBatch{First: first, Last: last, Data: data}, nil
+	return js.Stream(shard, from, maxBytes)
 }
 
 // ChainStatus returns the local shard journals' integrity-chain status.
 func (f *Follower) ChainStatus() ([]server.ShardChain, error) {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, server.ErrClosed
+	js, err := f.journals()
+	if err != nil {
+		return nil, err
 	}
-	js := f.rep.Journals
-	f.mu.Unlock()
-	out := make([]server.ShardChain, len(js))
-	for i, j := range js {
-		out[i] = server.ShardChain{
-			Shard:        i,
-			CommittedSeq: j.CommittedSeq(),
-			Head:         j.CommittedHead(),
-			Entries:      j.Entries(),
-		}
-	}
-	return out, nil
+	return js.Chains(), nil
 }
 
-func (f *Follower) shardJournal(shard int) (*journal.Journal, error) {
+// journals returns the local shard journals, or server.ErrClosed once the
+// follower is closed.
+func (f *Follower) journals() (server.Journals, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return nil, server.ErrClosed
 	}
-	if shard < 0 || shard >= len(f.rep.Journals) {
-		return nil, fmt.Errorf("replica: shard %d of %d", shard, len(f.rep.Journals))
-	}
-	return f.rep.Journals[shard], nil
+	return f.rep.Journals, nil
 }
 
 // ReplicationStatus reports the follower's cursors, lag and counters.

@@ -55,10 +55,10 @@ func (f *Follower) Promote(ctx context.Context) (*server.Store, error) {
 	f.mu.Lock()
 	f.closed = true
 	f.mu.Unlock()
-	if err := f.rep.Close(); err != nil {
+	if err := f.rep.Journals.Close(); err != nil {
 		return nil, fmt.Errorf("replica: promote: closing journals: %w", err)
 	}
-	st, err := server.OpenSharded(f.opts.Dir, nil, f.opts.Server)
+	st, err := server.Open(f.opts.Dir, nil, f.opts.Server)
 	if err != nil {
 		return nil, fmt.Errorf("replica: promote: %w", err)
 	}

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -61,7 +63,7 @@ func drive(t *testing.T, s *server.Store, n int, seed int64) (live []int) {
 				svc := testService(rng)
 				specs[j] = server.AddSpec{True: svc, Est: svc}
 			}
-			out, err := s.AddBatch(specs)
+			out, err := s.AddBatch(context.Background(), specs)
 			if err != nil {
 				t.Fatalf("op %d batch: %v", i, err)
 			}
@@ -182,7 +184,9 @@ func shardWALBytes(t *testing.T, dir string, shard int) []byte {
 	return all
 }
 
-func stateBytes(t *testing.T, s server.API) []byte {
+func stateBytes(t *testing.T, s interface {
+	State() (*vmalloc.ClusterState, []byte, error)
+}) []byte {
 	t.Helper()
 	_, data, err := s.State()
 	if err != nil {
@@ -221,17 +225,6 @@ func testFollowerReplicatesAndServes(t *testing.T, shards int) {
 		t.Fatalf("min yield: follower %v, leader %v", fy, ly)
 	}
 
-	// Mutations are refused with the read-only sentinel.
-	if _, _, err := f.AddWithEstimate(vmalloc.Service{}, vmalloc.Service{}); !errors.Is(err, server.ErrReadOnly) {
-		t.Fatalf("follower add: %v, want ErrReadOnly", err)
-	}
-	if _, err := f.Remove(1); !errors.Is(err, server.ErrReadOnly) {
-		t.Fatalf("follower remove: %v, want ErrReadOnly", err)
-	}
-	if _, err := f.Checkpoint(); !errors.Is(err, server.ErrReadOnly) {
-		t.Fatalf("follower checkpoint: %v, want ErrReadOnly", err)
-	}
-
 	// Caught up and polled: ready.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -255,8 +248,9 @@ func testFollowerReplicatesAndServes(t *testing.T, shards int) {
 }
 
 // TestFollowerHTTPSurface drives the follower through its own HTTP server:
-// reads serve, mutations get 503 + Retry-After, /readyz reports readiness,
-// and POST /v1/promote returns 409 while the follower lags a live leader.
+// reads serve, every mutating route gets 503 + Retry-After and leaves the
+// state untouched, /readyz reports readiness, and POST /v1/promote returns
+// 409 while the follower lags a live leader.
 func TestFollowerHTTPSurface(t *testing.T) {
 	leader, ts := boot(t, 33)
 	defer ts.Close()
@@ -282,17 +276,36 @@ func TestFollowerHTTPSurface(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(fts.URL+"/v1/services", "application/json",
-		bytes.NewReader([]byte(`{"true":{"req_elem":[0.01,0.01],"req_agg":[0.01,0.01],"need_elem":[0.01,0.01],"need_agg":[0.01,0.01]}}`)))
-	if err != nil {
-		t.Fatal(err)
+	// Every mutating route, each with a body that decodes, so the refusal
+	// comes from the store surface and not from request validation.
+	const svc = `{"req_elem":[0.01,0.01],"req_agg":[0.01,0.01],"need_elem":[0.01,0.01],"need_agg":[0.01,0.01]}`
+	before := httpBody(t, fts.URL+"/v1/snapshot")
+	for _, m := range []struct{ method, path, body string }{
+		{"POST", "/v1/services", `{"true":` + svc + `}`},
+		{"POST", "/v1/services:batch", `{"services":[{"true":` + svc + `}]}`},
+		{"DELETE", "/v1/services/1", ""},
+		{"PUT", "/v1/services/1/needs", `{"true_elem":[0.1,0.1],"true_agg":[0.1,0.1],"est_elem":[0.1,0.1],"est_agg":[0.1,0.1]}`},
+		{"PUT", "/v1/threshold", `{"threshold":0.3}`},
+		{"POST", "/v1/reallocate", ""},
+		{"POST", "/v1/repair", `{"budget":2}`},
+		{"POST", "/v1/snapshot", ""},
+	} {
+		req, err := http.NewRequest(m.method, fts.URL+m.path, strings.NewReader(m.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s %s on follower = %d (Retry-After %q), want 503 with Retry-After",
+				m.method, m.path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("mutation on follower = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 carries no Retry-After")
+	if after := httpBody(t, fts.URL+"/v1/snapshot"); !bytes.Equal(after, before) {
+		t.Fatal("refused mutations changed the follower's snapshot")
 	}
 
 	// Stall the follower behind fresh leader traffic (poll sleeps are long
@@ -327,7 +340,7 @@ func TestFollowerHTTPSurface(t *testing.T) {
 	}
 
 	waitCaughtUp(t, leader, f)
-	resp, err = http.Post(fts.URL+"/v1/promote", "", nil)
+	resp, err := http.Post(fts.URL+"/v1/promote", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,6 +362,60 @@ func TestFollowerHTTPSurface(t *testing.T) {
 	}
 	if !sw.ReplicationStatus().Promoted {
 		t.Fatal("replication status does not report promotion")
+	}
+}
+
+// httpBody GETs url and returns the body of a 200 response.
+func httpBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, b)
+	}
+	return b
+}
+
+// TestReplicaReadsRejectBadShard pins the /v1/replica/* error contract on
+// both roles: a shard index out of range is the client's fault (400) on a
+// leader and on a follower alike, and an absent shard selects shard 0.
+func TestReplicaReadsRejectBadShard(t *testing.T) {
+	leader, ts := boot(t, 37)
+	defer ts.Close()
+	defer leader.Close()
+	drive(t, leader, 20, 5)
+	sw := NewSwitch(follow(t, ts))
+	defer sw.Close()
+	fts := httptest.NewServer(server.NewHandler(sw, nil, nil, nil))
+	defer fts.Close()
+
+	for role, base := range map[string]string{"leader": ts.URL, "follower": fts.URL} {
+		for _, c := range []struct {
+			query string
+			want  int
+		}{
+			{"/v1/replica/checkpoint?shard=2", http.StatusBadRequest},
+			{"/v1/replica/checkpoint?shard=-1", http.StatusBadRequest},
+			{"/v1/replica/stream?shard=2&from=0", http.StatusBadRequest},
+			{"/v1/replica/stream?shard=-1&from=0", http.StatusBadRequest},
+			{"/v1/replica/checkpoint", http.StatusOK},
+		} {
+			resp, err := http.Get(base + c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("%s: GET %s = %d, want %d", role, c.query, resp.StatusCode, c.want)
+			}
+		}
 	}
 }
 
@@ -432,7 +499,7 @@ func TestPromoteMidBatchNeverLosesAcked(t *testing.T) {
 			svc := testService(rng)
 			specs[j] = server.AddSpec{True: svc, Est: svc}
 		}
-		out, err := leader.AddBatch(specs)
+		out, err := leader.AddBatch(context.Background(), specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +522,7 @@ func TestPromoteMidBatchNeverLosesAcked(t *testing.T) {
 			svc := testService(r)
 			specs[j] = server.AddSpec{True: svc, Est: svc}
 		}
-		leader.AddBatch(specs) // may fail: the store dies underneath it
+		leader.AddBatch(context.Background(), specs) // may fail: the store dies underneath it
 	}()
 	leader.Kill()
 	wg.Wait()

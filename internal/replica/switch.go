@@ -10,14 +10,14 @@ import (
 	"vmalloc/internal/server"
 )
 
-// Switch fronts a follower and, after promotion, the writable store that
-// replaces it — one stable value the HTTP server holds for the life of the
-// process. Every server interface (the core API plus the optional shard,
-// journal, replication, promotion and readiness surfaces) delegates to the
-// current backend through one atomic pointer, so promotion is a single
-// pointer swap: in-flight reads finish against the old follower, new
-// requests land on the writable store, and no request ever observes a
-// half-switched server.
+// Switch is the server.API of a follower daemon: one stable value the HTTP
+// server holds for the life of the process. Until promotion it refuses every
+// mutation itself, with server.ErrReadOnly (503 + Retry-After at the HTTP
+// layer), and forwards reads to the follower; Promote swaps in the writable
+// store that replaces the follower, and from then on everything forwards to
+// that store. The swap is one atomic pointer store: in-flight reads finish
+// against the old follower, new requests land on the writable store, and no
+// request ever observes a half-switched server.
 type Switch struct {
 	cur atomic.Pointer[backend]
 
@@ -25,23 +25,32 @@ type Switch struct {
 	follower *Follower
 }
 
-// backend is the current serving state: exactly one of f/st is non-nil.
-type backend struct {
-	f  *Follower
-	st *server.Store
+// reads is the read surface of server.API, which the follower and the
+// promoted store both serve.
+type reads interface {
+	MinYield(policy vmalloc.SchedPolicy) (float64, error)
+	State() (*vmalloc.ClusterState, []byte, error)
+	Stats() server.Stats
+	ShardStats() ([]vmalloc.ShardStat, error)
+	JournalIOStats() journal.IOStats
+	Ready() error
+	ReplicaManifest() (*server.ShardManifest, error)
+	ReplicaCheckpoint(shard int) (*journal.Checkpoint, error)
+	ReplicaStream(shard int, from uint64, maxBytes int) (*server.StreamBatch, error)
+	ChainStatus() ([]server.ShardChain, error)
 }
 
-func (b *backend) api() server.API {
-	if b.st != nil {
-		return b.st
-	}
-	return b.f
+// backend is the current serving state: the follower's reads until
+// promotion, then the promoted store for everything.
+type backend struct {
+	reads
+	st *server.Store // nil until promotion
 }
 
 // NewSwitch wraps a running follower.
 func NewSwitch(f *Follower) *Switch {
 	s := &Switch{follower: f}
-	s.cur.Store(&backend{f: f})
+	s.cur.Store(&backend{reads: f})
 	return s
 }
 
@@ -58,154 +67,16 @@ func (s *Switch) Promote() error {
 	if err != nil {
 		return err
 	}
-	s.cur.Store(&backend{st: st})
+	s.cur.Store(&backend{reads: st, st: st})
 	return nil
 }
 
 // Close shuts down whichever backend is serving.
 func (s *Switch) Close() error {
-	b := s.cur.Load()
-	if b.st != nil {
-		return b.st.Close()
+	if st := s.cur.Load().st; st != nil {
+		return st.Close()
 	}
-	return b.f.Close()
-}
-
-// --- server.API ---
-
-func (s *Switch) AddWithEstimate(trueSvc, estSvc vmalloc.Service) (int, int, error) {
-	return s.cur.Load().api().AddWithEstimate(trueSvc, estSvc)
-}
-
-func (s *Switch) AddBatch(specs []server.AddSpec) ([]server.AddOutcome, error) {
-	return s.cur.Load().api().AddBatch(specs)
-}
-
-func (s *Switch) Remove(id int) (bool, error) { return s.cur.Load().api().Remove(id) }
-
-func (s *Switch) UpdateNeeds(id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
-	return s.cur.Load().api().UpdateNeeds(id, trueElem, trueAgg, estElem, estAgg)
-}
-
-func (s *Switch) SetThreshold(th float64) error { return s.cur.Load().api().SetThreshold(th) }
-
-func (s *Switch) Reallocate() (*vmalloc.ClusterEpoch, error) {
-	return s.cur.Load().api().Reallocate()
-}
-
-func (s *Switch) Repair(budget int) (*vmalloc.ClusterEpoch, error) {
-	return s.cur.Load().api().Repair(budget)
-}
-
-func (s *Switch) MinYield(policy vmalloc.SchedPolicy) (float64, error) {
-	return s.cur.Load().api().MinYield(policy)
-}
-
-func (s *Switch) State() (*vmalloc.ClusterState, []byte, error) {
-	return s.cur.Load().api().State()
-}
-
-func (s *Switch) Checkpoint() (uint64, error) { return s.cur.Load().api().Checkpoint() }
-
-func (s *Switch) Stats() server.Stats { return s.cur.Load().api().Stats() }
-
-// --- context-carrying mutations ---
-//
-// The handler traces mutations through these. A follower refuses every
-// mutation, so only the promoted store has anything to trace; forwarding
-// them keeps its apply/fsync_wait spans and epoch-ring trace ids after a
-// failover.
-
-func (s *Switch) AddBatchCtx(ctx context.Context, specs []server.AddSpec) ([]server.AddOutcome, error) {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.AddBatchCtx(ctx, specs)
-	}
-	return nil, server.ErrReadOnly
-}
-
-func (s *Switch) RemoveCtx(ctx context.Context, id int) (bool, error) {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.RemoveCtx(ctx, id)
-	}
-	return false, server.ErrReadOnly
-}
-
-func (s *Switch) UpdateNeedsCtx(ctx context.Context, id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.UpdateNeedsCtx(ctx, id, trueElem, trueAgg, estElem, estAgg)
-	}
-	return server.ErrReadOnly
-}
-
-func (s *Switch) SetThresholdCtx(ctx context.Context, th float64) error {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.SetThresholdCtx(ctx, th)
-	}
-	return server.ErrReadOnly
-}
-
-func (s *Switch) ReallocateCtx(ctx context.Context) (*vmalloc.ClusterEpoch, error) {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.ReallocateCtx(ctx)
-	}
-	return nil, server.ErrReadOnly
-}
-
-func (s *Switch) RepairCtx(ctx context.Context, budget int) (*vmalloc.ClusterEpoch, error) {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.RepairCtx(ctx, budget)
-	}
-	return nil, server.ErrReadOnly
-}
-
-// --- optional surfaces (shard stats, journal I/O, replication, readiness) ---
-
-func (s *Switch) ShardStats() ([]vmalloc.ShardStat, error) {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.ShardStats()
-	} else {
-		return b.f.ShardStats()
-	}
-}
-
-func (s *Switch) JournalIOStats() journal.IOStats {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.JournalIOStats()
-	} else {
-		return b.f.JournalIOStats()
-	}
-}
-
-func (s *Switch) ReplicaManifest() (*server.ShardManifest, error) {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.ReplicaManifest()
-	} else {
-		return b.f.ReplicaManifest()
-	}
-}
-
-func (s *Switch) ReplicaCheckpoint(shard int) (*journal.Checkpoint, error) {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.ReplicaCheckpoint(shard)
-	} else {
-		return b.f.ReplicaCheckpoint(shard)
-	}
-}
-
-func (s *Switch) ReplicaStream(shard int, from uint64, maxBytes int) (*server.StreamBatch, error) {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.ReplicaStream(shard, from, maxBytes)
-	} else {
-		return b.f.ReplicaStream(shard, from, maxBytes)
-	}
-}
-
-func (s *Switch) ChainStatus() ([]server.ShardChain, error) {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.ChainStatus()
-	} else {
-		return b.f.ChainStatus()
-	}
+	return s.follower.Close()
 }
 
 // ReplicationStatus always reports the follower's history — after promotion
@@ -215,10 +86,121 @@ func (s *Switch) ReplicationStatus() *server.ReplicationStatus {
 	return s.follower.ReplicationStatus()
 }
 
-func (s *Switch) Ready() error {
-	if b := s.cur.Load(); b.st != nil {
-		return b.st.Ready()
-	} else {
-		return b.f.Ready()
+// store returns the promoted store, or server.ErrReadOnly while the
+// follower is still serving. Every mutation goes through it.
+func (s *Switch) store() (*server.Store, error) {
+	if st := s.cur.Load().st; st != nil {
+		return st, nil
 	}
+	return nil, server.ErrReadOnly
 }
+
+// --- mutations ---
+
+func (s *Switch) AddBatch(ctx context.Context, specs []server.AddSpec) ([]server.AddOutcome, error) {
+	st, err := s.store()
+	if err != nil {
+		return nil, err
+	}
+	return st.AddBatch(ctx, specs)
+}
+
+func (s *Switch) RemoveCtx(ctx context.Context, id int) (bool, error) {
+	st, err := s.store()
+	if err != nil {
+		return false, err
+	}
+	return st.RemoveCtx(ctx, id)
+}
+
+func (s *Switch) UpdateNeedsCtx(ctx context.Context, id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
+	st, err := s.store()
+	if err != nil {
+		return err
+	}
+	return st.UpdateNeedsCtx(ctx, id, trueElem, trueAgg, estElem, estAgg)
+}
+
+func (s *Switch) SetThreshold(ctx context.Context, th float64) error {
+	st, err := s.store()
+	if err != nil {
+		return err
+	}
+	return st.SetThreshold(ctx, th)
+}
+
+func (s *Switch) ReallocateCtx(ctx context.Context) (*vmalloc.ClusterEpoch, error) {
+	st, err := s.store()
+	if err != nil {
+		return nil, err
+	}
+	return st.ReallocateCtx(ctx)
+}
+
+func (s *Switch) RepairCtx(ctx context.Context, budget int) (*vmalloc.ClusterEpoch, error) {
+	st, err := s.store()
+	if err != nil {
+		return nil, err
+	}
+	return st.RepairCtx(ctx, budget)
+}
+
+func (s *Switch) Checkpoint() (uint64, error) {
+	st, err := s.store()
+	if err != nil {
+		return 0, err
+	}
+	return st.Checkpoint()
+}
+
+func (s *Switch) AddWithEstimate(trueSvc, estSvc vmalloc.Service) (int, int, error) {
+	st, err := s.store()
+	if err != nil {
+		return 0, -1, err
+	}
+	return st.AddWithEstimate(trueSvc, estSvc)
+}
+
+func (s *Switch) Remove(id int) (bool, error) { return s.RemoveCtx(context.Background(), id) }
+
+func (s *Switch) UpdateNeeds(id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error {
+	return s.UpdateNeedsCtx(context.Background(), id, trueElem, trueAgg, estElem, estAgg)
+}
+
+func (s *Switch) Reallocate() (*vmalloc.ClusterEpoch, error) {
+	return s.ReallocateCtx(context.Background())
+}
+
+func (s *Switch) Repair(budget int) (*vmalloc.ClusterEpoch, error) {
+	return s.RepairCtx(context.Background(), budget)
+}
+
+// --- reads ---
+
+func (s *Switch) MinYield(policy vmalloc.SchedPolicy) (float64, error) {
+	return s.cur.Load().MinYield(policy)
+}
+
+func (s *Switch) State() (*vmalloc.ClusterState, []byte, error) { return s.cur.Load().State() }
+
+func (s *Switch) Stats() server.Stats { return s.cur.Load().Stats() }
+
+func (s *Switch) ShardStats() ([]vmalloc.ShardStat, error) { return s.cur.Load().ShardStats() }
+
+func (s *Switch) JournalIOStats() journal.IOStats { return s.cur.Load().JournalIOStats() }
+
+func (s *Switch) Ready() error { return s.cur.Load().Ready() }
+
+func (s *Switch) ReplicaManifest() (*server.ShardManifest, error) {
+	return s.cur.Load().ReplicaManifest()
+}
+
+func (s *Switch) ReplicaCheckpoint(shard int) (*journal.Checkpoint, error) {
+	return s.cur.Load().ReplicaCheckpoint(shard)
+}
+
+func (s *Switch) ReplicaStream(shard int, from uint64, maxBytes int) (*server.StreamBatch, error) {
+	return s.cur.Load().ReplicaStream(shard, from, maxBytes)
+}
+
+func (s *Switch) ChainStatus() ([]server.ShardChain, error) { return s.cur.Load().ChainStatus() }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -154,7 +155,7 @@ func TestBatchSingleEquivalence(t *testing.T) {
 			one := open(t.TempDir())
 			two := open(t.TempDir())
 
-			outs, err := one.AddBatch(specs)
+			outs, err := one.AddBatch(context.Background(), specs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +195,7 @@ func TestBatchKillRecovery(t *testing.T) {
 			svc := smallService(0.001 + float64(i)*1e-5)
 			specs[i] = AddSpec{True: svc, Est: svc}
 		}
-		outs, err := s.AddBatch(specs)
+		outs, err := s.AddBatch(context.Background(), specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,12 +275,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func allRoutes() []string {
 	ss := struct {
 		API
-		ctxAPI
-		shardStatser
-		replicaSource
-		replicaStatser
-		promoter
-		readier
+		follower
 	}{}
 	rs := routes(ss, &Metrics{}, &obs.Observer{})
 	out := make([]string, len(rs))

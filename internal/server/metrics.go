@@ -13,12 +13,6 @@ import (
 	"vmalloc/internal/obs"
 )
 
-// journalStatser is the optional journal I/O statistics surface; stores that
-// provide it feed the vmallocd_journal_* families.
-type journalStatser interface {
-	JournalIOStats() journal.IOStats
-}
-
 // Metrics instruments the HTTP surface and exposes store, shard and journal
 // state in the Prometheus text format on GET /metrics.
 type Metrics struct {
@@ -86,64 +80,60 @@ func NewMetrics(s API, o *obs.Observer) *Metrics {
 	gauge("vmallocd_snapshot_seq", "Sequence number covered by the newest snapshot.",
 		func(st Stats) float64 { return float64(st.SnapshotSeq) })
 
-	if js, ok := s.(journalStatser); ok {
-		reg.Collect("vmallocd_journal_fsyncs_total",
-			"Fsync barriers issued by the journal committer; records divided by "+
-				"fsyncs is the group-commit amortization factor.", "counter",
-			func(emit func(metrics.Labels, float64)) {
-				emit(nil, float64(js.JournalIOStats().Fsyncs))
-			})
-		reg.Collect("vmallocd_journal_rotations_total",
-			"Journal segment rotations.", "counter",
-			func(emit func(metrics.Labels, float64)) {
-				emit(nil, float64(js.JournalIOStats().Rotations))
-			})
-		bounds := make([]float64, len(journal.BatchSizeBounds))
-		for i, b := range journal.BatchSizeBounds {
-			bounds[i] = float64(b)
-		}
-		reg.CollectHistogram("vmallocd_journal_commit_records",
-			"Records per journal commit batch (one write, at most one fsync).",
-			func() metrics.HistogramSnapshot {
-				io := js.JournalIOStats()
-				cum := make([]uint64, len(bounds))
-				run := uint64(0)
-				for i := range bounds {
-					run += io.BatchSizes[i]
-					cum[i] = run
-				}
-				return metrics.HistogramSnapshot{
-					Bounds: bounds, CumCounts: cum,
-					Count: io.Batches, Sum: float64(io.Records),
-				}
-			})
+	reg.Collect("vmallocd_journal_fsyncs_total",
+		"Fsync barriers issued by the journal committer; records divided by "+
+			"fsyncs is the group-commit amortization factor.", "counter",
+		func(emit func(metrics.Labels, float64)) {
+			emit(nil, float64(s.JournalIOStats().Fsyncs))
+		})
+	reg.Collect("vmallocd_journal_rotations_total",
+		"Journal segment rotations.", "counter",
+		func(emit func(metrics.Labels, float64)) {
+			emit(nil, float64(s.JournalIOStats().Rotations))
+		})
+	bounds := make([]float64, len(journal.BatchSizeBounds))
+	for i, b := range journal.BatchSizeBounds {
+		bounds[i] = float64(b)
 	}
+	reg.CollectHistogram("vmallocd_journal_commit_records",
+		"Records per journal commit batch (one write, at most one fsync).",
+		func() metrics.HistogramSnapshot {
+			io := s.JournalIOStats()
+			cum := make([]uint64, len(bounds))
+			run := uint64(0)
+			for i := range bounds {
+				run += io.BatchSizes[i]
+				cum[i] = run
+			}
+			return metrics.HistogramSnapshot{
+				Bounds: bounds, CumCounts: cum,
+				Count: io.Batches, Sum: float64(io.Records),
+			}
+		})
 
-	if src, ok := s.(replicaSource); ok {
-		reg.Collect("vmallocd_replication_committed_seq",
-			"Leader-side committed (acked-durable) sequence per shard journal.", "gauge",
-			func(emit func(metrics.Labels, float64)) {
-				cs, err := src.ChainStatus()
-				if err != nil {
-					return
-				}
-				for _, c := range cs {
-					emit(metrics.L("shard", strconv.Itoa(c.Shard)), float64(c.CommittedSeq))
-				}
-			})
-	}
-	if rst, ok := s.(replicaStatser); ok {
+	reg.Collect("vmallocd_replication_committed_seq",
+		"Leader-side committed (acked-durable) sequence per shard journal.", "gauge",
+		func(emit func(metrics.Labels, float64)) {
+			cs, err := s.ChainStatus()
+			if err != nil {
+				return
+			}
+			for _, c := range cs {
+				emit(metrics.L("shard", strconv.Itoa(c.Shard)), float64(c.CommittedSeq))
+			}
+		})
+	if f, ok := s.(follower); ok {
 		reg.Collect("vmallocd_replication_applied_seq",
 			"Follower-side applied-durable sequence per shard journal.", "gauge",
 			func(emit func(metrics.Labels, float64)) {
-				for _, sh := range rst.ReplicationStatus().Shards {
+				for _, sh := range f.ReplicationStatus().Shards {
 					emit(metrics.L("shard", strconv.Itoa(sh.Shard)), float64(sh.AppliedSeq))
 				}
 			})
 		reg.Collect("vmallocd_replication_lag_records",
 			"Follower lag behind the leader's committed seq, per shard, at the last poll.", "gauge",
 			func(emit func(metrics.Labels, float64)) {
-				for _, sh := range rst.ReplicationStatus().Shards {
+				for _, sh := range f.ReplicationStatus().Shards {
 					emit(metrics.L("shard", strconv.Itoa(sh.Shard)), float64(sh.Lag))
 				}
 			})
@@ -151,91 +141,89 @@ func NewMetrics(s API, o *obs.Observer) *Metrics {
 			"Estimated backlog still to pull per shard: record lag times the "+
 				"mean applied record size.", "gauge",
 			func(emit func(metrics.Labels, float64)) {
-				for _, sh := range rst.ReplicationStatus().Shards {
+				for _, sh := range f.ReplicationStatus().Shards {
 					emit(metrics.L("shard", strconv.Itoa(sh.Shard)), float64(sh.BytesBehind))
 				}
 			})
 		reg.Collect("vmallocd_replication_last_applied_age_seconds",
 			"Seconds since the newest record applied to each shard.", "gauge",
 			func(emit func(metrics.Labels, float64)) {
-				for _, sh := range rst.ReplicationStatus().Shards {
+				for _, sh := range f.ReplicationStatus().Shards {
 					emit(metrics.L("shard", strconv.Itoa(sh.Shard)), sh.SecondsSinceApplied)
 				}
 			})
 		reg.Collect("vmallocd_replication_batches_total",
 			"Stream batches applied by the follower.", "counter",
 			func(emit func(metrics.Labels, float64)) {
-				emit(nil, float64(rst.ReplicationStatus().Batches))
+				emit(nil, float64(f.ReplicationStatus().Batches))
 			})
 		reg.Collect("vmallocd_replication_records_total",
 			"Records applied by the follower.", "counter",
 			func(emit func(metrics.Labels, float64)) {
-				emit(nil, float64(rst.ReplicationStatus().Records))
+				emit(nil, float64(f.ReplicationStatus().Records))
 			})
 		reg.Collect("vmallocd_replication_retries_total",
 			"Transient pull failures retried by the replication client.", "counter",
 			func(emit func(metrics.Labels, float64)) {
-				emit(nil, float64(rst.ReplicationStatus().Retries))
+				emit(nil, float64(f.ReplicationStatus().Retries))
 			})
 		reg.Collect("vmallocd_replication_promoted",
 			"1 once this process has been promoted to leader, else 0.", "gauge",
 			func(emit func(metrics.Labels, float64)) {
 				v := 0.0
-				if rst.ReplicationStatus().Promoted {
+				if f.ReplicationStatus().Promoted {
 					v = 1
 				}
 				emit(nil, v)
 			})
 	}
 
-	if ss, ok := s.(shardStatser); ok {
-		shardGauge := func(name, help string, f func(st vmalloc.ShardStat) (float64, bool)) {
-			reg.Collect(name, help, "gauge", func(emit func(metrics.Labels, float64)) {
-				stats, err := ss.ShardStats()
-				if err != nil {
-					return
+	shardGauge := func(name, help string, f func(st vmalloc.ShardStat) (float64, bool)) {
+		reg.Collect(name, help, "gauge", func(emit func(metrics.Labels, float64)) {
+			stats, err := s.ShardStats()
+			if err != nil {
+				return
+			}
+			for _, st := range stats {
+				if v, ok := f(st); ok {
+					emit(metrics.L("shard", strconv.Itoa(st.Shard)), v)
 				}
-				for _, st := range stats {
-					if v, ok := f(st); ok {
-						emit(metrics.L("shard", strconv.Itoa(st.Shard)), v)
-					}
-				}
-			})
-		}
-		shardGauge("vmallocd_shard_services", "Live services per placement domain.",
-			func(st vmalloc.ShardStat) (float64, bool) { return float64(st.Services), true })
-		shardGauge("vmallocd_shard_headroom", "Admission headroom per placement domain.",
-			func(st vmalloc.ShardStat) (float64, bool) { return st.Headroom, true })
-		shardGauge("vmallocd_shard_min_yield",
-			"Minimum yield of the shard's last solved epoch (absent before any).",
-			func(st vmalloc.ShardStat) (float64, bool) { return st.LastMinYield, st.YieldValid })
-		reg.Collect("vmallocd_shard_epochs_total",
-			"Per-shard reallocation epochs by result.", "counter",
-			func(emit func(metrics.Labels, float64)) {
-				stats, err := ss.ShardStats()
-				if err != nil {
-					return
-				}
-				for _, st := range stats {
-					sh := strconv.Itoa(st.Shard)
-					emit(metrics.L("shard", sh, "result", "solved"), float64(st.Epochs-st.FailedEpochs))
-					emit(metrics.L("shard", sh, "result", "failed"), float64(st.FailedEpochs))
-				}
-			})
-		reg.Collect("vmallocd_shard_moves_total",
-			"Cross-shard rebalance migrations by direction.", "counter",
-			func(emit func(metrics.Labels, float64)) {
-				stats, err := ss.ShardStats()
-				if err != nil {
-					return
-				}
-				for _, st := range stats {
-					sh := strconv.Itoa(st.Shard)
-					emit(metrics.L("shard", sh, "direction", "in"), float64(st.MovedIn))
-					emit(metrics.L("shard", sh, "direction", "out"), float64(st.MovedOut))
-				}
-			})
+			}
+		})
 	}
+	shardGauge("vmallocd_shard_services", "Live services per placement domain.",
+		func(st vmalloc.ShardStat) (float64, bool) { return float64(st.Services), true })
+	shardGauge("vmallocd_shard_headroom", "Admission headroom per placement domain.",
+		func(st vmalloc.ShardStat) (float64, bool) { return st.Headroom, true })
+	shardGauge("vmallocd_shard_min_yield",
+		"Minimum yield of the shard's last solved epoch (absent before any).",
+		func(st vmalloc.ShardStat) (float64, bool) { return st.LastMinYield, st.YieldValid })
+	reg.Collect("vmallocd_shard_epochs_total",
+		"Per-shard reallocation epochs by result.", "counter",
+		func(emit func(metrics.Labels, float64)) {
+			stats, err := s.ShardStats()
+			if err != nil {
+				return
+			}
+			for _, st := range stats {
+				sh := strconv.Itoa(st.Shard)
+				emit(metrics.L("shard", sh, "result", "solved"), float64(st.Epochs-st.FailedEpochs))
+				emit(metrics.L("shard", sh, "result", "failed"), float64(st.FailedEpochs))
+			}
+		})
+	reg.Collect("vmallocd_shard_moves_total",
+		"Cross-shard rebalance migrations by direction.", "counter",
+		func(emit func(metrics.Labels, float64)) {
+			stats, err := s.ShardStats()
+			if err != nil {
+				return
+			}
+			for _, st := range stats {
+				sh := strconv.Itoa(st.Shard)
+				emit(metrics.L("shard", sh, "direction", "in"), float64(st.MovedIn))
+				emit(metrics.L("shard", sh, "direction", "out"), float64(st.MovedOut))
+			}
+		})
 
 	registerRuntimeMetrics(reg)
 	registerObserverMetrics(reg, o)

@@ -1,14 +1,12 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"strings"
 	"time"
 
-	"vmalloc"
 	"vmalloc/internal/obs"
 )
 
@@ -18,34 +16,6 @@ import (
 // and stamps the request log line, so a 5xx response can always be chased
 // back to its spans.
 const RequestIDHeader = "X-Request-Id"
-
-// ctxAPI is the context-carrying mutation surface every store behind the
-// handler provides next to API (Store; replica.Switch, which forwards it to
-// the promoted store): handlers pass the request context through so apply,
-// fsync_wait and epoch spans attach to the request's trace and epoch-ring
-// entries carry its id. API itself stays context-free until its remaining
-// callers move.
-type ctxAPI interface {
-	AddBatchCtx(ctx context.Context, specs []AddSpec) ([]AddOutcome, error)
-	RemoveCtx(ctx context.Context, id int) (bool, error)
-	UpdateNeedsCtx(ctx context.Context, id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error
-	SetThresholdCtx(ctx context.Context, th float64) error
-	ReallocateCtx(ctx context.Context) (*vmalloc.ClusterEpoch, error)
-	RepairCtx(ctx context.Context, budget int) (*vmalloc.ClusterEpoch, error)
-}
-
-// addOne admits a single service as a batch of one, the way every store's
-// AddWithEstimate does, but under the request context.
-func addOne(ctx context.Context, c ctxAPI, trueSvc, estSvc vmalloc.Service) (id, node int, err error) {
-	out, err := c.AddBatchCtx(ctx, []AddSpec{{True: trueSvc, Est: estSvc}})
-	if err != nil {
-		return 0, -1, err
-	}
-	if out[0].Err != nil {
-		return 0, -1, out[0].Err
-	}
-	return out[0].ID, out[0].Node, nil
-}
 
 // instrumented reports whether a route takes part in per-endpoint latency
 // instrumentation and request tracing. The scrape and debug surfaces are

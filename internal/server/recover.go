@@ -182,26 +182,13 @@ func prepareDir(dir string, nodes []vmalloc.Node, opts *Options) error {
 type ShardedReplay struct {
 	Manifest *ShardManifest
 	Restore  *vmalloc.ShardedRestore
-	Journals []*journal.Journal
+	Journals Journals
 	// Boot-time recovery facts, summed over shards.
 	Replayed       int
 	TruncatedBytes int
 	SnapshotSeq    uint64
 	// Fresh reports that at least one shard had no snapshot (first boot).
 	Fresh bool
-}
-
-// Close releases the shard journals (and with them the directory locks).
-func (rp *ShardedReplay) Close() error {
-	var first error
-	for _, j := range rp.Journals {
-		if j != nil {
-			if err := j.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
 }
 
 // OpenShardedReplay recovers a journal directory up to — but not including —
@@ -290,11 +277,11 @@ func OpenShardedReplay(dir string, opts *Options) (*ShardedReplay, error) {
 	}
 
 	// Phase 3: open the journals for appending.
-	rp.Journals = make([]*journal.Journal, m.Shards)
+	rp.Journals = make(Journals, m.Shards)
 	for i, rc := range recs {
 		j, err := rc.Journal()
 		if err != nil {
-			rp.Close()
+			rp.Journals.Close()
 			return nil, fmt.Errorf("server: shard %d: %w", i, err)
 		}
 		rp.Journals[i] = j

@@ -7,18 +7,21 @@ import (
 	"vmalloc/internal/journal"
 )
 
-// This file is the leader-side replication surface of the durable tier: a
-// store exposes its shard manifest, per-shard bootstrap checkpoints, raw
-// committed WAL frames and integrity-chain status, which the HTTP layer
-// serves under /v1/replica/* and a follower daemon consumes (internal/replica).
+// This file is the replication surface of the durable tier: a store exposes
+// its shard manifest, per-shard bootstrap checkpoints, raw committed WAL
+// frames and integrity-chain status, which the HTTP layer serves under
+// /v1/replica/* and a follower daemon consumes (internal/replica). A
+// follower serves the same reads over its own journals (Journals), so
+// followers can be chained.
 //
 // The follower replays through the same ShardedRestore seam crash recovery
 // uses, so every replicated byte travels the code path that is already
 // proven byte-identical by the recovery tests.
 
-// ErrReadOnly is returned by mutations on a store that is following a leader
-// and has not been promoted. The HTTP layer maps it to 503 with Retry-After,
-// so well-behaved clients back off and retry against the promoted store.
+// ErrReadOnly is returned by every mutation of a replica.Switch until the
+// follower behind it is promoted. The HTTP layer maps it to 503 with
+// Retry-After, so well-behaved clients back off and retry against the
+// promoted store.
 var ErrReadOnly = errors.New("server: read-only replica (not promoted)")
 
 // ErrCompacted re-exports the journal's compaction sentinel: the requested
@@ -47,34 +50,13 @@ type ShardChain struct {
 	Entries      []journal.ChainPoint `json:"entries"`
 }
 
-// replicaSource is the optional leader-side replication surface; a store
-// that provides it (Store, a follower, a Switch) additionally serves the
-// /v1/replica/* read endpoints.
-type replicaSource interface {
-	ReplicaManifest() (*ShardManifest, error)
-	ReplicaCheckpoint(shard int) (*journal.Checkpoint, error)
-	ReplicaStream(shard int, from uint64, maxBytes int) (*StreamBatch, error)
-	ChainStatus() ([]ShardChain, error)
-}
-
-// replicaStatser is the optional follower-side surface: lag and cursor
-// telemetry served on GET /v1/replica/status and exported as metrics.
-type replicaStatser interface {
+// follower is the surface only a replication follower (replica.Switch) has:
+// lag and cursor telemetry, served on GET /v1/replica/status and exported as
+// metrics, and POST /v1/promote, which flips the follower into a writable
+// leader after verifying it caught up.
+type follower interface {
 	ReplicationStatus() *ReplicationStatus
-}
-
-// promoter is the optional failover surface: POST /v1/promote flips a
-// following store into a writable leader after verifying it caught up.
-type promoter interface {
 	Promote() error
-}
-
-// readier is the optional readiness surface behind GET /readyz: nil means
-// the store can serve its role (journal writable; for a follower, within
-// the configured lag bound). Distinct from /healthz, which only says the
-// process is alive.
-type readier interface {
-	Ready() error
 }
 
 // ReplicationStatus describes a follower's progress against its leader.
@@ -137,57 +119,99 @@ func (s *Store) ReplicaManifest() (*ShardManifest, error) {
 // written on first boot); if compaction raced it away a fresh checkpoint is
 // forced.
 func (s *Store) ReplicaCheckpoint(shard int) (*journal.Checkpoint, error) {
-	j, err := s.shardJournal(shard)
+	js, err := s.journals()
+	if err != nil {
+		return nil, err
+	}
+	cp, err := js.Checkpoint(shard)
+	if errors.Is(err, errNoCheckpoint) {
+		if _, err = s.Checkpoint(); err == nil {
+			cp, err = js.Checkpoint(shard)
+		}
+	}
+	return cp, err
+}
+
+// ReplicaStream returns raw committed frames of one shard (see
+// Journals.Stream).
+func (s *Store) ReplicaStream(shard int, from uint64, maxBytes int) (*StreamBatch, error) {
+	js, err := s.journals()
+	if err != nil {
+		return nil, err
+	}
+	return js.Stream(shard, from, maxBytes)
+}
+
+// ChainStatus returns the integrity-chain status of every shard journal.
+func (s *Store) ChainStatus() ([]ShardChain, error) {
+	js, err := s.journals()
+	if err != nil {
+		return nil, err
+	}
+	return js.Chains(), nil
+}
+
+// journals returns the shard journals, or ErrClosed once the store is closed.
+func (s *Store) journals() (Journals, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	return s.js, nil
+}
+
+// Journals holds one journal per placement domain, indexed by shard: a
+// leader Store's and a follower's (ShardedReplay.Journals) alike. The
+// replication reads and the journal I/O sum are written once, here, for
+// both roles.
+type Journals []*journal.Journal
+
+// errNoCheckpoint reports a shard journal without a durable snapshot.
+var errNoCheckpoint = errors.New("server: no checkpoint")
+
+// shard returns the journal of one shard; an index out of range is the
+// client's fault (ErrInvalid).
+func (js Journals) shard(i int) (*journal.Journal, error) {
+	if i < 0 || i >= len(js) {
+		return nil, invalid(fmt.Errorf("shard %d of %d", i, len(js)))
+	}
+	return js[i], nil
+}
+
+// Checkpoint returns the newest durable checkpoint of one shard, or an
+// errNoCheckpoint error when it has none.
+func (js Journals) Checkpoint(shard int) (*journal.Checkpoint, error) {
+	j, err := js.shard(shard)
 	if err != nil {
 		return nil, err
 	}
 	cp, err := j.LatestCheckpoint()
-	if err != nil {
-		return nil, err
+	if err == nil && cp == nil {
+		err = fmt.Errorf("%w: shard %d has none", errNoCheckpoint, shard)
 	}
-	if cp == nil {
-		if _, err := s.Checkpoint(); err != nil {
-			return nil, err
-		}
-		if cp, err = j.LatestCheckpoint(); err != nil {
-			return nil, err
-		}
-		if cp == nil {
-			return nil, fmt.Errorf("server: shard %d has no checkpoint", shard)
-		}
-	}
-	return cp, nil
+	return cp, err
 }
 
-// ReplicaStream returns raw committed frames of one shard starting after
-// cursor `from`, at most maxBytes (best-effort; at least one frame when any
-// is committed). A nil batch means the follower is caught up. ErrCompacted
-// means the cursor predates retention and the follower must re-bootstrap.
-func (s *Store) ReplicaStream(shard int, from uint64, maxBytes int) (*StreamBatch, error) {
-	j, err := s.shardJournal(shard)
+// Stream returns raw committed frames of one shard starting after cursor
+// from, at most maxBytes (best-effort; at least one frame when any is
+// committed). A nil batch means the reader is caught up. ErrCompacted means
+// the cursor predates retention and the follower must re-bootstrap.
+func (js Journals) Stream(shard int, from uint64, maxBytes int) (*StreamBatch, error) {
+	j, err := js.shard(shard)
 	if err != nil {
 		return nil, err
 	}
 	data, first, last, err := j.ReadEncoded(from, maxBytes)
-	if err != nil {
+	if err != nil || first == 0 {
 		return nil, err
-	}
-	if first == 0 {
-		return nil, nil
 	}
 	return &StreamBatch{First: first, Last: last, Data: data}, nil
 }
 
-// ChainStatus returns the committed high-water mark, chain head and
-// checkpoint ledger of every shard journal.
-func (s *Store) ChainStatus() ([]ShardChain, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	js := s.js
-	s.mu.Unlock()
+// Chains returns the committed high-water mark, chain head and checkpoint
+// ledger of every shard journal.
+func (js Journals) Chains() []ShardChain {
 	out := make([]ShardChain, len(js))
 	for i, j := range js {
 		out[i] = ShardChain{
@@ -197,17 +221,35 @@ func (s *Store) ChainStatus() ([]ShardChain, error) {
 			Entries:      j.Entries(),
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (s *Store) shardJournal(shard int) (*journal.Journal, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+// IOStats sums the cumulative write-path counters of the shard journals.
+func (js Journals) IOStats() journal.IOStats {
+	var sum journal.IOStats
+	for _, j := range js {
+		st := j.IOStats()
+		sum.Records += st.Records
+		sum.Batches += st.Batches
+		sum.Fsyncs += st.Fsyncs
+		sum.Rotations += st.Rotations
+		for i := range sum.BatchSizes {
+			sum.BatchSizes[i] += st.BatchSizes[i]
+		}
 	}
-	if shard < 0 || shard >= len(s.js) {
-		return nil, invalid(fmt.Errorf("shard %d of %d", shard, len(s.js)))
+	return sum
+}
+
+// Close closes every open shard journal, and with them the directory locks,
+// and reports the first failure.
+func (js Journals) Close() error {
+	var first error
+	for _, j := range js {
+		if j != nil {
+			if err := j.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
 	}
-	return s.js[shard], nil
+	return first
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,30 +12,48 @@ import (
 	"strings"
 
 	"vmalloc"
+	"vmalloc/internal/journal"
 	"vmalloc/internal/obs"
 )
 
-// API is the store surface the HTTP handler serves — Store, a replication
-// follower, and the Switch that fronts both implement it; mutations must be
-// durable when the call returns. A store handed to the handler must also
-// provide the context-carrying mutation surface (ctxAPI).
+// API is the store surface the HTTP handler and the metrics serve. Two
+// values implement it: a leader's *Store, and the replica.Switch that fronts
+// a follower and, after promotion, the store that replaces it; until then
+// the Switch refuses every mutation with ErrReadOnly. Mutations are durable
+// when the call returns.
 type API interface {
+	// The handler's mutations take the request context, so the apply,
+	// fsync_wait and epoch spans attach to the request's trace.
+	AddBatch(ctx context.Context, specs []AddSpec) ([]AddOutcome, error)
+	RemoveCtx(ctx context.Context, id int) (bool, error)
+	UpdateNeedsCtx(ctx context.Context, id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error
+	SetThreshold(ctx context.Context, th float64) error
+	ReallocateCtx(ctx context.Context) (*vmalloc.ClusterEpoch, error)
+	RepairCtx(ctx context.Context, budget int) (*vmalloc.ClusterEpoch, error)
+	Checkpoint() (uint64, error)
+	// Context-free mutations, kept for bench/, which still calls them.
 	AddWithEstimate(trueSvc, estSvc vmalloc.Service) (id, node int, err error)
-	AddBatch(specs []AddSpec) ([]AddOutcome, error)
 	Remove(id int) (bool, error)
 	UpdateNeeds(id int, trueElem, trueAgg, estElem, estAgg vmalloc.Vec) error
-	SetThreshold(th float64) error
 	Reallocate() (*vmalloc.ClusterEpoch, error)
 	Repair(budget int) (*vmalloc.ClusterEpoch, error)
+
 	MinYield(policy vmalloc.SchedPolicy) (float64, error)
 	State() (*vmalloc.ClusterState, []byte, error)
-	Checkpoint() (uint64, error)
 	Stats() Stats
-}
-
-// shardStatser is the per-shard statistics surface behind GET /v1/shards.
-type shardStatser interface {
 	ShardStats() ([]vmalloc.ShardStat, error)
+	JournalIOStats() journal.IOStats
+	// Ready is nil when the store can serve its role (journal writable; for
+	// a follower, within the configured lag bound). GET /readyz reports it;
+	// /healthz only says the process is alive.
+	Ready() error
+
+	// The replication reads behind /v1/replica/*: leaders and followers
+	// serve them alike, so any daemon can be followed.
+	ReplicaManifest() (*ShardManifest, error)
+	ReplicaCheckpoint(shard int) (*journal.Checkpoint, error)
+	ReplicaStream(shard int, from uint64, maxBytes int) (*StreamBatch, error)
+	ChainStatus() ([]ShardChain, error)
 }
 
 // route is one entry of the HTTP surface: a method, a ServeMux pattern and
@@ -45,21 +64,29 @@ type route struct {
 	h       http.HandlerFunc
 }
 
+// addOne admits a single service as a batch of one, the way every store's
+// AddWithEstimate does, but under the request context.
+func addOne(ctx context.Context, s API, trueSvc, estSvc vmalloc.Service) (id, node int, err error) {
+	out, err := s.AddBatch(ctx, []AddSpec{{True: trueSvc, Est: estSvc}})
+	if err != nil {
+		return 0, -1, err
+	}
+	if out[0].Err != nil {
+		return 0, -1, out[0].Err
+	}
+	return out[0].ID, out[0].Node, nil
+}
+
 // maxBatchServices caps one bulk admission request; larger batches gain
 // nothing (the journal group is already one fsync) and only grow tail
 // latency and response size.
 const maxBatchServices = 4096
 
 // routes builds the route table over s. GET /metrics is served only when
-// metrics are enabled and the /v1/debug/* surface only with an observer;
-// both are still part of the documented surface (see Routes). It panics on a
-// store without the context-carrying mutation surface — every store in the
-// tree has it, so that is a wiring bug, not an input.
+// metrics are enabled, the /v1/debug/* surface only with an observer and
+// the follower endpoints only on a follower; all of them are still part of
+// the documented surface.
 func routes(s API, m *Metrics, o *obs.Observer) []route {
-	ca, ok := s.(ctxAPI)
-	if !ok {
-		panic(fmt.Sprintf("server: %T lacks the context-carrying mutation surface", s))
-	}
 	rs := []route{
 		{"POST", "/v1/services", func(w http.ResponseWriter, r *http.Request) {
 			var req addRequest
@@ -74,7 +101,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 			if req.Est != nil {
 				est = req.Est
 			}
-			id, node, err := addOne(r.Context(), ca, *req.True, *est)
+			id, node, err := addOne(r.Context(), s, *req.True, *est)
 			if err != nil {
 				if errors.Is(err, ErrRejected) {
 					httpError(w, http.StatusConflict, err)
@@ -114,7 +141,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 				specs = append(specs, AddSpec{True: *e.True, Est: *est})
 				idx = append(idx, i)
 			}
-			outs, err := ca.AddBatchCtx(r.Context(), specs)
+			outs, err := s.AddBatch(r.Context(), specs)
 			if err != nil {
 				mutationError(w, err)
 				return
@@ -148,7 +175,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 			if !ok {
 				return
 			}
-			removed, err := ca.RemoveCtx(r.Context(), id)
+			removed, err := s.RemoveCtx(r.Context(), id)
 			if err != nil {
 				mutationError(w, err)
 				return
@@ -168,7 +195,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 			if !decodeBody(w, r, &req) {
 				return
 			}
-			if err := ca.UpdateNeedsCtx(r.Context(), id, req.TrueElem, req.TrueAgg, req.EstElem, req.EstAgg); err != nil {
+			if err := s.UpdateNeedsCtx(r.Context(), id, req.TrueElem, req.TrueAgg, req.EstElem, req.EstAgg); err != nil {
 				mutationError(w, err)
 				return
 			}
@@ -185,14 +212,14 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 				httpError(w, http.StatusBadRequest, errors.New("threshold must be a number >= 0"))
 				return
 			}
-			if err := ca.SetThresholdCtx(r.Context(), *req.Threshold); err != nil {
+			if err := s.SetThreshold(r.Context(), *req.Threshold); err != nil {
 				mutationError(w, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, map[string]float64{"threshold": *req.Threshold})
 		}},
 		{"POST", "/v1/reallocate", func(w http.ResponseWriter, r *http.Request) {
-			ce, err := ca.ReallocateCtx(r.Context())
+			ce, err := s.ReallocateCtx(r.Context())
 			if err != nil {
 				mutationError(w, err)
 				return
@@ -214,7 +241,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 			if !decodeOptionalBody(w, r, &req) {
 				return
 			}
-			ce, err := ca.RepairCtx(r.Context(), req.Budget)
+			ce, err := s.RepairCtx(r.Context(), req.Budget)
 			if err != nil {
 				mutationError(w, err)
 				return
@@ -242,19 +269,15 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 		{"GET", "/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, s.Stats())
 		}},
-	}
-	if ss, ok := s.(shardStatser); ok {
-		rs = append(rs, route{"GET", "/v1/shards", func(w http.ResponseWriter, r *http.Request) {
-			stats, err := ss.ShardStats()
+		{"GET", "/v1/shards", func(w http.ResponseWriter, r *http.Request) {
+			stats, err := s.ShardStats()
 			if err != nil {
 				mutationError(w, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, stats)
-		}})
-	}
-	rs = append(rs,
-		route{"GET", "/v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		}},
+		{"GET", "/v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 			_, data, err := s.State()
 			if err != nil {
 				mutationError(w, err)
@@ -264,7 +287,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 			w.WriteHeader(http.StatusOK)
 			w.Write(data)
 		}},
-		route{"POST", "/v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		{"POST", "/v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 			seq, err := s.Checkpoint()
 			if err != nil {
 				mutationError(w, err)
@@ -272,7 +295,7 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 			}
 			writeJSON(w, http.StatusOK, map[string]uint64{"seq": seq})
 		}},
-	)
+	}
 	rs = append(rs, replicaRoutes(s)...)
 	if m != nil {
 		rs = append(rs, route{"GET", "/metrics", m.serveText})
@@ -285,11 +308,9 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 		w.Write([]byte("ok\n"))
 	}})
 	rs = append(rs, route{"GET", "/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if rd, ok := s.(readier); ok {
-			if err := rd.Ready(); err != nil {
-				httpError(w, http.StatusServiceUnavailable, err)
-				return
-			}
+		if err := s.Ready(); err != nil {
+			httpError(w, http.StatusServiceUnavailable, err)
+			return
 		}
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("ready\n"))
@@ -297,96 +318,92 @@ func routes(s API, m *Metrics, o *obs.Observer) []route {
 	return rs
 }
 
-// replicaRoutes builds the replication and failover endpoints a store's
-// optional interfaces enable: the /v1/replica/* leader surface
-// (replicaSource), the follower status endpoint (replicaStatser) and
-// explicit promotion (promoter).
+// replicaRoutes builds the replication and failover endpoints: the
+// /v1/replica/* reads every store serves, and on a follower its status
+// endpoint and explicit promotion.
 func replicaRoutes(s API) []route {
-	var rs []route
-	if src, ok := s.(replicaSource); ok {
-		rs = append(rs,
-			route{"GET", "/v1/replica/manifest", func(w http.ResponseWriter, r *http.Request) {
-				m, err := src.ReplicaManifest()
-				if err != nil {
-					mutationError(w, err)
-					return
-				}
-				writeJSON(w, http.StatusOK, m)
-			}},
-			route{"GET", "/v1/replica/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-				shard, ok := queryInt(w, r, "shard", 0)
-				if !ok {
-					return
-				}
-				cp, err := src.ReplicaCheckpoint(shard)
-				if err != nil {
-					mutationError(w, err)
-					return
-				}
-				writeJSON(w, http.StatusOK, cp)
-			}},
-			route{"GET", "/v1/replica/stream", func(w http.ResponseWriter, r *http.Request) {
-				shard, ok := queryInt(w, r, "shard", 0)
-				if !ok {
-					return
-				}
-				from, ok := queryUint64(w, r, "from", 0)
-				if !ok {
-					return
-				}
-				max, ok := queryInt(w, r, "max", defaultStreamBytes)
-				if !ok {
-					return
-				}
-				if max <= 0 || max > maxStreamBytes {
-					max = maxStreamBytes
-				}
-				b, err := src.ReplicaStream(shard, from, max)
-				if errors.Is(err, ErrCompacted) {
-					httpError(w, http.StatusGone, err)
-					return
-				}
-				if err != nil {
-					mutationError(w, err)
-					return
-				}
-				if b == nil {
-					w.WriteHeader(http.StatusNoContent)
-					return
-				}
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Header().Set(streamFirstHeader, strconv.FormatUint(b.First, 10))
-				w.Header().Set(streamLastHeader, strconv.FormatUint(b.Last, 10))
-				w.WriteHeader(http.StatusOK)
-				w.Write(b.Data)
-			}},
-			route{"GET", "/v1/replica/chains", func(w http.ResponseWriter, r *http.Request) {
-				cs, err := src.ChainStatus()
-				if err != nil {
-					mutationError(w, err)
-					return
-				}
-				writeJSON(w, http.StatusOK, cs)
-			}},
-		)
-	}
-	if st, ok := s.(replicaStatser); ok {
-		rs = append(rs, route{"GET", "/v1/replica/status", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, st.ReplicationStatus())
-		}})
-	}
-	if p, ok := s.(promoter); ok {
-		rs = append(rs, route{"POST", "/v1/promote", func(w http.ResponseWriter, r *http.Request) {
-			if err := p.Promote(); err != nil {
-				if errors.Is(err, ErrInvalid) || errors.Is(err, ErrClosed) {
-					mutationError(w, err)
-				} else {
-					httpError(w, http.StatusConflict, err)
-				}
+	rs := []route{
+		{"GET", "/v1/replica/manifest", func(w http.ResponseWriter, r *http.Request) {
+			m, err := s.ReplicaManifest()
+			if err != nil {
+				mutationError(w, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, map[string]bool{"promoted": true})
-		}})
+			writeJSON(w, http.StatusOK, m)
+		}},
+		{"GET", "/v1/replica/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+			shard, ok := queryInt(w, r, "shard", 0)
+			if !ok {
+				return
+			}
+			cp, err := s.ReplicaCheckpoint(shard)
+			if err != nil {
+				mutationError(w, err)
+				return
+			}
+			writeJSON(w, http.StatusOK, cp)
+		}},
+		{"GET", "/v1/replica/stream", func(w http.ResponseWriter, r *http.Request) {
+			shard, ok := queryInt(w, r, "shard", 0)
+			if !ok {
+				return
+			}
+			from, ok := queryUint64(w, r, "from", 0)
+			if !ok {
+				return
+			}
+			max, ok := queryInt(w, r, "max", defaultStreamBytes)
+			if !ok {
+				return
+			}
+			if max <= 0 || max > maxStreamBytes {
+				max = maxStreamBytes
+			}
+			b, err := s.ReplicaStream(shard, from, max)
+			if errors.Is(err, ErrCompacted) {
+				httpError(w, http.StatusGone, err)
+				return
+			}
+			if err != nil {
+				mutationError(w, err)
+				return
+			}
+			if b == nil {
+				w.WriteHeader(http.StatusNoContent)
+				return
+			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set(streamFirstHeader, strconv.FormatUint(b.First, 10))
+			w.Header().Set(streamLastHeader, strconv.FormatUint(b.Last, 10))
+			w.WriteHeader(http.StatusOK)
+			w.Write(b.Data)
+		}},
+		{"GET", "/v1/replica/chains", func(w http.ResponseWriter, r *http.Request) {
+			cs, err := s.ChainStatus()
+			if err != nil {
+				mutationError(w, err)
+				return
+			}
+			writeJSON(w, http.StatusOK, cs)
+		}},
+	}
+	if f, ok := s.(follower); ok {
+		rs = append(rs,
+			route{"GET", "/v1/replica/status", func(w http.ResponseWriter, r *http.Request) {
+				writeJSON(w, http.StatusOK, f.ReplicationStatus())
+			}},
+			route{"POST", "/v1/promote", func(w http.ResponseWriter, r *http.Request) {
+				if err := f.Promote(); err != nil {
+					if errors.Is(err, ErrInvalid) || errors.Is(err, ErrClosed) {
+						mutationError(w, err)
+					} else {
+						httpError(w, http.StatusConflict, err)
+					}
+					return
+				}
+				writeJSON(w, http.StatusOK, map[string]bool{"promoted": true})
+			}},
+		)
 	}
 	return rs
 }

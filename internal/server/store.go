@@ -156,7 +156,7 @@ type Store struct {
 
 	mu           sync.Mutex
 	cluster      *vmalloc.Cluster
-	js           []*journal.Journal
+	js           Journals
 	tickets      []*journal.Ticket
 	batches      []*journal.Batch        // per-shard bulk-admission record groups (AddBatch)
 	batching     bool                    // route hook events into batches instead of Enqueue
@@ -197,7 +197,7 @@ func Open(dir string, nodes []vmalloc.Node, opts *Options) (*Store, error) {
 	}
 	cluster, warnings, err := rep.Restore.Finish()
 	if err != nil {
-		rep.Close()
+		rep.Journals.Close()
 		return nil, err
 	}
 	s := &Store{
@@ -219,14 +219,15 @@ func Open(dir string, nodes []vmalloc.Node, opts *Options) (*Store, error) {
 	// compacted away immediately so the next boot is fast.
 	if rep.Fresh || (opts.snapshotEvery() > 0 && rep.Replayed >= opts.snapshotEvery()) {
 		if _, err := s.Checkpoint(); err != nil {
-			s.closeJournals()
+			s.js.Close()
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// OpenSharded is Open, kept for callers that name the partition explicitly.
+// OpenSharded is Open. bench/ is its only caller; it goes once bench/ calls
+// Open.
 func OpenSharded(dir string, nodes []vmalloc.Node, opts *Options) (*Store, error) {
 	return Open(dir, nodes, opts)
 }
@@ -421,13 +422,9 @@ func (s *Store) AddWithEstimate(trueSvc, estSvc vmalloc.Service) (id, node int, 
 // group-commit fsync, and the call returns when every touched shard is
 // durable. Outcomes are per-entry — an invalid or rejected entry never
 // aborts the rest of the batch; the error return is reserved for whole-batch
-// failures (closed store, journal failure).
-func (s *Store) AddBatch(specs []AddSpec) ([]AddOutcome, error) {
-	return s.AddBatchCtx(context.Background(), specs)
-}
-
-// AddBatchCtx is AddBatch under a tracing context (see begin and finish).
-func (s *Store) AddBatchCtx(ctx context.Context, specs []AddSpec) ([]AddOutcome, error) {
+// failures (closed store, journal failure). ctx carries the request's trace
+// (see begin and finish).
+func (s *Store) AddBatch(ctx context.Context, specs []AddSpec) ([]AddOutcome, error) {
 	apply, err := s.begin(ctx)
 	if err != nil {
 		return nil, err
@@ -500,12 +497,7 @@ func (s *Store) UpdateNeedsCtx(ctx context.Context, id int, trueElem, trueAgg, e
 }
 
 // SetThreshold changes the mitigation threshold on every shard.
-func (s *Store) SetThreshold(th float64) error {
-	return s.SetThresholdCtx(context.Background(), th)
-}
-
-// SetThresholdCtx is SetThreshold under a tracing context.
-func (s *Store) SetThresholdCtx(ctx context.Context, th float64) error {
+func (s *Store) SetThreshold(ctx context.Context, th float64) error {
 	apply, err := s.begin(ctx)
 	if err != nil {
 		return err
@@ -682,30 +674,7 @@ func (s *Store) Stats() Stats {
 
 // JournalIOStats returns the cumulative write-path counters summed over the
 // per-shard WALs.
-func (s *Store) JournalIOStats() journal.IOStats {
-	var sum journal.IOStats
-	for _, j := range s.js {
-		st := j.IOStats()
-		sum.Records += st.Records
-		sum.Batches += st.Batches
-		sum.Fsyncs += st.Fsyncs
-		sum.Rotations += st.Rotations
-		for i := range sum.BatchSizes {
-			sum.BatchSizes[i] += st.BatchSizes[i]
-		}
-	}
-	return sum
-}
-
-func (s *Store) closeJournals() error {
-	var first error
-	for _, j := range s.js {
-		if err := j.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (s *Store) JournalIOStats() journal.IOStats { return s.js.IOStats() }
 
 // markClosed flips the store to closed and invalidates the read cache (the
 // version bump also defeats a concurrently re-published one). It reports
@@ -728,7 +697,7 @@ func (s *Store) markClosed() bool {
 // path; production code wants Close.
 func (s *Store) Kill() {
 	if s.markClosed() {
-		s.closeJournals()
+		s.js.Close()
 	}
 }
 
@@ -739,7 +708,7 @@ func (s *Store) Close() error {
 	if !s.markClosed() {
 		return nil
 	}
-	err := s.closeJournals()
+	err := s.js.Close()
 	if cerr != nil {
 		// A failed journal cannot checkpoint; the files are released all the
 		// same and the checkpoint failure is what the caller hears.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -110,7 +111,7 @@ func applyOps(t *testing.T, s *Store, tape []op, from, to int, live *[]int) {
 				t.Fatalf("op %d update %d: %v", i, id, err)
 			}
 		case "threshold":
-			if err := s.SetThreshold(o.threshold); err != nil {
+			if err := s.SetThreshold(context.Background(), o.threshold); err != nil {
 				t.Fatalf("op %d threshold: %v", i, err)
 			}
 		case "realloc":
@@ -569,10 +570,10 @@ func BenchmarkStoreAdd(b *testing.B) {
 func TestStoreRejectsInvalidThresholdAndServesNoStateAfterClose(t *testing.T) {
 	forEachK(t, func(t *testing.T, shards int) {
 		s := openStore(t, t.TempDir(), testNodes(3, 1), shards)
-		if err := s.SetThreshold(-1); !errors.Is(err, ErrInvalid) {
+		if err := s.SetThreshold(context.Background(), -1); !errors.Is(err, ErrInvalid) {
 			t.Fatalf("negative threshold: %v, want ErrInvalid", err)
 		}
-		if err := s.SetThreshold(math.NaN()); !errors.Is(err, ErrInvalid) {
+		if err := s.SetThreshold(context.Background(), math.NaN()); !errors.Is(err, ErrInvalid) {
 			t.Fatalf("NaN threshold: %v, want ErrInvalid", err)
 		}
 		// The rejected thresholds journaled nothing; snapshots stay valid.
