@@ -353,19 +353,13 @@ func validateVec(d int, name string, v Vec) error {
 }
 
 // validateServiceVecs applies validateVec to all four descriptor vectors of
-// a service.
+// a service. A vector is checked unnamed first and its name formatted only
+// once it has failed, so validating a good service allocates nothing.
 func validateServiceVecs(d int, kind string, svc Service) error {
-	for _, vv := range []struct {
-		name string
-		v    Vec
-	}{
-		{"elementary requirement", svc.ReqElem},
-		{"aggregate requirement", svc.ReqAgg},
-		{"elementary need", svc.NeedElem},
-		{"aggregate need", svc.NeedAgg},
-	} {
-		if err := validateVec(d, fmt.Sprintf("%s service %s", kind, vv.name), vv.v); err != nil {
-			return err
+	for i, v := range [...]Vec{svc.ReqElem, svc.ReqAgg, svc.NeedElem, svc.NeedAgg} {
+		if validateVec(d, "", v) != nil {
+			name := [...]string{"elementary requirement", "aggregate requirement", "elementary need", "aggregate need"}[i]
+			return validateVec(d, kind+" service "+name, v)
 		}
 	}
 	return nil

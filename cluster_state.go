@@ -92,11 +92,13 @@ func (st *ClusterState) Validate() error {
 	if d == 0 {
 		return fmt.Errorf("vmalloc: state node 0 has no dimensions")
 	}
-	// drift is nil for stored values, which may not be negative at all, and
-	// the node's aggregate capacity for a derived load (see loadDriftTol).
-	checkVec := func(kind string, v, drift Vec) error {
+	// defect describes what is wrong with v ("" when nothing is), so the
+	// vector's name is formatted only for a failing one. drift is nil for
+	// stored values, which may not be negative at all, and the node's
+	// aggregate capacity for a derived load (see loadDriftTol).
+	defect := func(v, drift Vec) string {
 		if v.Dim() != d {
-			return fmt.Errorf("vmalloc: state %s has %d dimensions, want %d", kind, v.Dim(), d)
+			return fmt.Sprintf("has %d dimensions, want %d", v.Dim(), d)
 		}
 		for dd, x := range v {
 			floor := 0.0
@@ -104,17 +106,20 @@ func (st *ClusterState) Validate() error {
 				floor = -loadDriftTol * drift[dd]
 			}
 			if x < floor || math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("vmalloc: state %s has invalid value %g in dimension %d", kind, x, dd)
+				return fmt.Sprintf("has invalid value %g in dimension %d", x, dd)
 			}
 		}
-		return nil
+		return ""
+	}
+	invalid := func(msg, format string, args ...any) error {
+		return fmt.Errorf("vmalloc: state %s %s", fmt.Sprintf(format, args...), msg)
 	}
 	for h, n := range st.Nodes {
-		if err := checkVec(fmt.Sprintf("node %d elementary capacity", h), n.Elementary, nil); err != nil {
-			return err
+		if msg := defect(n.Elementary, nil); msg != "" {
+			return invalid(msg, "node %d elementary capacity", h)
 		}
-		if err := checkVec(fmt.Sprintf("node %d aggregate capacity", h), n.Aggregate, nil); err != nil {
-			return err
+		if msg := defect(n.Aggregate, nil); msg != "" {
+			return invalid(msg, "node %d aggregate capacity", h)
 		}
 	}
 	prev := -1
@@ -127,21 +132,13 @@ func (st *ClusterState) Validate() error {
 		if ss.Node != Unplaced && (ss.Node < 0 || ss.Node >= len(st.Nodes)) {
 			return fmt.Errorf("vmalloc: state service %d placed on invalid node %d", ss.ID, ss.Node)
 		}
-		for _, vv := range []struct {
-			kind string
-			v    Vec
-		}{
-			{"true elementary requirement", ss.True.ReqElem},
-			{"true aggregate requirement", ss.True.ReqAgg},
-			{"true elementary need", ss.True.NeedElem},
-			{"true aggregate need", ss.True.NeedAgg},
-			{"estimated elementary requirement", ss.Est.ReqElem},
-			{"estimated aggregate requirement", ss.Est.ReqAgg},
-			{"estimated elementary need", ss.Est.NeedElem},
-			{"estimated aggregate need", ss.Est.NeedAgg},
+		for k, v := range [...]Vec{
+			ss.True.ReqElem, ss.True.ReqAgg, ss.True.NeedElem, ss.True.NeedAgg,
+			ss.Est.ReqElem, ss.Est.ReqAgg, ss.Est.NeedElem, ss.Est.NeedAgg,
 		} {
-			if err := checkVec(fmt.Sprintf("service %d %s", ss.ID, vv.kind), vv.v, nil); err != nil {
-				return err
+			if msg := defect(v, nil); msg != "" {
+				return invalid(msg, "service %d %s %s", ss.ID, [...]string{"true", "estimated"}[k/4],
+					[...]string{"elementary requirement", "aggregate requirement", "elementary need", "aggregate need"}[k%4])
 			}
 		}
 		if ss.ID >= st.NextID {
@@ -154,11 +151,11 @@ func (st *ClusterState) Validate() error {
 				len(st.ReqLoads), len(st.NeedLoads), len(st.Nodes))
 		}
 		for h := range st.ReqLoads {
-			if err := checkVec(fmt.Sprintf("node %d requirement load", h), st.ReqLoads[h], st.Nodes[h].Aggregate); err != nil {
-				return err
+			if msg := defect(st.ReqLoads[h], st.Nodes[h].Aggregate); msg != "" {
+				return invalid(msg, "node %d requirement load", h)
 			}
-			if err := checkVec(fmt.Sprintf("node %d need load", h), st.NeedLoads[h], st.Nodes[h].Aggregate); err != nil {
-				return err
+			if msg := defect(st.NeedLoads[h], st.Nodes[h].Aggregate); msg != "" {
+				return invalid(msg, "node %d need load", h)
 			}
 		}
 	}

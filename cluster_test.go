@@ -190,3 +190,32 @@ func TestClusterCustomPlacer(t *testing.T) {
 		t.Fatal("custom placer never invoked")
 	}
 }
+
+// TestValidateServiceAllocs: validating a good service allocates nothing (an
+// error name is formatted only once a vector has failed), and a bad one
+// still names the failing vector exactly as before.
+func TestValidateServiceAllocs(t *testing.T) {
+	svc := Service{ReqElem: Vec{0.1, 0.2}, ReqAgg: Vec{0.1, 0.2}, NeedElem: Vec{0.3, 0}, NeedAgg: Vec{0.3, 0}}
+	if n := testing.AllocsPerRun(100, func() {
+		if validateServiceVecs(2, "true", svc) != nil {
+			t.Fatal("good service rejected")
+		}
+	}); n != 0 {
+		t.Fatalf("validating a good service allocates %v times", n)
+	}
+	for _, tc := range []struct {
+		svc  Service
+		want string
+	}{
+		{Service{ReqElem: Vec{0.1}, ReqAgg: svc.ReqAgg, NeedElem: svc.NeedElem, NeedAgg: svc.NeedAgg},
+			"vmalloc: estimated service elementary requirement has 1 dimensions, want 2"},
+		{Service{ReqElem: svc.ReqElem, ReqAgg: svc.ReqAgg, NeedElem: svc.NeedElem, NeedAgg: Vec{0, math.NaN()}},
+			"vmalloc: estimated service aggregate need has invalid value NaN in dimension 1"},
+		{Service{ReqElem: svc.ReqElem, ReqAgg: Vec{-1, 0}, NeedElem: svc.NeedElem, NeedAgg: svc.NeedAgg},
+			"vmalloc: estimated service aggregate requirement has invalid value -1 in dimension 0"},
+	} {
+		if err := validateServiceVecs(2, "estimated", tc.svc); err == nil || err.Error() != tc.want {
+			t.Errorf("got %v, want %q", err, tc.want)
+		}
+	}
+}

@@ -2,7 +2,7 @@
 //
 //  1. Only internal/journal may call Sync on an *os.File or on the
 //     faultfs File seam. Every other layer expresses durability through the
-//     journal (Append/Barrier tickets, SyncDir), so there is exactly one
+//     journal (Append/Barrier tickets, WriteFileAtomic), so there is exactly one
 //     place where "durable" is defined — the place the torn-frame recovery
 //     proof covers.
 //
@@ -69,7 +69,7 @@ func checkForeignSync(pass *lintkit.Pass, f *ast.File) {
 			return true
 		}
 		if isDurableFile(tv.Type) {
-			pass.Reportf(call.Pos(), "Sync on %s outside %s: durability belongs to the journal (Append/Barrier tickets, journal.SyncDir) so the torn-frame recovery proof covers every fsync",
+			pass.Reportf(call.Pos(), "Sync on %s outside %s: durability belongs to the journal (Append/Barrier tickets, journal.WriteFileAtomic) so the torn-frame recovery proof covers every fsync",
 				types.TypeString(tv.Type, nil), journalPkg)
 		}
 		return true

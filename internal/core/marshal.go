@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"vmalloc/internal/vec"
 )
@@ -158,86 +161,426 @@ func (pl Placement) MarshalJSON() ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// The unmarshal side decodes through alias types (same field tags, no
-// methods) so the wire format stays symmetric with historical output, then
-// normalizes: null vectors become empty, and values must be finite and
-// non-negative — the journal/snapshot layer depends on decoded state never
-// smuggling NaN or Inf into the engine's incremental load arithmetic.
+// The unmarshal side is a one-pass reader of the descriptor grammar, the
+// mirror of the encoder above. A node or service is null (read as the zero
+// descriptor with empty vectors) or an object whose keys are each one of its
+// fields' exact names, at most once; a vector is null (empty) or an array of
+// numbers, a null entry reading as 0. Strings and numbers follow RFC 8259 and
+// decode exactly as encoding/json does them: numbers through
+// strconv.ParseFloat, invalid UTF-8 and lone surrogates in names as U+FFFD.
+// Decoded values must be finite and non-negative — the journal/snapshot
+// layer depends on decoded state never smuggling NaN or Inf into the
+// engine's incremental load arithmetic.
 
-type nodeAlias struct {
-	Name       string  `json:"name,omitempty"`
-	Elementary vec.Vec `json:"elementary"`
-	Aggregate  vec.Vec `json:"aggregate"`
+var (
+	nodeKeys    = []string{"name", "elementary", "aggregate"}
+	serviceKeys = []string{"name", "req_elem", "req_agg", "need_elem", "need_agg"}
+)
+
+// descDecoder reads one descriptor from data. Its error is sticky: after the
+// first failure every read is a no-op returning a zero value.
+type descDecoder struct {
+	data []byte
+	off  int
+	err  error
 }
 
-type serviceAlias struct {
-	Name     string  `json:"name,omitempty"`
-	ReqElem  vec.Vec `json:"req_elem"`
-	ReqAgg   vec.Vec `json:"req_agg"`
-	NeedElem vec.Vec `json:"need_elem"`
-	NeedAgg  vec.Vec `json:"need_agg"`
-}
-
-// problemAlias reuses the element decoders (and their finiteness checks) —
-// []Node and []Service, not the alias element types.
-type problemAlias struct {
-	Nodes    []Node    `json:"nodes"`
-	Services []Service `json:"services"`
-}
-
-func checkFinite(kind string, v vec.Vec) (vec.Vec, error) {
-	if v == nil {
-		return vec.Vec{}, nil
+func (d *descDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("core: "+format, args...)
 	}
-	for dd, x := range v {
-		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("core: %s has invalid value %g in dimension %d", kind, x, dd)
+}
+
+// syntax reports that the byte at the read offset (or the end of input) is
+// not the want the grammar allows there.
+func (d *descDecoder) syntax(want string) {
+	if d.off >= len(d.data) {
+		d.fail("unexpected end of JSON input, want %s", want)
+	} else {
+		d.fail("invalid character %q at offset %d, want %s", d.data[d.off], d.off, want)
+	}
+}
+
+// next skips whitespace and returns the byte at the read offset, 0 at the
+// end of input or after an error.
+func (d *descDecoder) next() byte {
+	for d.err == nil && d.off < len(d.data) {
+		switch c := d.data[d.off]; c {
+		case ' ', '\t', '\n', '\r':
+			d.off++
+		default:
+			return c
 		}
 	}
-	return v, nil
+	return 0
+}
+
+// expect consumes c after optional whitespace.
+func (d *descDecoder) expect(c byte, want string) bool {
+	if d.next() != c {
+		d.syntax(want)
+		return false
+	}
+	d.off++
+	return true
+}
+
+// null consumes a null literal if one comes next.
+func (d *descDecoder) null() bool {
+	if d.next() != 'n' {
+		return false
+	}
+	if len(d.data)-d.off < 4 || string(d.data[d.off:d.off+4]) != "null" {
+		d.syntax("null")
+		return false
+	}
+	d.off += 4
+	return true
+}
+
+// end checks that nothing but whitespace follows the value.
+func (d *descDecoder) end() {
+	if d.next(); d.err == nil && d.off < len(d.data) {
+		d.syntax("end of input")
+	}
+}
+
+// key reads the next key of an object whose keys must be among keys, each at
+// most once (seen tracks them by bit; d.off sits just past the opening
+// brace while seen is 0). It returns the key's index with the read offset
+// at its value, or -1 at the closing brace or on error.
+func (d *descDecoder) key(kind string, keys []string, seen *uint) int {
+	c := d.next()
+	if c == '}' {
+		d.off++
+		return -1
+	}
+	if *seen != 0 && !d.expect(',', "',' or '}'") {
+		return -1
+	}
+	name := d.str("object key")
+	if !d.expect(':', "':'") {
+		return -1
+	}
+	for i, k := range keys {
+		if string(name) == k {
+			if *seen&(1<<i) != 0 {
+				d.fail("%s has duplicate key %q", kind, k)
+				return -1
+			}
+			*seen |= 1 << i
+			return i
+		}
+	}
+	d.fail("%s has unknown key %q", kind, name)
+	return -1
+}
+
+// str reads a JSON string. The result aliases the input when the string
+// holds no escapes and is valid UTF-8, and is a fresh buffer otherwise.
+func (d *descDecoder) str(want string) []byte {
+	if !d.expect('"', want) {
+		return nil
+	}
+	start := d.off
+	for d.off < len(d.data) {
+		c := d.data[d.off]
+		switch {
+		case c == '"':
+			d.off++
+			return d.data[start : d.off-1]
+		case c == '\\':
+			return d.unquote(append([]byte(nil), d.data[start:d.off]...))
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRune(d.data[d.off:])
+			if r == utf8.RuneError && size == 1 {
+				return d.unquote(append([]byte(nil), d.data[start:d.off]...))
+			}
+			d.off += size
+		case c < ' ':
+			d.syntax("string character")
+			return nil
+		default:
+			d.off++
+		}
+	}
+	d.syntax("closing quote")
+	return nil
+}
+
+// unquote finishes a string that needs decoding, appending to b: escapes
+// are resolved and invalid UTF-8 becomes U+FFFD, exactly as encoding/json's
+// unquote does.
+func (d *descDecoder) unquote(b []byte) []byte {
+	for d.off < len(d.data) {
+		c := d.data[d.off]
+		switch {
+		case c == '"':
+			d.off++
+			return b
+		case c == '\\':
+			if d.off+1 >= len(d.data) {
+				d.off++
+				d.syntax("escape character")
+				return nil
+			}
+			switch e := d.data[d.off+1]; e {
+			case '"', '\\', '/':
+				b = append(b, e)
+			case 'b':
+				b = append(b, '\b')
+			case 'f':
+				b = append(b, '\f')
+			case 'n':
+				b = append(b, '\n')
+			case 'r':
+				b = append(b, '\r')
+			case 't':
+				b = append(b, '\t')
+			case 'u':
+				r := hex4(d.data[d.off:])
+				if r < 0 {
+					d.off += 2
+					d.syntax("four hex digits")
+					return nil
+				}
+				d.off += 6
+				if utf16.IsSurrogate(r) {
+					// A valid pair is consumed whole; anything else leaves
+					// U+FFFD and reads on from the next escape as usual.
+					if dec := utf16.DecodeRune(r, hex4(d.data[d.off:])); dec != unicode.ReplacementChar {
+						d.off += 6
+						r = dec
+					} else {
+						r = unicode.ReplacementChar
+					}
+				}
+				b = utf8.AppendRune(b, r)
+				continue
+			default:
+				d.off++
+				d.syntax("escape character")
+				return nil
+			}
+			d.off += 2
+		case c < ' ':
+			d.syntax("string character")
+			return nil
+		case c < utf8.RuneSelf:
+			b = append(b, c)
+			d.off++
+		default:
+			r, size := utf8.DecodeRune(d.data[d.off:])
+			b = utf8.AppendRune(b, r) // RuneError for an invalid byte
+			d.off += size
+		}
+	}
+	d.syntax("closing quote")
+	return nil
+}
+
+// hex4 decodes the \uXXXX escape at the start of b, or returns -1.
+func hex4(b []byte) rune {
+	if len(b) < 6 || b[0] != '\\' || b[1] != 'u' {
+		return -1
+	}
+	var r rune
+	for _, c := range b[2:6] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c = c - 'a' + 10
+		case 'A' <= c && c <= 'F':
+			c = c - 'A' + 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
+}
+
+// name reads a descriptor name: a string, or null for none.
+func (d *descDecoder) name() string {
+	if d.null() {
+		return ""
+	}
+	return string(d.str("string or null"))
+}
+
+// number reads one JSON number. The grammar is checked here —
+// strconv.ParseFloat alone would also take 01, +1, .5, 1_0, 0x1p-2, Inf and
+// NaN — and the value is parsed by strconv.ParseFloat, as encoding/json
+// parses it, so it has the same bits; a magnitude beyond float64 is an
+// error there too.
+func (d *descDecoder) number() float64 {
+	start, i, n := d.off, d.off, len(d.data)
+	digits := func() bool {
+		j := i
+		for i < n && '0' <= d.data[i] && d.data[i] <= '9' {
+			i++
+		}
+		return i > j
+	}
+	if i < n && d.data[i] == '-' {
+		i++
+	}
+	switch {
+	case i < n && d.data[i] == '0':
+		i++
+	case !digits():
+		d.off = i
+		d.syntax("digit")
+		return 0
+	}
+	if i < n && d.data[i] == '.' {
+		i++
+		if !digits() {
+			d.off = i
+			d.syntax("digit")
+			return 0
+		}
+	}
+	if i < n && (d.data[i] == 'e' || d.data[i] == 'E') {
+		i++
+		if i < n && (d.data[i] == '+' || d.data[i] == '-') {
+			i++
+		}
+		if !digits() {
+			d.off = i
+			d.syntax("digit")
+			return 0
+		}
+	}
+	d.off = i
+	f, err := strconv.ParseFloat(string(d.data[start:i]), 64)
+	if err != nil {
+		d.fail("number %s is out of range", d.data[start:i])
+		return 0
+	}
+	return f
+}
+
+// vec appends one vector (null or an array of numbers and nulls) to buf.
+func (d *descDecoder) vec(buf []float64) []float64 {
+	if d.null() || !d.expect('[', "array or null") {
+		return buf
+	}
+	if d.next() == ']' {
+		d.off++
+		return buf
+	}
+	for d.err == nil {
+		if d.null() {
+			buf = append(buf, 0)
+		} else if c := d.next(); c == '-' || ('0' <= c && c <= '9') {
+			buf = append(buf, d.number())
+		} else {
+			d.syntax("number or null")
+			break
+		}
+		if d.next() == ']' {
+			d.off++
+			break
+		}
+		d.expect(',', "',' or ']'")
+	}
+	return buf
+}
+
+// descriptor reads a node or service: its name and the vectors under
+// keys[1:], vecs[k-1] receiving the one under keys[k]. The vectors share one
+// backing array; null and missing ones are empty.
+func (d *descDecoder) descriptor(kind string, keys []string, vecs []*vec.Vec) (name string) {
+	var scratch [16]float64
+	buf := scratch[:0]
+	var bounds [4][2]int // of each vector in buf; a service has four
+	if !d.null() && d.expect('{', "object or null") {
+		var seen uint
+		for k := d.key(kind, keys, &seen); k >= 0; k = d.key(kind, keys, &seen) {
+			if k == 0 {
+				name = d.name()
+				continue
+			}
+			from := len(buf)
+			buf = d.vec(buf)
+			bounds[k-1] = [2]int{from, len(buf)}
+		}
+	}
+	d.end()
+	if d.err != nil {
+		return ""
+	}
+	all := make(vec.Vec, len(buf))
+	copy(all, buf)
+	for i, v := range vecs {
+		lo, hi := bounds[i][0], bounds[i][1]
+		*v = all[lo:hi:hi]
+	}
+	return name
+}
+
+func checkFinite(kind string, v vec.Vec) error {
+	for dd, x := range v {
+		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("core: %s has invalid value %g in dimension %d", kind, x, dd)
+		}
+	}
+	return nil
 }
 
 // UnmarshalJSON decodes a node, normalizing null vectors to empty and
-// rejecting negative or non-finite capacities.
+// rejecting unknown keys and negative or non-finite capacities.
 func (n *Node) UnmarshalJSON(data []byte) error {
-	var a nodeAlias
-	if err := json.Unmarshal(data, &a); err != nil {
+	d := descDecoder{data: data}
+	var out Node
+	out.Name = d.descriptor("node", nodeKeys, []*vec.Vec{&out.Elementary, &out.Aggregate})
+	if d.err != nil {
+		return d.err
+	}
+	if err := checkFinite("node elementary capacity", out.Elementary); err != nil {
 		return err
 	}
-	var err error
-	if a.Elementary, err = checkFinite("node elementary capacity", a.Elementary); err != nil {
+	if err := checkFinite("node aggregate capacity", out.Aggregate); err != nil {
 		return err
 	}
-	if a.Aggregate, err = checkFinite("node aggregate capacity", a.Aggregate); err != nil {
-		return err
-	}
-	*n = Node{Name: a.Name, Elementary: a.Elementary, Aggregate: a.Aggregate}
+	*n = out
 	return nil
 }
 
 // UnmarshalJSON decodes a service, normalizing null vectors to empty and
-// rejecting negative or non-finite entries.
+// rejecting unknown keys and negative or non-finite entries.
 func (s *Service) UnmarshalJSON(data []byte) error {
-	var a serviceAlias
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
+	d := descDecoder{data: data}
+	var out Service
+	out.Name = d.descriptor("service", serviceKeys,
+		[]*vec.Vec{&out.ReqElem, &out.ReqAgg, &out.NeedElem, &out.NeedAgg})
+	if d.err != nil {
+		return d.err
 	}
-	var err error
-	if a.ReqElem, err = checkFinite("service elementary requirement", a.ReqElem); err != nil {
-		return err
+	for _, f := range []struct {
+		kind string
+		v    vec.Vec
+	}{
+		{"service elementary requirement", out.ReqElem},
+		{"service aggregate requirement", out.ReqAgg},
+		{"service elementary need", out.NeedElem},
+		{"service aggregate need", out.NeedAgg},
+	} {
+		if err := checkFinite(f.kind, f.v); err != nil {
+			return err
+		}
 	}
-	if a.ReqAgg, err = checkFinite("service aggregate requirement", a.ReqAgg); err != nil {
-		return err
-	}
-	if a.NeedElem, err = checkFinite("service elementary need", a.NeedElem); err != nil {
-		return err
-	}
-	if a.NeedAgg, err = checkFinite("service aggregate need", a.NeedAgg); err != nil {
-		return err
-	}
-	*s = Service{Name: a.Name, ReqElem: a.ReqElem, ReqAgg: a.ReqAgg,
-		NeedElem: a.NeedElem, NeedAgg: a.NeedAgg}
+	*s = out
 	return nil
+}
+
+// problemAlias reuses the element decoders (and their finiteness checks) —
+// []Node and []Service, not bare structs.
+type problemAlias struct {
+	Nodes    []Node    `json:"nodes"`
+	Services []Service `json:"services"`
 }
 
 // UnmarshalJSON decodes a problem. Per-vector validation happens in the

@@ -128,31 +128,7 @@ func writeChain(fsys faultfs.FS, dir string, m *chainManifest) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	path := chainPath(dir)
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	return syncDir(fsys, dir)
+	return WriteFileAtomic(fsys, chainPath(dir), data)
 }
 
 // findPoint returns the point with exactly seq, if present.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -811,31 +812,7 @@ func (j *Journal) WriteSnapshot(at ChainPoint, state []byte) error {
 		return err
 	}
 	j.bases = bases
-	path := snapshotPath(j.opts.Dir, at.Seq)
-	tmp := path + ".tmp"
-	f, err := j.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if _, err := f.Write(state); err != nil {
-		f.Close()
-		j.fs.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		j.fs.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		j.fs.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.fs.Rename(tmp, path); err != nil {
-		j.fs.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := syncDir(j.fs, j.opts.Dir); err != nil {
+	if err := WriteFileAtomic(j.fs, snapshotPath(j.opts.Dir, at.Seq), state); err != nil {
 		return err
 	}
 	return j.prune()
@@ -956,14 +933,34 @@ func (j *Journal) prune() error {
 	return nil
 }
 
-// SyncDir fsyncs a directory on the real filesystem so file creation,
-// rename and truncation inside it are durable. It is the sanctioned
-// directory-fsync entry point for packages outside the journal: the
-// syncorder analyzer confines raw fsync calls to internal/journal, so
-// callers that need a durable directory (e.g. manifest writers) route
-// through this helper instead of opening the directory themselves.
-func SyncDir(dir string) error {
-	return syncDir(faultfs.OS{}, dir)
+// WriteFileAtomic durably replaces path with data: it writes path.tmp,
+// fsyncs it, renames it over path and fsyncs the directory, so a crash
+// leaves either the old file or the whole new one, never a torn or empty
+// one. Packages outside the journal that need a durable file (manifest
+// writers) use it: the syncorder analyzer confines raw fsync calls to
+// internal/journal. A nil fsys selects the real filesystem.
+func WriteFileAtomic(fsys faultfs.FS, path string, data []byte) error {
+	fsys = Options{FS: fsys}.fs()
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return fmt.Errorf("journal: %w", err)
+	}
+	return syncDir(fsys, filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so entry creation/rename/truncation is durable.

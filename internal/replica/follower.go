@@ -157,7 +157,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		}
 		return nil
 	}
-	if err := server.SaveShardManifest(f.opts.Dir, m); err != nil {
+	if err := server.SaveShardManifest(f.opts.Server.FS, f.opts.Dir, m); err != nil {
 		return err
 	}
 	for i := 0; i < m.Shards; i++ {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"vmalloc"
 	"vmalloc/internal/journal"
 	"vmalloc/internal/obs"
+	"vmalloc/internal/workload"
 )
 
 func batchOf(svcs ...vmalloc.Service) batchRequest {
@@ -300,6 +302,29 @@ func TestRoutesDocumented(t *testing.T) {
 	for _, r := range routes {
 		if !bytes.Contains(doc, []byte(r)) {
 			t.Errorf("docs/api.md does not document %q", r)
+		}
+	}
+}
+
+// BenchmarkDecodeBatchBody decodes the body of a 512-service bulk admission
+// on a 64-host paper-scale park — the pre-load request of a serving run —
+// through the handler's own decodeBody.
+func BenchmarkDecodeBatchBody(b *testing.B) {
+	p := workload.Generate(workload.Scenario{Hosts: 64, Services: 512, COV: 0.5, Slack: 0.5, Seed: 1})
+	for i := range p.Services {
+		p.Services[i].Name = ""
+	}
+	body, err := json.Marshal(batchOf(p.Services...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var req batchRequest
+		r := httptest.NewRequest("POST", "/v1/services:batch", bytes.NewReader(body))
+		if !decodeBody(httptest.NewRecorder(), r, &req) || len(req.Services) != 512 {
+			b.Fatal("decoding failed")
 		}
 	}
 }

@@ -126,8 +126,9 @@ func TestLegacyDirMigrates(t *testing.T) {
 	wantRecovered(t, other, "legacy after a refused boot")
 }
 
-// TestLegacyMigrationSurvivesFaults fails the n-th rename of the move for
-// every n: each failed boot must leave a half-migrated directory that still
+// TestLegacyMigrationSurvivesFaults fails the n-th rename of the adoption
+// for every n — the manifest's first, then one per journal file moved: each
+// failed boot must leave a legacy or half-migrated directory that still
 // describes itself and that the next, fault-free boot finishes migrating to
 // the fixture's bytes.
 func TestLegacyMigrationSurvivesFaults(t *testing.T) {
@@ -137,10 +138,11 @@ func TestLegacyMigrationSurvivesFaults(t *testing.T) {
 		inj.FailRenames(n)
 		s, err := Open(dir, nil, legacyOpts(inj))
 		if err == nil {
-			// Every rename of the move went through before the fault armed.
+			// Every rename of the adoption went through before the fault
+			// armed: the manifest's and one per journal file.
 			s.Kill()
-			if n != files {
-				t.Fatalf("migration finished after %d renames, fixture has %d journal files", n, files)
+			if n != files+1 {
+				t.Fatalf("migration finished after %d renames, fixture has a manifest and %d journal files", n, files)
 			}
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"vmalloc"
 	"vmalloc/internal/faultfs"
@@ -46,32 +47,26 @@ func LoadShardManifest(dir string) (*ShardManifest, error) {
 	return &m, nil
 }
 
-func writeShardManifest(dir string, m *ShardManifest) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	return journal.SyncDir(dir)
-}
-
-// SaveShardManifest durably writes the shard manifest of dir, creating the
-// directory if needed. A replication follower mirrors the leader's manifest
-// with it before installing per-shard checkpoints.
-func SaveShardManifest(dir string, m *ShardManifest) error {
+// SaveShardManifest durably writes the shard manifest of dir through fsys
+// (nil for the real filesystem), creating the directory if needed: the file
+// is fsynced before it is renamed into place, so a crash never leaves a torn
+// or empty manifest behind. A replication follower mirrors the leader's
+// manifest with it before installing per-shard checkpoints.
+func SaveShardManifest(fsys faultfs.FS, dir string, m *ShardManifest) error {
 	if m == nil || m.Shards < 1 || m.Shards > len(m.Nodes) {
 		return errors.New("server: invalid shard manifest")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if fsys == nil {
+		fsys = faultfs.OS{}
+	}
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	if err := writeShardManifest(dir, m); err != nil {
+	data, err := json.Marshal(m)
+	if err == nil {
+		err = journal.WriteFileAtomic(fsys, filepath.Join(dir, manifestName), data)
+	}
+	if err != nil {
 		return fmt.Errorf("server: writing shard manifest: %w", err)
 	}
 	return nil
@@ -90,23 +85,53 @@ func recoveredManifest(dir string, fsys faultfs.FS) (m *ShardManifest, legacy bo
 	if m, err = LoadShardManifest(dir); m != nil || err != nil || !journal.DirHasJournal(dir) {
 		return m, false, err
 	}
-	rc, err := journal.Recover(journal.Options{Dir: dir, FS: fsys, ValidateSnapshot: validateSnapshot})
+	var st *vmalloc.ClusterState
+	rc, err := journal.Recover(journal.Options{Dir: dir, FS: fsys, ValidateSnapshot: keepState(&st)})
 	if err != nil {
 		return nil, false, err
 	}
 	defer rc.Close()
-	snap := rc.Info().Snapshot
-	if snap == nil {
+	if rc.Info().Snapshot == nil {
 		return nil, false, fmt.Errorf("server: %s holds a single-WAL journal with no snapshot to read its platform from", dir)
-	}
-	st, err := DecodeState(snap)
-	if err != nil {
-		return nil, false, err // validated during Recover
 	}
 	return &ShardManifest{Shards: 1, Nodes: st.Nodes}, true, nil
 }
 
-func validateSnapshot(b []byte) error { _, err := DecodeState(b); return err }
+// keepState is a snapshot validator that keeps the state it decoded, so a
+// recovery decodes each snapshot once. journal.Recover tries snapshots newest
+// first and stops at the first valid one, so *st ends as the state of the
+// snapshot it selected.
+func keepState(st **vmalloc.ClusterState) func([]byte) error {
+	return func(b []byte) error {
+		s, err := DecodeState(b)
+		if err == nil {
+			*st = s
+		}
+		return err
+	}
+}
+
+// eachShard runs fn for shards 0..k-1, one goroutine per shard, and returns
+// once all have finished: nil, or the error of the lowest-numbered shard
+// that failed.
+func eachShard(k int, fn func(i int) error) error {
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := range k {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // DirRecovered reports whether dir already holds a journaled cluster — i.e.
 // whether booting from it recovers an existing platform instead of
@@ -160,7 +185,7 @@ func prepareDir(dir string, nodes []vmalloc.Node, opts *Options) error {
 	}
 	if fresh || legacy {
 		m.Seed = opts.ShardSeed
-		if err := SaveShardManifest(dir, m); err != nil {
+		if err := SaveShardManifest(opts.FS, dir, m); err != nil {
 			return err
 		}
 	}
@@ -212,7 +237,8 @@ func OpenShardedReplay(dir string, opts *Options) (*ShardedReplay, error) {
 	}
 	rp := &ShardedReplay{Manifest: m}
 
-	// Phase 1: per-shard journal recovery — newest snapshot per shard.
+	// Phase 1, every shard at once: journal recovery — the newest snapshot
+	// that decodes and validates, kept as decoded.
 	recs := make([]*journal.Recovery, m.Shards)
 	states := make([]*vmalloc.ClusterState, m.Shards)
 	defer func() {
@@ -222,7 +248,7 @@ func OpenShardedReplay(dir string, opts *Options) (*ShardedReplay, error) {
 			}
 		}
 	}()
-	for i := 0; i < m.Shards; i++ {
+	err = eachShard(m.Shards, func(i int) error {
 		rc, err := journal.Recover(journal.Options{
 			Dir:              ShardDir(dir, i),
 			SegmentBytes:     opts.SegmentBytes,
@@ -230,19 +256,19 @@ func OpenShardedReplay(dir string, opts *Options) (*ShardedReplay, error) {
 			KeepSnapshots:    opts.KeepSnapshots,
 			ChainInterval:    opts.ChainInterval,
 			FS:               opts.FS,
-			ValidateSnapshot: validateSnapshot,
+			ValidateSnapshot: keepState(&states[i]),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("server: shard %d: %w", i, err)
+			return fmt.Errorf("server: shard %d: %w", i, err)
 		}
 		recs[i] = rc
-		if snap := rc.Info().Snapshot; snap != nil {
-			st, err := DecodeState(snap)
-			if err != nil {
-				return nil, fmt.Errorf("server: shard %d: %w", i, err) // validated during Recover
-			}
-			states[i] = st
-		} else {
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, rc := range recs {
+		if rc.Info().Snapshot == nil {
 			rp.Fresh = true
 			// Non-nil only when bootstrapping a one-shard directory from a
 			// saved state (prepareDir rejects it with more shards).
@@ -250,7 +276,8 @@ func OpenShardedReplay(dir string, opts *Options) (*ShardedReplay, error) {
 		}
 	}
 
-	// Phase 2: restore engines from snapshots, replay each shard's tail.
+	// Phase 2: restore engines from snapshots, replay each shard's tail —
+	// in shard order, into the one shared restore.
 	sopts := &vmalloc.ShardedOptions{
 		ClusterOptions: opts.Cluster,
 		Shards:         m.Shards,
@@ -276,15 +303,19 @@ func OpenShardedReplay(dir string, opts *Options) (*ShardedReplay, error) {
 		}
 	}
 
-	// Phase 3: open the journals for appending.
+	// Phase 3, every shard at once: open the journals for appending.
 	rp.Journals = make(Journals, m.Shards)
-	for i, rc := range recs {
-		j, err := rc.Journal()
+	err = eachShard(m.Shards, func(i int) error {
+		j, err := recs[i].Journal()
 		if err != nil {
-			rp.Journals.Close()
-			return nil, fmt.Errorf("server: shard %d: %w", i, err)
+			return fmt.Errorf("server: shard %d: %w", i, err)
 		}
 		rp.Journals[i] = j
+		return nil
+	})
+	if err != nil {
+		rp.Journals.Close()
+		return nil, err
 	}
 	return rp, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -289,3 +290,37 @@ func TestHTTPConcurrentMutations(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// TestHTTPRejectsBadServiceKeys: unknown, wrong-case and duplicate keys
+// inside a service object are a 400 naming the key on the single and the
+// bulk endpoint alike, and nothing is admitted; null vectors still read as
+// empty (and then fail the dimension check like any empty vector).
+func TestHTTPRejectsBadServiceKeys(t *testing.T) {
+	s, ts := newTestServer(t)
+	const good = `"req_elem":[0.01,0.01],"req_agg":[0.01,0.01],"need_elem":[0.01,0],"need_agg":[0.01,0]`
+	for _, tc := range []struct {
+		path, body, want string
+	}{
+		{"/v1/services", `{"true":{` + good + `,"bogus":42}}`, `unknown key "bogus"`},
+		{"/v1/services", `{"true":{"REQ_ELEM":[0.01,0.01],"req_agg":[0.01,0.01]}}`, `unknown key "REQ_ELEM"`},
+		{"/v1/services", `{"true":{` + good + `},"est":{` + good + `,"need_agg":[0.01,0]}}`, `duplicate key "need_agg"`},
+		{"/v1/services", `{"true":{` + good + `},"bogus":1}`, `unknown field "bogus"`},
+		{"/v1/services", `{"true":{"req_elem":null,"req_agg":[0.01,0.01],"need_elem":[0.01,0],"need_agg":[0.01,0]}}`, "elementary requirement has 0 dimensions"},
+		{"/v1/services:batch", `{"services":[{"true":{` + good + `}},{"true":{` + good + `,"bogus":42}}]}`, `unknown key "bogus"`},
+		{"/v1/services:batch", `{"services":[{"true":{"Req_Elem":[0.01,0.01]}}]}`, `unknown key "Req_Elem"`},
+		{"/v1/services:batch", `{"services":[{"true":{` + good + `,"req_elem":[0.01,0.01]}}]}`, `duplicate key "req_elem"`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), strings.ReplaceAll(tc.want, `"`, `\"`)) {
+			t.Errorf("POST %s %s: %d %s, want 400 naming %s", tc.path, tc.body, resp.StatusCode, raw, tc.want)
+		}
+	}
+	if n := s.Stats().Services; n != 0 {
+		t.Fatalf("%d services admitted from rejected bodies", n)
+	}
+}

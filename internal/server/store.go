@@ -637,16 +637,23 @@ func (s *Store) Checkpoint() (uint64, error) {
 			return 0, fmt.Errorf("server: checkpoint barrier: %w", err)
 		}
 	}
-	var maxSeq uint64
-	for i, j := range s.js {
+	// Every shard encodes and writes its snapshot at once.
+	err := eachShard(len(s.js), func(i int) error {
 		data, err := EncodeState(snaps[i].st)
+		if err == nil {
+			err = s.js[i].WriteSnapshot(snaps[i].at, data)
+		}
 		if err != nil {
-			return 0, err
+			return fmt.Errorf("server: shard %d snapshot: %w", i, err)
 		}
-		if err := j.WriteSnapshot(snaps[i].at, data); err != nil {
-			return 0, fmt.Errorf("server: shard %d snapshot: %w", i, err)
-		}
-		maxSeq = max(maxSeq, snaps[i].at.Seq)
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	var maxSeq uint64
+	for _, sn := range snaps {
+		maxSeq = max(maxSeq, sn.at.Seq)
 	}
 	s.mu.Lock()
 	s.stats.Snapshots++
