@@ -114,28 +114,37 @@ func TestRelaxMemoHitAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkLPSparseVsDense solves the Eqs. 1–7 relaxations of the
-// paper-scale LP grid with the dense tableau simplex and the sparse revised
-// simplex; the ratio of the two sub-benchmarks is the sparse-path speedup
-// tracked across PRs.
-func BenchmarkLPSparseVsDense(b *testing.B) {
-	var encs []*relax.Encoding
+// BenchmarkLPSolveCheck solves the Eqs. 1–7 relaxations of the paper-scale
+// LP grid with the revised simplex and certifies each answer with lp.Check;
+// the check sub-benchmark times the certificates alone.
+func BenchmarkLPSolveCheck(b *testing.B) {
+	var lps []*lp.Problem
+	var sols []*lp.Solution
 	for _, scn := range lpPaperGrid() {
-		encs = append(encs, relax.Encode(workload.Generate(scn)))
+		p := relax.Encode(workload.Generate(scn)).LP
+		sol, err := lp.Simplex{}.SolveWarm(p, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lps, sols = append(lps, p), append(sols, sol)
 	}
-	b.Run("dense", func(b *testing.B) {
+	b.Run("solve+check", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, enc := range encs {
-				if _, err := lp.Solve(enc.LP); err != nil {
+			for _, p := range lps {
+				sol, err := lp.Simplex{}.SolveWarm(p, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := lp.Check(p, sol); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	})
-	b.Run("sparse", func(b *testing.B) {
+	b.Run("check", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, enc := range encs {
-				if _, err := (lp.Simplex{}).SolveWarm(enc.LP, nil); err != nil {
+			for k, p := range lps {
+				if _, err := lp.Check(p, sols[k]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -143,25 +152,27 @@ func BenchmarkLPSparseVsDense(b *testing.B) {
 	})
 }
 
-// TestPaperScaleLPSparseVsDense cross-validates the two solver paths on the
-// full paper-scale LP grid: equal status, objectives within 1e-6. How much
-// faster the sparse path is, BenchmarkLPSparseVsDense measures.
+// TestPaperScaleLPSparseVsDense certifies the revised simplex on the full
+// paper-scale LP grid: every relaxation is optimal, and lp.Check accepts
+// its X and the weak-duality bound of its duals, which must meet the
+// objective to 1e-9 relative. How long solve and certificate take,
+// BenchmarkLPSolveCheck measures.
 func TestPaperScaleLPSparseVsDense(t *testing.T) {
 	for _, scn := range lpPaperGrid() {
 		enc := relax.Encode(workload.Generate(scn))
-		dense, err := lp.Solve(enc.LP)
+		sol, err := lp.Simplex{}.SolveWarm(enc.LP, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := lp.Simplex{}.SolveWarm(enc.LP, nil)
+		if sol.Status != lp.Optimal {
+			t.Fatalf("%+v: status %v", scn, sol.Status)
+		}
+		bound, err := lp.Check(enc.LP, sol)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%+v: %v", scn, err)
 		}
-		if dense.Status != sparse.Status {
-			t.Fatalf("%+v: status dense=%v sparse=%v", scn, dense.Status, sparse.Status)
-		}
-		if math.Abs(dense.Objective-sparse.Objective) > 1e-6 {
-			t.Fatalf("%+v: objective dense=%v sparse=%v", scn, dense.Objective, sparse.Objective)
+		if math.Abs(bound-sol.Objective) > 1e-9*(1+math.Abs(sol.Objective)) {
+			t.Fatalf("%+v: dual bound %v, objective %v", scn, bound, sol.Objective)
 		}
 	}
 }

@@ -35,24 +35,16 @@ import (
 	"vmalloc/internal/analysis/lintkit"
 )
 
-// vetConfig mirrors the JSON written by cmd/go for each vetted package; the
-// field set tracks x/tools' unitchecker.Config (fields this tool ignores are
-// still listed so decoding stays strict-compatible across go versions).
+// vetConfig holds the fields this tool reads from the JSON cmd/go writes for
+// each vetted package (x/tools' unitchecker.Config); encoding/json skips the
+// rest.
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
 	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	ModulePath                string
-	ModuleVersion             string
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool

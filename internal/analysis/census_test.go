@@ -25,7 +25,7 @@ import (
 // inside its own package call it. Keys are "importpath.Name" or
 // "importpath.Type.Method".
 var censusAllowlist = map[string]string{
-	"vmalloc/internal/lp.Solve":                "dense-tableau oracle: lp's in-package tests (lp_test.go, dual_test.go) check the revised simplex against it; milp, presolve, relax and root tests call it too",
+	"vmalloc/internal/lp.Check":                "the LP certificate: lp's in-package tests (lp_test.go, check_test.go, dual_test.go) certify every answer with it; milp, presolve, relax and root tests too. It stays until relax certifies LPBOUND with it",
 	"vmalloc/internal/lp.NewCSCFromDense":      "builds dense test models in CSC form: lp's in-package tests (lp_test.go, revised_test.go, sparse_test.go, dual_test.go, duality_test.go) call it; milp and presolve tests too",
 	"vmalloc/internal/vp.MetaConfigsNaive":     "reference meta search: vp's in-package solver_test.go pins MetaConfigs to it bit for bit; root bench_test.go times it",
 	"vmalloc/internal/vp.PackPermutationNaive": "reference Permutation-Pack: vp's in-package naive_test.go cross-checks the key-mapping packer against it; root bench_test.go times it",

@@ -258,29 +258,5 @@ func InstallSnapshot(opts Options, cp Checkpoint) error {
 	if err := writeChain(fsys, opts.Dir, m); err != nil {
 		return err
 	}
-	path := snapshotPath(opts.Dir, cp.At.Seq)
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if _, err := f.Write(cp.State); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	return syncDir(fsys, opts.Dir)
+	return WriteFileAtomic(fsys, snapshotPath(opts.Dir, cp.At.Seq), cp.State)
 }

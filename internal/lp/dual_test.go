@@ -36,28 +36,17 @@ func agree(a, b *Solution) bool {
 	return a.Status != Optimal || math.Abs(a.Objective-b.Objective) <= 1e-9*(1+math.Abs(b.Objective))
 }
 
-// The sparse kernel against the dense tableau on random bounded LPs: equal
-// status, objectives within 1e-9, feasible primal.
+// The kernel's answers on random bounded LPs, each certified by Check
+// through the witness of its status: an optimum by its feasible X and the
+// weak-duality bound of its duals, infeasibility by the phase-1 Farkas
+// vector, unboundedness by a feasible point and its ray. Every status must
+// occur.
 func TestKernelMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	statuses := map[Status]int{}
 	for iter := 0; iter < 1500; iter++ {
 		p := boundedProblem(rng)
-		dense, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse, err := Simplex{}.SolveWarm(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !agree(sparse, dense) {
-			t.Fatalf("iter %d: sparse %v/%.17g, dense %v/%.17g", iter, sparse.Status, sparse.Objective, dense.Status, dense.Objective)
-		}
-		if sparse.Status == Optimal {
-			checkFeasible(t, p, sparse.X)
-		}
-		statuses[sparse.Status]++
+		statuses[solveOK(t, p).Status]++
 	}
 	for _, st := range []Status{Optimal, Infeasible, Unbounded} {
 		if statuses[st] == 0 {
@@ -97,7 +86,9 @@ func perturbBounds(rng *rand.Rand, p *Problem) *Problem {
 
 // The dual restart: after a bound change, the optimal basis of the parent
 // must warm-start the child and reach what a cold solve reaches — the same
-// status, infeasible included, and the same objective.
+// status, infeasible included, and the same objective — and Check must
+// certify both answers: a warm infeasible one by the dual simplex's Farkas
+// row, a cold one by its phase-1 duals.
 func TestDualRestartMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	tried, infeasible, pivoted := 0, 0, 0
@@ -125,9 +116,8 @@ func TestDualRestartMatchesCold(t *testing.T) {
 		if !warm.WarmStarted {
 			t.Fatalf("iter %d: bound change did not warm-start (%v)", iter, warm.Status)
 		}
-		if warm.Status == Optimal {
-			checkFeasible(t, q, warm.X)
-		}
+		certify(t, q, warm)
+		certify(t, q, cold)
 		tried++
 		if warm.Status == Infeasible {
 			infeasible++
@@ -187,8 +177,8 @@ func TestWarmStartFallsBackCold(t *testing.T) {
 // columns, forced into the basis together — swaps the dependent slot for a
 // slack instead of giving up. The swapped-out x1 comes to rest at its upper
 // bound, which puts the basic x0 at 2, above its own bound of 1.5, so the
-// solve must restore feasibility before it finishes at the optimum the
-// dense tableau finds.
+// solve must restore feasibility before it finishes at an optimum Check
+// certifies, the one a cold solve finds.
 func TestRefactorizeRepairsSingularBasis(t *testing.T) {
 	// max x0 + x1 + 2 x2 + x3 with x0 and x1 sharing a column.
 	p := &Problem{
@@ -202,9 +192,9 @@ func TestRefactorizeRepairsSingularBasis(t *testing.T) {
 		B:     []float64{4, 6, 3},
 		Upper: []float64{1.5, 1, 2, math.Inf(1)},
 	}
-	want, err := Solve(p)
-	if err != nil || want.Status != Optimal {
-		t.Fatalf("dense reference: %v %v", want.Status, err)
+	want := solveOK(t, p)
+	if want.Status != Optimal {
+		t.Fatalf("cold reference: %v", want.Status)
 	}
 
 	var w Workspace
@@ -230,9 +220,11 @@ func TestRefactorizeRepairsSingularBasis(t *testing.T) {
 	if rv.primalFeasible() {
 		t.Fatalf("repaired basis is feasible (xB %v); the restore path went untested", rv.xB[:rv.m])
 	}
-	if got := rv.result(p, rv.iterate(), false); got.Status != Optimal || math.Abs(got.Objective-want.Objective) > 1e-9 {
-		t.Fatalf("after repair: %v/%v, dense %v", got.Status, got.Objective, want.Objective)
+	got := rv.result(p, rv.iterate(), false)
+	if got.Status != Optimal || math.Abs(got.Objective-want.Objective) > 1e-9 {
+		t.Fatalf("after repair: %v/%v, cold %v", got.Status, got.Objective, want.Objective)
 	}
+	certify(t, p, got)
 	if rv.refactors != 1 {
 		t.Errorf("%d refactorizations, want the one that repaired", rv.refactors)
 	}
@@ -245,7 +237,9 @@ func TestRefactorizeRepairsSingularBasis(t *testing.T) {
 // −2⁻³¹ from row 2: below pivotTol, so x3 cannot enter, but its bound of 10⁶
 // lets it repair 2⁻³¹·10⁶ ≈ 4.7e-4 of row 0's 7e-4 violation. Counted once
 // the row is certified infeasible on the warm basis; counted twice (9.3e-4)
-// the dual could not certify it, gave up and the solve restarted cold.
+// the dual could not certify it, gave up and the solve restarted cold. The
+// row it certified is the Farkas vector the answer carries; Check must
+// accept it, and the cold solve's phase-1 one.
 func TestDualCertifiesRowWithCancelledEntry(t *testing.T) {
 	p := &Problem{
 		Obj: []float64{0, 0, 0, -1},
@@ -268,7 +262,8 @@ func TestDualCertifiesRowWithCancelledEntry(t *testing.T) {
 		t.Fatalf("status %v, warm-started %v after %d pivots; want infeasible, certified on the warm basis with no pivot",
 			sol.Status, sol.WarmStarted, sol.Iters)
 	}
-	if cold, err := Solve(p); err != nil || cold.Status != Infeasible {
-		t.Fatalf("dense reference: %v %v", cold.Status, err)
+	certify(t, p, sol)
+	if cold := solveOK(t, p); cold.Status != Infeasible {
+		t.Fatalf("cold reference: %v", cold.Status)
 	}
 }

@@ -55,10 +55,13 @@ var solvers = []struct {
 
 // TestNetlibKnownOptima is the CI gate for solver correctness on the
 // vendored corpus: both solve paths must reproduce the documented optimum to
-// 1e-4.
+// 1e-4, and Check must certify each answer. The presolving solve returns no
+// duals, so its answer is certified with the raw simplex's: any duals give a
+// valid bound, so they prove its postsolved point feasible and optimal.
 func TestNetlibKnownOptima(t *testing.T) {
 	for name, want := range netlibOptima {
 		p := parseNetlib(t, name)
+		var duals []float64
 		for _, s := range solvers {
 			sol, err := s.solve(p, nil)
 			if err != nil {
@@ -71,6 +74,13 @@ func TestNetlibKnownOptima(t *testing.T) {
 			}
 			if math.Abs(sol.Objective-want) > 1e-4 {
 				t.Errorf("%s via %s: objective %.6f, want %.6f", name, s.name, sol.Objective, want)
+			}
+			if sol.Duals == nil {
+				sol = &lp.Solution{Status: lp.Optimal, X: sol.X, Objective: sol.Objective, Duals: duals}
+			}
+			duals = sol.Duals
+			if _, err := lp.Check(p, sol); err != nil {
+				t.Errorf("%s via %s: %v", name, s.name, err)
 			}
 		}
 	}
@@ -145,8 +155,8 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		if err := q.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted the model", tc.name)
 		}
-		if _, err := lp.Solve(&q); err == nil {
-			t.Errorf("%s: the dense oracle solved the model", tc.name)
+		if _, err := lp.Check(&q, &lp.Solution{Status: lp.Optimal}); err == nil {
+			t.Errorf("%s: Check accepted an answer to the model", tc.name)
 		}
 		for _, s := range solvers {
 			if _, err := s.solve(&q, nil); err == nil {

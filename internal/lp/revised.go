@@ -8,9 +8,8 @@ import (
 
 // Simplex is the sparse revised simplex as a one-shot solver: the constraint
 // matrix is stored column-sparse and the basis is held as sparse LU factors,
-// so memory is O(m² + nnz) at worst instead of the dense tableau's
-// O(m·(n+m)). Each solve validates its problem and borrows a pooled
-// Workspace.
+// so memory is O(m² + nnz) at worst. Each solve validates its problem and
+// borrows a pooled Workspace.
 type Simplex struct{}
 
 // SolveWarm maximizes p, warm-started from the basis of a previous solve of
@@ -154,6 +153,9 @@ type revised struct {
 	dir      []float64
 	broken   bool // the basis stayed singular after repair; abort with IterLimit
 	repaired bool // a refactorization repaired the basis; feasibility may be lost
+	// rayCol is the entering column of an Unbounded exit; its FTRAN stays
+	// in scratch for result to read the ray off.
+	rayCol int
 
 	// Work counters surfaced on the Solution for observability.
 	refactors int // LU rebuilds
@@ -375,10 +377,12 @@ func (rv *revised) setDir(j int) {
 	}
 }
 
-// result packages the outcome of a solve, translating the lower-shifted
-// solution back to the problem's variables. An optimal Solution costs three
-// allocations: the Solution and its Basis together, X, Duals and BoundDuals
-// in one backing array, and the basis contents.
+// result packages the outcome of a solve with the witness Check verifies,
+// translating the lower-shifted point back to the problem's variables. Each
+// witness costs one allocation beside the Solution: X and Duals of an
+// optimum, or X and Ray of an unbounded answer, in one backing array; the
+// Farkas vector of an infeasible one. An optimal Solution shares its
+// allocation with its Basis and costs a third for the basis contents.
 //
 // An optimal answer is read off a fresh factorization of the final basis —
 // the two calls installBasis makes, then exact prices — not off the values
@@ -389,10 +393,15 @@ func (rv *revised) setDir(j int) {
 // that fresh factorization, factorize being deterministic, and iterate
 // priced against them; only the basic values are recomputed.
 func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
+	head := Solution{Status: st, Iters: rv.iters, WarmStarted: warmed,
+		Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
 	if st != Optimal {
-		return &Solution{Status: st, Iters: rv.iters, WarmStarted: warmed,
-			Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
+		sol := new(Solution)
+		*sol = head
+		rv.witness(sol)
+		return sol
 	}
+	ns, m := rv.nStruct, rv.m
 	switch {
 	case len(rv.lu.etaSlot) == 0:
 		rv.refreshXB()
@@ -403,43 +412,17 @@ func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 	out := &struct {
 		sol   Solution
 		basis Basis
-	}{}
+	}{sol: head}
 	sol := &out.sol
-	*sol = Solution{Status: st, Iters: rv.iters, WarmStarted: warmed,
-		Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
-	ns, m := rv.nStruct, rv.m
-	vals := make([]float64, 2*ns+m)
+	vals := make([]float64, ns+m)
 	sol.X = vals[:ns:ns]
-	sol.Duals = vals[ns : ns+m : ns+m]
-	sol.BoundDuals = vals[ns+m:]
-	for j := range sol.X {
-		if rv.status[j] == atUpper {
-			sol.X[j] = rv.upper[j]
-		}
-	}
-	for i, b := range rv.basis {
-		if b >= rv.nStruct {
-			continue
-		}
-		v := rv.xB[i]
-		if v < 0 && v > -feasTol {
-			v = 0
-		}
-		sol.X[b] = v
-	}
+	sol.Duals = vals[ns:]
+	rv.point(sol.X)
 	for j, c := range p.Obj {
 		sol.Objective += c * sol.X[j]
 	}
-	// y and the reduced costs are exact: iterate priced them to confirm
-	// optimality.
-	for i, y := range rv.yScratch[:rv.m] {
-		sol.Duals[i] = rv.rowSign[i] * y
-	}
-	for j := 0; j < rv.nStruct; j++ {
-		if rv.status[j] == atUpper && rv.d[j] > 0 {
-			sol.BoundDuals[j] = rv.d[j]
-		}
-	}
+	// y is exact: iterate priced it to confirm optimality.
+	rv.rowDuals(sol.Duals)
 	rv.captureBasis(&out.basis)
 	sol.Basis = &out.basis
 	if rv.lower != nil {
@@ -449,6 +432,71 @@ func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 		}
 	}
 	return sol
+}
+
+// witness fills the witness of an infeasible or unbounded answer: the
+// Farkas vector in yScratch (the phase-1 duals, or the row dualSimplex
+// oriented), or the ray of entering column rayCol — which moves by dir, each
+// basic variable by −w·dir — with the point it starts from.
+func (rv *revised) witness(sol *Solution) {
+	ns, m := rv.nStruct, rv.m
+	switch sol.Status {
+	case Infeasible:
+		sol.Duals = make([]float64, m)
+		rv.rowDuals(sol.Duals)
+	case Unbounded:
+		vals := make([]float64, 2*ns)
+		sol.X, sol.Ray = vals[:ns:ns], vals[ns:]
+		dir := 1.0
+		if rv.status[rv.rayCol] == atUpper {
+			dir = -1
+		}
+		if rv.rayCol < ns {
+			sol.Ray[rv.rayCol] = dir
+		}
+		for i, b := range rv.basis[:m] {
+			if b < ns {
+				sol.Ray[b] = -rv.scratch[i] * dir
+			}
+		}
+		rv.refreshXB() // overwrites the FTRAN in scratch
+		rv.point(sol.X)
+		if rv.lower != nil {
+			for j := range sol.X {
+				sol.X[j] += rv.lower[j]
+			}
+		}
+	}
+}
+
+// point writes the current point of the structural columns, in the
+// lower-shifted space, into x: upper bounds for columns resting there, basic
+// values with roundoff below zero clamped, zero elsewhere.
+func (rv *revised) point(x []float64) {
+	for j := range x {
+		x[j] = 0
+		if rv.status[j] == atUpper {
+			x[j] = rv.upper[j]
+		}
+	}
+	for i, b := range rv.basis[:rv.m] {
+		if b >= rv.nStruct {
+			continue
+		}
+		v := rv.xB[i]
+		if v < 0 && v > -feasTol {
+			v = 0
+		}
+		x[b] = v
+	}
+}
+
+// rowDuals writes y in yScratch, mapped back through the row signs, into
+// duals.
+func (rv *revised) rowDuals(duals []float64) {
+	for i, y := range rv.yScratch[:rv.m] {
+		duals[i] = rv.rowSign[i] * y
+	}
 }
 
 // buildCSR mirrors the sign-normalized columns row-wise for pricing.
@@ -566,6 +614,7 @@ func (rv *revised) iterate() Status {
 		w := rv.ftran(enter)
 		row, leaveTo, delta := rv.ratioTest(enter, w)
 		if row == -2 {
+			rv.rayCol = enter
 			return Unbounded
 		}
 		if row >= 0 {
@@ -668,8 +717,10 @@ func (rv *revised) chooseEntering(bland bool) int {
 	return best
 }
 
-// ratioTest mirrors the dense solver's bounded ratio test over the computed
-// direction w = B^{-1}A_enter.
+// ratioTest is the bounded ratio test over the direction w = B^{-1}A_enter:
+// it returns the leaving row (-1 for a bound flip of the entering column,
+// -2 when nothing blocks it), the bound the leaving variable comes to rest
+// at, and the step length.
 func (rv *revised) ratioTest(enter int, w []float64) (row int, leaveTo varStatus, delta float64) {
 	dir := 1.0
 	if rv.status[enter] == atUpper {
@@ -879,6 +930,11 @@ func (rv *revised) dualSimplex() Status {
 			infeasible := rv.rowInfeasible(r, s)
 			rv.clearAlpha()
 			if infeasible {
+				// Row r of B⁻¹ (in yScratch), oriented by s, is the Farkas
+				// vector result reports.
+				for i := range rv.yScratch[:rv.m] {
+					rv.yScratch[i] *= s
+				}
 				return Infeasible
 			}
 			return IterLimit

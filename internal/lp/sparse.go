@@ -49,20 +49,6 @@ func (c *CSC) validate() error {
 	return nil
 }
 
-// Dense materializes the matrix as one dense row per constraint.
-func (c *CSC) Dense() [][]float64 {
-	a := make([][]float64, c.M)
-	for i := range a {
-		a[i] = make([]float64, c.N)
-	}
-	for j := 0; j < c.N; j++ {
-		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
-			a[c.RowIdx[k]][j] = c.Val[k]
-		}
-	}
-	return a
-}
-
 // NewCSCFromDense compresses a dense row-major matrix with numVars columns,
 // dropping zeros.
 func NewCSCFromDense(a [][]float64, numVars int) *CSC {

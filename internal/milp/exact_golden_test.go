@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"vmalloc/internal/milp"
@@ -34,6 +35,28 @@ func exactInstance(i int) (string, *milp.Problem) {
 	return scn.String(), &milp.Problem{LP: *enc.LP, Binary: bins}
 }
 
+// exactTrees holds the branch-and-bound answer of each exact instance,
+// solved on first use: TestExactGolden and TestPivotPathGolden read the same
+// trees, so each is solved once per test binary.
+var exactTrees [goldenInstances]struct {
+	once sync.Once
+	name string
+	sol  *milp.Solution
+	err  error
+}
+
+// exactTree returns the name and branch-and-bound answer of exact instance
+// i. Callers must not modify the answer.
+func exactTree(i int) (string, *milp.Solution, error) {
+	e := &exactTrees[i]
+	e.once.Do(func() {
+		var p *milp.Problem
+		e.name, p = exactInstance(i)
+		e.sol, e.err = milp.Solve(p, nil)
+	})
+	return e.name, e.sol, e.err
+}
+
 // TestExactGolden pins branch and bound's answers, not its path: the status
 // and optimal objective of 200 exact 3x8 solves were captured into
 // testdata/exact.golden from the per-node-presolve, cold-node search this
@@ -45,8 +68,7 @@ func TestExactGolden(t *testing.T) {
 	var lines []string
 	children, warm := 0, 0
 	for i := 0; i < goldenInstances; i++ {
-		name, p := exactInstance(i)
-		sol, err := milp.Solve(p, nil)
+		name, sol, err := exactTree(i)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

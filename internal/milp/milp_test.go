@@ -35,19 +35,25 @@ func TestKnapsack(t *testing.T) {
 
 func TestRelaxationTighterThanInteger(t *testing.T) {
 	// Fractional relaxation of the knapsack above is strictly better than
-	// the integer optimum, matching the paper's §3.2 upper-bound claim.
-	rel, err := lp.Solve(&lp.Problem{
+	// the integer optimum, matching the paper's §3.2 upper-bound claim; the
+	// relaxed optimum is certified by lp.Check's weak-duality bound.
+	p := &lp.Problem{
 		Obj:   []float64{10, 13, 7},
 		Cols:  lp.NewCSCFromDense([][]float64{{3, 4, 2}}, 3),
 		Sense: []lp.Sense{lp.LE},
 		B:     []float64{6},
 		Upper: []float64{1, 1, 1},
-	})
+	}
+	rel, err := lp.Simplex{}.SolveWarm(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Objective <= 20 {
-		t.Fatalf("relaxation %v should exceed integer optimum 20", rel.Objective)
+	bound, err := lp.Check(p, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Objective <= 20 || bound < rel.Objective {
+		t.Fatalf("relaxation %v (bound %v) should exceed integer optimum 20", rel.Objective, bound)
 	}
 }
 
@@ -149,8 +155,8 @@ func bruteForceKnapsack(obj, w []float64, cap float64) float64 {
 }
 
 // referenceBnB is the test-side oracle: a depth-first branch and bound that
-// solves every node cold with the dense tableau and branches on the first
-// fractional binary, fixing it through Lower = Upper.
+// solves every node cold, certifies each node's answer with lp.Check, and
+// branches on the first fractional binary, fixing it through Lower = Upper.
 func referenceBnB(t *testing.T, p *Problem) (best float64, found bool) {
 	t.Helper()
 	n := p.LP.NumVars()
@@ -158,9 +164,12 @@ func referenceBnB(t *testing.T, p *Problem) (best float64, found bool) {
 	visit = func(lower, upper []float64) {
 		q := p.LP
 		q.Lower, q.Upper = lower, upper
-		s, err := lp.Solve(&q)
+		s, err := lp.Simplex{}.SolveWarm(&q, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if _, err := lp.Check(&q, s); err != nil {
+			t.Fatalf("%v node fails its certificate: %v", s.Status, err)
 		}
 		if s.Status != lp.Optimal || (found && s.Objective <= best+1e-9) {
 			return
@@ -193,9 +202,9 @@ func referenceBnB(t *testing.T, p *Problem) (best float64, found bool) {
 }
 
 // Branch and bound warm-started node to node (the dual simplex from each
-// parent's basis) must find the optimum a cold, dense reference search
-// finds: basis reuse changes the per-node simplex trajectory, never the
-// result.
+// parent's basis) must find the optimum a cold reference search, every node
+// of it certified by lp.Check, finds: basis reuse changes the per-node
+// simplex trajectory, never the result.
 func TestWarmStartMatchesColdSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 60; iter++ {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"vmalloc/internal/lp"
-	"vmalloc/internal/milp"
 	"vmalloc/internal/presolve"
 	"vmalloc/internal/relax"
 	"vmalloc/internal/testutil/grid"
@@ -33,9 +32,10 @@ func bitsHash(xs ...float64) string {
 }
 
 // relaxationPath solves 8x64 relaxation i the way the LP tier's first solve
-// does — presolve, then a cold simplex solve of the reduced model — and
-// describes the pivot path: status, iterations, refactorizations and a hash
-// of the bits of X and the objective.
+// does — presolve, then a cold simplex solve of the reduced model — checks
+// the answer with lp.Check, and describes the pivot path: status,
+// iterations, refactorizations and a hash of the bits of X and the
+// objective.
 func relaxationPath(i int) (string, string, error) {
 	scn := grid.Scenario(i)
 	red, err := presolve.Reduce(relax.Encode(workload.Generate(scn)).LP, nil)
@@ -49,16 +49,18 @@ func relaxationPath(i int) (string, string, error) {
 	if err != nil {
 		return "", "", err
 	}
+	if _, err := lp.Check(red.Problem(), sol); err != nil {
+		return "", "", fmt.Errorf("%v: %w", scn, err)
+	}
 	return scn.String(), fmt.Sprintf("%v iters=%d refactors=%d bits=%s",
 		sol.Status, sol.Iters, sol.Refactorizations, bitsHash(append(sol.X, sol.Objective)...)), nil
 }
 
-// treePath solves exact 3x8 instance i by branch and bound and describes the
-// tree: status, nodes, simplex pivots and a hash of the bits of the
+// treePath describes the branch-and-bound tree of exact 3x8 instance i
+// (exactTree): status, nodes, simplex pivots and a hash of the bits of the
 // objective and X.
 func treePath(i int) (string, string, error) {
-	name, p := exactInstance(i)
-	sol, err := milp.Solve(p, nil)
+	name, sol, err := exactTree(i)
 	if err != nil {
 		return "", "", err
 	}
@@ -67,8 +69,9 @@ func treePath(i int) (string, string, error) {
 }
 
 // TestPivotPathGolden pins the simplex's path, not only its answers: for
-// the 300 relaxations of TestUpperBoundGolden (reduced, then solved cold)
-// and the 200 trees of TestExactGolden, the pivot and refactorization
+// the 300 relaxations of TestUpperBoundGolden (reduced, then solved cold,
+// each answer certified by lp.Check) and the 200 trees of TestExactGolden
+// (read from the same solve-once table), the pivot and refactorization
 // counts, the node counts and the exact bits of every X and objective were
 // captured into testdata/pivotpath.golden. A change to the kernel that is
 // meant to make pivots cheaper, not different, must reproduce every line;

@@ -14,7 +14,7 @@ import (
 // original-space primal and the objective recomputed from the original
 // coefficients (term order matches the solvers', so an unreduced solve of
 // the same vertex produces the identical float). No basis and no dual
-// values are reconstructed: Basis, Duals and BoundDuals are nil.
+// values are reconstructed: Basis and Duals are nil.
 func (r *Reduction) Postsolve(sol *lp.Solution) (*lp.Solution, error) {
 	switch r.outcome {
 	case Infeasible:

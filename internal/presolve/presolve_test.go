@@ -29,8 +29,8 @@ func solveBoth(t *testing.T, p *lp.Problem) (raw, pre *lp.Solution) {
 	return raw, pre
 }
 
-// checkEquivalent asserts objective agreement to 1e-9 (relative) and that
-// the presolved primal is feasible for the original problem.
+// checkEquivalent asserts objective agreement to 1e-9 (relative) and
+// certifies the presolved answer on the original problem (certifyWith).
 func checkEquivalent(t *testing.T, p *lp.Problem, raw, pre *lp.Solution) {
 	t.Helper()
 	if raw.Status != lp.Optimal {
@@ -40,55 +40,17 @@ func checkEquivalent(t *testing.T, p *lp.Problem, raw, pre *lp.Solution) {
 	if d := math.Abs(raw.Objective - pre.Objective); d > 1e-9*scale {
 		t.Fatalf("objective mismatch: raw %.15g, presolved %.15g (diff %g)", raw.Objective, pre.Objective, d)
 	}
-	checkFeasible(t, p, pre.X)
-	// The reported objective must be the objective of the reported point.
-	obj := 0.0
-	for j, c := range p.Obj {
-		obj += c * pre.X[j]
-	}
-	if d := math.Abs(obj - pre.Objective); d > 1e-9*scale {
-		t.Fatalf("objective inconsistent with X: %.15g vs %.15g", obj, pre.Objective)
-	}
+	certifyWith(t, p, pre, raw)
 }
 
-func checkFeasible(t *testing.T, p *lp.Problem, x []float64) {
+// certifyWith certifies a presolved optimum of p with the duals of ref, the
+// unpresolved solve: any duals give a valid weak-duality bound, so lp.Check
+// proves the postsolved X feasible for p, its objective Obj·X, and optimal
+// to the check's margin, with no dual postsolve.
+func certifyWith(t *testing.T, p *lp.Problem, pre, ref *lp.Solution) {
 	t.Helper()
-	if len(x) != p.NumVars() {
-		t.Fatalf("solution has %d vars, want %d", len(x), p.NumVars())
-	}
-	const tol = 1e-6
-	for j, v := range x {
-		l, u := 0.0, math.Inf(1)
-		if p.Lower != nil {
-			l = p.Lower[j]
-		}
-		if p.Upper != nil {
-			u = p.Upper[j]
-		}
-		if v < l-tol || v > u+tol {
-			t.Fatalf("x[%d]=%g outside [%g,%g]", j, v, l, u)
-		}
-	}
-	for i, row := range p.Cols.Dense() {
-		lhs := 0.0
-		for j, c := range row {
-			lhs += c * x[j]
-		}
-		scale := 1 + math.Abs(p.B[i])
-		switch p.Sense[i] {
-		case lp.LE:
-			if lhs > p.B[i]+tol*scale {
-				t.Fatalf("row %d violated: %g <= %g", i, lhs, p.B[i])
-			}
-		case lp.GE:
-			if lhs < p.B[i]-tol*scale {
-				t.Fatalf("row %d violated: %g >= %g", i, lhs, p.B[i])
-			}
-		case lp.EQ:
-			if math.Abs(lhs-p.B[i]) > tol*scale {
-				t.Fatalf("row %d violated: %g == %g", i, lhs, p.B[i])
-			}
-		}
+	if _, err := lp.Check(p, &lp.Solution{Status: lp.Optimal, X: pre.X, Objective: pre.Objective, Duals: ref.Duals}); err != nil {
+		t.Fatalf("presolved answer fails the certificate of the unpresolved duals: %v", err)
 	}
 }
 
@@ -141,10 +103,10 @@ func TestRuleFixedAndEmpty(t *testing.T) {
 }
 
 // TestBackendSolvedOutcome solves a model presolve eliminates entirely
-// through Backend: the answer is Postsolve(nil)'s, bit for bit, within 1e-9
-// of the dense oracle, with the presolve counters set and no warm token; a
-// repeat solve, cold or handed another problem's token, returns the same
-// bits.
+// through Backend: the answer is Postsolve(nil)'s, bit for bit, certified by
+// lp.Check with the unpresolved simplex's duals, with the presolve counters
+// set and no warm token; a repeat solve, cold or handed another problem's
+// token, returns the same bits.
 func TestBackendSolvedOutcome(t *testing.T) {
 	p := fixedAndEmpty()
 	red, err := presolve.Reduce(p, nil)
@@ -155,9 +117,9 @@ func TestBackendSolvedOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := lp.Solve(p)
-	if err != nil || oracle.Status != lp.Optimal {
-		t.Fatalf("dense oracle: %v %v", oracle.Status, err)
+	raw, err := lp.Simplex{}.SolveWarm(p, nil)
+	if err != nil || raw.Status != lp.Optimal {
+		t.Fatalf("unpresolved solve: %v %v", raw.Status, err)
 	}
 	same := func(what string, got *lp.Solution) {
 		t.Helper()
@@ -182,14 +144,7 @@ func TestBackendSolvedOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("cold", first)
-	if d := math.Abs(first.Objective - oracle.Objective); d > 1e-9*(1+math.Abs(oracle.Objective)) {
-		t.Fatalf("objective %.15g, dense oracle %.15g", first.Objective, oracle.Objective)
-	}
-	for j, x := range oracle.X {
-		if math.Abs(first.X[j]-x) > 1e-9 {
-			t.Fatalf("x[%d] = %v, dense oracle %v", j, first.X[j], x)
-		}
-	}
+	certifyWith(t, p, first, raw)
 	again, err := b.SolveWarm(p, first.Basis)
 	if err != nil {
 		t.Fatal(err)
@@ -393,6 +348,7 @@ func TestPostsolveSlackOfMorphedEquality(t *testing.T) {
 	if d := math.Abs(full.Objective - raw.Objective); d > 1e-9*(1+math.Abs(raw.Objective)) {
 		t.Fatalf("postsolved objective %.15g vs raw %.15g", full.Objective, raw.Objective)
 	}
+	certifyWith(t, p, full, raw)
 }
 
 // parkScenarios returns 100+ varied park instances: the S4 equivalence
@@ -417,9 +373,10 @@ func parkScenarios() []workload.Scenario {
 }
 
 // TestEquivalenceRandomParks is the headline equivalence gate: across 100+
-// random park relaxations the reduced-model objective and reconstructed
-// primal must match the unreduced solve to 1e-9, through presolve.Backend
-// and through Reduce, the simplex and Postsolve step by step.
+// random park relaxations the reduced-model objective must match the
+// unreduced solve to 1e-9 and the reconstructed primal must pass lp.Check
+// with the unreduced solve's duals, through presolve.Backend and through
+// Reduce, the simplex and Postsolve step by step.
 func TestEquivalenceRandomParks(t *testing.T) {
 	scns := parkScenarios()
 	if len(scns) < 100 {
@@ -456,7 +413,7 @@ func TestEquivalenceRandomParks(t *testing.T) {
 		if d := math.Abs(full.Objective - raw.Objective); d > 1e-9*scale {
 			t.Fatalf("%v: postsolved objective %.15g vs raw %.15g", scn, full.Objective, raw.Objective)
 		}
-		checkFeasible(t, enc.LP, full.X)
+		certifyWith(t, enc.LP, full, raw)
 	}
 }
 
