@@ -317,6 +317,33 @@ func TestPresolveReduceAllocs(t *testing.T) {
 	}
 }
 
+// TestGenerateAllocs gates, in counts, what drawing and copying an instance
+// allocates: one backing array per service and per node, one string of names
+// per node set and per service set, and a recycled random source, so the
+// count grows with services and nodes, not with their vectors.
+func TestGenerateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	small := workload.Scenario{Hosts: 8, Services: 64, COV: 0.5, Slack: 0.5, Seed: 1}
+	large := workload.Scenario{Hosts: 64, Services: 512, COV: 0.5, Slack: 0.5, Seed: 1}
+	p := workload.Generate(small)
+	for _, tc := range []struct {
+		name string
+		run  func()
+		max  float64
+	}{
+		{"Generate8x64", func() { workload.Generate(small) }, 100},
+		{"Generate64x512", func() { workload.Generate(large) }, 700},
+		{"Clone8x64", func() { p.Clone() }, 80},
+	} {
+		tc.run() // warm the source pool
+		if got := testing.AllocsPerRun(20, tc.run); got > tc.max {
+			t.Errorf("%s: %.0f allocs, want <= %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
 // simplexBenchInputs returns the two shapes the simplex is paid for in
 // production: the reduced model of a paper-scale 8x64 relaxation (what a
 // cold relaxation solve hands the simplex after presolve), and an exact 3x8

@@ -222,7 +222,7 @@ func mergedState(r routerView) *ClusterState {
 func cloneNodes(nodes []Node) []Node {
 	out := make([]Node, len(nodes))
 	for i, n := range nodes {
-		out[i] = Node{Name: n.Name, Elementary: n.Elementary.Clone(), Aggregate: n.Aggregate.Clone()}
+		out[i] = n.Clone()
 	}
 	return out
 }

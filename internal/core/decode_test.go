@@ -125,7 +125,9 @@ func sameNode(a, b Node) bool {
 }
 
 // checkAgainstReference decodes data as a service and as a node with both
-// the one-pass reader and the reference and fails on any disagreement.
+// the one-pass reader and the reference and fails on any disagreement. It
+// also checks that a decoded value's Clone holds its bits and shares no
+// memory with it.
 func checkAgainstReference(t *testing.T, data []byte) {
 	t.Helper()
 	var s Service
@@ -137,6 +139,18 @@ func checkAgainstReference(t *testing.T, data []byte) {
 	if err == nil && !sameService(s, want) {
 		t.Fatalf("service %q: reader %#v, reference %#v", data, s, want)
 	}
+	if err == nil {
+		c := s.Clone()
+		if !sameService(c, s) {
+			t.Fatalf("service %q: clone %#v of %#v", data, c, s)
+		}
+		for _, v := range []vec.Vec{c.ReqElem, c.ReqAgg, c.NeedElem, c.NeedAgg} {
+			flip(v)
+		}
+		if !sameService(s, want) {
+			t.Fatalf("service %q: writing its clone changed it to %#v", data, s)
+		}
+	}
 	var n Node
 	err = n.UnmarshalJSON(data)
 	wantN, werr := refNode(data)
@@ -145,6 +159,17 @@ func checkAgainstReference(t *testing.T, data []byte) {
 	}
 	if err == nil && !sameNode(n, wantN) {
 		t.Fatalf("node %q: reader %#v, reference %#v", data, n, wantN)
+	}
+	if err == nil {
+		c := n.Clone()
+		if !sameNode(c, n) {
+			t.Fatalf("node %q: clone %#v of %#v", data, c, n)
+		}
+		flip(c.Elementary)
+		flip(c.Aggregate)
+		if !sameNode(n, wantN) {
+			t.Fatalf("node %q: writing its clone changed it to %#v", data, n)
+		}
 	}
 }
 

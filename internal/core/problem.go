@@ -148,15 +148,38 @@ func (p *Problem) Clone() *Problem {
 		Nodes:    make([]Node, len(p.Nodes)),
 		Services: make([]Service, len(p.Services)),
 	}
-	for i, n := range p.Nodes {
-		q.Nodes[i] = Node{Name: n.Name, Elementary: n.Elementary.Clone(), Aggregate: n.Aggregate.Clone()}
+	for i := range p.Nodes {
+		q.Nodes[i] = p.Nodes[i].Clone()
 	}
-	for i, s := range p.Services {
-		q.Services[i] = Service{
-			Name:    s.Name,
-			ReqElem: s.ReqElem.Clone(), ReqAgg: s.ReqAgg.Clone(),
-			NeedElem: s.NeedElem.Clone(), NeedAgg: s.NeedAgg.Clone(),
-		}
+	for i := range p.Services {
+		q.Services[i] = p.Services[i].Clone()
 	}
 	return q
+}
+
+// Clone returns a deep copy of n whose two vectors share one backing array.
+func (n Node) Clone() Node {
+	buf := make(vec.Vec, 0, len(n.Elementary)+len(n.Aggregate))
+	n.Elementary, buf = carve(buf, n.Elementary)
+	n.Aggregate, _ = carve(buf, n.Aggregate)
+	return n
+}
+
+// Clone returns a deep copy of s whose four vectors share one backing array.
+func (s Service) Clone() Service {
+	buf := make(vec.Vec, 0, len(s.ReqElem)+len(s.ReqAgg)+len(s.NeedElem)+len(s.NeedAgg))
+	s.ReqElem, buf = carve(buf, s.ReqElem)
+	s.ReqAgg, buf = carve(buf, s.ReqAgg)
+	s.NeedElem, buf = carve(buf, s.NeedElem)
+	s.NeedAgg, _ = carve(buf, s.NeedAgg)
+	return s
+}
+
+// carve appends v to buf, which must have room for it, and returns the copy
+// capped at its own length, so an append to it reallocates instead of
+// writing into the next vector carved from buf.
+func carve(buf, v vec.Vec) (c, rest vec.Vec) {
+	n := len(buf)
+	buf = append(buf, v...)
+	return buf[n:len(buf):len(buf)], buf
 }

@@ -214,15 +214,6 @@ func (e *Engine) SetThreshold(th float64) { e.threshold = th }
 // Threshold returns the current mitigation threshold.
 func (e *Engine) Threshold() float64 { return e.threshold }
 
-// cloneService deep-copies the vectors of s so the slot owns its state.
-func cloneService(s core.Service) core.Service {
-	s.ReqElem = s.ReqElem.Clone()
-	s.ReqAgg = s.ReqAgg.Clone()
-	s.NeedElem = s.NeedElem.Clone()
-	s.NeedAgg = s.NeedAgg.Clone()
-	return s
-}
-
 // Add admits a service with the best-fit admission test of the online
 // platform: among the nodes whose remaining requirement capacity fits the
 // service's true rigid requirements, the one with the least remaining
@@ -267,8 +258,8 @@ func (e *Engine) AdmitWithID(id int, trueSvc, estSvc core.Service) (node int, ok
 	if id >= e.nextID {
 		e.nextID = id + 1
 	}
-	sl.trueSvc = cloneService(trueSvc)
-	sl.estSvc = cloneService(estSvc)
+	sl.trueSvc = trueSvc.Clone()
+	sl.estSvc = estSvc.Clone()
 	sl.node = best
 	sl.used = true
 	sl.livePos = len(e.live)

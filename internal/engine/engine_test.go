@@ -35,7 +35,7 @@ func randService(rng *rand.Rand) core.Service {
 }
 
 func perturb(rng *rand.Rand, s core.Service, maxErr float64) core.Service {
-	est := cloneService(s)
+	est := s.Clone()
 	e := (rng.Float64()*2 - 1) * maxErr
 	est.NeedAgg[0] = math.Max(0.001, est.NeedAgg[0]+e)
 	est.NeedElem[0] = est.NeedAgg[0] / 4
@@ -262,13 +262,13 @@ func TestRepairRespectsBudget(t *testing.T) {
 	e := newTestEngine(t, Config{Nodes: testNodes(4)})
 	for i := 0; i < 20; i++ {
 		s := randService(rng)
-		e.Add(s, cloneService(s))
+		e.Add(s, s.Clone())
 	}
 	e.Reallocate()
 	// Churn, then repair with a tight budget.
 	for i := 0; i < 6; i++ {
 		s := randService(rng)
-		e.Add(s, cloneService(s))
+		e.Add(s, s.Clone())
 	}
 	rep := e.Repair(2)
 	if rep.Result.Solved && rep.Migrations > 2 {
@@ -279,7 +279,7 @@ func TestRepairRespectsBudget(t *testing.T) {
 func TestUpdateNeedsAdjustsLoadsAndViews(t *testing.T) {
 	e := newTestEngine(t, Config{Nodes: testNodes(2)})
 	s := randService(rand.New(rand.NewSource(1)))
-	id, node, ok := e.Add(s, cloneService(s))
+	id, node, ok := e.Add(s, s.Clone())
 	if !ok {
 		t.Fatal("admission failed on an empty cluster")
 	}
@@ -308,7 +308,7 @@ func TestSnapshotIsDetached(t *testing.T) {
 	var ids []int
 	for i := 0; i < 9; i++ {
 		s := randService(rng)
-		if id, _, ok := e.Add(s, cloneService(s)); ok {
+		if id, _, ok := e.Add(s, s.Clone()); ok {
 			ids = append(ids, id)
 		}
 	}
@@ -344,10 +344,10 @@ func TestEmptyAndRejection(t *testing.T) {
 		NeedElem: vec.Of(0, 0),
 		NeedAgg:  vec.Of(0, 0),
 	}
-	if _, _, ok := e.Add(big, cloneService(big)); !ok {
+	if _, _, ok := e.Add(big, big.Clone()); !ok {
 		t.Fatal("first big service must fit")
 	}
-	if _, _, ok := e.Add(big, cloneService(big)); ok {
+	if _, _, ok := e.Add(big, big.Clone()); ok {
 		t.Fatal("second big service must be rejected (memory full)")
 	}
 }

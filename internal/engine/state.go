@@ -51,8 +51,8 @@ func (e *Engine) State() *State {
 		st.Services = append(st.Services, ServiceState{
 			ID:   sl.id,
 			Node: sl.node,
-			True: cloneService(sl.trueSvc),
-			Est:  cloneService(sl.estSvc),
+			True: sl.trueSvc.Clone(),
+			Est:  sl.estSvc.Clone(),
 		})
 	}
 	sort.Slice(st.Services, func(i, j int) bool { return st.Services[i].ID < st.Services[j].ID })
@@ -136,8 +136,8 @@ func (e *Engine) RestoreAdd(id, node int, trueSvc, estSvc core.Service) error {
 	si := e.allocSlot()
 	sl := &e.slots[si]
 	sl.id = id
-	sl.trueSvc = cloneService(trueSvc)
-	sl.estSvc = cloneService(estSvc)
+	sl.trueSvc = trueSvc.Clone()
+	sl.estSvc = estSvc.Clone()
 	sl.node = node
 	sl.used = true
 	sl.livePos = len(e.live)

@@ -26,13 +26,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/engine"
 	"vmalloc/internal/heapx"
 	"vmalloc/internal/sched"
-	"vmalloc/internal/vec"
 	"vmalloc/internal/workload"
 )
 
@@ -285,18 +285,13 @@ func (s *sim) newService() (trueSvc, estSvc core.Service, departAt float64) {
 		meanCores /= tw
 	}
 	needCPU := s.cfg.MeanCPUNeed * float64(cores) / meanCores
+	var name [24]byte
+	v := []float64{g.ElemCPURequirement, mem, g.ElemCPURequirement, mem, needCPU / float64(cores), 0, needCPU, 0}
 	trueSvc = core.Service{
-		Name:     fmt.Sprintf("svc-%d", s.nextID),
-		ReqElem:  vec.Of(g.ElemCPURequirement, mem),
-		ReqAgg:   vec.Of(g.ElemCPURequirement, mem),
-		NeedElem: vec.Of(needCPU/float64(cores), 0),
-		NeedAgg:  vec.Of(needCPU, 0),
+		Name:    string(strconv.AppendInt(append(name[:0], "svc-"...), int64(s.nextID), 10)),
+		ReqElem: v[0:2:2], ReqAgg: v[2:4:4], NeedElem: v[4:6:6], NeedAgg: v[6:8:8],
 	}
-	estSvc = trueSvc
-	estSvc.ReqElem = trueSvc.ReqElem.Clone()
-	estSvc.ReqAgg = trueSvc.ReqAgg.Clone()
-	estSvc.NeedElem = trueSvc.NeedElem.Clone()
-	estSvc.NeedAgg = trueSvc.NeedAgg.Clone()
+	estSvc = trueSvc.Clone()
 	if s.cfg.MaxErr > 0 {
 		e := (s.rng.Float64()*2 - 1) * s.cfg.MaxErr
 		est := math.Max(0.001, needCPU+e)

@@ -672,7 +672,7 @@ func (r *Router) rebalance(reps []*engine.EpochReport) (moved, carried int) {
 			return targets[i] < targets[j]
 		})
 		ts, es, _ := src.eng.Service(c.id)
-		trueSvc, estSvc := cloneService(ts), cloneService(es)
+		trueSvc, estSvc := ts.Clone(), es.Clone()
 		for _, t := range targets {
 			local, ok := r.domains[t].eng.AdmitWithID(c.id, trueSvc, estSvc)
 			if !ok {
@@ -735,14 +735,6 @@ func sortedKeys(m map[int]bool) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func cloneService(s core.Service) core.Service {
-	s.ReqElem = s.ReqElem.Clone()
-	s.ReqAgg = s.ReqAgg.Clone()
-	s.NeedElem = s.NeedElem.Clone()
-	s.NeedAgg = s.NeedAgg.Clone()
-	return s
 }
 
 // merge folds the per-shard reports into one park-global epoch. With K=1
@@ -858,11 +850,7 @@ func (r *Router) MinYield(policy sched.Policy) float64 {
 func (r *Router) Snapshot() (*core.Problem, core.Placement, []int) {
 	p := &core.Problem{Nodes: make([]core.Node, 0, len(r.cfg.Nodes))}
 	for _, n := range r.cfg.Nodes {
-		p.Nodes = append(p.Nodes, core.Node{
-			Name:       n.Name,
-			Elementary: n.Elementary.Clone(),
-			Aggregate:  n.Aggregate.Clone(),
-		})
+		p.Nodes = append(p.Nodes, n.Clone())
 	}
 	type entry struct {
 		id   int

@@ -21,6 +21,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
+	"sync"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/vec"
@@ -170,7 +173,7 @@ func clamp(x, lo, hi float64) float64 {
 
 // Platform generates the node set for a scenario.
 func Platform(scn Scenario, rng *rand.Rand) []core.Node {
-	nodes := make([]core.Node, scn.Hosts)
+	nodes, names := make([]core.Node, scn.Hosts), numberedNames("node-", scn.Hosts)
 	for h := range nodes {
 		cpu := CapacityMedian
 		mem := CapacityMedian
@@ -180,13 +183,27 @@ func Platform(scn Scenario, rng *rand.Rand) []core.Node {
 		if scn.Mode != HeteroMemHomogeneous {
 			mem = truncNormal(rng, CapacityMedian, scn.COV)
 		}
-		nodes[h] = core.Node{
-			Name:       fmt.Sprintf("node-%d", h),
-			Elementary: vec.Of(cpu/CoresPerNode, mem),
-			Aggregate:  vec.Of(cpu, mem),
-		}
+		v := []float64{cpu / CoresPerNode, mem, cpu, mem}
+		nodes[h] = core.Node{Name: names[h], Elementary: v[0:2:2], Aggregate: v[2:4:4]}
 	}
 	return nodes
+}
+
+// numberedNames returns prefix+"0" … prefix+(n-1), all cut from one string.
+func numberedNames(prefix string, n int) []string {
+	var digits [20]byte
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + len(strconv.Itoa(n))))
+	for i := 0; i < n; i++ {
+		b.WriteString(prefix)
+		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	}
+	all, names, off := b.String(), make([]string, n), 0
+	for i := range names {
+		end := off + len(prefix) + len(strconv.AppendInt(digits[:0], int64(i), 10))
+		names[i], off = all[off:end], end
+	}
+	return names
 }
 
 // Sampler provides the two service-size marginals the paper takes from the
@@ -211,11 +228,19 @@ func (g *Google) SampleMem(rng *rand.Rand) float64 { return g.sampleMem(rng) }
 // ElemCPUReq implements Sampler.
 func (g *Google) ElemCPUReq() float64 { return g.ElemCPURequirement }
 
+// defaultGoogle is the DefaultGoogle that Generate reads; nothing writes it.
+var defaultGoogle = DefaultGoogle()
+
 // Generate builds the full problem for a scenario using the default Google
 // marginals.
 func Generate(scn Scenario) *core.Problem {
-	return GenerateWith(scn, DefaultGoogle())
+	return GenerateWith(scn, defaultGoogle)
 }
+
+// rngPool recycles the generator's random sources. A fresh source is a
+// 4.9 KB table; (*rand.Rand).Seed resets all of it, read position included,
+// so a reseeded one draws exactly the stream of rand.New(rand.NewSource).
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // GenerateWith builds the problem for a scenario from explicit Google
 // marginals. See GenerateSampled.
@@ -228,7 +253,9 @@ func GenerateWith(scn Scenario, g *Google) *core.Problem {
 // memory requirements are scaled so that a successful allocation leaves
 // exactly scn.Slack of the total memory free.
 func GenerateSampled(scn Scenario, g Sampler) *core.Problem {
-	rng := rand.New(rand.NewSource(scn.Seed))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(scn.Seed)
 	p := &core.Problem{Nodes: Platform(scn, rng)}
 
 	cores := make([]int, scn.Services)
@@ -248,16 +275,13 @@ func GenerateSampled(scn Scenario, g Sampler) *core.Problem {
 	cpuScale := totals[CPU] / sumCores
 	memScale := totals[Mem] * (1 - scn.Slack) / sumMem
 
-	for j := 0; j < scn.Services; j++ {
+	p.Services = make([]core.Service, scn.Services)
+	names := numberedNames("svc-", scn.Services)
+	for j := range p.Services {
 		needCPU := float64(cores[j]) * cpuScale
 		mem := mems[j] * memScale
-		p.Services = append(p.Services, core.Service{
-			Name:     fmt.Sprintf("svc-%d", j),
-			ReqElem:  vec.Of(g.ElemCPUReq(), mem),
-			ReqAgg:   vec.Of(g.ElemCPUReq(), mem),
-			NeedElem: vec.Of(needCPU/float64(cores[j]), 0),
-			NeedAgg:  vec.Of(needCPU, 0),
-		})
+		v := []float64{g.ElemCPUReq(), mem, g.ElemCPUReq(), mem, needCPU / float64(cores[j]), 0, needCPU, 0}
+		p.Services[j] = core.Service{Name: names[j], ReqElem: v[0:2:2], ReqAgg: v[2:4:4], NeedElem: v[4:6:6], NeedAgg: v[6:8:8]}
 	}
 	return p
 }
