@@ -279,47 +279,86 @@ func SolveExact(p *core.Problem, opts *milp.Options) (*core.Result, error) {
 	return core.EvaluatePlacement(p, pl), nil
 }
 
-// roundPlacement samples a placement from fractional probabilities. For each
-// service, nodes are drawn with probability proportional to probs[j][h];
-// nodes where the service's rigid requirements do not fit (given services
-// placed so far) get their probability zeroed and the draw repeats, as in
-// paper §3.3.1. It returns an incomplete placement if some service fits
-// nowhere with positive probability.
-func roundPlacement(p *core.Problem, probs [][]float64, rng *rand.Rand) core.Placement {
+// rounding holds what one RRND or RRNZ call reuses across its attempts: the
+// placement, the current service's weight row and the per-node aggregate
+// requirement loads, which share one backing array.
+type rounding struct {
+	pl    core.Placement
+	w     []float64
+	loads []vec.Vec
+}
+
+func newRounding(p *core.Problem) *rounding {
+	H, d := p.NumNodes(), p.Dim()
+	r := &rounding{pl: make(core.Placement, p.NumServices()), loads: make([]vec.Vec, H)}
+	buf := make([]float64, H*d)
+	for h := range r.loads {
+		r.loads[h] = buf[h*d : (h+1)*d : (h+1)*d]
+	}
+	return r
+}
+
+// place samples a placement from fractional probabilities into r.pl. For
+// each service, nodes are drawn with probability proportional to
+// probs[j][h]; nodes where the service's rigid requirements do not fit
+// (given services placed so far) get their probability zeroed and the draw
+// repeats, as in paper §3.3.1. The placement is incomplete if some service
+// fits nowhere with positive probability.
+func (r *rounding) place(p *core.Problem, probs [][]float64, rng *rand.Rand) core.Placement {
 	J, H := p.NumServices(), p.NumNodes()
-	pl := core.NewPlacement(J)
-	loads := make([]vec.Vec, H)
-	for h := range loads {
-		loads[h] = vec.New(p.Dim())
+	for j := range r.pl {
+		r.pl[j] = core.Unplaced
+	}
+	for _, l := range r.loads {
+		clear(l)
 	}
 	for j := 0; j < J; j++ {
 		s := &p.Services[j]
-		w := append([]float64(nil), probs[j]...)
+		r.w = append(r.w[:0], probs[j]...)
+		w := r.w
 		for {
 			total := 0.0
 			for _, x := range w {
 				total += x
 			}
 			if total <= 1e-15 {
-				return pl // service j cannot be placed
+				return r.pl // service j cannot be placed
 			}
-			r := rng.Float64() * total
+			x := rng.Float64() * total
 			h := 0
 			for ; h < H-1; h++ {
-				r -= w[h]
-				if r < 0 {
+				x -= w[h]
+				if x < 0 {
 					break
 				}
 			}
-			if s.FitsRequirements(&p.Nodes[h], loads[h]) {
-				pl[j] = h
-				loads[h].AccumAdd(s.ReqAgg)
+			if s.FitsRequirements(&p.Nodes[h], r.loads[h]) {
+				r.pl[j] = h
+				r.loads[h].AccumAdd(s.ReqAgg)
 				break
 			}
 			w[h] = 0
 		}
 	}
-	return pl
+	return r.pl
+}
+
+// round returns the evaluated result of the first complete placement
+// sampled from probs that solves, within attempts tries, or a failed
+// result.
+func round(p *core.Problem, probs [][]float64, attempts int, rng *rand.Rand) *core.Result {
+	if attempts <= 0 {
+		attempts = 1
+	}
+	r := newRounding(p)
+	for a := 0; a < attempts; a++ {
+		if pl := r.place(p, probs, rng); pl.Complete() {
+			if res := core.EvaluatePlacement(p, pl); res.Solved {
+				return res
+			}
+		}
+	}
+	return &core.Result{}
 }
 
 // RRND is Randomized Rounding: it samples placements from the relaxed e_jh
@@ -329,18 +368,7 @@ func RRND(p *core.Problem, rel *Relaxed, attempts int, rng *rand.Rand) *core.Res
 	if !rel.Feasible {
 		return &core.Result{}
 	}
-	if attempts <= 0 {
-		attempts = 1
-	}
-	for a := 0; a < attempts; a++ {
-		pl := roundPlacement(p, rel.E, rng)
-		if pl.Complete() {
-			if res := core.EvaluatePlacement(p, pl); res.Solved {
-				return res
-			}
-		}
-	}
-	return &core.Result{}
+	return round(p, rel.E, attempts, rng)
 }
 
 // RRNZ is Randomized Rounding with No Zero probabilities: every zero e_jh is
@@ -350,28 +378,19 @@ func RRNZ(p *core.Problem, rel *Relaxed, attempts int, rng *rand.Rand) *core.Res
 	if !rel.Feasible {
 		return &core.Result{}
 	}
-	probs := make([][]float64, len(rel.E))
-	for j := range rel.E {
-		probs[j] = make([]float64, len(rel.E[j]))
-		for h, v := range rel.E[j] {
-			if v < Epsilon {
-				v = Epsilon
-			}
-			probs[j][h] = v
+	n := 0
+	for _, row := range rel.E {
+		n += len(row)
+	}
+	probs, buf := make([][]float64, len(rel.E)), make([]float64, 0, n)
+	for j, row := range rel.E {
+		start := len(buf)
+		for _, v := range row {
+			buf = append(buf, max(v, Epsilon))
 		}
+		probs[j] = buf[start:len(buf):len(buf)]
 	}
-	if attempts <= 0 {
-		attempts = 1
-	}
-	for a := 0; a < attempts; a++ {
-		pl := roundPlacement(p, probs, rng)
-		if pl.Complete() {
-			if res := core.EvaluatePlacement(p, pl); res.Solved {
-				return res
-			}
-		}
-	}
-	return &core.Result{}
+	return round(p, probs, attempts, rng)
 }
 
 // UpperBound returns the relaxation's optimal minimum yield, which bounds
