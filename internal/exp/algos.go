@@ -88,11 +88,11 @@ func RRNZAlgo(seed int64) Algo {
 }
 
 // LPRoster returns the RRND and RRNZ roster entries, the roster the
-// paper-scale LP tier runs. Both round the same rational relaxation, and a
-// repeat relaxation solve of one instance is a warm re-solve from that
-// instance's own optimal basis (relax keeps the tokens of the last few
-// problems it solved), so the second entry pays a refactorization instead of
-// a cold simplex and rounds exactly the bits a cold solve gives.
+// paper-scale LP tier runs. Both round the same rational relaxation, and
+// relax remembers the answers of the last few problems it solved, so the
+// second entry's solve of an instance is answered from memory — no encode,
+// presolve or simplex pivot — and rounds exactly the bits a cold solve
+// gives. An instance evicted in between is solved again, cold.
 func LPRoster(seed int64) []Algo {
 	return []Algo{RRNDAlgo(seed), RRNZAlgo(seed)}
 }

@@ -1,5 +1,5 @@
-// Backend is the presolving solve relax runs for LPBOUND, RRND, RRNZ and the
-// engine's bound bracket: reduce, solve the reduced model with the sparse
+// Backend is the presolving solve behind every relaxation solve relax runs
+// (LPBOUND, RRND, RRNZ): reduce, solve the reduced model with the sparse
 // simplex, postsolve the primal. The warm token it hands out is the REDUCED
 // model's basis. Every solve reduces afresh — a repeat solve of an unedited
 // problem never gets here, relax answers it from memory — and a token whose
