@@ -24,7 +24,9 @@ const gapTol = 1e-9
 //     exceed Objective by more than the margin. A d_j > 0 against an
 //     infinite upper bound would make the bound infinite: up to the dual
 //     tolerance costTol, below which the simplex prices no column in, it is
-//     priced at l_j instead. An answer without Duals fails.
+//     priced at l_j instead. The tolerance scales with 1 + |c_j| +
+//     Σ_i |a_ij·y_i|, the terms d_j sums, whose rounding it must absorb
+//     when they are large. An answer without Duals fails.
 //   - Infeasible: Duals holds a Farkas vector. Its bound with Obj = 0 must
 //     lie below −gapTol, which no feasible point allows, since 0 = 0·x is
 //     at most the bound.
@@ -78,8 +80,8 @@ func Check(p *Problem, sol *Solution) (bound float64, err error) {
 
 // dualBound returns the weak-duality bound b·y + Σ_j max(d_j·l_j, d_j·u_j),
 // d = c − Aᵀy, of y projected onto its signs, over every x in p's feasible
-// set; c nil means zero. A d_j > costTol against an infinite upper bound
-// makes it +Inf.
+// set; c nil means zero. A d_j > costTol·(1 + |c_j| + Σ_i |a_ij·y_i|)
+// against an infinite upper bound makes it +Inf.
 func dualBound(p *Problem, c, y []float64) float64 {
 	proj := func(i int) float64 {
 		if yi := y[i]; (p.Sense[i] != LE || yi >= 0) && (p.Sense[i] != GE || yi <= 0) {
@@ -93,16 +95,18 @@ func dualBound(p *Problem, c, y []float64) float64 {
 	}
 	cols := p.Cols
 	for j := 0; j < cols.N; j++ {
-		d := 0.0
+		d, mag := 0.0, 1.0
 		if c != nil {
-			d = c[j]
+			d, mag = c[j], 1+math.Abs(c[j])
 		}
 		for k := cols.ColPtr[j]; k < cols.ColPtr[j+1]; k++ {
-			d -= cols.Val[k] * proj(cols.RowIdx[k])
+			t := cols.Val[k] * proj(cols.RowIdx[k])
+			d -= t
+			mag += math.Abs(t)
 		}
 		l, u := p.bounds(j)
 		switch {
-		case d <= 0 || (math.IsInf(u, 1) && d <= costTol):
+		case d <= 0 || (math.IsInf(u, 1) && d <= costTol*mag):
 			bound += d * l
 		case math.IsInf(u, 1):
 			return math.Inf(1)
