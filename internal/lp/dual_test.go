@@ -220,7 +220,9 @@ func TestRefactorizeRepairsSingularBasis(t *testing.T) {
 	if rv.primalFeasible() {
 		t.Fatalf("repaired basis is feasible (xB %v); the restore path went untested", rv.xB[:rv.m])
 	}
-	got := rv.result(p, rv.iterate(), false)
+	st := rv.iterate()
+	rv.settle()
+	got := rv.result(p, st, false)
 	if got.Status != Optimal || math.Abs(got.Objective-want.Objective) > 1e-9 {
 		t.Fatalf("after repair: %v/%v, cold %v", got.Status, got.Objective, want.Objective)
 	}

@@ -93,8 +93,8 @@ func (rv *revised) solve(p *Problem, warm *Basis) *Solution {
 			}
 			rv.priceAll()
 			st := rv.iterate()
-			if st == IterLimit {
-				return rv.result(p, IterLimit, false)
+			if st == IterLimit || st == Infeasible {
+				return rv.result(p, st, false)
 			}
 			if rv.phase1Objective() < -feasTol {
 				return rv.result(p, Infeasible, false)
@@ -107,7 +107,42 @@ func (rv *revised) solve(p *Problem, warm *Basis) *Solution {
 	if !priced {
 		rv.priceAll()
 	}
-	return rv.result(p, rv.iterate(), warmed)
+	st := rv.iterate()
+	// An optimum whose exact values leave their bounds is a repaired basis:
+	// restore feasibility, then optimality.
+	for tries := 0; st == Optimal && !rv.settle() && tries < 2; tries++ {
+		rv.repaired = true
+		st = rv.iterate()
+	}
+	return rv.result(p, st, warmed)
+}
+
+// settle reads the final basis's values off a fresh factorization, with
+// prices against it — what result reports — and reports whether each basic
+// value is within feasTol of its bounds. With no pivot since the last
+// factorization (an empty eta file) the factors already are that
+// factorization, factorize being deterministic, and iterate priced against
+// them; only the values are recomputed. The pivots' updated values can be
+// inside while the exact ones are not: an artificial driven out at a residue
+// phase 1 accepted, or a value feasTol outside its bound that a large
+// coefficient magnifies in another row. A basis that does not factorize
+// keeps its updated values.
+func (rv *revised) settle() bool {
+	switch {
+	case len(rv.lu.etaSlot) == 0:
+		rv.refreshXB()
+	case rv.lu.factorize(rv.basis, &rv.cols):
+		rv.refreshXB()
+		rv.priceAll()
+	default:
+		return true
+	}
+	for i, col := range rv.basis {
+		if v := rv.xB[i]; v < -feasTol || v > rv.upper[col]+feasTol {
+			return false
+		}
+	}
+	return true
 }
 
 // columns is the sign-normalized equality-form matrix in compressed-sparse-
@@ -388,10 +423,8 @@ func (rv *revised) setDir(j int) {
 // the two calls installBasis makes, then exact prices — not off the values
 // the pivots updated along the way. It is then a function of the problem and
 // its final basis alone: a warm re-solve from that basis, which takes no
-// pivot, returns the same X, Objective and duals bit for bit. With no pivot
-// since the last factorization (an empty eta file) the factors already are
-// that fresh factorization, factorize being deterministic, and iterate
-// priced against them; only the basic values are recomputed.
+// pivot, returns the same X, Objective and duals bit for bit. settle, which
+// must run first, reads them off.
 func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 	head := Solution{Status: st, Iters: rv.iters, WarmStarted: warmed,
 		Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
@@ -402,13 +435,6 @@ func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 		return sol
 	}
 	ns, m := rv.nStruct, rv.m
-	switch {
-	case len(rv.lu.etaSlot) == 0:
-		rv.refreshXB()
-	case rv.lu.factorize(rv.basis, &rv.cols):
-		rv.refreshXB()
-		rv.priceAll()
-	}
 	out := &struct {
 		sol   Solution
 		basis Basis
@@ -421,7 +447,7 @@ func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 	for j, c := range p.Obj {
 		sol.Objective += c * sol.X[j]
 	}
-	// y is exact: iterate priced it to confirm optimality.
+	// y is exact: settle priced it, or iterate to confirm optimality.
 	rv.rowDuals(sol.Duals)
 	rv.captureBasis(&out.basis)
 	sol.Basis = &out.basis
@@ -578,8 +604,9 @@ func (rv *revised) ftran(j int) []float64 {
 
 // iterate runs primal simplex pivots from the reduced costs in d, which the
 // caller must have priced for the current costs, until optimality,
-// unboundedness or the iteration cap. Optimal is only ever returned right
-// after priceAll confirmed it, so y (in yScratch) and d are then exact.
+// unboundedness, infeasibility of a repaired basis (see restoreFeasibility)
+// or the iteration cap. Optimal is only ever returned right after priceAll
+// confirmed it, so y (in yScratch) and d are then exact.
 func (rv *revised) iterate() Status {
 	stall := 0
 	bland := false
@@ -589,8 +616,10 @@ func (rv *revised) iterate() Status {
 		}
 		if rv.repaired {
 			rv.repaired = false
-			if !rv.primalFeasible() && !rv.restoreFeasibility() {
-				return IterLimit
+			if !rv.primalFeasible() {
+				if st := rv.restoreFeasibility(); st != Optimal {
+					return st
+				}
 			}
 		}
 		if rv.iters%256 == 255 {
@@ -1056,8 +1085,11 @@ func (rv *revised) clearAlpha() {
 // feasible again without leaving it: the costs of nonbasic columns whose
 // reduced costs have the wrong sign are shifted to zero them, which makes
 // the basis dual feasible, the dual simplex runs to primal feasibility, and
-// the true costs come back. It reports whether feasibility was restored.
-func (rv *revised) restoreFeasibility() bool {
+// the true costs come back. It returns the dual simplex's status: Optimal
+// when feasibility was restored, Infeasible with the Farkas vector left in
+// yScratch when a row provably cannot be repaired — the shifted costs do not
+// enter that proof — and IterLimit when the dual gave up.
+func (rv *revised) restoreFeasibility() Status {
 	copy(rv.costSave, rv.cost)
 	rv.priceAll()
 	for j, s := range rv.dir[:rv.n] {
@@ -1068,8 +1100,10 @@ func (rv *revised) restoreFeasibility() bool {
 	}
 	st := rv.dualSimplex()
 	copy(rv.cost, rv.costSave)
-	rv.priceAll()
-	return st == Optimal
+	if st != Infeasible { // pricing would overwrite the Farkas vector
+		rv.priceAll()
+	}
+	return st
 }
 
 // driveOutArtificials pivots each basic artificial (at value ~0 after a
