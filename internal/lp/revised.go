@@ -606,7 +606,8 @@ func (rv *revised) ftran(j int) []float64 {
 // caller must have priced for the current costs, until optimality,
 // unboundedness, infeasibility of a repaired basis (see restoreFeasibility)
 // or the iteration cap. Optimal is only ever returned right after priceAll
-// confirmed it, so y (in yScratch) and d are then exact.
+// confirmed it, so y (in yScratch) and d are then exact; Unbounded only
+// after exact prices chose the column that nothing blocks.
 func (rv *revised) iterate() Status {
 	stall := 0
 	bland := false
@@ -643,8 +644,17 @@ func (rv *revised) iterate() Status {
 		w := rv.ftran(enter)
 		row, leaveTo, delta := rv.ratioTest(enter, w)
 		if row == -2 {
-			rv.rayCol = enter
-			return Unbounded
+			// Confirm against exact prices, as an optimum is confirmed: a
+			// drifted reduced cost can pick a column that improves nothing.
+			rv.priceAll()
+			if enter = rv.chooseEntering(bland); enter < 0 {
+				return Optimal
+			}
+			dq, w = rv.d[enter], rv.ftran(enter)
+			if row, leaveTo, delta = rv.ratioTest(enter, w); row == -2 {
+				rv.rayCol = enter
+				return Unbounded
+			}
 		}
 		if row >= 0 {
 			rv.updateDuals(enter, row, w)
