@@ -158,28 +158,21 @@ func (p *Problem) Clone() *Problem {
 }
 
 // Clone returns a deep copy of n whose two vectors share one backing array.
+// Each is capped at its own length, so an append to one reallocates instead
+// of writing into the other.
 func (n Node) Clone() Node {
-	buf := make(vec.Vec, 0, len(n.Elementary)+len(n.Aggregate))
-	n.Elementary, buf = carve(buf, n.Elementary)
-	n.Aggregate, _ = carve(buf, n.Aggregate)
+	v := append(append(make(vec.Vec, 0, len(n.Elementary)+len(n.Aggregate)), n.Elementary...), n.Aggregate...)
+	a := len(n.Elementary)
+	n.Elementary, n.Aggregate = v[:a:a], v[a:]
 	return n
 }
 
-// Clone returns a deep copy of s whose four vectors share one backing array.
+// Clone returns a deep copy of s whose four vectors share one backing array,
+// each capped at its own length as in Node.Clone.
 func (s Service) Clone() Service {
-	buf := make(vec.Vec, 0, len(s.ReqElem)+len(s.ReqAgg)+len(s.NeedElem)+len(s.NeedAgg))
-	s.ReqElem, buf = carve(buf, s.ReqElem)
-	s.ReqAgg, buf = carve(buf, s.ReqAgg)
-	s.NeedElem, buf = carve(buf, s.NeedElem)
-	s.NeedAgg, _ = carve(buf, s.NeedAgg)
+	v := make(vec.Vec, 0, len(s.ReqElem)+len(s.ReqAgg)+len(s.NeedElem)+len(s.NeedAgg))
+	v = append(append(append(append(v, s.ReqElem...), s.ReqAgg...), s.NeedElem...), s.NeedAgg...)
+	a, b, c := len(s.ReqElem), len(s.ReqElem)+len(s.ReqAgg), len(v)-len(s.NeedAgg)
+	s.ReqElem, s.ReqAgg, s.NeedElem, s.NeedAgg = v[:a:a], v[a:b:b], v[b:c:c], v[c:]
 	return s
-}
-
-// carve appends v to buf, which must have room for it, and returns the copy
-// capped at its own length, so an append to it reallocates instead of
-// writing into the next vector carved from buf.
-func carve(buf, v vec.Vec) (c, rest vec.Vec) {
-	n := len(buf)
-	buf = append(buf, v...)
-	return buf[n:len(buf):len(buf)], buf
 }

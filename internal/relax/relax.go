@@ -279,83 +279,53 @@ func SolveExact(p *core.Problem, opts *milp.Options) (*core.Result, error) {
 	return core.EvaluatePlacement(p, pl), nil
 }
 
-// rounding holds what one RRND or RRNZ call reuses across its attempts: the
-// placement, the current service's weight row and the per-node aggregate
-// requirement loads, which share one backing array.
-type rounding struct {
-	pl    core.Placement
-	w     []float64
-	loads []vec.Vec
-}
-
-func newRounding(p *core.Problem) *rounding {
+// round samples up to attempts placements from fractional probabilities
+// and returns the evaluated result of the first complete one that solves, or
+// a failed result. For each service, nodes are drawn with probability
+// proportional to probs[j][h]; nodes where the service's rigid requirements
+// do not fit (given services placed so far) get their probability zeroed
+// and the draw repeats, as in paper §3.3.1. An attempt ends when some
+// service fits nowhere with positive probability. Every attempt reuses one
+// placement, one weight row and one array of per-node loads.
+func round(p *core.Problem, probs [][]float64, attempts int, rng *rand.Rand) *core.Result {
 	H, d := p.NumNodes(), p.Dim()
-	r := &rounding{pl: make(core.Placement, p.NumServices()), loads: make([]vec.Vec, H)}
-	buf := make([]float64, H*d)
-	for h := range r.loads {
-		r.loads[h] = buf[h*d : (h+1)*d : (h+1)*d]
+	pl, w := make(core.Placement, p.NumServices()), []float64(nil)
+	loads, buf := make([]vec.Vec, H), make([]float64, H*d)
+	for h := range loads {
+		loads[h] = buf[h*d : (h+1)*d : (h+1)*d]
 	}
-	return r
-}
-
-// place samples a placement from fractional probabilities into r.pl. For
-// each service, nodes are drawn with probability proportional to
-// probs[j][h]; nodes where the service's rigid requirements do not fit
-// (given services placed so far) get their probability zeroed and the draw
-// repeats, as in paper §3.3.1. The placement is incomplete if some service
-// fits nowhere with positive probability.
-func (r *rounding) place(p *core.Problem, probs [][]float64, rng *rand.Rand) core.Placement {
-	J, H := p.NumServices(), p.NumNodes()
-	for j := range r.pl {
-		r.pl[j] = core.Unplaced
-	}
-	for _, l := range r.loads {
-		clear(l)
-	}
-	for j := 0; j < J; j++ {
-		s := &p.Services[j]
-		r.w = append(r.w[:0], probs[j]...)
-		w := r.w
-		for {
-			total := 0.0
-			for _, x := range w {
-				total += x
-			}
-			if total <= 1e-15 {
-				return r.pl // service j cannot be placed
-			}
-			x := rng.Float64() * total
-			h := 0
-			for ; h < H-1; h++ {
-				x -= w[h]
-				if x < 0 {
+attempt:
+	for a := 0; a < max(attempts, 1); a++ {
+		clear(buf)
+		for j := range pl {
+			s := &p.Services[j]
+			w = append(w[:0], probs[j]...)
+			for {
+				total := 0.0
+				for _, x := range w {
+					total += x
+				}
+				if total <= 1e-15 {
+					continue attempt // service j cannot be placed
+				}
+				r := rng.Float64() * total
+				h := 0
+				for ; h < H-1; h++ {
+					r -= w[h]
+					if r < 0 {
+						break
+					}
+				}
+				if s.FitsRequirements(&p.Nodes[h], loads[h]) {
+					pl[j] = h
+					loads[h].AccumAdd(s.ReqAgg)
 					break
 				}
+				w[h] = 0
 			}
-			if s.FitsRequirements(&p.Nodes[h], r.loads[h]) {
-				r.pl[j] = h
-				r.loads[h].AccumAdd(s.ReqAgg)
-				break
-			}
-			w[h] = 0
 		}
-	}
-	return r.pl
-}
-
-// round returns the evaluated result of the first complete placement
-// sampled from probs that solves, within attempts tries, or a failed
-// result.
-func round(p *core.Problem, probs [][]float64, attempts int, rng *rand.Rand) *core.Result {
-	if attempts <= 0 {
-		attempts = 1
-	}
-	r := newRounding(p)
-	for a := 0; a < attempts; a++ {
-		if pl := r.place(p, probs, rng); pl.Complete() {
-			if res := core.EvaluatePlacement(p, pl); res.Solved {
-				return res
-			}
+		if res := core.EvaluatePlacement(p, pl); res.Solved {
+			return res
 		}
 	}
 	return &core.Result{}
