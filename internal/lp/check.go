@@ -24,9 +24,8 @@ const gapTol = 1e-9
 //     exceed Objective by more than the margin. A d_j > 0 against an
 //     infinite upper bound would make the bound infinite: up to the dual
 //     tolerance costTol, below which the simplex prices no column in, it is
-//     priced at l_j instead. The tolerance scales with 1 + |c_j| +
-//     Σ_i |a_ij·y_i|, the terms d_j sums, whose rounding it must absorb
-//     when they are large. An answer without Duals fails.
+//     priced at l_j instead, scaled by the terms d_j sums, 1 + |c_j| +
+//     Σ_i |a_ij·y_i|. An answer without Duals fails.
 //   - Infeasible: Duals holds a Farkas vector. Its bound with Obj = 0 must
 //     lie below −gapTol, which no feasible point allows, since 0 = 0·x is
 //     at most the bound.

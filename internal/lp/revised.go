@@ -108,8 +108,7 @@ func (rv *revised) solve(p *Problem, warm *Basis) *Solution {
 		rv.priceAll()
 	}
 	st := rv.iterate()
-	// An optimum whose exact values leave their bounds is a repaired basis:
-	// restore feasibility, then optimality.
+	// An optimum whose exact values leave their bounds is a repaired basis.
 	for tries := 0; st == Optimal && !rv.settle() && tries < 2; tries++ {
 		rv.repaired = true
 		st = rv.iterate()
@@ -118,15 +117,9 @@ func (rv *revised) solve(p *Problem, warm *Basis) *Solution {
 }
 
 // settle reads the final basis's values off a fresh factorization, with
-// prices against it — what result reports — and reports whether each basic
-// value is within feasTol of its bounds. With no pivot since the last
-// factorization (an empty eta file) the factors already are that
-// factorization, factorize being deterministic, and iterate priced against
-// them; only the values are recomputed. The pivots' updated values can be
-// inside while the exact ones are not: an artificial driven out at a residue
-// phase 1 accepted, or a value feasTol outside its bound that a large
-// coefficient magnifies in another row. A basis that does not factorize
-// keeps its updated values.
+// prices against it, for result, and reports whether each basic value is
+// within feasTol of its bounds: the values the pivots updated can be while
+// the exact ones are not. A basis that does not factorize keeps its values.
 func (rv *revised) settle() bool {
 	switch {
 	case len(rv.lu.etaSlot) == 0:
@@ -604,10 +597,9 @@ func (rv *revised) ftran(j int) []float64 {
 
 // iterate runs primal simplex pivots from the reduced costs in d, which the
 // caller must have priced for the current costs, until optimality,
-// unboundedness, infeasibility of a repaired basis (see restoreFeasibility)
-// or the iteration cap. Optimal is only ever returned right after priceAll
-// confirmed it, so y (in yScratch) and d are then exact; Unbounded only
-// after exact prices chose the column that nothing blocks.
+// unboundedness, infeasibility of a repaired basis or the iteration cap.
+// Optimal and Unbounded are only ever returned right after priceAll
+// confirmed them, so y (in yScratch) and d are then exact.
 func (rv *revised) iterate() Status {
 	stall := 0
 	bland := false
@@ -644,8 +636,7 @@ func (rv *revised) iterate() Status {
 		w := rv.ftran(enter)
 		row, leaveTo, delta := rv.ratioTest(enter, w)
 		if row == -2 {
-			// Confirm against exact prices, as an optimum is confirmed: a
-			// drifted reduced cost can pick a column that improves nothing.
+			// Confirm against exact prices, as an optimum is confirmed.
 			rv.priceAll()
 			if enter = rv.chooseEntering(bland); enter < 0 {
 				return Optimal
@@ -1095,10 +1086,8 @@ func (rv *revised) clearAlpha() {
 // feasible again without leaving it: the costs of nonbasic columns whose
 // reduced costs have the wrong sign are shifted to zero them, which makes
 // the basis dual feasible, the dual simplex runs to primal feasibility, and
-// the true costs come back. It returns the dual simplex's status: Optimal
-// when feasibility was restored, Infeasible with the Farkas vector left in
-// yScratch when a row provably cannot be repaired — the shifted costs do not
-// enter that proof — and IterLimit when the dual gave up.
+// the true costs come back. It returns the dual simplex's status; an
+// Infeasible one leaves its Farkas vector, which no cost enters, in yScratch.
 func (rv *revised) restoreFeasibility() Status {
 	copy(rv.costSave, rv.cost)
 	rv.priceAll()
