@@ -209,7 +209,8 @@ func numberedNames(prefix string, n int) []string {
 // Sampler provides the two service-size marginals the paper takes from the
 // Google dataset, plus the common elementary CPU requirement. Google
 // implements it with parametric distributions; trace-derived empirical
-// samplers can implement it too.
+// samplers can implement it too. The generator recycles its *rand.Rand, so
+// an implementation must not keep rng past the call.
 type Sampler interface {
 	// SampleCores draws a requested-core count.
 	SampleCores(rng *rand.Rand) int
