@@ -24,8 +24,7 @@ const gapTol = 1e-9
 //     exceed Objective by more than the margin. A d_j > 0 against an
 //     infinite upper bound would make the bound infinite: up to the dual
 //     tolerance costTol, below which the simplex prices no column in, it is
-//     priced at l_j instead, scaled by the terms d_j sums, 1 + |c_j| +
-//     Σ_i |a_ij·y_i|. An answer without Duals fails.
+//     priced at l_j instead. An answer without Duals fails.
 //   - Infeasible: Duals holds a Farkas vector. Its bound with Obj = 0 must
 //     lie below −gapTol, which no feasible point allows, since 0 = 0·x is
 //     at most the bound.
@@ -79,8 +78,8 @@ func Check(p *Problem, sol *Solution) (bound float64, err error) {
 
 // dualBound returns the weak-duality bound b·y + Σ_j max(d_j·l_j, d_j·u_j),
 // d = c − Aᵀy, of y projected onto its signs, over every x in p's feasible
-// set; c nil means zero. A d_j > costTol·(1 + |c_j| + Σ_i |a_ij·y_i|)
-// against an infinite upper bound makes it +Inf.
+// set; c nil means zero. A d_j > costTol against an infinite upper bound
+// makes it +Inf.
 func dualBound(p *Problem, c, y []float64) float64 {
 	proj := func(i int) float64 {
 		if yi := y[i]; (p.Sense[i] != LE || yi >= 0) && (p.Sense[i] != GE || yi <= 0) {
@@ -94,18 +93,16 @@ func dualBound(p *Problem, c, y []float64) float64 {
 	}
 	cols := p.Cols
 	for j := 0; j < cols.N; j++ {
-		d, mag := 0.0, 1.0
+		d := 0.0
 		if c != nil {
-			d, mag = c[j], 1+math.Abs(c[j])
+			d = c[j]
 		}
 		for k := cols.ColPtr[j]; k < cols.ColPtr[j+1]; k++ {
-			t := cols.Val[k] * proj(cols.RowIdx[k])
-			d -= t
-			mag += math.Abs(t)
+			d -= cols.Val[k] * proj(cols.RowIdx[k])
 		}
 		l, u := p.bounds(j)
 		switch {
-		case d <= 0 || (math.IsInf(u, 1) && d <= costTol*mag):
+		case d <= 0 || (math.IsInf(u, 1) && d <= costTol):
 			bound += d * l
 		case math.IsInf(u, 1):
 			return math.Inf(1)

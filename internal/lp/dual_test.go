@@ -220,9 +220,7 @@ func TestRefactorizeRepairsSingularBasis(t *testing.T) {
 	if rv.primalFeasible() {
 		t.Fatalf("repaired basis is feasible (xB %v); the restore path went untested", rv.xB[:rv.m])
 	}
-	st := rv.iterate()
-	rv.settle()
-	got := rv.result(p, st, false)
+	got := rv.result(p, rv.iterate(), false)
 	if got.Status != Optimal || math.Abs(got.Objective-want.Objective) > 1e-9 {
 		t.Fatalf("after repair: %v/%v, cold %v", got.Status, got.Objective, want.Objective)
 	}

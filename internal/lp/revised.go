@@ -93,8 +93,8 @@ func (rv *revised) solve(p *Problem, warm *Basis) *Solution {
 			}
 			rv.priceAll()
 			st := rv.iterate()
-			if st == IterLimit || st == Infeasible {
-				return rv.result(p, st, false)
+			if st == IterLimit {
+				return rv.result(p, IterLimit, false)
 			}
 			if rv.phase1Objective() < -feasTol {
 				return rv.result(p, Infeasible, false)
@@ -107,35 +107,7 @@ func (rv *revised) solve(p *Problem, warm *Basis) *Solution {
 	if !priced {
 		rv.priceAll()
 	}
-	st := rv.iterate()
-	// An optimum whose exact values leave their bounds is a repaired basis.
-	for tries := 0; st == Optimal && !rv.settle() && tries < 2; tries++ {
-		rv.repaired = true
-		st = rv.iterate()
-	}
-	return rv.result(p, st, warmed)
-}
-
-// settle reads the final basis's values off a fresh factorization, with
-// prices against it, for result, and reports whether each basic value is
-// within feasTol of its bounds: the values the pivots updated can be while
-// the exact ones are not. A basis that does not factorize keeps its values.
-func (rv *revised) settle() bool {
-	switch {
-	case len(rv.lu.etaSlot) == 0:
-		rv.refreshXB()
-	case rv.lu.factorize(rv.basis, &rv.cols):
-		rv.refreshXB()
-		rv.priceAll()
-	default:
-		return true
-	}
-	for i, col := range rv.basis {
-		if v := rv.xB[i]; v < -feasTol || v > rv.upper[col]+feasTol {
-			return false
-		}
-	}
-	return true
+	return rv.result(p, rv.iterate(), warmed)
 }
 
 // columns is the sign-normalized equality-form matrix in compressed-sparse-
@@ -416,8 +388,10 @@ func (rv *revised) setDir(j int) {
 // the two calls installBasis makes, then exact prices — not off the values
 // the pivots updated along the way. It is then a function of the problem and
 // its final basis alone: a warm re-solve from that basis, which takes no
-// pivot, returns the same X, Objective and duals bit for bit. settle, which
-// must run first, reads them off.
+// pivot, returns the same X, Objective and duals bit for bit. With no pivot
+// since the last factorization (an empty eta file) the factors already are
+// that fresh factorization, factorize being deterministic, and iterate
+// priced against them; only the basic values are recomputed.
 func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 	head := Solution{Status: st, Iters: rv.iters, WarmStarted: warmed,
 		Refactorizations: rv.refactors, BlandActivations: rv.blandActs}
@@ -428,6 +402,13 @@ func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 		return sol
 	}
 	ns, m := rv.nStruct, rv.m
+	switch {
+	case len(rv.lu.etaSlot) == 0:
+		rv.refreshXB()
+	case rv.lu.factorize(rv.basis, &rv.cols):
+		rv.refreshXB()
+		rv.priceAll()
+	}
 	out := &struct {
 		sol   Solution
 		basis Basis
@@ -440,7 +421,7 @@ func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 	for j, c := range p.Obj {
 		sol.Objective += c * sol.X[j]
 	}
-	// y is exact: settle priced it, or iterate to confirm optimality.
+	// y is exact: iterate priced it to confirm optimality.
 	rv.rowDuals(sol.Duals)
 	rv.captureBasis(&out.basis)
 	sol.Basis = &out.basis
@@ -597,9 +578,8 @@ func (rv *revised) ftran(j int) []float64 {
 
 // iterate runs primal simplex pivots from the reduced costs in d, which the
 // caller must have priced for the current costs, until optimality,
-// unboundedness, infeasibility of a repaired basis or the iteration cap.
-// Optimal and Unbounded are only ever returned right after priceAll
-// confirmed them, so y (in yScratch) and d are then exact.
+// unboundedness or the iteration cap. Optimal is only ever returned right
+// after priceAll confirmed it, so y (in yScratch) and d are then exact.
 func (rv *revised) iterate() Status {
 	stall := 0
 	bland := false
@@ -609,10 +589,8 @@ func (rv *revised) iterate() Status {
 		}
 		if rv.repaired {
 			rv.repaired = false
-			if !rv.primalFeasible() {
-				if st := rv.restoreFeasibility(); st != Optimal {
-					return st
-				}
+			if !rv.primalFeasible() && !rv.restoreFeasibility() {
+				return IterLimit
 			}
 		}
 		if rv.iters%256 == 255 {
@@ -636,16 +614,8 @@ func (rv *revised) iterate() Status {
 		w := rv.ftran(enter)
 		row, leaveTo, delta := rv.ratioTest(enter, w)
 		if row == -2 {
-			// Confirm against exact prices, as an optimum is confirmed.
-			rv.priceAll()
-			if enter = rv.chooseEntering(bland); enter < 0 {
-				return Optimal
-			}
-			dq, w = rv.d[enter], rv.ftran(enter)
-			if row, leaveTo, delta = rv.ratioTest(enter, w); row == -2 {
-				rv.rayCol = enter
-				return Unbounded
-			}
+			rv.rayCol = enter
+			return Unbounded
 		}
 		if row >= 0 {
 			rv.updateDuals(enter, row, w)
@@ -1086,9 +1056,8 @@ func (rv *revised) clearAlpha() {
 // feasible again without leaving it: the costs of nonbasic columns whose
 // reduced costs have the wrong sign are shifted to zero them, which makes
 // the basis dual feasible, the dual simplex runs to primal feasibility, and
-// the true costs come back. It returns the dual simplex's status; an
-// Infeasible one leaves its Farkas vector, which no cost enters, in yScratch.
-func (rv *revised) restoreFeasibility() Status {
+// the true costs come back. It reports whether feasibility was restored.
+func (rv *revised) restoreFeasibility() bool {
 	copy(rv.costSave, rv.cost)
 	rv.priceAll()
 	for j, s := range rv.dir[:rv.n] {
@@ -1099,10 +1068,8 @@ func (rv *revised) restoreFeasibility() Status {
 	}
 	st := rv.dualSimplex()
 	copy(rv.cost, rv.costSave)
-	if st != Infeasible { // pricing would overwrite the Farkas vector
-		rv.priceAll()
-	}
-	return st
+	rv.priceAll()
+	return st == Optimal
 }
 
 // driveOutArtificials pivots each basic artificial (at value ~0 after a
