@@ -194,13 +194,14 @@ func numberedNames(prefix string, n int) []string {
 	var digits [20]byte
 	var b strings.Builder
 	b.Grow(n * (len(prefix) + len(strconv.Itoa(n))))
-	for i := 0; i < n; i++ {
+	ends := make([]int, n)
+	for i := range ends {
 		b.WriteString(prefix)
 		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		ends[i] = b.Len()
 	}
 	all, names, off := b.String(), make([]string, n), 0
-	for i := range names {
-		end := off + len(prefix) + len(strconv.AppendInt(digits[:0], int64(i), 10))
+	for i, end := range ends {
 		names[i], off = all[off:end], end
 	}
 	return names
