@@ -317,10 +317,11 @@ func TestPresolveReduceAllocs(t *testing.T) {
 	}
 }
 
-// TestGenerateAllocs gates, in counts, what drawing and copying an instance
-// allocates: one backing array per service and per node, one string of names
-// per node set and per service set, and a recycled random source, so the
-// count grows with services and nodes, not with their vectors.
+// TestGenerateAllocs gates, in counts, what seeding a stream, drawing an
+// instance and copying one allocate. A drawn instance takes one array for all
+// node vectors and one for all service vectors, one string of names per set
+// and a recycled random source, so its count does not grow with its size; a
+// copy takes one array per service and per node.
 func TestGenerateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -333,8 +334,9 @@ func TestGenerateAllocs(t *testing.T) {
 		run  func()
 		max  float64
 	}{
-		{"Generate8x64", func() { workload.Generate(small) }, 100},
-		{"Generate64x512", func() { workload.Generate(large) }, 700},
+		{"NewRand", func() { workload.NewRand(1) }, 2},
+		{"Generate8x64", func() { workload.Generate(small) }, 20},
+		{"Generate64x512", func() { workload.Generate(large) }, 20},
 		{"Clone8x64", func() { p.Clone() }, 80},
 	} {
 		tc.run() // warm the source pool

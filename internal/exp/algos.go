@@ -7,13 +7,12 @@
 package exp
 
 import (
-	"math/rand"
-
 	"vmalloc/internal/core"
 	"vmalloc/internal/greedy"
 	"vmalloc/internal/hvp"
 	"vmalloc/internal/relax"
 	"vmalloc/internal/vp"
+	"vmalloc/internal/workload"
 )
 
 // Algo is a named allocation algorithm.
@@ -72,7 +71,7 @@ func RRNDAlgo(seed int64) Algo {
 		if err != nil {
 			return &core.Result{}
 		}
-		return relax.RRND(p, rel, RoundingAttempts, rand.New(rand.NewSource(seed)))
+		return relax.RRND(p, rel, RoundingAttempts, workload.NewRand(seed))
 	}}
 }
 
@@ -83,7 +82,7 @@ func RRNZAlgo(seed int64) Algo {
 		if err != nil {
 			return &core.Result{}
 		}
-		return relax.RRNZ(p, rel, RoundingAttempts, rand.New(rand.NewSource(seed)))
+		return relax.RRNZ(p, rel, RoundingAttempts, workload.NewRand(seed))
 	}}
 }
 

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -141,7 +140,7 @@ func (e *ErrorExperiment) runOne(placer Algo, maxErr float64, scn workload.Scena
 		c.zero = sched.EvaluatePlacement(trueP, trueP, zkPl, sched.EqualWeights, workload.CPU)
 	}
 
-	rng := rand.New(rand.NewSource(scn.Seed ^ e.SeedSalt ^ int64(maxErr*1e6)))
+	rng := workload.NewRand(scn.Seed ^ e.SeedSalt ^ int64(maxErr*1e6))
 	est := workload.PerturbCPUNeeds(trueP, maxErr, rng)
 
 	// Unmitigated hard caps.

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"text/tabwriter"
 
@@ -79,7 +78,7 @@ func (spec OnlineSpec) Run() ([]OnlineRow, error) {
 		for _, seed := range spec.Seeds {
 			nodes := workload.Platform(workload.Scenario{
 				Hosts: spec.Hosts, COV: spec.COV, Mode: workload.HeteroBoth, Seed: seed,
-			}, rand.New(rand.NewSource(seed)))
+			}, workload.NewRand(seed))
 			st, err := platform.Run(platform.Config{
 				Nodes:           nodes,
 				ArrivalRate:     rate,

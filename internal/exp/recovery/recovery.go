@@ -7,7 +7,6 @@ package recovery
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -82,7 +81,7 @@ func (spec Spec) Run() ([]Row, error) {
 	spec = spec.defaults()
 	nodes := workload.Platform(workload.Scenario{
 		Hosts: spec.Hosts, COV: spec.COV, Mode: workload.HeteroBoth, Seed: spec.Seed,
-	}, rand.New(rand.NewSource(spec.Seed)))
+	}, workload.NewRand(spec.Seed))
 	rows := make([]Row, 0, len(spec.Ops)*len(spec.SnapshotEvery))
 	for _, ops := range spec.Ops {
 		for _, every := range spec.SnapshotEvery {
@@ -110,7 +109,7 @@ func (spec Spec) runCell(nodes []vmalloc.Node, ops, every int) (Row, error) {
 	}
 	// The op stream depends only on the log-length axis, so the snapshot
 	// intervals of one row recover the same trajectory and are comparable.
-	rng := rand.New(rand.NewSource(spec.Seed + int64(ops)*31))
+	rng := workload.NewRand(spec.Seed + int64(ops)*31)
 	var live []int
 	for i := 0; i < ops; i++ {
 		switch k := rng.Intn(20); {

@@ -96,7 +96,7 @@ func (spec ShardedSpec) Run() ([]ShardedRow, error) {
 		for _, seed := range spec.Seeds {
 			nodes := workload.Platform(workload.Scenario{
 				Hosts: spec.Hosts, COV: spec.COV, Mode: workload.HeteroBoth, Seed: seed,
-			}, rand.New(rand.NewSource(seed)))
+			}, workload.NewRand(seed))
 			r, err := shard.New(shard.Config{
 				Nodes:  nodes,
 				Shards: k,
@@ -106,7 +106,7 @@ func (spec ShardedSpec) Run() ([]ShardedRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("exp: sharded run K=%d seed=%d: %v", k, seed, err)
 			}
-			rng := rand.New(rand.NewSource(seed * 7919))
+			rng := workload.NewRand(seed * 7919)
 			type departure struct {
 				id    int
 				epoch int

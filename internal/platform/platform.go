@@ -204,7 +204,7 @@ func Run(cfg Config) (*Stats, error) {
 	}
 	s := &sim{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   workload.NewRand(cfg.Seed),
 		queue: heapx.New(eventLess),
 		eng:   eng,
 	}

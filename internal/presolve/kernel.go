@@ -62,7 +62,7 @@ func (ps *reducer) load(p *lp.Problem) {
 	c := p.Cols
 	n, m := c.N, c.M
 	ps.n, ps.m, ps.nOrig = n, m, n
-	ps.stats = Stats{RowsBefore: m, ColsBefore: n, NNZBefore: len(c.Val)}
+	ps.stats = Stats{RowsBefore: m, ColsBefore: n}
 	ps.infeasible, ps.unbounded, ps.assumeImplied = false, false, false
 
 	// Mirror the CSC row-wise by counting sort: row i takes cells

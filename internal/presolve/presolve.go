@@ -62,7 +62,6 @@ func (o Outcome) String() string {
 type Stats struct {
 	RowsBefore, RowsAfter int
 	ColsBefore, ColsAfter int
-	NNZBefore, NNZAfter   int
 	FixedCols             int // variables fixed (equal bounds, empty, forced)
 	DroppedRows           int // empty + singleton + redundant + forcing rows
 	SubstCols             int // columns substituted out through equality rows
@@ -211,7 +210,6 @@ func Reduce(p *lp.Problem, _ *Options) (*Reduction, error) {
 	ps.finish(r)
 	r.stats.RowsAfter = r.reduced.NumRows()
 	r.stats.ColsAfter = len(r.colKeep)
-	r.stats.NNZAfter = r.reduced.Cols.NNZ()
 	return r, nil
 }
 

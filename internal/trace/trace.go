@@ -149,7 +149,7 @@ func WriteFile(path string, recs []Record) error {
 // of the ingestion pipeline.
 func Synthesize(n int, seed int64) []Record {
 	g := workload.DefaultGoogle()
-	rng := rand.New(rand.NewSource(seed))
+	rng := workload.NewRand(seed)
 	var out []Record
 	t := int64(0)
 	for i := 0; i < n; i++ {

@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"vmalloc/internal/core"
-	"vmalloc/internal/vec"
 )
 
 // Resource dimension indices used by all generated problems.
@@ -171,9 +170,11 @@ func clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// Platform generates the node set for a scenario.
+// Platform generates the node set for a scenario. All the nodes' vectors are
+// cut from one array, each capped so that an append copies.
 func Platform(scn Scenario, rng *rand.Rand) []core.Node {
 	nodes, names := make([]core.Node, scn.Hosts), numberedNames("node-", scn.Hosts)
+	vecs := make([]float64, 4*scn.Hosts)
 	for h := range nodes {
 		cpu := CapacityMedian
 		mem := CapacityMedian
@@ -183,7 +184,8 @@ func Platform(scn Scenario, rng *rand.Rand) []core.Node {
 		if scn.Mode != HeteroMemHomogeneous {
 			mem = truncNormal(rng, CapacityMedian, scn.COV)
 		}
-		v := []float64{cpu / CoresPerNode, mem, cpu, mem}
+		v := vecs[4*h : 4*h+4 : 4*h+4]
+		v[0], v[1], v[2], v[3] = cpu/CoresPerNode, mem, cpu, mem
 		nodes[h] = core.Node{Name: names[h], Elementary: v[0:2:2], Aggregate: v[2:4:4]}
 	}
 	return nodes
@@ -194,14 +196,13 @@ func numberedNames(prefix string, n int) []string {
 	var digits [20]byte
 	var b strings.Builder
 	b.Grow(n * (len(prefix) + len(strconv.Itoa(n))))
-	ends := make([]int, n)
-	for i := range ends {
+	for i := 0; i < n; i++ {
 		b.WriteString(prefix)
 		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
-		ends[i] = b.Len()
 	}
 	all, names, off := b.String(), make([]string, n), 0
-	for i, end := range ends {
+	for i := range names {
+		end := off + len(prefix) + len(strconv.AppendInt(digits[:0], int64(i), 10))
 		names[i], off = all[off:end], end
 	}
 	return names
@@ -239,10 +240,10 @@ func Generate(scn Scenario) *core.Problem {
 	return GenerateWith(scn, defaultGoogle)
 }
 
-// rngPool recycles the generator's random sources. A fresh source is a
-// 4.9 KB table; (*rand.Rand).Seed resets all of it, read position included,
-// so a reseeded one draws exactly the stream of rand.New(rand.NewSource).
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+// rngPool recycles the generator's NewRand streams, each a 4.9 KB register.
+// (*rand.Rand).Seed rewrites all of it, read position included, so a
+// reseeded one draws exactly the stream of NewRand(seed).
+var rngPool = sync.Pool{New: func() any { return NewRand(1) }}
 
 // GenerateWith builds the problem for a scenario from explicit Google
 // marginals. See GenerateSampled.
@@ -253,36 +254,40 @@ func GenerateWith(scn Scenario, g *Google) *core.Problem {
 // GenerateSampled builds the problem for a scenario from any service-size
 // sampler. CPU needs are scaled so total CPU need equals total CPU capacity;
 // memory requirements are scaled so that a successful allocation leaves
-// exactly scn.Slack of the total memory free.
+// exactly scn.Slack of the total memory free. All the services' vectors are
+// cut from one array, each capped so that an append copies.
 func GenerateSampled(scn Scenario, g Sampler) *core.Problem {
 	rng := rngPool.Get().(*rand.Rand)
 	defer rngPool.Put(rng)
 	rng.Seed(scn.Seed)
 	p := &core.Problem{Nodes: Platform(scn, rng)}
 
-	cores := make([]int, scn.Services)
-	mems := make([]float64, scn.Services)
+	// The draws wait in the slots they are scaled into: the core count in
+	// the aggregate CPU need, the memory fraction in the memory requirement.
+	vecs := make([]float64, 8*scn.Services)
 	sumCores, sumMem := 0.0, 0.0
 	for j := 0; j < scn.Services; j++ {
-		cores[j] = g.SampleCores(rng)
-		mems[j] = g.SampleMem(rng)
-		sumCores += float64(cores[j])
-		sumMem += mems[j]
+		v := vecs[8*j : 8*j+8 : 8*j+8]
+		v[6] = float64(g.SampleCores(rng))
+		v[1] = g.SampleMem(rng)
+		sumCores += v[6]
+		sumMem += v[1]
 	}
 
-	totals := vec.New(Dims)
+	totalCPU, totalMem := 0.0, 0.0
 	for _, n := range p.Nodes {
-		totals.AccumAdd(n.Aggregate)
+		totalCPU += n.Aggregate[CPU]
+		totalMem += n.Aggregate[Mem]
 	}
-	cpuScale := totals[CPU] / sumCores
-	memScale := totals[Mem] * (1 - scn.Slack) / sumMem
+	cpuScale := totalCPU / sumCores
+	memScale := totalMem * (1 - scn.Slack) / sumMem
 
 	p.Services = make([]core.Service, scn.Services)
 	names := numberedNames("svc-", scn.Services)
 	for j := range p.Services {
-		needCPU := float64(cores[j]) * cpuScale
-		mem := mems[j] * memScale
-		v := []float64{g.ElemCPUReq(), mem, g.ElemCPUReq(), mem, needCPU / float64(cores[j]), 0, needCPU, 0}
+		v := vecs[8*j : 8*j+8 : 8*j+8]
+		cores, needCPU, mem := v[6], v[6]*cpuScale, v[1]*memScale
+		v[0], v[1], v[2], v[3], v[4], v[6] = g.ElemCPUReq(), mem, g.ElemCPUReq(), mem, needCPU/cores, needCPU
 		p.Services[j] = core.Service{Name: names[j], ReqElem: v[0:2:2], ReqAgg: v[2:4:4], NeedElem: v[4:6:6], NeedAgg: v[6:8:8]}
 	}
 	return p

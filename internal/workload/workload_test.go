@@ -20,6 +20,22 @@ func TestGenerateShapes(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Every vector is cut from a shared array, so its capacity must end
+	// where it does: an append then copies instead of writing a neighbour.
+	for _, n := range p.Nodes {
+		for _, v := range [][]float64{n.Elementary, n.Aggregate} {
+			if cap(v) != len(v) {
+				t.Fatalf("%s: vector of len %d has cap %d", n.Name, len(v), cap(v))
+			}
+		}
+	}
+	for _, s := range p.Services {
+		for _, v := range [][]float64{s.ReqElem, s.ReqAgg, s.NeedElem, s.NeedAgg} {
+			if cap(v) != len(v) {
+				t.Fatalf("%s: vector of len %d has cap %d", s.Name, len(v), cap(v))
+			}
+		}
+	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {

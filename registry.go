@@ -2,7 +2,6 @@ package vmalloc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/greedy"
@@ -92,7 +91,7 @@ func Solve(name string, p *Problem, opts *Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(opts.seed()))
+		rng := workload.NewRand(opts.seed())
 		if name == AlgoRRND {
 			return relax.RRND(p, rel, roundingAttempts, rng), nil
 		}
@@ -141,7 +140,7 @@ func EvaluateWithErrors(trueP, est *Problem, pl Placement, policy SchedPolicy, c
 // PerturbCPUNeeds returns an estimated copy of p whose aggregate CPU needs
 // are shifted by uniform errors within ±maxErr (§6.2).
 func PerturbCPUNeeds(p *Problem, maxErr float64, seed int64) *Problem {
-	return workload.PerturbCPUNeeds(p, maxErr, rand.New(rand.NewSource(seed)))
+	return workload.PerturbCPUNeeds(p, maxErr, workload.NewRand(seed))
 }
 
 // ApplyThreshold rounds every estimated CPU need up to at least threshold,
