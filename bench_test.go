@@ -337,7 +337,7 @@ func TestGenerateAllocs(t *testing.T) {
 		{"NewRand", func() { workload.NewRand(1) }, 2},
 		{"Generate8x64", func() { workload.Generate(small) }, 20},
 		{"Generate64x512", func() { workload.Generate(large) }, 20},
-		{"Clone8x64", func() { p.Clone() }, 80},
+		{"Clone8x64", func() { p.Clone() }, 6},
 	} {
 		tc.run() // warm the source pool
 		if got := testing.AllocsPerRun(20, tc.run); got > tc.max {

@@ -142,19 +142,44 @@ func (p *Problem) TotalAggregate() vec.Vec {
 	return t
 }
 
-// Clone returns a deep copy of the problem.
+// Clone returns a deep copy of the problem. Every node vector is cut from
+// one array and every service vector from another, each capped at its own
+// length, so an append to one reallocates instead of writing into the next.
 func (p *Problem) Clone() *Problem {
-	q := &Problem{
-		Nodes:    make([]Node, len(p.Nodes)),
-		Services: make([]Service, len(p.Services)),
+	q := &Problem{Nodes: make([]Node, len(p.Nodes)), Services: make([]Service, len(p.Services))}
+	copy(q.Nodes, p.Nodes)
+	copy(q.Services, p.Services)
+	n := 0
+	for _, nd := range p.Nodes {
+		n += len(nd.Elementary) + len(nd.Aggregate)
 	}
-	for i := range p.Nodes {
-		q.Nodes[i] = p.Nodes[i].Clone()
+	v := make(vec.Vec, 0, n)
+	for i := range q.Nodes {
+		nd := &q.Nodes[i]
+		v, nd.Elementary = cut(v, nd.Elementary)
+		v, nd.Aggregate = cut(v, nd.Aggregate)
 	}
-	for i := range p.Services {
-		q.Services[i] = p.Services[i].Clone()
+	n = 0
+	for _, s := range p.Services {
+		n += len(s.ReqElem) + len(s.ReqAgg) + len(s.NeedElem) + len(s.NeedAgg)
+	}
+	v = make(vec.Vec, 0, n)
+	for j := range q.Services {
+		s := &q.Services[j]
+		v, s.ReqElem = cut(v, s.ReqElem)
+		v, s.ReqAgg = cut(v, s.ReqAgg)
+		v, s.NeedElem = cut(v, s.NeedElem)
+		v, s.NeedAgg = cut(v, s.NeedAgg)
 	}
 	return q
+}
+
+// cut appends x to v, which has room for it, and returns v and the copy of
+// x it now ends with, capped at its length.
+func cut(v, x vec.Vec) (vec.Vec, vec.Vec) {
+	a := len(v)
+	v = append(v, x...)
+	return v, v[a:len(v):len(v)]
 }
 
 // Clone returns a deep copy of n whose two vectors share one backing array.

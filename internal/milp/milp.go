@@ -10,12 +10,20 @@
 // one simplex workspace, and each node starts from its parent's optimal
 // basis, which a bound change leaves dual feasible — the dual simplex
 // finishes it in a few pivots instead of a cold two-phase solve.
+//
+// With more than one P, a helper goroutine solves open nodes ahead of the
+// search on a second workspace (see speculator). A node's relaxation
+// depends only on the base LP, the fixings on its parent chain and its
+// parent's basis, so the search itself — which node is popped, pruned or
+// branched, and every count and bit of the Solution — is the one a single
+// workspace runs; only which goroutine solved a node differs.
 package milp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"vmalloc/internal/heapx"
@@ -98,6 +106,11 @@ type node struct {
 	// warm is the optimal basis of the parent relaxation, shared by all its
 	// children and dropped once the node is solved; nil at the root.
 	warm *lp.Basis
+	// claim, rel and err are the node's speculative solve (see speculator):
+	// whether a goroutine has taken it and, once solved, its answer.
+	claim claimState
+	rel   *lp.Solution
+	err   error
 }
 
 // newNodeQueue orders open nodes best bound first (max-heap on bound via the
@@ -137,9 +150,20 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 		treePool.Put(rs)
 	}()
 
+	// sp, the speculative helper, starts at the first branching and only
+	// with a second P to run on; stop returns once the helper has exited.
+	var sp *speculator
+	parallel := runtime.GOMAXPROCS(0) > 1
+	defer func() {
+		if sp != nil {
+			sp.stop()
+		}
+	}()
+
 	sol := &Solution{Status: NodeLimit, Objective: math.Inf(-1), Bound: math.Inf(1)}
 	q := newNodeQueue()
 	q.Push(&node{bound: math.Inf(1)})
+	var kids []*node
 
 	for q.Len() > 0 {
 		if sol.Nodes >= maxNodes {
@@ -151,7 +175,7 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 			sol.Pruned++
 			continue // pruned by incumbent
 		}
-		rel, err := rs.solve(nd)
+		rel, err := sp.answer(nd, rs)
 		nd.warm = nil
 		sol.Nodes++
 		if err != nil {
@@ -174,26 +198,36 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 			sol.Pruned++
 			continue
 		}
+		kids = kids[:0]
 		if g := rs.pickGroup(rel.X, intTol); g >= 0 {
 			// One child per member of the exactly-one row, each fixing its
 			// member to 1: the children partition the node's integral points.
 			for _, j := range rs.members(g) {
-				q.Push(&node{parent: nd, branch: int(j), fixTo1: true, bound: rel.Objective, warm: rel.Basis})
+				kids = append(kids, &node{parent: nd, branch: int(j), fixTo1: true, bound: rel.Objective, warm: rel.Basis})
 			}
-			continue
-		}
-		branch := pickBranchVar(rel.X, p.Binary, intTol)
-		if branch < 0 {
+		} else if branch := pickBranchVar(rel.X, p.Binary, intTol); branch >= 0 {
+			kids = append(kids,
+				&node{parent: nd, branch: branch, bound: rel.Objective, warm: rel.Basis},
+				&node{parent: nd, branch: branch, fixTo1: true, bound: rel.Objective, warm: rel.Basis})
+		} else {
 			// Integral: new incumbent.
 			if rel.Objective > sol.Objective {
 				sol.Objective = rel.Objective
 				sol.X = rel.X
 				sol.HasIncumbent = true
+				sp.raise(sol.Objective)
 			}
 			continue
 		}
-		q.Push(&node{parent: nd, branch: branch, bound: rel.Objective, warm: rel.Basis})
-		q.Push(&node{parent: nd, branch: branch, fixTo1: true, bound: rel.Objective, warm: rel.Basis})
+		for _, kid := range kids {
+			q.Push(kid)
+		}
+		if parallel {
+			if sp == nil {
+				sp = startSpeculator(&p.LP)
+			}
+			sp.offer(kids)
+		}
 	}
 
 	if sol.HasIncumbent {

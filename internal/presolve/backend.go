@@ -15,19 +15,24 @@ type Backend struct{}
 
 // SolveWarm maximizes p: reduce, solve the reduced model (warm when the
 // token fits), postsolve the primal, and return the reduced basis as the
-// next warm token. A problem presolve decides outright — infeasible,
-// unbounded, or eliminated entirely — is answered without the simplex and
-// hands out no token.
+// next warm token. A problem presolve decides outright hands out no token.
+// One eliminated entirely is answered without the simplex; one found
+// infeasible or unbounded is solved again, unreduced, by the simplex, whose
+// answer carries the Farkas vector or ray that presolve's verdict lacks.
 func (Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) {
 	red, err := Reduce(p, nil)
 	if err != nil {
 		return nil, err
 	}
 	switch red.Outcome() {
-	case Infeasible:
-		return &lp.Solution{Status: lp.Infeasible, Presolve: red.solutionStats()}, nil
-	case Unbounded:
-		return &lp.Solution{Status: lp.Unbounded, Presolve: red.solutionStats()}, nil
+	case Infeasible, Unbounded:
+		sol, err := lp.Simplex{}.SolveWarm(p, nil)
+		if err != nil {
+			return sol, err
+		}
+		sol.Basis = nil
+		sol.Presolve = red.solutionStats()
+		return sol, nil
 	case Solved:
 		full, err := red.Postsolve(nil)
 		if err != nil {

@@ -266,7 +266,8 @@ func TestRuleBoundPropagation(t *testing.T) {
 }
 
 // TestInfeasibleDetection checks presolve proves infeasibility without a
-// simplex call.
+// simplex call, and that Backend's answer, which the simplex then gives on
+// the unreduced model, carries a Farkas vector lp.Check accepts.
 func TestInfeasibleDetection(t *testing.T) {
 	p := &lp.Problem{
 		Obj:   []float64{1, 1},
@@ -289,10 +290,13 @@ func TestInfeasibleDetection(t *testing.T) {
 	if sol.Status != lp.Infeasible {
 		t.Fatalf("status %v, want Infeasible", sol.Status)
 	}
+	if _, err := lp.Check(p, sol); err != nil {
+		t.Fatalf("Backend's infeasible answer fails its certificate: %v", err)
+	}
 }
 
 // TestUnboundedDetection checks an empty improving column with no upper
-// bound is reported unbounded.
+// bound is reported unbounded, by presolve and, with a ray, by Backend.
 func TestUnboundedDetection(t *testing.T) {
 	p := &lp.Problem{
 		Obj:   []float64{1, 1},
@@ -307,6 +311,16 @@ func TestUnboundedDetection(t *testing.T) {
 	}
 	if red.Outcome() != presolve.Unbounded {
 		t.Fatalf("outcome %v, want Unbounded", red.Outcome())
+	}
+	sol, err := presolve.Backend{}.SolveWarm(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.Unbounded {
+		t.Fatalf("status %v, want Unbounded", sol.Status)
+	}
+	if _, err := lp.Check(p, sol); err != nil {
+		t.Fatalf("Backend's unbounded answer fails its certificate: %v", err)
 	}
 }
 
