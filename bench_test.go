@@ -426,6 +426,23 @@ func TestSimplexAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(5, tree) / float64(nodes); got > 8 {
 		t.Errorf("milp3x8: %.1f allocs per node over %d nodes, want <= 8", got, nodes)
 	}
+	// AllocsPerRun pins GOMAXPROCS to 1, where milp.Solve starts no
+	// speculative helper; count the same tree on two Ps as well. How many
+	// nodes the helper solves ahead depends on scheduling: 7.4-8.1 allocs
+	// per node on an idle 2-vCPU box, 5.9-10.0 with the box oversubscribed
+	// threefold, so the gate sits 20% above the worst reading.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tree()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		tree()
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.Mallocs-before.Mallocs) / runs / float64(nodes); got > 12 {
+		t.Errorf("milp3x8 on 2 Ps: %.1f allocs per node over %d nodes, want <= 12", got, nodes)
+	}
 }
 
 // BenchmarkTable2Runtimes times each Table 2 algorithm on one representative

@@ -168,59 +168,6 @@ func (c *Cluster) AddWithEstimate(trueSvc, estSvc Service) (id int, ok bool, err
 	return id, ok, nil
 }
 
-// BatchEntry is one service of a bulk admission: the true descriptor and the
-// scheduler-visible estimate (pass the same service twice when the estimate
-// is exact).
-type BatchEntry struct {
-	True, Est Service
-}
-
-// BatchResult is the per-entry outcome of a bulk admission. Exactly one of
-// three states holds: Admitted (ID and Node are valid), rejected (Admitted
-// false, Err nil — no node could host the service), or invalid (Err non-nil —
-// the entry failed structural validation and was skipped without touching the
-// cluster).
-type BatchResult struct {
-	ID       int
-	Node     int
-	Admitted bool
-	Err      error
-}
-
-// AddBatch admits entries in order through the deterministic two-choice
-// shard router, one routing decision per entry — each admission sees the
-// capacity left by the previous one, so the batch trajectory (ids, shard
-// choices, hook events) is bit-identical to len(entries) sequential
-// AddWithEstimate calls. Entries failing validation are reported per-entry
-// and skipped; they never abort the rest of the batch. The durable tier
-// exploits the grouped pass by journaling each shard's admissions as one
-// batch under a single group-commit fsync.
-func (c *Cluster) AddBatch(entries []BatchEntry) []BatchResult {
-	out := make([]BatchResult, len(entries))
-	routed := make([]shard.AddEntry, 0, len(entries))
-	idx := make([]int, 0, len(entries))
-	for i := range entries {
-		if err := validateServiceVecs(c.r.Dim(), "true", entries[i].True); err != nil {
-			out[i] = BatchResult{Node: Unplaced, Err: err}
-			continue
-		}
-		if err := validateServiceVecs(c.r.Dim(), "estimated", entries[i].Est); err != nil {
-			out[i] = BatchResult{Node: Unplaced, Err: err}
-			continue
-		}
-		routed = append(routed, shard.AddEntry{TrueSvc: entries[i].True, EstSvc: entries[i].Est})
-		idx = append(idx, i)
-	}
-	for k, res := range c.r.AddBatch(routed, make([]shard.AddResult, 0, len(routed))) {
-		if res.OK {
-			out[idx[k]] = BatchResult{ID: res.ID, Node: res.Node, Admitted: true}
-		} else {
-			out[idx[k]] = BatchResult{Node: Unplaced}
-		}
-	}
-	return out
-}
-
 // Remove departs a live service in O(1). It reports whether id was live.
 func (c *Cluster) Remove(id int) bool { return c.r.Remove(id) }
 

@@ -7,15 +7,15 @@ import (
 
 // Batch accumulates records for one atomic group append. Records are encoded
 // by Add off the journal lock (so aliased engine buffers are captured
-// immediately, exactly like Enqueue), and Commit hands every frame to the
-// committer under a single lock acquisition: the records receive consecutive
-// sequence numbers with nothing interleaved, land in the same commit batch,
-// and therefore share one write and one fsync. The returned ticket resolves
-// once the whole batch is durable.
+// immediately), and Commit hands every frame to the committer under a single
+// lock acquisition: the records receive consecutive sequence numbers with
+// nothing interleaved, land in the same commit batch, and therefore share one
+// write and one fsync. The returned ticket resolves once the whole batch is
+// durable.
 //
 // A Batch is single-goroutine; callers that must keep the log faithful to
 // application order Add and Commit while holding their own state lock and
-// Wait after releasing it, exactly as with Enqueue.
+// Wait after releasing it.
 type Batch struct {
 	j        *Journal
 	payloads []byte // concatenated encoded payloads
@@ -30,7 +30,8 @@ func (j *Journal) NewBatch() *Batch { return &Batch{j: j} }
 // Add encodes r into the batch. The record's aliased buffers are copied out
 // now, so they only need to stay valid for the duration of the call. A record
 // exceeding the frame limit is rejected without joining the batch — the
-// remaining records are unaffected.
+// remaining records are unaffected. (Recovery's scanner would reject an
+// overlong frame as corruption, so it must never be acknowledged.)
 func (b *Batch) Add(r *Record) error {
 	start := len(b.payloads)
 	b.payloads = encodePayload(b.payloads, r)
@@ -57,42 +58,14 @@ func (b *Batch) Reset() {
 // batch. The single returned ticket resolves when the whole group is durable.
 // Committing an empty batch returns an immediately resolved ticket.
 func (b *Batch) Commit() *Ticket {
-	ch := make(chan error, 1)
 	if len(b.ends) == 0 {
+		ch := make(chan error, 1)
 		ch <- nil
 		return &Ticket{ch}
 	}
-	j := b.j
-	j.mu.Lock()
-	if j.failed != nil {
-		err := j.failed
-		j.mu.Unlock()
-		b.Reset()
-		ch <- err
-		return &Ticket{ch}
-	}
-	start := 0
-	for _, end := range b.ends {
-		payload := b.payloads[start:end]
-		start = end
-		j.seq++
-		// Patch the sequence number into the fixed 8-byte payload prefix
-		// (the frame CRC is computed by appendFrame, after the patch).
-		for i := 0; i < 8; i++ {
-			payload[i] = byte(j.seq >> (8 * i))
-		}
-		j.pend.buf = appendFrame(j.pend.buf, payload)
-		j.advanceChain(payload)
-	}
-	j.pend.recs += len(b.ends)
-	j.pend.waiters = append(j.pend.waiters, ch)
-	j.mu.Unlock()
-	select {
-	case j.kick <- struct{}{}:
-	default:
-	}
+	t, _ := b.j.enqueue(b.payloads, b.ends)
 	b.Reset()
-	return &Ticket{ch}
+	return t
 }
 
 // BatchSizeBounds are the upper bounds (inclusive) of the commit batch size

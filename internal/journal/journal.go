@@ -376,19 +376,18 @@ type Ticket struct{ ch chan error }
 // Wait blocks for the group commit covering this ticket.
 func (t *Ticket) Wait() error { return <-t.ch }
 
-// Journal is an open write-ahead log. Enqueue/Append are safe for concurrent
-// use; one background committer serializes writes, batching all concurrently
-// enqueued records into a single write+fsync (group commit).
+// Journal is an open write-ahead log. Append and Batch.Commit are safe for
+// concurrent use; one background committer serializes writes, batching all
+// concurrently enqueued records into a single write+fsync (group commit).
 type Journal struct {
 	opts Options
 	fs   faultfs.FS
 
-	mu         sync.Mutex
-	seq        uint64 // last assigned sequence number
-	pend       pending
-	spare      pending // recycled buffers for the next batch
-	payloadBuf []byte
-	failed     error
+	mu     sync.Mutex
+	seq    uint64 // last assigned sequence number
+	pend   pending
+	spare  pending // recycled buffers for the next batch
+	failed error
 
 	// Integrity chain (under mu): the rolling hash at seq, the interval
 	// checkpoint ledger, and the checkpoint spacing in force.
@@ -555,54 +554,62 @@ func (j *Journal) Err() error {
 	return j.failed
 }
 
-// Enqueue assigns the next sequence number to r, encodes it and queues it for
-// the committer. The returned ticket resolves when the record's batch is
-// durable. Enqueue order equals sequence order, so callers that must keep
-// the log faithful to application order enqueue while holding their own
-// state lock and Wait after releasing it.
-func (j *Journal) Enqueue(r *Record) *Ticket {
+// Append durably writes r (group-committed with concurrent appends) and
+// fills in r.Seq.
+func (j *Journal) Append(r *Record) error {
+	b := Batch{j: j}
+	if err := b.Add(r); err != nil {
+		return err
+	}
+	t, seq := j.enqueue(b.payloads, b.ends)
+	if err := t.Wait(); err != nil {
+		return err
+	}
+	r.Seq = seq
+	return nil
+}
+
+// enqueue queues one group of encoded payloads for the committer — payload i
+// is payloads[ends[i-1]:ends[i]] — under a single lock acquisition: the
+// records receive consecutive sequence numbers with nothing interleaved and
+// land in the same commit batch, so they share one write and one fsync.
+// Call order equals sequence order, so callers that must keep the log
+// faithful to application order enqueue while holding their own state lock
+// and Wait after releasing it. The ticket resolves once the whole group is
+// durable; seq is the last number assigned. A failed journal queues nothing
+// and returns its failure on the ticket.
+func (j *Journal) enqueue(payloads []byte, ends []int) (t *Ticket, seq uint64) {
 	ch := make(chan error, 1)
 	j.mu.Lock()
 	if j.failed != nil {
 		err := j.failed
 		j.mu.Unlock()
 		ch <- err
-		return &Ticket{ch}
+		return &Ticket{ch}, 0
 	}
-	j.payloadBuf = encodePayload(j.payloadBuf[:0], r)
-	// Enforce the frame limit on the write path too: an overlong record
-	// would be acknowledged now and rejected as corruption by the scanner
-	// at recovery.
-	if len(j.payloadBuf) > maxPayloadBytes {
-		err := fmt.Errorf("journal: %s record payload %d bytes exceeds frame limit %d",
-			r.Op, len(j.payloadBuf), maxPayloadBytes)
-		j.mu.Unlock()
-		ch <- err
-		return &Ticket{ch}
+	start := 0
+	for _, end := range ends {
+		payload := payloads[start:end]
+		start = end
+		j.seq++
+		// Patch the sequence number into the fixed 8-byte payload prefix
+		// (the frame CRC is computed by appendFrame, after the patch).
+		for i := 0; i < 8; i++ {
+			payload[i] = byte(j.seq >> (8 * i))
+		}
+		j.pend.buf = appendFrame(j.pend.buf, payload)
+		j.advanceChain(payload)
 	}
-	j.seq++
-	r.Seq = j.seq
-	// The sequence number is the fixed 8-byte payload prefix: patch it in
-	// place now that the record is known to fit (assigning before the size
-	// check would burn a seq on rejection and break replay continuity).
-	for i := 0; i < 8; i++ {
-		j.payloadBuf[i] = byte(j.seq >> (8 * i))
-	}
-	j.pend.buf = appendFrame(j.pend.buf, j.payloadBuf)
-	j.advanceChain(j.payloadBuf)
+	seq = j.seq
+	j.pend.recs += len(ends)
 	j.pend.waiters = append(j.pend.waiters, ch)
-	j.pend.recs++
 	j.mu.Unlock()
 	select {
 	case j.kick <- struct{}{}:
 	default:
 	}
-	return &Ticket{ch}
+	return &Ticket{ch}, seq
 }
-
-// Append durably writes r (group-committed with concurrent appends) and
-// fills in r.Seq.
-func (j *Journal) Append(r *Record) error { return j.Enqueue(r).Wait() }
 
 // Barrier returns a ticket that resolves once everything enqueued before it
 // is durable (forcing an fsync even under FsyncNone).

@@ -139,15 +139,17 @@ func invalid(err error) error {
 // (K=1 by default) each journal to their own WAL directory (dir/shard-0 …
 // dir/shard-K-1), behind one commit pipeline. All mutations are durable when
 // the call returns; reads come from published snapshots. Mutations apply
-// under a single lock (preserving the router's deterministic
-// trajectory) and the fsync waits happen after unlock, so concurrent
-// requests group-commit per shard; an epoch's records fan out to every
-// shard's journal and the call returns only when all of them are durable.
+// under a single lock (preserving the router's deterministic trajectory);
+// each mutation's records gather in one journal.Batch per shard and commit,
+// still under the lock, as one contiguous record group per touched shard.
+// The fsync waits happen after unlock, so concurrent requests group-commit
+// per shard; an epoch's records fan out to every shard's journal and the
+// call returns only when all of them are durable.
 //
 // Cross-WAL atomicity for rebalance moves follows a fixed discipline: the
-// destination's MOVE_IN record is fsynced before the source's MOVE_OUT is
-// even enqueued, and checkpoints barrier every journal before writing any
-// snapshot. A crash can therefore leave a moving service recovered in two
+// destination's MOVE_IN record is committed at once and fsynced before the
+// source's MOVE_OUT is even added to its shard's group, and checkpoints
+// barrier every journal before writing any snapshot. A crash can therefore leave a moving service recovered in two
 // shards — never in zero — and recovery resolves the duplicate by move
 // generation (see vmalloc.ShardedRestore.Finish). Safe for concurrent use.
 type Store struct {
@@ -157,12 +159,10 @@ type Store struct {
 	mu           sync.Mutex
 	cluster      *vmalloc.Cluster
 	js           Journals
-	tickets      []*journal.Ticket
-	batches      []*journal.Batch        // per-shard bulk-admission record groups (AddBatch)
-	batching     bool                    // route hook events into batches instead of Enqueue
+	batches      []*journal.Batch        // per-shard record groups of the current mutation
 	moveIn       map[int]*journal.Ticket // pending MOVE_IN tickets by service id
-	hookErr      error                   // first enqueue-ordering failure, surfaced at finish
-	enqueued     int                     // records enqueued by the current mutation
+	hookErr      error                   // first journaling failure, surfaced at finish
+	enqueued     int                     // records journaled by the current mutation
 	recordsSince int
 	closed       bool
 	stats        Stats
@@ -205,8 +205,12 @@ func Open(dir string, nodes []vmalloc.Node, opts *Options) (*Store, error) {
 		manifest:         rep.Manifest,
 		cluster:          cluster,
 		js:               rep.Journals,
+		batches:          make([]*journal.Batch, len(rep.Journals)),
 		moveIn:           make(map[int]*journal.Ticket),
 		RecoveryWarnings: warnings,
+	}
+	for i, j := range s.js {
+		s.batches[i] = j.NewBatch()
 	}
 	s.stats.Replayed = rep.Replayed
 	s.stats.TruncatedBytes = rep.TruncatedBytes
@@ -256,10 +260,11 @@ func EncodeState(st *vmalloc.ClusterState) ([]byte, error) {
 	return json.Marshal(st)
 }
 
-// onEvent journals one applied shard mutation. It runs while the mutation
-// holds s.mu, so per-journal enqueue order equals application order. For a
-// rebalance move the MOVE_OUT waits for its MOVE_IN to be durable before
-// being enqueued — the invariant recovery's duplicate resolution rests on.
+// onEvent journals one applied shard mutation into its shard's record group.
+// It runs while the mutation holds s.mu, so per-journal order equals
+// application order. For a rebalance move the MOVE_OUT waits for its MOVE_IN
+// to be durable before joining its group — the invariant recovery's
+// duplicate resolution rests on.
 func (s *Store) onEvent(ev *vmalloc.ClusterEvent) {
 	rec := &journal.Record{}
 	switch ev.Op {
@@ -290,31 +295,21 @@ func (s *Store) onEvent(ev *vmalloc.ClusterEvent) {
 	default:
 		return
 	}
-	// Enqueue and Batch.Add both encode synchronously, so aliasing engine
-	// buffers is safe. During a bulk admission each shard's records
-	// accumulate in that shard's batch and commit as one group sharing a
-	// single fsync per shard.
-	if s.batching {
-		b := s.batches[ev.Shard]
-		if b == nil {
-			b = s.js[ev.Shard].NewBatch()
-			s.batches[ev.Shard] = b
-		}
-		if err := b.Add(rec); err != nil && s.hookErr == nil {
+	// Batch.Add encodes synchronously, so aliasing engine buffers is safe.
+	b := s.batches[ev.Shard]
+	if err := b.Add(rec); err != nil {
+		if s.hookErr == nil {
 			s.hookErr = err
 		}
 		return
 	}
-	t := s.js[ev.Shard].Enqueue(rec)
 	s.enqueued++
 	if rec.Op == journal.OpMoveIn {
-		// Tickets are single-use: the paired MOVE_OUT (or finish, if the
-		// pair never completes) waits this one, so it stays out of the
-		// common list.
-		s.moveIn[ev.ID] = t
-		return
+		// The MOVE_IN's group commits now so the paired MOVE_OUT can wait on
+		// it. Tickets are single-use: that MOVE_OUT (or finish, if the pair
+		// never completes) waits this one.
+		s.moveIn[ev.ID] = b.Commit()
 	}
-	s.tickets = append(s.tickets, t)
 }
 
 // begin/finish bracket one mutation: begin takes the state lock (refusing on
@@ -333,7 +328,6 @@ func (s *Store) begin(ctx context.Context) (obs.Span, error) {
 		apply.End()
 		return obs.Span{}, err
 	}
-	s.tickets = s.tickets[:0]
 	s.hookErr = nil
 	s.enqueued = 0
 	return apply, nil
@@ -350,14 +344,19 @@ func (s *Store) journalErr() error {
 	return nil
 }
 
-// finish is called with s.mu held: it releases the lock, ends the apply
-// span there, waits for the mutation's journal tickets across shards under a
-// sibling "fsync_wait" span — after the unlock, so concurrent mutations
-// group-commit — and triggers an automatic checkpoint when due. Returns the
-// time spent waiting on durability.
+// finish is called with s.mu held: it commits every shard's non-empty record
+// group, releases the lock, ends the apply span there, waits for the
+// mutation's journal tickets across shards under a sibling "fsync_wait" span
+// — after the unlock, so concurrent mutations group-commit — and triggers an
+// automatic checkpoint when due. Returns the time spent waiting on
+// durability.
 func (s *Store) finish(ctx context.Context, apply obs.Span) (waitNs int64, err error) {
-	tickets := s.tickets
-	s.tickets = nil
+	var tickets []*journal.Ticket
+	for _, b := range s.batches {
+		if b.Len() > 0 {
+			tickets = append(tickets, b.Commit())
+		}
+	}
 	hookErr := s.hookErr
 	// Every MOVE_IN is normally consumed by its paired MOVE_OUT wait; any
 	// leftovers still owe a durability wait.
@@ -417,37 +416,38 @@ func (s *Store) AddWithEstimate(trueSvc, estSvc vmalloc.Service) (id, node int, 
 }
 
 // AddBatch admits specs in order through the deterministic two-choice shard
-// router as one bulk operation. Admissions are grouped per placement domain:
-// each shard's records commit to its WAL as one batch sharing a single
-// group-commit fsync, and the call returns when every touched shard is
-// durable. Outcomes are per-entry — an invalid or rejected entry never
-// aborts the rest of the batch; the error return is reserved for whole-batch
-// failures (closed store, journal failure). ctx carries the request's trace
-// (see begin and finish).
+// router as one mutation: a loop of single admissions, each seeing the
+// capacity the previous one left, so the trajectory is that of len(specs)
+// AddWithEstimate calls. Like every mutation, the store commits each shard's
+// records as one group sharing a single group-commit fsync, and the call
+// returns when every touched shard is durable. Outcomes are per-entry — an
+// invalid or rejected entry never aborts the rest of the batch; the error
+// return is reserved for whole-batch failures (closed store, journal
+// failure). ctx carries the request's trace (see begin and finish).
 func (s *Store) AddBatch(ctx context.Context, specs []AddSpec) ([]AddOutcome, error) {
 	apply, err := s.begin(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if s.batches == nil {
-		s.batches = make([]*journal.Batch, len(s.js))
-	}
-	s.batching = true
-	entries := make([]vmalloc.BatchEntry, len(specs))
+	out := make([]AddOutcome, len(specs))
+	admitted := 0
 	for i := range specs {
-		entries[i] = vmalloc.BatchEntry{True: specs[i].True, Est: specs[i].Est}
+		id, ok, err := s.cluster.AddWithEstimate(specs[i].True, specs[i].Est)
+		switch {
+		case err != nil:
+			out[i] = AddOutcome{Node: -1, Err: invalid(err)}
+		case !ok:
+			out[i] = AddOutcome{Node: -1, Err: ErrRejected}
+			s.stats.Rejected++
+		default:
+			node, _ := s.cluster.Node(id)
+			out[i] = AddOutcome{ID: id, Node: node}
+			s.stats.Adds++
+			admitted++
+		}
 	}
-	results := s.cluster.AddBatch(entries)
-	s.batching = false
-	out, admitted := convertBatchResults(results, &s.stats)
 	if admitted > 0 {
 		s.stats.Batches++
-	}
-	for _, b := range s.batches {
-		if b != nil && b.Len() > 0 {
-			s.enqueued += b.Len()
-			s.tickets = append(s.tickets, b.Commit())
-		}
 	}
 	_, err = s.finish(ctx, apply)
 	return out, err
@@ -722,27 +722,6 @@ func (s *Store) Close() error {
 		return cerr
 	}
 	return err
-}
-
-// convertBatchResults maps cluster batch results to the store's per-entry
-// outcomes (typed errors) and bumps the admission counters. Called with the
-// store lock held.
-func convertBatchResults(results []vmalloc.BatchResult, stats *Stats) (out []AddOutcome, admitted int) {
-	out = make([]AddOutcome, len(results))
-	for i, r := range results {
-		switch {
-		case r.Err != nil:
-			out[i] = AddOutcome{Node: -1, Err: invalid(r.Err)}
-		case !r.Admitted:
-			out[i] = AddOutcome{Node: -1, Err: ErrRejected}
-			stats.Rejected++
-		default:
-			out[i] = AddOutcome{ID: r.ID, Node: r.Node}
-			stats.Adds++
-			admitted++
-		}
-	}
-	return out, admitted
 }
 
 // recordEpoch pushes one finished epoch into the observer's retained ring,

@@ -330,14 +330,6 @@ func (r *Router) admissionOrder(id int) []int {
 // On rejection (no shard can host the service) ok is false and no state
 // changes.
 func (r *Router) Add(trueSvc, estSvc core.Service) (id, shard, node int, ok bool) {
-	return r.addOne(trueSvc, estSvc)
-}
-
-// addOne is the single admission code path shared by Add and AddBatch: the
-// deterministic candidate order, the engine install, the id-map update and
-// the hook event. Batch admission is therefore bit-identical to the same
-// services admitted one call at a time.
-func (r *Router) addOne(trueSvc, estSvc core.Service) (id, shard, node int, ok bool) {
 	id = r.nextID
 	for _, s := range r.admissionOrder(id) {
 		local, admitted := r.domains[s].eng.AdmitWithID(id, trueSvc, estSvc)
@@ -353,36 +345,6 @@ func (r *Router) addOne(trueSvc, estSvc core.Service) (id, shard, node int, ok b
 		return id, s, r.domains[s].offset + local, true
 	}
 	return 0, -1, -1, false
-}
-
-// AddEntry is one service of a bulk admission.
-type AddEntry struct {
-	TrueSvc, EstSvc core.Service
-}
-
-// AddResult is the per-entry outcome of a bulk admission: the admitted id,
-// owning shard and park-global node, or OK=false when no shard could host
-// the entry.
-type AddResult struct {
-	ID    int
-	Shard int
-	Node  int
-	OK    bool
-}
-
-// AddBatch admits entries in order through the same deterministic two-choice
-// admission as Add, appending one AddResult per entry to out (allocating when
-// out lacks capacity). Each admission sees the headroom left by the previous
-// one, so the batch trajectory — ids, shard choices, hook events — is exactly
-// the trajectory of len(entries) sequential Add calls; the batching win is in
-// the layers above, which journal a batch's admissions per shard under a
-// single group-commit fsync instead of one ticket per record.
-func (r *Router) AddBatch(entries []AddEntry, out []AddResult) []AddResult {
-	for i := range entries {
-		id, s, node, ok := r.addOne(entries[i].TrueSvc, entries[i].EstSvc)
-		out = append(out, AddResult{ID: id, Shard: s, Node: node, OK: ok})
-	}
-	return out
 }
 
 // Remove departs a live service in O(1). It reports whether id was live.
