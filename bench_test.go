@@ -428,20 +428,21 @@ func TestSimplexAllocs(t *testing.T) {
 	}
 	// AllocsPerRun pins GOMAXPROCS to 1, where milp.Solve starts no
 	// speculative helper; count the same tree on two Ps as well. How many
-	// nodes the helper solves ahead depends on scheduling: 7.4-8.1 allocs
-	// per node on an idle 2-vCPU box, 5.9-10.0 with the box oversubscribed
-	// threefold, so the gate sits 20% above the worst reading.
+	// nodes the helper solves ahead depends on scheduling, so the count is
+	// the fewest over 10 trees: 5.8-7.7 allocs per node on a 2-vCPU box,
+	// idle or oversubscribed threefold; the gate sits 29% above the worst.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tree()
-	const runs = 5
+	fewest := uint64(math.MaxUint64)
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&before)
 		tree()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
 	}
-	runtime.ReadMemStats(&after)
-	if got := float64(after.Mallocs-before.Mallocs) / runs / float64(nodes); got > 12 {
-		t.Errorf("milp3x8 on 2 Ps: %.1f allocs per node over %d nodes, want <= 12", got, nodes)
+	if got := float64(fewest) / float64(nodes); got > 10 {
+		t.Errorf("milp3x8 on 2 Ps: %.1f allocs per node over %d nodes (fewest of 10 trees), want <= 10", got, nodes)
 	}
 }
 

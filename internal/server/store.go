@@ -141,7 +141,8 @@ func invalid(err error) error {
 // the call returns; reads come from published snapshots. Mutations apply
 // under a single lock (preserving the router's deterministic trajectory);
 // each mutation's records gather in one journal.Batch per shard and commit,
-// still under the lock, as one contiguous record group per touched shard.
+// still under the lock, as one contiguous record group per touched shard
+// (a MOVE_IN commits its shard's group early; see below).
 // The fsync waits happen after unlock, so concurrent requests group-commit
 // per shard; an epoch's records fan out to every shard's journal and the
 // call returns only when all of them are durable.
@@ -149,9 +150,10 @@ func invalid(err error) error {
 // Cross-WAL atomicity for rebalance moves follows a fixed discipline: the
 // destination's MOVE_IN record is committed at once and fsynced before the
 // source's MOVE_OUT is even added to its shard's group, and checkpoints
-// barrier every journal before writing any snapshot. A crash can therefore leave a moving service recovered in two
-// shards — never in zero — and recovery resolves the duplicate by move
-// generation (see vmalloc.ShardedRestore.Finish). Safe for concurrent use.
+// barrier every journal before writing any snapshot. A crash can therefore
+// leave a moving service recovered in two shards — never in zero — and
+// recovery resolves the duplicate by move generation (see
+// vmalloc.ShardedRestore.Finish). Safe for concurrent use.
 type Store struct {
 	opts     Options
 	manifest *ShardManifest // immutable after Open
