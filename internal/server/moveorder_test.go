@@ -12,10 +12,10 @@ import (
 	"vmalloc/internal/journal"
 )
 
-// moveGateFS runs the store on the real filesystem but holds the fsync of
-// any WAL segment that was written a MOVE_IN since its last sync, until the
-// test opens the gate, and checks at every segment write that each MOVE_OUT's
-// MOVE_IN had already been fsynced.
+// moveGateFS runs the store on the real filesystem, holds every WAL segment
+// fsync that would make a MOVE_IN durable until the test opens its gate, and
+// checks at every segment write that each MOVE_OUT's MOVE_IN had already
+// been fsynced.
 type moveGateFS struct {
 	faultfs.OS
 	held chan chan struct{} // a held fsync sends its gate here and waits for it to close
@@ -25,6 +25,7 @@ type moveGateFS struct {
 	outs    int          // MOVE_OUT frames written
 	early   []int        // ids whose MOVE_OUT was written before their MOVE_IN was fsynced
 	heldFor int          // fsyncs held on the gate
+	bad     error        // first segment write that did not decode as whole frames
 }
 
 func (g *moveGateFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
@@ -45,7 +46,7 @@ func (f *moveGateFile) Write(p []byte) (int, error) {
 	g := f.g
 	g.mu.Lock()
 	// The committer writes whole frames, so every write decodes on its own.
-	_ = journal.DecodeFrames(p, func(r *journal.Record) error {
+	err := journal.DecodeFrames(p, func(r *journal.Record) error {
 		switch r.Op {
 		case journal.OpMoveIn:
 			f.ins = append(f.ins, r.ID)
@@ -57,6 +58,9 @@ func (f *moveGateFile) Write(p []byte) (int, error) {
 		}
 		return nil
 	})
+	if err != nil && g.bad == nil {
+		g.bad = err
+	}
 	g.mu.Unlock()
 	return f.File.Write(p)
 }
@@ -131,6 +135,9 @@ func TestMoveInDurableBeforeMoveOut(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if g.bad != nil {
+		t.Fatalf("a segment write did not decode: %v", g.bad)
 	}
 	t.Logf("%d MOVE_OUT frames, %d MOVE_IN fsyncs held", g.outs, g.heldFor)
 	if g.outs == 0 || g.heldFor == 0 {
