@@ -1,25 +1,35 @@
-// Command experiments regenerates the tables and figures of the paper's
-// evaluation (§5–§6). Each -exp target prints the corresponding table or
-// figure series as text.
+// Command experiments is the one front end of the paper's experiments: it
+// regenerates the tables and figures of the evaluation (§5–§6), writes
+// synthetic instances and traces following the §4 methodology (-exp gen),
+// and runs the §8 dynamic hosting-platform simulation (-exp simulate).
+// Each table or figure target prints the corresponding series as text.
 //
 // By default the sweeps are reduced (fewer COV points, seeds and services
 // per node) so a full run completes on a laptop; -full selects the paper's
 // original scale (64 hosts, 100/250/500 services, 41 COV points, 9 slacks,
-// 100 seeds) and can run for days — see EXPERIMENTS.md.
+// 100 seeds) and can run for days — see the Experiments section of
+// README.md.
 //
 // Usage:
 //
-//	experiments -exp table1
-//	experiments -exp fig2 [-slack 0.3] [-services 125]
-//	experiments -exp fig5 [-cov 0.5] [-slack 0.4]
-//	experiments -exp light
-//	experiments -exp binorder
+//	experiments -exp table1|table2
+//	experiments -exp fig2|fig3|fig4 [-slack 0.3] [-services 125] [-plot]
+//	experiments -exp fig5|fig6|fig7 [-cov 0.5] [-slack 0.4] [-services 25] [-plot]
+//	experiments -exp light|binorder|hardness|theorem1|profile
+//	experiments -exp online|sharded|recovery
+//	experiments -exp gen -hosts 64 -services 500 -cov 0.5 -slack 0.3 -seed 1 -o inst.json
+//	experiments -exp gen -make-trace 500 -o trace.csv
+//	experiments -exp gen -trace trace.csv -hosts 8 -services 40
+//	experiments -exp simulate -hosts 16 -rate 4 -lifetime 10 -horizon 200 -epoch 5 \
+//	            -maxerr 0.2 -threshold adaptive [-repair -budget 2]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"vmalloc/internal/core"
@@ -29,26 +39,71 @@ import (
 	"vmalloc/internal/platform"
 	"vmalloc/internal/plot"
 	"vmalloc/internal/sched"
+	"vmalloc/internal/trace"
 	"vmalloc/internal/vec"
 	"vmalloc/internal/vp"
 	"vmalloc/internal/workload"
 )
 
+// targetDefaults are the values -exp gen and -exp simulate give the flags
+// whose default depends on the target, when the command line leaves them
+// unset.
+var targetDefaults = map[string]map[string]string{
+	"gen":      {"hosts": "64", "services": "100", "slack": "0.4"},
+	"simulate": {"hosts": "16"},
+}
+
 func main() {
 	var (
-		which    = flag.String("exp", "", "experiment: table1|table2|fig2..fig7|light|binorder|hardness|theorem1|profile|online|sharded|recovery")
+		which    = flag.String("exp", "", "experiment: table1|table2|fig2..fig7|light|binorder|hardness|theorem1|profile|online|sharded|recovery|gen|simulate")
 		full     = flag.Bool("full", false, "use the paper's original sweep sizes (very slow)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		slack    = flag.Float64("slack", -1, "override memory slack")
-		cov      = flag.Float64("cov", -1, "override coefficient of variation (error experiments)")
-		services = flag.Int("services", 0, "override service count (figure experiments)")
+		slack    = flag.Float64("slack", -1, "fig2–7, gen: memory slack in (0,1) (unset = 0.3 for fig2–4, 0.4 for fig5–7 and gen)")
+		cov      = flag.Float64("cov", 0.5, "fig5–7, gen, simulate: coefficient of variation of node capacities")
+		services = flag.Int("services", 0, "fig2–7, gen: service count (unset = the target's own: the sweep's sizes for figures, 100 for gen)")
 		seeds    = flag.Int("seeds", 0, "override number of seeds per point")
 		doPlot   = flag.Bool("plot", false, "render figure experiments as ASCII charts")
 		csvOut   = flag.String("csv", "", "also write raw results as CSV to this file prefix")
+
+		hosts     = flag.Int("hosts", 0, "gen, simulate: number of nodes (unset = 64 for gen, 16 for simulate)")
+		seed      = flag.Int64("seed", 1, "gen, simulate: generator or simulation seed")
+		mode      = flag.String("mode", "both", "gen: heterogeneity: both|cpu-homogeneous|mem-homogeneous")
+		out       = flag.String("o", "", "gen: output file (default stdout)")
+		fromTrace = flag.String("trace", "", "gen: derive service marginals from a task-event trace CSV")
+		makeTrace = flag.Int("make-trace", 0, "gen: instead of a problem, synthesize a trace with N tasks")
+
+		rate      = flag.Float64("rate", 4, "simulate: service arrival rate (per time unit)")
+		lifetime  = flag.Float64("lifetime", 10, "simulate: mean service lifetime")
+		horizon   = flag.Float64("horizon", 200, "simulate: simulated duration")
+		epoch     = flag.Float64("epoch", 5, "simulate: reallocation period")
+		maxErr    = flag.Float64("maxerr", 0, "simulate: max CPU-need estimation error")
+		threshold = flag.String("threshold", "0", "simulate: mitigation threshold (number or 'adaptive')")
+		repair    = flag.Bool("repair", false, "simulate: use migration-bounded incremental repair instead of full reallocation")
+		budget    = flag.Int("budget", -1, "simulate: migrations allowed per repair epoch (-1 = unlimited)")
 	)
 	flag.Parse()
 	plotFlag = *doPlot
 	csvPrefix = *csvOut
+
+	if defaults := targetDefaults[*which]; defaults != nil {
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		for name, v := range defaults {
+			if !set[name] {
+				flag.Set(name, v)
+			}
+		}
+		switch {
+		case *hosts < 1:
+			exit(2, "-hosts must be at least 1, got", *hosts)
+		case *services < 0:
+			exit(2, "-services must not be negative, got", *services)
+		case *cov < 0:
+			exit(2, "-cov must not be negative, got", *cov)
+		case *maxErr < 0:
+			exit(2, "-maxerr must not be negative, got", *maxErr)
+		}
+	}
 
 	cfg := newConfig(*full)
 	if *seeds > 0 {
@@ -83,9 +138,125 @@ func main() {
 		shardedTable(cfg)
 	case "recovery":
 		recoveryTable(cfg)
+	case "gen":
+		scn := workload.Scenario{Hosts: *hosts, Services: *services, COV: *cov, Slack: *slack, Seed: *seed}
+		gen(scn, *mode, *out, *fromTrace, *makeTrace)
+	case "simulate":
+		th := float64(platform.AdaptiveThreshold)
+		if *threshold != "adaptive" {
+			v, err := strconv.ParseFloat(*threshold, 64)
+			if err != nil {
+				exit(2, "bad -threshold:", err)
+			}
+			th = v
+		}
+		simulate(platform.Config{
+			Nodes: workload.Platform(workload.Scenario{
+				Hosts: *hosts, COV: *cov, Mode: workload.HeteroBoth, Seed: *seed,
+			}, workload.NewRand(*seed)),
+			ArrivalRate:     *rate,
+			MeanLifetime:    *lifetime,
+			Horizon:         *horizon,
+			Epoch:           *epoch,
+			MaxErr:          *maxErr,
+			Threshold:       th,
+			UseRepair:       *repair,
+			MigrationBudget: *budget,
+			Seed:            *seed,
+		})
 	default:
-		fmt.Fprintln(os.Stderr, "experiments: unknown or missing -exp (see -h)")
-		os.Exit(2)
+		exit(2, "unknown or missing -exp (see -h)")
+	}
+}
+
+// exit prints its arguments after the command's name to stderr and exits
+// with code.
+func exit(code int, args ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"experiments:"}, args...)...)
+	os.Exit(code)
+}
+
+// gen writes one §4 instance of scn as JSON — its service marginals drawn
+// from a task-event trace when fromTrace is set — or, when makeTrace > 0, a
+// synthetic trace of that many tasks instead. It writes to the file out, or
+// to stdout when out is empty.
+func gen(scn workload.Scenario, mode, out, fromTrace string, makeTrace int) {
+	if makeTrace > 0 {
+		recs := trace.Synthesize(makeTrace, scn.Seed)
+		if out == "" {
+			if err := trace.Write(os.Stdout, recs); err != nil {
+				exit(1, err)
+			}
+			return
+		}
+		if err := trace.WriteFile(out, recs); err != nil {
+			exit(1, err)
+		}
+		fmt.Fprintf(os.Stderr, "experiments: wrote %d trace records to %s\n", len(recs), out)
+		return
+	}
+
+	switch mode {
+	case "both":
+		scn.Mode = workload.HeteroBoth
+	case "cpu-homogeneous":
+		scn.Mode = workload.HeteroCPUHomogeneous
+	case "mem-homogeneous":
+		scn.Mode = workload.HeteroMemHomogeneous
+	default:
+		exit(2, fmt.Sprintf("unknown mode %q", mode))
+	}
+	if scn.Slack <= 0 || scn.Slack >= 1 {
+		exit(2, "slack must be in (0,1)")
+	}
+
+	var p *core.Problem
+	if fromTrace != "" {
+		recs, err := trace.ReadFile(fromTrace)
+		if err != nil {
+			exit(1, err)
+		}
+		emp, err := trace.Extract(recs)
+		if err != nil {
+			exit(1, err)
+		}
+		p = workload.GenerateSampled(scn, emp)
+	} else {
+		p = workload.Generate(scn)
+	}
+	if out == "" {
+		if err := p.WriteJSON(os.Stdout); err != nil {
+			exit(1, err)
+		}
+		return
+	}
+	if err := p.SaveFile(out); err != nil {
+		exit(1, err)
+	}
+	fmt.Fprintf(os.Stderr, "experiments: wrote %d nodes, %d services to %s\n",
+		p.NumNodes(), p.NumServices(), out)
+}
+
+// simulate runs the dynamic hosting platform on the persistent allocation
+// engine: services arrive and depart over time, METAHVPLIGHT reallocates
+// every epoch on warm solver state (or repairs within a migration budget),
+// CPU-need estimates are noisy, and the mitigation threshold is fixed or
+// adaptive. Each epoch races the strategy roster across GOMAXPROCS workers;
+// the trajectory is the same at every core count.
+func simulate(cfg platform.Config) {
+	stats, err := platform.Run(cfg)
+	if err != nil {
+		exit(1, err)
+	}
+	fmt.Printf("arrivals=%d rejections=%d (%.1f%%) departures=%d migrations=%d reallocs=%d failed-epochs=%d\n",
+		stats.Arrivals, stats.Rejections, stats.RejectionRate()*100,
+		stats.Departures, stats.Migrations, stats.Reallocs, stats.FailedEpoch)
+	fmt.Printf("mean minimum yield over epochs: %.4f\n\n", stats.MeanMinYield())
+
+	fmt.Println("time     services  minyield  meanyield  migrations  threshold")
+	for _, s := range stats.Samples {
+		fmt.Printf("%7.1f  %8d  %.4f    %.4f     %10d  %.4f\n",
+			s.Time, s.Services, s.MinYield, s.MeanYield, s.Migrations, s.Threshold)
 	}
 }
 
@@ -153,7 +324,7 @@ func table1(cfg config) {
 	}
 	runner := &exp.Runner{Workers: cfg.workers}
 	heur := runner.Run(grid.Scenarios(), exp.HeuristicRoster(vp.DefaultTolerance))
-	dumpCSV("table1", heur)
+	writeCSV("table1", heur.WriteResultsCSV)
 	names := []string{exp.NameMetaGreedy, exp.NameMetaVP, exp.NameMetaHVP, exp.NameMetaHVPLight}
 	for _, j := range cfg.services {
 		sub := heur.Filter(func(s workload.Scenario) bool { return s.Services == j })
@@ -228,7 +399,7 @@ func figYieldVsCOV(cfg config, which string, slackOv float64, svcOv int) {
 	runner := &exp.Runner{Workers: cfg.workers}
 	rs := runner.Run(grid.Scenarios(), exp.HeuristicRoster(vp.DefaultTolerance))
 	fmt.Print(rs.FigureYieldVsCOV([]string{exp.NameMetaGreedy, exp.NameMetaVP}, exp.NameMetaHVP))
-	dumpCSV(which, rs)
+	writeCSV(which, rs.WriteResultsCSV)
 	if plotFlag {
 		series := rs.COVPlotSeries([]string{exp.NameMetaGreedy, exp.NameMetaVP}, exp.NameMetaHVP)
 		fmt.Println()
@@ -242,8 +413,8 @@ var plotFlag bool
 // csvPrefix, when nonempty, selects a file prefix for raw CSV dumps.
 var csvPrefix string
 
-// dumpCSV writes a result set to <prefix>-<tag>.csv when -csv is set.
-func dumpCSV(tag string, rs *exp.ResultSet) {
+// writeCSV writes <prefix>-<tag>.csv with write when -csv is set.
+func writeCSV(tag string, write func(io.Writer) error) {
 	if csvPrefix == "" {
 		return
 	}
@@ -254,26 +425,7 @@ func dumpCSV(tag string, rs *exp.ResultSet) {
 		return
 	}
 	defer f.Close()
-	if err := rs.WriteResultsCSV(f); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: csv:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "experiments: wrote %s\n", path)
-}
-
-// dumpErrorCSV writes error curves to <prefix>-<tag>.csv when -csv is set.
-func dumpErrorCSV(tag string, curves []exp.ErrorCurves, thresholds []float64) {
-	if csvPrefix == "" {
-		return
-	}
-	path := csvPrefix + "-" + tag + ".csv"
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: csv:", err)
-		return
-	}
-	defer f.Close()
-	if err := exp.WriteErrorCurvesCSV(f, curves, thresholds); err != nil {
+	if err := write(f); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: csv:", err)
 		return
 	}
@@ -311,7 +463,7 @@ func figErrors(cfg config, which string, slackOv, covOv float64, svcOv int) {
 	}
 	curves := e.Run()
 	fmt.Print(exp.FigureErrorCurves(curves, thresholds))
-	dumpErrorCSV(which, curves, thresholds)
+	writeCSV(which, func(w io.Writer) error { return exp.WriteErrorCurvesCSV(w, curves, thresholds) })
 	if plotFlag {
 		fmt.Println()
 		fmt.Print(plot.Render(exp.ErrorPlotSeries(curves, thresholds), 70, 20,
@@ -450,8 +602,7 @@ func onlineTable(cfg config) {
 	start := time.Now()
 	rows, err := spec.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		exit(1, err)
 	}
 	fmt.Printf("=== Online platform: steady state vs churn (%d hosts, adaptive threshold, %v) ===\n",
 		spec.Hosts, time.Since(start).Round(time.Millisecond))
@@ -475,8 +626,7 @@ func shardedTable(cfg config) {
 	start := time.Now()
 	rows, err := spec.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		exit(1, err)
 	}
 	fmt.Printf("=== Sharded tier: churn vs placement-domain count (%d hosts, %v) ===\n",
 		spec.Hosts, time.Since(start).Round(time.Millisecond))
@@ -496,8 +646,7 @@ func recoveryTable(cfg config) {
 	start := time.Now()
 	rows, err := spec.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		exit(1, err)
 	}
 	fmt.Printf("=== Durable tier: recovery time vs log length and snapshot interval (%d hosts, %v) ===\n",
 		spec.Hosts, time.Since(start).Round(time.Millisecond))

@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "problem JSON file (see cmd/expgen)")
+		in       = flag.String("in", "", "problem JSON file (see experiments -exp gen)")
 		algo     = flag.String("algo", vmalloc.AlgoMetaHVPLight, "algorithm name")
 		seed     = flag.Int64("seed", 1, "seed for randomized algorithms")
 		bound    = flag.Bool("bound", false, "also print the LP relaxation upper bound")

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -160,7 +159,7 @@ func main() {
 	case *hosts > 0:
 		nodes = workload.Platform(workload.Scenario{
 			Hosts: *hosts, COV: *cov, Mode: workload.HeteroBoth, Seed: *seed,
-		}, rand.New(rand.NewSource(*seed)))
+		}, workload.NewRand(*seed))
 	}
 
 	// api is what the HTTP surface serves for the life of the process;

@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"runtime"
-	"sync"
-
 	"vmalloc/internal/sched"
 	"vmalloc/internal/workload"
 )
@@ -27,14 +24,13 @@ type ErrorCurves struct {
 	Instances int
 }
 
-// ErrorExperiment configures a §6.2 sweep.
+// ErrorExperiment configures a §6.2 sweep. Every placement, from true or
+// perturbed needs, is computed by METAHVPLIGHT: the paper used METAHVP, and
+// LIGHT is its faster strategy subset.
 type ErrorExperiment struct {
 	Scenarios  []workload.Scenario
 	MaxErrors  []float64
 	Thresholds []float64
-	// Placer computes placements from (possibly perturbed) estimates; the
-	// paper uses METAHVP. The default is METAHVPLIGHT for speed.
-	Placer Algo
 	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS.
 	Workers int
 	// SeedSalt decorrelates the perturbation stream from the instance seed.
@@ -43,44 +39,11 @@ type ErrorExperiment struct {
 
 // Run executes the sweep and returns one ErrorCurves per max-error value.
 func (e *ErrorExperiment) Run() []ErrorCurves {
-	placer := e.Placer
-	if placer.Run == nil {
-		placer = MetaHVPLightAlgo(0)
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	type cell struct {
-		ideal, zero, caps float64
-		weight, equal     map[float64]float64
-		ok                bool
-	}
-	cells := make([][]cell, len(e.MaxErrors)) // [errIdx][scnIdx]
-	for i := range cells {
-		cells[i] = make([]cell, len(e.Scenarios))
-	}
-
-	type task struct{ ei, si int }
-	ch := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range ch {
-				cells[t.ei][t.si] = e.runOne(placer, e.MaxErrors[t.ei], e.Scenarios[t.si])
-			}
-		}()
-	}
-	for ei := range e.MaxErrors {
-		for si := range e.Scenarios {
-			ch <- task{ei, si}
-		}
-	}
-	close(ch)
-	wg.Wait()
+	cells := make([]errorCell, len(e.MaxErrors)*len(e.Scenarios)) // [errIdx*len(Scenarios)+scnIdx]
+	forEachIndex(len(cells), e.Workers, func(i int) {
+		ei, si := i/len(e.Scenarios), i%len(e.Scenarios)
+		cells[i] = e.runOne(e.MaxErrors[ei], e.Scenarios[si])
+	})
 
 	out := make([]ErrorCurves, len(e.MaxErrors))
 	for ei, maxErr := range e.MaxErrors {
@@ -89,7 +52,7 @@ func (e *ErrorExperiment) Run() []ErrorCurves {
 			c.Weight[th] = 0
 			c.Equal[th] = 0
 		}
-		for _, cl := range cells[ei] {
+		for _, cl := range cells[ei*len(e.Scenarios) : (ei+1)*len(e.Scenarios)] {
 			if !cl.ok {
 				continue
 			}
@@ -117,12 +80,17 @@ func (e *ErrorExperiment) Run() []ErrorCurves {
 	return out
 }
 
-// runOne evaluates one (scenario, maxErr) cell.
-func (e *ErrorExperiment) runOne(placer Algo, maxErr float64, scn workload.Scenario) (c struct {
+// errorCell is one (scenario, maxErr) evaluation; ok is false when the
+// placer cannot solve the instance even from its true needs.
+type errorCell struct {
 	ideal, zero, caps float64
 	weight, equal     map[float64]float64
 	ok                bool
-}) {
+}
+
+// runOne evaluates one (scenario, maxErr) cell.
+func (e *ErrorExperiment) runOne(maxErr float64, scn workload.Scenario) (c errorCell) {
+	placer := MetaHVPLightAlgo(0)
 	trueP := workload.Generate(scn)
 	c.weight = map[float64]float64{}
 	c.equal = map[float64]float64{}

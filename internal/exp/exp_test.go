@@ -238,6 +238,39 @@ func TestErrorMonotonicityShape(t *testing.T) {
 	}
 }
 
+// The error curves must be the same bits at any worker count: each
+// (max error, scenario) cell draws its perturbation from its own seed, and
+// the averages fold the cells in index order.
+func TestErrorExperimentDeterministicAcrossWorkers(t *testing.T) {
+	var scns []workload.Scenario
+	for seed := int64(1); seed <= 4; seed++ {
+		scns = append(scns, workload.Scenario{Hosts: 8, Services: 20, COV: 0.5, Slack: 0.3 + 0.15*float64(seed), Seed: seed})
+	}
+	run := func(workers int) []ErrorCurves {
+		return (&ErrorExperiment{
+			Scenarios:  scns,
+			MaxErrors:  []float64{0, 0.1, 0.3},
+			Thresholds: []float64{0, 0.1},
+			Workers:    workers,
+			SeedSalt:   0x5eed,
+		}).Run()
+	}
+	one, many := run(1), run(4*runtime.GOMAXPROCS(0))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i, w := range one {
+		g := many[i]
+		if g.Instances != w.Instances || !same(g.MaxErr, w.MaxErr) || !same(g.Ideal, w.Ideal) ||
+			!same(g.ZeroKnowledge, w.ZeroKnowledge) || !same(g.Caps, w.Caps) {
+			t.Fatalf("curve %d: %+v at 4xGOMAXPROCS workers vs %+v at 1", i, g, w)
+		}
+		for th := range w.Weight {
+			if !same(g.Weight[th], w.Weight[th]) || !same(g.Equal[th], w.Equal[th]) {
+				t.Fatalf("curve %d threshold %v: %+v vs %+v", i, th, g, w)
+			}
+		}
+	}
+}
+
 func TestFullRosterOnTinyInstances(t *testing.T) {
 	// The LP-based algorithms must run end-to-end on reduced sizes.
 	scns := GridSpec{
@@ -338,7 +371,7 @@ func TestLPRosterMatchesColdRoster(t *testing.T) {
 func TestFullRosterDeterministicAcrossWorkers(t *testing.T) {
 	scns := lpGrid()
 	algos := FullRoster(1e-3, 7)
-	one := (&Runner{Workers: 1, DisableAllocStats: true}).Run(scns, algos)
-	many := (&Runner{Workers: 4 * runtime.GOMAXPROCS(0), DisableAllocStats: true}).Run(scns, algos)
+	one := (&Runner{Workers: 1}).Run(scns, algos)
+	many := (&Runner{Workers: 4 * runtime.GOMAXPROCS(0)}).Run(scns, algos)
 	sameOutcomes(t, "4xGOMAXPROCS workers vs 1", many, one, one.Algos)
 }

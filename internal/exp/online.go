@@ -30,10 +30,6 @@ type OnlineSpec struct {
 	// (Threshold may be platform.AdaptiveThreshold).
 	MaxErr    float64
 	Threshold float64
-	// UseRepair switches epochs to migration-bounded repair with
-	// MigrationBudget.
-	UseRepair       bool
-	MigrationBudget int
 	// Seeds drive the per-rate replications.
 	Seeds []int64
 }
@@ -80,16 +76,14 @@ func (spec OnlineSpec) Run() ([]OnlineRow, error) {
 				Hosts: spec.Hosts, COV: spec.COV, Mode: workload.HeteroBoth, Seed: seed,
 			}, workload.NewRand(seed))
 			st, err := platform.Run(platform.Config{
-				Nodes:           nodes,
-				ArrivalRate:     rate,
-				MeanLifetime:    spec.MeanLifetime,
-				Horizon:         spec.Horizon,
-				Epoch:           spec.Epoch,
-				MaxErr:          spec.MaxErr,
-				Threshold:       spec.Threshold,
-				UseRepair:       spec.UseRepair,
-				MigrationBudget: spec.MigrationBudget,
-				Seed:            seed,
+				Nodes:        nodes,
+				ArrivalRate:  rate,
+				MeanLifetime: spec.MeanLifetime,
+				Horizon:      spec.Horizon,
+				Epoch:        spec.Epoch,
+				MaxErr:       spec.MaxErr,
+				Threshold:    spec.Threshold,
+				Seed:         seed,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("exp: online run rate=%v seed=%d: %v", rate, seed, err)

@@ -44,25 +44,6 @@ func TestOnlineSweep(t *testing.T) {
 	}
 }
 
-// TestOnlineSweepRepairMode exercises the repair path and checks the
-// migration column respects the budget.
-func TestOnlineSweepRepairMode(t *testing.T) {
-	spec := OnlineSpec{
-		Hosts: 4, COV: 0.5,
-		Rates:   []float64{2},
-		Horizon: 40, Epoch: 4,
-		UseRepair: true, MigrationBudget: 2,
-		Seeds: []int64{3},
-	}
-	rows, err := spec.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].MigrationsPerEpoch > 2 {
-		t.Fatalf("repair sweep migrated %.2f per epoch, budget 2", rows[0].MigrationsPerEpoch)
-	}
-}
-
 func TestOnlineSweepBadConfig(t *testing.T) {
 	if _, err := (OnlineSpec{Rates: []float64{1}}).Run(); err == nil {
 		t.Fatal("zero hosts must error")

@@ -2,10 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"text/tabwriter"
 
 	"vmalloc/internal/core"
@@ -43,44 +41,26 @@ func ProfileStrategies(scns []workload.Scenario, tol float64, workers int) []Str
 		stats[i].Config = c
 		stats[i].Instances = len(scns)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	// Pre-generate problems once; strategies share them read-only.
 	problems := make([]*core.Problem, len(scns))
 	for i, s := range scns {
 		problems[i] = workload.Generate(s)
 	}
 
-	type task struct{ ci int }
-	ch := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range ch {
-				st := &stats[t.ci]
-				sum := 0.0
-				for _, p := range problems {
-					res := vp.Solve(p, st.Config, tol)
-					if res.Solved {
-						st.Solved++
-						sum += res.MinYield
-					}
-				}
-				if st.Solved > 0 {
-					st.MeanYield = sum / float64(st.Solved)
-				}
+	forEachIndex(len(stats), workers, func(ci int) {
+		st := &stats[ci]
+		sum := 0.0
+		for _, p := range problems {
+			res := vp.Solve(p, st.Config, tol)
+			if res.Solved {
+				st.Solved++
+				sum += res.MinYield
 			}
-		}()
-	}
-	for ci := range configs {
-		ch <- task{ci}
-	}
-	close(ch)
-	wg.Wait()
+		}
+		if st.Solved > 0 {
+			st.MeanYield = sum / float64(st.Solved)
+		}
+	})
 
 	sort.SliceStable(stats, func(a, b int) bool {
 		sa, sb := &stats[a], &stats[b]

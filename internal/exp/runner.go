@@ -36,12 +36,32 @@ type ResultSet struct {
 type Runner struct {
 	// Workers is the pool size; <= 0 selects GOMAXPROCS.
 	Workers int
-	// DisableAllocStats skips the runtime.MemStats reads around each
-	// algorithm run. Each read is a brief stop-the-world pause; in a
-	// parallel sweep those pauses land inside sibling workers' Elapsed
-	// windows, so disable the reads when timing fidelity matters more than
-	// allocation visibility.
-	DisableAllocStats bool
+}
+
+// forEachIndex calls f(i) for every i in [0, n) on a pool of workers
+// goroutines (<= 0 selects GOMAXPROCS) and returns once every call has
+// returned. Each index goes to exactly one call, so f may write slot i of
+// a caller-owned slice without locking.
+func forEachIndex(n, workers int, f func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	ch := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ch {
+				f(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		ch <- i
+	}
+	close(ch)
+	wg.Wait()
 }
 
 // Run generates each scenario's instance and runs every algorithm on it.
@@ -49,53 +69,29 @@ type Runner struct {
 // on the same worker so per-algorithm timing is not perturbed by sibling
 // goroutines of the same instance.
 func (r *Runner) Run(scns []workload.Scenario, algos []Algo) *ResultSet {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	rs := &ResultSet{Scenarios: scns, ByAlgo: map[string][]Outcome{}}
 	for _, a := range algos {
 		rs.Algos = append(rs.Algos, a.Name)
 		rs.ByAlgo[a.Name] = make([]Outcome, len(scns))
 	}
-
-	type task struct{ i int }
-	ch := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var before, after runtime.MemStats
-			for t := range ch {
-				p := workload.Generate(scns[t.i])
-				for _, a := range algos {
-					if !r.DisableAllocStats {
-						runtime.ReadMemStats(&before)
-					}
-					start := time.Now()
-					res := a.Run(p)
-					el := time.Since(start)
-					out := Outcome{
-						Solved:   res.Solved,
-						MinYield: res.MinYield,
-						Elapsed:  el,
-					}
-					if !r.DisableAllocStats {
-						runtime.ReadMemStats(&after)
-						out.Allocs = after.Mallocs - before.Mallocs
-						out.AllocBytes = after.TotalAlloc - before.TotalAlloc
-					}
-					rs.ByAlgo[a.Name][t.i] = out
-				}
+	forEachIndex(len(scns), r.Workers, func(i int) {
+		var before, after runtime.MemStats
+		p := workload.Generate(scns[i])
+		for _, a := range algos {
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			res := a.Run(p)
+			el := time.Since(start)
+			runtime.ReadMemStats(&after)
+			rs.ByAlgo[a.Name][i] = Outcome{
+				Solved:     res.Solved,
+				MinYield:   res.MinYield,
+				Elapsed:    el,
+				Allocs:     after.Mallocs - before.Mallocs,
+				AllocBytes: after.TotalAlloc - before.TotalAlloc,
 			}
-		}()
-	}
-	for i := range scns {
-		ch <- task{i}
-	}
-	close(ch)
-	wg.Wait()
+		}
+	})
 	return rs
 }
 

@@ -41,7 +41,7 @@ type Placer func(p *core.Problem) *core.Result
 
 // AdaptiveThreshold requests the feedback controller of §8: the mitigation
 // threshold follows the maximum estimation error observed on departed
-// services (scaled by SafetyFactor).
+// services.
 const AdaptiveThreshold = -1
 
 // Config parameterizes one simulation run.
@@ -63,8 +63,6 @@ type Config struct {
 	// Threshold is the §6.2 mitigation threshold applied to estimates
 	// before placement; AdaptiveThreshold enables the feedback controller.
 	Threshold float64
-	// SafetyFactor scales the adaptive threshold (default 1.0).
-	SafetyFactor float64
 	// Placer overrides the engine's built-in METAHVPLIGHT reallocation.
 	Placer Placer
 	// UseRepair switches epochs from full reallocation to migration-bounded
@@ -179,9 +177,6 @@ func Run(cfg Config) (*Stats, error) {
 	}
 	if cfg.Google == nil {
 		cfg.Google = workload.DefaultGoogle()
-	}
-	if cfg.SafetyFactor <= 0 {
-		cfg.SafetyFactor = 1.0
 	}
 	if cfg.MeanCPUNeed <= 0 {
 		totalCPU := 0.0
@@ -343,7 +338,7 @@ func (s *sim) adaptThreshold() {
 			maxErr = e
 		}
 	}
-	s.threshold = s.cfg.SafetyFactor * maxErr
+	s.threshold = maxErr
 }
 
 // reallocate runs one engine epoch (full reallocation or bounded repair),
