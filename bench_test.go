@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"vmalloc/internal/engine"
 	"vmalloc/internal/exp"
 	"vmalloc/internal/greedy"
 	"vmalloc/internal/hvp"
@@ -774,17 +775,18 @@ func BenchmarkPlatformSimulation(b *testing.B) {
 	}
 }
 
-// steadyCluster builds a cluster at the acceptance-criteria steady state —
-// the 16-host platform hosting the ~80 services a rate-8 / lifetime-10
-// arrival process sustains — and warms it with one reallocation. The service
-// stream is seeded, so every variant sees the identical cluster history
-// (their placers are result-identical by construction).
-func steadyCluster(tb testing.TB, opts *ClusterOptions) (*Cluster, *rand.Rand, []int) {
+// steadyEngine builds a one-domain engine at the acceptance-criteria steady
+// state — the 16-host platform hosting the ~80 services a rate-8 /
+// lifetime-10 arrival process sustains — and warms it with one
+// reallocation. The service stream is seeded, so every variant sees the
+// identical history (their placers are result-identical by construction).
+// A nil placer selects the engine's own persistent solvers.
+func steadyEngine(tb testing.TB, placer engine.Placer) (*engine.Engine, *rand.Rand, []int) {
 	tb.Helper()
 	nodes := workload.Platform(workload.Scenario{
 		Hosts: 16, COV: 0.5, Mode: workload.HeteroBoth, Seed: 1,
 	}, randNew(1))
-	c, err := NewCluster(nodes, opts)
+	e, err := engine.New(engine.Config{Nodes: nodes, Placer: placer, Workers: engine.DomainWorkers(1), Now: time.Now})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -796,14 +798,15 @@ func steadyCluster(tb testing.TB, opts *ClusterOptions) (*Cluster, *rand.Rand, [
 	meanNeed := 0.7 * totalCPU / 80
 	var ids []int
 	for len(ids) < 80 {
-		if id, ok, _ := c.Add(steadyService(rng, meanNeed)); ok {
+		svc := steadyService(rng, meanNeed)
+		if id, _, ok := e.Add(svc, svc); ok {
 			ids = append(ids, id)
 		}
 	}
-	if ep := c.Reallocate(); !ep.Result.Solved {
+	if ep := e.Reallocate(); !ep.Result.Solved {
 		tb.Fatal("steady-state warmup epoch failed")
 	}
-	return c, rng, ids
+	return e, rng, ids
 }
 
 // steadyService draws one service sized for the steady-state benchmark.
@@ -819,17 +822,17 @@ func steadyService(rng *rand.Rand, meanNeed float64) Service {
 	}
 }
 
-// churnCluster departs k seeded-random services and admits k fresh ones —
+// churnEngine departs k seeded-random services and admits k fresh ones —
 // one inter-epoch interval of the steady-state arrival process.
-func churnCluster(tb testing.TB, c *Cluster, rng *rand.Rand, ids []int, k int, meanNeed float64) []int {
-	tb.Helper()
+func churnEngine(e *engine.Engine, rng *rand.Rand, ids []int, k int, meanNeed float64) []int {
 	for i := 0; i < k && len(ids) > 0; i++ {
 		j := rng.Intn(len(ids))
-		c.Remove(ids[j])
+		e.Remove(ids[j])
 		ids = append(ids[:j], ids[j+1:]...)
 	}
 	for i := 0; i < k; i++ {
-		if id, ok, _ := c.Add(steadyService(rng, meanNeed)); ok {
+		svc := steadyService(rng, meanNeed)
+		if id, _, ok := e.Add(svc, svc); ok {
 			ids = append(ids, id)
 		}
 	}
@@ -839,26 +842,27 @@ func churnCluster(tb testing.TB, c *Cluster, rng *rand.Rand, ids []int, k int, m
 // BenchmarkEngineEpochRealloc measures one steady-state epoch (churn of 4
 // services + full reallocation) at the acceptance scale: 16 hosts, ~80 live
 // services. "rebuild" is the rebuild-per-epoch baseline (a fresh
-// METAHVPLIGHT solver each epoch — the pre-engine hot path), "engine" the
-// persistent engine on its GOMAXPROCS workers. Both compute bit-identical
-// placements, so the engine/rebuild ratio of ns/op and allocs/op is the
-// arena-reuse win plus whatever the cores add.
+// METAHVPLIGHT solver each epoch — the pre-engine hot path, wired in as the
+// engine's Placer), "engine" the persistent engine on its GOMAXPROCS
+// workers. Both compute bit-identical placements, so the engine/rebuild
+// ratio of ns/op and allocs/op is the arena-reuse win plus whatever the
+// cores add.
 func BenchmarkEngineEpochRealloc(b *testing.B) {
 	for _, tc := range []struct {
-		name string
-		opts *ClusterOptions
+		name   string
+		placer engine.Placer
 	}{
-		{"rebuild", &ClusterOptions{Placer: func(p *Problem) *Result { return hvp.MetaHVPLight(p, 0) }}},
+		{"rebuild", func(p *Problem) *Result { return hvp.MetaHVPLight(p, 0) }},
 		{"engine", nil},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			c, rng, ids := steadyCluster(b, tc.opts)
-			meanNeed := 0.7 * 16.0 / 80 // matches steadyCluster sizing closely enough for churn
+			e, rng, ids := steadyEngine(b, tc.placer)
+			meanNeed := 0.7 * 16.0 / 80 // matches steadyEngine sizing closely enough for churn
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ids = churnCluster(b, c, rng, ids, 4, meanNeed)
-				if ep := c.Reallocate(); !ep.Result.Solved {
+				ids = churnEngine(e, rng, ids, 4, meanNeed)
+				if ep := e.Reallocate(); !ep.Result.Solved {
 					b.Fatal("epoch failed")
 				}
 			}

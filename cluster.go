@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"vmalloc/internal/engine"
 	"vmalloc/internal/obs"
 	"vmalloc/internal/shard"
 )
@@ -41,18 +40,14 @@ type Cluster struct {
 	r *shard.Router
 }
 
-// ClusterOptions tunes the engine of each placement domain. The zero value
-// (nil pointer) selects the METAHVPLIGHT engine at the paper's tolerance.
+// ClusterOptions tunes the engine of each placement domain, which places
+// with METAHVPLIGHT at the paper's tolerance and reads CPU needs from
+// dimension 0, as generated workloads lay them out. The zero value (nil
+// pointer) starts without a mitigation threshold.
 type ClusterOptions struct {
-	// CPUDim is the resource dimension holding CPU needs (and receiving the
-	// mitigation threshold). Generated workloads use 0.
-	CPUDim int
 	// Threshold is the initial §6.2 mitigation threshold applied to
 	// estimated CPU needs at reallocation (see SetThreshold).
 	Threshold float64
-	// Placer overrides the built-in meta placer (it receives the estimated,
-	// thresholded view, valid only during the call).
-	Placer func(p *Problem) *Result
 }
 
 // ShardedOptions tunes a Cluster of more than one placement domain. The
@@ -76,8 +71,6 @@ func (o *ShardedOptions) routerConfig(nodes []Node) shard.Config {
 		Nodes:  nodes,
 		Shards: k,
 		Seed:   o.Seed,
-		CPUDim: o.CPUDim,
-		Placer: engine.Placer(o.Placer),
 		Now:    time.Now,
 	}
 }

@@ -164,33 +164,6 @@ func TestClusterRejectsMalformedInput(t *testing.T) {
 	}
 }
 
-func TestClusterCustomPlacer(t *testing.T) {
-	calls := 0
-	c, err := NewCluster(clusterNodes(2), &ClusterOptions{
-		Placer: func(p *Problem) *Result {
-			calls++
-			res, err := Solve(AlgoMetaHVPLight, p, nil)
-			if err != nil {
-				return &Result{}
-			}
-			return res
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 6; i++ {
-		c.Add(clusterService(rng))
-	}
-	if ep := c.Reallocate(); !ep.Result.Solved {
-		t.Fatal("custom placer epoch failed")
-	}
-	if calls == 0 {
-		t.Fatal("custom placer never invoked")
-	}
-}
-
 // TestValidateServiceAllocs: validating a good service allocates nothing (an
 // error name is formatted only once a vector has failed), and a bad one
 // still names the failing vector exactly as before.

@@ -22,6 +22,10 @@
 //	experiments -exp gen -trace trace.csv -hosts 8 -services 40
 //	experiments -exp simulate -hosts 16 -rate 4 -lifetime 10 -horizon 200 -epoch 5 \
 //	            -maxerr 0.2 -threshold adaptive [-repair -budget 2]
+//
+// Every target accepts -seeds; any other flag only where the target reads
+// it (see -h). A flag the chosen target does not read, or a value out of
+// range, exits with status 2 before anything is written.
 package main
 
 import (
@@ -29,7 +33,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"vmalloc/internal/core"
@@ -45,27 +51,28 @@ import (
 	"vmalloc/internal/workload"
 )
 
-// targetDefaults are the values -exp gen and -exp simulate give the flags
-// whose default depends on the target, when the command line leaves them
-// unset.
-var targetDefaults = map[string]map[string]string{
-	"gen":      {"hosts": "64", "services": "100", "slack": "0.4"},
-	"simulate": {"hosts": "16"},
+// target is one -exp target: the flags it reads beyond -exp and -seeds
+// (which every target accepts), the values it gives those of them whose
+// default is its own when the command line leaves them unset, and its run.
+type target struct {
+	reads    string
+	defaults map[string]string
+	run      func()
 }
 
 func main() {
 	var (
 		which    = flag.String("exp", "", "experiment: table1|table2|fig2..fig7|light|binorder|hardness|theorem1|profile|online|sharded|recovery|gen|simulate")
-		full     = flag.Bool("full", false, "use the paper's original sweep sizes (very slow)")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		slack    = flag.Float64("slack", -1, "fig2–7, gen: memory slack in (0,1) (unset = 0.3 for fig2–4, 0.4 for fig5–7 and gen)")
+		full     = flag.Bool("full", false, "all but theorem1, gen, simulate: use the paper's original sweep sizes (very slow)")
+		workers  = flag.Int("workers", 0, "table1–2, fig2–7, binorder, hardness, profile: worker pool size (0 = GOMAXPROCS)")
+		slack    = flag.Float64("slack", 0.4, "fig2–7, gen: memory slack in (0,1) (unset = 0.3 for fig2–4)")
 		cov      = flag.Float64("cov", 0.5, "fig5–7, gen, simulate: coefficient of variation of node capacities")
-		services = flag.Int("services", 0, "fig2–7, gen: service count (unset = the target's own: the sweep's sizes for figures, 100 for gen)")
-		seeds    = flag.Int("seeds", 0, "override number of seeds per point")
-		doPlot   = flag.Bool("plot", false, "render figure experiments as ASCII charts")
-		csvOut   = flag.String("csv", "", "also write raw results as CSV to this file prefix")
+		services = flag.Int("services", 100, "fig2–7, gen: service count (unset for figures = the sweep's own size)")
+		seeds    = flag.Int("seeds", 0, "number of seeds per point (unset = the target's own)")
+		doPlot   = flag.Bool("plot", false, "fig2–7: render the figure as an ASCII chart")
+		csvOut   = flag.String("csv", "", "table1, fig2–7: also write raw results as CSV to this file prefix")
 
-		hosts     = flag.Int("hosts", 0, "gen, simulate: number of nodes (unset = 64 for gen, 16 for simulate)")
+		hosts     = flag.Int("hosts", 64, "gen, simulate: number of nodes (unset = 16 for simulate)")
 		seed      = flag.Int64("seed", 1, "gen, simulate: generator or simulation seed")
 		mode      = flag.String("mode", "both", "gen: heterogeneity: both|cpu-homogeneous|mem-homogeneous")
 		out       = flag.String("o", "", "gen: output file (default stdout)")
@@ -84,89 +91,108 @@ func main() {
 	flag.Parse()
 	plotFlag = *doPlot
 	csvPrefix = *csvOut
-
-	if defaults := targetDefaults[*which]; defaults != nil {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		for name, v := range defaults {
-			if !set[name] {
-				flag.Set(name, v)
-			}
-		}
-		switch {
-		case *hosts < 1:
-			exit(2, "-hosts must be at least 1, got", *hosts)
-		case *services < 0:
-			exit(2, "-services must not be negative, got", *services)
-		case *cov < 0:
-			exit(2, "-cov must not be negative, got", *cov)
-		case *maxErr < 0:
-			exit(2, "-maxerr must not be negative, got", *maxErr)
-		}
-	}
-
 	cfg := newConfig(*full)
-	if *seeds > 0 {
-		cfg.seeds = seedRange(*seeds)
+
+	// A figure sweeps one service count unless -services is set: the largest
+	// for fig2–4, one size each for fig5–7.
+	const sweep, fig = "full workers", "full workers slack services plot csv"
+	figCOV := func(n int) target {
+		return target{fig, map[string]string{"slack": "0.3", "services": strconv.Itoa(n)},
+			func() { figYieldVsCOV(cfg, *which, *slack, *services) }}
 	}
-	if *workers > 0 {
-		cfg.workers = *workers
+	figErr := func(n int) target {
+		return target{fig + " cov", map[string]string{"services": strconv.Itoa(n)},
+			func() { figErrors(cfg, *which, *slack, *cov, *services) }}
+	}
+	largest := cfg.services[len(cfg.services)-1]
+	targets := map[string]target{
+		"table1":   {sweep + " csv", nil, func() { table1(cfg) }},
+		"table2":   {sweep, nil, func() { table2(cfg) }},
+		"fig2":     figCOV(largest),
+		"fig3":     figCOV(largest),
+		"fig4":     figCOV(largest),
+		"fig5":     figErr(cfg.services[0]),
+		"fig6":     figErr(cfg.services[1]),
+		"fig7":     figErr(cfg.services[2]),
+		"light":    {"full", nil, func() { lightComparison(cfg) }},
+		"binorder": {sweep, nil, func() { binOrderAblation(cfg) }},
+		"hardness": {sweep, nil, func() { hardnessCurve(cfg) }},
+		"theorem1": {"", nil, theorem1Table},
+		"profile":  {sweep, nil, func() { profileStrategies(cfg) }},
+		"online":   {"full", nil, func() { onlineTable(cfg) }},
+		"sharded":  {"full", nil, func() { shardedTable(cfg) }},
+		"recovery": {"full", nil, func() { recoveryTable(cfg) }},
+		"gen": {"hosts services cov slack seed mode o trace make-trace", nil, func() {
+			scn := workload.Scenario{Hosts: *hosts, Services: *services, COV: *cov, Slack: *slack, Seed: *seed}
+			gen(scn, *mode, *out, *fromTrace, *makeTrace)
+		}},
+		"simulate": {"hosts cov seed rate lifetime horizon epoch maxerr threshold repair budget", map[string]string{"hosts": "16"}, func() {
+			th := float64(platform.AdaptiveThreshold)
+			if *threshold != "adaptive" {
+				v, err := strconv.ParseFloat(*threshold, 64)
+				if err != nil {
+					exit(2, "bad -threshold:", err)
+				}
+				th = v
+			}
+			simulate(platform.Config{
+				Nodes: workload.Platform(workload.Scenario{
+					Hosts: *hosts, COV: *cov, Mode: workload.HeteroBoth, Seed: *seed,
+				}, workload.NewRand(*seed)),
+				ArrivalRate:     *rate,
+				MeanLifetime:    *lifetime,
+				Horizon:         *horizon,
+				Epoch:           *epoch,
+				MaxErr:          *maxErr,
+				Threshold:       th,
+				UseRepair:       *repair,
+				MigrationBudget: *budget,
+				Seed:            *seed,
+			})
+		}},
 	}
 
-	switch *which {
-	case "table1":
-		table1(cfg)
-	case "table2":
-		table2(cfg)
-	case "fig2", "fig3", "fig4":
-		figYieldVsCOV(cfg, *which, *slack, *services)
-	case "fig5", "fig6", "fig7":
-		figErrors(cfg, *which, *slack, *cov, *services)
-	case "light":
-		lightComparison(cfg)
-	case "binorder":
-		binOrderAblation(cfg)
-	case "hardness":
-		hardnessCurve(cfg)
-	case "theorem1":
-		theorem1Table()
-	case "profile":
-		profileStrategies(cfg)
-	case "online":
-		onlineTable(cfg)
-	case "sharded":
-		shardedTable(cfg)
-	case "recovery":
-		recoveryTable(cfg)
-	case "gen":
-		scn := workload.Scenario{Hosts: *hosts, Services: *services, COV: *cov, Slack: *slack, Seed: *seed}
-		gen(scn, *mode, *out, *fromTrace, *makeTrace)
-	case "simulate":
-		th := float64(platform.AdaptiveThreshold)
-		if *threshold != "adaptive" {
-			v, err := strconv.ParseFloat(*threshold, 64)
-			if err != nil {
-				exit(2, "bad -threshold:", err)
-			}
-			th = v
-		}
-		simulate(platform.Config{
-			Nodes: workload.Platform(workload.Scenario{
-				Hosts: *hosts, COV: *cov, Mode: workload.HeteroBoth, Seed: *seed,
-			}, workload.NewRand(*seed)),
-			ArrivalRate:     *rate,
-			MeanLifetime:    *lifetime,
-			Horizon:         *horizon,
-			Epoch:           *epoch,
-			MaxErr:          *maxErr,
-			Threshold:       th,
-			UseRepair:       *repair,
-			MigrationBudget: *budget,
-			Seed:            *seed,
-		})
-	default:
+	t, ok := targets[*which]
+	if !ok {
 		exit(2, "unknown or missing -exp (see -h)")
 	}
+	reads := strings.Fields(t.reads + " exp seeds")
+	set := map[string]bool{}
+	var unread []string
+	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if !slices.Contains(reads, f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	for name, v := range t.defaults {
+		if !set[name] {
+			flag.Set(name, v)
+		}
+	}
+	switch {
+	case *hosts < 1:
+		exit(2, "-hosts must be at least 1, got", *hosts)
+	case *services < 1:
+		exit(2, "-services must be at least 1, got", *services)
+	case *cov < 0:
+		exit(2, "-cov must not be negative, got", *cov)
+	case *slack <= 0 || *slack >= 1:
+		exit(2, "-slack must be in (0,1), got", *slack)
+	case *maxErr < 0:
+		exit(2, "-maxerr must not be negative, got", *maxErr)
+	case set["seeds"] && *seeds < 1:
+		exit(2, "-seeds must be at least 1, got", *seeds)
+	case *workers < 0:
+		exit(2, "-workers must not be negative, got", *workers)
+	case len(unread) > 0:
+		exit(2, "-exp", *which, "does not read", strings.Join(unread, ", "))
+	}
+	if set["seeds"] {
+		cfg.seeds = seedRange(*seeds)
+	}
+	cfg.workers = *workers
+	t.run()
 }
 
 // exit prints its arguments after the command's name to stderr and exits
@@ -205,9 +231,6 @@ func gen(scn workload.Scenario, mode, out, fromTrace string, makeTrace int) {
 		scn.Mode = workload.HeteroMemHomogeneous
 	default:
 		exit(2, fmt.Sprintf("unknown mode %q", mode))
-	}
-	if scn.Slack <= 0 || scn.Slack >= 1 {
-		exit(2, "slack must be in (0,1)")
 	}
 
 	var p *core.Problem
@@ -367,7 +390,7 @@ func table2(cfg config) {
 	fmt.Print(lrs.Table2([]string{exp.NameRRNZ}))
 }
 
-func figYieldVsCOV(cfg config, which string, slackOv float64, svcOv int) {
+func figYieldVsCOV(cfg config, which string, slack float64, services int) {
 	mode := workload.HeteroBoth
 	label := "fully heterogeneous"
 	switch which {
@@ -377,14 +400,6 @@ func figYieldVsCOV(cfg config, which string, slackOv float64, svcOv int) {
 	case "fig4":
 		mode = workload.HeteroMemHomogeneous
 		label = "memory held homogeneous"
-	}
-	slack := 0.3
-	if slackOv >= 0 {
-		slack = slackOv
-	}
-	services := cfg.services[len(cfg.services)-1]
-	if svcOv > 0 {
-		services = svcOv
 	}
 	covs := cfg.covs
 	if !cfg.full {
@@ -432,19 +447,7 @@ func writeCSV(tag string, write func(io.Writer) error) {
 	fmt.Fprintf(os.Stderr, "experiments: wrote %s\n", path)
 }
 
-func figErrors(cfg config, which string, slackOv, covOv float64, svcOv int) {
-	services := map[string]int{"fig5": cfg.services[0], "fig6": cfg.services[1], "fig7": cfg.services[2]}[which]
-	if svcOv > 0 {
-		services = svcOv
-	}
-	slack := 0.4
-	if slackOv >= 0 {
-		slack = slackOv
-	}
-	cov := 0.5
-	if covOv >= 0 {
-		cov = covOv
-	}
+func figErrors(cfg config, which string, slack, cov float64, services int) {
 	fmt.Printf("=== %s: achieved min yield vs max CPU-need error (%d hosts, %d services, slack %.1f, cov %.1f) ===\n",
 		which, cfg.hosts, services, slack, cov)
 	var scns []workload.Scenario

@@ -45,8 +45,8 @@ func run(t *testing.T, bin, dir string, args ...string) (stdout, stderr []byte, 
 
 // TestGenWritesGeneratedInstance checks that -exp gen writes exactly the
 // instance the public generator builds from the same scenario, to stdout
-// and to -o alike, and that the targets refuse out-of-range sizes before
-// writing anything.
+// and to -o alike, and that the targets refuse out-of-range values, and
+// flags they do not read, before writing anything.
 func TestGenWritesGeneratedInstance(t *testing.T) {
 	bin, dir := build(t), t.TempDir()
 	var want bytes.Buffer
@@ -75,6 +75,10 @@ func TestGenWritesGeneratedInstance(t *testing.T) {
 		{"-exp", "simulate", "-hosts", "0"},
 		{"-exp", "simulate", "-cov", "-0.5"},
 		{"-exp", "simulate", "-maxerr", "-1"},
+		{"-exp", "fig5", "-cov", "-1"},
+		{"-exp", "fig2", "-slack", "-0.5"},
+		{"-exp", "fig5", "-services", "0"},
+		{"-exp", "theorem1", "-hosts", "4"},
 	} {
 		args := append(bad, "-o", "bad.out")
 		stdout, stderr, code := run(t, bin, dir, args...)

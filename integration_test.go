@@ -38,7 +38,7 @@ func TestIntegrationAllAlgorithmsRespectBoundAndValidity(t *testing.T) {
 			t.Fatalf("%s: %v", scn, err)
 		}
 		for _, algo := range algos {
-			res, err := Solve(algo, p, &Options{Seed: 7, Tolerance: 1e-3})
+			res, err := Solve(algo, p, &Options{Seed: 7})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", scn, algo, err)
 			}
@@ -79,7 +79,7 @@ func TestIntegrationMetaDominance(t *testing.T) {
 	for _, scn := range integrationScenarios() {
 		p := Generate(scn)
 		greedy, _ := Solve(AlgoMetaGreedy, p, nil)
-		hvpRes, _ := Solve(AlgoMetaHVP, p, &Options{Tolerance: 1e-3})
+		hvpRes, _ := Solve(AlgoMetaHVP, p, nil)
 		// METAHVP succeeds whenever METAGREEDY does: the HVP set includes
 		// first-fit-style packers at yield 0, which succeed whenever any
 		// requirement-feasible placement is reachable greedily.
@@ -95,11 +95,11 @@ func TestIntegrationExactDominatesHeuristicsTiny(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		p := Generate(Scenario{Hosts: 3, Services: 6, COV: 0.5, Slack: 0.6, Seed: seed})
-		exact, err := Solve(AlgoExact, p, &Options{MaxNodes: 20000})
+		exact, err := Solve(AlgoExact, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		heur, err := Solve(AlgoMetaHVP, p, &Options{Tolerance: 1e-4})
+		heur, err := Solve(AlgoMetaHVP, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,8 +121,8 @@ func TestIntegrationHomogeneousVPMatchesHVPAtZeroCOV(t *testing.T) {
 	// Figure 2 observation at COV 0.
 	for seed := int64(1); seed <= 4; seed++ {
 		p := Generate(Scenario{Hosts: 6, Services: 24, COV: 0, Slack: 0.5, Seed: seed})
-		a, _ := Solve(AlgoMetaVP, p, &Options{Tolerance: 1e-3})
-		b, _ := Solve(AlgoMetaHVP, p, &Options{Tolerance: 1e-3})
+		a, _ := Solve(AlgoMetaVP, p, nil)
+		b, _ := Solve(AlgoMetaHVP, p, nil)
 		if a.Solved != b.Solved {
 			t.Fatalf("seed %d: solved mismatch", seed)
 		}

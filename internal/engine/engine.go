@@ -55,6 +55,7 @@ import (
 	"vmalloc/internal/sliceutil"
 	"vmalloc/internal/vec"
 	"vmalloc/internal/vp"
+	"vmalloc/internal/workload"
 )
 
 // Placer computes a placement from the (estimated, thresholded) problem
@@ -79,9 +80,6 @@ func domainWorkers(procs, domains int) int {
 type Config struct {
 	// Nodes is the fixed physical platform (required, never mutated).
 	Nodes []core.Node
-	// CPUDim is the resource dimension the mitigation threshold applies to
-	// (workload-generated problems use 0).
-	CPUDim int
 	// Placer overrides the built-in meta placer entirely (the engine's
 	// persistent solvers are then unused).
 	Placer Placer
@@ -170,8 +168,8 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine: node %d dimensionality mismatch", h)
 		}
 	}
-	if cfg.CPUDim < 0 || cfg.CPUDim >= d {
-		return nil, fmt.Errorf("engine: CPU dimension %d out of range [0,%d)", cfg.CPUDim, d)
+	if d <= workload.CPU {
+		return nil, fmt.Errorf("engine: %d-dimensional nodes have no CPU dimension", d)
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -201,7 +199,7 @@ func (e *Engine) EvaluateMinYield(policy sched.Policy) float64 {
 		return 1
 	}
 	e.buildViews()
-	return sched.EvaluatePlacement(&e.trueP, &e.estP, e.placeBuf, policy, e.cfg.CPUDim)
+	return sched.EvaluatePlacement(&e.trueP, &e.estP, e.placeBuf, policy, workload.CPU)
 }
 
 // Len returns the number of live services.
@@ -368,7 +366,7 @@ func (e *Engine) allocSlot() int {
 // bit for bit.
 func (e *Engine) buildViews() {
 	d := e.Dim()
-	cpu := e.cfg.CPUDim
+	cpu := workload.CPU
 	th := e.threshold
 	j := len(e.live)
 	e.ids = sliceutil.Grow(e.ids, j)
@@ -517,10 +515,7 @@ func (e *Engine) Repair(budget int) *EpochReport {
 		return rep
 	}
 	start := e.clockNow()
-	rep.Result = opt.Repair(&e.estP, e.placeBuf, &opt.RepairOptions{
-		Budget:  budget,
-		Improve: true,
-	})
+	rep.Result = opt.Repair(&e.estP, e.placeBuf, budget)
 	rep.SolveNs = e.clockSince(start)
 	rep.Solver = e.takeSolverStats()
 	if rep.Result.Solved {

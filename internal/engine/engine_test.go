@@ -61,8 +61,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("accepted empty node list")
 	}
-	if _, err := New(Config{Nodes: testNodes(2), CPUDim: 5}); err == nil {
-		t.Fatal("accepted out-of-range CPU dimension")
+	if _, err := New(Config{Nodes: []core.Node{{}}}); err == nil {
+		t.Fatal("accepted nodes without a CPU dimension")
 	}
 	bad := testNodes(2)
 	bad[1].Aggregate = vec.Of(1, 1, 1)

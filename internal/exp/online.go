@@ -21,11 +21,10 @@ type OnlineSpec struct {
 	COV   float64
 	// Rates is the churn axis: mean service arrivals per time unit.
 	Rates []float64
-	// MeanLifetime, Horizon and Epoch parameterize the simulation
-	// (defaults: 10, 100, 5).
-	MeanLifetime float64
-	Horizon      float64
-	Epoch        float64
+	// Horizon and Epoch parameterize the simulation (defaults: 100, 5);
+	// service lifetimes have mean meanLifetime.
+	Horizon float64
+	Epoch   float64
 	// MaxErr and Threshold configure the §6 estimate-error model
 	// (Threshold may be platform.AdaptiveThreshold).
 	MaxErr    float64
@@ -49,10 +48,11 @@ type OnlineRow struct {
 	FailedEpochRate float64
 }
 
+// meanLifetime is the mean service lifetime of the online and sharded
+// sweeps: time units for OnlineSpec, epochs for ShardedSpec.
+const meanLifetime = 10
+
 func (spec OnlineSpec) defaults() OnlineSpec {
-	if spec.MeanLifetime <= 0 {
-		spec.MeanLifetime = 10
-	}
 	if spec.Horizon <= 0 {
 		spec.Horizon = 100
 	}
@@ -78,7 +78,7 @@ func (spec OnlineSpec) Run() ([]OnlineRow, error) {
 			st, err := platform.Run(platform.Config{
 				Nodes:        nodes,
 				ArrivalRate:  rate,
-				MeanLifetime: spec.MeanLifetime,
+				MeanLifetime: meanLifetime,
 				Horizon:      spec.Horizon,
 				Epoch:        spec.Epoch,
 				MaxErr:       spec.MaxErr,

@@ -26,17 +26,22 @@ import (
 // recovery time scale with write volume, and how much does checkpointing
 // buy.
 type Spec struct {
-	// Hosts and COV shape the platform (HeteroBoth, seeded per run).
+	// Hosts sizes the platform: HeteroBoth at COV 0.5, drawn from seed 1 like
+	// the operation mix.
 	Hosts int
-	COV   float64
 	// Ops is the log-length axis: operations journaled before the kill.
 	Ops []int
 	// SnapshotEvery is the checkpoint-interval axis; use -1 for "never"
 	// (recovery must replay the whole log).
 	SnapshotEvery []int
-	// Seed fixes the platform and the operation mix.
-	Seed int64
 }
+
+// The platform's capacity spread and the seed of the platform and of the
+// operation mix.
+const (
+	cov  = 0.5
+	seed = 1
+)
 
 // Row is one (log length, snapshot interval) cell.
 type Row struct {
@@ -60,17 +65,11 @@ func (spec Spec) defaults() Spec {
 	if spec.Hosts <= 0 {
 		spec.Hosts = 8
 	}
-	if spec.COV == 0 { //vmalloc:nondet-ok COV==0 is an exact config sentinel selecting the homogeneous park
-		spec.COV = 0.5
-	}
 	if len(spec.Ops) == 0 {
 		spec.Ops = []int{200, 1000}
 	}
 	if len(spec.SnapshotEvery) == 0 {
 		spec.SnapshotEvery = []int{-1, 256}
-	}
-	if spec.Seed == 0 {
-		spec.Seed = 1
 	}
 	return spec
 }
@@ -80,8 +79,8 @@ func (spec Spec) defaults() Spec {
 func (spec Spec) Run() ([]Row, error) {
 	spec = spec.defaults()
 	nodes := workload.Platform(workload.Scenario{
-		Hosts: spec.Hosts, COV: spec.COV, Mode: workload.HeteroBoth, Seed: spec.Seed,
-	}, workload.NewRand(spec.Seed))
+		Hosts: spec.Hosts, COV: cov, Mode: workload.HeteroBoth, Seed: seed,
+	}, workload.NewRand(seed))
 	rows := make([]Row, 0, len(spec.Ops)*len(spec.SnapshotEvery))
 	for _, ops := range spec.Ops {
 		for _, every := range spec.SnapshotEvery {
@@ -109,7 +108,7 @@ func (spec Spec) runCell(nodes []vmalloc.Node, ops, every int) (Row, error) {
 	}
 	// The op stream depends only on the log-length axis, so the snapshot
 	// intervals of one row recover the same trajectory and are comparable.
-	rng := workload.NewRand(spec.Seed + int64(ops)*31)
+	rng := workload.NewRand(seed + int64(ops)*31)
 	var live []int
 	for i := 0; i < ops; i++ {
 		switch k := rng.Intn(20); {

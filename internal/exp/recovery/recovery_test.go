@@ -13,7 +13,6 @@ func TestSweep(t *testing.T) {
 		Hosts:         4,
 		Ops:           []int{60, 150},
 		SnapshotEvery: []int{-1, 32},
-		Seed:          3,
 	}
 	rows, err := spec.Run()
 	if err != nil {

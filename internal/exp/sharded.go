@@ -27,10 +27,8 @@ type ShardedSpec struct {
 	// Shards is the K axis (values must satisfy 1 <= K <= Hosts).
 	Shards []int
 	// ArrivalsPerEpoch is the mean Poisson arrival count between epochs
-	// (default 8); MeanLifetime is the mean service lifetime in epochs
-	// (exponential, default 10).
+	// (default 8); lifetimes are exponential with mean meanLifetime epochs.
 	ArrivalsPerEpoch float64
-	MeanLifetime     float64
 	// Epochs is the horizon (default 40).
 	Epochs int
 	// Seeds drive the replications (default {1}).
@@ -56,9 +54,6 @@ type ShardedRow struct {
 }
 
 func (spec ShardedSpec) defaults() ShardedSpec {
-	if spec.MeanLifetime <= 0 {
-		spec.MeanLifetime = 10
-	}
 	if spec.Epochs <= 0 {
 		spec.Epochs = 40
 	}
@@ -137,7 +132,7 @@ func (spec ShardedSpec) Run() ([]ShardedRow, error) {
 						rejected++
 						continue
 					}
-					life := int(math.Ceil(rng.ExpFloat64() * spec.MeanLifetime))
+					life := int(math.Ceil(rng.ExpFloat64() * meanLifetime))
 					pending = append(pending, departure{id: id, epoch: e + 1 + life})
 				}
 				start := time.Now()

@@ -14,34 +14,25 @@ import (
 	"vmalloc/internal/vec"
 )
 
-// ImproveOptions tunes the local search.
-type ImproveOptions struct {
-	// MaxRounds caps full passes over the service list (<= 0 selects 10).
-	MaxRounds int
-}
-
-// minGain is the minimum-yield improvement below which Improve stops.
-const minGain = 1e-6
-
-func (o *ImproveOptions) rounds() int {
-	if o == nil || o.MaxRounds <= 0 {
-		return 10
-	}
-	return o.MaxRounds
-}
+// Improve stops after maxRounds full passes over the service list, or once
+// a pass gains less than minGain minimum yield.
+const (
+	maxRounds = 10
+	minGain   = 1e-6
+)
 
 // Improve hill-climbs from a solved placement: each round it examines, for
 // every service on a bottleneck node, all single moves to other nodes and
 // all swaps with services on other nodes, applying the change that most
-// increases the minimum yield. It stops at a local optimum, after MaxRounds,
-// or when the improvement drops below 1e-6. The input placement is not
+// increases the minimum yield. It stops at a local optimum, after maxRounds,
+// or when the improvement drops below minGain. The input placement is not
 // modified.
-func Improve(p *core.Problem, pl core.Placement, opts *ImproveOptions) *core.Result {
+func Improve(p *core.Problem, pl core.Placement) *core.Result {
 	cur := core.EvaluatePlacement(p, pl)
 	if !cur.Solved {
 		return cur
 	}
-	for round := 0; round < opts.rounds(); round++ {
+	for round := 0; round < maxRounds; round++ {
 		next := bestNeighbor(p, cur)
 		if next == nil || next.MinYield <= cur.MinYield+minGain {
 			break
@@ -110,28 +101,16 @@ func bestNeighbor(p *core.Problem, cur *core.Result) *core.Result {
 	return best
 }
 
-// RepairOptions tunes Repair.
-type RepairOptions struct {
-	// Budget caps the number of already-placed services that may change
-	// node (new services do not count). Negative means unlimited.
-	Budget int
-	// Improve additionally runs the local search after repair, still within
-	// the remaining migration budget... the search counts each move/swap of
-	// an old service against the budget.
-	Improve bool
-}
-
 // Repair places the services of p starting from a previous placement prev:
 // entries with a valid node are kept if their requirements still fit;
 // services that are new (prev entry Unplaced or out of range) or no longer
-// fit are (re)placed by best-fit on remaining requirement capacity. At most
-// opts.Budget previously-placed services are moved. It returns an unsolved
-// result if the workload cannot be accommodated within the budget.
-func Repair(p *core.Problem, prev core.Placement, opts *RepairOptions) *core.Result {
-	if opts == nil {
-		opts = &RepairOptions{Budget: -1}
-	}
-	budget := opts.Budget
+// fit are (re)placed by best-fit on remaining requirement capacity, and the
+// local search of Improve then runs within what is left of the budget, each
+// service it moves counted against it. At most budget
+// previously-placed services move (new services do not count; negative
+// means unlimited). It returns an unsolved result if the workload cannot be
+// accommodated within the budget.
+func Repair(p *core.Problem, prev core.Placement, budget int) *core.Result {
 	J, H := p.NumServices(), p.NumNodes()
 	pl := core.NewPlacement(J)
 	loads := make([]vec.Vec, H)
@@ -190,15 +169,14 @@ func Repair(p *core.Problem, prev core.Placement, opts *RepairOptions) *core.Res
 		}
 	}
 
-	res := core.EvaluatePlacement(p, pl)
-	if !res.Solved || !opts.Improve {
-		return res
+	cur := core.EvaluatePlacement(p, pl)
+	if !cur.Solved {
+		return cur
 	}
 	// Budget-aware improvement: accept neighbors only while budget allows.
-	cur := res
 	for budget != 0 {
 		next := bestNeighbor(p, cur)
-		if next == nil || next.MinYield <= cur.MinYield+1e-6 {
+		if next == nil || next.MinYield <= cur.MinYield+minGain {
 			break
 		}
 		moved := countMoves(cur.Placement, next.Placement)

@@ -26,7 +26,7 @@ func unbalanced() (*core.Problem, core.Placement) {
 func TestImproveMovesOffBottleneck(t *testing.T) {
 	p, pl := unbalanced()
 	before := core.EvaluatePlacement(p, pl)
-	res := Improve(p, pl, nil)
+	res := Improve(p, pl)
 	if !res.Solved {
 		t.Fatal("improve lost feasibility")
 	}
@@ -51,7 +51,7 @@ func TestImproveMonotoneAndValidOnRandom(t *testing.T) {
 		if !base.Solved {
 			continue
 		}
-		res := Improve(p, base.Placement, nil)
+		res := Improve(p, base.Placement)
 		if !res.Solved {
 			t.Fatalf("iter %d: improve lost feasibility", iter)
 		}
@@ -66,24 +66,16 @@ func TestImproveMonotoneAndValidOnRandom(t *testing.T) {
 
 func TestImproveOnUnsolvedInput(t *testing.T) {
 	p, _ := unbalanced()
-	res := Improve(p, core.NewPlacement(2), nil)
+	res := Improve(p, core.NewPlacement(2))
 	if res.Solved {
 		t.Fatal("unsolved input should remain unsolved")
-	}
-}
-
-func TestImproveRespectsMaxRounds(t *testing.T) {
-	p, pl := unbalanced()
-	res := Improve(p, pl, &ImproveOptions{MaxRounds: 1})
-	if !res.Solved {
-		t.Fatal("should still be solved")
 	}
 }
 
 func TestRepairKeepsFeasibleAssignments(t *testing.T) {
 	p, _ := unbalanced()
 	prev := core.Placement{0, 1}
-	res := Repair(p, prev, &RepairOptions{Budget: 0})
+	res := Repair(p, prev, 0)
 	if !res.Solved {
 		t.Fatal("repair failed")
 	}
@@ -100,7 +92,7 @@ func TestRepairPlacesNewServices(t *testing.T) {
 	// Third service arrives; prev covers only two.
 	p.Services = append(p.Services, p.Services[0])
 	prev := core.Placement{0, 1}
-	res := Repair(p, prev, &RepairOptions{Budget: 0})
+	res := Repair(p, prev, 0)
 	if !res.Solved {
 		t.Fatal("repair failed to place arrival")
 	}
@@ -119,11 +111,11 @@ func TestRepairBudgetBlocksMoves(t *testing.T) {
 	p.Nodes[0].Aggregate = vec.Of(1, 0.1)
 	p.Nodes[0].Elementary = vec.Of(0.5, 0.1)
 	prev := core.Placement{0, 1}
-	res := Repair(p, prev, &RepairOptions{Budget: 0})
+	res := Repair(p, prev, 0)
 	if res.Solved {
 		t.Fatal("zero budget should block the required move")
 	}
-	res = Repair(p, prev, &RepairOptions{Budget: 1})
+	res = Repair(p, prev, 1)
 	if !res.Solved {
 		t.Fatal("budget 1 should allow the move")
 	}
@@ -143,7 +135,7 @@ func TestRepairUnlimitedBudget(t *testing.T) {
 		for i := range prev {
 			prev[i] = rng.Intn(5)
 		}
-		res := Repair(p, prev, &RepairOptions{Budget: -1, Improve: true})
+		res := Repair(p, prev, -1)
 		if res.Solved {
 			if err := res.Placement.Validate(p); err != nil {
 				t.Fatalf("iter %d: %v", iter, err)
@@ -157,9 +149,11 @@ func TestRepairWithImproveNeverWorseThanPlain(t *testing.T) {
 		p := workload.Generate(workload.Scenario{
 			Hosts: 4, Services: 12, COV: 0.6, Slack: 0.5, Seed: seed,
 		})
-		prev := core.NewPlacement(12) // everything new
-		plain := Repair(p, prev, &RepairOptions{Budget: -1})
-		improved := Repair(p, prev, &RepairOptions{Budget: -1, Improve: true})
+		// Everything is new, so a zero budget places every service by best
+		// fit and leaves the local search no move to make.
+		prev := core.NewPlacement(12)
+		plain := Repair(p, prev, 0)
+		improved := Repair(p, prev, -1)
 		if plain.Solved != improved.Solved {
 			t.Fatalf("seed %d: solved mismatch", seed)
 		}
@@ -193,7 +187,7 @@ func TestImproveReachesNearOptimalOnTinyInstance(t *testing.T) {
 			NeedElem: vec.Of(0.5, 0), NeedAgg: vec.Of(1.0, 0),
 		}},
 	}
-	res := Improve(p, core.Placement{0}, nil)
+	res := Improve(p, core.Placement{0})
 	if math.Abs(res.MinYield-1.0) > 1e-9 || res.Placement[0] != 1 {
 		t.Fatalf("improve should move to node B: %+v", res)
 	}

@@ -189,7 +189,6 @@ func Run(cfg Config) (*Stats, error) {
 
 	eng, err := engine.New(engine.Config{
 		Nodes:   cfg.Nodes,
-		CPUDim:  workload.CPU,
 		Placer:  engine.Placer(cfg.Placer),
 		Workers: engine.DomainWorkers(1),
 		Now:     time.Now,

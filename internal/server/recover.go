@@ -253,7 +253,6 @@ func OpenShardedReplay(dir string, opts *Options) (*ShardedReplay, error) {
 			Dir:              ShardDir(dir, i),
 			SegmentBytes:     opts.SegmentBytes,
 			Fsync:            opts.Fsync,
-			KeepSnapshots:    opts.KeepSnapshots,
 			ChainInterval:    opts.ChainInterval,
 			FS:               opts.FS,
 			ValidateSnapshot: keepState(&states[i]),

@@ -37,16 +37,16 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// Cluster tunes the underlying allocation engine (CPU dimension,
-	// threshold, placer). When recovering, the threshold inside the
-	// recovered state wins over Cluster.Threshold.
+	// Cluster sets the engine's initial mitigation threshold. When
+	// recovering, the threshold inside the recovered state wins over
+	// Cluster.Threshold.
 	Cluster vmalloc.ClusterOptions
-	// SegmentBytes, Fsync, KeepSnapshots, ChainInterval and FS pass through
-	// to the journal. FS (nil for the real filesystem) is the fault-injection
-	// seam: crash-safety tests run the whole store over a faultinject.Injector.
+	// SegmentBytes, Fsync, ChainInterval and FS pass through to the
+	// journal, which keeps its default two snapshots. FS (nil for the real
+	// filesystem) is the fault-injection seam: crash-safety tests run the
+	// whole store over a faultinject.Injector.
 	SegmentBytes  int64
 	Fsync         journal.FsyncMode
-	KeepSnapshots int
 	ChainInterval int
 	FS            faultfs.FS
 	// SnapshotEvery writes a state snapshot (and compacts the log) after

@@ -372,7 +372,7 @@ func tearLastSegment(t *testing.T, dir string) {
 func TestAutoSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	nodes := testNodes(4, 5)
-	opts := &Options{Fsync: journal.FsyncNone, SnapshotEvery: 8, SegmentBytes: 4 << 10, KeepSnapshots: 2}
+	opts := &Options{Fsync: journal.FsyncNone, SnapshotEvery: 8, SegmentBytes: 4 << 10}
 	s, err := Open(dir, nodes, opts)
 	if err != nil {
 		t.Fatal(err)

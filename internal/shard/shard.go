@@ -18,8 +18,9 @@
 //     engine races its strategy roster on max(1, GOMAXPROCS/K) workers
 //     (engine.DomainWorkers), a count that never changes a result;
 //   - rebalances across shards when the bottleneck shard's yield trails the
-//     median by a configurable gap, migrating its heaviest services into
-//     the shard with the most headroom and re-solving the affected domains.
+//     median by more than rebalanceGap, migrating at most rebalanceMoves of
+//     its heaviest services into the shard with the most headroom and
+//     re-solving the affected domains.
 //
 // Shards are fully independent placement subproblems (the same block
 // structure two-stage stochastic IP decompositions exploit), so per-shard
@@ -47,14 +48,15 @@ import (
 	"vmalloc/internal/obs"
 	"vmalloc/internal/sched"
 	"vmalloc/internal/vec"
+	"vmalloc/internal/workload"
 )
 
-// Default rebalance tuning: a bottleneck shard must trail the median shard
-// yield by more than DefaultGap before the router migrates services out of
-// it, and one epoch moves at most DefaultMoves services.
+// Rebalance tuning: a bottleneck shard must trail the median shard yield by
+// more than rebalanceGap before the router migrates services out of it, and
+// one epoch moves at most rebalanceMoves services.
 const (
-	DefaultGap   = 0.1
-	DefaultMoves = 2
+	rebalanceGap   = 0.1
+	rebalanceMoves = 2
 )
 
 // Config parameterizes a Router.
@@ -66,36 +68,11 @@ type Config struct {
 	// Seed fixes the best-of-two-choices admission hash. Two routers with
 	// the same seed and history admit identically.
 	Seed int64
-	// Gap is the rebalance trigger: migrate out of the bottleneck shard
-	// when the median shard yield exceeds its yield by more than Gap.
-	// 0 selects DefaultGap; negative disables rebalancing.
-	Gap float64
-	// Moves caps the services migrated per rebalance pass. 0 selects
-	// DefaultMoves; negative disables rebalancing.
-	Moves int
-
-	// Per-domain engine knobs, as in engine.Config. The worker count is not
-	// among them: every domain gets engine.DomainWorkers(Shards).
-	CPUDim int
-	Placer engine.Placer
 	// Now is the injected wall clock forwarded to every domain engine for
 	// EpochReport.SolveNs stamping; nil leaves solve times zero. The router
-	// is determinism-critical and never reads the clock itself.
+	// is determinism-critical and never reads the clock itself. Every
+	// domain engine runs engine.DomainWorkers(Shards) workers.
 	Now func() time.Time
-}
-
-func (cfg *Config) gap() float64 {
-	if cfg.Gap == 0 { //vmalloc:nondet-ok Gap==0 is an exact config sentinel selecting the default
-		return DefaultGap
-	}
-	return cfg.Gap
-}
-
-func (cfg *Config) moves() int {
-	if cfg.Moves == 0 {
-		return DefaultMoves
-	}
-	return cfg.Moves
 }
 
 // Op identifies the kind of mutation an Event reports.
@@ -227,8 +204,6 @@ func newRouter(cfg Config, states []*engine.State) (*Router, error) {
 		lo, hi := Partition(len(cfg.Nodes), cfg.Shards, s)
 		ecfg := engine.Config{
 			Nodes:   cfg.Nodes[lo:hi],
-			CPUDim:  cfg.CPUDim,
-			Placer:  cfg.Placer,
 			Workers: workers,
 			Now:     cfg.Now,
 		}
@@ -489,7 +464,7 @@ func (r *Router) noteEpoch(s int, rep *engine.EpochReport, repair bool, budget i
 
 // Reallocate runs one full reallocation epoch on every shard concurrently,
 // then a cross-shard rebalance pass when the bottleneck shard trails the
-// median yield by more than the configured gap.
+// median yield by more than rebalanceGap.
 func (r *Router) Reallocate() *Epoch { return r.ReallocateCtx(context.Background()) }
 
 // ReallocateCtx is Reallocate under a tracing context: each shard's solve
@@ -556,7 +531,7 @@ func (r *Router) epochStats(first, final []*engine.EpochReport) *obs.EpochStats 
 }
 
 // rebalance migrates services out of the bottleneck shard when its yield
-// trails the median shard yield by more than the configured gap, then
+// trails the median shard yield by more than rebalanceGap, then
 // re-runs reallocation on the affected shards. It returns the number of
 // services moved plus the migrations the affected shards' first solves had
 // already applied (their reports are overwritten by the re-solve, so the
@@ -566,7 +541,7 @@ func (r *Router) epochStats(first, final []*engine.EpochReport) *obs.EpochStats 
 // the lower id), and targets are tried in descending headroom (ties to the
 // lower index).
 func (r *Router) rebalance(reps []*engine.EpochReport) (moved, carried int) {
-	if len(r.domains) < 2 || r.cfg.gap() < 0 || r.cfg.moves() < 0 {
+	if len(r.domains) < 2 {
 		return 0, 0
 	}
 	yields := make([]float64, 0, len(r.domains))
@@ -588,13 +563,12 @@ func (r *Router) rebalance(reps []*engine.EpochReport) (moved, carried int) {
 	if len(yields)%2 == 0 {
 		median = (yields[len(yields)/2-1] + yields[len(yields)/2]) / 2
 	}
-	if median-reps[bottleneck].Result.MinYield <= r.cfg.gap() {
+	if median-reps[bottleneck].Result.MinYield <= rebalanceGap {
 		return 0, 0
 	}
 
 	// Candidates: the bottleneck's services, heaviest estimated CPU need
 	// first. Moving the heavy hitters relieves the most pressure per move.
-	cpu := r.cfg.CPUDim
 	src := r.domains[bottleneck]
 	type cand struct {
 		id   int
@@ -603,7 +577,7 @@ func (r *Router) rebalance(reps []*engine.EpochReport) (moved, carried int) {
 	cands := make([]cand, 0, len(reps[bottleneck].IDs))
 	for _, id := range reps[bottleneck].IDs {
 		_, est, _ := src.eng.Service(id)
-		cands = append(cands, cand{id: id, need: est.NeedAgg[cpu]})
+		cands = append(cands, cand{id: id, need: est.NeedAgg[workload.CPU]})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].need != cands[j].need { //vmalloc:nondet-ok comparator tie-break: exact equality is required for a deterministic total order
@@ -621,7 +595,7 @@ func (r *Router) rebalance(reps []*engine.EpochReport) (moved, carried int) {
 
 	touched := map[int]bool{}
 	for _, c := range cands {
-		if moved >= r.cfg.moves() {
+		if moved >= rebalanceMoves {
 			break
 		}
 		// Re-rank targets by current headroom before every move: each

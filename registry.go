@@ -6,7 +6,6 @@ import (
 	"vmalloc/internal/core"
 	"vmalloc/internal/greedy"
 	"vmalloc/internal/hvp"
-	"vmalloc/internal/milp"
 	"vmalloc/internal/opt"
 	"vmalloc/internal/relax"
 	"vmalloc/internal/sched"
@@ -36,27 +35,17 @@ const (
 	AlgoMetaHVPLight = "METAHVPLIGHT"
 )
 
-// Options tunes Solve.
+// Options tunes Solve. The packing-based algorithms search the yield to the
+// paper's tolerance, 1e-4, and EXACT explores at most 100000
+// branch-and-bound nodes; a search that reaches that cap unproven is an
+// error.
 type Options struct {
-	// Tolerance is the yield binary-search tolerance for packing-based
-	// algorithms; <= 0 selects the paper's 1e-4.
-	Tolerance float64
 	// Seed drives the randomized-rounding algorithms; ignored otherwise.
 	Seed int64
-	// MaxNodes caps branch-and-bound nodes for EXACT; <= 0 selects 100000.
-	// A search that reaches the cap unproven is an error.
-	MaxNodes int
 }
 
 // roundingAttempts caps the rounding retries of RRND and RRNZ.
 const roundingAttempts = 20
-
-func (o *Options) tol() float64 {
-	if o == nil {
-		return 0
-	}
-	return o.Tolerance
-}
 
 func (o *Options) seed() int64 {
 	if o == nil {
@@ -81,11 +70,7 @@ func Solve(name string, p *Problem, opts *Options) (*Result, error) {
 	}
 	switch name {
 	case AlgoExact:
-		var mo *milp.Options
-		if opts != nil && opts.MaxNodes > 0 {
-			mo = &milp.Options{MaxNodes: opts.MaxNodes}
-		}
-		return relax.SolveExact(p, mo)
+		return relax.SolveExact(p, nil)
 	case AlgoRRND, AlgoRRNZ:
 		rel, err := relax.SolveRelaxed(p)
 		if err != nil {
@@ -99,11 +84,11 @@ func Solve(name string, p *Problem, opts *Options) (*Result, error) {
 	case AlgoMetaGreedy:
 		return greedy.MetaGreedy(p, false), nil
 	case AlgoMetaVP:
-		return vp.MetaVP(p, opts.tol()), nil
+		return vp.MetaVP(p, vp.DefaultTolerance), nil
 	case AlgoMetaHVP:
-		return hvp.MetaHVP(p, opts.tol()), nil
+		return hvp.MetaHVP(p, vp.DefaultTolerance), nil
 	case AlgoMetaHVPLight:
-		return hvp.MetaHVPLight(p, opts.tol()), nil
+		return hvp.MetaHVPLight(p, vp.DefaultTolerance), nil
 	default:
 		return nil, fmt.Errorf("vmalloc: unknown algorithm %q (known: %v)", name, Algorithms())
 	}
@@ -165,14 +150,14 @@ func FeasibleAtYield(p *Problem, pl Placement, y float64) bool {
 // pairwise swaps, never decreasing the minimum yield. Useful as a cheap
 // post-pass after any Solve call.
 func Improve(p *Problem, pl Placement) *Result {
-	return opt.Improve(p, pl, nil)
+	return opt.Improve(p, pl)
 }
 
 // Repair adapts a previous placement to a changed workload: still-feasible
 // services stay put, new or displaced services are re-placed by best fit,
 // and at most budget previously-placed services move (negative = unlimited).
 func Repair(p *Problem, prev Placement, budget int) *Result {
-	return opt.Repair(p, prev, &opt.RepairOptions{Budget: budget, Improve: true})
+	return opt.Repair(p, prev, budget)
 }
 
 // Migrations counts services whose node changed from prev to next (new
