@@ -56,7 +56,8 @@ func main() {
 		fmt.Printf("LP upper bound: %.3f\n", ub)
 	}
 
-	// For an instance this small the exact MILP optimum is cheap.
+	// For an instance this small the exact optimum, a search over every
+	// placement, is cheap.
 	exact, err := vmalloc.Solve(vmalloc.AlgoExact, p, nil)
 	if err == nil && exact.Solved {
 		fmt.Printf("exact optimum:  %.3f\n", exact.MinYield)

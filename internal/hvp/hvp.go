@@ -80,7 +80,8 @@ func MetaHVPLight(p *core.Problem, tol float64) *core.Result {
 }
 
 // MetaDeterministicSolvers runs the meta search with each binary-search step
-// raced by one goroutine per solver, while preserving the *sequential*
+// raced by one worker per solver (the first on the calling goroutine, the
+// others on one goroutine each), while preserving the *sequential*
 // semantics exactly: the step returns the successful strategy with the
 // lowest roster index, which is precisely the strategy sequential
 // MetaConfigs would have stopped at. Callers own the per-worker solvers
@@ -106,51 +107,69 @@ func MetaDeterministicSolvers(solvers []*vp.Solver, configs []vp.Config, opts vp
 	if len(solvers) == 1 {
 		return vp.MetaConfigsSolver(solvers[0], configs, opts)
 	}
+	st := &detStep{configs: configs}
 	return vp.SearchMaxYield(p, opts, func(y float64) (core.Placement, bool) {
 		// A step no strategy can win fails without spawning any goroutine.
 		if !solvers[0].StepFeasible(y) {
 			return nil, false
 		}
-		var (
-			next    atomic.Int64
-			minIdx  atomic.Int64
-			mu      sync.Mutex
-			bestPl  core.Placement
-			bestIdx = len(configs)
-			wg      sync.WaitGroup
-		)
-		next.Store(-1)
-		minIdx.Store(int64(len(configs)))
-		for w := 0; w < len(solvers); w++ {
-			wg.Add(1)
-			go func(sol *vp.Solver) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					// Indices are claimed in ascending order, so once i cannot
-					// beat the recorded minimum no later claim can either.
-					if i >= len(configs) || int64(i) > minIdx.Load() {
-						return
-					}
-					if pl, ok := sol.Pack(y, configs[i]); ok {
-						mu.Lock()
-						if i < bestIdx {
-							bestIdx = i
-							bestPl = pl.Clone()
-							minIdx.Store(int64(i))
-						}
-						mu.Unlock()
-						return // any further claim would be a larger index
-					}
-				}
-			}(solvers[w])
+		st.y = y
+		st.next.Store(-1)
+		st.minIdx.Store(int64(len(configs)))
+		st.bestIdx = len(configs)
+		st.wg.Add(len(solvers) - 1)
+		for _, sol := range solvers[1:] {
+			go func() {
+				defer st.wg.Done()
+				st.work(sol)
+			}()
 		}
-		wg.Wait()
-		if bestPl != nil {
-			return bestPl, true
+		st.work(solvers[0])
+		st.wg.Wait()
+		if st.bestIdx < len(configs) {
+			return st.bestPl, true
 		}
 		return nil, false
 	})
+}
+
+// detStep is the state the workers of one MetaDeterministicSolvers step
+// share. One is allocated per search and reset at each step, and the
+// winning placement is copied into the same buffer every time
+// (vp.SearchMaxYield copies what it keeps).
+type detStep struct {
+	configs []vp.Config
+	y       float64
+	// next is the last strategy index claimed; minIdx mirrors bestIdx for
+	// lock-free reads.
+	next, minIdx atomic.Int64
+	mu           sync.Mutex
+	bestIdx      int
+	bestPl       core.Placement
+	wg           sync.WaitGroup
+}
+
+// work packs claimed strategies on sol until one succeeds or no claim can
+// beat the recorded minimum.
+func (st *detStep) work(sol *vp.Solver) {
+	for {
+		i := int(st.next.Add(1))
+		// Indices are claimed in ascending order, so once i cannot beat the
+		// recorded minimum no later claim can either.
+		if i >= len(st.configs) || int64(i) > st.minIdx.Load() {
+			return
+		}
+		if pl, ok := sol.Pack(st.y, st.configs[i]); ok {
+			st.mu.Lock()
+			if i < st.bestIdx {
+				st.bestIdx = i
+				st.bestPl = append(st.bestPl[:0], pl...)
+				st.minIdx.Store(int64(i))
+			}
+			st.mu.Unlock()
+			return // any further claim would be a larger index
+		}
+	}
 }
 
 // NewSolverPool returns max(1, n) independent solvers for p, the worker set

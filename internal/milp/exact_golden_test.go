@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"vmalloc/internal/core"
 	"vmalloc/internal/milp"
 	"vmalloc/internal/relax"
 	"vmalloc/internal/workload"
@@ -20,19 +21,29 @@ var updateGolden = flag.Bool("golden.update", false, "rewrite testdata/exact.gol
 
 const goldenInstances = 200
 
-// exactInstance is the exact placement MILP of 3x8 park number i, the shape
-// the solve-lp benchmark hands to branch and bound, cycling through the
-// platform heterogeneities of the paper's grid.
+// exactScenario is 3x8 park number i, the shape the solve-lp benchmark
+// hands to EXACT, cycling through the platform heterogeneities of the
+// paper's grid.
+func exactScenario(i int) workload.Scenario {
+	return workload.Scenario{Hosts: 3, Services: 8, COV: []float64{0, 0.5, 1.0}[i%3], Slack: 0.5, Seed: int64(i + 1)}
+}
+
+// exactInstance is the exact placement MILP of exactScenario(i).
 func exactInstance(i int) (string, *milp.Problem) {
-	scn := workload.Scenario{Hosts: 3, Services: 8, COV: []float64{0, 0.5, 1.0}[i%3], Slack: 0.5, Seed: int64(i + 1)}
-	enc := relax.Encode(workload.Generate(scn))
+	scn := exactScenario(i)
+	return scn.String(), placementMILP(workload.Generate(scn))
+}
+
+// placementMILP is the MILP of p with every e_jh binary.
+func placementMILP(p *core.Problem) *milp.Problem {
+	enc := relax.Encode(p)
 	bins := make([]int, 0, enc.J*enc.H)
 	for j := 0; j < enc.J; j++ {
 		for h := 0; h < enc.H; h++ {
 			bins = append(bins, enc.EVar(j, h))
 		}
 	}
-	return scn.String(), &milp.Problem{LP: *enc.LP, Binary: bins}
+	return &milp.Problem{LP: *enc.LP, Binary: bins}
 }
 
 // exactTrees holds the branch-and-bound answer of each exact instance,

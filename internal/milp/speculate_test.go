@@ -11,7 +11,6 @@ import (
 
 	"vmalloc/internal/lp"
 	"vmalloc/internal/milp"
-	"vmalloc/internal/relax"
 	"vmalloc/internal/workload"
 )
 
@@ -20,22 +19,20 @@ import (
 // second half 4x10, whose trees run to tens of thousands of nodes.
 const generatedTrees = 100
 
-// generatedInstance is generated exact instance i, on seeds the golden grid
+// generatedScenario is generated exact instance i, on seeds the golden grid
 // does not use.
-func generatedInstance(i int) (string, *milp.Problem) {
+func generatedScenario(i int) workload.Scenario {
 	hosts, services := 3, 8
 	if i >= generatedTrees/2 {
 		hosts, services = 4, 10
 	}
-	scn := workload.Scenario{Hosts: hosts, Services: services, COV: []float64{0, 0.5, 1.0}[i%3], Slack: 0.5, Seed: int64(1001 + i)}
-	enc := relax.Encode(workload.Generate(scn))
-	bins := make([]int, 0, enc.J*enc.H)
-	for j := 0; j < enc.J; j++ {
-		for h := 0; h < enc.H; h++ {
-			bins = append(bins, enc.EVar(j, h))
-		}
-	}
-	return scn.String(), &milp.Problem{LP: *enc.LP, Binary: bins}
+	return workload.Scenario{Hosts: hosts, Services: services, COV: []float64{0, 0.5, 1.0}[i%3], Slack: 0.5, Seed: int64(1001 + i)}
+}
+
+// generatedInstance is the exact placement MILP of generatedScenario(i).
+func generatedInstance(i int) (string, *milp.Problem) {
+	scn := generatedScenario(i)
+	return scn.String(), placementMILP(workload.Generate(scn))
 }
 
 // treeCase is one branch-and-bound solve to repeat on one and on two Ps.

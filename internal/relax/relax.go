@@ -1,8 +1,8 @@
 // Package relax encodes the service placement and resource allocation
 // problem as the paper's MILP (Eqs. 1–7), solves its rational relaxation
-// with the internal simplex, solves small instances exactly by branch and
-// bound, and implements the randomized-rounding heuristics RRND and RRNZ
-// (§3.3) driven by the relaxed solution.
+// with the internal simplex, solves small instances exactly by search over
+// placements (SolveExact, no LP), and implements the randomized-rounding
+// heuristics RRND and RRNZ (§3.3) driven by the relaxed solution.
 package relax
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/lp"
-	"vmalloc/internal/milp"
 	"vmalloc/internal/presolve"
 	"vmalloc/internal/vec"
 )
@@ -242,41 +241,6 @@ func (r *Relaxed) clone() *Relaxed {
 		}
 	}
 	return &c
-}
-
-// SolveExact solves the MILP exactly by branch and bound. Intended for small
-// instances (the paper notes MILP solve time is exponential). The returned
-// result carries the optimal placement and its evaluated minimum yield, or
-// Solved=false when no placement exists. A search that reaches opts.MaxNodes
-// before proving either is an error.
-func SolveExact(p *core.Problem, opts *milp.Options) (*core.Result, error) {
-	enc := Encode(p)
-	bins := make([]int, 0, enc.J*enc.H)
-	for j := 0; j < enc.J; j++ {
-		for h := 0; h < enc.H; h++ {
-			bins = append(bins, enc.EVar(j, h))
-		}
-	}
-	sol, err := milp.Solve(&milp.Problem{LP: *enc.LP, Binary: bins}, opts)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status == milp.NodeLimit {
-		return nil, fmt.Errorf("relax: branch and bound stopped after %d nodes without proving the optimum (bound %g)", sol.Nodes, sol.Bound)
-	}
-	if !sol.HasIncumbent {
-		return &core.Result{}, nil
-	}
-	pl := core.NewPlacement(enc.J)
-	for j := 0; j < enc.J; j++ {
-		for h := 0; h < enc.H; h++ {
-			if sol.X[enc.EVar(j, h)] > 0.5 {
-				pl[j] = h
-				break
-			}
-		}
-	}
-	return core.EvaluatePlacement(p, pl), nil
 }
 
 // round samples up to attempts placements from fractional probabilities

@@ -15,7 +15,12 @@ import (
 
 // Algorithm names accepted by Solve.
 const (
-	// AlgoExact solves the MILP by branch and bound (small instances only).
+	// AlgoExact solves the MILP (Eqs. 1–7) exactly by depth-first search
+	// over placements (small instances only). A fixed placement's optimum
+	// is each node's closed-form max uniform yield, and adding a service
+	// never raises a node's yield, so a partial placement's minimum bounds
+	// all its completions and prunes the search. Its node cap counts
+	// services tried on a node.
 	AlgoExact = "EXACT"
 	// AlgoRRND is randomized rounding of the rational relaxation (§3.3.1).
 	AlgoRRND = "RRND"
@@ -36,9 +41,9 @@ const (
 )
 
 // Options tunes Solve. The packing-based algorithms search the yield to the
-// paper's tolerance, 1e-4, and EXACT explores at most 100000
-// branch-and-bound nodes; a search that reaches that cap unproven is an
-// error.
+// paper's tolerance, 1e-4, and EXACT tries at most 100,000,000 search
+// nodes (services tried on a node); a search that reaches that cap unproven
+// is an error.
 type Options struct {
 	// Seed drives the randomized-rounding algorithms; ignored otherwise.
 	Seed int64

@@ -9,8 +9,9 @@
 //
 //   - the problem model with elementary/aggregate capacity vectors
 //     (core types re-exported here);
-//   - the MILP formulation with a pure-Go simplex and branch-and-bound
-//     (exact solutions for small instances, rational upper bounds for all);
+//   - the MILP formulation with a pure-Go simplex (rational upper bounds
+//     for all instances) and EXACT, a search over placements that solves
+//     small instances exactly;
 //   - the heuristic roster of the paper: randomized rounding (RRND, RRNZ),
 //     49 greedy algorithms and METAGREEDY, homogeneous vector packing and
 //     METAVP, heterogeneous vector packing with METAHVP and METAHVPLIGHT;
