@@ -1,29 +1,22 @@
 // Package milp implements a best-first branch-and-bound solver for mixed
 // integer linear programs whose integer variables are binary, layered on the
-// pure-Go simplex in internal/lp. It provides exact optima for small
-// instances of the paper's MILP (Eqs. 1–7), used both as a correctness oracle
-// for the heuristics and to reproduce the §3.2 claim that the rational
-// relaxation upper-bounds the mixed solution.
+// pure-Go simplex in internal/lp. It is a test oracle, on no production
+// path: it solves small instances of the paper's MILP (Eqs. 1–7) exactly
+// through LPs, which holds relax.SolveExact (a search over placements that
+// runs no LP) to the same optima, and its trees drive the warm dual simplex
+// through the pivot-path golden that fences the LP kernel.
 //
 // A node's relaxation is the root LP with its branched binaries fixed by
 // bounds alone, so every node has the root's shape: the whole tree runs on
 // one simplex workspace, and each node starts from its parent's optimal
 // basis, which a bound change leaves dual feasible — the dual simplex
 // finishes it in a few pivots instead of a cold two-phase solve.
-//
-// With more than one P, a helper goroutine solves open nodes ahead of the
-// search on a second workspace (see speculator). A node's relaxation
-// depends only on the base LP, the fixings on its parent chain and its
-// parent's basis, so the search itself — which node is popped, pruned or
-// branched, and every count and bit of the Solution — is the one a single
-// workspace runs; only which goroutine solved a node differs.
 package milp
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"vmalloc/internal/heapx"
@@ -106,11 +99,6 @@ type node struct {
 	// warm is the optimal basis of the parent relaxation, shared by all its
 	// children and dropped once the node is solved; nil at the root.
 	warm *lp.Basis
-	// claim, rel and err are the node's speculative solve (see speculator):
-	// whether a goroutine has taken it and, once solved, its answer.
-	claim claimState
-	rel   *lp.Solution
-	err   error
 }
 
 // newNodeQueue orders open nodes best bound first (max-heap on bound via the
@@ -150,16 +138,6 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 		treePool.Put(rs)
 	}()
 
-	// sp, the speculative helper, starts at the first branching and only
-	// with a second P to run on; stop returns once the helper has exited.
-	var sp *speculator
-	parallel := runtime.GOMAXPROCS(0) > 1
-	defer func() {
-		if sp != nil {
-			sp.stop()
-		}
-	}()
-
 	sol := &Solution{Status: NodeLimit, Objective: math.Inf(-1), Bound: math.Inf(1)}
 	q := newNodeQueue()
 	q.Push(&node{bound: math.Inf(1)})
@@ -175,7 +153,7 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 			sol.Pruned++
 			continue // pruned by incumbent
 		}
-		rel, err := sp.answer(nd, rs)
+		rel, err := rs.solve(nd)
 		nd.warm = nil
 		sol.Nodes++
 		if err != nil {
@@ -215,18 +193,11 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 				sol.Objective = rel.Objective
 				sol.X = rel.X
 				sol.HasIncumbent = true
-				sp.raise(sol.Objective)
 			}
 			continue
 		}
 		for _, kid := range kids {
 			q.Push(kid)
-		}
-		if parallel {
-			if sp == nil {
-				sp = startSpeculator(&p.LP)
-			}
-			sp.offer(kids)
 		}
 	}
 

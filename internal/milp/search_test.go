@@ -1,14 +1,31 @@
 package milp_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"vmalloc/internal/core"
+	"vmalloc/internal/lp"
 	"vmalloc/internal/milp"
 	"vmalloc/internal/relax"
 	"vmalloc/internal/workload"
 )
+
+// generatedTrees is the number of exact instances, beyond the golden grid,
+// that generatedScenario numbers: the first half 3x8, the second half 4x10,
+// whose trees run to tens of thousands of nodes.
+const generatedTrees = 100
+
+// generatedScenario is generated exact instance i, on seeds the golden grid
+// does not use.
+func generatedScenario(i int) workload.Scenario {
+	hosts, services := 3, 8
+	if i >= generatedTrees/2 {
+		hosts, services = 4, 10
+	}
+	return workload.Scenario{Hosts: hosts, Services: services, COV: []float64{0, 0.5, 1.0}[i%3], Slack: 0.5, Seed: int64(1001 + i)}
+}
 
 // searchTrees is the number of generated 4x10 trees, beyond the golden
 // grid, that TestSearchMatchesBranchAndBound solves.
@@ -62,5 +79,20 @@ func TestSearchMatchesBranchAndBound(t *testing.T) {
 		p := workload.Generate(generatedScenario(i))
 		sol, err := milp.Solve(placementMILP(p), nil)
 		check(generatedScenario(i), p, sol, err)
+	}
+}
+
+// A node below the root that hits the simplex cap fails the whole solve
+// with an error that wraps lp.ErrIterLimit. Golden instance 19's root takes
+// 31 pivots; with the cap one above that, the root solves and a node further
+// down the tree does not.
+func TestNodeHitsSimplexCap(t *testing.T) {
+	name, p := exactInstance(19)
+	p.LP.MaxIter = 32
+	if _, err := milp.Solve(p, &milp.Options{MaxNodes: 1}); err != nil {
+		t.Fatalf("%s: root fails under the cap: %v", name, err)
+	}
+	if _, err := milp.Solve(p, nil); !errors.Is(err, lp.ErrIterLimit) {
+		t.Errorf("%s: error %v, want lp.ErrIterLimit", name, err)
 	}
 }

@@ -13,7 +13,7 @@ package vp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/sliceutil"
@@ -78,12 +78,12 @@ func (o Order) SortInto(idx []int, vectors []vec.Vec) []int {
 	if o.None {
 		return idx
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		c := o.Metric.Compare(vectors[idx[a]], vectors[idx[b]])
+	slices.SortStableFunc(idx, func(a, b int) int {
+		c := o.Metric.Compare(vectors[a], vectors[b])
 		if o.Descending {
-			return c > 0
+			return -c
 		}
-		return c < 0
+		return c
 	})
 	return idx
 }

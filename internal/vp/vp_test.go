@@ -62,6 +62,22 @@ func TestOrderSortStable(t *testing.T) {
 	}
 }
 
+// SortInto allocates nothing, for every one of the eleven orders: solvers
+// re-sort into cached buffers at every binary-search step.
+func TestOrderSortIntoAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	vs := make([]vec.Vec, 64)
+	for i := range vs {
+		vs[i] = vec.Of(rng.Float64(), float64(rng.Intn(4))/4)
+	}
+	idx := make([]int, len(vs))
+	for _, o := range AllOrders() {
+		if got := testing.AllocsPerRun(20, func() { o.SortInto(idx, vs) }); got != 0 {
+			t.Errorf("%v: %v allocs per SortInto, want 0", o, got)
+		}
+	}
+}
+
 func TestInstanceFitsAndPlace(t *testing.T) {
 	p := simpleProblem()
 	inst := NewInstance(p, 1.0)
