@@ -318,6 +318,22 @@ func TestPresolveReduceAllocs(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocs gates the allocation count of relax.Encode on a
+// paper-scale 8x64 problem: the model's rows are walked once to size every
+// array and once to fill it, so the count does not grow with the 3,648
+// entries of the matrix — eight allocations: the Encoding, the Problem and
+// CSC headers, the column starts, the row indices, senses, one block for
+// values, right-hand side, objective and bounds, and the scratch of
+// demanded dimensions.
+func TestEncodeAllocs(t *testing.T) {
+	p := workload.Generate(lpPaperGrid()[2])
+	encode := func() { relax.Encode(p) }
+	encode()
+	if got := testing.AllocsPerRun(20, encode); got > 10 {
+		t.Errorf("%.0f allocs per Encode, want <= 10", got)
+	}
+}
+
 // TestGenerateAllocs gates, in counts, what seeding a stream, drawing an
 // instance and copying one allocate. A drawn instance takes one array for all
 // node vectors and one for all service vectors, one string of names per set

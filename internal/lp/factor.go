@@ -13,6 +13,7 @@ package lp
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // luPivotTol is the magnitude below which a factorization pivot is treated
@@ -55,12 +56,17 @@ type basisLU struct {
 	// Product-form eta file, flattened into one arena: eta k pivots slot
 	// etaSlot[k] on the FTRAN of the entering column at pivot time, whose
 	// pivot entry is etaPiv[k] and whose other nonzeros are etaIdx/etaVal[
-	// etaStart[k]:etaStart[k+1]], in ascending row order.
+	// etaStart[k]:etaStart[k+1]], in ascending row order. The entries are
+	// also threaded by row, newest first: etaLast[i] is the last entry in
+	// row i and etaPrev[p] the one before entry p in p's row (-1 ends both),
+	// so btranRow reads an eta only where its vector is nonzero.
 	etaSlot  []int
 	etaStart []int
 	etaPiv   []float64
 	etaIdx   []int
 	etaVal   []float64
+	etaPrev  []int
+	etaLast  []int
 
 	// singular lists the basis slots the last factorize found dependent on
 	// the slots before them; pivoted marks the rows it did pivot.
@@ -69,6 +75,7 @@ type basisLU struct {
 
 	x       []float64 // row/slot-space scratch
 	z       []float64 // step-space scratch
+	nz, cur []int     // btranRow scratch: the slots where x may be nonzero, ascending; a row-thread cursor per slot
 	touched []int     // factorize scratch
 	count   []int     // factorize scratch
 	reach   []uint64  // factorize scratch: a bit per step, the L steps a column reaches
@@ -98,6 +105,8 @@ func (lu *basisLU) reset(m int) {
 	lu.reach = grow(lu.reach, (m+63)/64)
 	lu.x = grow(lu.x, m)
 	lu.z = grow(lu.z, m)
+	lu.cur = grow(lu.cur, m)
+	lu.etaLast = grow(lu.etaLast, m)
 	clear(lu.x)
 }
 
@@ -128,6 +137,10 @@ func (lu *basisLU) factorize(basis []int, cols *columns) bool {
 	lu.etaPiv = lu.etaPiv[:0]
 	lu.etaIdx = lu.etaIdx[:0]
 	lu.etaVal = lu.etaVal[:0]
+	lu.etaPrev = lu.etaPrev[:0]
+	for i := range lu.etaLast {
+		lu.etaLast[i] = -1
+	}
 	lu.lIdx, lu.lVal = lu.lIdx[:0], lu.lVal[:0]
 	lu.uIdx, lu.uVal = lu.uIdx[:0], lu.uVal[:0]
 	lu.lSteps = lu.lSteps[:0]
@@ -247,12 +260,19 @@ func (lu *basisLU) factorize(basis []int, cols *columns) bool {
 // appendEta records a post-factorization pivot: the basis column at slot
 // changed, with FTRAN direction w (dense, slot space).
 func (lu *basisLU) appendEta(slot int, w []float64) {
+	p := len(lu.etaIdx)
+	idx := slices.Grow(lu.etaIdx, len(w))[:p+len(w)]
+	val := slices.Grow(lu.etaVal, len(w))[:p+len(w)]
+	prev := slices.Grow(lu.etaPrev, len(w))[:p+len(w)]
+	last := lu.etaLast[:len(w)]
 	for i, v := range w {
 		if v != 0 && i != slot { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
-			lu.etaIdx = append(lu.etaIdx, i)
-			lu.etaVal = append(lu.etaVal, v)
+			idx[p], val[p], prev[p] = i, v, last[i]
+			last[i] = p
+			p++
 		}
 	}
+	lu.etaIdx, lu.etaVal, lu.etaPrev = idx[:p], val[:p], prev[:p]
 	lu.etaSlot = append(lu.etaSlot, slot)
 	lu.etaPiv = append(lu.etaPiv, w[slot])
 	lu.etaStart = append(lu.etaStart, len(lu.etaIdx))
@@ -333,7 +353,6 @@ func (lu *basisLU) applyEtas(w []float64) {
 // btran solves yᵀB = cᵀ: dst receives y in row space; c is indexed by basis
 // slot and left untouched.
 func (lu *basisLU) btran(dst, c []float64) {
-	m := lu.m
 	x := lu.x
 	copy(x, c)
 	// Transposed eta file, reverse order. A zero entry adds an exact zero to
@@ -348,16 +367,82 @@ func (lu *basisLU) btran(dst, c []float64) {
 		slot := lu.etaSlot[k]
 		x[slot] = (x[slot] - s) / lu.etaPiv[k]
 	}
-	// Uᵀ-solve forward in step space. Steps before the first one whose slot
-	// holds a nonzero solve to zero: a unit row (the pivot row's BTRAN)
-	// skips a prefix of the factors.
-	z := lu.z
-	t0 := m
-	for slot, v := range x[:m] {
+	t0 := lu.m
+	for slot, v := range x[:lu.m] {
 		if v != 0 && lu.slotStep[slot] < t0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
 			t0 = lu.slotStep[slot]
 		}
 	}
+	lu.btranLU(dst, t0)
+	clear(x)
+}
+
+// btranRow is btran for the unit vector of slot r: dst receives row r of
+// B⁻¹. Only r and the eta file's slots can hold a nonzero once the etas are
+// applied, so the transposed eta file runs over those slots alone (nz),
+// reading each eta through the row threads; the first step to solve and the
+// clean-up come from them too. An eta's dot product adds the same nonzero
+// terms in the same ascending row order as btran's, whose other terms are
+// exact zeros, so the bits are btran's.
+func (lu *basisLU) btranRow(dst []float64, r int) {
+	x, cur := lu.x, lu.cur
+	x[r] = 1
+	nz := append(lu.nz[:0], r)
+	cur[r] = lu.etaLast[r]
+	for k := len(lu.etaSlot) - 1; k >= 0; k-- {
+		a, b := lu.etaStart[k], lu.etaStart[k+1]
+		s := 0.0
+		for _, q := range nz {
+			c := cur[q]
+			for c >= b { // an entry of a later eta, passed before q joined nz
+				c = lu.etaPrev[c]
+			}
+			if c >= a {
+				s += lu.etaVal[c] * x[q]
+				c = lu.etaPrev[c]
+			}
+			cur[q] = c
+		}
+		slot := lu.etaSlot[k]
+		v := (x[slot] - s) / lu.etaPiv[k]
+		x[slot] = v
+		if v != 0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
+			nz = insertSorted(nz, slot, &cur[slot], lu.etaLast[slot])
+		}
+	}
+	lu.nz = nz
+	t0 := lu.m
+	for _, slot := range nz {
+		if x[slot] != 0 && lu.slotStep[slot] < t0 { //vmalloc:nondet-ok structural zero test on stored LU coefficients; zeros are created exactly, never computed
+			t0 = lu.slotStep[slot]
+		}
+	}
+	lu.btranLU(dst, t0)
+	x[r] = 0
+	for _, slot := range lu.etaSlot {
+		x[slot] = 0
+	}
+}
+
+// insertSorted adds slot to the ascending list nz unless it is there,
+// starting its row-thread cursor at last.
+func insertSorted(nz []int, slot int, cur *int, last int) []int {
+	i, found := slices.BinarySearch(nz, slot)
+	if found {
+		return nz
+	}
+	*cur = last
+	return slices.Insert(nz, i, slot)
+}
+
+// btranLU finishes a BTRAN from the eta-applied vector in x: the Uᵀ-solve
+// forward in step space, then the Lᵀ-solve backward into dst. Steps before
+// t0, the first one whose slot holds a nonzero, solve to zero: a unit row
+// (the pivot row's BTRAN) skips a prefix of the factors. x is left as it was.
+func (lu *basisLU) btranLU(dst []float64, t0 int) {
+	m := lu.m
+	x := lu.x
+	z := lu.z
 	clear(z[:t0])
 	for t := t0; t < m; t++ {
 		s := x[lu.ord[t]]
@@ -387,5 +472,4 @@ func (lu *basisLU) btran(dst, c []float64) {
 		}
 		dst[lu.pivotRow[t]] = s
 	}
-	clear(x)
 }

@@ -211,22 +211,6 @@ type Solution struct {
 	// BlandActivations counts switches from Dantzig pricing into Bland's
 	// anti-cycling rule after a degenerate stall.
 	BlandActivations int
-	// Presolve carries the reduction counters when the problem was solved
-	// through presolve.Backend; nil for a direct simplex solve.
-	Presolve *PresolveStats
-}
-
-// PresolveStats summarizes what presolve eliminated before the simplex ran.
-// It lives in this package (not internal/presolve) so Solution can carry it
-// without an import cycle; presolve.Backend fills it in.
-type PresolveStats struct {
-	RowsEliminated  int `json:"rows_eliminated"`
-	ColsEliminated  int `json:"cols_eliminated"`
-	FixedCols       int `json:"fixed_cols"`
-	DroppedRows     int `json:"dropped_rows"`
-	SubstCols       int `json:"subst_cols"`
-	BoundsTightened int `json:"bounds_tightened"`
-	DoubletonSlacks int `json:"doubleton_slacks"`
 }
 
 const (
@@ -235,6 +219,10 @@ const (
 	feasTol    = 1e-7
 	zeroClampT = 1e-11
 )
+
+// stalePick marks revised.pick as unknown: the next pivot scans for its
+// entering column.
+const stalePick = -2
 
 // iterCap resolves the effective iteration limit: a caller-supplied
 // Problem.MaxIter when positive, else the automatic cap.

@@ -150,7 +150,17 @@ type revised struct {
 	// dir is each column's entering direction, kept in step with status,
 	// banned and upper: +1 nonbasic at its lower bound, -1 at its upper
 	// bound, 0 when it cannot enter (basic, banned or fixed at zero).
-	dir      []float64
+	dir []float64
+	// nPrice ends the columns that can enter: n while the artificials may
+	// (phase 1), nReal once they are banned. Pricing, the pivot-row scatter
+	// and every pass over d, dir and alpha stop there; a banned artificial's
+	// d is left stale and its alpha stays zero.
+	nPrice int
+	// pick is the entering column the last pricing pass chose on its way
+	// (see gatherDuals), -1 when it found none, or stalePick when d has
+	// changed since in a way the pass did not see and the next pivot must
+	// scan for its column.
+	pick     int
 	broken   bool // the basis stayed singular after repair; abort with IterLimit
 	repaired bool // a refactorization repaired the basis; feasibility may be lost
 	// rayCol is the entering column of an Unbounded exit; its FTRAN stays
@@ -203,10 +213,11 @@ func (rv *revised) load(p *Problem) {
 	}
 	nReal := ns + nSlack
 	n := nReal + m
-	rv.m, rv.n, rv.nStruct, rv.nReal = m, n, ns, nReal
+	rv.m, rv.n, rv.nStruct, rv.nReal, rv.nPrice = m, n, ns, nReal, n
 	rv.iters, rv.refactors, rv.blandActs = 0, 0, 0
 	rv.broken, rv.repaired = false, false
 	rv.maxIter = iterCap(p.MaxIter, m, n)
+	rv.pick = stalePick
 
 	rv.cols.start = grow(rv.cols.start, n+1)
 	rv.inBasis = grow(rv.inBasis, n)
@@ -314,6 +325,7 @@ func (rv *revised) load(p *Problem) {
 // when its coefficient is +1, else the artificial, every other column at
 // its lower bound, all costs zero.
 func (rv *revised) coldBasis() {
+	rv.nPrice = rv.n
 	for j := 0; j < rv.n; j++ {
 		rv.status[j] = atLower
 		rv.inBasis[j] = -1
@@ -353,6 +365,7 @@ func (rv *revised) banArtificials() {
 		rv.cost[j] = 0
 		rv.dir[j] = 0
 	}
+	rv.nPrice = rv.nReal
 }
 
 // setObjective installs the phase-2 costs: the objective on the structural
@@ -385,7 +398,7 @@ func (rv *revised) setDir(j int) {
 // allocation with its Basis and costs a third for the basis contents.
 //
 // An optimal answer is read off a fresh factorization of the final basis —
-// the two calls installBasis makes, then exact prices — not off the values
+// the two calls installBasis makes, then exact duals — not off the values
 // the pivots updated along the way. It is then a function of the problem and
 // its final basis alone: a warm re-solve from that basis, which takes no
 // pivot, returns the same X, Objective and duals bit for bit. With no pivot
@@ -407,7 +420,7 @@ func (rv *revised) result(p *Problem, st Status, warmed bool) *Solution {
 		rv.refreshXB()
 	case rv.lu.factorize(rv.basis, &rv.cols):
 		rv.refreshXB()
-		rv.priceAll()
+		rv.dualVector() // y alone: no reduced cost is read after the solve
 	}
 	out := &struct {
 		sol   Solution
@@ -558,16 +571,6 @@ func (rv *revised) dualVector() []float64 {
 	return rv.yScratch
 }
 
-// reducedCost computes d_j = c_j - y·A_j.
-func (rv *revised) reducedCost(j int, y []float64) float64 {
-	d := rv.cost[j]
-	rows, vals := rv.cols.col(j)
-	for k, r := range rows {
-		d -= y[r] * vals[k]
-	}
-	return d
-}
-
 // ftran computes w = B^{-1} · A_j into rv.scratch (a sparse FTRAN through
 // the LU factors and eta file).
 func (rv *revised) ftran(j int) []float64 {
@@ -601,7 +604,11 @@ func (rv *revised) iterate() Status {
 			// signs, not incrementally maintained ones.
 			rv.priceAll()
 		}
-		enter := rv.chooseEntering(bland)
+		enter := rv.pick
+		if enter == stalePick || bland {
+			enter = rv.chooseEntering(bland)
+		}
+		rv.pick = stalePick
 		if enter < 0 {
 			// Confirm against exact prices: the incremental reduced costs
 			// may have drifted since the last refactorization.
@@ -617,10 +624,17 @@ func (rv *revised) iterate() Status {
 			rv.rayCol = enter
 			return Unbounded
 		}
+		leave := -1
 		if row >= 0 {
+			leave = rv.basis[row]
 			rv.updateDuals(enter, row, w)
 		}
 		rv.apply(enter, w, row, leaveTo, delta)
+		if rv.pick != stalePick {
+			// The pass saw the leaving column while it was still basic; it
+			// competes now, at rest on its bound.
+			rv.pick = rv.rivalPick(leave)
+		}
 		if math.Abs(dq)*delta > 1e-12 {
 			stall = 0
 			bland = false
@@ -634,35 +648,49 @@ func (rv *revised) iterate() Status {
 	return IterLimit
 }
 
-// priceAll recomputes every reduced cost exactly from y = c_B·B^{-1}.
+// priceAll recomputes every priced reduced cost exactly from y = c_B·B^{-1}
+// (left in yScratch), so the next pivot scans for its column.
 func (rv *revised) priceAll() {
 	y := rv.dualVector()
-	for j := 0; j < rv.n; j++ {
-		if rv.status[j] == basic {
-			rv.d[j] = 0
-		} else {
-			rv.d[j] = rv.reducedCost(j, y)
+	d := rv.d[:rv.nPrice]
+	status, cost, c := rv.status[:len(d)], rv.cost[:len(d)], &rv.cols
+	for j := range d {
+		if status[j] == basic {
+			d[j] = 0
+			continue
 		}
+		// d_j = c_j - y·A_j
+		dj := cost[j]
+		a, b := c.start[j], c.start[j+1]
+		vals := c.vals[a:b:b]
+		for k, r := range c.rows[a:b:b] {
+			dj -= y[r] * vals[k]
+		}
+		d[j] = dj
 	}
+	rv.pick = stalePick
 }
 
 // pivotRow computes row r of B^{-1}A into alpha, by column: rho =
 // e_rᵀB^{-1} by BTRAN, then alpha = rhoᵀA scattered row-wise through the
 // CSR mirror over the rows where rho is nonzero, each entry accumulating
-// over those rows in ascending order. alpha must be zero on entry; the
-// caller zeroes it again (gatherDuals or clearAlpha).
+// over those rows in ascending order. A row's artificial is its last CSR
+// entry, so once the artificials are banned each row's scatter stops one
+// entry short. alpha must be zero on entry; the caller zeroes it again
+// (gatherDuals or clearAlpha).
 func (rv *revised) pivotRow(r int) {
-	e := rv.cbScratch
-	clear(e)
-	e[r] = 1
 	rho := rv.yScratch
-	rv.lu.btran(rho, e)
+	rv.lu.btranRow(rho, r)
 	alpha := rv.alpha[:rv.n]
+	short := 0
+	if rv.nPrice < rv.n {
+		short = 1
+	}
 	for i, ri := range rho[:rv.m] {
 		if ri == 0 { //vmalloc:nondet-ok structural zero test on a stored eta value
 			continue
 		}
-		a, b := rv.rowPtr[i], rv.rowPtr[i+1]
+		a, b := rv.rowPtr[i], rv.rowPtr[i+1]-short
 		vals := rv.rowVal[a:b:b]
 		for k, j := range rv.rowCol[a:b:b] {
 			alpha[j] += ri * vals[k]
@@ -671,34 +699,62 @@ func (rv *revised) pivotRow(r int) {
 }
 
 // updateDuals carries the reduced costs across the coming pivot (enter
-// becomes basic in row) using the pivot row of B^{-1}A. Must run before the
-// pivot's eta is appended.
+// becomes basic in row) using the pivot row of B^{-1}A, and leaves in pick
+// the next entering column among those whose direction the pivot does not
+// change: enter is out of pricing from here on, and the leaving column is
+// still basic. Must run before the pivot's eta is appended.
 func (rv *revised) updateDuals(enter, row int, w []float64) {
 	ratio := rv.d[enter] / w[row]
+	rv.dir[enter] = 0
 	if ratio != 0 { //vmalloc:nondet-ok structural zero test on a stored ratio entry
 		rv.pivotRow(row)
-		rv.gatherDuals(ratio)
+		rv.pick = rv.gatherDuals(ratio)
 	}
 	rv.d[enter] = 0
 }
 
-// gatherDuals applies d_j -= ratio·alpha_j over every column, zeroing alpha
-// behind it. A zero alpha_j leaves d_j's value alone (at most the sign of a
-// zero d_j, which no test reads, changes), so the pass needs no zero test.
-func (rv *revised) gatherDuals(ratio float64) {
-	alpha := rv.alpha[:rv.n]
-	d := rv.d[:len(alpha)]
+// gatherDuals applies d_j -= ratio·alpha_j over the priced columns, zeroing
+// alpha behind it, and returns what chooseEntering's Dantzig scan would pick
+// from the updated d: the improving column with the largest score, lowest
+// index on ties, -1 for none. A zero alpha_j leaves d_j's value alone (at
+// most the sign of a zero d_j, which no test reads, changes), so the pass
+// needs no zero test.
+func (rv *revised) gatherDuals(ratio float64) int {
+	alpha := rv.alpha[:rv.nPrice]
+	d, dir := rv.d[:len(alpha)], rv.dir[:len(alpha)]
+	best, bestScore := -1, costTol
 	for j, a := range alpha {
-		d[j] -= ratio * a
+		v := d[j] - ratio*a
+		d[j] = v
 		alpha[j] = 0
+		if score := dir[j] * v; score > bestScore {
+			best, bestScore = j, score
+		}
 	}
+	return best
+}
+
+// rivalPick returns pick or column j, whichever chooseEntering's Dantzig
+// scan would take: the larger improving score, the lower index on a tie.
+func (rv *revised) rivalPick(j int) int {
+	s := rv.dir[j] * rv.d[j]
+	if !(s > costTol) {
+		return rv.pick
+	}
+	if rv.pick < 0 {
+		return j
+	}
+	if ps := rv.dir[rv.pick] * rv.d[rv.pick]; s > ps || s == ps && j < rv.pick { //vmalloc:nondet-ok exact tie on stored scores, broken by index as the scan breaks it
+		return j
+	}
+	return rv.pick
 }
 
 // chooseEntering picks the improving column with the largest reduced cost
 // (Dantzig), lowest index on ties, or under Bland's rule the lowest-index
 // improving column; -1 at optimality.
 func (rv *revised) chooseEntering(bland bool) int {
-	dir := rv.dir[:rv.n]
+	dir := rv.dir[:rv.nPrice]
 	d := rv.d[:len(dir)]
 	if bland {
 		for j, s := range dir {
@@ -731,22 +787,24 @@ func (rv *revised) ratioTest(enter int, w []float64) (row int, leaveTo varStatus
 		limit = u
 	}
 	row, leaveTo = -1, atLower
-	for i := 0; i < rv.m; i++ {
-		a := w[i] * dir
+	xB, upper := rv.xB[:rv.m], rv.upper
+	w, basis := w[:len(xB)], rv.basis[:len(xB)]
+	for i, wi := range w {
+		a := wi * dir
 		if math.Abs(a) < pivotTol {
 			continue
 		}
 		var ratio float64
 		var to varStatus
 		if a > 0 {
-			ratio = rv.xB[i] / a
+			ratio = xB[i] / a
 			to = atLower
 		} else {
-			u := rv.upper[rv.basis[i]]
+			u := upper[basis[i]]
 			if math.IsInf(u, 1) {
 				continue
 			}
-			ratio = (u - rv.xB[i]) / -a
+			ratio = (u - xB[i]) / -a
 			to = atUpper
 		}
 		if ratio < -1e-9 {
@@ -769,11 +827,14 @@ func (rv *revised) apply(enter int, w []float64, row int, leaveTo varStatus, del
 		dir = -1
 	}
 	if delta != 0 { //vmalloc:nondet-ok structural zero test: an exactly-zero step is a no-op update
-		for i := 0; i < rv.m; i++ {
-			rv.xB[i] -= w[i] * dir * delta
-			if rv.xB[i] < 0 && rv.xB[i] > -zeroClampT {
-				rv.xB[i] = 0
+		xB := rv.xB[:rv.m]
+		w := w[:len(xB)]
+		for i, x := range xB {
+			x -= w[i] * dir * delta
+			if x < 0 && x > -zeroClampT {
+				x = 0
 			}
+			xB[i] = x
 		}
 	}
 	if row == -1 {
@@ -891,7 +952,7 @@ func (rv *revised) primalFeasible() bool {
 // precondition of the dual simplex.
 func (rv *revised) dualFeasible() bool {
 	rv.priceAll()
-	for j, s := range rv.dir[:rv.n] {
+	for j, s := range rv.dir[:rv.nPrice] {
 		if s*rv.d[j] > feasTol {
 			return false
 		}
@@ -991,7 +1052,7 @@ func (rv *revised) chooseLeaving() (row int, s float64) {
 func (rv *revised) dualRatioTest(s float64) int {
 	cand, ratio := rv.cand[:0], rv.ratio[:0]
 	bound := math.Inf(1)
-	alpha := rv.alpha[:rv.n]
+	alpha := rv.alpha[:rv.nPrice]
 	dir, d := rv.dir[:len(alpha)], rv.d[:len(alpha)]
 	for j, aj := range alpha {
 		a := aj * dir[j] * s
@@ -1032,7 +1093,7 @@ func (rv *revised) rowInfeasible(r int, s float64) bool {
 		gap = rv.xB[r] - rv.upper[rv.basis[r]]
 	}
 	room := 0.0
-	for j, aj := range rv.alpha[:rv.n] {
+	for j, aj := range rv.alpha[:rv.nPrice] {
 		a := aj * s
 		if math.Abs(a) < pivotTol && math.IsInf(rv.upper[j], 1) {
 			continue
@@ -1049,7 +1110,7 @@ func (rv *revised) rowInfeasible(r int, s float64) bool {
 
 // clearAlpha zeroes the pivot-row scatter left by pivotRow.
 func (rv *revised) clearAlpha() {
-	clear(rv.alpha[:rv.n])
+	clear(rv.alpha[:rv.nPrice])
 }
 
 // restoreFeasibility makes a primal infeasible basis — a repaired one —
@@ -1060,7 +1121,7 @@ func (rv *revised) clearAlpha() {
 func (rv *revised) restoreFeasibility() bool {
 	copy(rv.costSave, rv.cost)
 	rv.priceAll()
-	for j, s := range rv.dir[:rv.n] {
+	for j, s := range rv.dir[:rv.nPrice] {
 		if s*rv.d[j] > 0 {
 			rv.cost[j] -= rv.d[j]
 			rv.d[j] = 0

@@ -161,3 +161,35 @@ func BenchmarkRevisedSparse(b *testing.B) {
 		}
 	}
 }
+
+// TestBealeCyclingHandsOverToBland pins the one path no relaxation reaches:
+// Beale's cycling LP stalls Dantzig pricing on degenerate pivots until the
+// solver hands over to Bland's rule, which scans every column for its
+// entering one instead of taking the column the last pricing pass picked.
+// The count of pivots, the switch and every bit of the optimum are pinned.
+func TestBealeCyclingHandsOverToBland(t *testing.T) {
+	p := &Problem{
+		Obj: []float64{0.75, -20, 0.5, -6},
+		Cols: NewCSCFromDense([][]float64{
+			{0.25, -8, -1, 9},
+			{0.5, -12, -0.5, 3},
+			{0, 0, 1, 0},
+		}, 4),
+		Sense: []Sense{LE, LE, LE},
+		B:     []float64{0, 0, 1},
+	}
+	s, err := Simplex{}.SolveWarm(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Status != Optimal || s.Objective != 1.25 || s.Iters != 30 || s.BlandActivations != 1 {
+		t.Fatalf("got %v objective %v after %d iterations, %d Bland activations; want optimal 1.25 after 30, 1",
+			s.Status, s.Objective, s.Iters, s.BlandActivations)
+	}
+	for j, want := range []float64{1, 0, 1, 0} {
+		if math.Float64bits(s.X[j]) != math.Float64bits(want) {
+			t.Fatalf("X = %v, want [1 0 1 0]", s.X)
+		}
+	}
+	certify(t, p, s)
+}

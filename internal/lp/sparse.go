@@ -1,6 +1,6 @@
 // The model's matrix and the simplex's warm token: compressed-sparse-column
 // (CSC) constraint storage, a triplet builder for row-oriented encoders such
-// as internal/relax, and the Basis a solve hands out to warm-start the next
+// as the MPS reader, and the Basis a solve hands out to warm-start the next
 // one. The allocation LP of the paper (Eqs. 1–7) touches only a handful of
 // variables per constraint, so the CSC form cuts both memory and
 // per-iteration cost from O(m·n) to O(m² + nnz), and warm starts collapse
@@ -169,6 +169,7 @@ func (rv *revised) installBasis(wb *Basis) bool {
 		rv.upper[j] = 0
 		rv.cost[j] = 0
 	}
+	rv.nPrice = rv.nReal
 	for j := range rv.inBasis[:rv.n] {
 		rv.inBasis[j] = -1
 	}

@@ -31,15 +31,9 @@ func (Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) {
 			return sol, err
 		}
 		sol.Basis = nil
-		sol.Presolve = red.solutionStats()
 		return sol, nil
 	case Solved:
-		full, err := red.Postsolve(nil)
-		if err != nil {
-			return nil, err
-		}
-		full.Presolve = red.solutionStats()
-		return full, nil
+		return red.Postsolve(nil)
 	}
 	sol, err := lp.Simplex{}.SolveWarm(red.Problem(), warm)
 	if err != nil {
@@ -52,21 +46,5 @@ func (Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) {
 	full.Basis = sol.Basis
 	full.Refactorizations = sol.Refactorizations
 	full.BlandActivations = sol.BlandActivations
-	full.Presolve = red.solutionStats()
 	return full, nil
-}
-
-// solutionStats converts the reduction's counters into the lp-space stats
-// attached to the returned Solution.
-func (r *Reduction) solutionStats() *lp.PresolveStats {
-	st := r.Stats()
-	return &lp.PresolveStats{
-		RowsEliminated:  st.RowsBefore - st.RowsAfter,
-		ColsEliminated:  st.ColsBefore - st.ColsAfter,
-		FixedCols:       st.FixedCols,
-		DroppedRows:     st.DroppedRows,
-		SubstCols:       st.SubstCols,
-		BoundsTightened: st.BoundsTightened,
-		DoubletonSlacks: st.DoubletonSlacks,
-	}
 }

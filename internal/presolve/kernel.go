@@ -6,6 +6,16 @@
 // and substitution splices fill-in into the host rows instead of rebuilding
 // them. A reduction starts by mirroring the problem's CSC row-wise into
 // pooled scratch, then edits the mirror.
+//
+// Each row also keeps a finger: the cell last spliced in before another
+// cell (an append needs none). A splice that must walk the row to its sorted
+// position starts at the finger instead of the row's head whenever the
+// finger is still in the row and sorts before the new column. Eliminations
+// run in column order, so a row's next splice usually lands just past its
+// last one; the vub pass splices each y_jh into a memory row past all of
+// its e cells, and the finger halves the cells the walks visit on the 8×64
+// relaxations. A released cell's row is set to none, so a finger into a
+// freed cell is never followed.
 
 package presolve
 
@@ -36,25 +46,37 @@ type reducer struct {
 	nOrig int // columns in the input problem
 
 	cells                    []cell
-	free                     int32 // released cells, chained through rNext
+	free                     int32 // released cells, chained through rNext; a released cell's row is none
 	rowHead, rowTail, rowLen []int32
+	rowFinger                []int32 // per row, the cell last spliced in before another (see addToRow), or none
 	colHead, colCnt          []int32
 	sense                    []lp.Sense
 	b                        []float64
 	rowAlive                 []bool
 	colAlive                 []bool
 	l, u, c                  []float64
-	actMin, actMax           []float64 // row activity bounds, valid where actOK
-	actOK                    []bool
-	others, scan             []entry // row snapshots: substitute's host row; the row a pass is on
+	actMin, actMax           []float64 // row activity bounds, valid where act is not actStale
+	act                      []uint8   // per row: actStale, actCached or actSettled
+	others, scan             []entry   // row snapshots: substitute's host row; the row a pass is on
 	infeasible, unbounded    bool
 	assumeImplied            bool // see substitute
 	stats                    Stats
 	records                  []record
 	terms                    []entry // backing store of every recSubst's terms
+	colMap, rowKeep          []int   // emit's scratch
 }
 
 var reducerPool = sync.Pool{New: func() any { return new(reducer) }}
+
+// The states of a row's activity cache (reducer.act). Every edit of the row
+// — a cell inserted, removed or changed, its right-hand side or sense
+// rewritten, which always comes with one of those — and every bound change
+// of one of its columns makes it stale.
+const (
+	actStale   uint8 = iota // the sums must be recomputed
+	actCached               // actMin and actMax hold the row's activity
+	actSettled              // cached, and rowPass found no rule to apply and nothing to propagate
+)
 
 // load resets the reducer to the start of a reduction of a validated p.
 // Nil bounds expand to 0 and +Inf.
@@ -71,6 +93,7 @@ func (ps *reducer) load(p *lp.Problem) {
 	ps.rowHead = sliceutil.Grow(ps.rowHead, m)
 	ps.rowTail = sliceutil.Grow(ps.rowTail, m)
 	ps.rowLen = sliceutil.Grow(ps.rowLen, m)
+	ps.rowFinger = sliceutil.Grow(ps.rowFinger, m)
 	clear(ps.rowLen)
 	for _, i := range c.RowIdx {
 		ps.rowLen[i]++
@@ -111,13 +134,14 @@ func (ps *reducer) load(p *lp.Problem) {
 	ps.rowAlive = sliceutil.Grow(ps.rowAlive, m)
 	ps.actMin = sliceutil.Grow(ps.actMin, m)
 	ps.actMax = sliceutil.Grow(ps.actMax, m)
-	ps.actOK = sliceutil.Grow(ps.actOK, m)
+	ps.act = sliceutil.Grow(ps.act, m)
 	for i := 0; i < m; i++ {
 		if ps.rowLen[i] == 0 {
 			ps.rowHead[i], ps.rowTail[i] = none, none
 		}
 		ps.rowAlive[i] = true
-		ps.actOK[i] = false
+		ps.act[i] = actStale
+		ps.rowFinger[i] = none
 	}
 	ps.sense = append(ps.sense[:0], p.Sense...)
 	ps.b = append(ps.b[:0], p.B...)
@@ -183,7 +207,7 @@ func (ps *reducer) insert(i int, at int32, j int, v float64) {
 	ps.cells[k] = cell{row: int32(i), col: int32(j), rNext: at, rPrev: prev, cNext: head, cPrev: none, val: v}
 	ps.rowLen[i]++
 	ps.colCnt[j]++
-	ps.actOK[i] = false
+	ps.act[i] = actStale
 }
 
 // unlinkCol takes cell k off its column's list.
@@ -216,8 +240,8 @@ func (ps *reducer) remove(k int32) {
 		ps.rowTail[i] = cl.rPrev
 	}
 	ps.rowLen[i]--
-	ps.actOK[i] = false
-	cl.rNext = ps.free
+	ps.act[i] = actStale
+	cl.row, cl.rNext = none, ps.free
 	ps.free = k
 }
 
@@ -226,7 +250,7 @@ func (ps *reducer) dropRow(i int) {
 	for k := ps.rowHead[i]; k >= 0; {
 		next := ps.cells[k].rNext
 		ps.unlinkCol(k)
-		ps.cells[k].rNext = ps.free
+		ps.cells[k].row, ps.cells[k].rNext = none, ps.free
 		ps.free = k
 		k = next
 	}
@@ -262,7 +286,9 @@ func (ps *reducer) snapshot(buf []entry, i int, skip int32) []entry {
 // below dropCoefTol), new ones spliced in at their sorted position. A column
 // much shorter than the row finds its cell through the column's list, and
 // everything past the row's last column is appended, so eliminating a
-// doubleton never walks the long aggregate rows it touches.
+// doubleton never walks the long aggregate rows it touches. A splice walks
+// the row from its finger (see above) when the finger lies between the
+// cursor and the new column.
 func (ps *reducer) addToRow(r int, src []entry, f float64) {
 	k := ps.rowHead[r] // no cell before k holds a column >= the current entry's
 	for _, s := range src {
@@ -274,6 +300,11 @@ func (ps *reducer) addToRow(r int, src []entry, f float64) {
 				at = ps.cellAt(r, s.j)
 			}
 			if at < 0 {
+				if fg := ps.rowFinger[r]; fg >= 0 && int(ps.cells[fg].row) == r {
+					if c := ps.cells[fg].col; int(c) < s.j && c > ps.cells[k].col {
+						k = fg
+					}
+				}
 				for int(ps.cells[k].col) < s.j {
 					k = ps.cells[k].rNext
 				}
@@ -285,6 +316,9 @@ func (ps *reducer) addToRow(r int, src []entry, f float64) {
 		if at < 0 {
 			if v := f * s.v; math.Abs(v) >= dropCoefTol {
 				ps.insert(r, k, s.j, v)
+				if k >= 0 {
+					ps.rowFinger[r] = ps.cells[k].rPrev // the new cell
+				}
 			}
 			continue
 		}
@@ -293,7 +327,7 @@ func (ps *reducer) addToRow(r int, src []entry, f float64) {
 		}
 		if v := ps.cells[at].val + f*s.v; math.Abs(v) >= dropCoefTol {
 			ps.cells[at].val = v
-			ps.actOK[r] = false
+			ps.act[r] = actStale
 		} else {
 			ps.remove(at)
 		}
@@ -304,7 +338,7 @@ func (ps *reducer) addToRow(r int, src []entry, f float64) {
 // after one of its bounds moved.
 func (ps *reducer) touchCol(j int) {
 	for k := ps.colHead[j]; k >= 0; k = ps.cells[k].cNext {
-		ps.actOK[ps.cells[k].row] = false
+		ps.act[ps.cells[k].row] = actStale
 	}
 }
 
@@ -312,7 +346,7 @@ func (ps *reducer) touchCol(j int) {
 // the current bounds (±Inf when an unbounded variable contributes), summed
 // in column order once per version of the row and its columns' bounds.
 func (ps *reducer) rowActivity(i int) (minAct, maxAct float64) {
-	if ps.actOK[i] {
+	if ps.act[i] != actStale {
 		return ps.actMin[i], ps.actMax[i]
 	}
 	for k := ps.rowHead[i]; k >= 0; k = ps.cells[k].rNext {
@@ -325,7 +359,7 @@ func (ps *reducer) rowActivity(i int) (minAct, maxAct float64) {
 			maxAct += cl.val * ps.l[cl.col]
 		}
 	}
-	ps.actMin[i], ps.actMax[i], ps.actOK[i] = minAct, maxAct, true
+	ps.actMin[i], ps.actMax[i], ps.act[i] = minAct, maxAct, actCached
 	return minAct, maxAct
 }
 

@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"vmalloc/internal/lp"
+	"vmalloc/internal/sliceutil"
 )
 
 // Options is the argument slot of Reduce; it has no fields, the pipeline
@@ -94,8 +95,7 @@ type record struct {
 	kind recKind
 	col  int
 	val  float64 // recFix: the fixed value
-	row  int     // recSubst: the host equality row
-	a, b float64 // recSubst: pivot coefficient and row rhs at subst time
+	a, b float64 // recSubst: pivot coefficient and host row rhs at subst time
 	// recSubst: the row's other coefficients at subst time are
 	// Reduction.terms[off : off+cnt].
 	off, cnt int
@@ -222,19 +222,6 @@ func (ps *reducer) finish(r *Reduction) *Reduction {
 	return r
 }
 
-// fullMap returns a map slice sending every index to -1 except those listed
-// in keep, which get their position.
-func fullMap(n int, keep []int) []int {
-	m := make([]int, n)
-	for i := range m {
-		m[i] = -1
-	}
-	for pos, id := range keep {
-		m[id] = pos
-	}
-	return m
-}
-
 func (ps *reducer) aliveRows() int {
 	c := 0
 	for _, a := range ps.rowAlive {
@@ -311,6 +298,10 @@ func (ps *reducer) fixPass() bool {
 
 // rowPass applies the row rules: empty rows, singleton rows, infeasibility
 // and redundancy from activity bounds, forcing rows, and bound propagation.
+// A row on which no rule fired and propagation tightened nothing is settled:
+// the rules read only the row, its right-hand side and sense and its
+// columns' bounds, so until one of those moves (which makes its activity
+// stale) a later pass would find nothing again and skips it.
 func (ps *reducer) rowPass() bool {
 	changed := false
 	for i := 0; i < ps.m; i++ {
@@ -329,6 +320,9 @@ func (ps *reducer) rowPass() bool {
 		}
 		if ps.infeasible {
 			return changed
+		}
+		if ps.act[i] == actSettled {
+			continue // as it stood when the rules last found nothing to do
 		}
 
 		minAct, maxAct := ps.rowActivity(i)
@@ -385,7 +379,11 @@ func (ps *reducer) rowPass() bool {
 				continue
 			}
 		}
-		changed = ps.propagate(i, minAct, maxAct) || changed
+		if !ps.propagate(i, minAct, maxAct) {
+			ps.act[i] = actSettled
+			continue
+		}
+		changed = true
 		if ps.infeasible {
 			return changed
 		}
@@ -683,7 +681,7 @@ func (ps *reducer) substitute(i, piv int) bool {
 	}
 	ps.colAlive[piv] = false
 	ps.records = append(ps.records, record{
-		kind: recSubst, col: piv, row: i, a: a, b: b,
+		kind: recSubst, col: piv, a: a, b: b,
 		off: len(ps.terms), cnt: len(others),
 	})
 	ps.terms = append(ps.terms, others...)
@@ -885,18 +883,21 @@ func (ps *reducer) impliedByRows(piv, skipRow int, lowImplied, upImplied bool) (
 // not stored. colKeep maps each reduced column to its reducer column.
 func (ps *reducer) emit(maxIter int) (red *lp.Problem, colKeep []int) {
 	colKeep = make([]int, 0, ps.aliveCols())
-	for j := 0; j < ps.n; j++ {
+	colMap := sliceutil.Grow(ps.colMap, ps.n) // reducer column -> reduced column, or -1
+	for j := range colMap {
+		colMap[j] = -1
 		if ps.colAlive[j] {
+			colMap[j] = len(colKeep)
 			colKeep = append(colKeep, j)
 		}
 	}
-	rowKeep := make([]int, 0, ps.aliveRows())
+	rowKeep := ps.rowKeep[:0]
 	for i := 0; i < ps.m; i++ {
 		if ps.rowAlive[i] {
 			rowKeep = append(rowKeep, i)
 		}
 	}
-	colMap := fullMap(ps.n, colKeep)
+	ps.colMap, ps.rowKeep = colMap, rowKeep
 
 	nr, mr := len(colKeep), len(rowKeep)
 	csc := &lp.CSC{M: mr, N: nr, ColPtr: make([]int, nr+1)}

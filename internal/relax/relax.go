@@ -42,41 +42,109 @@ func (enc *Encoding) MinYieldVar() int { return 2 * enc.J * enc.H }
 // O(rows·vars) dense storage. Elementary rows that can never bind
 // (requirement plus need within elementary capacity) are omitted; elementary
 // requirements that exceed a node's elementary capacity force e_jh = 0 via a
-// bound row.
+// bound row. The rows are walked twice, once to size every array and once to
+// fill it, so each is allocated once at its final length.
 func Encode(p *core.Problem) *Encoding {
 	J, H, D := p.NumServices(), p.NumNodes(), p.Dim()
 	n := 2*J*H + 1
 	enc := &Encoding{J: J, H: H, D: D}
-	prob := &lp.Problem{
-		Obj:   make([]float64, n),
-		Upper: make([]float64, n),
-	}
-	for i := range prob.Upper {
-		prob.Upper[i] = 1
-	}
-	prob.Obj[2*J*H] = 1 // maximize Y
-
-	mat := lp.NewSparseBuilder(n)
-	row := 0
-	endRow := func(s lp.Sense, b float64) {
-		prob.Sense = append(prob.Sense, s)
-		prob.B = append(prob.B, b)
-		row++
+	// Skip aggregate dimensions no service demands at all, whose rows would
+	// be empty — 0 <= capacity holds vacuously.
+	hasAgg := make([]bool, D)
+	for d := 0; d < D; d++ {
+		for j := 0; j < J; j++ {
+			if p.Services[j].ReqAgg[d] != 0 || p.Services[j].NeedAgg[d] != 0 { //vmalloc:nondet-ok structural zero tests decide constraint membership; coefficients are stored, not computed
+				hasAgg[d] = true
+				break
+			}
+		}
 	}
 
+	w := &cscWriter{colPtr: make([]int, n+1)}
+	enc.rows(p, hasAgg, w)
+	m := w.row
+	for j := 0; j < n; j++ {
+		w.colPtr[j+1] += w.colPtr[j]
+	}
+	nnz := w.colPtr[n]
+	f := make([]float64, nnz+m+2*n) // one block: val, b, obj, upper
+	obj, upper := f[nnz+m:nnz+m+n:nnz+m+n], f[nnz+m+n:]
+	w.fill, w.row = true, 0
+	w.rowIdx, w.val = make([]int, nnz), f[:nnz:nnz]
+	w.sense, w.b = make([]lp.Sense, 0, m), f[nnz:nnz:nnz+m]
+	enc.rows(p, hasAgg, w)
+	copy(w.colPtr[1:], w.colPtr[:n]) // every cursor ended at the next column's start
+	w.colPtr[0] = 0
+
+	for i := range upper {
+		upper[i] = 1
+	}
+	obj[enc.MinYieldVar()] = 1 // maximize Y
+	enc.LP = &lp.Problem{
+		Obj:   obj,
+		Cols:  &lp.CSC{M: m, N: n, ColPtr: w.colPtr, RowIdx: w.rowIdx, Val: w.val},
+		Sense: w.sense,
+		B:     w.b,
+		Upper: upper,
+	}
+	return enc
+}
+
+// cscWriter lays out a matrix given row by row in compressed-sparse-column
+// form over two walks of the same rows: the first counts each column's
+// entries into colPtr[col+1] and the rows; once the counts are summed into
+// column starts, the second walk (fill) uses colPtr[col] as the column's
+// cursor and appends each row's sense and right-hand side. Zero
+// coefficients are dropped; within a column the entries sit in row order.
+type cscWriter struct {
+	fill   bool
+	row    int
+	colPtr []int
+	rowIdx []int
+	val    []float64
+	sense  []lp.Sense
+	b      []float64
+}
+
+// add records coefficient v of column col in the current row.
+func (w *cscWriter) add(col int, v float64) {
+	if v == 0 { //vmalloc:nondet-ok structural zero dropped from the sparse matrix; exact by construction
+		return
+	}
+	if !w.fill {
+		w.colPtr[col+1]++
+		return
+	}
+	at := w.colPtr[col]
+	w.colPtr[col]++
+	w.rowIdx[at], w.val[at] = w.row, v
+}
+
+// end closes the current row with its sense and right-hand side.
+func (w *cscWriter) end(s lp.Sense, b float64) {
+	if w.fill {
+		w.sense = append(w.sense, s)
+		w.b = append(w.b, b)
+	}
+	w.row++
+}
+
+// rows walks the rows of p's model, Eqs. 3 to 7 in order, into w.
+func (enc *Encoding) rows(p *core.Problem, hasAgg []bool, w *cscWriter) {
+	J, H, D := enc.J, enc.H, enc.D
 	// (3) each service on exactly one node.
 	for j := 0; j < J; j++ {
 		for h := 0; h < H; h++ {
-			mat.Add(row, enc.EVar(j, h), 1)
+			w.add(enc.EVar(j, h), 1)
 		}
-		endRow(lp.EQ, 1)
+		w.end(lp.EQ, 1)
 	}
 	// (4) y_jh <= e_jh.
 	for j := 0; j < J; j++ {
 		for h := 0; h < H; h++ {
-			mat.Add(row, enc.YVar(j, h), 1)
-			mat.Add(row, enc.EVar(j, h), -1)
-			endRow(lp.LE, 0)
+			w.add(enc.YVar(j, h), 1)
+			w.add(enc.EVar(j, h), -1)
+			w.end(lp.LE, 0)
 		}
 	}
 	// (5) elementary capacities: e_jh*r^e_jd + y_jh*n^e_jd <= c^e_hd.
@@ -89,25 +157,14 @@ func Encode(p *core.Problem) *Encoding {
 				if re+ne <= ce {
 					continue // can never bind with e,y in [0,1]
 				}
-				mat.Add(row, enc.EVar(j, h), re)
-				mat.Add(row, enc.YVar(j, h), ne)
-				endRow(lp.LE, ce)
+				w.add(enc.EVar(j, h), re)
+				w.add(enc.YVar(j, h), ne)
+				w.end(lp.LE, ce)
 			}
 		}
 	}
-	// (6) aggregate capacities per node and dimension. The builder already
-	// drops structurally-zero coefficients (zero-need dimensions contribute
-	// no y_jh terms); additionally skip dimensions no service demands at
-	// all, whose rows would be empty — 0 <= capacity holds vacuously.
-	hasAgg := make([]bool, D)
-	for d := 0; d < D; d++ {
-		for j := 0; j < J; j++ {
-			if p.Services[j].ReqAgg[d] != 0 || p.Services[j].NeedAgg[d] != 0 { //vmalloc:nondet-ok structural zero tests decide constraint membership; coefficients are stored, not computed
-				hasAgg[d] = true
-				break
-			}
-		}
-	}
+	// (6) aggregate capacities per node and dimension; zero-need dimensions
+	// contribute no y_jh terms.
 	for h := 0; h < H; h++ {
 		nd := &p.Nodes[h]
 		for d := 0; d < D; d++ {
@@ -115,23 +172,20 @@ func Encode(p *core.Problem) *Encoding {
 				continue
 			}
 			for j := 0; j < J; j++ {
-				mat.Add(row, enc.EVar(j, h), p.Services[j].ReqAgg[d])
-				mat.Add(row, enc.YVar(j, h), p.Services[j].NeedAgg[d])
+				w.add(enc.EVar(j, h), p.Services[j].ReqAgg[d])
+				w.add(enc.YVar(j, h), p.Services[j].NeedAgg[d])
 			}
-			endRow(lp.LE, nd.Aggregate[d])
+			w.end(lp.LE, nd.Aggregate[d])
 		}
 	}
 	// (7) sum_h y_jh >= Y.
 	for j := 0; j < J; j++ {
 		for h := 0; h < H; h++ {
-			mat.Add(row, enc.YVar(j, h), 1)
+			w.add(enc.YVar(j, h), 1)
 		}
-		mat.Add(row, enc.MinYieldVar(), -1)
-		endRow(lp.GE, 0)
+		w.add(enc.MinYieldVar(), -1)
+		w.end(lp.GE, 0)
 	}
-	prob.Cols = mat.Build(row)
-	enc.LP = prob
-	return enc
 }
 
 // Relaxed is the solution of the rational relaxation.
@@ -151,13 +205,11 @@ type Relaxed struct {
 	Basis *lp.Basis
 	// Iters/Refactorizations/BlandActivations count the simplex work of
 	// this solve and WarmStarted reports whether a supplied basis actually
-	// installed; Presolve carries the reduction counters. Valid on
-	// infeasible outcomes too.
+	// installed. Valid on infeasible outcomes too.
 	Iters            int
 	Refactorizations int
 	BlandActivations int
 	WarmStarted      bool
-	Presolve         *lp.PresolveStats
 }
 
 // fillWork copies the solver-work counters off a solution.
@@ -166,14 +218,13 @@ func (r *Relaxed) fillWork(sol *lp.Solution) {
 	r.Refactorizations = sol.Refactorizations
 	r.BlandActivations = sol.BlandActivations
 	r.WarmStarted = sol.WarmStarted
-	r.Presolve = sol.Presolve
 }
 
 // SolveRelaxed solves the rational relaxation of the MILP for p through
 // presolve.Backend (presolve, then the sparse revised simplex). A repeat
 // solve of the same, unedited *core.Problem is answered from memory (see
 // warmTable) with the first solve's bits: 0 iterations, 0 refactorizations,
-// WarmStarted, the remembered Basis and Presolve. A problem edited since its
+// WarmStarted and the remembered Basis. A problem edited since its
 // remembered solve re-solves warm from that solve's token.
 func SolveRelaxed(p *core.Problem) (*Relaxed, error) {
 	e := recall(p)
@@ -213,10 +264,11 @@ func solveRelaxed(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 	}
 	r := &Relaxed{Feasible: true, MinYield: sol.X[enc.MinYieldVar()], Basis: sol.Basis}
 	r.fillWork(sol)
+	flat := make([]float64, enc.J*enc.H)
 	r.E = make([][]float64, enc.J)
-	for j := 0; j < enc.J; j++ {
-		r.E[j] = make([]float64, enc.H)
-		for h := 0; h < enc.H; h++ {
+	for j := range r.E {
+		r.E[j] = flat[j*enc.H : (j+1)*enc.H : (j+1)*enc.H]
+		for h := range r.E[j] {
 			v := sol.X[enc.EVar(j, h)]
 			if v < 0 {
 				v = 0
@@ -228,7 +280,7 @@ func solveRelaxed(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 }
 
 // clone returns a copy of r that shares nothing mutable with it: E, J rows
-// of H, is copied into one backing array; Basis and Presolve are read-only.
+// of H, is copied into one backing array; Basis is read-only.
 func (r *Relaxed) clone() *Relaxed {
 	c := *r
 	if len(r.E) > 0 {

@@ -38,10 +38,12 @@ func mustSolve(t *testing.T, p *core.Problem) *Relaxed {
 	return rel
 }
 
-// isHit reports whether a solve was answered from the table: a hit shares
-// the remembered answer's presolve counters, a solve makes its own.
+// isHit reports whether a solve was answered from the table: a hit hands
+// out the remembered answer's token, a solve makes its own or, infeasible,
+// none. Only a feasible remembered answer tells the two apart, which is
+// what every miss test remembers.
 func isHit(got, remembered *Relaxed) bool {
-	return got.Presolve == remembered.Presolve
+	return got.Basis == remembered.Basis
 }
 
 // TestRepeatSolveIsBitIdenticalHit pins the table's contract on the paper's
