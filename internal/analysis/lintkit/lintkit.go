@@ -77,11 +77,17 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 }
 
 // DeterminismCritical lists the packages whose control flow must be a pure
-// function of the instance: every path here is replayed from the WAL
-// (decisions, not requests), compared bit-for-bit across shards at K=1, and
-// mirrored by followers. One map-range or clock read desynchronizes replay.
+// function of the instance. engine, hvp (its placer), core (the min-yield
+// evaluator), vp, shard and journal run every journaled epoch: it is
+// replayed from the WAL (decisions, not requests), compared bit for bit
+// across shards at K=1, and mirrored by followers, so one map-range or clock
+// read desynchronizes replay. No replayed path runs lp, milp or presolve;
+// they are here because goldens pin their pivots and bits. relax is not: its
+// seeded rounding imports math/rand, which noclock refuses.
 var DeterminismCritical = []string{
 	"vmalloc/internal/engine",
+	"vmalloc/internal/hvp",
+	"vmalloc/internal/core",
 	"vmalloc/internal/vp",
 	"vmalloc/internal/shard",
 	"vmalloc/internal/journal",

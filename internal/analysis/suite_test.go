@@ -107,6 +107,8 @@ func TestRegistryComplete(t *testing.T) {
 func TestDeterminismCriticalSet(t *testing.T) {
 	want := []string{
 		"vmalloc/internal/engine",
+		"vmalloc/internal/hvp",
+		"vmalloc/internal/core",
 		"vmalloc/internal/vp",
 		"vmalloc/internal/shard",
 		"vmalloc/internal/journal",
@@ -126,7 +128,9 @@ func TestDeterminismCriticalSet(t *testing.T) {
 			t.Errorf("IsDeterminismCritical(%s) = false", p)
 		}
 	}
-	if lintkit.IsDeterminismCritical("vmalloc/internal/obs") {
-		t.Error("IsDeterminismCritical(vmalloc/internal/obs) = true, want false")
+	for _, p := range []string{"vmalloc/internal/obs", "vmalloc/internal/relax"} {
+		if lintkit.IsDeterminismCritical(p) {
+			t.Errorf("IsDeterminismCritical(%s) = true, want false", p)
+		}
 	}
 }

@@ -50,7 +50,7 @@ var solvers = []struct {
 	solve func(*lp.Problem, *lp.Basis) (*lp.Solution, error)
 }{
 	{"simplex", lp.Simplex{}.SolveWarm},
-	{"presolve", presolve.Backend{}.SolveWarm},
+	{"presolve", func(p *lp.Problem, _ *lp.Basis) (*lp.Solution, error) { return presolve.Solve(p) }},
 }
 
 // TestNetlibKnownOptima is the CI gate for solver correctness on the

@@ -35,12 +35,12 @@ func (r *Reduction) Postsolve(sol *lp.Solution) (*lp.Solution, error) {
 	if sol.Status != lp.Optimal {
 		// Infeasibility/unboundedness of the reduced model carries over:
 		// every reduction preserves both directions.
-		return &lp.Solution{Status: sol.Status, Iters: sol.Iters, WarmStarted: sol.WarmStarted}, nil
+		return &lp.Solution{Status: sol.Status}, nil
 	}
 	if len(sol.X) != len(r.colKeep) {
 		return nil, fmt.Errorf("presolve: reduced solution has %d variables, want %d", len(sol.X), len(r.colKeep))
 	}
-	full := &lp.Solution{Status: lp.Optimal, Iters: sol.Iters, WarmStarted: sol.WarmStarted}
+	full := &lp.Solution{Status: lp.Optimal}
 	r.fillPrimal(full, sol.X)
 	return full, nil
 }

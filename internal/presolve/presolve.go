@@ -5,7 +5,7 @@
 // case), drops redundant rows, fixes whole rows when their activity bounds
 // force every variable, and iterates bound propagation to a fixpoint. The
 // reduced model is solved by the sparse simplex, and a postsolve stack then
-// reconstructs the full primal solution; Backend runs the three steps.
+// reconstructs the full primal solution; Solve runs the three steps.
 //
 // The paper's relaxation (Eqs. 1–7) is the design target: its per-service
 // placement equalities (Eq. 3) and min-yield linking rows (Eq. 7) are what

@@ -11,7 +11,7 @@ import (
 	"vmalloc/internal/workload"
 )
 
-// solveBoth solves p unreduced and through presolve.Backend and returns
+// solveBoth solves p unreduced and through presolve.Solve and returns
 // both solutions.
 func solveBoth(t *testing.T, p *lp.Problem) (raw, pre *lp.Solution) {
 	t.Helper()
@@ -19,7 +19,7 @@ func solveBoth(t *testing.T, p *lp.Problem) (raw, pre *lp.Solution) {
 	if err != nil {
 		t.Fatalf("raw solve: %v", err)
 	}
-	pre, err = presolve.Backend{}.SolveWarm(p, nil)
+	pre, err = presolve.Solve(p)
 	if err != nil {
 		t.Fatalf("presolved solve: %v", err)
 	}
@@ -103,10 +103,9 @@ func TestRuleFixedAndEmpty(t *testing.T) {
 }
 
 // TestBackendSolvedOutcome solves a model presolve eliminates entirely
-// through Backend: the reduction counts every column eliminated, and the
-// answer is Postsolve(nil)'s, bit for bit, certified by lp.Check with the
-// unpresolved simplex's duals, with no warm token; a repeat solve, cold or
-// handed another problem's token, returns the same bits.
+// through Solve: the reduction counts every column eliminated, and the
+// answer is Postsolve(nil)'s, bit for bit, with no basis, certified by
+// lp.Check with the unpresolved simplex's duals.
 func TestBackendSolvedOutcome(t *testing.T) {
 	p := fixedAndEmpty()
 	red, err := presolve.Reduce(p, nil)
@@ -124,41 +123,22 @@ func TestBackendSolvedOutcome(t *testing.T) {
 	if err != nil || raw.Status != lp.Optimal {
 		t.Fatalf("unpresolved solve: %v %v", raw.Status, err)
 	}
-	same := func(what string, got *lp.Solution) {
-		t.Helper()
-		if got.Status != lp.Optimal || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
-			t.Fatalf("%s: %v/%v, want optimal/%v", what, got.Status, got.Objective, want.Objective)
-		}
-		for j, x := range want.X {
-			if math.Float64bits(got.X[j]) != math.Float64bits(x) {
-				t.Fatalf("%s: x[%d] = %v, want %v", what, j, got.X[j], x)
-			}
-		}
-		if got.Basis != nil {
-			t.Fatalf("%s: a fully presolved model handed out a token", what)
-		}
-	}
-	b := presolve.Backend{}
-	first, err := b.SolveWarm(p, nil)
+	got, err := presolve.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same("cold", first)
-	certifyWith(t, p, first, raw)
-	again, err := b.SolveWarm(p, first.Basis)
-	if err != nil {
-		t.Fatal(err)
+	if got.Status != lp.Optimal || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+		t.Fatalf("%v/%v, want optimal/%v", got.Status, got.Objective, want.Objective)
 	}
-	same("repeat", again)
-	other, err := b.SolveWarm(paperRelaxation(1), nil)
-	if err != nil || other.Basis == nil {
-		t.Fatalf("token source: %v (%v)", other.Status, err)
+	for j, x := range want.X {
+		if math.Float64bits(got.X[j]) != math.Float64bits(x) {
+			t.Fatalf("x[%d] = %v, want %v", j, got.X[j], x)
+		}
 	}
-	foreign, err := b.SolveWarm(p, other.Basis)
-	if err != nil {
-		t.Fatal(err)
+	if got.Basis != nil {
+		t.Fatal("a fully presolved model returned a basis")
 	}
-	same("foreign token", foreign)
+	certifyWith(t, p, got, raw)
 }
 
 // TestRuleSingletonRow checks singleton rows become bound tightenings in
@@ -266,7 +246,7 @@ func TestRuleBoundPropagation(t *testing.T) {
 }
 
 // TestInfeasibleDetection checks presolve proves infeasibility without a
-// simplex call, and that Backend's answer, which the simplex then gives on
+// simplex call, and that Solve's answer, which the simplex then gives on
 // the unreduced model, carries a Farkas vector lp.Check accepts.
 func TestInfeasibleDetection(t *testing.T) {
 	p := &lp.Problem{
@@ -283,7 +263,7 @@ func TestInfeasibleDetection(t *testing.T) {
 	if red.Outcome() != presolve.Infeasible {
 		t.Fatalf("outcome %v, want Infeasible", red.Outcome())
 	}
-	sol, err := presolve.Backend{}.SolveWarm(p, nil)
+	sol, err := presolve.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,12 +271,12 @@ func TestInfeasibleDetection(t *testing.T) {
 		t.Fatalf("status %v, want Infeasible", sol.Status)
 	}
 	if _, err := lp.Check(p, sol); err != nil {
-		t.Fatalf("Backend's infeasible answer fails its certificate: %v", err)
+		t.Fatalf("Solve's infeasible answer fails its certificate: %v", err)
 	}
 }
 
 // TestUnboundedDetection checks an empty improving column with no upper
-// bound is reported unbounded, by presolve and, with a ray, by Backend.
+// bound is reported unbounded, by presolve and, with a ray, by Solve.
 func TestUnboundedDetection(t *testing.T) {
 	p := &lp.Problem{
 		Obj:   []float64{1, 1},
@@ -312,7 +292,7 @@ func TestUnboundedDetection(t *testing.T) {
 	if red.Outcome() != presolve.Unbounded {
 		t.Fatalf("outcome %v, want Unbounded", red.Outcome())
 	}
-	sol, err := presolve.Backend{}.SolveWarm(p, nil)
+	sol, err := presolve.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +300,7 @@ func TestUnboundedDetection(t *testing.T) {
 		t.Fatalf("status %v, want Unbounded", sol.Status)
 	}
 	if _, err := lp.Check(p, sol); err != nil {
-		t.Fatalf("Backend's unbounded answer fails its certificate: %v", err)
+		t.Fatalf("Solve's unbounded answer fails its certificate: %v", err)
 	}
 }
 
@@ -389,7 +369,7 @@ func parkScenarios() []workload.Scenario {
 // TestEquivalenceRandomParks is the headline equivalence gate: across 100+
 // random park relaxations the reduced-model objective must match the
 // unreduced solve to 1e-9 and the reconstructed primal must pass lp.Check
-// with the unreduced solve's duals, through presolve.Backend and through
+// with the unreduced solve's duals, through presolve.Solve and through
 // Reduce, the simplex and Postsolve step by step.
 func TestEquivalenceRandomParks(t *testing.T) {
 	scns := parkScenarios()
@@ -433,7 +413,7 @@ func TestEquivalenceRandomParks(t *testing.T) {
 
 // presolvedBnB is a test-side reference branch and bound that reduces every
 // node afresh: depth first, each node's LP (binaries fixed through Lower =
-// Upper) solved cold through presolve.Backend, branching on the first
+// Upper) solved cold through presolve.Solve, branching on the first
 // fractional binary.
 func presolvedBnB(t *testing.T, p *milp.Problem) (best float64, found bool) {
 	t.Helper()
@@ -442,7 +422,7 @@ func presolvedBnB(t *testing.T, p *milp.Problem) (best float64, found bool) {
 	visit = func(lower, upper []float64) {
 		q := p.LP
 		q.Lower, q.Upper = lower, upper
-		s, err := presolve.Backend{}.SolveWarm(&q, nil)
+		s, err := presolve.Solve(&q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,34 +482,5 @@ func TestEquivalenceUnderMILP(t *testing.T) {
 	}
 	if count == 0 {
 		t.Fatal("no MILP instances exercised")
-	}
-}
-
-// TestWarmTokenRoundTrip checks the reduced-space warm token
-// installs when re-solving the identical problem (the RRND->RRNZ roster
-// pattern).
-func TestWarmTokenRoundTrip(t *testing.T) {
-	p := workload.Generate(workload.Scenario{Hosts: 4, Services: 16, COV: 0.5, Slack: 0.5, Seed: 7})
-	enc := relax.Encode(p)
-	b := presolve.Backend{}
-	cold, err := b.SolveWarm(enc.LP, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Status != lp.Optimal || cold.Basis == nil {
-		t.Fatalf("cold solve: status %v basis %v", cold.Status, cold.Basis != nil)
-	}
-	warm, err := b.SolveWarm(enc.LP, cold.Basis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.WarmStarted {
-		t.Fatal("identical re-solve did not install the reduced warm token")
-	}
-	if warm.Iters > cold.Iters/2 {
-		t.Fatalf("warm re-solve barely cheaper: %d iters vs cold %d", warm.Iters, cold.Iters)
-	}
-	if d := math.Abs(warm.Objective - cold.Objective); d > 1e-9*(1+math.Abs(cold.Objective)) {
-		t.Fatalf("warm objective drifted: %.15g vs %.15g", warm.Objective, cold.Objective)
 	}
 }

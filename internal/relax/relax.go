@@ -197,47 +197,18 @@ type Relaxed struct {
 	MinYield float64
 	// E[j][h] is the fractional placement of service j on node h.
 	E [][]float64
-	// Basis is the warm-start token of presolve.Backend: the basis of the
-	// REDUCED model, nil when the relaxation is infeasible or presolve solved
-	// it outright. SolveRelaxed remembers it with the answer (see warmTable)
-	// and re-solves an edited problem from it; a token that no longer fits
-	// costs a cold start inside the solver.
-	Basis *lp.Basis
-	// Iters/Refactorizations/BlandActivations count the simplex work of
-	// this solve and WarmStarted reports whether a supplied basis actually
-	// installed. Valid on infeasible outcomes too.
-	Iters            int
-	Refactorizations int
-	BlandActivations int
-	WarmStarted      bool
-}
-
-// fillWork copies the solver-work counters off a solution.
-func (r *Relaxed) fillWork(sol *lp.Solution) {
-	r.Iters = sol.Iters
-	r.Refactorizations = sol.Refactorizations
-	r.BlandActivations = sol.BlandActivations
-	r.WarmStarted = sol.WarmStarted
 }
 
 // SolveRelaxed solves the rational relaxation of the MILP for p through
-// presolve.Backend (presolve, then the sparse revised simplex). A repeat
+// presolve.Solve (presolve, then the sparse revised simplex). A repeat
 // solve of the same, unedited *core.Problem is answered from memory (see
-// warmTable) with the first solve's bits: 0 iterations, 0 refactorizations,
-// WarmStarted and the remembered Basis. A problem edited since its
-// remembered solve re-solves warm from that solve's token.
+// warmTable) with the first solve's bits; any other solve is cold, so the
+// answer is a function of p's data alone.
 func SolveRelaxed(p *core.Problem) (*Relaxed, error) {
-	e := recall(p)
-	if e.rel != nil && sameData(p, e.snap) {
-		r := e.rel.clone()
-		r.Iters, r.Refactorizations, r.BlandActivations, r.WarmStarted = 0, 0, 0, true
-		return r, nil
+	if e := recall(p); e.rel != nil && sameData(p, e.snap) {
+		return e.rel.clone(), nil
 	}
-	var warm *lp.Basis
-	if e.rel != nil {
-		warm = e.rel.Basis
-	}
-	r, err := solveRelaxed(p, warm)
+	r, err := solveRelaxed(p)
 	if err != nil {
 		remember(warmEntry{p: p})
 		return nil, err
@@ -246,24 +217,21 @@ func SolveRelaxed(p *core.Problem) (*Relaxed, error) {
 	return r.clone(), nil
 }
 
-// solveRelaxed encodes p and solves the relaxation from warm.
-func solveRelaxed(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
+// solveRelaxed encodes p and solves the relaxation cold.
+func solveRelaxed(p *core.Problem) (*Relaxed, error) {
 	enc := Encode(p)
-	sol, err := presolve.Backend{}.SolveWarm(enc.LP, warm)
+	sol, err := presolve.Solve(enc.LP)
 	if err != nil {
 		return nil, err
 	}
 	switch sol.Status {
 	case lp.Infeasible:
-		r := &Relaxed{}
-		r.fillWork(sol)
-		return r, nil
+		return &Relaxed{}, nil
 	case lp.Optimal:
 	default:
 		return nil, fmt.Errorf("relax: simplex returned %v", sol.Status)
 	}
-	r := &Relaxed{Feasible: true, MinYield: sol.X[enc.MinYieldVar()], Basis: sol.Basis}
-	r.fillWork(sol)
+	r := &Relaxed{Feasible: true, MinYield: sol.X[enc.MinYieldVar()]}
 	flat := make([]float64, enc.J*enc.H)
 	r.E = make([][]float64, enc.J)
 	for j := range r.E {
@@ -280,7 +248,7 @@ func solveRelaxed(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 }
 
 // clone returns a copy of r that shares nothing mutable with it: E, J rows
-// of H, is copied into one backing array; Basis is read-only.
+// of H, is copied into one backing array.
 func (r *Relaxed) clone() *Relaxed {
 	c := *r
 	if len(r.E) > 0 {

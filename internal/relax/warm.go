@@ -12,13 +12,12 @@ import (
 // remember: at least four times the experiment roster's worker count on a
 // two-core machine, so an instance's bound, RRND and RRNZ solves find one
 // another's answer even with every worker mid-instance. Each entry holds a
-// Clone of its problem (13 KB allocated at 8x64), the answer and its
-// warm token, and keeps its problem reachable until evicted.
+// Clone of its problem (13 KB allocated at 8x64) and the answer, and keeps
+// its problem reachable until evicted.
 const warmTableSize = 8
 
 // warmEntry is one remembered problem: a snapshot (a Clone) of it as it
-// was when last solved, and that solve's answer, whose Basis is the entry's
-// token.
+// was when last solved, and that solve's answer.
 type warmEntry struct {
 	p, snap *core.Problem
 	rel     *Relaxed // never handed out: callers get copies
@@ -28,9 +27,8 @@ type warmEntry struct {
 // keyed by problem pointer, so a repeat solve of the same *core.Problem —
 // the bound, then RRND, then RRNZ — is answered from memory: no Encode, no
 // presolve, no simplex. A hit needs the problem's data to be bit-equal to
-// the entry's snapshot, so an in-place edit misses and re-solves, warm from
-// the entry's token. An equal problem held in a different object misses by
-// design.
+// the entry's snapshot, so an in-place edit misses and re-solves cold. An
+// equal problem held in a different object misses by design.
 var warmTable struct {
 	mu      sync.Mutex
 	next    int // the slot a new problem takes: the oldest one's
